@@ -56,12 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=None, help="override the output directory")
         p.add_argument("--seed", type=int, default=None, help="override the Monte Carlo seed")
         p.add_argument("-v", "--verbose", action="count", default=0)
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker hint; the current implementation is sequential",
-        )
     return parser
 
 

@@ -4,7 +4,7 @@ reported with the offending field path."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -41,16 +41,13 @@ class RunConfig:
     convergence_tol: float = 1e-6
     max_iterations: int = 10**5
     noise_grid: Optional[tuple[int, ...]] = None
-    monotone: Optional[tuple[tuple[bool, ...], ...]] = None
     cluster_passes: int = 0
     monte_carlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     posterior_table: Optional[Path] = None
     output_dir: Path = Path("out")
 
     def dynamics_model(self) -> DynamicsModel:
-        return parse_dynamics(
-            list(self.expressions), len(self.grid), self.structure, self.monotone
-        )
+        return parse_dynamics(list(self.expressions), len(self.grid), self.structure)
 
 
 def _fail(path: str, reason: str) -> None:
@@ -61,6 +58,16 @@ def _need(mapping: dict, key: str, path: str) -> Any:
     if not isinstance(mapping, dict) or key not in mapping:
         _fail(f"{path}.{key}" if path else key, "missing required field")
     return mapping[key]
+
+
+def _known_keys(mapping: Any, allowed: tuple[str, ...], path: str) -> None:
+    """Reject keys outside ``allowed`` so that a typo cannot silently fall
+    back to a default."""
+    if not isinstance(mapping, dict):
+        _fail(path, "expected a mapping")
+    for key in mapping:
+        if key not in allowed:
+            _fail(f"{path}.{key}" if path else str(key), "unknown field")
 
 
 def _as_box(value: Any, path: str) -> Box:
@@ -77,10 +84,24 @@ def _as_box(value: Any, path: str) -> Box:
     return Box.from_bounds(value)
 
 
+_TOP_FIELDS = (
+    "domain", "grid", "dynamics", "noise", "labels", "spec", "cluster",
+    "monte_carlo", "posterior_table", "output_dir",
+)
+_SPEC_FIELDS = ("threshold", "horizon", "convergence_tolerance", "max_iterations")
+_DISTRIBUTION_FIELDS = {
+    "uniform": ("lo", "hi"),
+    "truncated_gaussian": ("mean", "std", "lo", "hi"),
+    "mixture": ("weights", "components"),
+}
+
+
 def _parse_noise_component(entry: Any, path: str) -> NoiseComponent:
     if not isinstance(entry, dict) or "type" not in entry:
         _fail(path, "expected a mapping with a 'type' field")
     kind = entry["type"]
+    if kind in _DISTRIBUTION_FIELDS:
+        _known_keys(entry, ("type",) + _DISTRIBUTION_FIELDS[kind], path)
     try:
         if kind == "uniform":
             return Uniform(float(entry["lo"]), float(entry["hi"]))
@@ -118,6 +139,7 @@ def load_config(path) -> RunConfig:
         raise InputError(f"config parse error in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{path}: top level must be a mapping")
+    _known_keys(raw, _TOP_FIELDS, "")
 
     domain = _as_box(_need(raw, "domain", ""), "domain")
     n = domain.dim
@@ -132,27 +154,20 @@ def load_config(path) -> RunConfig:
 
     dyn = _need(raw, "dynamics", "")
     exprs_raw = _need(dyn, "expressions", "dynamics")
+    _known_keys(dyn, ("expressions", "structure"), "dynamics")
     if not isinstance(exprs_raw, (list, tuple)) or len(exprs_raw) != n:
         _fail("dynamics.expressions", f"expected {n} component expressions")
     structure = dyn.get("structure", GENERAL)
     if structure not in STRUCTURES:
         _fail("dynamics.structure", f"must be one of {STRUCTURES}, got {structure!r}")
-    monotone = dyn.get("monotone")
-    if monotone is not None:
-        if (
-            not isinstance(monotone, list)
-            or len(monotone) != n
-            or any(not isinstance(row, list) or len(row) != n for row in monotone)
-        ):
-            _fail("dynamics.monotone", f"expected an {n}x{n} table of booleans")
-        monotone = tuple(tuple(bool(b) for b in row) for row in monotone)
     try:
-        parse_dynamics([str(e) for e in exprs_raw], n, structure, monotone)
+        parse_dynamics([str(e) for e in exprs_raw], n, structure)
     except (ParseError, StructureError, ValueError) as exc:
         _fail("dynamics.expressions", str(exc))
 
     noise_raw = _need(raw, "noise", "")
     comps_raw = _need(noise_raw, "components", "noise")
+    _known_keys(noise_raw, ("components", "grid"), "noise")
     if not isinstance(comps_raw, (list, tuple)) or len(comps_raw) != n:
         _fail("noise.components", f"expected {n} noise components")
     noise = NoiseModel(
@@ -203,6 +218,7 @@ def load_config(path) -> RunConfig:
         _fail("labels.goal", "a goal label with at least one box is required")
 
     spec_raw = raw.get("spec", {})
+    _known_keys(spec_raw, _SPEC_FIELDS, "spec")
     threshold = spec_raw.get("threshold", 0.9)
     if not isinstance(threshold, (int, float)) or not 0.0 < threshold < 1.0:
         _fail("spec.threshold", f"must be in (0, 1), got {threshold!r}")
@@ -219,13 +235,13 @@ def load_config(path) -> RunConfig:
         _fail("spec.max_iterations", "must be a positive integer")
 
     cluster_raw = raw.get("cluster", {})
-    passes = cluster_raw.get("passes", 0) if isinstance(cluster_raw, dict) else None
+    _known_keys(cluster_raw, ("passes",), "cluster")
+    passes = cluster_raw.get("passes", 0)
     if not isinstance(passes, int) or passes < 0:
         _fail("cluster.passes", f"must be an integer >= 0, got {passes!r}")
 
     mc_raw = raw.get("monte_carlo", {})
-    if not isinstance(mc_raw, dict):
-        _fail("monte_carlo", "expected a mapping")
+    _known_keys(mc_raw, tuple(f.name for f in fields(MonteCarloConfig)), "monte_carlo")
     mc = MonteCarloConfig(
         trajectories=mc_raw.get("trajectories", 1000),
         seed=mc_raw.get("seed", 0),
@@ -279,7 +295,6 @@ def load_config(path) -> RunConfig:
         convergence_tol=convergence_tol,
         max_iterations=max_iterations,
         noise_grid=noise_grid,
-        monotone=monotone,
         cluster_passes=passes,
         monte_carlo=mc,
         posterior_table=posterior_table,

@@ -311,7 +311,6 @@ class DynamicsModel:
     structure: str
     components: tuple[Expr, ...]
     g_components: Optional[tuple[Expr, ...]]
-    monotone: Optional[tuple[tuple[bool, ...], ...]] = None
 
     @property
     def n_w(self) -> int:
@@ -373,7 +372,6 @@ def parse_dynamics(
     text: Union[str, Sequence[str]],
     n: int,
     structure: str = GENERAL,
-    monotone: Optional[Sequence[Sequence[bool]]] = None,
 ) -> DynamicsModel:
     """Parse one expression per component and validate the structure claim.
 
@@ -409,17 +407,11 @@ def parse_dynamics(
         else:
             components.append(expr)
 
-    mono = None
-    if monotone is not None:
-        mono = tuple(tuple(bool(b) for b in row) for row in monotone)
-        if len(mono) != n or any(len(row) != n for row in mono):
-            raise ValueError("monotone flags must form an n-by-n table")
     return DynamicsModel(
         n=n,
         structure=structure,
         components=tuple(components),
         g_components=tuple(g_components) if g_components else None,
-        monotone=mono,
     )
 
 
@@ -493,20 +485,6 @@ def eval_point(model: DynamicsModel, x, w) -> np.ndarray:
             np.asarray(_eval(expr, x, w, i + 1), dtype=float), x.shape[:-1]
         )
         for i, expr in enumerate(model.components)
-    ]
-    return np.stack(cols, axis=-1)
-
-
-def eval_noise_free(model: DynamicsModel, x) -> np.ndarray:
-    """Evaluate the noise-free part g(x) of a structured model."""
-    if model.g_components is None:
-        raise ValueError("noise-free evaluation requires a structured model")
-    x = np.asarray(x, dtype=float)
-    cols = [
-        np.broadcast_to(
-            np.asarray(_eval(expr, x, None, i + 1), dtype=float), x.shape[:-1]
-        )
-        for i, expr in enumerate(model.g_components)
     ]
     return np.stack(cols, axis=-1)
 

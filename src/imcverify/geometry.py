@@ -124,14 +124,6 @@ class Box:
         _check_dims(self, other)
         return all(a.intersects(b) for a, b in zip(self.intervals, other.intervals))
 
-    def interior_intersects(self, other: "Box") -> bool:
-        """Strict overlap: shared boundaries alone do not count."""
-        _check_dims(self, other)
-        return all(
-            max(a.lo, b.lo) < min(a.hi, b.hi)
-            for a, b in zip(self.intervals, other.intervals)
-        )
-
     def contains_point(self, x: Sequence[float]) -> bool:
         if len(x) != self.dim:
             raise ValueError(f"point dimension {len(x)} != box dimension {self.dim}")
@@ -262,14 +254,6 @@ class StatePartition:
         first = max(first, 0)
         last = min(last, self.resolution[dim])
         return first, max(last, first)
-
-    def cells_overlapping_interior(self, box: Box) -> list[int]:
-        """Indices of cells whose interior intersects the box interior."""
-        if box.dim != self.domain.dim:
-            raise ValueError("box dimension differs from partition dimension")
-        return [
-            i for i, cell in enumerate(self.cells) if cell.interior_intersects(box)
-        ]
 
 
 def partition_domain(domain: Box, resolution: Sequence[int]) -> StatePartition:

@@ -12,8 +12,9 @@ upper bound when it intersects the target.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .dynamics import (
@@ -85,18 +86,14 @@ class PosteriorTable:
     """Externally supplied noise-free posterior intervals per abstract state.
 
     This is the ingestion point for data-driven systems whose noise-free map
-    is known only through learned interval enclosures. States flagged
-    invalid are unusable for abstraction and are rejected at build time.
+    is known only through learned interval enclosures.
     """
 
     boxes: Mapping[int, Box]
-    valid: Mapping[int, bool] = field(default_factory=dict)
 
     def postf(self, state: int) -> Box:
         if state not in self.boxes:
             raise InputError(f"posterior table has no entry for state {state}")
-        if not self.valid.get(state, True):
-            raise InputError(f"posterior table entry for state {state} is invalid")
         return self.boxes[state]
 
 
@@ -198,20 +195,32 @@ def _bounds_to_target(
 # --- label handling -----------------------------------------------------------
 
 
-def _assert_aligned(partition: StatePartition, box: Box, name: str) -> None:
+def _aligned_spans(
+    partition: StatePartition, box: Box, name: str
+) -> list[range]:
+    """Per dimension, the range of grid cells the box covers. Each endpoint
+    must lie on a grid line (up to rounding); the edge it matches bounds the
+    range, so edges such as ``-0.19999999999999996`` do not spill a label
+    into the neighbouring cells."""
     if not partition.is_grid():
         raise InputError(
             f"label {name!r}: alignment checks require a uniform grid partition"
         )
+    spans = []
     for d in range(box.dim):
         edges = partition.edges[d]
         scale = max(1.0, abs(edges[-1] - edges[0]))
+        matched = []
         for endpoint in (box.component(d).lo, box.component(d).hi):
-            if not any(abs(endpoint - e) <= _ALIGN_TOL * scale for e in edges):
+            i = min(range(len(edges)), key=lambda j: abs(endpoint - edges[j]))
+            if abs(endpoint - edges[i]) > _ALIGN_TOL * scale:
                 raise InputError(
                     f"label {name!r}: endpoint {endpoint} in dimension {d} does "
                     f"not lie on a grid line"
                 )
+            matched.append(i)
+        spans.append(range(*matched))
+    return spans
 
 
 def assign_labels(
@@ -231,9 +240,8 @@ def assign_labels(
                 raise InputError(f"label {name!r}: box dimension mismatch")
             if not partition.domain.contains(box):
                 raise InputError(f"label {name!r}: box {box} leaves the domain")
-            _assert_aligned(partition, box, name)
-            for idx in partition.cells_overlapping_interior(box):
-                labels[idx].add(name)
+            for multi in itertools.product(*_aligned_spans(partition, box, name)):
+                labels[partition.flat_index(multi)].add(name)
     labels[partition.unsafe_index].add(UNSAFE_LABEL)
     return tuple(frozenset(s) for s in labels)
 

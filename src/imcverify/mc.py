@@ -4,15 +4,20 @@ check empirical satisfaction against the verified intervals.
 Sampling is inverse-CDF based (analytic for uniforms, bracketed bisection
 for truncated Gaussians) so the draw count per step is fixed and runs are
 reproducible from the seed alone. Mixtures first pick a part by weight and
-then sample inside it, which keeps support gaps empty. Each trajectory owns
-an RNG stream derived from (seed, trajectory index), so batched and
-one-at-a-time simulation produce identical paths.
+then sample inside it, which keeps support gaps empty.
+
+There is one rollout: ``_rollout`` advances a batch of trajectories in
+lockstep, one RNG stream per trajectory, and returns every termination plus
+the full paths of the first ``keep`` trajectories. ``estimate_satisfaction``
+seeds trajectory ``i`` from ``(*seed, i)``, so the paths it keeps are the
+first trajectories of its own validation batch; ``simulate`` and
+``sample_noise`` are one-stream calls into the same kernel and sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import beta
@@ -25,6 +30,10 @@ TERM_HORIZON = "horizon"
 TERM_GOAL = "goal-hit"
 TERM_AVOID = "avoid-hit"
 TERM_LEFT = "left-domain"
+
+# termination codes of the kernel; 0 means the trajectory is still running
+_RUNNING, _GOAL, _AVOID, _LEFT, _HORIZON = range(5)
+_TERMS = (None, TERM_GOAL, TERM_AVOID, TERM_LEFT, TERM_HORIZON)
 
 
 @dataclass(frozen=True)
@@ -52,28 +61,89 @@ class Trajectory:
         return self.termination == TERM_GOAL
 
 
-def _classify_point(x: np.ndarray, regions: ReachAvoidRegions) -> Optional[str]:
-    if any(g.contains_point(x) for g in regions.goals):
-        return TERM_GOAL
-    if any(a.contains_point(x) for a in regions.avoids):
-        return TERM_AVOID
-    if not regions.domain.contains_point(x):
-        return TERM_LEFT
-    return None
+def _inside(x: np.ndarray, box: Box) -> np.ndarray:
+    lo = np.array([ival.lo for ival in box.intervals])
+    hi = np.array([ival.hi for ival in box.intervals])
+    return np.all((x >= lo) & (x <= hi), axis=1)
+
+
+def _classify(x: np.ndarray, regions: ReachAvoidRegions) -> np.ndarray:
+    """Termination code per row of x (shape (m, n)). A goal hit wins over an
+    avoid hit, which wins over leaving the domain."""
+    cause = np.where(_inside(x, regions.domain), _RUNNING, _LEFT)
+    for box in regions.avoids:
+        cause[_inside(x, box)] = _AVOID
+    for box in regions.goals:
+        cause[_inside(x, box)] = _GOAL
+    return cause
+
+
+def _sample(noise: NoiseModel, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One noise vector per stream, shape (len(rngs), n). Per stream and
+    component the draws are: part selector (mixtures only), then value."""
+    m = len(rngs)
+    out = np.empty((m, noise.n))
+    for i, comp in enumerate(noise.components):
+        if isinstance(comp, Mixture):
+            u_part = np.array([rng.random() for rng in rngs])
+            u_val = np.array([rng.random() for rng in rngs])
+            idx = np.searchsorted(np.cumsum(comp.weights), u_part, side="right")
+            # weights may sum to 1 - 1e-12; a draw above the sum takes the last part
+            idx = np.minimum(idx, len(comp.parts) - 1)
+            for part_i, part in enumerate(comp.parts):
+                mask = idx == part_i
+                if mask.any():
+                    out[mask, i] = part.inverse_cdf(u_val[mask])
+        else:
+            u = np.array([rng.random() for rng in rngs])
+            out[:, i] = comp.inverse_cdf(u)
+    return out
+
+
+def _rollout(
+    model: DynamicsModel,
+    noise: NoiseModel,
+    regions: ReachAvoidRegions,
+    x0: Sequence[float],
+    rngs: Sequence[np.random.Generator],
+    horizon: int,
+    keep: int,
+) -> tuple[np.ndarray, list[Trajectory]]:
+    """Advance one trajectory per stream from x0 for at most ``horizon``
+    steps, each stopping at its first goal hit, avoid hit or domain exit.
+
+    Returns the termination code of every trajectory and the full paths of
+    the first ``keep`` of them.
+    """
+    m = len(rngs)
+    x = np.tile(np.asarray(x0, dtype=float), (m, 1))
+    cause = _classify(x, regions)
+    length = np.ones(m, dtype=int)
+    history = [x[:keep].copy()]
+    alive = np.flatnonzero(cause == _RUNNING)
+    for _ in range(horizon):
+        if len(alive) == 0:
+            break
+        w = _sample(noise, [rngs[i] for i in alive])
+        x_alive = eval_point(model, x[alive], w)
+        x[alive] = x_alive
+        cause[alive] = _classify(x_alive, regions)
+        length[alive] += 1
+        if alive[0] < keep:
+            history.append(x[:keep].copy())
+        alive = alive[cause[alive] == _RUNNING]
+    cause[alive] = _HORIZON
+    paths = np.stack(history)
+    kept = [
+        Trajectory(states=paths[: length[i], i], termination=_TERMS[cause[i]])
+        for i in range(min(keep, m))
+    ]
+    return cause, kept
 
 
 def sample_noise(noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """One noise vector via inverse-CDF sampling, one component at a time."""
-    out = np.empty(noise.n)
-    for i, comp in enumerate(noise.components):
-        if isinstance(comp, Mixture):
-            u_part = rng.random()
-            cum = np.cumsum(comp.weights)
-            part = comp.parts[int(np.searchsorted(cum, u_part, side="right"))]
-            out[i] = part.inverse_cdf(rng.random())
-        else:
-            out[i] = comp.inverse_cdf(rng.random())
-    return out
+    """One noise vector via inverse-CDF sampling."""
+    return _sample(noise, [rng])[0]
 
 
 def simulate(
@@ -86,46 +156,8 @@ def simulate(
 ) -> Trajectory:
     """Roll out at most k steps, stopping at the first goal hit, avoid hit,
     or domain exit."""
-    x = np.asarray(x0, dtype=float)
-    states = [x]
-    cause = _classify_point(x, regions)
-    if cause is None:
-        for _ in range(k):
-            w = sample_noise(noise, rng)
-            x = eval_point(model, x, w)
-            states.append(x)
-            cause = _classify_point(x, regions)
-            if cause is not None:
-                break
-        else:
-            cause = TERM_HORIZON
-    return Trajectory(states=np.stack(states, axis=0), termination=cause)
-
-
-def _batch_sample_noise(
-    noise: NoiseModel, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """Noise vectors for several trajectories, consuming each trajectory's
-    stream exactly as sample_noise would."""
-    m = len(rngs)
-    out = np.empty((m, noise.n))
-    for i, comp in enumerate(noise.components):
-        if isinstance(comp, Mixture):
-            # per stream the draw order matches sample_noise: selector, value
-            u_part = np.array([rng.random() for rng in rngs])
-            u_val = np.array([rng.random() for rng in rngs])
-            cum = np.cumsum(comp.weights)
-            idx = np.searchsorted(cum, u_part, side="right")
-            col = np.empty(m)
-            for part_i, part in enumerate(comp.parts):
-                mask = idx == part_i
-                if mask.any():
-                    col[mask] = np.asarray(part.inverse_cdf(u_val[mask]))
-            out[:, i] = col
-        else:
-            u = np.array([rng.random() for rng in rngs])
-            out[:, i] = np.asarray(comp.inverse_cdf(u))
-    return out
+    _, (trajectory,) = _rollout(model, noise, regions, x0, [rng], k, keep=1)
+    return trajectory
 
 
 def clopper_pearson(
@@ -155,60 +187,25 @@ def estimate_satisfaction(
     horizon: int,
     seed,
     confidence: float = 0.99,
-) -> tuple[float, tuple[float, float]]:
-    """Empirical satisfaction frequency from x0 with a Clopper-Pearson CI.
+    keep: int = 0,
+) -> tuple[float, tuple[float, float], list[Trajectory]]:
+    """Empirical satisfaction frequency from x0 with a Clopper-Pearson CI,
+    and the paths of the first ``keep`` trajectories.
 
-    Trajectories advance in lockstep but each consumes its own RNG stream,
-    so the sampled paths match n_samples independent simulate() calls with
-    rngs seeded from (*seed, index). ``seed`` is an int or a tuple of ints.
+    Trajectory i consumes the RNG stream seeded from (*seed, i), so it is
+    the path simulate() gives with that rng. ``seed`` is an int or a tuple
+    of ints.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if keep < 0:
+        raise ValueError(f"keep must be >= 0, got {keep}")
     base = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     rngs = [np.random.default_rng([*base, i]) for i in range(n_samples)]
-    x0 = np.asarray(x0, dtype=float)
-
-    start_cause = _classify_point(x0, regions)
-    if start_cause is not None:
-        successes = n_samples if start_cause == TERM_GOAL else 0
-        estimate = successes / n_samples
-        return estimate, clopper_pearson(successes, n_samples, confidence)
-
-    x = np.tile(x0, (n_samples, 1))
-    alive = np.arange(n_samples)
-    successes = 0
-    for _ in range(horizon):
-        if len(alive) == 0:
-            break
-        w = _batch_sample_noise(noise, [rngs[i] for i in alive])
-        x_alive = eval_point(model, x[alive], w)
-        x[alive] = x_alive
-
-        in_goal = np.zeros(len(alive), dtype=bool)
-        for g in regions.goals:
-            mask = np.ones(len(alive), dtype=bool)
-            for d in range(len(x0)):
-                ival = g.component(d)
-                mask &= (x_alive[:, d] >= ival.lo) & (x_alive[:, d] <= ival.hi)
-            in_goal |= mask
-        in_avoid = np.zeros(len(alive), dtype=bool)
-        for a in regions.avoids:
-            mask = np.ones(len(alive), dtype=bool)
-            for d in range(len(x0)):
-                ival = a.component(d)
-                mask &= (x_alive[:, d] >= ival.lo) & (x_alive[:, d] <= ival.hi)
-            in_avoid |= mask
-        in_domain = np.ones(len(alive), dtype=bool)
-        for d in range(len(x0)):
-            ival = regions.domain.component(d)
-            in_domain &= (x_alive[:, d] >= ival.lo) & (x_alive[:, d] <= ival.hi)
-
-        resolved = in_goal | in_avoid | ~in_domain
-        successes += int(np.count_nonzero(in_goal))
-        alive = alive[~resolved]
-
+    cause, kept = _rollout(model, noise, regions, x0, rngs, horizon, keep)
+    successes = int(np.count_nonzero(cause == _GOAL))
     estimate = successes / n_samples
-    return estimate, clopper_pearson(successes, n_samples, confidence)
+    return estimate, clopper_pearson(successes, n_samples, confidence), kept
 
 
 def write_trajectories(trajectories: Sequence[Trajectory], path) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -190,10 +190,6 @@ class NoiseCell:
         return Box(self.intervals)
 
 
-def cdf(component: NoiseComponent, t):
-    return component.cdf(t)
-
-
 def cell_probability(noise: NoiseModel, cell: Sequence[Interval]) -> float:
     """Product over components of CDF(hi) - CDF(lo); intervals may be
     unbounded on either side."""
@@ -244,14 +240,6 @@ class PartitionPair:
             ]
         assert len(cells) <= 3
         return cells
-
-    @property
-    def upper_interval(self) -> Interval:
-        return Interval(self.eps1, self.eps2)
-
-    @property
-    def lower_interval(self) -> Optional[Interval]:
-        return None if self.lower_empty else Interval(self.eps3, self.eps4)
 
 
 def optimal_partition_affine(postf: Interval, target: Interval) -> PartitionPair:

