@@ -18,20 +18,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ADDITIVE, MULTIPLICATIVE, DynamicsModel, posterior_f
+from .dynamics import DynamicsModel
 from .errors import InvalidModelError, SoundnessError
-from .geometry import Box, Interval, StatePartition
-from .imc import (
-    Imc,
-    PosteriorTable,
-    _bounds_to_target,
-    _posterior_hull,
-)
+from .geometry import Box, StatePartition
+from .imc import Imc, PosteriorTable, _bound_kernel, _box_bounds, _posterior_hull, _source_postf
 from .noise import NoiseCell, NoiseModel
 from .verify import (
     ReachAvoidSpec,
     VerificationResult,
-    _greedy_expectation,
+    _extreme_expectations,
+    _goal_avoid_sets,
     classify_arrays,
 )
 
@@ -47,20 +43,8 @@ class ClusterProposal:
     box: Box
 
 
-def _grid_block_box(partition: StatePartition, ranges: Sequence[range]) -> Box:
-    return Box(
-        tuple(
-            Interval(
-                partition.edges[d][ranges[d].start],
-                partition.edges[d][ranges[d].stop],
-            )
-            for d in range(len(ranges))
-        )
-    )
-
-
 def _largest_block(
-    partition: StatePartition, eligible: set[int]
+    partition: StatePartition, eligible: np.ndarray
 ) -> Optional[tuple[tuple[int, ...], Box]]:
     """Largest axis-aligned block of eligible grid cells, by cell count.
 
@@ -68,9 +52,10 @@ def _largest_block(
     eligible set; ties break toward the lexicographically smallest range so
     the result is deterministic.
     """
-    if not partition.is_grid() or len(eligible) < 2:
+    if len(eligible) < 2:
         return None
-    multis = [partition.multi_index(i) for i in sorted(eligible)]
+    multi = np.unravel_index(eligible, partition.resolution)
+    multis = list(zip(*(m.tolist() for m in multi)))
     dim = partition.domain.dim
     lo = [min(m[d] for m in multis) for d in range(dim)]
     hi = [max(m[d] for m in multis) for d in range(dim)]
@@ -99,10 +84,10 @@ def _largest_block(
     if best is None:
         return None
     ranges = best[1]
-    members = tuple(
-        sorted(partition.flat_index(m) for m in product(*ranges))
-    )
-    return members, _grid_block_box(partition, ranges)
+    members = tuple(sorted(partition.flat_index(m) for m in product(*ranges)))
+    edges = partition.edges
+    box = Box.from_bounds([(edges[d][r.start], edges[d][r.stop]) for d, r in enumerate(ranges)])
+    return members, box
 
 
 def select_cluster(
@@ -116,19 +101,26 @@ def select_cluster(
     cells yield no proposal.
     """
     partition = imc.partition
-    successors = [
-        tb.dst
-        for tb in imc.rows[source]
-        if tb.dst != imc.unsafe_index and tb.upper > 0.0
+    row = slice(imc.indptr[source], imc.indptr[source + 1])
+    successors = imc.dst[row][
+        (imc.dst[row] != imc.unsafe_index) & (imc.upper[row] > 0.0)
     ]
     if len(successors) < 2:
         return None
-    inside = [s for s in successors if hull.contains(partition.cells[s])]
+    multi = np.unravel_index(successors, partition.resolution)
+    in_hull = np.ones(len(successors), dtype=bool)
+    volume = np.ones(len(successors))
+    for d, m in enumerate(multi):
+        edges = np.asarray(partition.edges[d])
+        ival = hull.component(d)
+        in_hull &= (ival.lo <= edges[m]) & (edges[m + 1] <= ival.hi)
+        volume *= edges[m + 1] - edges[m]
+    inside = successors[in_hull]
     if len(inside) >= 2 and partition.domain.contains(hull):
-        tiled_volume = sum(partition.cells[s].volume for s in inside)
+        tiled_volume = sum(volume[in_hull].tolist())
         if abs(tiled_volume - hull.volume) <= _VOL_TOL * max(1.0, hull.volume):
-            return ClusterProposal(source, tuple(sorted(inside)), hull)
-    block = _largest_block(partition, set(inside))
+            return ClusterProposal(source, tuple(sorted(inside.tolist())), hull)
+    block = _largest_block(partition, inside)
     if block is None:
         return None
     members, box = block
@@ -150,7 +142,7 @@ def cluster_improve(
     For each state with a usable cluster, the one-step extreme expectations
     are recomputed with the cluster replacing its members: the cluster's
     value is the weakest member value (min of lower bounds, max of upper
-    bounds) and its transition interval comes from the same bound machinery
+    bounds) and its transition interval comes from the same bound kernel
     as the rest of the abstraction. A new value is kept only when strictly
     better, so no state ever gets worse. Later states in the pass see
     earlier improvements. Repeat passes until nothing changes to cascade.
@@ -159,10 +151,7 @@ def cluster_improve(
     p_lo = result.p_lower.copy()
     p_hi = result.p_upper.copy()
 
-    pinned = np.zeros(imc.n_states, dtype=bool)
-    for i, labs in enumerate(imc.labels):
-        if spec.goal_label in labs or labs & spec.avoid_labels:
-            pinned[i] = True
+    pinned = np.logical_or(*_goal_avoid_sets(imc, spec))
     pinned[imc.unsafe_index] = True
 
     order = sorted(range(partition.n_cells), key=lambda i: (-p_lo[i], i))
@@ -170,33 +159,29 @@ def cluster_improve(
         if pinned[q_idx]:
             continue
         q = partition.cells[q_idx]
-        if model.structure in (ADDITIVE, MULTIPLICATIVE):
-            postf = (
-                posterior_table.postf(q_idx)
-                if posterior_table is not None
-                else posterior_f(model, q)
-            )
-        else:
-            postf = None
-        hull = _posterior_hull(q, model, noise, postf)
-        proposal = select_cluster(q_idx, imc, hull)
+        postf = _source_postf(model, partition, q_idx, posterior_table)
+        proposal = select_cluster(q_idx, imc, _posterior_hull(q, model, noise, postf))
         if proposal is None:
             continue
-        cl_low, cl_up = _bounds_to_target(
-            q, proposal.box, model, noise, postf=postf, noise_cells=noise_cells
-        )
-        member_set = set(proposal.members)
+        kernel = _bound_kernel(q, model, noise, postf, noise_cells)
+        cl_low, cl_up = _box_bounds(kernel, proposal.box)
         members = list(proposal.members)
-        cluster_key = members[0]
-        base = [tb for tb in imc.rows[q_idx] if tb.dst not in member_set]
-
-        entries_lo = [(float(p_lo[tb.dst]), tb.lower, tb.upper, tb.dst) for tb in base]
-        entries_lo.append((float(p_lo[members].min()), cl_low, cl_up, cluster_key))
-        entries_hi = [(float(p_hi[tb.dst]), tb.lower, tb.upper, tb.dst) for tb in base]
-        entries_hi.append((float(p_hi[members].max()), cl_low, cl_up, cluster_key))
+        # the row without the members, then one entry for the cluster keyed
+        # by its first member
+        row = slice(imc.indptr[q_idx], imc.indptr[q_idx + 1])
+        clustered = np.zeros(imc.n_states, dtype=bool)
+        clustered[members] = True
+        base = ~clustered[imc.dst[row]]
+        dst = imc.dst[row][base]
+        key = np.append(dst, members[0])
+        lower = np.append(imc.lower[row][base], cl_low)
+        upper = np.append(imc.upper[row][base], cl_up)
+        lo_values = np.append(p_lo[dst], p_lo[members].min())
+        hi_values = np.append(p_hi[dst], p_hi[members].max())
         try:
-            new_lo = _greedy_expectation(entries_lo, "min")
-            new_hi = _greedy_expectation(entries_hi, "max")
+            (new_lo,), (new_hi,) = _extreme_expectations(
+                np.array([0, len(key)]), key, lower, upper, lo_values, hi_values
+            )
         except InvalidModelError as exc:
             # the clustered row must stay feasible; anything else is a bug
             raise SoundnessError(

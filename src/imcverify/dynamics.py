@@ -232,31 +232,18 @@ def parse_expression(text: str, lineno: int = 1) -> Expr:
 # --- AST utilities -----------------------------------------------------------
 
 
-def _noise_vars(node: Expr) -> set[int]:
+def _vars(node: Expr, kind: str) -> set[int]:
+    """Indices of the variables of one kind ('x' or 'w') in an expression."""
     if isinstance(node, Var):
-        return {node.index} if node.kind == "w" else set()
+        return {node.index} if node.kind == kind else set()
     if isinstance(node, Num):
         return set()
     if isinstance(node, BinOp):
-        return _noise_vars(node.left) | _noise_vars(node.right)
+        return _vars(node.left, kind) | _vars(node.right, kind)
     if isinstance(node, Pow):
-        return _noise_vars(node.base)
+        return _vars(node.base, kind)
     if isinstance(node, (Neg, Call)):
-        return _noise_vars(node.operand if isinstance(node, Neg) else node.arg)
-    raise TypeError(f"unknown node type {type(node)!r}")
-
-
-def _state_vars(node: Expr) -> set[int]:
-    if isinstance(node, Var):
-        return {node.index} if node.kind == "x" else set()
-    if isinstance(node, Num):
-        return set()
-    if isinstance(node, BinOp):
-        return _state_vars(node.left) | _state_vars(node.right)
-    if isinstance(node, Pow):
-        return _state_vars(node.base)
-    if isinstance(node, (Neg, Call)):
-        return _state_vars(node.operand if isinstance(node, Neg) else node.arg)
+        return _vars(node.operand if isinstance(node, Neg) else node.arg, kind)
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
@@ -312,10 +299,6 @@ class DynamicsModel:
     components: tuple[Expr, ...]
     g_components: Optional[tuple[Expr, ...]]
 
-    @property
-    def n_w(self) -> int:
-        return self.n
-
 
 def _extract_structured(
     expr: Expr, component: int, structure: str
@@ -326,7 +309,7 @@ def _extract_structured(
     declared pattern, or omit noise entirely, in which case the structure
     tag supplies it (g + w_i or g * w_i).
     """
-    wvars = _noise_vars(expr)
+    wvars = _vars(expr, "w")
     wi = component + 1
     if not wvars:
         g = expr
@@ -340,13 +323,13 @@ def _extract_structured(
         )
     if structure == ADDITIVE:
         terms = _flatten_sum(expr)
-        w_terms = [(s, t) for s, t in terms if _noise_vars(t)]
+        w_terms = [(s, t) for s, t in terms if _vars(t, "w")]
         if len(w_terms) != 1 or w_terms[0][0] != 1 or w_terms[0][1] != Var("w", wi):
             raise StructureError(
                 f"component {wi}: additive structure requires the single term "
                 f"'+ w{wi}' with coefficient 1"
             )
-        g_terms = [(s, t) for s, t in terms if not _noise_vars(t)]
+        g_terms = [(s, t) for s, t in terms if not _vars(t, "w")]
         if not g_terms:
             raise StructureError(
                 f"component {wi}: additive structure requires a noise-free part"
@@ -354,13 +337,13 @@ def _extract_structured(
         return expr, _rebuild_sum(g_terms)
     # multiplicative
     factors = _flatten_product(expr)
-    w_factors = [f for f in factors if _noise_vars(f)]
+    w_factors = [f for f in factors if _vars(f, "w")]
     if len(w_factors) != 1 or w_factors[0] != Var("w", wi):
         raise StructureError(
             f"component {wi}: multiplicative structure requires the single "
             f"factor 'w{wi}'"
         )
-    g_factors = [f for f in factors if not _noise_vars(f)]
+    g_factors = [f for f in factors if not _vars(f, "w")]
     if not g_factors:
         raise StructureError(
             f"component {wi}: multiplicative structure requires a noise-free part"
@@ -393,8 +376,8 @@ def parse_dynamics(
     g_components = []
     for comp, (lineno, source) in enumerate(sources):
         expr = parse_expression(source, lineno)
-        bad_x = [i for i in _state_vars(expr) if i > n]
-        bad_w = [i for i in _noise_vars(expr) if i > n]
+        bad_x = [i for i in _vars(expr, "x") if i > n]
+        bad_w = [i for i in _vars(expr, "w") if i > n]
         if bad_x or bad_w:
             names = [f"x{i}" for i in bad_x] + [f"w{i}" for i in bad_w]
             raise StructureError(

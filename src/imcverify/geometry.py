@@ -8,6 +8,7 @@ inclusion, which keeps the transition upper/lower bounds conservative.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -50,11 +51,6 @@ class Interval:
 
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersection(self, other: "Interval") -> Optional["Interval"]:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
 
     def add(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -132,21 +128,6 @@ class Box:
     def center(self) -> tuple[float, ...]:
         return tuple(ival.midpoint for ival in self.intervals)
 
-    @staticmethod
-    def hull(boxes: Iterable["Box"]) -> "Box":
-        items = list(boxes)
-        if not items:
-            raise ValueError("hull of an empty box collection")
-        dim = items[0].dim
-        for b in items:
-            if b.dim != dim:
-                raise ValueError("hull over boxes of mixed dimension")
-        return Box(
-            tuple(
-                Interval.hull(b.intervals[d] for b in items) for d in range(dim)
-            )
-        )
-
     def __repr__(self) -> str:
         return "x".join(repr(ival) for ival in self.intervals)
 
@@ -172,15 +153,15 @@ class StatePartition:
 
     Cells tile the domain; any two distinct cells overlap only on their
     boundaries. The extra unsafe state (everything outside the domain) has
-    index ``len(cells)``. Uniform grids carry their edge coordinates so that
-    cell lookups stay O(log resolution); externally supplied non-grid
-    partitions leave ``resolution``/``edges`` unset and fall back to scans.
+    index ``len(cells)``. The partition is a uniform grid: ``edges[d]`` holds
+    the ``resolution[d] + 1`` cell boundaries of dimension d, and the cells
+    are listed row-major over them, so cell lookups stay O(log resolution).
     """
 
     domain: Box
     cells: tuple[Box, ...]
-    resolution: Optional[tuple[int, ...]] = None
-    edges: Optional[tuple[tuple[float, ...], ...]] = None
+    resolution: tuple[int, ...]
+    edges: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         if not self.cells:
@@ -206,23 +187,11 @@ class StatePartition:
     def n_states(self) -> int:
         return len(self.cells) + 1
 
-    def is_grid(self) -> bool:
-        return self.resolution is not None and self.edges is not None
-
     def flat_index(self, multi: Sequence[int]) -> int:
-        assert self.resolution is not None
         idx = 0
         for i, r in zip(multi, self.resolution):
             idx = idx * r + i
         return idx
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        assert self.resolution is not None
-        out = []
-        for r in reversed(self.resolution):
-            out.append(flat % r)
-            flat //= r
-        return tuple(reversed(out))
 
     def cell_index_of_point(self, x: Sequence[float]) -> Optional[int]:
         """Index of the cell containing x, or None if x is outside the domain.
@@ -232,22 +201,14 @@ class StatePartition:
         """
         if not self.domain.contains_point(x):
             return None
-        if self.is_grid():
-            multi = []
-            for d, t in enumerate(x):
-                edges = self.edges[d]
-                i = int(np.searchsorted(edges, float(t), side="right")) - 1
-                i = min(max(i, 0), self.resolution[d] - 1)
-                multi.append(i)
-            return self.flat_index(multi)
-        for i, cell in enumerate(self.cells):
-            if cell.contains_point(x):
-                return i
-        return None
+        multi = []
+        for d, t in enumerate(x):
+            i = int(np.searchsorted(self.edges[d], float(t), side="right")) - 1
+            multi.append(min(max(i, 0), self.resolution[d] - 1))
+        return self.flat_index(multi)
 
     def grid_index_range(self, dim: int, lo: float, hi: float) -> tuple[int, int]:
         """Half-open index range of grid cells whose closure meets [lo, hi]."""
-        assert self.edges is not None
         edges = self.edges[dim]
         first = int(np.searchsorted(edges, lo, side="right")) - 1
         last = int(np.searchsorted(edges, hi, side="left"))
@@ -278,24 +239,10 @@ def partition_domain(domain: Box, resolution: Sequence[int]) -> StatePartition:
         tuple(np.linspace(ival.lo, ival.hi, r + 1))
         for ival, r in zip(domain.intervals, resolution)
     )
-    cells = []
-    multi = [0] * domain.dim
-    total = int(np.prod(resolution))
-    for _ in range(total):
-        cells.append(
-            Box(
-                tuple(
-                    Interval(edges[d][multi[d]], edges[d][multi[d] + 1])
-                    for d in range(domain.dim)
-                )
-            )
-        )
-        # advance row-major counter, last dimension fastest
-        for d in reversed(range(domain.dim)):
-            multi[d] += 1
-            if multi[d] < resolution[d]:
-                break
-            multi[d] = 0
+    cells = tuple(
+        Box(tuple(Interval(edges[d][i], edges[d][i + 1]) for d, i in enumerate(multi)))
+        for multi in itertools.product(*(range(r) for r in resolution))
+    )
     return StatePartition(
-        domain=domain, cells=tuple(cells), resolution=resolution, edges=edges
+        domain=domain, cells=cells, resolution=resolution, edges=edges
     )

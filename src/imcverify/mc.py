@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from .dynamics import DynamicsModel, eval_point
 from .geometry import Box
@@ -55,10 +55,6 @@ class Trajectory:
     @property
     def length(self) -> int:
         return int(self.states.shape[0])
-
-    @property
-    def satisfied(self) -> bool:
-        return self.termination == TERM_GOAL
 
 
 def _inside(x: np.ndarray, box: Box) -> np.ndarray:
@@ -163,18 +159,20 @@ def simulate(
 def clopper_pearson(
     successes: int, trials: int, confidence: float
 ) -> tuple[float, float]:
-    """Two-sided exact binomial confidence interval."""
+    """Two-sided exact binomial confidence interval from Beta quantiles
+    (``betaincinv`` gives ``scipy.stats.beta.ppf``'s values without importing
+    ``scipy.stats``)."""
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     alpha = 1.0 - confidence
     if successes == 0:
         lo = 0.0
     else:
-        lo = float(beta.ppf(alpha / 2.0, successes, trials - successes + 1))
+        lo = float(betaincinv(successes, trials - successes + 1, alpha / 2.0))
     if successes == trials:
         hi = 1.0
     else:
-        hi = float(beta.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes))
+        hi = float(betaincinv(successes + 1, trials - successes, 1.0 - alpha / 2.0))
     return lo, hi
 
 

@@ -9,6 +9,7 @@ models without a usable noise structure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,11 +61,12 @@ class NoiseComponent:
         out = 0.5 * (lo + hi)
         return float(out[0]) if scalar else out
 
-    def interval_probability(self, lo: float, hi: float) -> float:
-        if hi < lo:
-            return 0.0
-        p = float(self.cdf(hi)) - float(self.cdf(lo))
-        return min(max(p, 0.0), 1.0)
+    def interval_probability(self, lo, hi):
+        """Pr(w in [lo, hi]), clamped to [0, 1] and 0 when hi < lo; scalar
+        or elementwise over arrays."""
+        p = np.minimum(np.maximum(self.cdf(hi) - self.cdf(lo), 0.0), 1.0)
+        p = np.where(np.less(hi, lo), 0.0, p)
+        return float(p) if p.ndim == 0 else p
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,9 @@ class PartitionPair:
     The upper-bound partition is {(-inf, eps1], [eps1, eps2], [eps2, inf)}
     and the lower-bound one uses eps3/eps4. Only the middle cells carry the
     bound; ``lower_empty`` marks the degenerate case where no noise value
-    keeps the whole posterior inside the target.
+    keeps the whole posterior inside the target. Given a target whose
+    endpoints are arrays (one per target interval), the cut point functions
+    return arrays in every field.
     """
 
     eps1: float
@@ -270,7 +274,7 @@ def optimal_partition_multiplicative(
     """
     a, b = target.lo, target.hi
     c, d = postf.lo, postf.hi
-    if min(a, b, c, d) <= 0.0:
+    if min(np.min(a), np.min(b), c, d) <= 0.0:
         raise ValueError(
             f"multiplicative partition requires positive vertices, got "
             f"target [{a}, {b}], posterior [{c}, {d}]"
@@ -293,7 +297,7 @@ def uniform_noise_grid(
         raise ValueError(
             f"resolution length {len(resolution)} != noise dimension {noise.n}"
         )
-    per_dim: list[list[tuple[Interval, float]]] = []
+    per_dim: list[list[Interval]] = []
     for d, (comp, r) in enumerate(zip(noise.components, resolution)):
         if int(r) != r or int(r) < 1:
             raise ValueError(f"resolution[{d}] must be a positive integer, got {r}")
@@ -303,25 +307,9 @@ def uniform_noise_grid(
                 f"noise component {d} has unbounded support; gridding requires "
                 f"a bounded support"
             )
-        edges = np.linspace(sup.lo, sup.hi, int(r) + 1)
-        pieces = []
-        for i in range(int(r)):
-            ival = Interval(float(edges[i]), float(edges[i + 1]))
-            pieces.append((ival, comp.interval_probability(ival.lo, ival.hi)))
-        per_dim.append(pieces)
-
-    cells: list[NoiseCell] = []
-    multi = [0] * noise.n
-    total = int(np.prod([len(p) for p in per_dim]))
-    for _ in range(total):
-        ivals = tuple(per_dim[d][multi[d]][0] for d in range(noise.n))
-        prob = 1.0
-        for d in range(noise.n):
-            prob *= per_dim[d][multi[d]][1]
-        cells.append(NoiseCell(ivals, min(max(prob, 0.0), 1.0)))
-        for d in reversed(range(noise.n)):
-            multi[d] += 1
-            if multi[d] < len(per_dim[d]):
-                break
-            multi[d] = 0
-    return cells
+        edges = np.linspace(sup.lo, sup.hi, int(r) + 1).tolist()
+        per_dim.append([Interval(a, b) for a, b in zip(edges, edges[1:])])
+    return [
+        NoiseCell(ivals, cell_probability(noise, ivals))
+        for ivals in itertools.product(*per_dim)
+    ]

@@ -9,6 +9,7 @@ records wall-clock times and is a report, not an export.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -44,6 +45,8 @@ RESULTS_FILE = "results.csv"
 IMPROVED_FILE = "results_improved.csv"
 TRAJECTORIES_FILE = "trajectories.csv"
 SUMMARY_FILE = "summary.json"
+
+log = logging.getLogger("imcverify")
 
 
 @dataclass
@@ -220,6 +223,13 @@ def phase_simulate(
             }
         )
     write_trajectories(exported, cfg.output_dir / TRAJECTORIES_FILE)
+    unsound = [r["state"] for r in records if not r["sound"]]
+    if unsound:
+        log.warning(
+            "Monte Carlo validation failed on %d of %d sampled cells: the confidence "
+            "interval misses the verified interval of states %s",
+            len(unsound), len(records), unsound,
+        )
     return records
 
 

@@ -10,24 +10,30 @@ The extreme one-step expectation over all adversaries is attained by the
 ordering construction: sort successors by value, give every successor its
 lower bound, then saturate the remaining mass in sorted order up to each
 upper bound. The feasible set is a transportation polytope and this greedy
-walk reaches its extreme points.
+walk reaches its extreme points. One kernel, ``_extreme_expectations``,
+runs both walks for every row of a CSR block at once, vectorised across
+rows and sequential within a row, so each row gets the same bits as a walk
+over that row alone; value iteration and cluster improvement both call it.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidModelError, SpecificationError
-from .imc import Imc, TransitionBound, UNSAFE_LABEL
+from .errors import InputError, InvalidModelError, SpecificationError
+from .imc import Imc, TransitionBound, UNSAFE_LABEL, _check_rows, _padded, _read_csv, _row_sums
 
-_FEAS_TOL = 1e-9
+log = logging.getLogger("imcverify")
+
 
 SATISFIES = "satisfies"
 VIOLATES = "violates"
 UNDETERMINED = "undetermined"
+_CLASSES = (SATISFIES, VIOLATES, UNDETERMINED)
 
 DEFAULT_THRESHOLD = 0.9
 DEFAULT_CONVERGENCE_TOL = 1e-6
@@ -69,45 +75,50 @@ class VerificationResult:
         object.__setattr__(self, "p_upper", np.asarray(self.p_upper, dtype=float))
 
 
-def _greedy_expectation(
-    entries: Sequence[tuple[float, float, float, int]], mode: str
-) -> float:
-    """Extreme expectation over adversaries for one row.
+def _extreme_expectations(indptr, key, lower, upper, lo_values, hi_values):
+    """The minimum over ``lo_values`` and the maximum over ``hi_values`` of
+    the expectation over all adversaries, for every row of a CSR block.
 
-    ``entries`` are (value, lower, upper, tie_index). Ties in value break by
-    ascending tie_index; the expectation itself is tie-invariant.
+    ``key``, ``lower``, ``upper`` and the values are per-entry arrays: the
+    tie-break index (the target), the bounds and the successor's value.
+    Ties in value break by ascending key; the expectations are tie-invariant.
     """
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    total_lower = sum(e[1] for e in entries)
-    total_upper = sum(e[2] for e in entries)
-    if total_lower > 1.0 + _FEAS_TOL or total_upper < 1.0 - _FEAS_TOL:
-        raise InvalidModelError(
-            f"infeasible row: sum(lower)={total_lower}, sum(upper)={total_upper}"
-        )
-    if mode == "min":
-        order = sorted(entries, key=lambda e: (e[0], e[3]))
-    else:
-        order = sorted(entries, key=lambda e: (-e[0], e[3]))
-    remaining = 1.0 - total_lower
-    expectation = 0.0
-    for value, lower, upper, _ in order:
-        gamma = lower
-        if remaining > 0.0:
-            add = min(remaining, upper - lower)
-            gamma += add
-            remaining -= add
-        expectation += gamma * value
-    return expectation
+    n = len(indptr) - 1
+    remaining = np.tile(1.0 - _check_rows(indptr, lower, upper, InvalidModelError), 2)
+    # every row twice: the minimising walks, then the maximising ones
+    indptr = np.concatenate([indptr, indptr[1:] + indptr[-1]])
+    key, lower, upper = (np.tile(x, 2) for x in (key, lower, upper))
+    values = np.concatenate([lo_values, hi_values])
+    rows = np.repeat(np.arange(2 * n), np.diff(indptr))
+    order = np.lexsort((key, np.where(rows < n, values, -values), rows))
+    low, slack, value = _padded(indptr, lower[order], upper[order] - lower[order], values[order])
+    # The walk gives each successor its slack while the remaining mass
+    # exceeds it, then the rest to the first successor whose slack covers
+    # it, then nothing. Before that successor, the remaining mass at each
+    # position is the sequential running difference.
+    before = np.cumsum(np.column_stack([remaining, -slack]), axis=1)[:, :-1]
+    covers = np.column_stack([slack >= before, np.ones(len(low), dtype=bool)])
+    last = np.where(remaining > 0.0, covers.argmax(axis=1), -1)[:, None]
+    position = np.arange(low.shape[1])
+    gamma = np.where(
+        position < last, low + slack, np.where(position == last, low + before, low)
+    )
+    both = _row_sums(gamma * value)
+    return both[:n], both[n:]
 
 
 def adversary_extreme_expectation(
     values: np.ndarray, row: Sequence[TransitionBound], mode: str
 ) -> float:
     """Extreme of sum_q' gamma(q,q') * values(q') over all valid adversaries."""
-    values = np.asarray(values, dtype=float)
-    entries = [(float(values[tb.dst]), tb.lower, tb.upper, tb.dst) for tb in row]
-    return _greedy_expectation(entries, mode)
+    if mode not in ("min", "max"):
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    dst = np.array([tb.dst for tb in row], dtype=np.int64)
+    lower = np.array([tb.lower for tb in row], dtype=float)
+    upper = np.array([tb.upper for tb in row], dtype=float)
+    values = np.asarray(values, dtype=float)[dst]
+    low, high = _extreme_expectations(np.array([0, len(row)]), dst, lower, upper, values, values)
+    return float((low if mode == "min" else high)[0])
 
 
 def _goal_avoid_sets(imc: Imc, spec: ReachAvoidSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +154,6 @@ def robust_value_iteration(
     reports which happened.
     """
     goal, avoid = _goal_avoid_sets(imc, spec)
-    n = imc.n_states
     free = np.flatnonzero(~goal & ~avoid)
 
     v_lo = goal.astype(float)
@@ -151,22 +161,12 @@ def robust_value_iteration(
     iterations = 0
     converged = spec.horizon is not None or len(free) == 0
 
-    if spec.horizon is not None:
-        sweeps = spec.horizon
-    else:
-        sweeps = max_iterations
-    for _ in range(sweeps):
-        new_lo = v_lo.copy()
-        new_hi = v_hi.copy()
-        for i in free:
-            new_lo[i] = _greedy_expectation(
-                [(v_lo[tb.dst], tb.lower, tb.upper, tb.dst) for tb in imc.rows[i]],
-                "min",
-            )
-            new_hi[i] = _greedy_expectation(
-                [(v_hi[tb.dst], tb.lower, tb.upper, tb.dst) for tb in imc.rows[i]],
-                "max",
-            )
+    for _ in range(spec.horizon if spec.horizon is not None else max_iterations):
+        low, high = _extreme_expectations(
+            imc.indptr, imc.dst, imc.lower, imc.upper, v_lo[imc.dst], v_hi[imc.dst]
+        )
+        new_lo, new_hi = v_lo.copy(), v_hi.copy()
+        new_lo[free], new_hi[free] = low[free], high[free]
         delta = max(
             float(np.max(np.abs(new_lo - v_lo))),
             float(np.max(np.abs(new_hi - v_hi))),
@@ -176,6 +176,11 @@ def robust_value_iteration(
         if spec.horizon is None and delta < convergence_tol:
             converged = True
             break
+    if not converged:
+        log.warning(
+            "value iteration hit max_iterations=%d before the change per sweep fell "
+            "below %g; the bounds are not a fixpoint", max_iterations, convergence_tol
+        )
 
     v_lo = np.minimum(v_lo, v_hi)
     classification = classify_arrays(v_lo, v_hi, spec.threshold)
@@ -191,15 +196,8 @@ def robust_value_iteration(
 def classify_arrays(
     p_lower: np.ndarray, p_upper: np.ndarray, threshold: float
 ) -> tuple[str, ...]:
-    out = []
-    for lo, hi in zip(p_lower, p_upper):
-        if lo >= threshold:
-            out.append(SATISFIES)
-        elif hi < threshold:
-            out.append(VIOLATES)
-        else:
-            out.append(UNDETERMINED)
-    return tuple(out)
+    below = np.where(np.asarray(p_upper) < threshold, VIOLATES, UNDETERMINED)
+    return tuple(np.where(np.asarray(p_lower) >= threshold, SATISFIES, below).tolist())
 
 
 def classify(result: VerificationResult, threshold: float) -> tuple[str, ...]:
@@ -210,19 +208,22 @@ def classify(result: VerificationResult, threshold: float) -> tuple[str, ...]:
 # --- result export --------------------------------------------------------------
 
 
+def _results_header(dim: int) -> str:
+    return ",".join(
+        ["state"]
+        + [f"lo{d + 1},hi{d + 1}" for d in range(dim)]
+        + ["p_lower", "p_upper", "class"]
+    )
+
+
 def write_results(result: VerificationResult, imc: Imc, path) -> None:
     """One row per state: index, box bounds, p_lower, p_upper, class.
 
     The unsafe state has no box; its bound fields stay empty.
     """
     dim = imc.partition.domain.dim
-    header = ",".join(
-        ["state"]
-        + [f"lo{d + 1},hi{d + 1}" for d in range(dim)]
-        + ["p_lower", "p_upper", "class"]
-    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+        fh.write(_results_header(dim) + "\n")
         for i in range(imc.n_states):
             if i < imc.partition.n_cells:
                 cell = imc.partition.cells[i]
@@ -239,31 +240,28 @@ def write_results(result: VerificationResult, imc: Imc, path) -> None:
 
 
 def read_results(path, imc: Imc) -> VerificationResult:
-    """Reload an exported result table; iteration metadata is not persisted."""
-    n = imc.n_states
-    p_lower = np.zeros(n)
-    p_upper = np.zeros(n)
-    classification = [UNDETERMINED] * n
-    seen = np.zeros(n, dtype=bool)
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            state = int(parts[0])
-            p_lower[state] = float(parts[-3])
-            p_upper[state] = float(parts[-2])
-            classification[state] = parts[-1]
-            seen[state] = True
-    if not seen.all():
-        missing = np.flatnonzero(~seen).tolist()
-        raise ValueError(f"result table is missing states {missing}")
-    return VerificationResult(
-        p_lower=p_lower,
-        p_upper=p_upper,
-        classification=tuple(classification),
-        iterations=0,
-        converged=True,
-    )
+    """Reload an exported result table; iteration metadata is not persisted.
+
+    Every state must appear once, with a known class and p_lower <= p_upper
+    (value iteration may leave p_upper a few ulps above 1); anything else
+    is an InputError naming ``path:line``.
+    """
+    n, dim = imc.n_states, imc.partition.domain.dim
+    rows: dict[int, tuple[float, float, str]] = {}
+    types = (int,) + (str,) * (2 * dim) + (float, float, str)
+    for lineno, (state, *_, lo, hi, label) in _read_csv(path, _results_header(dim), *types):
+        where = f"{path}:{lineno}"
+        if not 0 <= state < n:
+            raise InputError(f"{where}: state index out of range")
+        if state in rows:
+            raise InputError(f"{where}: duplicate state {state}")
+        if label not in _CLASSES:
+            raise InputError(f"{where}: unknown class {label!r}")
+        if not lo <= hi:
+            raise InputError(f"{where}: requires p_lower <= p_upper, got [{lo}, {hi}]")
+        rows[state] = (lo, hi, label)
+    missing = sorted(set(range(n)) - rows.keys())
+    if missing:
+        raise InputError(f"{path}: result table is missing states {missing}")
+    p_lower, p_upper, classification = zip(*(rows[i] for i in range(n)))
+    return VerificationResult(p_lower, p_upper, classification, iterations=0, converged=True)

@@ -1,6 +1,8 @@
 import json
+import logging
 import re
 
+import numpy as np
 import pytest
 
 from imcverify.cli import main
@@ -180,6 +182,22 @@ class TestPipeline:
         results = (out / RESULTS_FILE).read_text().strip().splitlines()
         assert len(results) == 1 + 5
         assert summary["phases"]["simulate"]["all_sound"]
+
+    def test_failed_validation_is_logged(self, tmp_path, caplog):
+        from imcverify.pipeline import build_context, phase_abstract, phase_simulate
+        from imcverify.verify import VerificationResult
+
+        ctx = build_context(load_config(write_toy(tmp_path, passes=0)))
+        imc = phase_abstract(ctx)
+        # claims every state violates, but the goal cell starts in the goal
+        zeros = np.zeros(imc.n_states)
+        wrong = VerificationResult(zeros, zeros, ("violates",) * imc.n_states, 0, True)
+        with caplog.at_level(logging.WARNING, logger="imcverify"):
+            records = phase_simulate(ctx, imc, wrong)
+        unsound = [r["state"] for r in records if not r["sound"]]
+        assert 3 in unsound
+        (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert f"states {unsound}" in warning.getMessage()
 
     def test_cluster_pass_counts_reported(self, tmp_path):
         cfg = load_config(write_toy(tmp_path, passes=2))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from imcverify.dynamics import parse_dynamics, posterior_f
+from imcverify.dynamics import parse_dynamics, posterior, posterior_f
 from imcverify.errors import InputError, SoundnessError
-from imcverify.geometry import Box, partition_domain
+from imcverify.geometry import Box, box_contains, box_intersects, partition_domain
 from imcverify.imc import (
     PosteriorTable,
     TransitionBound,
@@ -18,9 +18,12 @@ from imcverify.imc import (
     write_posterior_table,
 )
 from imcverify.noise import (
+    Mixture,
     NoiseModel,
     TruncatedGaussian,
     Uniform,
+    optimal_partition_affine,
+    optimal_partition_multiplicative,
     uniform_noise_grid,
 )
 from oracles import empirical_kernel, kernel_grid_extrema
@@ -275,40 +278,93 @@ class TestBuildImc:
                 assert s_up <= g_up + 1e-12
 
 
-class TestCandidatePruning:
-    def test_pruned_build_matches_exhaustive_pairs(self):
-        """Pairs skipped by the posterior-hull pruning must provably have
-        upper bound 0; stored pairs must match a direct computation."""
-        part = partition_domain(Box.from_bounds([[-1, 1], [-1, 1]]), (4, 4))
-        model = parse_dynamics(
-            ["0.6*x1 - 0.2*x2 + w1", "0.3*x1 + 0.5*x2 + w2"], 2, "additive"
+def scalar_bounds(model, noise, cells, q, target):
+    """Per-pair reference: the scalar loops the array kernels replace."""
+    if cells is not None:
+        lower = upper = 0.0
+        for cell in cells:
+            post = posterior(model, q, cell.box())
+            if box_intersects(post, target):
+                upper += cell.probability
+                if box_contains(target, post):
+                    lower += cell.probability
+    else:
+        postf = posterior_f(model, q)
+        cut_points = (
+            optimal_partition_affine
+            if model.structure == "additive"
+            else optimal_partition_multiplicative
         )
-        noise = NoiseModel((Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4)))
+        lower = upper = 1.0
+        for i, comp in enumerate(noise.components):
+            cuts = cut_points(postf.component(i), target.component(i))
+            upper *= comp.interval_probability(cuts.eps1, cuts.eps2)
+            if cuts.lower_empty:
+                lower = 0.0
+            else:
+                lower *= comp.interval_probability(cuts.eps3, cuts.eps4)
+    lower = min(max(lower, 0.0), 1.0)
+    upper = min(max(upper, 0.0), 1.0)
+    return min(lower, upper), upper
+
+
+PRUNING_CASES = {
+    "additive": (
+        [[-1, 1], [-1, 1]],
+        ["0.6*x1 - 0.2*x2 + w1", "0.3*x1 + 0.5*x2 + w2"],
+        (Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4)),
+    ),
+    "multiplicative": (
+        [[0.5, 2.5], [0.5, 2.5]],
+        ["0.7*x1 + 0.1*x2", "0.1*x1 + 0.8*x2"],
+        (
+            TruncatedGaussian(1.0, 0.1, 0.9, 1.1),
+            Mixture((0.5, 0.5), (Uniform(0.8, 0.95), Uniform(1.0, 1.3))),
+        ),
+    ),
+    "general": (
+        [[-1, 1], [-1, 1]],
+        ["0.6*x1 - 0.2*sin(x2) + w1", "0.3*x1 + 0.5*x2 + w2"],
+        (Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4)),
+    ),
+}
+
+
+class TestCandidatePruning:
+    @pytest.mark.parametrize("structure", sorted(PRUNING_CASES))
+    def test_pruned_build_matches_exhaustive_pairs(self, structure):
+        """Pairs skipped by the posterior-hull pruning must provably have
+        upper bound 0; stored pairs, the unsafe column and the one-target
+        functions must equal a per-pair scalar computation exactly."""
+        bounds, exprs, components = PRUNING_CASES[structure]
+        part = partition_domain(Box.from_bounds(bounds), (4, 4))
+        model = parse_dynamics(exprs, 2, structure)
+        noise = NoiseModel(components)
+        cells = uniform_noise_grid(noise, [3, 3]) if structure == "general" else None
+        goal = [[e[0], e[1]] for e in part.edges]
         imc = build_imc(
-            part, model, noise, {"goal": [Box.from_bounds([[-1, -0.5], [-1, -0.5]])]}
+            part, model, noise, {"goal": [Box.from_bounds(goal)]}, noise_cells=cells
         )
         for iq, q in enumerate(part.cells):
-            postf = posterior_f(model, q)
-            stored = {tb.dst: tb for tb in imc.rows[iq]}
+            stored = {tb.dst: (tb.lower, tb.upper) for tb in imc.rows[iq]}
             for it, target in enumerate(part.cells):
-                low, up = transition_bounds_structured(postf, target, noise, "additive")
-                if it in stored:
-                    assert stored[it].lower == low and stored[it].upper == up
+                expected = scalar_bounds(model, noise, cells, q, target)
+                if cells is None:
+                    one_target = transition_bounds_structured(
+                        posterior_f(model, q), target, noise, structure
+                    )
                 else:
-                    assert up == 0.0
-
-    def test_non_grid_partition_supported(self):
-        from imcverify.geometry import StatePartition
-
-        cells = (Box.from_bounds([[0, 0.3]]), Box.from_bounds([[0.3, 1.0]]))
-        part = StatePartition(domain=Box.from_bounds([[0, 1]]), cells=cells)
-        model = identity_additive()
-        noise = NoiseModel((Uniform(-0.1, 0.1),))
-        imc = build_imc(part, model, noise, {})
-        assert imc.n_states == 3
-        for row in imc.rows:
-            assert sum(tb.lower for tb in row) <= 1.0 + 1e-9
-            assert sum(tb.upper for tb in row) >= 1.0 - 1e-9
+                    one_target = transition_bounds_general(model, cells, q, target)
+                assert one_target == expected
+                if it in stored:
+                    assert stored[it] == expected
+                else:
+                    assert expected[1] == 0.0
+            low_x, up_x = scalar_bounds(model, noise, cells, q, part.domain)
+            assert stored[imc.unsafe_index] == (
+                min(max(1.0 - up_x, 0.0), 1.0),
+                min(max(1.0 - low_x, 0.0), 1.0),
+            )
 
 
 class TestPosteriorTable:
@@ -388,11 +444,21 @@ class TestExports:
         assert loaded.rows == imc.rows
         assert loaded.labels == imc.labels
 
+    def test_duplicate_pair_rejected(self, tmp_path):
+        part = partition_domain(Box.from_bounds([[0, 1]]), (2,))
+        imc = build_imc(part, identity_additive(), NoiseModel((Uniform(-0.2, 0.2),)), {})
+        bounds, labels = tmp_path / "imc.csv", tmp_path / "labels.csv"
+        write_imc(imc, bounds, labels)
+        lines = bounds.read_text().splitlines()
+        bounds.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(InputError, match=f"imc.csv:{len(lines) + 1}: duplicate"):
+            read_imc(bounds, labels, part)
+
 
 def test_row_validity_violation_raises():
-    from imcverify.imc import _check_row
+    from imcverify.imc import _check_rows
 
     with pytest.raises(SoundnessError):
-        _check_row(0, (TransitionBound(0, 0, 0.7, 0.8), TransitionBound(0, 1, 0.5, 0.6)))
+        _check_rows(np.array([0, 2]), np.array([0.7, 0.5]), np.array([0.8, 0.6]))
     with pytest.raises(SoundnessError):
-        _check_row(0, (TransitionBound(0, 0, 0.1, 0.4),))
+        _check_rows(np.array([0, 1]), np.array([0.1]), np.array([0.4]))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -235,3 +239,20 @@ class TestClopperPearson:
     def test_invalid_confidence(self):
         with pytest.raises(ValueError):
             clopper_pearson(1, 2, 1.5)
+
+    def test_matches_beta_ppf_bit_for_bit(self):
+        from scipy.stats import beta
+
+        for n in (1, 2, 3, 10, 37, 100, 1000, 2000, 10**4):
+            for s in sorted({0, 1, 2, n // 3, n // 2, n - 2, n - 1, n} & set(range(n + 1))):
+                for conf in (0.5, 0.9, 0.95, 0.99, 0.999, 0.9999):
+                    alpha = 1.0 - conf
+                    lo = 0.0 if s == 0 else float(beta.ppf(alpha / 2, s, n - s + 1))
+                    hi = 1.0 if s == n else float(beta.ppf(1 - alpha / 2, s + 1, n - s))
+                    assert clopper_pearson(s, n, conf) == (lo, hi), (s, n, conf)
+
+    def test_package_import_skips_scipy_stats(self):
+        # scipy.stats costs most of the CLI start-up time
+        code = "import sys, imcverify.cli; sys.exit('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

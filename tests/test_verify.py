@@ -1,7 +1,10 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
-from imcverify.errors import InvalidModelError, SpecificationError
+from imcverify.errors import InputError, InvalidModelError, SpecificationError
 from imcverify.geometry import Box, partition_domain
 from imcverify.imc import Imc, TransitionBound
 from imcverify.verify import (
@@ -9,7 +12,9 @@ from imcverify.verify import (
     adversary_extreme_expectation,
     classify,
     classify_arrays,
+    read_results,
     robust_value_iteration,
+    write_results,
 )
 from oracles import chain_reach_probability, extreme_by_vertex_enumeration
 
@@ -17,7 +22,33 @@ from oracles import chain_reach_probability, extreme_by_vertex_enumeration
 def make_imc(rows, labels, n_cells):
     """Hand-built IMC over a dummy 1D grid with n_cells cells plus unsafe."""
     part = partition_domain(Box.from_bounds([[0, float(n_cells)]]), (n_cells,))
-    return Imc(part, rows, labels)
+    return Imc.from_rows(part, rows, labels)
+
+
+def scalar_walk(values, row, mode):
+    """Reference: the greedy walk over one row, in Python floats."""
+    entries = [(float(values[tb.dst]), tb.lower, tb.upper, tb.dst) for tb in row]
+    sign = 1.0 if mode == "min" else -1.0
+    remaining = 1.0 - sum(e[1] for e in entries)
+    expectation = 0.0
+    for value, lower, upper, _ in sorted(entries, key=lambda e: (sign * e[0], e[3])):
+        gamma = lower
+        if remaining > 0.0:
+            add = min(remaining, upper - lower)
+            gamma += add
+            remaining -= add
+        expectation += gamma * value
+    return expectation
+
+
+def random_row(rng, src, targets):
+    anchor = rng.dirichlet(np.ones(len(targets)))
+    lows = anchor * rng.uniform(0.0, 1.0, len(targets))
+    ups = anchor + (1.0 - anchor) * rng.uniform(0.0, 1.0, len(targets))
+    return tuple(
+        TransitionBound(src, int(t), float(lo), float(up))
+        for t, lo, up in zip(targets, lows, ups)
+    )
 
 
 def three_state_fixture():
@@ -86,6 +117,20 @@ class TestAdversary:
             greedy = adversary_extreme_expectation(values, row, mode)
             exhaustive = extreme_by_vertex_enumeration(values, lows, ups, mode)
             assert greedy == pytest.approx(exhaustive, abs=1e-12)
+
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_matches_scalar_walk_bit_for_bit(self, mode):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            m = int(rng.integers(1, 7))
+            targets = np.sort(rng.choice(10, m, replace=False))
+            row = random_row(rng, 0, targets)
+            # few distinct values, so ties are common
+            values = rng.choice([0.0, 0.25, 0.5, 1.0], 10)
+            assert adversary_extreme_expectation(values, row, mode) == scalar_walk(
+                values, row, mode
+            )
 
 
 class TestValueIteration:
@@ -168,6 +213,47 @@ class TestValueIteration:
             assert np.max(np.abs(res.p_lower - exact)) < 1e-8
             assert np.max(np.abs(res.p_upper - exact)) < 1e-8
 
+    def test_one_sweep_matches_single_rows(self):
+        """One sweep over rows of unequal length, tied values (the goal
+        indicator) and slack that runs out part-way through a row gives each
+        row exactly its single-row extreme expectation."""
+        tb = TransitionBound
+        rows = (
+            (tb(0, 0, 0.1, 0.3), tb(0, 1, 0.1, 0.4), tb(0, 2, 0.1, 0.5),
+             tb(0, 3, 0.1, 0.2), tb(0, 4, 0.1, 0.3)),
+            (tb(1, 1, 0.4, 0.7), tb(1, 2, 0.3, 0.6)),
+            (tb(2, 2, 1.0, 1.0),),
+            (tb(3, 0, 0.2, 0.5), tb(3, 4, 0.1, 0.6), tb(3, 6, 0.0, 0.35)),
+            (tb(4, 4, 1.0, 1.0),),
+            (tb(5, 5, 1.0, 1.0),),
+            (tb(6, 6, 1.0, 1.0),),
+        )
+        goal = frozenset({"goal"})
+        labels = (frozenset(), frozenset(), goal, frozenset(), goal, frozenset(),
+                  frozenset({"unsafe"}))
+        rng = np.random.default_rng(8)
+        imcs = [make_imc(rows, labels, 6)]
+        for _ in range(20):
+            n_cells = 8
+            lengths = rng.integers(1, 7, n_cells)
+            random_rows = tuple(
+                random_row(rng, s, np.sort(rng.choice(n_cells + 1, m, replace=False)))
+                for s, m in enumerate(lengths)
+            ) + ((tb(n_cells, n_cells, 1.0, 1.0),),)
+            random_labels = tuple(
+                goal if rng.random() < 0.3 else frozenset() for _ in range(n_cells)
+            ) + (frozenset({"unsafe"}),)
+            imcs.append(make_imc(random_rows, random_labels, n_cells))
+        for imc in imcs:
+            res = robust_value_iteration(imc, ReachAvoidSpec(horizon=1))
+            values = np.array(["goal" in labs for labs in imc.labels], dtype=float)
+            for i, row in enumerate(imc.rows):
+                if imc.labels[i] & {"goal", "unsafe"}:
+                    continue
+                for mode, bound in (("min", res.p_lower), ("max", res.p_upper)):
+                    expected = adversary_extreme_expectation(values, row, mode)
+                    assert bound[i] == expected == scalar_walk(values, row, mode)
+
     def test_label_overlap_rejected(self):
         rows = (
             (TransitionBound(0, 0, 1.0, 1.0),),
@@ -178,13 +264,20 @@ class TestValueIteration:
         with pytest.raises(SpecificationError):
             robust_value_iteration(imc, ReachAvoidSpec())
 
-    def test_iteration_cap_reports_not_converged(self):
+    def test_iteration_cap_reports_not_converged(self, caplog):
         imc = three_state_fixture()
-        res = robust_value_iteration(
-            imc, ReachAvoidSpec(), convergence_tol=1e-15, max_iterations=3
-        )
+        with caplog.at_level(logging.WARNING, logger="imcverify"):
+            res = robust_value_iteration(
+                imc, ReachAvoidSpec(), convergence_tol=1e-15, max_iterations=3
+            )
         assert not res.converged
         assert res.iterations == 3
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "max_iterations=3" in warnings[0].getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="imcverify"):
+            assert robust_value_iteration(imc, ReachAvoidSpec()).converged
+        assert not caplog.records
 
 
 class TestClassify:
@@ -208,3 +301,42 @@ class TestClassify:
             ReachAvoidSpec(threshold=1.5)
         with pytest.raises(ValueError):
             ReachAvoidSpec(horizon=-1)
+
+
+class TestReadResults:
+    def _export(self, tmp_path):
+        imc = three_state_fixture()
+        res = robust_value_iteration(imc, ReachAvoidSpec())
+        path = tmp_path / "results.csv"
+        write_results(res, imc, path)
+        return imc, res, path
+
+    def test_round_trip(self, tmp_path):
+        imc, res, path = self._export(tmp_path)
+        loaded = read_results(path, imc)
+        assert np.array_equal(loaded.p_lower, res.p_lower)
+        assert np.array_equal(loaded.p_upper, res.p_upper)
+        assert loaded.classification == res.classification
+
+    # lines of the exported table: header, then states 0 (undetermined),
+    # 1 (goal, satisfies) and 2 (unsafe, violates)
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda lines: lines + ["-1,,,0.95,0.97,satisfies"], ":5: state index"),
+            (lambda lines: lines + [lines[2]], ":5: duplicate state"),
+            (lambda lines: lines[:2] + ["1,1.0,2.0,1.0,1.0,bogus"] + lines[3:],
+             ":3: unknown class"),
+            (lambda lines: lines[:1] + ["0,0.0,1.0,0.6,0.5,undetermined"] + lines[2:],
+             ":2: requires p_lower <= p_upper"),
+            (lambda lines: lines[:1] + [lines[1] + ",x"] + lines[2:], ":2: expected 6"),
+            (lambda lines: ["state,p_lower,p_upper,class"] + lines[1:], "header"),
+            (lambda lines: lines[:3], "missing states [2]"),
+        ],
+        ids=["state-range", "duplicate", "class", "order", "fields", "header", "missing"],
+    )
+    def test_malformed_table_rejected(self, tmp_path, edit, where):
+        imc, _, path = self._export(tmp_path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(InputError, match=re.escape(where)):
+            read_results(path, imc)
