@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import DynamicsModel
 from .errors import InvalidModelError, SoundnessError
 from .geometry import Box, StatePartition
-from .imc import Imc, PosteriorTable, _bound_kernel, _box_bounds, _posterior_hull, _source_postf
+from .imc import Imc, PosteriorTable, cell_posteriors
 from .noise import NoiseCell, NoiseModel
 from .verify import (
     ReachAvoidSpec,
@@ -145,9 +145,12 @@ def cluster_improve(
     bounds) and its transition interval comes from the same bound kernel
     as the rest of the abstraction. A new value is kept only when strictly
     better, so no state ever gets worse. Later states in the pass see
-    earlier improvements. Repeat passes until nothing changes to cascade.
+    earlier improvements. The posteriors of all cells are computed once,
+    before the pass; ``pipeline.phase_improve`` runs passes until one
+    changes nothing or the configured number is reached.
     """
     partition = imc.partition
+    posts = cell_posteriors(partition, model, noise, posterior_table, noise_cells)
     p_lo = result.p_lower.copy()
     p_hi = result.p_upper.copy()
 
@@ -158,13 +161,10 @@ def cluster_improve(
     for q_idx in order:
         if pinned[q_idx]:
             continue
-        q = partition.cells[q_idx]
-        postf = _source_postf(model, partition, q_idx, posterior_table)
-        proposal = select_cluster(q_idx, imc, _posterior_hull(q, model, noise, postf))
+        proposal = select_cluster(q_idx, imc, posts.hull(q_idx))
         if proposal is None:
             continue
-        kernel = _bound_kernel(q, model, noise, postf, noise_cells)
-        cl_low, cl_up = _box_bounds(kernel, proposal.box)
+        cl_low, cl_up = posts.bounds(q_idx, proposal.box)
         members = list(proposal.members)
         # the row without the members, then one entry for the cluster keyed
         # by its first member

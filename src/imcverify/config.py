@@ -60,6 +60,29 @@ def _need(mapping: dict, key: str, path: str) -> Any:
     return mapping[key]
 
 
+def _is_int(value: Any) -> bool:
+    """A YAML integer; ``true``/``false`` load as bool, a subclass of int,
+    and are not accepted as counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(raw: dict, key: str, default: int, path: str, minimum: Optional[int] = None) -> int:
+    value = raw.get(key, default)
+    if not _is_int(value) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        _fail(f"{path}.{key}", f"must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _counts(value: Any, n: int, path: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        _fail(path, f"expected {n} per-dimension cell counts")
+    for i, r in enumerate(value):
+        if not _is_int(r) or r < 1:
+            _fail(f"{path}[{i}]", f"must be a positive integer, got {r!r}")
+    return tuple(value)
+
+
 def _known_keys(mapping: Any, allowed: tuple[str, ...], path: str) -> None:
     """Reject keys outside ``allowed`` so that a typo cannot silently fall
     back to a default."""
@@ -144,13 +167,7 @@ def load_config(path) -> RunConfig:
     domain = _as_box(_need(raw, "domain", ""), "domain")
     n = domain.dim
 
-    grid_raw = _need(raw, "grid", "")
-    if not isinstance(grid_raw, (list, tuple)) or len(grid_raw) != n:
-        _fail("grid", f"expected {n} per-dimension cell counts")
-    for i, r in enumerate(grid_raw):
-        if not isinstance(r, int) or r < 1:
-            _fail(f"grid[{i}]", f"must be a positive integer, got {r!r}")
-    grid = tuple(int(r) for r in grid_raw)
+    grid = _counts(_need(raw, "grid", ""), n, "grid")
 
     dyn = _need(raw, "dynamics", "")
     exprs_raw = _need(dyn, "expressions", "dynamics")
@@ -187,14 +204,8 @@ def load_config(path) -> RunConfig:
                     "multiplicative structure requires non-negative noise support",
                 )
     noise_grid = None
-    if "grid" in noise_raw and noise_raw["grid"] is not None:
-        ng = noise_raw["grid"]
-        if not isinstance(ng, (list, tuple)) or len(ng) != n:
-            _fail("noise.grid", f"expected {n} per-component cell counts")
-        for i, r in enumerate(ng):
-            if not isinstance(r, int) or r < 1:
-                _fail(f"noise.grid[{i}]", f"must be a positive integer, got {r!r}")
-        noise_grid = tuple(int(r) for r in ng)
+    if noise_raw.get("grid") is not None:
+        noise_grid = _counts(noise_raw["grid"], n, "noise.grid")
     if structure == GENERAL and noise_grid is None:
         _fail("noise.grid", "required when dynamics.structure is 'general'")
 
@@ -225,54 +236,42 @@ def load_config(path) -> RunConfig:
     horizon = spec_raw.get("horizon", "unbounded")
     if horizon in ("unbounded", None):
         horizon = None
-    elif not isinstance(horizon, int) or horizon < 0:
+    elif not _is_int(horizon) or horizon < 0:
         _fail("spec.horizon", f"must be 'unbounded' or an integer >= 0, got {horizon!r}")
     convergence_tol = float(spec_raw.get("convergence_tolerance", 1e-6))
     if convergence_tol <= 0.0:
         _fail("spec.convergence_tolerance", "must be positive")
-    max_iterations = spec_raw.get("max_iterations", 10**5)
-    if not isinstance(max_iterations, int) or max_iterations < 1:
-        _fail("spec.max_iterations", "must be a positive integer")
+    max_iterations = _integer(spec_raw, "max_iterations", 10**5, "spec", 1)
 
     cluster_raw = raw.get("cluster", {})
     _known_keys(cluster_raw, ("passes",), "cluster")
-    passes = cluster_raw.get("passes", 0)
-    if not isinstance(passes, int) or passes < 0:
-        _fail("cluster.passes", f"must be an integer >= 0, got {passes!r}")
+    passes = _integer(cluster_raw, "passes", 0, "cluster", 0)
 
     mc_raw = raw.get("monte_carlo", {})
     _known_keys(mc_raw, tuple(f.name for f in fields(MonteCarloConfig)), "monte_carlo")
     mc = MonteCarloConfig(
-        trajectories=mc_raw.get("trajectories", 1000),
-        seed=mc_raw.get("seed", 0),
+        trajectories=_integer(mc_raw, "trajectories", 1000, "monte_carlo", 1),
+        seed=_integer(mc_raw, "seed", 0, "monte_carlo"),
         confidence=mc_raw.get("confidence", 0.99),
-        horizon=mc_raw.get("horizon", 200),
+        horizon=_integer(mc_raw, "horizon", 200, "monte_carlo", 1),
         cells=mc_raw.get("cells", "stride"),
-        cell_stride=mc_raw.get("cell_stride", 0),
-        export_trajectories=mc_raw.get("export_trajectories", 20),
+        cell_stride=_integer(mc_raw, "cell_stride", 0, "monte_carlo", 0),
+        export_trajectories=_integer(mc_raw, "export_trajectories", 20, "monte_carlo", 0),
         enabled=mc_raw.get("enabled", True),
     )
-    if not isinstance(mc.trajectories, int) or mc.trajectories < 1:
-        _fail("monte_carlo.trajectories", "must be a positive integer")
-    if not isinstance(mc.seed, int):
-        _fail("monte_carlo.seed", "must be an integer")
     if not isinstance(mc.confidence, float) or not 0.0 < mc.confidence < 1.0:
         _fail("monte_carlo.confidence", "must be in (0, 1)")
-    if not isinstance(mc.horizon, int) or mc.horizon < 1:
-        _fail("monte_carlo.horizon", "must be a positive integer")
     if isinstance(mc.cells, list):
         total = 1
         for r in grid:
             total *= r
         for i, c in enumerate(mc.cells):
-            if not isinstance(c, int) or not 0 <= c < total:
+            if not _is_int(c) or not 0 <= c < total:
                 _fail(f"monte_carlo.cells[{i}]", "cell index out of range")
     elif mc.cells not in ("stride", "all"):
         _fail("monte_carlo.cells", "expected 'stride', 'all' or a list of indices")
-    if not isinstance(mc.cell_stride, int) or mc.cell_stride < 0:
-        _fail("monte_carlo.cell_stride", "must be an integer >= 0")
-    if not isinstance(mc.export_trajectories, int) or mc.export_trajectories < 0:
-        _fail("monte_carlo.export_trajectories", "must be an integer >= 0")
+    if not isinstance(mc.enabled, bool):
+        _fail("monte_carlo.enabled", f"must be true or false, got {mc.enabled!r}")
 
     table_raw = raw.get("posterior_table")
     posterior_table = Path(table_raw) if table_raw else None

@@ -14,10 +14,18 @@ interval extension: monotone elementary functions at endpoints, sin/cos by
 critical-point analysis, integer powers by sign analysis. The extension may
 over-approximate the true range, which is the sound direction for every
 consumer in this package.
+
+The one interval evaluator, ``enclosure``, works on endpoint arrays over a
+whole batch of boxes; ``interval_extension``, ``posterior_f`` and
+``posterior`` are one-box calls into it. A non-finite enclosure (an
+overflow, say), a division by an interval containing 0, a negative power of
+one and sqrt below 0 raise EvaluationError naming the component, whichever
+box of the batch they occur in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -477,98 +485,126 @@ def eval_point(model: DynamicsModel, x, w) -> np.ndarray:
 _TWO_PI = 2.0 * math.pi
 
 
-def _has_extremum(lo: float, hi: float, at: float) -> bool:
+def _has_extremum(lo, hi, at: float):
     # Is there an integer k with at + 2*pi*k in [lo, hi]?
-    return math.ceil((lo - at) / _TWO_PI) <= math.floor((hi - at) / _TWO_PI)
+    return np.ceil((lo - at) / _TWO_PI) <= np.floor((hi - at) / _TWO_PI)
 
 
-def _sin_interval(lo: float, hi: float) -> tuple[float, float]:
-    if hi - lo >= _TWO_PI:
-        return (-1.0, 1.0)
-    smin = min(math.sin(lo), math.sin(hi))
-    smax = max(math.sin(lo), math.sin(hi))
-    if _has_extremum(lo, hi, math.pi / 2.0):
-        smax = 1.0
-    if _has_extremum(lo, hi, -math.pi / 2.0):
-        smin = -1.0
-    return (smin, smax)
+def _sin_interval(lo, hi):
+    wide = hi - lo >= _TWO_PI
+    slo, shi = np.sin(lo), np.sin(hi)
+    smin = np.where(wide | _has_extremum(lo, hi, -math.pi / 2.0), -1.0, np.minimum(slo, shi))
+    smax = np.where(wide | _has_extremum(lo, hi, math.pi / 2.0), 1.0, np.maximum(slo, shi))
+    return smin, smax
 
 
-def _pow_interval(lo: float, hi: float, k: int, component: int) -> tuple[float, float]:
+def _mul(a, b):
+    """Product rule: min and max over the four endpoint products, where
+    0 * inf reads as 0 (the degenerate factor contributes nothing)."""
+    products = [np.where((u == 0.0) | (v == 0.0), 0.0, u * v) for u in a for v in b]
+    return functools.reduce(np.minimum, products), functools.reduce(np.maximum, products)
+
+
+def _abs_interval(lo, hi):
+    alo, ahi = np.abs(lo), np.abs(hi)
+    return np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(alo, ahi)), np.maximum(alo, ahi)
+
+
+def _pow_interval(lo, hi, k: int, component: int):
     if k == 0:
-        return (1.0, 1.0)
+        return 1.0, 1.0
     if k < 0:
-        if lo <= 0.0 <= hi:
+        if np.any((lo <= 0.0) & (0.0 <= hi)):
             raise EvaluationError(
                 f"component {component}: negative power of an interval containing 0"
             )
-        rlo, rhi = 1.0 / hi, 1.0 / lo
-        return _pow_interval(rlo, rhi, -k, component)
-    if k % 2 == 1:
-        return (lo**k, hi**k)
-    top = max(abs(lo), abs(hi)) ** k
-    bottom = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)) ** k
-    return (bottom, top)
+        return _pow_interval(1.0 / hi, 1.0 / lo, -k, component)
+    if k % 2 == 0:
+        lo, hi = _abs_interval(lo, hi)
+    return np.power(lo, k), np.power(hi, k)
 
 
-def _ieval(node: Expr, xbox: Box, wbox: Optional[Box], component: int) -> tuple[float, float]:
+def _ieval(node: Expr, x, w, component: int):
+    """Natural interval extension of node over the boxes x (and w)."""
     if isinstance(node, Num):
-        return (node.value, node.value)
+        return node.value, node.value
     if isinstance(node, Var):
-        box = xbox if node.kind == "x" else wbox
+        box = x if node.kind == "x" else w
         if box is None:
             raise EvaluationError(
                 f"component {component}: {node.kind}{node.index} has no interval"
             )
-        ival = box.component(node.index - 1)
-        return (ival.lo, ival.hi)
+        return box[0][..., node.index - 1], box[1][..., node.index - 1]
     if isinstance(node, BinOp):
-        alo, ahi = _ieval(node.left, xbox, wbox, component)
-        blo, bhi = _ieval(node.right, xbox, wbox, component)
+        alo, ahi = _ieval(node.left, x, w, component)
+        blo, bhi = _ieval(node.right, x, w, component)
         if node.op == "+":
-            return (alo + blo, ahi + bhi)
+            return alo + blo, ahi + bhi
         if node.op == "-":
-            return (alo - bhi, ahi - blo)
+            return alo - bhi, ahi - blo
         if node.op == "*":
-            r = Interval(alo, ahi).mul(Interval(blo, bhi))
-            return (r.lo, r.hi)
-        if blo <= 0.0 <= bhi:
+            return _mul((alo, ahi), (blo, bhi))
+        if np.any((blo <= 0.0) & (0.0 <= bhi)):
             raise EvaluationError(
                 f"component {component}: division by an interval containing 0"
             )
-        r = Interval(alo, ahi).mul(Interval(1.0 / bhi, 1.0 / blo))
-        return (r.lo, r.hi)
+        return _mul((alo, ahi), (1.0 / bhi, 1.0 / blo))
     if isinstance(node, Pow):
-        lo, hi = _ieval(node.base, xbox, wbox, component)
+        lo, hi = _ieval(node.base, x, w, component)
         return _pow_interval(lo, hi, node.exponent, component)
     if isinstance(node, Neg):
-        lo, hi = _ieval(node.operand, xbox, wbox, component)
-        return (-hi, -lo)
+        lo, hi = _ieval(node.operand, x, w, component)
+        return -hi, -lo
     if isinstance(node, Call):
-        lo, hi = _ieval(node.arg, xbox, wbox, component)
+        lo, hi = _ieval(node.arg, x, w, component)
         if node.func == "sin":
             return _sin_interval(lo, hi)
         if node.func == "cos":
             return _sin_interval(lo + math.pi / 2.0, hi + math.pi / 2.0)
         if node.func == "exp":
-            return (math.exp(lo), math.exp(hi))
+            return np.exp(lo), np.exp(hi)
         if node.func == "sqrt":
-            if lo < 0.0:
+            if np.any(lo < 0.0):
                 raise EvaluationError(
                     f"component {component}: sqrt of an interval below 0"
                 )
-            return (math.sqrt(lo), math.sqrt(hi))
+            return np.sqrt(lo), np.sqrt(hi)
         if node.func == "abs":
-            top = max(abs(lo), abs(hi))
-            bottom = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-            return (bottom, top)
+            return _abs_interval(lo, hi)
     raise TypeError(f"unknown node type {type(node)!r}")
+
+
+def _checked(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints, if every interval is finite with lo <= hi (an overflow
+    gives an infinite or NaN endpoint); else an EvaluationError naming the
+    component, the last axis, of the first one that is not."""
+    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
+    if np.any(bad):
+        first = tuple(np.argwhere(bad)[0])
+        raise EvaluationError(
+            f"component {first[-1] + 1}: the enclosure [{float(lo[first])!r}, "
+            f"{float(hi[first])!r}] is not a finite interval"
+        )
+    return lo, hi
+
+
+def enclosure(exprs: Sequence[Expr], x, w=None) -> tuple[np.ndarray, np.ndarray]:
+    """Interval enclosures of expressions over a batch of boxes: ``x`` and
+    ``w`` are (lo, hi) pairs of arrays whose last axis is the variable index
+    and whose leading axes broadcast; so is the result, with one entry per
+    expression (component i + 1 in error messages) on the last axis."""
+    shape = np.broadcast_shapes(*(b[0].shape[:-1] for b in (x, w) if b is not None))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [_ieval(expr, x, w, i + 1) for i, expr in enumerate(exprs)]
+    lo = np.stack([np.broadcast_to(p[0], shape) for p in pairs], axis=-1)
+    hi = np.stack([np.broadcast_to(p[1], shape) for p in pairs], axis=-1)
+    return _checked(lo, hi)
 
 
 def interval_extension(expr: Expr, xbox: Box, wbox: Optional[Box] = None) -> Interval:
     """Interval enclosing the range of expr over xbox (and wbox, if given)."""
-    lo, hi = _ieval(expr, xbox, wbox, component=0)
-    return Interval(lo, hi)
+    lo, hi = enclosure((expr,), xbox.endpoints(), None if wbox is None else wbox.endpoints())
+    return Interval(lo[0], hi[0])
 
 
 # --- posteriors --------------------------------------------------------------
@@ -583,23 +619,18 @@ def posterior_f(model: DynamicsModel, q: Box) -> Box:
         raise ValueError("posterior_f requires an additive or multiplicative model")
     if q.dim != model.n:
         raise ValueError(f"region dimension {q.dim} != model dimension {model.n}")
-    return Box(
-        tuple(
-            interval_extension(g, q, None) for g in model.g_components
-        )
-    )
+    return Box.from_bounds(zip(*enclosure(model.g_components, q.endpoints())))
 
 
-def combine_posterior(structure: str, postf: Box, c: Box) -> Box:
-    """Posterior of a region from its noise-free image and a noise cell."""
-    if structure == ADDITIVE:
-        return Box(
-            tuple(p.add(ci) for p, ci in zip(postf.intervals, c.intervals))
-        )
-    if structure == MULTIPLICATIVE:
-        return Box(
-            tuple(p.mul(ci) for p, ci in zip(postf.intervals, c.intervals))
-        )
+def combine_posterior(structure: str, postf, c) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors of regions from their noise-free images and noise cells:
+    g(q) + c or g(q) (.) c component-wise. ``postf`` and ``c`` are (lo, hi)
+    pairs of arrays as in ``enclosure``, and so is the result."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if structure == ADDITIVE:
+            return _checked(postf[0] + c[0], postf[1] + c[1])
+        if structure == MULTIPLICATIVE:
+            return _checked(*_mul(postf, c))
     raise ValueError(f"cannot combine posteriors for structure {structure!r}")
 
 
@@ -608,9 +639,6 @@ def posterior(model: DynamicsModel, q: Box, c: Box) -> Box:
     if c.dim != model.n:
         raise ValueError(f"noise cell dimension {c.dim} != model dimension {model.n}")
     if model.structure in (ADDITIVE, MULTIPLICATIVE):
-        return combine_posterior(model.structure, posterior_f(model, q), c)
-    return Box(
-        tuple(
-            interval_extension(expr, q, c) for expr in model.components
-        )
-    )
+        postf = posterior_f(model, q).endpoints()
+        return Box.from_bounds(zip(*combine_posterior(model.structure, postf, c.endpoints())))
+    return Box.from_bounds(zip(*enclosure(model.components, q.endpoints(), c.endpoints())))

@@ -52,18 +52,6 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def add(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def mul(self, other: "Interval") -> "Interval":
-        products = [
-            _safe_mul(self.lo, other.lo),
-            _safe_mul(self.lo, other.hi),
-            _safe_mul(self.hi, other.lo),
-            _safe_mul(self.hi, other.hi),
-        ]
-        return Interval(min(products), max(products))
-
     @staticmethod
     def hull(intervals: Iterable["Interval"]) -> "Interval":
         items = list(intervals)
@@ -73,13 +61,6 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
-
-
-def _safe_mul(a: float, b: float) -> float:
-    # 0 * inf reads as 0 here: the degenerate factor contributes nothing.
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
 
 
 @dataclass(frozen=True)
@@ -127,6 +108,13 @@ class Box:
 
     def center(self) -> tuple[float, ...]:
         return tuple(ival.midpoint for ival in self.intervals)
+
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lower and the upper endpoints as two arrays of length dim."""
+        return (
+            np.array([ival.lo for ival in self.intervals]),
+            np.array([ival.hi for ival in self.intervals]),
+        )
 
     def __repr__(self) -> str:
         return "x".join(repr(ival) for ival in self.intervals)
@@ -206,15 +194,6 @@ class StatePartition:
             i = int(np.searchsorted(self.edges[d], float(t), side="right")) - 1
             multi.append(min(max(i, 0), self.resolution[d] - 1))
         return self.flat_index(multi)
-
-    def grid_index_range(self, dim: int, lo: float, hi: float) -> tuple[int, int]:
-        """Half-open index range of grid cells whose closure meets [lo, hi]."""
-        edges = self.edges[dim]
-        first = int(np.searchsorted(edges, lo, side="right")) - 1
-        last = int(np.searchsorted(edges, hi, side="left"))
-        first = max(first, 0)
-        last = min(last, self.resolution[dim])
-        return first, max(last, first)
 
 
 def partition_domain(domain: Box, resolution: Sequence[int]) -> StatePartition:

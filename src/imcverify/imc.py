@@ -6,6 +6,10 @@ An ``Imc`` holds CSR arrays: the row of state ``i`` is ``dst``, ``lower``
 and ``upper`` over ``indptr[i]:indptr[i + 1]``. ``Imc.from_rows`` and the
 ``Imc.rows`` view are the only conversions to and from ``TransitionBound``.
 
+``cell_posteriors`` computes the posteriors, hulls and candidate targets of
+every grid cell at once; the build and the cluster step call it once each
+and only slice its arrays per source.
+
 The bound kernel of a source cell maps one span of target intervals per
 dimension to the bounds toward every box of their product (row-major).
 Structured systems (additive or multiplicative noise) get the optimal
@@ -17,10 +21,11 @@ General systems enumerate a uniform noise grid instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .dynamics import (
     MULTIPLICATIVE,
     DynamicsModel,
     combine_posterior,
-    posterior,
+    enclosure,
     posterior_f,
 )
 from .errors import InputError, SoundnessError
@@ -154,8 +159,8 @@ class PosteriorTable:
 
 
 class _Span(NamedTuple):
-    """Target intervals of one dimension as endpoint arrays; the cut-point
-    formulas read its ``lo``/``hi`` like an ``Interval``'s."""
+    """Endpoints of one interval, or of one interval per target as arrays;
+    the cut-point formulas read its ``lo``/``hi`` like an ``Interval``'s."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -167,58 +172,44 @@ def _clamped(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.minimum(lower, upper), upper
 
 
-def _structured_bounds(postf: Box, spans, noise: NoiseModel, structure: str):
-    """lower = prod_d Pr(w_d in [eps3_d, eps4_d]) and
+def _structured_kernel(postf_lo, postf_hi, noise: NoiseModel, structure: str):
+    """Bound kernel of a source with noise-free posterior [postf_lo, postf_hi]:
+    lower = prod_d Pr(w_d in [eps3_d, eps4_d]) and
     upper = prod_d Pr(w_d in [eps1_d, eps2_d]) toward every box of the
     product of the spans; an empty containment interval gives the factor 0.
     """
     cut_points = (
         optimal_partition_affine if structure == ADDITIVE else optimal_partition_multiplicative
     )
-    lower = upper = np.ones(1)
-    for comp, ival, span in zip(noise.components, postf.intervals, spans):
-        cuts = cut_points(ival, span)
-        upper = np.multiply.outer(upper, comp.interval_probability(cuts.eps1, cuts.eps2))
-        lower = np.multiply.outer(lower, comp.interval_probability(cuts.eps3, cuts.eps4))
-    return _clamped(lower.ravel(), upper.ravel())
-
-
-def _bound_kernel(
-    q: Box,
-    model: DynamicsModel,
-    noise: NoiseModel,
-    postf: Optional[Box] = None,
-    noise_cells: Optional[Sequence[NoiseCell]] = None,
-):
-    """The bound kernel of source cell q: target spans -> (lower, upper)."""
-    if model.structure != GENERAL:
-        postf = posterior_f(model, q) if postf is None else postf
-        return lambda spans: _structured_bounds(postf, spans, noise, model.structure)
-    if noise_cells is None:
-        raise ValueError("general structure requires a noise cell partition")
-    return _noise_grid_kernel(model, noise_cells, q)
-
-
-def _noise_grid_kernel(model: DynamicsModel, cells: Sequence[NoiseCell], q: Box):
-    """Bound kernel that enumerates a noise partition. The posterior of q
-    under each cell is computed here, once; the cell's mass then counts
-    toward the upper bound of every target the posterior intersects and the
-    lower bound of every target containing it."""
-    posts = [posterior(model, q, cell.box()).intervals for cell in cells]
-    post_lo = np.array([[ival.lo for ival in p] for p in posts])
-    post_hi = np.array([[ival.hi for ival in p] for p in posts])
 
     def kernel(spans):
-        meets = inside = np.ones((len(posts), 1), dtype=bool)
+        lower = upper = np.ones(1)
+        for comp, c, d, span in zip(noise.components, postf_lo, postf_hi, spans):
+            cuts = cut_points(_Span(c, d), span)
+            upper = np.multiply.outer(upper, comp.interval_probability(cuts.eps1, cuts.eps2))
+            lower = np.multiply.outer(lower, comp.interval_probability(cuts.eps3, cuts.eps4))
+        return _clamped(lower.ravel(), upper.ravel())
+
+    return kernel
+
+
+def _noise_grid_kernel(post_lo: np.ndarray, post_hi: np.ndarray, weights: np.ndarray):
+    """Bound kernel of a source whose posterior under noise cell k is
+    [post_lo[k], post_hi[k]]: the cell's mass ``weights[k]`` counts toward
+    the upper bound of every target the posterior intersects and the lower
+    bound of every target containing it."""
+
+    def kernel(spans):
+        meets = inside = np.ones((len(weights), 1), dtype=bool)
         for d, span in enumerate(spans):
             lo, hi = post_lo[:, d, None], post_hi[:, d, None]
             meets = _outer_and(meets, (lo <= span.hi) & (span.lo <= hi))
             inside = _outer_and(inside, (span.lo <= lo) & (hi <= span.hi))
         lower, upper = np.zeros(meets.shape[1]), np.zeros(meets.shape[1])
         # noise-cell order, one addition at a time (np.sum would round differently)
-        for cell, meet, contained in zip(cells, meets, inside):
-            upper[meet] += cell.probability
-            lower[contained] += cell.probability
+        for p, meet, contained in zip(weights.tolist(), meets, inside):
+            upper[meet] += p
+            lower[contained] += p
         return _clamped(lower, upper)
 
     return kernel
@@ -227,6 +218,15 @@ def _noise_grid_kernel(model: DynamicsModel, cells: Sequence[NoiseCell], q: Box)
 def _outer_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per noise cell, the row-major product of two target masks."""
     return (a[:, :, None] & b[:, None, :]).reshape(len(a), -1)
+
+
+def _general_posteriors(model: DynamicsModel, x, cells: Sequence[NoiseCell]):
+    """Posteriors of the boxes x (endpoint arrays of shape (..., n)) under
+    every noise cell, shape (..., noise cells, n), and the cell masses."""
+    w = np.array([[(i.lo, i.hi) for i in cell.intervals] for cell in cells])
+    x = (x[0][..., None, :], x[1][..., None, :])
+    lo, hi = enclosure(model.components, x, (w[..., 0], w[..., 1]))
+    return lo, hi, np.array([cell.probability for cell in cells])
 
 
 def _box_bounds(kernel, target: Box) -> tuple[float, float]:
@@ -253,7 +253,7 @@ def transition_bounds_structured(
         raise ValueError(f"structured bounds require additive or multiplicative, got {structure!r}")
     if postf.dim != target.dim or postf.dim != noise.n:
         raise ValueError("postf, target and noise dimensions disagree")
-    return _box_bounds(lambda spans: _structured_bounds(postf, spans, noise, structure), target)
+    return _box_bounds(_structured_kernel(*postf.endpoints(), noise, structure), target)
 
 
 def transition_bounds_general(
@@ -263,7 +263,8 @@ def transition_bounds_general(
     target: Box,
 ) -> tuple[float, float]:
     """Transition bounds by direct enumeration of a noise partition."""
-    return _box_bounds(_noise_grid_kernel(model, cells, q), target)
+    kernel = _noise_grid_kernel(*_general_posteriors(model, q.endpoints(), cells))
+    return _box_bounds(kernel, target)
 
 
 def unsafe_transitions(
@@ -280,7 +281,83 @@ def unsafe_transitions(
     Computed from the bounds toward the safe set itself:
     lower = 1 - upper(q -> X), upper = 1 - lower(q -> X).
     """
-    return _unsafe_bounds(_bound_kernel(q, model, noise, postf, noise_cells), safe)
+    if model.structure != GENERAL:
+        postf = posterior_f(model, q) if postf is None else postf
+        kernel = _structured_kernel(*postf.endpoints(), noise, model.structure)
+    elif noise_cells is None:
+        raise ValueError("general structure requires a noise cell partition")
+    else:
+        kernel = _noise_grid_kernel(*_general_posteriors(model, q.endpoints(), noise_cells))
+    return _unsafe_bounds(kernel, safe)
+
+
+# --- posteriors of every cell ---------------------------------------------------
+
+
+class CellPosteriors(NamedTuple):
+    """Posteriors of every grid cell: ``lo``/``hi`` are g(q), shape (cells, n),
+    for structured systems and the image under each noise cell, shape
+    (cells, noise cells, n), for general ones; ``hull_lo``/``hull_hi`` the
+    posterior over the noise support. ``first``/``last`` bound, per cell and
+    dimension, the cells within the hull expanded by one cell; every other
+    target provably has upper bound 0 (none is left if some first >= last)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    hull_lo: np.ndarray
+    hull_hi: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    kernel_of: Callable
+
+    def kernel(self, i: int):
+        """The bound kernel of cell i."""
+        return self.kernel_of(self.lo[i], self.hi[i])
+
+    def bounds(self, i: int, target: Box) -> tuple[float, float]:
+        """The bounds from cell i toward a single box."""
+        return _box_bounds(self.kernel(i), target)
+
+    def hull(self, i: int) -> Box:
+        return Box.from_bounds(zip(self.hull_lo[i], self.hull_hi[i]))
+
+
+def cell_posteriors(
+    partition: StatePartition,
+    model: DynamicsModel,
+    noise: NoiseModel,
+    posterior_table: Optional[PosteriorTable] = None,
+    noise_cells: Optional[Sequence[NoiseCell]] = None,
+) -> CellPosteriors:
+    """Posteriors, hulls and candidate ranges of every cell from the grid edges:
+    one interval evaluation over all cells, or the posterior table converted once."""
+    if model.structure == GENERAL and noise_cells is None:
+        raise ValueError("general structure requires noise_cells from uniform_noise_grid")
+    if posterior_table is not None and model.structure == GENERAL:
+        raise ValueError("posterior tables require an additive or multiplicative structure")
+    edges = [np.asarray(e) for e in partition.edges]
+    multi = np.unravel_index(np.arange(partition.n_cells), partition.resolution)
+    x = tuple(np.stack([e[m + k] for e, m in zip(edges, multi)], axis=-1) for k in (0, 1))
+    support = noise.support_box().endpoints()
+    if model.structure == GENERAL:
+        lo, hi, weights = _general_posteriors(model, x, noise_cells)
+        hull = enclosure(model.components, x, support)
+        kernel_of = functools.partial(_noise_grid_kernel, weights=weights)
+    else:
+        if posterior_table is None:
+            lo, hi = enclosure(model.g_components, x)
+        else:
+            table = [posterior_table.postf(i).endpoints() for i in range(partition.n_cells)]
+            lo, hi = np.array(table).transpose(1, 0, 2)
+        hull = combine_posterior(model.structure, (lo, hi), support)
+        kernel_of = functools.partial(_structured_kernel, noise=noise, structure=model.structure)
+    first, last = [], []
+    for d, (e, r) in enumerate(zip(edges, partition.resolution)):
+        width = (e[-1] - e[0]) / r
+        first.append(np.maximum(np.searchsorted(e, hull[0][:, d] - width, side="right") - 1, 0))
+        last.append(np.minimum(np.searchsorted(e, hull[1][:, d] + width, side="left"), r))
+    first, last = np.stack(first, axis=-1), np.stack(last, axis=-1)
+    return CellPosteriors(lo, hi, *hull, first, np.maximum(first, last), kernel_of)
 
 
 # --- label handling -----------------------------------------------------------
@@ -336,44 +413,6 @@ def assign_labels(
 # --- full build ----------------------------------------------------------------
 
 
-def _source_postf(
-    model: DynamicsModel, partition: StatePartition, i: int, table: Optional[PosteriorTable]
-) -> Optional[Box]:
-    """The noise-free posterior of cell i (None for general systems)."""
-    if model.structure == GENERAL:
-        return None
-    return table.postf(i) if table is not None else posterior_f(model, partition.cells[i])
-
-
-def _posterior_hull(
-    q: Box,
-    model: DynamicsModel,
-    noise: NoiseModel,
-    postf: Optional[Box],
-) -> Box:
-    support = noise.support_box()
-    if model.structure != GENERAL:
-        assert postf is not None
-        return combine_posterior(model.structure, postf, support)
-    return posterior(model, q, support)
-
-
-def _candidate_ranges(partition: StatePartition, hull: Box) -> list[tuple[int, int]]:
-    """Per dimension, the index range of the cells possibly reachable: those
-    within the posterior hull expanded by one cell. All other pairs provably
-    have upper bound 0. Empty when some dimension has no such cell."""
-    ranges = []
-    for d, edges in enumerate(partition.edges):
-        width = (edges[-1] - edges[0]) / partition.resolution[d]
-        lo = hull.component(d).lo - width
-        hi = hull.component(d).hi + width
-        first, last = partition.grid_index_range(d, lo, hi)
-        if first >= last:
-            return []
-        ranges.append((first, last))
-    return ranges
-
-
 def build_imc(
     partition: StatePartition,
     model: DynamicsModel,
@@ -391,23 +430,15 @@ def build_imc(
     violation indicates a bug and raises SoundnessError rather than being
     rescaled away.
     """
-    if model.structure == GENERAL and noise_cells is None:
-        raise ValueError(
-            "general structure requires noise_cells from uniform_noise_grid"
-        )
-    if posterior_table is not None and model.structure == GENERAL:
-        raise ValueError(
-            "posterior tables require an additive or multiplicative structure"
-        )
+    posts = cell_posteriors(partition, model, noise, posterior_table, noise_cells)
     labels = assign_labels(partition, label_boxes)
     edges = [np.asarray(e) for e in partition.edges]
     unsafe = partition.unsafe_index
 
     dst, lower, upper = [], [], []
-    for iq, q in enumerate(partition.cells):
-        postf = _source_postf(model, partition, iq, posterior_table)
-        kernel = _bound_kernel(q, model, noise, postf, noise_cells)
-        ranges = _candidate_ranges(partition, _posterior_hull(q, model, noise, postf))
+    for iq, (first, last) in enumerate(zip(posts.first.tolist(), posts.last.tolist())):
+        kernel = posts.kernel(iq)
+        ranges = list(zip(first, last)) if all(a < b for a, b in zip(first, last)) else []
         # flat indices of the candidate block, row-major like the kernel output
         targets = np.zeros(1 if ranges else 0, dtype=np.int64)
         for r, (a, b) in zip(partition.resolution, ranges):

@@ -101,6 +101,9 @@ class Uniform(NoiseComponent):
 
 @dataclass(frozen=True)
 class TruncatedGaussian(NoiseComponent):
+    """N(mean, stddev^2) conditioned on [lo, hi]. Phi(lo) and the mass are set
+    once, outside the fields that equality and hashing see."""
+
     mean: float
     stddev: float
     lo: float
@@ -113,13 +116,12 @@ class TruncatedGaussian(NoiseComponent):
             raise ValueError("truncation bounds must be finite")
         if self.lo >= self.hi:
             raise ValueError("truncation requires lo < hi")
-        if self._mass() <= 0.0:
+        phi_lo = _phi((self.lo - self.mean) / self.stddev)
+        mass = float(_phi((self.hi - self.mean) / self.stddev) - phi_lo)
+        if mass <= 0.0:
             raise ValueError("truncation interval has no Gaussian mass")
-
-    def _mass(self) -> float:
-        a = _phi((self.lo - self.mean) / self.stddev)
-        b = _phi((self.hi - self.mean) / self.stddev)
-        return float(b - a)
+        object.__setattr__(self, "_phi_lo", phi_lo)
+        object.__setattr__(self, "_mass", mass)
 
     @property
     def support(self) -> Interval:
@@ -127,9 +129,8 @@ class TruncatedGaussian(NoiseComponent):
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
-        a = _phi((self.lo - self.mean) / self.stddev)
         z = _phi((np.clip(t, self.lo, self.hi) - self.mean) / self.stddev)
-        out = np.clip((z - a) / self._mass(), 0.0, 1.0)
+        out = np.clip((z - self._phi_lo) / self._mass, 0.0, 1.0)
         out = np.where(t < self.lo, 0.0, np.where(t > self.hi, 1.0, out))
         return float(out) if out.ndim == 0 else out
 

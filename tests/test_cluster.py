@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from imcverify.cluster import cluster_improve, select_cluster
-from imcverify.dynamics import parse_dynamics, posterior_f
+from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box, partition_domain
-from imcverify.imc import _posterior_hull, build_imc
+from imcverify.imc import build_imc, cell_posteriors
 from imcverify.noise import NoiseModel, Uniform
 from imcverify.verify import (
     ReachAvoidSpec,
@@ -45,9 +45,7 @@ class TestSelectCluster:
         noise = NoiseModel((Uniform(-1.0, 1.0),))
         imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[5, 6]])]})
         # from cell [0,1]: hull = [1, 4], tiled exactly by cells 1..3
-        hull = _posterior_hull(
-            part.cells[0], model, noise, posterior_f(model, part.cells[0])
-        )
+        hull = cell_posteriors(part, model, noise).hull(0)
         prop = select_cluster(0, imc, hull)
         assert prop is not None
         assert prop.members == (1, 2, 3)
@@ -56,9 +54,7 @@ class TestSelectCluster:
     def test_hull_exiting_domain_falls_back_to_block(self):
         part, model, noise, imc = shifted_identity_setup()
         # from cell [2,3]: hull = [2.75, 6.25] exits X; block = cells {3, 4}
-        hull = _posterior_hull(
-            part.cells[2], model, noise, posterior_f(model, part.cells[2])
-        )
+        hull = cell_posteriors(part, model, noise).hull(2)
         prop = select_cluster(2, imc, hull)
         assert prop is not None
         assert prop.members == (3, 4)
@@ -69,9 +65,7 @@ class TestSelectCluster:
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.05, 0.05),))
         imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[1, 2]])]})
-        hull = _posterior_hull(
-            part.cells[0], model, noise, posterior_f(model, part.cells[0])
-        )
+        hull = cell_posteriors(part, model, noise).hull(0)
         assert select_cluster(0, imc, hull) is None
 
     def test_2d_block(self):
@@ -82,9 +76,7 @@ class TestSelectCluster:
             part, model, noise, {"goal": [Box.from_bounds([[3, 4], [3, 4]])]}
         )
         q_idx = part.flat_index((1, 1))  # cell [1,2]x[1,2], hull [1,4]^2
-        hull = _posterior_hull(
-            part.cells[q_idx], model, noise, posterior_f(model, part.cells[q_idx])
-        )
+        hull = cell_posteriors(part, model, noise).hull(q_idx)
         prop = select_cluster(q_idx, imc, hull)
         assert prop is not None
         assert prop.box == Box.from_bounds([[1, 4], [1, 4]])

@@ -153,6 +153,38 @@ class TestLoadConfig:
             load_config(path)
         assert main(["run", "-c", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("  enabled: false", '  enabled: "false"', "monte_carlo.enabled"),
+            ("  enabled: false", "  enabled: 0", "monte_carlo.enabled"),
+            ("grid: [4]", "grid: [true]", "grid[0]"),
+            ("hi: 0.25}", "hi: 0.25}\n  grid: [true]", "noise.grid[0]"),
+            ("  horizon: unbounded", "  horizon: true", "spec.horizon"),
+            ("  threshold: 0.9", "  threshold: 0.9\n  max_iterations: true", "spec.max_iterations"),
+            ("  passes: 0", "  passes: false", "cluster.passes"),
+            ("  trajectories: 100", "  trajectories: true", "monte_carlo.trajectories"),
+            ("  seed: 5", "  seed: false", "monte_carlo.seed"),
+            ("  horizon: 40", "  horizon: true", "monte_carlo.horizon"),
+            ("  cells: all", "  cells: [0, true]", "monte_carlo.cells[1]"),
+            ("  cells: all", "  cells: all\n  cell_stride: true", "monte_carlo.cell_stride"),
+            ("  export_trajectories: 2", "  export_trajectories: true",
+             "monte_carlo.export_trajectories"),
+        ],
+    )
+    def test_wrongly_typed_value_rejected(self, tmp_path, caplog, old, new, field):
+        # YAML booleans load as bool, a subclass of int: they are not counts,
+        # and a quoted "false" is a string, not a boolean
+        path = tmp_path / "bad.yaml"
+        text = TOY_1D.format(passes=0, mc="false", outdir="out")
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(InputError, match=re.escape(field)):
+            load_config(path)
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["run", "-c", str(path)]) == 1
+        assert f"{field}: " in caplog.text
+
     def test_label_names_are_free_form(self, tmp_path):
         path = tmp_path / "labels.yaml"
         path.write_text(
@@ -324,6 +356,23 @@ class TestCli:
         monkeypatch.setattr(cli, "run_pipeline", boom)
         cfg_path = write_toy(tmp_path)
         assert main(["run", "-c", str(cfg_path)]) == 2
+
+    def test_evaluation_overflow_exit_code(self, tmp_path, caplog, capsys):
+        # exp(1000*x1) overflows to inf on the upper cells: a named input
+        # error with exit code 1, not an uncaught exception
+        path = tmp_path / "overflow.yaml"
+        path.write_text(
+            TOY_1D.format(passes=0, mc="false", outdir="out").replace(
+                '"x1 + w1"', '"exp(1000*x1) + w1"'
+            )
+        )
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["abstract", "-c", str(path)]) == 1
+        (error,) = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert error.getMessage().startswith("component 1: ")
+        assert "not a finite interval" in error.getMessage()
+        assert error.exc_info is None
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_multiplicative_positivity_validated(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from imcverify.dynamics import (
+    enclosure,
     eval_point,
     interval_extension,
     parse_dynamics,
@@ -146,6 +148,97 @@ class TestIntervalExtension:
         vals = np.asarray(_eval(expr, xs, ws, 1), dtype=float)
         assert np.all(vals >= enclosure.lo - 1e-12)
         assert np.all(vals <= enclosure.hi + 1e-12)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _random_boxes(rng, m):
+    """m boxes in (x1, x2): x1 straddles 0, sits around the sin/cos critical
+    points k*pi/2 or is wider than 2*pi; x2 stays positive so that division,
+    negative powers and sqrt are defined."""
+    centers = np.concatenate([
+        rng.uniform(-10.0, 10.0, m - m // 2),
+        rng.integers(-6, 7, m // 2) * (math.pi / 2.0) + rng.uniform(-1e-3, 1e-3, m // 2),
+    ])
+    widths = rng.choice([0.0, 1e-9, 1e-3, 0.5, 2.0, 7.0], m)
+    x1 = np.stack([centers - widths / 2.0, centers + widths / 2.0], axis=-1)
+    x1[:10] = [[-0.5, 0.5], [-1e-3, 0.0], [0.0, 2.0], [-7.0, 7.0], [1.5, 1.6],
+               [-1.6, -1.5], [3.1, 3.2], [-3.2, 3.2], [0.0, 0.0], [-2.0, -1.0]]
+    lo2 = rng.uniform(0.1, 3.0, m)
+    x2 = np.stack([lo2, lo2 + rng.choice([0.0, 0.01, 1.0], m)], axis=-1)
+    return np.stack([x1[:, 0], x2[:, 0]], axis=-1), np.stack([x1[:, 1], x2[:, 1]], axis=-1)
+
+
+class TestBatchedEvaluation:
+    """The array evaluator must give every box of a batch the same bits as a
+    one-box call: elementwise numpy is exact per element, so a batch may not
+    round differently from a single box."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "2.5", "x1", "-x1", "x1 + x2", "x1 - x2", "x1 * x2", "x1 * x1",
+            "x1 / x2", "x1^0", "x1^2", "x1^3", "x2^-2", "x2^-3", "sin(x1)",
+            "cos(x1)", "exp(x1)", "sqrt(x2)", "abs(x1)", "sin(x1 * x2) - cos(x1)^2",
+            "abs(x1 - 1) / (x2 + 1) + exp(-x2) * sin(3*x1)",
+        ],
+    )
+    def test_batch_matches_one_box_calls(self, source):
+        expr = parse_expression(source)
+        lo, hi = _random_boxes(np.random.default_rng(11), 300)
+        batch_lo, batch_hi = enclosure((expr,), (lo, hi))
+        singles = [
+            interval_extension(expr, Box.from_bounds(list(zip(a, b))))
+            for a, b in zip(lo.tolist(), hi.tolist())
+        ]
+        assert np.array_equal(_bits(batch_lo[:, 0]), _bits([s.lo for s in singles]))
+        assert np.array_equal(_bits(batch_hi[:, 0]), _bits([s.hi for s in singles]))
+
+    def test_broadcast_noise_batch_matches_one_box_calls(self):
+        # general posteriors: boxes of shape (cells, 1, n) against noise
+        # cells of shape (noise cells, n)
+        exprs = (parse_expression("x1*w1 + sin(w2 - x2)"), parse_expression("cos(x1 + w1) * x2"))
+        rng = np.random.default_rng(12)
+        xlo, xhi = _random_boxes(rng, 40)
+        wlo, whi = _random_boxes(rng, 12)
+        lo, hi = enclosure(exprs, (xlo[:, None, :], xhi[:, None, :]), (wlo, whi))
+        assert lo.shape == hi.shape == (40, 12, 2)
+        for i in range(40):
+            xbox = Box.from_bounds(list(zip(xlo[i].tolist(), xhi[i].tolist())))
+            for k in range(12):
+                wbox = Box.from_bounds(list(zip(wlo[k].tolist(), whi[k].tolist())))
+                for c, expr in enumerate(exprs):
+                    one = interval_extension(expr, xbox, wbox)
+                    batched = _bits([lo[i, k, c], hi[i, k, c]])
+                    assert np.array_equal(batched, _bits([one.lo, one.hi]))
+
+    @pytest.mark.parametrize(
+        "source, bad, message",
+        [
+            ("1/x2", [-0.5, 0.5], "component 2: division by an interval containing 0"),
+            ("x2^-2", [0.0, 1.0], "component 2: negative power of an interval containing 0"),
+            ("sqrt(x2)", [-1e-9, 1.0], "component 2: sqrt of an interval below 0"),
+            ("exp(1000*x2)", [0.8, 1.0],
+             "component 2: the enclosure [inf, inf] is not a finite interval"),
+        ],
+    )
+    def test_one_bad_box_names_component(self, source, bad, message):
+        exprs = (parse_expression("x1 + 1"), parse_expression(source))
+        lo = np.tile([0.0, 0.1], (50, 1))
+        hi = np.tile([1.0, 0.2], (50, 1))
+        enclosure(exprs, (lo, hi))
+        lo[37, 1], hi[37, 1] = bad
+        with pytest.raises(EvaluationError, match=re.escape(message)):
+            enclosure(exprs, (lo, hi))
+
+    def test_nan_and_empty_enclosures_rejected(self):
+        exprs = (parse_expression("x1"),)
+        with pytest.raises(EvaluationError, match="component 1"):
+            enclosure(exprs, (np.array([[0.0], [np.nan]]), np.array([[1.0], [1.0]])))
+        with pytest.raises(EvaluationError, match="component 1"):
+            enclosure(exprs, (np.array([[0.0], [2.0]]), np.array([[1.0], [1.0]])))
 
 
 class TestPosteriors:

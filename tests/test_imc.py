@@ -310,11 +310,21 @@ def scalar_bounds(model, noise, cells, q, target):
 
 PRUNING_CASES = {
     "additive": (
+        "additive",
         [[-1, 1], [-1, 1]],
         ["0.6*x1 - 0.2*x2 + w1", "0.3*x1 + 0.5*x2 + w2"],
         (Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4)),
     ),
+    # nonlinear g: the batched interval evaluation over all cells must give
+    # the one-box posterior_f of every cell exactly
+    "additive-nonlinear": (
+        "additive",
+        [[-1, 1], [-1, 1]],
+        ["0.6*cos(x1) - 0.2*x2 + w1", "0.3*x1 + 0.5*x2^2 + w2"],
+        (Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4)),
+    ),
     "multiplicative": (
+        "multiplicative",
         [[0.5, 2.5], [0.5, 2.5]],
         ["0.7*x1 + 0.1*x2", "0.1*x1 + 0.8*x2"],
         (
@@ -323,6 +333,7 @@ PRUNING_CASES = {
         ),
     ),
     "general": (
+        "general",
         [[-1, 1], [-1, 1]],
         ["0.6*x1 - 0.2*sin(x2) + w1", "0.3*x1 + 0.5*x2 + w2"],
         (Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4)),
@@ -331,12 +342,12 @@ PRUNING_CASES = {
 
 
 class TestCandidatePruning:
-    @pytest.mark.parametrize("structure", sorted(PRUNING_CASES))
-    def test_pruned_build_matches_exhaustive_pairs(self, structure):
+    @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+    def test_pruned_build_matches_exhaustive_pairs(self, case):
         """Pairs skipped by the posterior-hull pruning must provably have
         upper bound 0; stored pairs, the unsafe column and the one-target
         functions must equal a per-pair scalar computation exactly."""
-        bounds, exprs, components = PRUNING_CASES[structure]
+        structure, bounds, exprs, components = PRUNING_CASES[case]
         part = partition_domain(Box.from_bounds(bounds), (4, 4))
         model = parse_dynamics(exprs, 2, structure)
         noise = NoiseModel(components)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from imcverify.geometry import Interval
 from imcverify.noise import (
@@ -50,6 +53,24 @@ class TestCdf:
         assert abs(float(comp.cdf(sup.hi)) - 1.0) <= 1e-12
         assert float(comp.cdf(float("-inf"))) == 0.0
         assert float(comp.cdf(float("inf"))) == 1.0
+
+    def test_truncated_gaussian_cached_constants_exact(self):
+        # the CDF at lo and the mass are computed once at construction; the
+        # result must equal the formula that recomputes them on every call
+        comp = TruncatedGaussian(1.0, 0.1, 0.9, 1.1)
+        ts = np.random.default_rng(4).uniform(0.85, 1.15, 1000)
+
+        def phi(z):
+            return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+
+        a = phi((comp.lo - comp.mean) / comp.stddev)
+        mass = float(phi((comp.hi - comp.mean) / comp.stddev) - a)
+        z = phi((np.clip(ts, comp.lo, comp.hi) - comp.mean) / comp.stddev)
+        expected = np.clip((z - a) / mass, 0.0, 1.0)
+        expected = np.where(ts < comp.lo, 0.0, np.where(ts > comp.hi, 1.0, expected))
+        assert np.array_equal(comp.cdf(ts), expected)
+        assert comp == TruncatedGaussian(1.0, 0.1, 0.9, 1.1)
+        assert hash(comp) == hash(TruncatedGaussian(1.0, 0.1, 0.9, 1.1))
 
     def test_invariants_rejected(self):
         with pytest.raises(ValueError):
