@@ -6,8 +6,6 @@ from .geometry import (
     Box,
     Interval,
     StatePartition,
-    box_contains,
-    box_intersects,
     partition_domain,
 )
 from .dynamics import (
@@ -80,8 +78,6 @@ __all__ = [
     "Uniform",
     "VerificationResult",
     "adversary_extreme_expectation",
-    "box_contains",
-    "box_intersects",
     "build_imc",
     "cell_probability",
     "classify",

@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import DynamicsModel
-from .errors import InvalidModelError, SoundnessError
+from .errors import SoundnessError
 from .geometry import Box, StatePartition
-from .imc import Imc, PosteriorTable, cell_posteriors
+from .imc import Imc, PosteriorTable, _check_rows, cell_posteriors, pair_bounds
 from .noise import NoiseCell, NoiseModel
 from .verify import (
     ReachAvoidSpec,
@@ -142,12 +142,16 @@ def cluster_improve(
     For each state with a usable cluster, the one-step extreme expectations
     are recomputed with the cluster replacing its members: the cluster's
     value is the weakest member value (min of lower bounds, max of upper
-    bounds) and its transition interval comes from the same bound kernel
-    as the rest of the abstraction. A new value is kept only when strictly
+    bounds) and its transition interval comes from ``pair_bounds``, like
+    the rest of the abstraction. A new value is kept only when strictly
     better, so no state ever gets worse. Later states in the pass see
-    earlier improvements. The posteriors of all cells are computed once,
-    before the pass; ``pipeline.phase_improve`` runs passes until one
-    changes nothing or the configured number is reached.
+    earlier improvements.
+
+    Only the values change during the pass, so the posteriors, every
+    proposal, one ``pair_bounds`` call for all cluster boxes and one check
+    of all clustered rows come first; the pass walks one row per state.
+    ``pipeline.phase_improve`` runs passes until one changes nothing or the
+    configured number is reached.
     """
     partition = imc.partition
     posts = cell_posteriors(partition, model, noise, posterior_table, noise_cells)
@@ -158,35 +162,36 @@ def cluster_improve(
     pinned[imc.unsafe_index] = True
 
     order = sorted(range(partition.n_cells), key=lambda i: (-p_lo[i], i))
-    for q_idx in order:
-        if pinned[q_idx]:
-            continue
-        proposal = select_cluster(q_idx, imc, posts.hull(q_idx))
-        if proposal is None:
-            continue
-        cl_low, cl_up = posts.bounds(q_idx, proposal.box)
-        members = list(proposal.members)
-        # the row without the members, then one entry for the cluster keyed
-        # by its first member
-        row = slice(imc.indptr[q_idx], imc.indptr[q_idx + 1])
-        clustered = np.zeros(imc.n_states, dtype=bool)
-        clustered[members] = True
-        base = ~clustered[imc.dst[row]]
-        dst = imc.dst[row][base]
-        key = np.append(dst, members[0])
-        lower = np.append(imc.lower[row][base], cl_low)
-        upper = np.append(imc.upper[row][base], cl_up)
-        lo_values = np.append(p_lo[dst], p_lo[members].min())
-        hi_values = np.append(p_hi[dst], p_hi[members].max())
-        try:
-            (new_lo,), (new_hi,) = _extreme_expectations(
-                np.array([0, len(key)]), key, lower, upper, lo_values, hi_values
-            )
-        except InvalidModelError as exc:
-            # the clustered row must stay feasible; anything else is a bug
-            raise SoundnessError(
-                f"clustered row for state {q_idx} became infeasible"
-            ) from exc
+    proposals = [select_cluster(i, imc, posts.hull(i)) for i in order if not pinned[i]]
+    proposals = [p for p in proposals if p is not None]
+    sources = np.array([p.source for p in proposals], dtype=np.int64)
+    boxes = np.array([p.box.endpoints() for p in proposals]).reshape(-1, 2, partition.domain.dim)
+    cl_low, cl_up = pair_bounds(posts, sources, boxes[:, 0], boxes[:, 1])
+
+    # each clustered row: the source's row without the members, then one
+    # entry for the cluster keyed by its first member
+    rows = []
+    for p, low, up in zip(proposals, cl_low.tolist(), cl_up.tolist()):
+        row = slice(imc.indptr[p.source], imc.indptr[p.source + 1])
+        base = ~np.isin(imc.dst[row], p.members)
+        lower, upper = np.append(imc.lower[row][base], low), np.append(imc.upper[row][base], up)
+        rows.append((imc.dst[row][base], lower, upper))
+    indptr = np.cumsum([0] + [len(r[1]) for r in rows])
+    bounds = [np.concatenate([r[k] for r in rows] + [np.zeros(0)]) for k in (1, 2)]
+    # the clustered rows must stay feasible; a violation is a bug
+    remaining = 1.0 - _check_rows(indptr, *bounds, SoundnessError, sources)
+
+    for p, (dst, lower, upper), rest in zip(proposals, rows, remaining.tolist()):
+        q_idx, members = p.source, list(p.members)
+        (new_lo,), (new_hi,) = _extreme_expectations(
+            np.array([0, len(lower)]),
+            np.append(dst, members[0]),
+            lower,
+            upper,
+            np.array([rest]),
+            np.append(p_lo[dst], p_lo[members].min()),
+            np.append(p_hi[dst], p_hi[members].max()),
+        )
         if new_lo > p_lo[q_idx]:
             p_lo[q_idx] = min(new_lo, p_hi[q_idx])
         if new_hi < p_hi[q_idx]:

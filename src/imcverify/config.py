@@ -83,6 +83,13 @@ def _counts(value: Any, n: int, path: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _number(value: Any, path: str) -> float:
+    """A YAML int or float as a float; booleans and strings are rejected."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        _fail(path, f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _known_keys(mapping: Any, allowed: tuple[str, ...], path: str) -> None:
     """Reject keys outside ``allowed`` so that a typo cannot silently fall
     back to a default."""
@@ -99,9 +106,7 @@ def _as_box(value: Any, path: str) -> Box:
     for i, pair in enumerate(value):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             _fail(f"{path}[{i}]", "expected a [lo, hi] pair")
-        lo, hi = pair
-        if not all(isinstance(v, (int, float)) for v in (lo, hi)):
-            _fail(f"{path}[{i}]", "bounds must be numbers")
+        lo, hi = (_number(v, f"{path}[{i}]") for v in pair)
         if not lo < hi:
             _fail(f"{path}[{i}]", f"requires lo < hi, got [{lo}, {hi}]")
     return Box.from_bounds(value)
@@ -112,10 +117,11 @@ _TOP_FIELDS = (
     "monte_carlo", "posterior_table", "output_dir",
 )
 _SPEC_FIELDS = ("threshold", "horizon", "convergence_tolerance", "max_iterations")
-_DISTRIBUTION_FIELDS = {
-    "uniform": ("lo", "hi"),
-    "truncated_gaussian": ("mean", "std", "lo", "hi"),
-    "mixture": ("weights", "components"),
+# constructor and its parameters, in argument order
+_DISTRIBUTIONS = {
+    "uniform": (Uniform, ("lo", "hi")),
+    "truncated_gaussian": (TruncatedGaussian, ("mean", "std", "lo", "hi")),
+    "mixture": (Mixture, ("weights", "components")),
 }
 
 
@@ -123,30 +129,28 @@ def _parse_noise_component(entry: Any, path: str) -> NoiseComponent:
     if not isinstance(entry, dict) or "type" not in entry:
         _fail(path, "expected a mapping with a 'type' field")
     kind = entry["type"]
-    if kind in _DISTRIBUTION_FIELDS:
-        _known_keys(entry, ("type",) + _DISTRIBUTION_FIELDS[kind], path)
-    try:
-        if kind == "uniform":
-            return Uniform(float(entry["lo"]), float(entry["hi"]))
-        if kind == "truncated_gaussian":
-            return TruncatedGaussian(
-                float(entry["mean"]),
-                float(entry["std"]),
-                float(entry["lo"]),
-                float(entry["hi"]),
-            )
-        if kind == "mixture":
-            weights = tuple(float(w) for w in entry["weights"])
-            parts = tuple(
+    if kind not in _DISTRIBUTIONS:
+        _fail(f"{path}.type", f"unknown distribution type {kind!r}")
+    cls, params = _DISTRIBUTIONS[kind]
+    _known_keys(entry, ("type",) + params, path)
+    for key in params:
+        value = _need(entry, key, path)
+        if kind == "mixture" and not isinstance(value, list):
+            _fail(f"{path}.{key}", "expected a list")
+    if kind == "mixture":
+        args = (
+            tuple(_number(w, f"{path}.weights[{i}]") for i, w in enumerate(entry["weights"])),
+            tuple(
                 _parse_noise_component(p, f"{path}.components[{i}]")
                 for i, p in enumerate(entry["components"])
-            )
-            return Mixture(weights, parts)
-    except KeyError as exc:
-        _fail(path, f"missing distribution parameter {exc.args[0]!r}")
-    except (TypeError, ValueError) as exc:
+            ),
+        )
+    else:
+        args = tuple(_number(entry[key], f"{path}.{key}") for key in params)
+    try:
+        return cls(*args)
+    except ValueError as exc:
         _fail(path, str(exc))
-    _fail(f"{path}.type", f"unknown distribution type {kind!r}")
     raise AssertionError  # unreachable
 
 
@@ -238,7 +242,9 @@ def load_config(path) -> RunConfig:
         horizon = None
     elif not _is_int(horizon) or horizon < 0:
         _fail("spec.horizon", f"must be 'unbounded' or an integer >= 0, got {horizon!r}")
-    convergence_tol = float(spec_raw.get("convergence_tolerance", 1e-6))
+    convergence_tol = _number(
+        spec_raw.get("convergence_tolerance", 1e-6), "spec.convergence_tolerance"
+    )
     if convergence_tol <= 0.0:
         _fail("spec.convergence_tolerance", "must be positive")
     max_iterations = _integer(spec_raw, "max_iterations", 10**5, "spec", 1)

@@ -125,16 +125,6 @@ def _check_dims(a: Box, b: Box) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def box_contains(outer: Box, inner: Box) -> bool:
-    """Closed containment of inner in outer, component-wise."""
-    return outer.contains(inner)
-
-
-def box_intersects(a: Box, b: Box) -> bool:
-    """Closed intersection test; boundary contact counts as intersecting."""
-    return a.intersects(b)
-
-
 @dataclass(frozen=True)
 class StatePartition:
     """Partition of a safe domain into cells, plus the implicit unsafe state.

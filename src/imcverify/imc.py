@@ -10,22 +10,22 @@ and ``upper`` over ``indptr[i]:indptr[i + 1]``. ``Imc.from_rows`` and the
 every grid cell at once; the build and the cluster step call it once each
 and only slice its arrays per source.
 
-The bound kernel of a source cell maps one span of target intervals per
-dimension to the bounds toward every box of their product (row-major).
-Structured systems (additive or multiplicative noise) get the optimal
-three-cell partition per component, so a bound is a product of single
-interval probabilities, one factor per dimension, and one vectorised
-``interval_probability`` call per dimension and bound gives every factor.
-General systems enumerate a uniform noise grid instead.
+A transition bound depends only on the source's posterior and the target
+box, so one kernel, ``pair_bounds``, maps arrays of (source, target box)
+pairs to their bounds; the build, the unsafe column, the cluster step and
+the one-pair functions are all calls into it. Structured systems
+(additive or multiplicative noise) get the optimal three-cell partition
+per component: a bound is a product of single interval probabilities, one
+vectorised ``interval_probability`` call per dimension and bound over all
+pairs. General systems sum the masses of a uniform noise grid's cells.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +51,9 @@ UNSAFE_LABEL = "unsafe"
 
 _ROW_TOL = 1e-9
 _ALIGN_TOL = 1e-9
+# candidate pairs per ``pair_bounds`` call in ``build_imc``: bounds the
+# build's working memory at a few times 2**18 * n floats
+_BLOCK_PAIRS = 2**18
 
 
 @dataclass(frozen=True)
@@ -118,27 +121,6 @@ class Imc:
         return self.partition.unsafe_index
 
 
-def _padded(indptr: np.ndarray, *entries: np.ndarray) -> list[np.ndarray]:
-    """Each per-entry array as a (rows, longest row) block: row i holds its
-    entries from column 0 in storage order and zeros after them."""
-    lengths = np.diff(indptr)
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    cols = np.arange(indptr[-1]) - np.repeat(indptr[:-1], lengths)
-    blocks = []
-    for x in entries:
-        blocks.append(np.zeros((len(lengths), int(lengths.max(initial=0)))))
-        blocks[-1][rows, cols] = x
-    return blocks
-
-
-def _row_sums(block: np.ndarray) -> np.ndarray:
-    """Per-row sums of a padded block, added left to right from 0.0 as a
-    Python ``sum`` would: ``np.cumsum`` runs sequentially along a row, while
-    ``np.sum`` (pairwise) or a segmented cumsum over all rows rounds
-    differently."""
-    return np.cumsum(np.column_stack([np.zeros(len(block)), block]), axis=1)[:, -1]
-
-
 @dataclass(frozen=True)
 class PosteriorTable:
     """Externally supplied noise-free posterior intervals per abstract state.
@@ -159,8 +141,8 @@ class PosteriorTable:
 
 
 class _Span(NamedTuple):
-    """Endpoints of one interval, or of one interval per target as arrays;
-    the cut-point formulas read its ``lo``/``hi`` like an ``Interval``'s."""
+    """Endpoints of one interval per pair as arrays; the cut-point formulas
+    read its ``lo``/``hi`` like an ``Interval``'s."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -172,52 +154,45 @@ def _clamped(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.minimum(lower, upper), upper
 
 
-def _structured_kernel(postf_lo, postf_hi, noise: NoiseModel, structure: str):
-    """Bound kernel of a source with noise-free posterior [postf_lo, postf_hi]:
-    lower = prod_d Pr(w_d in [eps3_d, eps4_d]) and
-    upper = prod_d Pr(w_d in [eps1_d, eps2_d]) toward every box of the
-    product of the spans; an empty containment interval gives the factor 0.
+def pair_bounds(
+    posts: "CellPosteriors", src: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transition bounds for every (source, target box) pair: from the cell
+    ``src[j]`` of ``posts`` toward the box [t_lo[j], t_hi[j]] (shape
+    (pairs, n)).
+
+    Structured systems: lower = prod_d Pr(w_d in [eps3_d, eps4_d]) and
+    upper = prod_d Pr(w_d in [eps1_d, eps2_d]), multiplied in dimension
+    order; an empty containment interval gives the factor 0. General
+    systems: noise cell k adds its mass to the upper bound of every pair
+    whose posterior under k meets the target and to the lower bound of
+    every pair whose target contains it, in noise-cell order (np.sum
+    would round differently).
     """
-    cut_points = (
-        optimal_partition_affine if structure == ADDITIVE else optimal_partition_multiplicative
-    )
-
-    def kernel(spans):
-        lower = upper = np.ones(1)
-        for comp, c, d, span in zip(noise.components, postf_lo, postf_hi, spans):
-            cuts = cut_points(_Span(c, d), span)
-            upper = np.multiply.outer(upper, comp.interval_probability(cuts.eps1, cuts.eps2))
-            lower = np.multiply.outer(lower, comp.interval_probability(cuts.eps3, cuts.eps4))
-        return _clamped(lower.ravel(), upper.ravel())
-
-    return kernel
-
-
-def _noise_grid_kernel(post_lo: np.ndarray, post_hi: np.ndarray, weights: np.ndarray):
-    """Bound kernel of a source whose posterior under noise cell k is
-    [post_lo[k], post_hi[k]]: the cell's mass ``weights[k]`` counts toward
-    the upper bound of every target the posterior intersects and the lower
-    bound of every target containing it."""
-
-    def kernel(spans):
-        meets = inside = np.ones((len(weights), 1), dtype=bool)
-        for d, span in enumerate(spans):
-            lo, hi = post_lo[:, d, None], post_hi[:, d, None]
-            meets = _outer_and(meets, (lo <= span.hi) & (span.lo <= hi))
-            inside = _outer_and(inside, (span.lo <= lo) & (hi <= span.hi))
-        lower, upper = np.zeros(meets.shape[1]), np.zeros(meets.shape[1])
-        # noise-cell order, one addition at a time (np.sum would round differently)
-        for p, meet, contained in zip(weights.tolist(), meets, inside):
-            upper[meet] += p
-            lower[contained] += p
+    if posts.structure == GENERAL:
+        lower, upper = np.zeros(len(src)), np.zeros(len(src))
+        for k, p in enumerate(posts.weights.tolist()):
+            lo, hi = posts.lo[src, k], posts.hi[src, k]
+            upper[((lo <= t_hi) & (t_lo <= hi)).all(axis=1)] += p
+            lower[((t_lo <= lo) & (hi <= t_hi)).all(axis=1)] += p
         return _clamped(lower, upper)
+    cut_points = (
+        optimal_partition_affine if posts.structure == ADDITIVE else optimal_partition_multiplicative
+    )
+    lower = upper = np.ones(len(src))
+    c, d = posts.lo[src], posts.hi[src]
+    for i, comp in enumerate(posts.noise.components):
+        cuts = cut_points(_Span(c[:, i], d[:, i]), _Span(t_lo[:, i], t_hi[:, i]))
+        upper = upper * comp.interval_probability(cuts.eps1, cuts.eps2)
+        lower = lower * comp.interval_probability(cuts.eps3, cuts.eps4)
+    return _clamped(lower, upper)
 
-    return kernel
 
-
-def _outer_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per noise cell, the row-major product of two target masks."""
-    return (a[:, :, None] & b[:, None, :]).reshape(len(a), -1)
+def _one_pair(posts: "CellPosteriors", target: Box) -> tuple[float, float]:
+    """The bounds from the one source of ``posts`` toward one box."""
+    t_lo, t_hi = target.endpoints()
+    lower, upper = pair_bounds(posts, np.zeros(1, dtype=np.int64), t_lo[None], t_hi[None])
+    return float(lower[0]), float(upper[0])
 
 
 def _general_posteriors(model: DynamicsModel, x, cells: Sequence[NoiseCell]):
@@ -227,17 +202,6 @@ def _general_posteriors(model: DynamicsModel, x, cells: Sequence[NoiseCell]):
     x = (x[0][..., None, :], x[1][..., None, :])
     lo, hi = enclosure(model.components, x, (w[..., 0], w[..., 1]))
     return lo, hi, np.array([cell.probability for cell in cells])
-
-
-def _box_bounds(kernel, target: Box) -> tuple[float, float]:
-    """One-target call: the bounds toward a single box."""
-    lower, upper = kernel([_Span(np.array([i.lo]), np.array([i.hi])) for i in target.intervals])
-    return float(lower[0]), float(upper[0])
-
-
-def _unsafe_bounds(kernel, safe: Box) -> tuple[float, float]:
-    low_x, up_x = _box_bounds(kernel, safe)
-    return (min(max(1.0 - up_x, 0.0), 1.0), min(max(1.0 - low_x, 0.0), 1.0))
 
 
 def transition_bounds_structured(
@@ -253,7 +217,8 @@ def transition_bounds_structured(
         raise ValueError(f"structured bounds require additive or multiplicative, got {structure!r}")
     if postf.dim != target.dim or postf.dim != noise.n:
         raise ValueError("postf, target and noise dimensions disagree")
-    return _box_bounds(_structured_kernel(*postf.endpoints(), noise, structure), target)
+    lo, hi = postf.endpoints()
+    return _one_pair(CellPosteriors(lo[None], hi[None], structure, noise), target)
 
 
 def transition_bounds_general(
@@ -263,8 +228,8 @@ def transition_bounds_general(
     target: Box,
 ) -> tuple[float, float]:
     """Transition bounds by direct enumeration of a noise partition."""
-    kernel = _noise_grid_kernel(*_general_posteriors(model, q.endpoints(), cells))
-    return _box_bounds(kernel, target)
+    lo, hi, weights = _general_posteriors(model, q.endpoints(), cells)
+    return _one_pair(CellPosteriors(lo[None], hi[None], GENERAL, None, weights), target)
 
 
 def unsafe_transitions(
@@ -283,40 +248,36 @@ def unsafe_transitions(
     """
     if model.structure != GENERAL:
         postf = posterior_f(model, q) if postf is None else postf
-        kernel = _structured_kernel(*postf.endpoints(), noise, model.structure)
+        low_x, up_x = transition_bounds_structured(postf, safe, noise, model.structure)
     elif noise_cells is None:
         raise ValueError("general structure requires a noise cell partition")
     else:
-        kernel = _noise_grid_kernel(*_general_posteriors(model, q.endpoints(), noise_cells))
-    return _unsafe_bounds(kernel, safe)
+        low_x, up_x = transition_bounds_general(model, noise_cells, q, safe)
+    return (min(max(1.0 - up_x, 0.0), 1.0), min(max(1.0 - low_x, 0.0), 1.0))
 
 
 # --- posteriors of every cell ---------------------------------------------------
 
 
 class CellPosteriors(NamedTuple):
-    """Posteriors of every grid cell: ``lo``/``hi`` are g(q), shape (cells, n),
-    for structured systems and the image under each noise cell, shape
-    (cells, noise cells, n), for general ones; ``hull_lo``/``hull_hi`` the
-    posterior over the noise support. ``first``/``last`` bound, per cell and
-    dimension, the cells within the hull expanded by one cell; every other
-    target provably has upper bound 0 (none is left if some first >= last)."""
+    """Posteriors of every grid cell, read by ``pair_bounds``: ``lo``/``hi``
+    are g(q), shape (cells, n), for structured systems and the image under
+    each noise cell (of mass ``weights``), shape (cells, noise cells, n), for
+    general ones; ``hull_lo``/``hull_hi`` the posterior over the noise
+    support. ``first``/``last`` bound, per cell and dimension, the cells
+    within the hull expanded by one cell; every other target provably has
+    upper bound 0 (none is left if some first >= last). The last four are
+    None for a single posterior given as a box."""
 
     lo: np.ndarray
     hi: np.ndarray
-    hull_lo: np.ndarray
-    hull_hi: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
-    kernel_of: Callable
-
-    def kernel(self, i: int):
-        """The bound kernel of cell i."""
-        return self.kernel_of(self.lo[i], self.hi[i])
-
-    def bounds(self, i: int, target: Box) -> tuple[float, float]:
-        """The bounds from cell i toward a single box."""
-        return _box_bounds(self.kernel(i), target)
+    structure: str
+    noise: Optional[NoiseModel]
+    weights: Optional[np.ndarray] = None
+    hull_lo: Optional[np.ndarray] = None
+    hull_hi: Optional[np.ndarray] = None
+    first: Optional[np.ndarray] = None
+    last: Optional[np.ndarray] = None
 
     def hull(self, i: int) -> Box:
         return Box.from_bounds(zip(self.hull_lo[i], self.hull_hi[i]))
@@ -342,22 +303,22 @@ def cell_posteriors(
     if model.structure == GENERAL:
         lo, hi, weights = _general_posteriors(model, x, noise_cells)
         hull = enclosure(model.components, x, support)
-        kernel_of = functools.partial(_noise_grid_kernel, weights=weights)
     else:
+        weights = None
         if posterior_table is None:
             lo, hi = enclosure(model.g_components, x)
         else:
             table = [posterior_table.postf(i).endpoints() for i in range(partition.n_cells)]
             lo, hi = np.array(table).transpose(1, 0, 2)
         hull = combine_posterior(model.structure, (lo, hi), support)
-        kernel_of = functools.partial(_structured_kernel, noise=noise, structure=model.structure)
     first, last = [], []
     for d, (e, r) in enumerate(zip(edges, partition.resolution)):
         width = (e[-1] - e[0]) / r
         first.append(np.maximum(np.searchsorted(e, hull[0][:, d] - width, side="right") - 1, 0))
         last.append(np.minimum(np.searchsorted(e, hull[1][:, d] + width, side="left"), r))
     first, last = np.stack(first, axis=-1), np.stack(last, axis=-1)
-    return CellPosteriors(lo, hi, *hull, first, np.maximum(first, last), kernel_of)
+    last = np.maximum(first, last)
+    return CellPosteriors(lo, hi, model.structure, noise, weights, *hull, first, last)
 
 
 # --- label handling -----------------------------------------------------------
@@ -421,9 +382,10 @@ def build_imc(
     posterior_table: Optional[PosteriorTable] = None,
     noise_cells: Optional[Sequence[NoiseCell]] = None,
 ) -> Imc:
-    """Build the sound IMC abstraction over a grid partition: one kernel
-    call per source over the cells near its posterior hull, and one with
-    the domain for the unsafe column.
+    """Build the sound IMC abstraction over a grid partition: ``pair_bounds``
+    over every source's candidate block (the cells near its posterior hull,
+    row-major) in blocks of at most ``_BLOCK_PAIRS`` pairs, and once with
+    the domain as every source's target for the unsafe column.
 
     Pairs with upper bound 0 are omitted; the unsafe column is always
     stored. Every row must satisfy sum(lower) <= 1 <= sum(upper); a
@@ -433,43 +395,71 @@ def build_imc(
     posts = cell_posteriors(partition, model, noise, posterior_table, noise_cells)
     labels = assign_labels(partition, label_boxes)
     edges = [np.asarray(e) for e in partition.edges]
-    unsafe = partition.unsafe_index
+    cells, unsafe = np.arange(partition.n_cells), partition.unsafe_index
+    sizes = posts.last - posts.first
+    # pair offset of each source's candidate block in the concatenated pairs
+    starts = np.concatenate([[0], np.cumsum(sizes.prod(axis=1))])
 
-    dst, lower, upper = [], [], []
-    for iq, (first, last) in enumerate(zip(posts.first.tolist(), posts.last.tolist())):
-        kernel = posts.kernel(iq)
-        ranges = list(zip(first, last)) if all(a < b for a, b in zip(first, last)) else []
-        # flat indices of the candidate block, row-major like the kernel output
-        targets = np.zeros(1 if ranges else 0, dtype=np.int64)
-        for r, (a, b) in zip(partition.resolution, ranges):
-            targets = np.add.outer(targets * r, np.arange(a, b)).ravel()
-        spans = [_Span(e[a:b], e[a + 1 : b + 1]) for e, (a, b) in zip(edges, ranges)]
-        low, up = kernel(spans) if ranges else (np.zeros(0), np.zeros(0))
+    src, dst, lower, upper = [], [], [], []
+    for a in range(0, int(starts[-1]), _BLOCK_PAIRS):
+        pair = np.arange(a, min(a + _BLOCK_PAIRS, int(starts[-1])))
+        s = np.searchsorted(starts, pair, side="right") - 1
+        # the pair's target: its row-major position in the block, unravelled
+        rest, multi = pair - starts[s], [None] * len(edges)
+        for d in reversed(range(len(edges))):
+            rest, m = np.divmod(rest, sizes[s, d])
+            multi[d] = posts.first[s, d] + m
+        t_lo = np.stack([e[m] for e, m in zip(edges, multi)], axis=-1)
+        t_hi = np.stack([e[m + 1] for e, m in zip(edges, multi)], axis=-1)
+        low, up = pair_bounds(posts, s, t_lo, t_hi)
         keep = up > 0.0
-        low_u, up_u = _unsafe_bounds(kernel, partition.domain)
-        dst.append(np.append(targets[keep], unsafe))
-        lower.append(np.append(low[keep], low_u))
-        upper.append(np.append(up[keep], up_u))
-    dst.append(np.array([unsafe]))
-    lower.append(np.ones(1))
-    upper.append(np.ones(1))
+        src.append(s[keep])
+        dst.append(np.ravel_multi_index(multi, partition.resolution)[keep])
+        lower.append(low[keep])
+        upper.append(up[keep])
+    dom_lo, dom_hi = (np.tile(e, (len(cells), 1)) for e in partition.domain.endpoints())
+    low_x, up_x = pair_bounds(posts, cells, dom_lo, dom_hi)
+    low_u, up_u = _clamped(1.0 - up_x, 1.0 - low_x)
+    # the unsafe column, then the unsafe state's certain self-loop
+    src += [cells, np.array([unsafe])]
+    dst += [np.full(len(cells), unsafe), np.array([unsafe])]
+    lower += [low_u, np.ones(1)]
+    upper += [up_u, np.ones(1)]
 
-    indptr = np.cumsum([0] + [len(row) for row in dst])
-    imc = Imc(partition, indptr, *map(np.concatenate, (dst, lower, upper)), labels)
+    src = np.concatenate(src)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=partition.n_states))])
+    # stable: each row keeps its targets in row-major order, the unsafe column last
+    order = np.argsort(src, kind="stable")
+    imc = Imc(partition, indptr, *(np.concatenate(x)[order] for x in (dst, lower, upper)), labels)
     _check_rows(imc.indptr, imc.lower, imc.upper)
     return imc
 
 
-def _check_rows(indptr, lower, upper, error: type = SoundnessError) -> np.ndarray:
+def _csr_row_sums(indptr: np.ndarray, *entries: np.ndarray) -> list[np.ndarray]:
+    """Per-row sums of each per-entry CSR array, added left to right from 0.0
+    as a Python loop would (``np.add.reduceat`` sums pairwise and a cumsum
+    over all rows rounds differently), one row position at a time."""
+    lengths = np.diff(indptr)
+    totals = [np.zeros(len(lengths)) for _ in entries]
+    rows = np.arange(len(lengths))
+    for k in range(int(lengths.max(initial=0))):
+        rows = rows[lengths[rows] > k]
+        for total, x in zip(totals, entries):
+            total[rows] += x[indptr[rows] + k]
+    return totals
+
+
+def _check_rows(indptr, lower, upper, error: type = SoundnessError, states=None) -> np.ndarray:
     """Raise ``error`` at the first row with sum(lower) > 1 or sum(upper) < 1
-    (up to a 1e-9 tolerance); return the row sums of ``lower``."""
-    total_lower, total_upper = map(_row_sums, _padded(indptr, lower, upper))
+    (up to a 1e-9 tolerance), naming its state (``states[row]``, or the row
+    index); return the row sums of ``lower``."""
+    total_lower, total_upper = _csr_row_sums(indptr, lower, upper)
     bad = np.flatnonzero((total_lower > 1.0 + _ROW_TOL) | (total_upper < 1.0 - _ROW_TOL))
     if len(bad):
-        src = int(bad[0])
+        row = int(bad[0])
         raise error(
-            f"row {src} violates sum(lower) <= 1 <= sum(upper): sum(lower)="
-            f"{float(total_lower[src])}, sum(upper)={float(total_upper[src])}"
+            f"row {row if states is None else int(states[row])} violates sum(lower) <= 1 <= "
+            f"sum(upper): sum(lower)={float(total_lower[row])}, sum(upper)={float(total_upper[row])}"
         )
     return total_lower
 

@@ -189,9 +189,6 @@ class NoiseCell:
     intervals: tuple[Interval, ...]
     probability: float
 
-    def box(self) -> Box:
-        return Box(self.intervals)
-
 
 def cell_probability(noise: NoiseModel, cell: Sequence[Interval]) -> float:
     """Product over components of CDF(hi) - CDF(lo); intervals may be
@@ -214,8 +211,8 @@ class PartitionPair:
     The upper-bound partition is {(-inf, eps1], [eps1, eps2], [eps2, inf)}
     and the lower-bound one uses eps3/eps4. Only the middle cells carry the
     bound; ``lower_empty`` marks the degenerate case where no noise value
-    keeps the whole posterior inside the target. Given a target whose
-    endpoints are arrays (one per target interval), the cut point functions
+    keeps the whole posterior inside the target. Given endpoint arrays (one
+    posterior and one target interval per pair), the cut point functions
     return arrays in every field.
     """
 
@@ -275,7 +272,7 @@ def optimal_partition_multiplicative(
     """
     a, b = target.lo, target.hi
     c, d = postf.lo, postf.hi
-    if min(np.min(a), np.min(b), c, d) <= 0.0:
+    if min(np.min(a), np.min(b), np.min(c), np.min(d)) <= 0.0:
         raise ValueError(
             f"multiplicative partition requires positive vertices, got "
             f"target [{a}, {b}], posterior [{c}, {d}]"

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, InvalidModelError, SpecificationError
-from .imc import Imc, TransitionBound, UNSAFE_LABEL, _check_rows, _padded, _read_csv, _row_sums
+from .imc import Imc, TransitionBound, UNSAFE_LABEL, _check_rows, _read_csv
 
 log = logging.getLogger("imcverify")
 
@@ -75,23 +75,30 @@ class VerificationResult:
         object.__setattr__(self, "p_upper", np.asarray(self.p_upper, dtype=float))
 
 
-def _extreme_expectations(indptr, key, lower, upper, lo_values, hi_values):
+def _extreme_expectations(indptr, key, lower, upper, remaining, lo_values, hi_values):
     """The minimum over ``lo_values`` and the maximum over ``hi_values`` of
     the expectation over all adversaries, for every row of a CSR block.
 
     ``key``, ``lower``, ``upper`` and the values are per-entry arrays: the
     tie-break index (the target), the bounds and the successor's value.
-    Ties in value break by ascending key; the expectations are tie-invariant.
+    ``remaining`` is 1 - sum(lower) per row, from ``_check_rows`` on the
+    block. Ties in value break by ascending key; the expectations are
+    tie-invariant.
     """
     n = len(indptr) - 1
-    remaining = np.tile(1.0 - _check_rows(indptr, lower, upper, InvalidModelError), 2)
+    remaining = np.tile(remaining, 2)
     # every row twice: the minimising walks, then the maximising ones
     indptr = np.concatenate([indptr, indptr[1:] + indptr[-1]])
     key, lower, upper = (np.tile(x, 2) for x in (key, lower, upper))
     values = np.concatenate([lo_values, hi_values])
-    rows = np.repeat(np.arange(2 * n), np.diff(indptr))
+    lengths = np.diff(indptr)
+    rows = np.repeat(np.arange(2 * n), lengths)
     order = np.lexsort((key, np.where(rows < n, values, -values), rows))
-    low, slack, value = _padded(indptr, lower[order], upper[order] - lower[order], values[order])
+    # each row in walk order as a row of a (rows, longest row) block, zero-padded
+    cols = np.arange(indptr[-1]) - np.repeat(indptr[:-1], lengths)
+    low, slack, value = (np.zeros((2 * n, int(lengths.max(initial=0)))) for _ in range(3))
+    low[rows, cols], slack[rows, cols] = lower[order], upper[order] - lower[order]
+    value[rows, cols] = values[order]
     # The walk gives each successor its slack while the remaining mass
     # exceeds it, then the rest to the first successor whose slack covers
     # it, then nothing. Before that successor, the remaining mass at each
@@ -103,7 +110,9 @@ def _extreme_expectations(indptr, key, lower, upper, lo_values, hi_values):
     gamma = np.where(
         position < last, low + slack, np.where(position == last, low + before, low)
     )
-    both = _row_sums(gamma * value)
+    # per-row sums added left to right from 0.0, as a Python ``sum`` would:
+    # np.cumsum runs sequentially along a row, np.sum (pairwise) does not
+    both = np.cumsum(np.column_stack([np.zeros(len(low)), gamma * value]), axis=1)[:, -1]
     return both[:n], both[n:]
 
 
@@ -117,7 +126,9 @@ def adversary_extreme_expectation(
     lower = np.array([tb.lower for tb in row], dtype=float)
     upper = np.array([tb.upper for tb in row], dtype=float)
     values = np.asarray(values, dtype=float)[dst]
-    low, high = _extreme_expectations(np.array([0, len(row)]), dst, lower, upper, values, values)
+    indptr = np.array([0, len(row)])
+    remaining = 1.0 - _check_rows(indptr, lower, upper, InvalidModelError)
+    low, high = _extreme_expectations(indptr, dst, lower, upper, remaining, values, values)
     return float((low if mode == "min" else high)[0])
 
 
@@ -160,10 +171,12 @@ def robust_value_iteration(
     v_hi = goal.astype(float)
     iterations = 0
     converged = spec.horizon is not None or len(free) == 0
+    # the rows do not change between sweeps: check them once
+    remaining = 1.0 - _check_rows(imc.indptr, imc.lower, imc.upper, InvalidModelError)
 
     for _ in range(spec.horizon if spec.horizon is not None else max_iterations):
         low, high = _extreme_expectations(
-            imc.indptr, imc.dst, imc.lower, imc.upper, v_lo[imc.dst], v_hi[imc.dst]
+            imc.indptr, imc.dst, imc.lower, imc.upper, remaining, v_lo[imc.dst], v_hi[imc.dst]
         )
         new_lo, new_hi = v_lo.copy(), v_hi.copy()
         new_lo[free], new_hi[free] = low[free], high[free]

@@ -109,6 +109,17 @@ class TestClusterImprove:
         assert np.array_equal(again.p_lower, twice.p_lower)
         assert np.array_equal(again.p_upper, twice.p_upper)
 
+    def test_pass_without_proposals_is_identity(self):
+        # every cell has one successor besides the unsafe state
+        part = partition_domain(Box.from_bounds([[0, 2]]), (2,))
+        model = parse_dynamics(["x1 + w1"], 1, "additive")
+        noise = NoiseModel((Uniform(-0.05, 0.05),))
+        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[1, 2]])]})
+        res = planted_result([0.3, 1.0, 0.0], [0.6, 1.0, 0.0])
+        out = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
+        assert np.array_equal(out.p_lower, res.p_lower)
+        assert np.array_equal(out.p_upper, res.p_upper)
+
     def test_pinned_states_untouched(self):
         part, model, noise, imc = shifted_identity_setup()
         res = robust_value_iteration(imc, ReachAvoidSpec())

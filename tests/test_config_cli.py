@@ -170,6 +170,20 @@ class TestLoadConfig:
             ("  cells: all", "  cells: all\n  cell_stride: true", "monte_carlo.cell_stride"),
             ("  export_trajectories: 2", "  export_trajectories: true",
              "monte_carlo.export_trajectories"),
+            # numbers: booleans and strings are not box endpoints, noise
+            # parameters, mixture weights or tolerances
+            ("domain: [[0.0, 1.0]]", "domain: [[-1, true]]", "domain[0]"),
+            ("  goal: [[[0.75, 1.0]]]", "  goal: [[[0.75, true]]]", "labels.goal[0][0]"),
+            ("lo: -0.25, hi: 0.25}", "lo: -0.25, hi: true}", "noise.components[0].hi"),
+            ("lo: -0.25, hi: 0.25}", 'lo: "-0.25", hi: 0.25}', "noise.components[0].lo"),
+            ("{type: uniform, lo: -0.25, hi: 0.25}",
+             "{type: mixture, weights: [0.5, true], components: "
+             "[{type: uniform, lo: -0.25, hi: 0.25}, {type: uniform, lo: -0.25, hi: 0.25}]}",
+             "noise.components[0].weights[1]"),
+            ("  threshold: 0.9", "  threshold: 0.9\n  convergence_tolerance: abc",
+             "spec.convergence_tolerance"),
+            ("  threshold: 0.9", "  threshold: 0.9\n  convergence_tolerance: true",
+             "spec.convergence_tolerance"),
         ],
     )
     def test_wrongly_typed_value_rejected(self, tmp_path, caplog, old, new, field):

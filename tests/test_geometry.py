@@ -4,8 +4,6 @@ import pytest
 from imcverify.geometry import (
     Box,
     Interval,
-    box_contains,
-    box_intersects,
     partition_domain,
 )
 
@@ -69,19 +67,17 @@ def test_partition_deterministic():
 
 
 def test_contains_examples():
-    assert box_contains(Box.from_bounds([[0, 1]]), Box.from_bounds([[0.2, 0.8]]))
-    assert box_contains(Box.from_bounds([[0, 1]]), Box.from_bounds([[0, 1]]))
-    assert not box_contains(
-        Box.from_bounds([[0, 1], [0, 1]]),
+    assert Box.from_bounds([[0, 1]]).contains(Box.from_bounds([[0.2, 0.8]]))
+    assert Box.from_bounds([[0, 1]]).contains(Box.from_bounds([[0, 1]]))
+    assert not Box.from_bounds([[0, 1], [0, 1]]).contains(
         Box.from_bounds([[0.5, 1.5], [0, 1]]),
     )
 
 
 def test_intersects_examples():
-    assert box_intersects(Box.from_bounds([[0, 1]]), Box.from_bounds([[1, 2]]))
-    assert not box_intersects(Box.from_bounds([[0, 1]]), Box.from_bounds([[2, 3]]))
-    assert box_intersects(
-        Box.from_bounds([[0, 1], [0, 1]]),
+    assert Box.from_bounds([[0, 1]]).intersects(Box.from_bounds([[1, 2]]))
+    assert not Box.from_bounds([[0, 1]]).intersects(Box.from_bounds([[2, 3]]))
+    assert Box.from_bounds([[0, 1], [0, 1]]).intersects(
         Box.from_bounds([[0.5, 2], [0.9, 3]]),
     )
 
@@ -90,9 +86,9 @@ def test_dimension_mismatch_raises():
     a = Box.from_bounds([[0, 1]])
     b = Box.from_bounds([[0, 1], [0, 1]])
     with pytest.raises(ValueError):
-        box_contains(a, b)
+        a.contains(b)
     with pytest.raises(ValueError):
-        box_intersects(a, b)
+        a.intersects(b)
 
 
 def test_contains_implies_intersects():
@@ -107,8 +103,8 @@ def test_contains_implies_intersects():
         b = Box.from_bounds(
             [[lo, lo + w] for lo, w in zip(lo_b, rng.uniform(0.01, 3, dim))]
         )
-        if box_contains(a, b):
-            assert box_intersects(a, b)
+        if a.contains(b):
+            assert a.intersects(b)
 
 
 def test_cell_index_of_point():

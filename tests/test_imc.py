@@ -3,12 +3,15 @@ import pytest
 
 from imcverify.dynamics import parse_dynamics, posterior, posterior_f
 from imcverify.errors import InputError, SoundnessError
-from imcverify.geometry import Box, box_contains, box_intersects, partition_domain
+from imcverify.geometry import Box, partition_domain
+import imcverify.imc as imc_module
 from imcverify.imc import (
     PosteriorTable,
     TransitionBound,
     assign_labels,
     build_imc,
+    cell_posteriors,
+    pair_bounds,
     read_imc,
     read_posterior_table,
     transition_bounds_general,
@@ -283,10 +286,10 @@ def scalar_bounds(model, noise, cells, q, target):
     if cells is not None:
         lower = upper = 0.0
         for cell in cells:
-            post = posterior(model, q, cell.box())
-            if box_intersects(post, target):
+            post = posterior(model, q, Box(cell.intervals))
+            if post.intersects(target):
                 upper += cell.probability
-                if box_contains(target, post):
+                if target.contains(post):
                     lower += cell.probability
     else:
         postf = posterior_f(model, q)
@@ -338,7 +341,31 @@ PRUNING_CASES = {
         ["0.6*x1 - 0.2*sin(x2) + w1", "0.3*x1 + 0.5*x2 + w2"],
         (Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4)),
     ),
+    # one and three dimensions: the row-major flattening of candidate blocks
+    "general-1d": (
+        "general",
+        [[-1, 1]],
+        ["0.8*x1 - 0.1*sin(x1) + w1"],
+        (TruncatedGaussian(0, 0.2, -0.4, 0.4),),
+    ),
+    "additive-3d": (
+        "additive",
+        [[-1, 1], [-1, 1], [-1, 1]],
+        ["0.6*x1 - 0.2*x3 + w1", "0.3*x1 + 0.5*x2 + w2", "0.2*x2 + 0.7*x3 + w3"],
+        (Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4), Uniform(-0.1, 0.1)),
+    ),
 }
+
+
+def pruning_case(case):
+    """The partition, model, noise and noise cells (None unless general) of
+    a case, on 4 cells per dimension and 3 noise cells per component."""
+    structure, bounds, exprs, components = PRUNING_CASES[case]
+    n = len(bounds)
+    part = partition_domain(Box.from_bounds(bounds), (4,) * n)
+    noise = NoiseModel(components)
+    cells = uniform_noise_grid(noise, [3] * n) if structure == "general" else None
+    return part, parse_dynamics(exprs, n, structure), noise, cells
 
 
 class TestCandidatePruning:
@@ -347,11 +374,8 @@ class TestCandidatePruning:
         """Pairs skipped by the posterior-hull pruning must provably have
         upper bound 0; stored pairs, the unsafe column and the one-target
         functions must equal a per-pair scalar computation exactly."""
-        structure, bounds, exprs, components = PRUNING_CASES[case]
-        part = partition_domain(Box.from_bounds(bounds), (4, 4))
-        model = parse_dynamics(exprs, 2, structure)
-        noise = NoiseModel(components)
-        cells = uniform_noise_grid(noise, [3, 3]) if structure == "general" else None
+        part, model, noise, cells = pruning_case(case)
+        structure = model.structure
         goal = [[e[0], e[1]] for e in part.edges]
         imc = build_imc(
             part, model, noise, {"goal": [Box.from_bounds(goal)]}, noise_cells=cells
@@ -376,6 +400,42 @@ class TestCandidatePruning:
                 min(max(1.0 - up_x, 0.0), 1.0),
                 min(max(1.0 - low_x, 0.0), 1.0),
             )
+
+
+    @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+    def test_blocks_split_inside_candidate_blocks(self, case, monkeypatch):
+        """Blocks of a few pairs cut through sources' candidate blocks; the
+        assembled arrays must equal the default build exactly. Every row
+        lists its targets in increasing (row-major) order, the unsafe
+        column last."""
+        part, model, noise, cells = pruning_case(case)
+        labels = {"goal": [part.domain]}
+        default = build_imc(part, model, noise, labels, noise_cells=cells)
+        for a, b in zip(default.indptr[:-1], default.indptr[1:]):
+            assert np.all(np.diff(default.dst[a:b]) > 0)
+            assert default.dst[b - 1] == default.unsafe_index
+        monkeypatch.setattr(imc_module, "_BLOCK_PAIRS", 3)
+        blocked = build_imc(part, model, noise, labels, noise_cells=cells)
+        for name in ("indptr", "dst", "lower", "upper"):
+            assert np.array_equal(getattr(blocked, name), getattr(default, name)), name
+        assert blocked.labels == default.labels
+
+    @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+    def test_pair_kernel_on_off_grid_boxes(self, case):
+        """Random target boxes off the grid lines, like cluster boxes: every
+        pair bound equals the per-pair scalar computation exactly."""
+        part, model, noise, cells = pruning_case(case)
+        posts = cell_posteriors(part, model, noise, noise_cells=cells)
+        rng = np.random.default_rng(23)
+        dom_lo, dom_hi = part.domain.endpoints()
+        src = rng.integers(0, part.n_cells, 40)
+        t_lo = rng.uniform(dom_lo, dom_hi, (40, len(dom_lo)))
+        t_hi = rng.uniform(t_lo, dom_hi)
+        lower, upper = pair_bounds(posts, src, t_lo, t_hi)
+        for j, i in enumerate(src.tolist()):
+            target = Box.from_bounds(zip(t_lo[j], t_hi[j]))
+            expected = scalar_bounds(model, noise, cells, part.cells[i], target)
+            assert (float(lower[j]), float(upper[j])) == expected
 
 
 class TestPosteriorTable:
