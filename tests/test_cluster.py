@@ -4,11 +4,12 @@ import pytest
 from imcverify.cluster import cluster_improve, select_cluster
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box, partition_domain
-from imcverify.imc import build_imc, cell_posteriors
+from imcverify.imc import TransitionBound, build_imc, cell_posteriors, pair_bounds
 from imcverify.noise import NoiseModel, Uniform
 from imcverify.verify import (
     ReachAvoidSpec,
     VerificationResult,
+    adversary_extreme_expectation,
     classify_arrays,
     robust_value_iteration,
 )
@@ -148,3 +149,58 @@ class TestClusterImprove:
             )
             assert out.p_lower[idx] <= ci[1] + 1e-12
             assert out.p_upper[idx] >= ci[0] - 1e-12
+
+
+def one_row_at_a_time(imc, model, noise, result, spec):
+    """Reference pass: each clustered row on its own, in descending p_lower
+    order, through the public one-row walk. The cluster takes the place of
+    its first member, valued at the weakest member value. Returns the bounds
+    and the number of rows that read a state improved earlier in the pass."""
+    posts = cell_posteriors(imc.partition, model, noise)
+    p_lo, p_hi = result.p_lower.copy(), result.p_upper.copy()
+    labels = [imc.labels[i] for i in range(imc.partition.n_cells)]
+    improved, chained = set(), 0
+    for q in sorted(range(imc.partition.n_cells), key=lambda i: (-p_lo[i], i)):
+        if labels[q] & ({spec.goal_label} | spec.avoid_labels):
+            continue
+        prop = select_cluster(q, imc, posts.hull(q))
+        if prop is None:
+            continue
+        members = list(prop.members)
+        lo, hi = (np.array([e]) for e in prop.box.endpoints())
+        (c_lo,), (c_hi,) = pair_bounds(posts, np.array([q]), lo, hi)
+        row = [tb for tb in imc.rows[q] if tb.dst not in prop.members]
+        row.append(TransitionBound(q, members[0], float(c_lo), float(c_hi)))
+        v_lo, v_hi = p_lo.copy(), p_hi.copy()
+        v_lo[members[0]], v_hi[members[0]] = p_lo[members].min(), p_hi[members].max()
+        chained += bool(improved & {tb.dst for tb in imc.rows[q]})
+        new_lo = adversary_extreme_expectation(v_lo, row, "min")
+        new_hi = adversary_extreme_expectation(v_hi, row, "max")
+        if new_lo > p_lo[q]:
+            p_lo[q] = min(new_lo, p_hi[q])
+        if new_hi < p_hi[q]:
+            p_hi[q] = max(new_hi, p_lo[q])
+        if (p_lo[q], p_hi[q]) != (result.p_lower[q], result.p_upper[q]):
+            improved.add(q)
+    return p_lo, p_hi, chained
+
+
+def test_pass_matches_one_row_at_a_time():
+    """Clustered rows that read states improved earlier in the same pass
+    get the bits of a pass that walks one row at a time."""
+    part = partition_domain(Box.from_bounds([[0, 7], [0, 7]]), (7, 7))
+    model = parse_dynamics(["x1 + 1 + w1", "x2 + 1 + w2"], 2, "additive")
+    noise = NoiseModel((Uniform(-1.25, 1.25), Uniform(-1.25, 1.25)))
+    imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[6, 7], [6, 7]])]})
+    rng = np.random.default_rng(2)
+    p_lower = rng.uniform(0.0, 0.9, imc.n_states)
+    p_upper = np.minimum(1.0, p_lower + rng.uniform(0.0, 0.5, imc.n_states))
+    goal = part.flat_index((6, 6))
+    p_lower[goal] = p_upper[goal] = 1.0
+    p_lower[imc.unsafe_index] = p_upper[imc.unsafe_index] = 0.0
+    res = planted_result(p_lower, p_upper)
+    out = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
+    ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res, ReachAvoidSpec())
+    assert chained > 10
+    assert np.array_equal(out.p_lower, ref_lo)
+    assert np.array_equal(out.p_upper, ref_hi)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -524,6 +526,62 @@ class TestExports:
         bounds.write_text("\n".join(lines + [lines[1]]) + "\n")
         with pytest.raises(InputError, match=f"imc.csv:{len(lines) + 1}: duplicate"):
             read_imc(bounds, labels, part)
+
+    def _export(self, tmp_path):
+        part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
+        noise = NoiseModel((Uniform(-0.2, 0.2),))
+        imc = build_imc(part, identity_additive(), noise, {"goal": [Box.from_bounds([[0.75, 1]])]})
+        bounds, labels = tmp_path / "imc.csv", tmp_path / "labels.csv"
+        write_imc(imc, bounds, labels)
+        return part, imc, bounds, labels
+
+    # lines of the exported table: header, then 15 entries sorted by
+    # (from, to), the first three 0,0 / 0,1 / 0,4
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda lines: ["src,dst,lower,upper"] + lines[1:], "imc.csv:1: expected header"),
+            (lambda lines: lines[:2] + [lines[2] + ",x"] + lines[3:],
+             "imc.csv:3: expected 4 fields"),
+            (lambda lines: lines[:2] + ["0,x,0.0,0.5"] + lines[3:], "imc.csv:3: malformed field"),
+            (lambda lines: lines[:4] + ["1,5,0.0,0.5"] + lines[5:],
+             "imc.csv:5: state index out of range"),
+            (lambda lines: lines[:3] + ["0,4,0.6,0.5"] + lines[4:],
+             "imc.csv:4: bound requires 0 <= lower <= upper <= 1"),
+            (lambda lines: lines[:2] + ["0,1,nan,0.5"] + lines[3:],
+             "imc.csv:3: bound requires 0 <= lower <= upper <= 1"),
+            (lambda lines: lines[:6] + ["1,2,0.0,1.5"] + lines[7:],
+             "imc.csv:7: bound requires 0 <= lower <= upper <= 1"),
+            (lambda lines: lines + [lines[2]], "imc.csv:17: duplicate pair (0,1)"),
+            # a blank line still counts toward the line numbers
+            (lambda lines: lines[:3] + [""] + lines[3:] + [lines[2]],
+             "imc.csv:18: duplicate pair (0,1)"),
+        ],
+        ids=["header", "fields", "number", "state-range", "order", "nan", "upper", "duplicate",
+             "blank-then-duplicate"],
+    )
+    def test_malformed_table_rejected(self, tmp_path, edit, where):
+        part, _, bounds, labels = self._export(tmp_path)
+        bounds.write_text("\n".join(edit(bounds.read_text().splitlines())) + "\n")
+        with pytest.raises(InputError, match=re.escape(where)):
+            read_imc(bounds, labels, part)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:5] + ["", "  "] + lines[5:],
+            lambda lines: lines[:1] + lines[1:][::-1],
+            lambda lines: lines[:1] + lines[8:] + lines[1:8],
+        ],
+        ids=["blank-lines", "reversed", "rotated"],
+    )
+    def test_tolerated_edits_load_the_same_arrays(self, tmp_path, edit):
+        part, imc, bounds, labels = self._export(tmp_path)
+        bounds.write_text("\n".join(edit(bounds.read_text().splitlines())) + "\n")
+        loaded = read_imc(bounds, labels, part)
+        for name in ("indptr", "dst", "lower", "upper"):
+            assert np.array_equal(getattr(loaded, name), getattr(imc, name)), name
+        assert loaded.labels == imc.labels
 
 
 def test_row_validity_violation_raises():

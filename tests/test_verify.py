@@ -254,6 +254,52 @@ class TestValueIteration:
                     expected = adversary_extreme_expectation(values, row, mode)
                     assert bound[i] == expected == scalar_walk(values, row, mode)
 
+    def test_multi_row_block_matches_scalar_walk(self):
+        """The second sweep's rows read fixed values in {0, 0.25, 0.5, 1}:
+        each value state sends exactly its value to a goal state and the
+        rest to an obstacle. Over rows of length 1-70 (every power-of-two
+        class boundary), heavy ties and rows whose lower bounds sum to 1,
+        the sweep gives every row its scalar walk, bit for bit."""
+        tb = TransitionBound
+        rng = np.random.default_rng(77)
+        n_values = 80
+        values = np.concatenate([[1.0, 0.0], rng.choice([0.0, 0.25, 0.5, 1.0], n_values - 2)])
+        rows, labels = [], []
+        for s, v in enumerate(values.tolist()):
+            if v in (0.0, 1.0):
+                rows.append((tb(s, s, 1.0, 1.0),))
+                labels.append(frozenset({"goal" if v else "obstacle"}))
+            else:
+                rows.append((tb(s, 0, v, v), tb(s, 1, 1.0 - v, 1.0 - v)))
+                labels.append(frozenset())
+        lengths = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 70]
+        lengths += rng.integers(1, 71, 30).tolist()
+        for k, m in enumerate(lengths):
+            s = n_values + k
+            targets = np.sort(rng.choice(n_values, m, replace=False))
+            if k % 3 == 2:
+                # dyadic lower bounds that sum to exactly 1: nothing remains
+                lows = rng.multinomial(64, np.ones(m) / m) / 64.0
+                ups = np.minimum(1.0, lows + rng.choice([0.0, 0.25, 0.5], m))
+                rows.append(tuple(
+                    tb(s, int(t), float(lo), float(up)) for t, lo, up in zip(targets, lows, ups)
+                ))
+            else:
+                rows.append(random_row(rng, s, targets))
+            labels.append(frozenset())
+        n_cells = n_values + len(lengths)
+        rows.append((tb(n_cells, n_cells, 1.0, 1.0),))
+        labels.append(frozenset({"unsafe"}))
+        imc = make_imc(tuple(rows), tuple(labels), n_cells)
+        res = robust_value_iteration(imc, ReachAvoidSpec(horizon=2))
+        assert np.array_equal(res.p_lower[:n_values], values)
+        assert np.array_equal(res.p_upper[:n_values], values)
+        for s in range(n_values, n_cells):
+            low = scalar_walk(values, rows[s], "min")
+            high = scalar_walk(values, rows[s], "max")
+            assert res.p_upper[s] == high
+            assert res.p_lower[s] == min(low, high)
+
     def test_label_overlap_rejected(self):
         rows = (
             (TransitionBound(0, 0, 1.0, 1.0),),
