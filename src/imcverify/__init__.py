@@ -2,6 +2,8 @@
 systems via noise-domain partitioning, with robust reach-avoid verification,
 clustering-based improvement and Monte Carlo validation."""
 
+import types as _types
+
 from .geometry import (
     Box,
     Interval,
@@ -57,48 +59,8 @@ from .pipeline import run_pipeline
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Box",
-    "ClusterProposal",
-    "DynamicsModel",
-    "Imc",
-    "Interval",
-    "Mixture",
-    "NoiseCell",
-    "NoiseModel",
-    "PartitionPair",
-    "PosteriorTable",
-    "ReachAvoidRegions",
-    "ReachAvoidSpec",
-    "RunConfig",
-    "StatePartition",
-    "Trajectory",
-    "TransitionBound",
-    "TruncatedGaussian",
-    "Uniform",
-    "VerificationResult",
-    "adversary_extreme_expectation",
-    "build_imc",
-    "cell_probability",
-    "classify",
-    "cluster_improve",
-    "estimate_satisfaction",
-    "eval_point",
-    "interval_extension",
-    "load_config",
-    "optimal_partition_affine",
-    "optimal_partition_multiplicative",
-    "parse_dynamics",
-    "partition_domain",
-    "posterior",
-    "posterior_f",
-    "robust_value_iteration",
-    "run_pipeline",
-    "sample_noise",
-    "select_cluster",
-    "simulate",
-    "transition_bounds_general",
-    "transition_bounds_structured",
-    "uniform_noise_grid",
-    "unsafe_transitions",
-]
+# the public API is exactly the names imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -12,6 +12,7 @@ per source state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
@@ -48,46 +49,31 @@ def _largest_block(
 ) -> Optional[tuple[tuple[int, ...], Box]]:
     """Largest axis-aligned block of eligible grid cells, by cell count.
 
-    Brute force over index ranges restricted to the bounding box of the
-    eligible set; ties break toward the lexicographically smallest range so
+    The bounding box of the eligible set when they fill it, as they do on
+    every workload measured; otherwise brute force over the index ranges in
+    that box, ties breaking toward the lexicographically smallest range so
     the result is deterministic.
     """
     if len(eligible) < 2:
         return None
-    multi = np.unravel_index(eligible, partition.resolution)
-    multis = list(zip(*(m.tolist() for m in multi)))
-    dim = partition.domain.dim
-    lo = [min(m[d] for m in multis) for d in range(dim)]
-    hi = [max(m[d] for m in multis) for d in range(dim)]
-    member_set = set(multis)
-
-    best: Optional[tuple[int, tuple[range, ...]]] = None
-    span_choices = []
-    for d in range(dim):
-        spans = [
-            range(a, b + 1)
-            for a in range(lo[d], hi[d] + 1)
-            for b in range(a, hi[d] + 1)
-        ]
-        span_choices.append(spans)
-    for combo in product(*span_choices):
-        count = 1
-        for r in combo:
-            count *= len(r)
-        if count < 2:
-            continue
-        if best is not None and count < best[0]:
-            continue
-        if all(idx in member_set for idx in product(*combo)):
-            if best is None or count > best[0]:
-                best = (count, tuple(combo))
-    if best is None:
-        return None
-    ranges = best[1]
-    members = tuple(sorted(partition.flat_index(m) for m in product(*ranges)))
+    cells = set(zip(*(m.tolist() for m in np.unravel_index(eligible, partition.resolution))))
+    bounds = tuple(range(min(c), max(c) + 1) for c in zip(*cells))
+    if len(cells) < math.prod(map(len, bounds)):  # else the cells fill their bounding box
+        # per dimension, the index ranges within the bounding box, in (start, stop) order
+        spans = [[range(a, b + 1) for a in r for b in range(a, r.stop)] for r in bounds]
+        best: Optional[tuple[int, tuple[range, ...]]] = None
+        for combo in product(*spans):
+            count = math.prod(map(len, combo))
+            if count >= 2 and (best is None or count > best[0]):
+                if all(idx in cells for idx in product(*combo)):
+                    best = (count, combo)
+        if best is None:
+            return None
+        bounds = best[1]
+    members = np.ravel_multi_index(np.meshgrid(*bounds, indexing="ij"), partition.resolution)
     edges = partition.edges
-    box = Box.from_bounds([(edges[d][r.start], edges[d][r.stop]) for d, r in enumerate(ranges)])
-    return members, box
+    box = Box.from_bounds([(edges[d][r.start], edges[d][r.stop]) for d, r in enumerate(bounds)])
+    return tuple(sorted(members.ravel().tolist())), box
 
 
 def select_cluster(
@@ -149,7 +135,8 @@ def cluster_improve(
 
     Only the values change during the pass, so the posteriors, every
     proposal, one ``pair_bounds`` call for all cluster boxes and one check
-    of all clustered rows come first; the pass walks one row per state.
+    of all clustered rows come first; the pass then makes one kernel call
+    per run of rows, with the bits of a row-by-row pass.
     ``pipeline.phase_improve`` runs passes until one changes nothing or the
     configured number is reached.
     """
@@ -168,39 +155,46 @@ def cluster_improve(
     boxes = np.array([p.box.endpoints() for p in proposals]).reshape(-1, 2, partition.domain.dim)
     cl_low, cl_up = pair_bounds(posts, sources, boxes[:, 0], boxes[:, 1])
 
-    # each clustered row: the source's row without the members, then one
-    # entry for the cluster keyed by its first member
-    rows = []
-    for p, low, up in zip(proposals, cl_low.tolist(), cl_up.tolist()):
-        row = slice(imc.indptr[p.source], imc.indptr[p.source + 1])
-        base = ~np.isin(imc.dst[row], p.members)
-        lower, upper = np.append(imc.lower[row][base], low), np.append(imc.upper[row][base], up)
-        rows.append((imc.dst[row][base], lower, upper))
-    indptr = np.cumsum([0] + [len(r[1]) for r in rows])
-    bounds = [np.concatenate([r[k] for r in rows] + [np.zeros(0)]) for k in (1, 2)]
-    # the clustered rows must stay feasible; a violation is a bug
-    remaining = 1.0 - _check_rows(indptr, *bounds, SoundnessError, sources)
-
-    for p, (dst, lower, upper), rest in zip(proposals, rows, remaining.tolist()):
-        q_idx, members = p.source, list(p.members)
-        (new_lo,), (new_hi,) = _extreme_expectations(
-            np.array([0, len(lower)]),
-            np.append(dst, members[0]),
-            lower,
-            upper,
-            np.array([rest]),
-            np.append(p_lo[dst], p_lo[members].min()),
-            np.append(p_hi[dst], p_hi[members].max()),
-        )
-        if new_lo > p_lo[q_idx]:
-            p_lo[q_idx] = min(new_lo, p_hi[q_idx])
-        if new_hi < p_hi[q_idx]:
-            p_hi[q_idx] = max(new_hi, p_lo[q_idx])
-
-    return VerificationResult(
-        p_lower=p_lo,
-        p_upper=p_hi,
-        classification=classify_arrays(p_lo, p_hi, spec.threshold),
-        iterations=result.iterations,
-        converged=result.converged,
+    # Each clustered row is the source's row without the members, then the
+    # cluster as virtual state n + j of proposal j, keyed by its first member
+    # so that ties order as they would at that member.
+    n, count = imc.n_states, len(proposals)
+    rows = [slice(imc.indptr[s], imc.indptr[s + 1]) for s in sources.tolist()]
+    kept = [~np.isin(imc.dst[r], p.members) for r, p in zip(rows, proposals)]
+    dst, lower, upper = (
+        np.concatenate([np.append(x[r][k], c) for r, k, c in zip(rows, kept, last)] + [x[:0]])
+        for x, last in ((imc.dst, n + np.arange(count)), (imc.lower, cl_low), (imc.upper, cl_up))
     )
+    indptr = np.cumsum([0] + [np.count_nonzero(k) + 1 for k in kept])
+    # the clustered rows must stay feasible; a violation is a bug
+    remaining = 1.0 - _check_rows(indptr, lower, upper, SoundnessError, sources)
+
+    # A run is a maximal stretch of the pass in which no row reads (as a
+    # target of its source, members included) a state an earlier row of the
+    # run writes, so its rows see the values of a row-by-row pass.
+    step = np.full(n, -1)
+    step[sources] = np.arange(count)
+    starts = []
+    for j, r in enumerate(rows):
+        writer = step[imc.dst[r]]
+        if not starts or writer[writer < j].max(initial=-1) >= starts[-1]:
+            starts.append(j)
+    members = [list(p.members) for p in proposals]
+    keys = np.array(list(range(n)) + [m[0] for m in members], dtype=np.int64)
+    cl_lo, cl_hi = np.zeros(count), np.zeros(count)
+    for a, b in zip(starts, starts[1:] + [count]):
+        cl_lo[a:b] = [p_lo[m].min() for m in members[a:b]]
+        cl_hi[a:b] = [p_hi[m].max() for m in members[a:b]]
+        entries = slice(indptr[a], indptr[b])
+        # rank only the states this run reads
+        states, local = np.unique(dst[entries], return_inverse=True)
+        new_lo, new_hi = _extreme_expectations(
+            indptr[a:b + 1] - indptr[a], local, lower[entries], upper[entries], remaining[a:b],
+            np.append(p_lo, cl_lo)[states], np.append(p_hi, cl_hi)[states], keys[states],
+        )
+        q = sources[a:b]
+        p_lo[q] = np.where(new_lo > p_lo[q], np.minimum(new_lo, p_hi[q]), p_lo[q])
+        p_hi[q] = np.where(new_hi < p_hi[q], np.maximum(new_hi, p_lo[q]), p_hi[q])
+
+    classification = classify_arrays(p_lo, p_hi, spec.threshold)
+    return VerificationResult(p_lo, p_hi, classification, result.iterations, result.converged)

@@ -23,7 +23,7 @@ pairs. General systems sum the masses of a uniform noise grid's cells.
 from __future__ import annotations
 
 import itertools
-import math
+import warnings
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -435,25 +435,32 @@ def build_imc(
     return imc
 
 
-def _csr_row_sums(indptr: np.ndarray, *entries: np.ndarray) -> list[np.ndarray]:
-    """Per-row sums of each per-entry CSR array, added left to right from 0.0
-    as a Python loop would (``np.add.reduceat`` sums pairwise and a cumsum
-    over all rows rounds differently), one row position at a time."""
+def _row_blocks(indptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per power-of-two row-length class, its rows and a (width, rows) array
+    of their entry positions, padded with ``indptr[-1]``: at most 2 x nnz."""
     lengths = np.diff(indptr)
-    totals = [np.zeros(len(lengths)) for _ in entries]
-    rows = np.arange(len(lengths))
-    for k in range(int(lengths.max(initial=0))):
-        rows = rows[lengths[rows] > k]
-        for total, x in zip(totals, entries):
-            total[rows] += x[indptr[rows] + k]
-    return totals
+    width = 2 ** np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
+    blocks = []
+    for w in np.unique(width).tolist():
+        rows = np.flatnonzero(width == w)
+        slot = indptr[rows] + np.arange(w)[:, None]
+        blocks.append((rows, np.where(slot < indptr[rows + 1], slot, indptr[-1])))
+    return blocks
 
 
 def _check_rows(indptr, lower, upper, error: type = SoundnessError, states=None) -> np.ndarray:
     """Raise ``error`` at the first row with sum(lower) > 1 or sum(upper) < 1
     (up to a 1e-9 tolerance), naming its state (``states[row]``, or the row
-    index); return the row sums of ``lower``."""
-    total_lower, total_upper = _csr_row_sums(indptr, lower, upper)
+    index); return the row sums of ``lower``.
+
+    Rows are summed left to right from 0.0 as a Python loop would (not
+    pairwise like ``np.add.reduceat``): np.cumsum runs down each row's column
+    of its block, the padding adds 0 and + 0.0 only turns -0.0 into 0.0."""
+    blocks = _row_blocks(indptr)
+    total_lower, total_upper = np.zeros(len(indptr) - 1), np.zeros(len(indptr) - 1)
+    for total, x in ((total_lower, np.append(lower, 0.0)), (total_upper, np.append(upper, 0.0))):
+        for rows, slot in blocks:
+            total[rows] = np.cumsum(x[slot], axis=0)[-1] + 0.0
     bad = np.flatnonzero((total_lower > 1.0 + _ROW_TOL) | (total_upper < 1.0 - _ROW_TOL))
     if len(bad):
         row = int(bad[0])
@@ -483,9 +490,52 @@ def _read_csv(path, header: str, *types, maxsplit: int = -1):
                 raise InputError(f"{path}:{lineno}: expected {len(types)} fields")
             try:
                 fields = [convert(p) for convert, p in zip(types, parts)]
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise InputError(f"{path}:{lineno}: malformed field") from None
             yield lineno, fields
+
+
+def _read_columns(path, header: str, *types) -> list[np.ndarray]:
+    """One array per field of a delimited file with this header, converted by
+    ``types``; a file ``np.loadtxt`` refuses is read again by ``_read_csv``,
+    which accepts blank lines and names the first malformed line."""
+    dtype = [(f"f{i}", {int: np.int64, float: float, str: object}[t]) for i, t in enumerate(types)]
+    with open(path, "r", encoding="utf-8") as fh:
+        found = fh.readline().strip()
+    if found != header:
+        raise InputError(f"{path}:1: expected header {header!r}, got {found!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header without rows
+            kwargs = dict(comments=None, delimiter=",", skiprows=1, encoding="utf-8", ndmin=1)
+            table = np.loadtxt(path, dtype, **kwargs)
+        return [table[name] for name, _ in dtype]
+    except ValueError:
+        converters = (np.int64 if t is int else t for t in types)  # an int64 overflow is malformed
+        rows = [fields for _, fields in _read_csv(path, header, *converters)]
+        return [np.array([r[i] for r in rows], dt) for i, (_, dt) in enumerate(dtype)]
+
+
+def _repeats(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of ``key`` and the mask of repeats of a key."""
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return order, repeat
+
+
+def _reject_first(path, *checks) -> None:
+    """Raise an InputError naming ``path:line`` at the first entry of a table
+    that fails a check; ``checks`` are (failure mask, message or
+    message(entry)) in the order they apply to one line."""
+    k = min((int(np.argmax(mask)) for mask, _ in checks if mask.any()), default=None)
+    if k is None:
+        return
+    message = next(m for mask, m in checks if mask[k])
+    with open(path, "r", encoding="utf-8") as fh:
+        # entries are the non-blank lines after the header
+        lineno = [i for i, line in enumerate(fh, start=1) if i > 1 and line.strip()][k]
+    raise InputError(f"{path}:{lineno}: {message(k) if callable(message) else message}")
 
 
 def write_imc(imc: Imc, bounds_path, labels_path) -> None:
@@ -504,37 +554,28 @@ def write_imc(imc: Imc, bounds_path, labels_path) -> None:
 
 
 def read_imc(bounds_path, labels_path, partition: StatePartition) -> Imc:
-    """Load an exported IMC; a malformed line, an out-of-range state, an
-    invalid bound or a repeated (from, to) pair is an InputError."""
+    """Load an exported IMC whose rows may come in any order; a malformed
+    line, an out-of-range state, an invalid bound or a repeated (from, to)
+    pair is an InputError naming ``path:line``."""
     n = partition.n_states
-    entries: dict[tuple[int, int], tuple[float, float]] = {}
-    for lineno, (s, d, lo, hi) in _read_csv(
-        bounds_path, "from,to,lower,upper", int, int, float, float
-    ):
-        where = f"{bounds_path}:{lineno}"
-        if not (0 <= s < n and 0 <= d < n):
-            raise InputError(f"{where}: state index out of range")
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise InputError(f"{where}: bound requires 0 <= lower <= upper <= 1")
-        if (s, d) in entries:
-            raise InputError(f"{where}: duplicate pair ({s},{d})")
-        entries[(s, d)] = (lo, hi)
+    src, dst, lo, hi = _read_columns(bounds_path, "from,to,lower,upper", int, int, float, float)
+    in_range = (0 <= src) & (src < n) & (0 <= dst) & (dst < n)
+    # out-of-range entries get distinct negative keys: they repeat nothing
+    order, repeat = _repeats(np.where(in_range, src * n + dst, -1 - np.arange(len(src))))
+    _reject_first(
+        bounds_path,
+        (~in_range, "state index out of range"),
+        (~((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)), "bound requires 0 <= lower <= upper <= 1"),
+        (repeat, lambda k: f"duplicate pair ({src[k]},{dst[k]})"),
+    )
     labels: list[set[str]] = [set() for _ in range(n)]
     for lineno, (state, label) in _read_csv(labels_path, "state,label", int, str, maxsplit=1):
         if not 0 <= state < n:
             raise InputError(f"{labels_path}:{lineno}: state index out of range")
         labels[state].add(label)
-    pairs = sorted(entries)
-    src = np.array([p[0] for p in pairs], dtype=np.int64)
-    bounds = np.array([entries[p] for p in pairs], dtype=float).reshape(-1, 2)
-    return Imc(
-        partition,
-        np.searchsorted(src, np.arange(n + 1)),
-        np.array([p[1] for p in pairs], dtype=np.int64),
-        bounds[:, 0],
-        bounds[:, 1],
-        tuple(frozenset(s) for s in labels),
-    )
+    src, dst, lo, hi = (x[order] for x in (src, dst, lo, hi))
+    indptr = np.searchsorted(src, np.arange(n + 1))
+    return Imc(partition, indptr, dst, lo, hi, tuple(frozenset(s) for s in labels))
 
 
 def write_posterior_table(table: PosteriorTable, path) -> None:
@@ -549,21 +590,17 @@ def write_posterior_table(table: PosteriorTable, path) -> None:
 
 def read_posterior_table(path, n_states: int, dim: int) -> PosteriorTable:
     """Load a posterior table; every state in [0, n_states) must be complete."""
-    raw: dict[int, dict[int, Interval]] = {}
-    for lineno, (state, comp, lo, hi) in _read_csv(
-        path, "state,component,lo,hi", int, int, float, float
-    ):
-        if not 0 <= comp < dim:
-            raise InputError(f"{path}:{lineno}: component index out of range")
-        if math.isnan(lo) or math.isnan(hi) or lo > hi:
-            raise InputError(f"{path}:{lineno}: empty or invalid interval")
-        raw.setdefault(state, {})[comp] = Interval(lo, hi)
+    state, comp, lo, hi = _read_columns(path, "state,component,lo,hi", int, int, float, float)
+    _reject_first(
+        path,
+        (~((0 <= comp) & (comp < dim)), "component index out of range"),
+        (~(lo <= hi), "empty or invalid interval"),
+    )
+    columns = zip(state.tolist(), comp.tolist(), lo.tolist(), hi.tolist())
+    raw = {(s, c): Interval(a, b) for s, c, a, b in columns}  # a repeat keeps its last interval
     boxes: dict[int, Box] = {}
-    for state in range(n_states):
-        comps = raw.get(state)
-        if comps is None or len(comps) != dim:
-            raise InputError(
-                f"posterior table is missing state {state} or some of its components"
-            )
-        boxes[state] = Box(tuple(comps[d] for d in range(dim)))
+    for s in range(n_states):
+        if any((s, d) not in raw for d in range(dim)):
+            raise InputError(f"posterior table is missing state {s} or some of its components")
+        boxes[s] = Box(tuple(raw[s, d] for d in range(dim)))
     return PosteriorTable(boxes=boxes)

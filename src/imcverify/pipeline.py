@@ -129,7 +129,7 @@ def load_results(ctx: RunContext, imc: Imc, improved: bool = False) -> Verificat
         raise InputError(
             f"missing result table {path}; run the verify phase first"
         )
-    return read_results(path, imc)
+    return read_results(path, imc, ctx.spec.threshold)
 
 
 def phase_improve(

@@ -7,13 +7,13 @@ avoid states (obstacles and the unsafe state) at 0, which collapses the
 reach-avoid product onto the labels.
 
 The extreme one-step expectation over all adversaries is attained by the
-ordering construction: sort successors by value, give every successor its
-lower bound, then saturate the remaining mass in sorted order up to each
-upper bound. The feasible set is a transportation polytope and this greedy
-walk reaches its extreme points. One kernel, ``_extreme_expectations``,
-runs both walks for every row of a CSR block at once, vectorised across
-rows and sequential within a row, so each row gets the same bits as a walk
-over that row alone; value iteration and cluster improvement both call it.
+ordering construction (Givan, Leach & Dean, 2000): sort successors by value,
+give every successor its lower bound, then saturate the remaining mass in
+sorted order up to each upper bound. The feasible set is a transportation
+polytope and this greedy walk reaches its extreme points. One kernel,
+``_extreme_expectations``, runs both walks for every row of a CSR block in
+O(nnz) memory, sequentially within a row, so each row gets the bits of a
+walk over that row alone; value iteration and cluster improvement call it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, InvalidModelError, SpecificationError
-from .imc import Imc, TransitionBound, UNSAFE_LABEL, _check_rows, _read_csv
+from .imc import Imc, TransitionBound, UNSAFE_LABEL, _check_rows, _read_columns, _reject_first
+from .imc import _repeats, _row_blocks
 
 log = logging.getLogger("imcverify")
 
@@ -75,45 +76,49 @@ class VerificationResult:
         object.__setattr__(self, "p_upper", np.asarray(self.p_upper, dtype=float))
 
 
-def _extreme_expectations(indptr, key, lower, upper, remaining, lo_values, hi_values):
+def _extreme_expectations(indptr, dst, lower, upper, remaining, lo_values, hi_values, keys=None):
     """The minimum over ``lo_values`` and the maximum over ``hi_values`` of
     the expectation over all adversaries, for every row of a CSR block.
 
-    ``key``, ``lower``, ``upper`` and the values are per-entry arrays: the
-    tie-break index (the target), the bounds and the successor's value.
+    ``dst``, ``lower`` and ``upper`` are per-entry: the successor, an index
+    into the per-state ``lo_values``/``hi_values``, and its bounds.
     ``remaining`` is 1 - sum(lower) per row, from ``_check_rows`` on the
-    block. Ties in value break by ascending key; the expectations are
-    tie-invariant.
+    block. Ties in value break by ascending ``keys`` (default: the state
+    index); the expectations are tie-invariant.
     """
-    n = len(indptr) - 1
-    remaining = np.tile(remaining, 2)
-    # every row twice: the minimising walks, then the maximising ones
-    indptr = np.concatenate([indptr, indptr[1:] + indptr[-1]])
-    key, lower, upper = (np.tile(x, 2) for x in (key, lower, upper))
-    values = np.concatenate([lo_values, hi_values])
-    lengths = np.diff(indptr)
-    rows = np.repeat(np.arange(2 * n), lengths)
-    order = np.lexsort((key, np.where(rows < n, values, -values), rows))
-    # each row in walk order as a row of a (rows, longest row) block, zero-padded
-    cols = np.arange(indptr[-1]) - np.repeat(indptr[:-1], lengths)
-    low, slack, value = (np.zeros((2 * n, int(lengths.max(initial=0)))) for _ in range(3))
-    low[rows, cols], slack[rows, cols] = lower[order], upper[order] - lower[order]
-    value[rows, cols] = values[order]
-    # The walk gives each successor its slack while the remaining mass
-    # exceeds it, then the rest to the first successor whose slack covers
-    # it, then nothing. Before that successor, the remaining mass at each
-    # position is the sequential running difference.
-    before = np.cumsum(np.column_stack([remaining, -slack]), axis=1)[:, :-1]
-    covers = np.column_stack([slack >= before, np.ones(len(low), dtype=bool)])
-    last = np.where(remaining > 0.0, covers.argmax(axis=1), -1)[:, None]
-    position = np.arange(low.shape[1])
-    gamma = np.where(
-        position < last, low + slack, np.where(position == last, low + before, low)
-    )
-    # per-row sums added left to right from 0.0, as a Python ``sum`` would:
-    # np.cumsum runs sequentially along a row, np.sum (pairwise) does not
-    both = np.cumsum(np.column_stack([np.zeros(len(low)), gamma * value]), axis=1)[:, -1]
-    return both[:n], both[n:]
+    n_states, nnz = len(lo_values), len(dst)
+    keys = np.arange(n_states) if keys is None else keys
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    blocks = _row_blocks(indptr)  # padded slots read appended zeros, adding nothing
+    lower = np.append(lower, 0.0)
+    slack = np.append(upper, 0.0) - lower
+    both = []
+    for values, sign in ((lo_values, 1.0), (hi_values, -1.0)):
+        # one rank per state, by value (descending for the maximum) then
+        # key; sorting each row by the rank of its targets is the walk order
+        rank = np.empty(n_states, dtype=np.int64)
+        rank[np.lexsort((keys, sign * values))] = np.arange(n_states)
+        order = np.append(np.argsort(rows * n_states + rank[dst]), nnz)
+        value = np.append(values[dst], 0.0)
+        expectation = np.empty(len(indptr) - 1)
+        for block, slot in blocks:
+            entry = order[slot]  # one row per column, in walk order
+            gap = slack[entry]
+            # The walk gives each successor its slack while the remaining
+            # mass exceeds it, then the rest to the first successor whose
+            # slack covers it, then nothing: its mass above the lower bound
+            # is the remaining mass before it (a sequential running
+            # difference) clipped to [0, slack]. gamma * value is then
+            # summed in walk order from 0.0, as ``_check_rows`` sums rows.
+            walk = np.empty_like(gap)
+            walk[0], walk[1:] = remaining[block], -gap[:-1]
+            np.cumsum(walk, axis=0, out=walk)
+            np.clip(walk, 0.0, gap, out=walk)
+            walk += lower[entry]
+            walk *= value[entry]
+            expectation[block] = np.cumsum(walk, axis=0, out=walk)[-1] + 0.0
+        both.append(expectation)
+    return tuple(both)
 
 
 def adversary_extreme_expectation(
@@ -125,7 +130,7 @@ def adversary_extreme_expectation(
     dst = np.array([tb.dst for tb in row], dtype=np.int64)
     lower = np.array([tb.lower for tb in row], dtype=float)
     upper = np.array([tb.upper for tb in row], dtype=float)
-    values = np.asarray(values, dtype=float)[dst]
+    values = np.asarray(values, dtype=float)
     indptr = np.array([0, len(row)])
     remaining = 1.0 - _check_rows(indptr, lower, upper, InvalidModelError)
     low, high = _extreme_expectations(indptr, dst, lower, upper, remaining, values, values)
@@ -176,7 +181,7 @@ def robust_value_iteration(
 
     for _ in range(spec.horizon if spec.horizon is not None else max_iterations):
         low, high = _extreme_expectations(
-            imc.indptr, imc.dst, imc.lower, imc.upper, remaining, v_lo[imc.dst], v_hi[imc.dst]
+            imc.indptr, imc.dst, imc.lower, imc.upper, remaining, v_lo, v_hi
         )
         new_lo, new_hi = v_lo.copy(), v_hi.copy()
         new_lo[free], new_hi[free] = low[free], high[free]
@@ -252,29 +257,31 @@ def write_results(result: VerificationResult, imc: Imc, path) -> None:
             )
 
 
-def read_results(path, imc: Imc) -> VerificationResult:
-    """Reload an exported result table; iteration metadata is not persisted.
+def read_results(path, imc: Imc, threshold: float = DEFAULT_THRESHOLD) -> VerificationResult:
+    """Reload an exported result table and classify it at ``threshold``;
+    iteration metadata is not persisted.
 
     Every state must appear once, with a known class and p_lower <= p_upper
     (value iteration may leave p_upper a few ulps above 1); anything else
-    is an InputError naming ``path:line``.
+    is an InputError naming ``path:line``. The stored classes are only
+    checked: a reload under another threshold reclassifies every state.
     """
     n, dim = imc.n_states, imc.partition.domain.dim
-    rows: dict[int, tuple[float, float, str]] = {}
     types = (int,) + (str,) * (2 * dim) + (float, float, str)
-    for lineno, (state, *_, lo, hi, label) in _read_csv(path, _results_header(dim), *types):
-        where = f"{path}:{lineno}"
-        if not 0 <= state < n:
-            raise InputError(f"{where}: state index out of range")
-        if state in rows:
-            raise InputError(f"{where}: duplicate state {state}")
-        if label not in _CLASSES:
-            raise InputError(f"{where}: unknown class {label!r}")
-        if not lo <= hi:
-            raise InputError(f"{where}: requires p_lower <= p_upper, got [{lo}, {hi}]")
-        rows[state] = (lo, hi, label)
-    missing = sorted(set(range(n)) - rows.keys())
-    if missing:
-        raise InputError(f"{path}: result table is missing states {missing}")
-    p_lower, p_upper, classification = zip(*(rows[i] for i in range(n)))
+    state, *_, lo, hi, label = _read_columns(path, _results_header(dim), *types)
+    in_range = (0 <= state) & (state < n)
+    _, repeat = _repeats(np.where(in_range, state, -1 - np.arange(len(state))))
+    _reject_first(
+        path,
+        (~in_range, "state index out of range"),
+        (repeat, lambda k: f"duplicate state {state[k]}"),
+        (~np.isin(label, _CLASSES), lambda k: f"unknown class {label[k]!r}"),
+        (~(lo <= hi), lambda k: f"requires p_lower <= p_upper, got [{lo[k]}, {hi[k]}]"),
+    )
+    missing = np.setdiff1d(np.arange(n), state)
+    if len(missing):
+        raise InputError(f"{path}: result table is missing states {missing.tolist()}")
+    p_lower, p_upper = np.empty(n), np.empty(n)
+    p_lower[state], p_upper[state] = lo, hi
+    classification = classify_arrays(p_lower, p_upper, threshold)
     return VerificationResult(p_lower, p_upper, classification, iterations=0, converged=True)

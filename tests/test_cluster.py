@@ -1,7 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from imcverify.cluster import cluster_improve, select_cluster
+from imcverify.cluster import _largest_block, cluster_improve, select_cluster
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box, partition_domain
 from imcverify.imc import TransitionBound, build_imc, cell_posteriors, pair_bounds
@@ -82,6 +84,36 @@ class TestSelectCluster:
         assert prop is not None
         assert prop.box == Box.from_bounds([[1, 4], [1, 4]])
         assert len(prop.members) == 9
+
+
+def largest_block_reference(partition, eligible):
+    """Every block of the grid, largest first, then lexicographically
+    smallest index ranges; the first whose cells are all eligible."""
+    cells = {np.unravel_index(i, partition.resolution) for i in eligible.tolist()}
+    cells = {tuple(int(x) for x in c) for c in cells}
+    spans = [[range(a, b + 1) for a in range(r) for b in range(a, r)] for r in partition.resolution]
+    blocks = sorted(product(*spans), key=lambda c: -np.prod([len(r) for r in c]))
+    for combo in blocks:
+        if np.prod([len(r) for r in combo]) >= 2 and set(product(*combo)) <= cells:
+            return tuple(sorted(partition.flat_index(m) for m in product(*combo)))
+    return None
+
+
+def test_largest_block_matches_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        resolution = tuple(int(r) for r in rng.integers(1, 6, int(rng.integers(1, 4))))
+        part = partition_domain(Box.from_bounds([[0, r] for r in resolution]), resolution)
+        eligible = rng.choice(part.n_cells, int(rng.integers(0, part.n_cells + 1)), replace=False)
+        block = _largest_block(part, eligible)
+        expected = largest_block_reference(part, eligible)
+        assert (block and block[0]) == expected
+        if block is not None:
+            edges = part.edges
+            multi = [np.unravel_index(block[0], resolution)[d] for d in range(len(resolution))]
+            assert block[1] == Box.from_bounds(
+                [(edges[d][m.min()], edges[d][m.max() + 1]) for d, m in enumerate(multi)]
+            )
 
 
 class TestClusterImprove:

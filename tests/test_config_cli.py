@@ -351,6 +351,27 @@ class TestCli:
         for name in (IMC_FILE, RESULTS_FILE, IMPROVED_FILE, TRAJECTORIES_FILE):
             assert (out / name).exists()
 
+    def test_reloaded_results_are_classified_at_current_threshold(self, tmp_path):
+        cfg_path = tmp_path / "paper.yaml"
+        cfg_path.write_text(PAPER_2D)
+        assert main(["abstract", "-c", str(cfg_path)]) == 0
+        assert main(["verify", "-c", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        verified = json.loads((out / SUMMARY_FILE).read_text())["classification"]["counts"]
+        cfg_path.write_text(PAPER_2D.replace("threshold: 0.9", "threshold: 0.3"))
+        assert main(["simulate", "-c", str(cfg_path)]) == 0
+        counts = json.loads((out / SUMMARY_FILE).read_text())["classification"]["counts"]
+        rows = [line.split(",") for line in (out / RESULTS_FILE).read_text().splitlines()[1:]]
+        p_lower = np.array([float(r[-3]) for r in rows])
+        p_upper = np.array([float(r[-2]) for r in rows])
+        expected = {
+            "satisfies": int(np.sum(p_lower >= 0.3)),
+            "violates": int(np.sum((p_lower < 0.3) & (p_upper < 0.3))),
+        }
+        expected["undetermined"] = len(rows) - sum(expected.values())
+        assert counts == expected
+        assert counts != verified
+
     def test_verify_without_abstract_fails(self, tmp_path):
         cfg_path = write_toy(tmp_path, outdir="fresh")
         assert main(["verify", "-c", str(cfg_path)]) == 1

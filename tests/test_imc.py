@@ -500,6 +500,29 @@ class TestPosteriorTable:
         with pytest.raises(InputError):
             read_posterior_table(path, 2, 1)
 
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            (["0,0,0.0,0.5", "1,1,0.5,1.0"], "table.csv:3: component index out of range"),
+            (["0,0,0.0,0.5", "", "1,0,nan,1.0"], "table.csv:4: empty or invalid interval"),
+            (["0,0,0.5,0.0", "1,0,0.5,1.0"], "table.csv:2: empty or invalid interval"),
+            (["0,0,0.0,0.5", "1,x,0.5,1.0"], "table.csv:3: malformed field"),
+            (["0,0,0.0,0.5"], "missing state 1"),
+        ],
+        ids=["component", "nan", "order", "number", "missing"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, rows, where):
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(["state,component,lo,hi"] + rows) + "\n")
+        with pytest.raises(InputError, match=re.escape(where)):
+            read_posterior_table(path, 2, 1)
+
+    def test_blank_lines_and_any_order_accepted(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("state,component,lo,hi\n1,0,0.5,1.0\n\n0,0,0.0,0.5\n")
+        loaded = read_posterior_table(path, 2, 1)
+        assert loaded.boxes == {0: Box.from_bounds([[0.0, 0.5]]), 1: Box.from_bounds([[0.5, 1.0]])}
+
 
 class TestExports:
     def test_round_trip_and_determinism(self, tmp_path):
