@@ -86,36 +86,34 @@ def _extreme_expectations(indptr, dst, lower, upper, remaining, lo_values, hi_va
     block. Ties in value break by ascending ``keys`` (default: the state
     index); the expectations are tie-invariant.
     """
-    n_states, nnz = len(lo_values), len(dst)
+    n_states = len(lo_values)
     keys = np.arange(n_states) if keys is None else keys
     rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    blocks = _row_blocks(indptr)  # padded slots read appended zeros, adding nothing
-    lower = np.append(lower, 0.0)
-    slack = np.append(upper, 0.0) - lower
+    blocks = _row_blocks(indptr)  # padded slots read the appended zeros, adding nothing
+    slack = upper - lower
     both = []
     for values, sign in ((lo_values, 1.0), (hi_values, -1.0)):
         # one rank per state, by value (descending for the maximum) then
         # key; sorting each row by the rank of its targets is the walk order
         rank = np.empty(n_states, dtype=np.int64)
         rank[np.lexsort((keys, sign * values))] = np.arange(n_states)
-        order = np.append(np.argsort(rows * n_states + rank[dst]), nnz)
-        value = np.append(values[dst], 0.0)
+        order = np.argsort(rows * n_states + rank[dst])
+        low, gap, value = (np.append(x[order], 0.0) for x in (lower, slack, values[dst]))
         expectation = np.empty(len(indptr) - 1)
         for block, slot in blocks:
-            entry = order[slot]  # one row per column, in walk order
-            gap = slack[entry]
+            gap_of = gap[slot]  # one row per column, in walk order
             # The walk gives each successor its slack while the remaining
             # mass exceeds it, then the rest to the first successor whose
             # slack covers it, then nothing: its mass above the lower bound
             # is the remaining mass before it (a sequential running
             # difference) clipped to [0, slack]. gamma * value is then
             # summed in walk order from 0.0, as ``_check_rows`` sums rows.
-            walk = np.empty_like(gap)
-            walk[0], walk[1:] = remaining[block], -gap[:-1]
+            walk = np.empty_like(gap_of)
+            walk[0], walk[1:] = remaining[block], -gap_of[:-1]
             np.cumsum(walk, axis=0, out=walk)
-            np.clip(walk, 0.0, gap, out=walk)
-            walk += lower[entry]
-            walk *= value[entry]
+            np.clip(walk, 0.0, gap_of, out=walk)
+            walk += low[slot]
+            walk *= value[slot]
             expectation[block] = np.cumsum(walk, axis=0, out=walk)[-1] + 0.0
         both.append(expectation)
     return tuple(both)
