@@ -439,11 +439,12 @@ def _row_blocks(indptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per power-of-two row-length class, its rows and a (width, rows) array
     of their entry positions, padded with ``indptr[-1]``: at most 2 x nnz."""
     lengths = np.diff(indptr)
-    width = 2 ** np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
+    widths = 2 ** np.arange(int(lengths.max(initial=1)).bit_length() + 1)
+    width_class = np.searchsorted(widths, lengths)  # the least width >= the row length
     blocks = []
-    for w in np.unique(width).tolist():
-        rows = np.flatnonzero(width == w)
-        slot = indptr[rows] + np.arange(w)[:, None]
+    for c in np.flatnonzero(np.bincount(width_class)).tolist():
+        rows = np.flatnonzero(width_class == c)
+        slot = indptr[rows] + np.arange(widths[c])[:, None]
         blocks.append((rows, np.where(slot < indptr[rows + 1], slot, indptr[-1])))
     return blocks
 

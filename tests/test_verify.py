@@ -364,6 +364,23 @@ class TestReadResults:
         assert np.array_equal(loaded.p_upper, res.p_upper)
         assert loaded.classification == res.classification
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:2] + ["", "  "] + lines[2:],
+            lambda lines: lines[:1] + lines[1:][::-1],
+            lambda lines: [line + " " for line in lines],
+        ],
+        ids=["blank-lines", "reversed", "trailing-blanks"],
+    )
+    def test_tolerated_edits_load_the_same_result(self, tmp_path, edit):
+        imc, res, path = self._export(tmp_path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        loaded = read_results(path, imc)
+        assert np.array_equal(loaded.p_lower, res.p_lower)
+        assert np.array_equal(loaded.p_upper, res.p_upper)
+        assert loaded.classification == res.classification
+
     # lines of the exported table: header, then states 0 (undetermined),
     # 1 (goal, satisfies) and 2 (unsafe, violates)
     @pytest.mark.parametrize(
