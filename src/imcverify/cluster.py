@@ -186,8 +186,8 @@ def cluster_improve(
         cl_lo[a:b] = [p_lo[m].min() for m in members[a:b]]
         cl_hi[a:b] = [p_hi[m].max() for m in members[a:b]]
         entries = slice(indptr[a], indptr[b])
-        # rank only the states this run reads
-        states, local = np.unique(dst[entries], return_inverse=True)
+        # rank only the states this run reads (return_index: a stable sort)
+        states, _, local = np.unique(dst[entries], return_index=True, return_inverse=True)
         new_lo, new_hi = _extreme_expectations(
             indptr[a:b + 1] - indptr[a], local, lower[entries], upper[entries], remaining[a:b],
             np.append(p_lo, cl_lo)[states], np.append(p_hi, cl_hi)[states], keys[states],

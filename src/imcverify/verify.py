@@ -97,21 +97,21 @@ def _extreme_expectations(indptr, dst, lower, upper, remaining, lo_values, hi_va
         # key; sorting each row by the rank of its targets is the walk order
         rank = np.empty(n_states, dtype=np.int64)
         rank[np.lexsort((keys, sign * values))] = np.arange(n_states)
-        order = np.argsort(rows * n_states + rank[dst])
+        order = np.argsort(rows * n_states + rank[dst], kind="stable")
         low, gap, value = (np.append(x[order], 0.0) for x in (lower, slack, values[dst]))
         expectation = np.empty(len(indptr) - 1)
         for block, slot in blocks:
-            gap_of = gap[slot]  # one row per column, in walk order
+            block_gap = gap[slot]  # one row per column, in walk order
             # The walk gives each successor its slack while the remaining
             # mass exceeds it, then the rest to the first successor whose
             # slack covers it, then nothing: its mass above the lower bound
             # is the remaining mass before it (a sequential running
             # difference) clipped to [0, slack]. gamma * value is then
             # summed in walk order from 0.0, as ``_check_rows`` sums rows.
-            walk = np.empty_like(gap_of)
-            walk[0], walk[1:] = remaining[block], -gap_of[:-1]
+            walk = np.empty_like(block_gap)
+            walk[0], walk[1:] = remaining[block], -block_gap[:-1]
             np.cumsum(walk, axis=0, out=walk)
-            np.clip(walk, 0.0, gap_of, out=walk)
+            np.minimum(np.maximum(walk, 0.0, out=walk), block_gap, out=walk)
             walk += low[slot]
             walk *= value[slot]
             expectation[block] = np.cumsum(walk, axis=0, out=walk)[-1] + 0.0
