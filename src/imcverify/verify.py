@@ -267,7 +267,7 @@ def read_results(path, imc: Imc, threshold: float = DEFAULT_THRESHOLD) -> Verifi
     n, dim = imc.n_states, imc.partition.domain.dim
     types = (int,) + (str,) * (2 * dim) + (float, float, str)
     state, *_, lo, hi, label = _read_columns(path, _results_header(dim), *types)
-    label = np.char.rstrip(label.astype(str))  # a line's trailing blanks are not its class
+    label = [c.rstrip() for c in label.tolist()]  # a line's trailing blanks are not its class
     in_range = (0 <= state) & (state < n)
     _, repeat = _repeats(np.where(in_range, state, -1 - np.arange(len(state))))
     _reject_first(
