@@ -46,7 +46,7 @@ from .verify import (
     classify,
     robust_value_iteration,
 )
-from .cluster import ClusterProposal, cluster_improve, select_cluster
+from .cluster import cluster_improve
 from .mc import (
     ReachAvoidRegions,
     Trajectory,

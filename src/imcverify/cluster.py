@@ -1,28 +1,23 @@
 """Refinement-free improvement of satisfaction intervals by clustering
-successor states.
-
-The containment lower bound grows with the size of the target, so merging a
-state's successors into one box target can force probability mass into the
-merged region that the per-cell bounds could not pin down. Each pass visits
-states in descending lower-bound order, recomputes the one-step extreme
-expectations against the cluster, and keeps a new value only when it is
-strictly better. The IMC itself is never rewritten; the cluster is transient
-per source state.
+successor states: merging a state's successors into one box target can force
+probability mass into the merged region that the per-cell bounds could not
+pin down. The clusters of all states come from the IMC's CSR arrays at once
+(``cluster_proposals``); ``cluster_improve`` makes one pass over the states
+with them. The IMC itself is never rewritten.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from itertools import product
+import logging
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dynamics import DynamicsModel
 from .errors import SoundnessError
-from .geometry import Box, StatePartition
-from .imc import Imc, PosteriorTable, _check_rows, cell_posteriors, pair_bounds
+from .imc import CellPosteriors, Imc, PosteriorTable, _check_rows, _row_sums, _rows_with_last
+from .imc import cell_posteriors, pair_bounds
 from .noise import NoiseCell, NoiseModel
 from .verify import (
     ReachAvoidSpec,
@@ -32,85 +27,79 @@ from .verify import (
     classify_arrays,
 )
 
-_VOL_TOL = 1e-9
+log = logging.getLogger("imcverify")
 
 
-@dataclass(frozen=True)
-class ClusterProposal:
-    """A set of successor cells of one source state whose union is a box."""
-
-    source: int
-    members: tuple[int, ...]
-    box: Box
-
-
-def _largest_block(
-    partition: StatePartition, eligible: np.ndarray
-) -> Optional[tuple[tuple[int, ...], Box]]:
-    """Largest axis-aligned block of eligible grid cells, by cell count.
-
-    The bounding box of the eligible set when they fill it, as they do on
-    every workload measured; otherwise brute force over the index ranges in
-    that box, ties breaking toward the lexicographically smallest range so
-    the result is deterministic.
-    """
-    if len(eligible) < 2:
+def _largest_block(cells: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The largest axis-aligned block of at least two of the grid cells
+    ``cells`` (multi-indices, shape (k, n)) as its start and stop index per
+    dimension, or None; ties go to the lexicographically smallest (start,
+    stop) ranges. Every block's count comes from a summed-area table (Crow,
+    SIGGRAPH 1984) over the cells' bounding box."""
+    if len(cells) < 2:
         return None
-    cells = set(zip(*(m.tolist() for m in np.unravel_index(eligible, partition.resolution))))
-    bounds = tuple(range(min(c), max(c) + 1) for c in zip(*cells))
-    if len(cells) < math.prod(map(len, bounds)):  # else the cells fill their bounding box
-        # per dimension, the index ranges within the bounding box, in (start, stop) order
-        spans = [[range(a, b + 1) for a in r for b in range(a, r.stop)] for r in bounds]
-        best: Optional[tuple[int, tuple[range, ...]]] = None
-        for combo in product(*spans):
-            count = math.prod(map(len, combo))
-            if count >= 2 and (best is None or count > best[0]):
-                if all(idx in cells for idx in product(*combo)):
-                    best = (count, combo)
-        if best is None:
-            return None
-        bounds = best[1]
-    members = np.ravel_multi_index(np.meshgrid(*bounds, indexing="ij"), partition.resolution)
-    edges = partition.edges
-    box = Box.from_bounds([(edges[d][r.start], edges[d][r.stop]) for d, r in enumerate(bounds)])
-    return tuple(sorted(members.ravel().tolist())), box
+    first = cells.min(axis=0)
+    count = np.zeros(cells.max(axis=0) - first + 2, dtype=np.int64)  # a zero slice first
+    count[tuple((cells - first + 1).T)] = 1
+    # per dimension, every range in the box as (start, stop), in lexicographic order
+    spans = [(a, b + 1) for a, b in (np.triu_indices(s - 1) for s in count.shape)]
+    for axis, (a, b) in enumerate(spans):  # prefix sums, differenced at each range's ends
+        count = np.cumsum(count, axis=axis)
+        count = count.take(b, axis=axis) - count.take(a, axis=axis)
+    size = reduce(np.multiply, np.ix_(*(b - a for a, b in spans)))
+    full = np.where(count == size, size, 0)
+    best = np.unravel_index(np.argmax(full), full.shape)  # the first of the largest
+    if full[best] < 2:
+        return None
+    return tuple(first + np.array([x[k] for x, k in zip(ends, best)]) for ends in zip(*spans))
 
 
-def select_cluster(
-    source: int, imc: Imc, hull: Box
-) -> Optional[ClusterProposal]:
-    """Choose successor cells of ``source`` to merge, given the posterior hull.
+def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
+    """The clusters of the states in the mask ``allowed``.
 
-    If the hull sits inside the domain and is tiled exactly by successor
-    cells, those cells form the cluster. Otherwise the largest axis-aligned
-    block of successor cells inside the hull is used. Fewer than two usable
-    cells yield no proposal.
+    A source's eligible cells are its stored cell targets with upper > 0
+    inside its posterior hull. When at least two fill their bounding index
+    box, that box is the cluster, or the hull if it lies in the domain and
+    their volumes, summed left to right, match its volume within 1e-9; else
+    the cluster is their ``_largest_block``. Returns the sources with a
+    cluster (ascending), the clusters' corners (shape (sources, n)), the
+    mask of the IMC entries they merge and the number of sources whose
+    eligible cells had holes.
     """
     partition = imc.partition
-    row = slice(imc.indptr[source], imc.indptr[source + 1])
-    successors = imc.dst[row][
-        (imc.dst[row] != imc.unsafe_index) & (imc.upper[row] > 0.0)
-    ]
-    if len(successors) < 2:
-        return None
-    multi = np.unravel_index(successors, partition.resolution)
-    in_hull = np.ones(len(successors), dtype=bool)
-    volume = np.ones(len(successors))
-    for d, m in enumerate(multi):
-        edges = np.asarray(partition.edges[d])
-        ival = hull.component(d)
-        in_hull &= (ival.lo <= edges[m]) & (edges[m + 1] <= ival.hi)
-        volume *= edges[m + 1] - edges[m]
-    inside = successors[in_hull]
-    if len(inside) >= 2 and partition.domain.contains(hull):
-        tiled_volume = sum(volume[in_hull].tolist())
-        if abs(tiled_volume - hull.volume) <= _VOL_TOL * max(1.0, hull.volume):
-            return ClusterProposal(source, tuple(sorted(inside.tolist())), hull)
-    block = _largest_block(partition, inside)
-    if block is None:
-        return None
-    members, box = block
-    return ClusterProposal(source, members, box)
+    edges = [np.asarray(e) for e in partition.edges]
+    row = np.repeat(np.arange(imc.n_states), np.diff(imc.indptr))
+    entry = np.flatnonzero((imc.dst != imc.unsafe_index) & (imc.upper > 0.0) & allowed[row])
+    src, multi = row[entry], np.stack(np.unravel_index(imc.dst[entry], partition.resolution), -1)
+    inside, volume = np.ones(len(entry), dtype=bool), np.ones(len(entry))
+    for d, e in enumerate(edges):
+        lo, hi = e[multi[:, d]], e[multi[:, d] + 1]
+        inside &= (posts.hull_lo[src, d] <= lo) & (hi <= posts.hull_hi[src, d])
+        volume = volume * (hi - lo)
+    entry, src, multi, volume = entry[inside], src[inside], multi[inside], volume[inside]
+    # one segment of eligible entries per source that has any
+    seg = np.flatnonzero(np.diff(src, prepend=-1))
+    sources, count = src[seg], np.diff(np.append(seg, len(entry)))
+    first = np.minimum.reduceat(multi, seg, axis=0)
+    stop = np.maximum.reduceat(multi, seg, axis=0) + 1
+    filled = count == (stop - first).prod(axis=1)
+    found, holes = filled & (count >= 2), np.flatnonzero(~filled & (count >= 2))
+    for j in holes.tolist():
+        block = _largest_block(multi[seg[j]:seg[j] + count[j]])
+        if block is not None:
+            found[j], (first[j], stop[j]) = True, block
+    of = np.repeat(np.arange(len(seg)), count)
+    members = np.zeros(len(imc.dst), dtype=bool)
+    members[entry[found[of] & ((first[of] <= multi) & (multi < stop[of])).all(axis=1)]] = True
+    lo, hi = (np.stack([e[i[:, d]] for d, e in enumerate(edges)], axis=-1) for i in (first, stop))
+    hull_lo, hull_hi = posts.hull_lo[sources], posts.hull_hi[sources]
+    hull_volume = np.prod(hull_hi - hull_lo, axis=1)  # in dimension order, as Box.volume
+    (tiled,) = _row_sums(np.append(seg, len(entry)), volume)
+    dom_lo, dom_hi = partition.domain.endpoints()
+    hull = filled & ((dom_lo <= hull_lo) & (hull_hi <= dom_hi)).all(axis=1)
+    hull &= np.abs(tiled - hull_volume) <= 1e-9 * np.maximum(1.0, hull_volume)
+    lo[hull], hi[hull] = hull_lo[hull], hull_hi[hull]
+    return sources[found], lo[found], hi[found], members, len(holes)
 
 
 def cluster_improve(
@@ -125,66 +114,64 @@ def cluster_improve(
 ) -> VerificationResult:
     """One improvement pass over all states, in descending lower-bound order.
 
-    For each state with a usable cluster, the one-step extreme expectations
-    are recomputed with the cluster replacing its members: the cluster's
-    value is the weakest member value (min of lower bounds, max of upper
-    bounds) and its transition interval comes from ``pair_bounds``, like
-    the rest of the abstraction. A new value is kept only when strictly
-    better, so no state ever gets worse. Later states in the pass see
-    earlier improvements.
-
-    Only the values change during the pass, so the posteriors, every
-    proposal, one ``pair_bounds`` call for all cluster boxes and one check
-    of all clustered rows come first; the pass then makes one kernel call
-    per run of rows, with the bits of a row-by-row pass.
-    ``pipeline.phase_improve`` runs passes until one changes nothing or the
-    configured number is reached.
+    For each state with a cluster (``cluster_proposals``), the one-step
+    extreme expectations are recomputed with the cluster replacing its
+    members: the cluster's value is the weakest member value (min of lower
+    bounds, max of upper bounds) and its transition interval comes from
+    ``pair_bounds``. A new value is kept only when strictly better, so no
+    state ever gets worse. Later states in the pass see earlier
+    improvements: one kernel call per run of rows gives the bits of a
+    row-by-row pass. The numbers of clusters, of sources with holes and of
+    runs are logged at DEBUG.
     """
-    partition = imc.partition
-    posts = cell_posteriors(partition, model, noise, posterior_table, noise_cells)
-    p_lo = result.p_lower.copy()
-    p_hi = result.p_upper.copy()
-
+    posts = cell_posteriors(imc.partition, model, noise, posterior_table, noise_cells)
+    p_lo, p_hi = result.p_lower.copy(), result.p_upper.copy()
     pinned = np.logical_or(*_goal_avoid_sets(imc, spec))
-    pinned[imc.unsafe_index] = True
+    sources, box_lo, box_hi, members, holes = cluster_proposals(imc, posts, ~pinned)
+    order = np.argsort(-p_lo[sources], kind="stable")  # ties by state
+    sources = sources[order]
+    cl_low, cl_up = pair_bounds(posts, sources, box_lo[order], box_hi[order])
 
-    order = sorted(range(partition.n_cells), key=lambda i: (-p_lo[i], i))
-    proposals = [select_cluster(i, imc, posts.hull(i)) for i in order if not pinned[i]]
-    proposals = [p for p in proposals if p is not None]
-    sources = np.array([p.source for p in proposals], dtype=np.int64)
-    boxes = np.array([p.box.endpoints() for p in proposals]).reshape(-1, 2, partition.domain.dim)
-    cl_low, cl_up = pair_bounds(posts, sources, boxes[:, 0], boxes[:, 1])
-
+    # the source rows in pass order, members included
+    n, count = imc.n_states, len(sources)
+    length = np.diff(imc.indptr)[sources]
+    offset = np.cumsum(length) - length
+    entry = np.repeat(imc.indptr[sources] - offset, length) + np.arange(length.sum())
+    row_of = np.repeat(np.arange(count), length)
+    member = members[entry]
+    member_dst = imc.dst[entry[member]]
+    member_ptr = np.searchsorted(row_of[member], np.arange(count + 1))
     # Each clustered row is the source's row without the members, then the
-    # cluster as virtual state n + j of proposal j, keyed by its first member
+    # cluster as virtual state n + j of source j, keyed by its first member
     # so that ties order as they would at that member.
-    n, count = imc.n_states, len(proposals)
-    rows = [slice(imc.indptr[s], imc.indptr[s + 1]) for s in sources.tolist()]
-    kept = [~np.isin(imc.dst[r], p.members) for r, p in zip(rows, proposals)]
-    dst, lower, upper = (
-        np.concatenate([np.append(x[r][k], c) for r, k, c in zip(rows, kept, last)] + [x[:0]])
-        for x, last in ((imc.dst, n + np.arange(count)), (imc.lower, cl_low), (imc.upper, cl_up))
+    kept = entry[~member]
+    indptr, (dst, lower, upper) = _rows_with_last(
+        length - np.diff(member_ptr),
+        [imc.dst[kept], imc.lower[kept], imc.upper[kept]],
+        [n + np.arange(count), cl_low, cl_up],
     )
-    indptr = np.cumsum([0] + [np.count_nonzero(k) + 1 for k in kept])
     # the clustered rows must stay feasible; a violation is a bug
     remaining = 1.0 - _check_rows(indptr, lower, upper, SoundnessError, sources)
 
     # A run is a maximal stretch of the pass in which no row reads (as a
     # target of its source, members included) a state an earlier row of the
-    # run writes, so its rows see the values of a row-by-row pass.
+    # run writes, so its rows see the values of a row-by-row pass: the run
+    # from row a ends at the first row whose latest earlier writer is >= a.
     step = np.full(n, -1)
     step[sources] = np.arange(count)
-    starts = []
-    for j, r in enumerate(rows):
-        writer = step[imc.dst[r]]
-        if not starts or writer[writer < j].max(initial=-1) >= starts[-1]:
-            starts.append(j)
-    members = [list(p.members) for p in proposals]
-    keys = np.array(list(range(n)) + [m[0] for m in members], dtype=np.int64)
+    writer = step[imc.dst[entry]]
+    latest = np.maximum.reduceat(np.where(writer < row_of, writer, -1), offset)
+    reader = np.full(count + 1, count)
+    np.minimum.at(reader, latest[latest >= 0], np.flatnonzero(latest >= 0))
+    run_end = np.minimum.accumulate(reader[::-1])[::-1]
+
+    keys = np.concatenate([np.arange(n), member_dst[member_ptr[:-1]]])
     cl_lo, cl_hi = np.zeros(count), np.zeros(count)
-    for a, b in zip(starts, starts[1:] + [count]):
-        cl_lo[a:b] = [p_lo[m].min() for m in members[a:b]]
-        cl_hi[a:b] = [p_hi[m].max() for m in members[a:b]]
+    a = runs = 0
+    while a < count:
+        b, runs = int(run_end[a]), runs + 1
+        m, at = member_dst[member_ptr[a]:member_ptr[b]], member_ptr[a:b] - member_ptr[a]
+        cl_lo[a:b], cl_hi[a:b] = np.minimum.reduceat(p_lo[m], at), np.maximum.reduceat(p_hi[m], at)
         entries = slice(indptr[a], indptr[b])
         # rank only the states this run reads (return_index: a stable sort)
         states, _, local = np.unique(dst[entries], return_index=True, return_inverse=True)
@@ -195,6 +182,8 @@ def cluster_improve(
         q = sources[a:b]
         p_lo[q] = np.where(new_lo > p_lo[q], np.minimum(new_lo, p_hi[q]), p_lo[q])
         p_hi[q] = np.where(new_hi < p_hi[q], np.maximum(new_hi, p_lo[q]), p_hi[q])
+        a = b
+    log.debug("cluster: %d proposals, %d reached the holes fallback, %d runs", count, holes, runs)
 
     classification = classify_arrays(p_lo, p_hi, spec.threshold)
     return VerificationResult(p_lo, p_hi, classification, result.iterations, result.converged)

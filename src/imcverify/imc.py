@@ -7,8 +7,8 @@ and ``upper`` over ``indptr[i]:indptr[i + 1]``. ``Imc.from_rows`` and the
 ``Imc.rows`` view are the only conversions to and from ``TransitionBound``.
 
 ``cell_posteriors`` computes the posteriors, hulls and candidate targets of
-every grid cell at once; the build and the cluster step call it once each
-and only slice its arrays per source.
+every grid cell at once; the build and the cluster step call it once each.
+``_rows_with_last`` assembles the CSR rows of both.
 
 A transition bound depends only on the source's posterior and the target
 box, so one kernel, ``pair_bounds``, maps arrays of (source, target box)
@@ -279,9 +279,6 @@ class CellPosteriors(NamedTuple):
     first: Optional[np.ndarray] = None
     last: Optional[np.ndarray] = None
 
-    def hull(self, i: int) -> Box:
-        return Box.from_bounds(zip(self.hull_lo[i], self.hull_hi[i]))
-
 
 def cell_posteriors(
     partition: StatePartition,
@@ -400,7 +397,9 @@ def build_imc(
     # pair offset of each source's candidate block in the concatenated pairs
     starts = np.concatenate([[0], np.cumsum(sizes.prod(axis=1))])
 
-    src, dst, lower, upper = [], [], [], []
+    # blocks cut the pairs in source order, so the kept entries come grouped by source
+    counts = np.zeros(partition.n_states, dtype=np.int64)
+    dst, lower, upper = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
     for a in range(0, int(starts[-1]), _BLOCK_PAIRS):
         pair = np.arange(a, min(a + _BLOCK_PAIRS, int(starts[-1])))
         s = np.searchsorted(starts, pair, side="right") - 1
@@ -413,26 +412,29 @@ def build_imc(
         t_hi = np.stack([e[m + 1] for e, m in zip(edges, multi)], axis=-1)
         low, up = pair_bounds(posts, s, t_lo, t_hi)
         keep = up > 0.0
-        src.append(s[keep])
+        counts += np.bincount(s[keep], minlength=partition.n_states)
         dst.append(np.ravel_multi_index(multi, partition.resolution)[keep])
         lower.append(low[keep])
         upper.append(up[keep])
     dom_lo, dom_hi = (np.tile(e, (len(cells), 1)) for e in partition.domain.endpoints())
     low_x, up_x = pair_bounds(posts, cells, dom_lo, dom_hi)
     low_u, up_u = _clamped(1.0 - up_x, 1.0 - low_x)
-    # the unsafe column, then the unsafe state's certain self-loop
-    src += [cells, np.array([unsafe])]
-    dst += [np.full(len(cells), unsafe), np.array([unsafe])]
-    lower += [low_u, np.ones(1)]
-    upper += [up_u, np.ones(1)]
-
-    src = np.concatenate(src)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=partition.n_states))])
-    # stable: each row keeps its targets in row-major order, the unsafe column last
-    order = np.argsort(src, kind="stable")
-    imc = Imc(partition, indptr, *(np.concatenate(x)[order] for x in (dst, lower, upper)), labels)
+    # each row ends with the unsafe column; the unsafe state has only its certain self-loop
+    last = [np.full(partition.n_states, unsafe), np.append(low_u, 1.0), np.append(up_u, 1.0)]
+    indptr, rows = _rows_with_last(counts, map(np.concatenate, (dst, lower, upper)), last)
+    del dst, lower, upper  # the parts, before the row check
+    imc = Imc(partition, indptr, *rows, labels)
     _check_rows(imc.indptr, imc.lower, imc.upper)
     return imc
+
+
+def _rows_with_last(counts, entries, last) -> tuple[np.ndarray, list[np.ndarray]]:
+    """CSR rows in which row r holds the next ``counts[r]`` of ``entries``
+    (taken in row order), then ``last[r]``: ``indptr`` and one array per pair
+    of arrays in ``entries`` and ``last``."""
+    ends = np.cumsum(counts)
+    indptr = np.concatenate([[0], ends + np.arange(1, len(ends) + 1)])
+    return indptr, [np.insert(x, ends, y) for x, y in zip(entries, last)]
 
 
 def _row_blocks(indptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -449,19 +451,25 @@ def _row_blocks(indptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
+def _row_sums(indptr, *arrays) -> list[np.ndarray]:
+    """Row sums of each array, left to right from 0.0 as a Python loop adds
+    (``np.add.reduceat`` adds pairwise): np.cumsum runs down each row's column
+    of its block, the padding adds 0 and + 0.0 only turns -0.0 into 0.0."""
+    blocks, sums = _row_blocks(indptr), []
+    for x in arrays:
+        total, x = np.zeros(len(indptr) - 1), np.append(x, 0.0)
+        for rows, slot in blocks:
+            block = x[slot]
+            total[rows] = np.cumsum(block, axis=0, out=block)[-1] + 0.0
+        sums.append(total)
+    return sums
+
+
 def _check_rows(indptr, lower, upper, error: type = SoundnessError, states=None) -> np.ndarray:
     """Raise ``error`` at the first row with sum(lower) > 1 or sum(upper) < 1
     (up to a 1e-9 tolerance), naming its state (``states[row]``, or the row
-    index); return the row sums of ``lower``.
-
-    Rows are summed left to right from 0.0 as a Python loop would (not
-    pairwise like ``np.add.reduceat``): np.cumsum runs down each row's column
-    of its block, the padding adds 0 and + 0.0 only turns -0.0 into 0.0."""
-    blocks = _row_blocks(indptr)
-    total_lower, total_upper = np.zeros(len(indptr) - 1), np.zeros(len(indptr) - 1)
-    for total, x in ((total_lower, np.append(lower, 0.0)), (total_upper, np.append(upper, 0.0))):
-        for rows, slot in blocks:
-            total[rows] = np.cumsum(x[slot], axis=0)[-1] + 0.0
+    index); return the row sums of ``lower`` (``_row_sums``)."""
+    total_lower, total_upper = _row_sums(indptr, lower, upper)
     bad = np.flatnonzero((total_lower > 1.0 + _ROW_TOL) | (total_upper < 1.0 - _ROW_TOL))
     if len(bad):
         row = int(bad[0])

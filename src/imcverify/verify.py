@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, InvalidModelError, SpecificationError
-from .imc import Imc, TransitionBound, UNSAFE_LABEL, _check_rows, _read_columns, _reject_first
-from .imc import _repeats, _row_blocks
+from .imc import _ROW_TOL, Imc, TransitionBound, UNSAFE_LABEL, _check_rows, _read_columns
+from .imc import _reject_first, _repeats, _row_blocks
 
 log = logging.getLogger("imcverify")
 
@@ -260,8 +260,8 @@ def read_results(path, imc: Imc, threshold: float = DEFAULT_THRESHOLD) -> Verifi
     iteration metadata is not persisted.
 
     Every state must appear once, with a known class and p_lower <= p_upper
-    (value iteration may leave p_upper a few ulps above 1); anything else
-    is an InputError naming ``path:line``. The stored classes are only
+    in [0, 1] (value iteration may leave p_upper a few ulps above 1); anything
+    else is an InputError naming ``path:line``. The stored classes are only
     checked: a reload under another threshold reclassifies every state.
     """
     n, dim = imc.n_states, imc.partition.domain.dim
@@ -276,6 +276,8 @@ def read_results(path, imc: Imc, threshold: float = DEFAULT_THRESHOLD) -> Verifi
         (repeat, lambda k: f"duplicate state {state[k]}"),
         (~np.isin(label, _CLASSES), lambda k: f"unknown class {label[k]!r}"),
         (~(lo <= hi), lambda k: f"requires p_lower <= p_upper, got [{lo[k]}, {hi[k]}]"),
+        (~((0.0 <= lo) & (hi <= 1.0 + _ROW_TOL)),
+         lambda k: f"requires 0 <= p_lower and p_upper <= 1, got [{lo[k]}, {hi[k]}]"),
     )
     missing = np.setdiff1d(np.arange(n), state)
     if len(missing):

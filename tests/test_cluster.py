@@ -1,13 +1,14 @@
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from imcverify.cluster import _largest_block, cluster_improve, select_cluster
+from imcverify.cluster import _largest_block, cluster_improve, cluster_proposals
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box, partition_domain
 from imcverify.imc import TransitionBound, build_imc, cell_posteriors, pair_bounds
-from imcverify.noise import NoiseModel, Uniform
+from imcverify.noise import Mixture, NoiseModel, Uniform
 from imcverify.verify import (
     ReachAvoidSpec,
     VerificationResult,
@@ -41,6 +42,19 @@ def planted_result(p_lower, p_upper, threshold=0.9):
     )
 
 
+def select_cluster(source, imc, posts):
+    """The cluster ``cluster_proposals`` gives ``source`` alone, with its
+    ``members`` and ``box``, or None."""
+    allowed = np.zeros(imc.n_states, dtype=bool)
+    allowed[source] = True
+    sources, lo, hi, members, _ = cluster_proposals(imc, posts, allowed)
+    if not len(sources):
+        return None
+    return SimpleNamespace(
+        members=tuple(imc.dst[members].tolist()), box=Box.from_bounds(zip(lo[0], hi[0]))
+    )
+
+
 class TestSelectCluster:
     def test_hull_spanning_cells_exactly(self):
         part = partition_domain(Box.from_bounds([[0, 6]]), (6,))
@@ -48,17 +62,28 @@ class TestSelectCluster:
         noise = NoiseModel((Uniform(-1.0, 1.0),))
         imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[5, 6]])]})
         # from cell [0,1]: hull = [1, 4], tiled exactly by cells 1..3
-        hull = cell_posteriors(part, model, noise).hull(0)
-        prop = select_cluster(0, imc, hull)
+        prop = select_cluster(0, imc, cell_posteriors(part, model, noise))
         assert prop is not None
         assert prop.members == (1, 2, 3)
         assert prop.box == Box.from_bounds([[1, 4]])
 
+    def test_hull_tiled_within_tolerance_is_the_box(self):
+        part = partition_domain(Box.from_bounds([[0, 6]]), (6,))
+        model = parse_dynamics(["x1 + 2 + w1"], 1, "additive")
+        noise = NoiseModel((Uniform(-1.0 - 1e-12, 1.0 + 1e-12),))
+        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[5, 6]])]})
+        # from cell [0,1]: hull ~ [1 - 1e-12, 4 + 1e-12], tiled by cells 1..3 up to 1e-9
+        posts = cell_posteriors(part, model, noise)
+        hull = Box.from_bounds(zip(posts.hull_lo[0], posts.hull_hi[0]))
+        assert hull != Box.from_bounds([[1, 4]]) and hull.contains(Box.from_bounds([[1, 4]]))
+        prop = select_cluster(0, imc, posts)
+        assert prop.members == (1, 2, 3)
+        assert prop.box == hull
+
     def test_hull_exiting_domain_falls_back_to_block(self):
         part, model, noise, imc = shifted_identity_setup()
         # from cell [2,3]: hull = [2.75, 6.25] exits X; block = cells {3, 4}
-        hull = cell_posteriors(part, model, noise).hull(2)
-        prop = select_cluster(2, imc, hull)
+        prop = select_cluster(2, imc, cell_posteriors(part, model, noise))
         assert prop is not None
         assert prop.members == (3, 4)
         assert prop.box == Box.from_bounds([[3, 5]])
@@ -68,8 +93,7 @@ class TestSelectCluster:
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.05, 0.05),))
         imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[1, 2]])]})
-        hull = cell_posteriors(part, model, noise).hull(0)
-        assert select_cluster(0, imc, hull) is None
+        assert select_cluster(0, imc, cell_posteriors(part, model, noise)) is None
 
     def test_2d_block(self):
         part = partition_domain(Box.from_bounds([[0, 4], [0, 4]]), (4, 4))
@@ -79,8 +103,7 @@ class TestSelectCluster:
             part, model, noise, {"goal": [Box.from_bounds([[3, 4], [3, 4]])]}
         )
         q_idx = part.flat_index((1, 1))  # cell [1,2]x[1,2], hull [1,4]^2
-        hull = cell_posteriors(part, model, noise).hull(q_idx)
-        prop = select_cluster(q_idx, imc, hull)
+        prop = select_cluster(q_idx, imc, cell_posteriors(part, model, noise))
         assert prop is not None
         assert prop.box == Box.from_bounds([[1, 4], [1, 4]])
         assert len(prop.members) == 9
@@ -99,19 +122,54 @@ def largest_block_reference(partition, eligible):
     return None
 
 
+def select_cluster_reference(source, imc, posts):
+    """Per-source reference selection, with ``members`` and ``box``: the
+    eligible successors inside the hull; the hull itself when it lies in
+    the domain and they tile it, else ``largest_block_reference``."""
+    partition = imc.partition
+    hull = Box.from_bounds(zip(posts.hull_lo[source], posts.hull_hi[source]))
+    row = slice(imc.indptr[source], imc.indptr[source + 1])
+    successors = imc.dst[row][(imc.dst[row] != imc.unsafe_index) & (imc.upper[row] > 0.0)]
+    multi = np.unravel_index(successors, partition.resolution)
+    in_hull = np.ones(len(successors), dtype=bool)
+    volume = np.ones(len(successors))
+    for d, m in enumerate(multi):
+        edges = np.asarray(partition.edges[d])
+        ival = hull.component(d)
+        in_hull &= (ival.lo <= edges[m]) & (edges[m + 1] <= ival.hi)
+        volume *= edges[m + 1] - edges[m]
+    inside = successors[in_hull]
+    if len(inside) >= 2 and partition.domain.contains(hull):
+        if abs(sum(volume[in_hull].tolist()) - hull.volume) <= 1e-9 * max(1.0, hull.volume):
+            return SimpleNamespace(members=tuple(sorted(inside.tolist())), box=hull)
+    members = largest_block_reference(partition, inside)
+    if members is None:
+        return None
+    multi = np.unravel_index(members, partition.resolution)
+    edges = partition.edges
+    box = Box.from_bounds([(edges[d][m.min()], edges[d][m.max() + 1]) for d, m in enumerate(multi)])
+    return SimpleNamespace(members=members, box=box)
+
+
 def test_largest_block_matches_reference():
     rng = np.random.default_rng(11)
     for _ in range(300):
         resolution = tuple(int(r) for r in rng.integers(1, 6, int(rng.integers(1, 4))))
         part = partition_domain(Box.from_bounds([[0, r] for r in resolution]), resolution)
         eligible = rng.choice(part.n_cells, int(rng.integers(0, part.n_cells + 1)), replace=False)
-        block = _largest_block(part, eligible)
+        block = _largest_block(np.stack(np.unravel_index(eligible, resolution), axis=-1))
         expected = largest_block_reference(part, eligible)
-        assert (block and block[0]) == expected
+        members = block and tuple(sorted(
+            part.flat_index(m) for m in product(*(range(a, b) for a, b in zip(*block)))
+        ))
+        assert members == expected
         if block is not None:
             edges = part.edges
-            multi = [np.unravel_index(block[0], resolution)[d] for d in range(len(resolution))]
-            assert block[1] == Box.from_bounds(
+            multi = [np.unravel_index(members, resolution)[d] for d in range(len(resolution))]
+            box = Box.from_bounds(
+                [(edges[d][a], edges[d][b]) for d, (a, b) in enumerate(zip(*block))]
+            )
+            assert box == Box.from_bounds(
                 [(edges[d][m.min()], edges[d][m.max() + 1]) for d, m in enumerate(multi)]
             )
 
@@ -195,7 +253,7 @@ def one_row_at_a_time(imc, model, noise, result, spec):
     for q in sorted(range(imc.partition.n_cells), key=lambda i: (-p_lo[i], i)):
         if labels[q] & ({spec.goal_label} | spec.avoid_labels):
             continue
-        prop = select_cluster(q, imc, posts.hull(q))
+        prop = select_cluster_reference(q, imc, posts)
         if prop is None:
             continue
         members = list(prop.members)
@@ -234,5 +292,38 @@ def test_pass_matches_one_row_at_a_time():
     out = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
     ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res, ReachAvoidSpec())
     assert chained > 10
+    assert np.array_equal(out.p_lower, ref_lo)
+    assert np.array_equal(out.p_upper, ref_hi)
+
+
+def test_holes_fallback_through_the_pass(caplog):
+    """A bimodal noise whose gap holds the source's own cell (cell width
+    plus posterior width 2/24 < 0.1): eligible sets have holes, the pass
+    picks the reference blocks and keeps the bits of the one-row walk."""
+    part = partition_domain(Box.from_bounds([[0, 1], [0, 1]]), (24, 3))
+    model = parse_dynamics(["x1 + w1", "x2 + w2"], 2, "additive")
+    gap = Mixture((0.5, 0.5), (Uniform(-0.15, -0.05), Uniform(0.05, 0.15)))
+    noise = NoiseModel((gap, Uniform(-0.35, 0.35)))
+    imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[0, 0.25], [0, 1]])]})
+    posts = cell_posteriors(part, model, noise)
+    sources = [q for q in range(part.n_cells) if "goal" not in imc.labels[q]]
+    allowed = np.zeros(imc.n_states, dtype=bool)
+    allowed[sources] = True
+    holes = cluster_proposals(imc, posts, allowed)[-1]
+    assert holes > len(sources) // 2
+    for q in sources:
+        prop, ref = select_cluster(q, imc, posts), select_cluster_reference(q, imc, posts)
+        assert (prop and (prop.members, prop.box)) == (ref and (ref.members, ref.box))
+
+    rng = np.random.default_rng(5)
+    p_lower = rng.uniform(0.0, 0.9, imc.n_states)
+    p_upper = np.minimum(1.0, p_lower + rng.uniform(0.0, 0.5, imc.n_states))
+    p_lower[part.n_cells] = p_upper[part.n_cells] = 0.0
+    res = planted_result(p_lower, p_upper)
+    with caplog.at_level("DEBUG", logger="imcverify"):
+        out = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
+    assert f"{holes} reached the holes fallback" in caplog.text
+    ref_lo, ref_hi, _ = one_row_at_a_time(imc, model, noise, res, ReachAvoidSpec())
+    assert np.any(out.p_lower != res.p_lower)
     assert np.array_equal(out.p_lower, ref_lo)
     assert np.array_equal(out.p_upper, ref_hi)

@@ -392,11 +392,18 @@ class TestReadResults:
              ":3: unknown class"),
             (lambda lines: lines[:1] + ["0,0.0,1.0,0.6,0.5,undetermined"] + lines[2:],
              ":2: requires p_lower <= p_upper"),
+            (lambda lines: lines[:1] + ["0,0.0,1.0,-0.5,0.5,undetermined"] + lines[2:],
+             ":2: requires 0 <= p_lower and p_upper <= 1"),
+            (lambda lines: lines[:1] + ["0,0.0,1.0,0.5,7.0,undetermined"] + lines[2:],
+             ":2: requires 0 <= p_lower and p_upper <= 1"),
+            (lambda lines: lines[:1] + ["0,0.0,1.0,0.5,inf,undetermined"] + lines[2:],
+             ":2: requires 0 <= p_lower and p_upper <= 1"),
             (lambda lines: lines[:1] + [lines[1] + ",x"] + lines[2:], ":2: expected 6"),
             (lambda lines: ["state,p_lower,p_upper,class"] + lines[1:], "header"),
             (lambda lines: lines[:3], "missing states [2]"),
         ],
-        ids=["state-range", "duplicate", "class", "order", "fields", "header", "missing"],
+        ids=["state-range", "duplicate", "class", "order", "negative", "above-one", "inf",
+             "fields", "header", "missing"],
     )
     def test_malformed_table_rejected(self, tmp_path, edit, where):
         imc, _, path = self._export(tmp_path)
