@@ -35,8 +35,14 @@ _PHASES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error: exit code 1, not 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="imcverify",
         description=(
             "Sound interval Markov chain abstraction and reach-avoid "
@@ -70,6 +76,8 @@ def main(argv=None) -> int:
         if args.output_dir is not None:
             config.output_dir = Path(args.output_dir)
         if args.seed is not None:
+            if args.seed < 0:
+                raise InputError(f"--seed: must be an integer >= 0, got {args.seed}")
             config.monte_carlo.seed = args.seed
         summary = run_pipeline(config, phases=_PHASES[args.command])
     except SoundnessError as exc:

@@ -67,12 +67,11 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     eligible cells had holes.
     """
     partition = imc.partition
-    edges = [np.asarray(e) for e in partition.edges]
     row = np.repeat(np.arange(imc.n_states), np.diff(imc.indptr))
     entry = np.flatnonzero((imc.dst != imc.unsafe_index) & (imc.upper > 0.0) & allowed[row])
     src, multi = row[entry], np.stack(np.unravel_index(imc.dst[entry], partition.resolution), -1)
     inside, volume = np.ones(len(entry), dtype=bool), np.ones(len(entry))
-    for d, e in enumerate(edges):
+    for d, e in enumerate(partition.edges):
         lo, hi = e[multi[:, d]], e[multi[:, d] + 1]
         inside &= (posts.hull_lo[src, d] <= lo) & (hi <= posts.hull_hi[src, d])
         volume = volume * (hi - lo)
@@ -91,7 +90,9 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     of = np.repeat(np.arange(len(seg)), count)
     members = np.zeros(len(imc.dst), dtype=bool)
     members[entry[found[of] & ((first[of] <= multi) & (multi < stop[of])).all(axis=1)]] = True
-    lo, hi = (np.stack([e[i[:, d]] for d, e in enumerate(edges)], axis=-1) for i in (first, stop))
+    # the block runs from the lower corner of its first cell to the upper corner of its last
+    lo = partition.corners(np.ravel_multi_index(first.T, partition.resolution))[0]
+    hi = partition.corners(np.ravel_multi_index((stop - 1).T, partition.resolution))[1]
     hull_lo, hull_hi = posts.hull_lo[sources], posts.hull_hi[sources]
     hull_volume = np.prod(hull_hi - hull_lo, axis=1)  # in dimension order, as Box.volume
     (tiled,) = _row_sums(np.append(seg, len(entry)), volume)

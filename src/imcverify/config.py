@@ -66,11 +66,10 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _integer(raw: dict, key: str, default: int, path: str, minimum: Optional[int] = None) -> int:
+def _integer(raw: dict, key: str, default: int, path: str, minimum: int) -> int:
     value = raw.get(key, default)
-    if not _is_int(value) or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        _fail(f"{path}.{key}", f"must be an integer{bound}, got {value!r}")
+    if not _is_int(value) or value < minimum:
+        _fail(f"{path}.{key}", f"must be an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -257,7 +256,7 @@ def load_config(path) -> RunConfig:
     _known_keys(mc_raw, tuple(f.name for f in fields(MonteCarloConfig)), "monte_carlo")
     mc = MonteCarloConfig(
         trajectories=_integer(mc_raw, "trajectories", 1000, "monte_carlo", 1),
-        seed=_integer(mc_raw, "seed", 0, "monte_carlo"),
+        seed=_integer(mc_raw, "seed", 0, "monte_carlo", 0),
         confidence=mc_raw.get("confidence", 0.99),
         horizon=_integer(mc_raw, "horizon", 200, "monte_carlo", 1),
         cells=mc_raw.get("cells", "stride"),

@@ -8,7 +8,6 @@ inclusion, which keeps the transition upper/lower bounds conservative.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -125,45 +124,61 @@ def _check_dims(a: Box, b: Box) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatePartition:
-    """Partition of a safe domain into cells, plus the implicit unsafe state.
+    """Uniform grid partition of a safe domain, plus the implicit unsafe state.
 
-    Cells tile the domain; any two distinct cells overlap only on their
-    boundaries. The extra unsafe state (everything outside the domain) has
-    index ``len(cells)``. The partition is a uniform grid: ``edges[d]`` holds
-    the ``resolution[d] + 1`` cell boundaries of dimension d, and the cells
-    are listed row-major over them, so cell lookups stay O(log resolution).
+    ``edges[d]`` holds the ``resolution[d] + 1`` cell boundaries of
+    dimension d as a read-only float array; the cells are listed row-major
+    over them (the last dimension varies fastest), so they tile the domain
+    and cell lookups stay O(log resolution). The extra unsafe state
+    (everything outside the domain) has index ``n_cells``. ``corners`` maps
+    cell indices to coordinates; ``cell`` gives one cell as a ``Box``.
     """
 
     domain: Box
-    cells: tuple[Box, ...]
     resolution: tuple[int, ...]
-    edges: tuple[tuple[float, ...], ...]
+    edges: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.cells:
-            raise ValueError("partition requires at least one cell")
-        for cell in self.cells:
-            if cell.dim != self.domain.dim:
-                raise ValueError("cell dimension differs from domain dimension")
-            if not self.domain.contains(cell):
-                raise ValueError(f"cell {cell} not contained in domain {self.domain}")
-        total = sum(c.volume for c in self.cells)
-        if abs(total - self.domain.volume) > 1e-9 * max(1.0, abs(self.domain.volume)):
-            raise ValueError("cells do not tile the domain (volume mismatch)")
+        # O(sum of resolution): each dimension's edges rise strictly from
+        # the domain's lower to its upper end
+        resolution = tuple(int(r) for r in self.resolution)
+        edges = tuple(np.array(e, dtype=float) for e in self.edges)
+        dims = len(edges) == len(resolution) == self.domain.dim
+        if resolution != tuple(self.resolution) or not dims:
+            raise ValueError(f"resolution {self.resolution} needs an integer per dimension")
+        for d, (e, r, ival) in enumerate(zip(edges, resolution, self.domain.intervals)):
+            shape = r >= 1 and e.shape == (r + 1,)
+            if not (shape and e[0] == ival.lo and e[-1] == ival.hi and (e[:-1] < e[1:]).all()):
+                raise ValueError(f"edges[{d}] must rise strictly from {ival.lo} to {ival.hi}")
+            e.flags.writeable = False
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return math.prod(self.resolution)
 
     @property
     def unsafe_index(self) -> int:
-        return len(self.cells)
+        return self.n_cells
 
     @property
     def n_states(self) -> int:
-        return len(self.cells) + 1
+        return self.n_cells + 1
+
+    def corners(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """The lower and the upper corners of the cells with flat indices
+        ``index``, as two arrays of shape ``(*np.shape(index), dim)``."""
+        multi = np.unravel_index(index, self.resolution)
+        return tuple(
+            np.stack([e[m + k] for e, m in zip(self.edges, multi)], axis=-1) for k in (0, 1)
+        )
+
+    def cell(self, i: int) -> Box:
+        """Cell ``i`` as a ``Box``, for the one-box API."""
+        return Box.from_bounds(zip(*(c.tolist() for c in self.corners(i))))
 
     def flat_index(self, multi: Sequence[int]) -> int:
         idx = 0
@@ -179,11 +194,8 @@ class StatePartition:
         """
         if not self.domain.contains_point(x):
             return None
-        multi = []
-        for d, t in enumerate(x):
-            i = int(np.searchsorted(self.edges[d], float(t), side="right")) - 1
-            multi.append(min(max(i, 0), self.resolution[d] - 1))
-        return self.flat_index(multi)
+        multi = (int(np.searchsorted(e, t, side="right")) - 1 for e, t in zip(self.edges, x))
+        return self.flat_index([min(i, r - 1) for i, r in zip(multi, self.resolution)])
 
 
 def partition_domain(domain: Box, resolution: Sequence[int]) -> StatePartition:
@@ -194,24 +206,8 @@ def partition_domain(domain: Box, resolution: Sequence[int]) -> StatePartition:
     Adjacent cells share the exact same edge coordinate, which makes the
     tiling exact in floating point.
     """
-    if len(resolution) != domain.dim:
-        raise ValueError(
-            f"resolution length {len(resolution)} != domain dimension {domain.dim}"
-        )
-    for d, (r, ival) in enumerate(zip(resolution, domain.intervals)):
-        if int(r) != r or int(r) < 1:
-            raise ValueError(f"resolution[{d}] must be a positive integer, got {r}")
-        if not ival.is_bounded() or ival.width <= 0.0:
-            raise ValueError(f"domain component {d} is degenerate: {ival}")
-    resolution = tuple(int(r) for r in resolution)
-    edges = tuple(
-        tuple(np.linspace(ival.lo, ival.hi, r + 1))
-        for ival, r in zip(domain.intervals, resolution)
-    )
-    cells = tuple(
-        Box(tuple(Interval(edges[d][i], edges[d][i + 1]) for d, i in enumerate(multi)))
-        for multi in itertools.product(*(range(r) for r in resolution))
-    )
-    return StatePartition(
-        domain=domain, cells=cells, resolution=resolution, edges=edges
-    )
+    if not all(ival.is_bounded() for ival in domain.intervals):
+        raise ValueError(f"domain {domain} must be bounded")
+    ivals = zip(domain.intervals, resolution)
+    edges = (np.linspace(ival.lo, ival.hi, int(r) + 1) for ival, r in ivals)
+    return StatePartition(domain, tuple(resolution), tuple(edges))

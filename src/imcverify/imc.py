@@ -8,7 +8,7 @@ and ``upper`` over ``indptr[i]:indptr[i + 1]``. ``Imc.from_rows`` and the
 
 ``cell_posteriors`` computes the posteriors, hulls and candidate targets of
 every grid cell at once; the build and the cluster step call it once each.
-``_rows_with_last`` assembles the CSR rows of both.
+``_rows_with_last`` assembles the cluster step's CSR rows.
 
 A transition bound depends only on the source's posterior and the target
 box, so one kernel, ``pair_bounds``, maps arrays of (source, target box)
@@ -39,7 +39,7 @@ from .dynamics import (
     posterior_f,
 )
 from .errors import InputError, SoundnessError
-from .geometry import Box, Interval, StatePartition
+from .geometry import Box, StatePartition
 from .noise import (
     NoiseCell,
     NoiseModel,
@@ -121,20 +121,17 @@ class Imc:
         return self.partition.unsafe_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorTable:
-    """Externally supplied noise-free posterior intervals per abstract state.
+    """Externally supplied noise-free posterior intervals per abstract state:
+    row i of ``lo``/``hi`` (shape (cells, n)) encloses g(q) of cell i.
 
     This is the ingestion point for data-driven systems whose noise-free map
     is known only through learned interval enclosures.
     """
 
-    boxes: Mapping[int, Box]
-
-    def postf(self, state: int) -> Box:
-        if state not in self.boxes:
-            raise InputError(f"posterior table has no entry for state {state}")
-        return self.boxes[state]
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 # --- bound kernel -------------------------------------------------------------
@@ -288,14 +285,12 @@ def cell_posteriors(
     noise_cells: Optional[Sequence[NoiseCell]] = None,
 ) -> CellPosteriors:
     """Posteriors, hulls and candidate ranges of every cell from the grid edges:
-    one interval evaluation over all cells, or the posterior table converted once."""
+    one interval evaluation over all cells, or the posterior table's arrays as they are."""
     if model.structure == GENERAL and noise_cells is None:
         raise ValueError("general structure requires noise_cells from uniform_noise_grid")
     if posterior_table is not None and model.structure == GENERAL:
         raise ValueError("posterior tables require an additive or multiplicative structure")
-    edges = [np.asarray(e) for e in partition.edges]
-    multi = np.unravel_index(np.arange(partition.n_cells), partition.resolution)
-    x = tuple(np.stack([e[m + k] for e, m in zip(edges, multi)], axis=-1) for k in (0, 1))
+    x = partition.corners(np.arange(partition.n_cells))
     support = noise.support_box().endpoints()
     if model.structure == GENERAL:
         lo, hi, weights = _general_posteriors(model, x, noise_cells)
@@ -305,11 +300,12 @@ def cell_posteriors(
         if posterior_table is None:
             lo, hi = enclosure(model.g_components, x)
         else:
-            table = [posterior_table.postf(i).endpoints() for i in range(partition.n_cells)]
-            lo, hi = np.array(table).transpose(1, 0, 2)
+            lo, hi = (np.asarray(a, dtype=float) for a in (posterior_table.lo, posterior_table.hi))
+            if not lo.shape == hi.shape == x[0].shape or not (lo <= hi).all():
+                raise InputError(f"posterior table needs lo <= hi, both of shape {x[0].shape}")
         hull = combine_posterior(model.structure, (lo, hi), support)
     first, last = [], []
-    for d, (e, r) in enumerate(zip(edges, partition.resolution)):
+    for d, (e, r) in enumerate(zip(partition.edges, partition.resolution)):
         width = (e[-1] - e[0]) / r
         first.append(np.maximum(np.searchsorted(e, hull[0][:, d] - width, side="right") - 1, 0))
         last.append(np.minimum(np.searchsorted(e, hull[1][:, d] + width, side="left"), r))
@@ -391,39 +387,41 @@ def build_imc(
     """
     posts = cell_posteriors(partition, model, noise, posterior_table, noise_cells)
     labels = assign_labels(partition, label_boxes)
-    edges = [np.asarray(e) for e in partition.edges]
     cells, unsafe = np.arange(partition.n_cells), partition.unsafe_index
     sizes = posts.last - posts.first
     # pair offset of each source's candidate block in the concatenated pairs
     starts = np.concatenate([[0], np.cumsum(sizes.prod(axis=1))])
 
-    # blocks cut the pairs in source order, so the kept entries come grouped by source
+    # Row r holds the kept pairs of source r, then its unsafe column. The
+    # blocks cut the pairs in source order, so kept entry k of source s goes
+    # to slot k + s. The columns have room for every pair; the pages past
+    # the kept entries are never touched.
+    room = int(starts[-1]) + partition.n_states
+    dst, lower, upper = np.empty(room, dtype=np.int64), np.empty(room), np.empty(room)
     counts = np.zeros(partition.n_states, dtype=np.int64)
-    dst, lower, upper = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
     for a in range(0, int(starts[-1]), _BLOCK_PAIRS):
         pair = np.arange(a, min(a + _BLOCK_PAIRS, int(starts[-1])))
         s = np.searchsorted(starts, pair, side="right") - 1
         # the pair's target: its row-major position in the block, unravelled
-        rest, multi = pair - starts[s], [None] * len(edges)
-        for d in reversed(range(len(edges))):
+        rest, multi = pair - starts[s], [None] * len(partition.resolution)
+        for d in reversed(range(len(multi))):
             rest, m = np.divmod(rest, sizes[s, d])
             multi[d] = posts.first[s, d] + m
-        t_lo = np.stack([e[m] for e, m in zip(edges, multi)], axis=-1)
-        t_hi = np.stack([e[m + 1] for e, m in zip(edges, multi)], axis=-1)
-        low, up = pair_bounds(posts, s, t_lo, t_hi)
-        keep = up > 0.0
+        target = np.ravel_multi_index(multi, partition.resolution)
+        low, up = pair_bounds(posts, s, *partition.corners(target))
+        keep = np.flatnonzero(up > 0.0)
+        slot = counts.sum() + np.arange(len(keep)) + s[keep]
+        dst[slot], lower[slot], upper[slot] = target[keep], low[keep], up[keep]
         counts += np.bincount(s[keep], minlength=partition.n_states)
-        dst.append(np.ravel_multi_index(multi, partition.resolution)[keep])
-        lower.append(low[keep])
-        upper.append(up[keep])
     dom_lo, dom_hi = (np.tile(e, (len(cells), 1)) for e in partition.domain.endpoints())
     low_x, up_x = pair_bounds(posts, cells, dom_lo, dom_hi)
     low_u, up_u = _clamped(1.0 - up_x, 1.0 - low_x)
+    indptr = np.concatenate([[0], np.cumsum(counts + 1)])
     # each row ends with the unsafe column; the unsafe state has only its certain self-loop
-    last = [np.full(partition.n_states, unsafe), np.append(low_u, 1.0), np.append(up_u, 1.0)]
-    indptr, rows = _rows_with_last(counts, map(np.concatenate, (dst, lower, upper)), last)
-    del dst, lower, upper  # the parts, before the row check
-    imc = Imc(partition, indptr, *rows, labels)
+    last = indptr[1:] - 1
+    dst[last], lower[last], upper[last] = unsafe, np.append(low_u, 1.0), np.append(up_u, 1.0)
+    n = int(indptr[-1])
+    imc = Imc(partition, indptr, dst[:n], lower[:n], upper[:n], labels)
     _check_rows(imc.indptr, imc.lower, imc.upper)
     return imc
 
@@ -590,26 +588,27 @@ def read_imc(bounds_path, labels_path, partition: StatePartition) -> Imc:
 def write_posterior_table(table: PosteriorTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("state,component,lo,hi\n")
-        for state in sorted(table.boxes):
-            box = table.boxes[state]
-            for d in range(box.dim):
-                ival = box.component(d)
-                fh.write(f"{state},{d},{ival.lo!r},{ival.hi!r}\n")
+        for state, (lo, hi) in enumerate(zip(table.lo.tolist(), table.hi.tolist())):
+            fh.writelines(f"{state},{d},{a!r},{b!r}\n" for d, (a, b) in enumerate(zip(lo, hi)))
 
 
 def read_posterior_table(path, n_states: int, dim: int) -> PosteriorTable:
-    """Load a posterior table; every state in [0, n_states) must be complete."""
+    """Load a posterior table: one finite interval per state in [0, n_states)
+    and component in [0, dim), each given once; anything else is an
+    InputError naming ``path:line``, or ``path`` for a missing state."""
     state, comp, lo, hi = _read_columns(path, "state,component,lo,hi", int, int, float, float)
+    in_range = (0 <= state) & (state < n_states) & (0 <= comp) & (comp < dim)
+    _, repeat = _repeats(np.where(in_range, state * dim + comp, -1 - np.arange(len(state))))
     _reject_first(
         path,
+        (~((0 <= state) & (state < n_states)), "state index out of range"),
         (~((0 <= comp) & (comp < dim)), "component index out of range"),
-        (~(lo <= hi), "empty or invalid interval"),
+        (~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)), "empty or invalid interval"),
+        (repeat, lambda k: f"duplicate (state, component) ({state[k]},{comp[k]})"),
     )
-    columns = zip(state.tolist(), comp.tolist(), lo.tolist(), hi.tolist())
-    raw = {(s, c): Interval(a, b) for s, c, a, b in columns}  # a repeat keeps its last interval
-    boxes: dict[int, Box] = {}
-    for s in range(n_states):
-        if any((s, d) not in raw for d in range(dim)):
-            raise InputError(f"posterior table is missing state {s} or some of its components")
-        boxes[s] = Box(tuple(raw[s, d] for d in range(dim)))
-    return PosteriorTable(boxes=boxes)
+    table = np.full((2, n_states, dim), np.nan)  # the rows are finite: a NaN is a missing row
+    table[:, state, comp] = lo, hi
+    missing = np.flatnonzero(np.isnan(table[0]).any(axis=1))
+    if len(missing):
+        raise InputError(f"{path}: missing state {missing[0]} or some of its components")
+    return PosteriorTable(*table)

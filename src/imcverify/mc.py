@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .dynamics import DynamicsModel, eval_point
 from .geometry import Box
@@ -161,7 +160,9 @@ def clopper_pearson(
 ) -> tuple[float, float]:
     """Two-sided exact binomial confidence interval from Beta quantiles
     (``betaincinv`` gives ``scipy.stats.beta.ppf``'s values without importing
-    ``scipy.stats``)."""
+    ``scipy.stats``; like ``erf``, it is imported where it is used)."""
+    from scipy.special import betaincinv
+
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     alpha = 1.0 - confidence

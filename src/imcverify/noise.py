@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .geometry import Box, Interval
 
@@ -23,6 +22,8 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _phi(z):
+    from scipy.special import erf  # here, not at load: it costs every process ~0.2 s
+
     return 0.5 * (1.0 + erf(z / _SQRT2))
 
 

@@ -197,7 +197,8 @@ def phase_simulate(
     records: list[dict] = []
     exported = []
     for cell_idx in _selected_cells(ctx):
-        x0 = ctx.partition.cells[cell_idx].center()
+        lo, hi = ctx.partition.corners(cell_idx)
+        x0 = tuple((0.5 * (lo + hi)).tolist())
         estimate, ci, kept = estimate_satisfaction(
             ctx.model,
             ctx.noise,

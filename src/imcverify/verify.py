@@ -237,22 +237,14 @@ def write_results(result: VerificationResult, imc: Imc, path) -> None:
 
     The unsafe state has no box; its bound fields stay empty.
     """
-    dim = imc.partition.domain.dim
+    partition, dim = imc.partition, imc.partition.domain.dim
+    lo, hi = (c.tolist() for c in partition.corners(np.arange(partition.n_cells)))
+    bounds = [",".join(f"{a!r},{b!r}" for a, b in zip(*cell)) for cell in zip(lo, hi)]
+    bounds.append("," * (2 * dim - 1))  # the unsafe state
+    rows = zip(bounds, result.p_lower.tolist(), result.p_upper.tolist(), result.classification)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_results_header(dim) + "\n")
-        for i in range(imc.n_states):
-            if i < imc.partition.n_cells:
-                cell = imc.partition.cells[i]
-                bounds = ",".join(
-                    f"{cell.component(d).lo!r},{cell.component(d).hi!r}"
-                    for d in range(dim)
-                )
-            else:
-                bounds = ",".join([""] * (2 * dim))
-            fh.write(
-                f"{i},{bounds},{float(result.p_lower[i])!r},"
-                f"{float(result.p_upper[i])!r},{result.classification[i]}\n"
-            )
+        fh.writelines(f"{i},{b},{p!r},{q!r},{c}\n" for i, (b, p, q, c) in enumerate(rows))
 
 
 def read_results(path, imc: Imc, threshold: float = DEFAULT_THRESHOLD) -> VerificationResult:

@@ -159,14 +159,14 @@ def test_criterion_1_transition_bound_soundness():
         )
         imc = build_imc(part, model, noise, {"goal": [goal]})
         for row in imc.rows[:-1]:
-            q = part.cells[row[0].src]
+            q = part.cell(row[0].src)
             for tb in row:
                 if tb.dst == imc.unsafe_index:
                     t_min, t_max = kernel_grid_extrema(model, noise, q, domain)
                     t_min, t_max = 1.0 - t_max, 1.0 - t_min
                 else:
                     t_min, t_max = kernel_grid_extrema(
-                        model, noise, q, part.cells[tb.dst]
+                        model, noise, q, part.cell(tb.dst)
                     )
                 checked += 1
                 if tb.lower > t_min + 1e-9 or tb.upper < t_max - 1e-9:

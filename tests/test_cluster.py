@@ -233,7 +233,7 @@ class TestClusterImprove:
             domain=part.domain, goals=(Box.from_bounds([[4, 5]]),)
         )
         for idx in range(part.n_cells):
-            x0 = part.cells[idx].center()
+            x0 = part.cell(idx).center()
             est, ci, _ = estimate_satisfaction(
                 model, noise, regions, x0, 2000, 100, seed=(9, idx), confidence=0.999
             )

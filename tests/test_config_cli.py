@@ -1,13 +1,21 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from imcverify import cli
 from imcverify.cli import main
 from imcverify.config import load_config
+from imcverify.dynamics import posterior_f
 from imcverify.errors import InputError
+from imcverify.geometry import partition_domain
+from imcverify.imc import PosteriorTable, write_posterior_table
 from imcverify.pipeline import (
     IMC_FILE,
     IMPROVED_FILE,
@@ -68,6 +76,33 @@ monte_carlo:
   cells: [0, 55]
 output_dir: out
 """
+
+
+ADDITIVE_2D = """\
+domain: [[-1.0, 1.0], [-1.0, 1.0]]
+grid: [4, 4]
+dynamics:
+  expressions: ["0.9*x1 + 0.1*x2", "-0.1*x1 + 0.9*x2"]
+  structure: additive
+noise:
+  components:
+    - {{type: uniform, lo: -0.1, hi: 0.1}}
+    - {{type: uniform, lo: -0.1, hi: 0.1}}
+labels:
+  goal: [[[-0.5, 0.5], [-0.5, 0.5]]]
+monte_carlo:
+  enabled: false
+{table}
+output_dir: {outdir}
+"""
+
+
+def _exit_code(argv) -> int:
+    """``main``'s exit code, also when argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def write_toy(tmp_path, passes=1, mc="true", outdir="out"):
@@ -165,6 +200,7 @@ class TestLoadConfig:
             ("  passes: 0", "  passes: false", "cluster.passes"),
             ("  trajectories: 100", "  trajectories: true", "monte_carlo.trajectories"),
             ("  seed: 5", "  seed: false", "monte_carlo.seed"),
+            ("  seed: 5", "  seed: -3", "monte_carlo.seed"),
             ("  horizon: 40", "  horizon: true", "monte_carlo.horizon"),
             ("  cells: all", "  cells: [0, true]", "monte_carlo.cells[1]"),
             ("  cells: all", "  cells: all\n  cell_stride: true", "monte_carlo.cell_stride"),
@@ -428,6 +464,57 @@ output_dir: out
         )
         with pytest.raises(InputError, match="strictly positive domain"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["run", "-c", "CFG", "--seed", "-1"], "--seed: must be an integer >= 0, got -1"),
+            (["run", "-c", "CFG", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+            (["run", "-c", "CFG", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+            (["run"], "the following arguments are required: -c/--config"),
+        ],
+        ids=["negative-seed", "seed-not-an-integer", "unknown-flag", "missing-config"],
+    )
+    def test_bad_arguments_are_input_errors(self, tmp_path, caplog, capsys, args, message):
+        # exit code 2 is reserved for internal soundness errors
+        cfg_path = write_toy(tmp_path)
+        argv = [str(cfg_path) if a == "CFG" else a for a in args]
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert _exit_code(argv) == 1
+        assert message in caplog.text + capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any phase ran
+
+    def test_import_does_not_load_scipy_special(self):
+        # scipy.special is imported where a truncated Gaussian or a Monte
+        # Carlo interval needs it, not by every CLI process
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, imcverify.cli; sys.exit('scipy.special' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_posterior_table_from_computed_posteriors(self, tmp_path, caplog):
+        # the data-driven path: a table holding the computed g(q) gives the
+        # same abstraction as the run that computes it
+        (tmp_path / "computed.yaml").write_text(ADDITIVE_2D.format(table="", outdir="computed"))
+        cfg = load_config(tmp_path / "computed.yaml")
+        part = partition_domain(cfg.domain, cfg.grid)
+        boxes = [posterior_f(cfg.dynamics_model(), part.cell(i)) for i in range(part.n_cells)]
+        lo, hi = (np.array(e) for e in zip(*(b.endpoints() for b in boxes)))
+        write_posterior_table(PosteriorTable(lo, hi), tmp_path / "table.csv")
+        (tmp_path / "table.yaml").write_text(
+            ADDITIVE_2D.format(table="posterior_table: table.csv", outdir="from_table")
+        )
+        assert main(["abstract", "-c", str(tmp_path / "computed.yaml")]) == 0
+        assert main(["abstract", "-c", str(tmp_path / "table.yaml")]) == 0
+        for name in (IMC_FILE, LABELS_FILE):
+            computed = (tmp_path / "computed" / name).read_bytes()
+            assert (tmp_path / "from_table" / name).read_bytes() == computed
+        table = tmp_path / "table.csv"
+        lines = table.read_text().splitlines()
+        table.write_text("\n".join(lines[:3] + ["16,0,0.0,0.1"] + lines[3:]) + "\n")
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["abstract", "-c", str(tmp_path / "table.yaml")]) == 1
+        assert "table.csv:4: state index out of range" in caplog.text
 
     def test_output_dir_and_seed_override(self, tmp_path):
         cfg_path = write_toy(tmp_path)

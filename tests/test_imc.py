@@ -165,7 +165,7 @@ class TestBuildImc:
         assert imc.n_states == 3
         for row in imc.rows[:-1]:
             for tb in row:
-                q = part.cells[tb.src]
+                q = part.cell(tb.src)
                 if tb.dst == imc.unsafe_index:
                     t_min, t_max = kernel_grid_extrema(
                         model, noise, q, part.domain
@@ -173,7 +173,7 @@ class TestBuildImc:
                     t_min, t_max = 1.0 - t_max, 1.0 - t_min
                 else:
                     t_min, t_max = kernel_grid_extrema(
-                        model, noise, q, part.cells[tb.dst]
+                        model, noise, q, part.cell(tb.dst)
                     )
                 assert tb.lower <= t_min + 1e-9
                 assert tb.upper >= t_max - 1e-9
@@ -246,7 +246,7 @@ class TestBuildImc:
         rng = np.random.default_rng(77)
         n = 10**5
         for row in imc.rows[:-1]:
-            q = part.cells[row[0].src]
+            q = part.cell(row[0].src)
             xs = rng.uniform(q.component(0).lo, q.component(0).hi, 3)
             for tb in row:
                 for x in xs:
@@ -260,7 +260,7 @@ class TestBuildImc:
                             model,
                             noise,
                             [x],
-                            part.cells[tb.dst],
+                            part.cell(tb.dst),
                             n,
                             seed=int(x * 1e6) % 2**31,
                         )
@@ -272,9 +272,9 @@ class TestBuildImc:
         model_gen = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(-0.2, 0.2),))
         cells = uniform_noise_grid(noise, [7])
-        for q in part.cells:
+        for q in map(part.cell, range(part.n_cells)):
             postf = posterior_f(model_add, q)
-            for target in part.cells:
+            for target in map(part.cell, range(part.n_cells)):
                 s_low, s_up = transition_bounds_structured(
                     postf, target, noise, "additive"
                 )
@@ -382,9 +382,9 @@ class TestCandidatePruning:
         imc = build_imc(
             part, model, noise, {"goal": [Box.from_bounds(goal)]}, noise_cells=cells
         )
-        for iq, q in enumerate(part.cells):
+        for iq, q in enumerate(map(part.cell, range(part.n_cells))):
             stored = {tb.dst: (tb.lower, tb.upper) for tb in imc.rows[iq]}
-            for it, target in enumerate(part.cells):
+            for it, target in enumerate(map(part.cell, range(part.n_cells))):
                 expected = scalar_bounds(model, noise, cells, q, target)
                 if cells is None:
                     one_target = transition_bounds_structured(
@@ -436,8 +436,13 @@ class TestCandidatePruning:
         lower, upper = pair_bounds(posts, src, t_lo, t_hi)
         for j, i in enumerate(src.tolist()):
             target = Box.from_bounds(zip(t_lo[j], t_hi[j]))
-            expected = scalar_bounds(model, noise, cells, part.cells[i], target)
+            expected = scalar_bounds(model, noise, cells, part.cell(i), target)
             assert (float(lower[j]), float(upper[j])) == expected
+
+
+def _table(boxes):
+    """A posterior table from one box per cell."""
+    return PosteriorTable(*(np.array(e) for e in zip(*(b.endpoints() for b in boxes))))
 
 
 class TestPosteriorTable:
@@ -449,9 +454,7 @@ class TestPosteriorTable:
 
     def test_table_replaces_computed_posterior(self):
         part, model, noise = self._setup()
-        table = PosteriorTable(
-            boxes={i: posterior_f(model, q) for i, q in enumerate(part.cells)}
-        )
+        table = _table(posterior_f(model, q) for q in map(part.cell, range(part.n_cells)))
         labels = {"goal": [Box.from_bounds([[0.5, 1]])]}
         from_table = build_imc(part, model, noise, labels, posterior_table=table)
         computed = build_imc(part, model, noise, labels)
@@ -459,13 +462,9 @@ class TestPosteriorTable:
 
     def test_shifted_table_changes_bounds(self):
         part, model, noise = self._setup()
-        shifted = PosteriorTable(
-            boxes={
-                i: Box.from_bounds(
-                    [[q.component(0).lo + 0.5, q.component(0).hi + 0.5]]
-                )
-                for i, q in enumerate(part.cells)
-            }
+        shifted = _table(
+            Box.from_bounds([[q.component(0).lo + 0.5, q.component(0).hi + 0.5]])
+            for q in map(part.cell, range(part.n_cells))
         )
         labels = {"goal": [Box.from_bounds([[0.5, 1]])]}
         imc = build_imc(part, model, noise, labels, posterior_table=shifted)
@@ -474,7 +473,7 @@ class TestPosteriorTable:
 
     def test_missing_state_rejected(self):
         part, model, noise = self._setup()
-        table = PosteriorTable(boxes={0: posterior_f(model, part.cells[0])})
+        table = _table([posterior_f(model, part.cell(0))])
         with pytest.raises(InputError):
             build_imc(
                 part,
@@ -486,13 +485,11 @@ class TestPosteriorTable:
 
     def test_file_round_trip(self, tmp_path):
         part, model, noise = self._setup()
-        table = PosteriorTable(
-            boxes={i: posterior_f(model, q) for i, q in enumerate(part.cells)}
-        )
+        table = _table(posterior_f(model, q) for q in map(part.cell, range(part.n_cells)))
         path = tmp_path / "table.csv"
         write_posterior_table(table, path)
         loaded = read_posterior_table(path, part.n_cells, 1)
-        assert loaded.boxes == dict(table.boxes)
+        assert np.array_equal(loaded.lo, table.lo) and np.array_equal(loaded.hi, table.hi)
 
     def test_incomplete_file_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -508,8 +505,16 @@ class TestPosteriorTable:
             (["0,0,0.5,0.0", "1,0,0.5,1.0"], "table.csv:2: empty or invalid interval"),
             (["0,0,0.0,0.5", "1,x,0.5,1.0"], "table.csv:3: malformed field"),
             (["0,0,0.0,0.5"], "missing state 1"),
+            (["0,0,0.0,0.5", "1,0,0.5,1.0", "7,0,0.2,0.3"],
+             "table.csv:4: state index out of range"),
+            (["0,0,0.0,0.5", "-1,0,0.2,0.3", "1,0,0.5,1.0"],
+             "table.csv:3: state index out of range"),
+            (["0,0,0.0,0.5", "1,0,0.5,1.0", "0,0,0.2,0.3"],
+             "table.csv:4: duplicate (state, component)"),
+            (["0,0,0.0,inf", "1,0,0.5,1.0"], "table.csv:2: empty or invalid interval"),
         ],
-        ids=["component", "nan", "order", "number", "missing"],
+        ids=["component", "nan", "order", "number", "missing", "state", "negative", "duplicate",
+             "infinite"],
     )
     def test_malformed_file_rejected(self, tmp_path, rows, where):
         path = tmp_path / "table.csv"
@@ -521,7 +526,7 @@ class TestPosteriorTable:
         path = tmp_path / "table.csv"
         path.write_text("state,component,lo,hi\n1,0,0.5,1.0\n\n0,0,0.0,0.5\n")
         loaded = read_posterior_table(path, 2, 1)
-        assert loaded.boxes == {0: Box.from_bounds([[0.0, 0.5]]), 1: Box.from_bounds([[0.5, 1.0]])}
+        assert (loaded.lo.tolist(), loaded.hi.tolist()) == ([[0.0], [0.5]], [[0.5], [1.0]])
 
 
 class TestExports:

@@ -210,7 +210,7 @@ class TestEstimateSatisfaction:
         res = robust_value_iteration(imc, ReachAvoidSpec(), convergence_tol=1e-10)
         regions = ReachAvoidRegions(domain=part.domain, goals=(goal,))
         for idx in range(part.n_cells):
-            x0 = part.cells[idx].center()
+            x0 = part.cell(idx).center()
             est, ci, _ = estimate_satisfaction(
                 model, noise, regions, x0, 10**4, 200, seed=(1, idx), confidence=0.999
             )

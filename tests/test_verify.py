@@ -1,3 +1,4 @@
+import itertools
 import logging
 import re
 
@@ -350,6 +351,23 @@ class TestClassify:
 
 
 class TestReadResults:
+    def test_bounds_columns_are_cell_edges_in_row_major_order(self, tmp_path):
+        # non-dyadic edges, so that a float32 or a rounded repr would show
+        edges = [np.linspace(-1.3, 2.7, 7), np.linspace(0.1, 0.9, 4), np.linspace(-0.7, 0.3, 3)]
+        part = partition_domain(Box.from_bounds([(e[0], e[-1]) for e in edges]), (6, 3, 2))
+        rows = [(TransitionBound(i, i, 1.0, 1.0),) for i in range(part.n_states)]
+        labels = [frozenset({"goal"})] + [frozenset()] * (part.n_cells - 1)
+        labels.append(frozenset({"unsafe"}))
+        imc = Imc.from_rows(part, rows, labels)
+        path = tmp_path / "results.csv"
+        write_results(robust_value_iteration(imc, ReachAvoidSpec(horizon=1)), imc, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "state,lo1,hi1,lo2,hi2,lo3,hi3,p_lower,p_upper,class"
+        for i, multi in enumerate(itertools.product(range(6), range(3), range(2))):
+            expected = [repr(float(e[m + k])) for e, m in zip(edges, multi) for k in (0, 1)]
+            assert lines[1 + i].split(",")[:7] == [str(i)] + expected
+        assert lines[-1] == f"{part.unsafe_index},,,,,,,0.0,0.0,violates"
+
     def _export(self, tmp_path):
         imc = three_state_fixture()
         res = robust_value_iteration(imc, ReachAvoidSpec())
