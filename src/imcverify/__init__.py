@@ -20,12 +20,11 @@ from .dynamics import (
 )
 from .noise import (
     Mixture,
-    NoiseCell,
+    NoiseGrid,
     NoiseModel,
     PartitionPair,
     TruncatedGaussian,
     Uniform,
-    cell_probability,
     optimal_partition_affine,
     optimal_partition_multiplicative,
     uniform_noise_grid,

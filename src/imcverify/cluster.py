@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .dynamics import DynamicsModel
 from .errors import SoundnessError
 from .imc import CellPosteriors, Imc, PosteriorTable, _check_rows, _row_sums, _rows_with_last
 from .imc import cell_posteriors, pair_bounds
-from .noise import NoiseCell, NoiseModel
+from .noise import NoiseGrid, NoiseModel
 from .verify import (
     ReachAvoidSpec,
     VerificationResult,
@@ -111,7 +111,7 @@ def cluster_improve(
     spec: ReachAvoidSpec,
     *,
     posterior_table: Optional[PosteriorTable] = None,
-    noise_cells: Optional[Sequence[NoiseCell]] = None,
+    noise_cells: Optional[NoiseGrid] = None,
 ) -> VerificationResult:
     """One improvement pass over all states, in descending lower-bound order.
 

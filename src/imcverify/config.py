@@ -4,6 +4,7 @@ reported with the offending field path."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -146,6 +147,8 @@ def _parse_noise_component(entry: Any, path: str) -> NoiseComponent:
         )
     else:
         args = tuple(_number(entry[key], f"{path}.{key}") for key in params)
+        if kind == "uniform" and args[0] == args[1]:
+            _fail(path, "uniform requires lo < hi: the noise partitions drop a point mass")
     try:
         return cls(*args)
     except ValueError as exc:
@@ -267,11 +270,10 @@ def load_config(path) -> RunConfig:
     if not isinstance(mc.confidence, float) or not 0.0 < mc.confidence < 1.0:
         _fail("monte_carlo.confidence", "must be in (0, 1)")
     if isinstance(mc.cells, list):
-        total = 1
-        for r in grid:
-            total *= r
+        if not mc.cells:
+            _fail("monte_carlo.cells", "expected at least one cell index")
         for i, c in enumerate(mc.cells):
-            if not _is_int(c) or not 0 <= c < total:
+            if not _is_int(c) or not 0 <= c < math.prod(grid):
                 _fail(f"monte_carlo.cells[{i}]", "cell index out of range")
     elif mc.cells not in ("stride", "all"):
         _fail("monte_carlo.cells", "expected 'stride', 'all' or a list of indices")

@@ -17,7 +17,7 @@ the one-pair functions are all calls into it. Structured systems
 (additive or multiplicative noise) get the optimal three-cell partition
 per component: a bound is a product of single interval probabilities, one
 vectorised ``interval_probability`` call per dimension and bound over all
-pairs. General systems sum the masses of a uniform noise grid's cells.
+pairs. General systems sum the cell masses of a uniform ``NoiseGrid``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from .dynamics import (
 from .errors import InputError, SoundnessError
 from .geometry import Box, StatePartition
 from .noise import (
-    NoiseCell,
+    NoiseGrid,
     NoiseModel,
+    _point_mass,
     optimal_partition_affine,
     optimal_partition_multiplicative,
 )
@@ -54,6 +55,7 @@ _ALIGN_TOL = 1e-9
 # candidate pairs per ``pair_bounds`` call in ``build_imc``: bounds the
 # build's working memory at a few times 2**18 * n floats
 _BLOCK_PAIRS = 2**18
+_WRITE_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -192,13 +194,11 @@ def _one_pair(posts: "CellPosteriors", target: Box) -> tuple[float, float]:
     return float(lower[0]), float(upper[0])
 
 
-def _general_posteriors(model: DynamicsModel, x, cells: Sequence[NoiseCell]):
+def _general_posteriors(model: DynamicsModel, x, cells: NoiseGrid):
     """Posteriors of the boxes x (endpoint arrays of shape (..., n)) under
     every noise cell, shape (..., noise cells, n), and the cell masses."""
-    w = np.array([[(i.lo, i.hi) for i in cell.intervals] for cell in cells])
     x = (x[0][..., None, :], x[1][..., None, :])
-    lo, hi = enclosure(model.components, x, (w[..., 0], w[..., 1]))
-    return lo, hi, np.array([cell.probability for cell in cells])
+    return (*enclosure(model.components, x, (cells.lo, cells.hi)), cells.mass)
 
 
 def transition_bounds_structured(
@@ -219,10 +219,7 @@ def transition_bounds_structured(
 
 
 def transition_bounds_general(
-    model: DynamicsModel,
-    cells: Sequence[NoiseCell],
-    q: Box,
-    target: Box,
+    model: DynamicsModel, cells: NoiseGrid, q: Box, target: Box
 ) -> tuple[float, float]:
     """Transition bounds by direct enumeration of a noise partition."""
     lo, hi, weights = _general_posteriors(model, q.endpoints(), cells)
@@ -236,7 +233,7 @@ def unsafe_transitions(
     noise: NoiseModel,
     *,
     postf: Optional[Box] = None,
-    noise_cells: Optional[Sequence[NoiseCell]] = None,
+    noise_cells: Optional[NoiseGrid] = None,
 ) -> tuple[float, float]:
     """Bounds on the transition from q to the unsafe state.
 
@@ -282,12 +279,14 @@ def cell_posteriors(
     model: DynamicsModel,
     noise: NoiseModel,
     posterior_table: Optional[PosteriorTable] = None,
-    noise_cells: Optional[Sequence[NoiseCell]] = None,
+    noise_cells: Optional[NoiseGrid] = None,
 ) -> CellPosteriors:
     """Posteriors, hulls and candidate ranges of every cell from the grid edges:
     one interval evaluation over all cells, or the posterior table's arrays as they are."""
     if model.structure == GENERAL and noise_cells is None:
         raise ValueError("general structure requires noise_cells from uniform_noise_grid")
+    if any(map(_point_mass, noise.components)):
+        raise InputError("a uniform with lo == hi is a point mass, which the noise partitions drop")
     if posterior_table is not None and model.structure == GENERAL:
         raise ValueError("posterior tables require an additive or multiplicative structure")
     x = partition.corners(np.arange(partition.n_cells))
@@ -373,7 +372,7 @@ def build_imc(
     noise: NoiseModel,
     label_boxes: Mapping[str, Sequence[Box]],
     posterior_table: Optional[PosteriorTable] = None,
-    noise_cells: Optional[Sequence[NoiseCell]] = None,
+    noise_cells: Optional[NoiseGrid] = None,
 ) -> Imc:
     """Build the sound IMC abstraction over a grid partition: ``pair_bounds``
     over every source's candidate block (the cells near its posterior hull,
@@ -547,12 +546,15 @@ def _reject_first(path, *checks) -> None:
 
 def write_imc(imc: Imc, bounds_path, labels_path) -> None:
     """Delimited exports: (from,to,lower,upper) sorted by (from,to), and one
-    (state,label) row per label, sorted."""
-    src = np.repeat(np.arange(imc.n_states), np.diff(imc.indptr)).tolist()
-    entries = zip(src, imc.dst.tolist(), imc.lower.tolist(), imc.upper.tolist())
+    (state,label) row per label, sorted. Entries are formatted
+    ``_WRITE_ROWS`` at a time, which bounds the memory the write takes."""
     with open(bounds_path, "w", encoding="utf-8") as fh:
         fh.write("from,to,lower,upper\n")
-        fh.writelines(f"{s},{d},{lo!r},{up!r}\n" for s, d, lo, up in entries)
+        for a in range(0, len(imc.dst), _WRITE_ROWS):
+            b = min(a + _WRITE_ROWS, len(imc.dst))
+            src = np.searchsorted(imc.indptr, np.arange(a, b), side="right") - 1
+            block = (x.tolist() for x in (src, imc.dst[a:b], imc.lower[a:b], imc.upper[a:b]))
+            fh.writelines(f"{s},{d},{lo!r},{up!r}\n" for s, d, lo, up in zip(*block))
     with open(labels_path, "w", encoding="utf-8") as fh:
         fh.write("state,label\n")
         for i, labs in enumerate(imc.labels):

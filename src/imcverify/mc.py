@@ -1,14 +1,13 @@
 """Monte Carlo validation: sample trajectories of the continuous system and
 check empirical satisfaction against the verified intervals.
 
-Sampling is inverse-CDF based (analytic for uniforms, bracketed bisection
-for truncated Gaussians) so the draw count per step is fixed and runs are
-reproducible from the seed alone. Mixtures first pick a part by weight and
-then sample inside it, which keeps support gaps empty.
+Sampling is inverse-CDF based (``NoiseModel.sample``), so the draw count
+per step is fixed and runs are reproducible from the seed alone.
 
 There is one rollout: ``_rollout`` advances a batch of trajectories in
-lockstep, one RNG stream per trajectory, and returns every termination plus
-the full paths of the first ``keep`` trajectories. ``estimate_satisfaction``
+lockstep, one RNG stream per trajectory (each step, every alive stream fills
+its row of one block of uniforms), and returns every termination plus the
+full paths of the first ``keep`` trajectories. ``estimate_satisfaction``
 seeds trajectory ``i`` from ``(*seed, i)``, so the paths it keeps are the
 first trajectories of its own validation batch; ``simulate`` and
 ``sample_noise`` are one-stream calls into the same kernel and sampler.
@@ -23,7 +22,7 @@ import numpy as np
 
 from .dynamics import DynamicsModel, eval_point
 from .geometry import Box
-from .noise import Mixture, NoiseModel
+from .noise import NoiseModel
 
 TERM_HORIZON = "horizon"
 TERM_GOAL = "goal-hit"
@@ -57,8 +56,7 @@ class Trajectory:
 
 
 def _inside(x: np.ndarray, box: Box) -> np.ndarray:
-    lo = np.array([ival.lo for ival in box.intervals])
-    hi = np.array([ival.hi for ival in box.intervals])
+    lo, hi = box.endpoints()
     return np.all((x >= lo) & (x <= hi), axis=1)
 
 
@@ -71,28 +69,6 @@ def _classify(x: np.ndarray, regions: ReachAvoidRegions) -> np.ndarray:
     for box in regions.goals:
         cause[_inside(x, box)] = _GOAL
     return cause
-
-
-def _sample(noise: NoiseModel, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """One noise vector per stream, shape (len(rngs), n). Per stream and
-    component the draws are: part selector (mixtures only), then value."""
-    m = len(rngs)
-    out = np.empty((m, noise.n))
-    for i, comp in enumerate(noise.components):
-        if isinstance(comp, Mixture):
-            u_part = np.array([rng.random() for rng in rngs])
-            u_val = np.array([rng.random() for rng in rngs])
-            idx = np.searchsorted(np.cumsum(comp.weights), u_part, side="right")
-            # weights may sum to 1 - 1e-12; a draw above the sum takes the last part
-            idx = np.minimum(idx, len(comp.parts) - 1)
-            for part_i, part in enumerate(comp.parts):
-                mask = idx == part_i
-                if mask.any():
-                    out[mask, i] = part.inverse_cdf(u_val[mask])
-        else:
-            u = np.array([rng.random() for rng in rngs])
-            out[:, i] = comp.inverse_cdf(u)
-    return out
 
 
 def _rollout(
@@ -111,6 +87,7 @@ def _rollout(
     the first ``keep`` of them.
     """
     m = len(rngs)
+    u = np.empty((m, noise.draws))
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     cause = _classify(x, regions)
     length = np.ones(m, dtype=int)
@@ -119,8 +96,9 @@ def _rollout(
     for _ in range(horizon):
         if len(alive) == 0:
             break
-        w = _sample(noise, [rngs[i] for i in alive])
-        x_alive = eval_point(model, x[alive], w)
+        for row, i in zip(u, alive.tolist()):
+            rngs[i].random(out=row)
+        x_alive = eval_point(model, x[alive], noise.sample(u[: len(alive)]))
         x[alive] = x_alive
         cause[alive] = _classify(x_alive, regions)
         length[alive] += 1
@@ -138,7 +116,7 @@ def _rollout(
 
 def sample_noise(noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     """One noise vector via inverse-CDF sampling."""
-    return _sample(noise, [rng])[0]
+    return noise.sample(rng.random((1, noise.draws)))[0]
 
 
 def simulate(
@@ -207,18 +185,12 @@ def estimate_satisfaction(
     return estimate, clopper_pearson(successes, n_samples, confidence), kept
 
 
-def write_trajectories(trajectories: Sequence[Trajectory], path) -> None:
-    """One row per step: trajectory id, step, state components, termination."""
-    if not trajectories:
-        dim = 0
-    else:
-        dim = trajectories[0].states.shape[1]
-    header = ",".join(
-        ["trajectory", "step"] + [f"x{d + 1}" for d in range(dim)] + ["termination"]
-    )
+def write_trajectories(trajectories: Sequence[Trajectory], path, dim: int) -> None:
+    """One row per step: trajectory id, step, the ``dim`` state components
+    (a header of ``x1..x{dim}`` even without trajectories), termination."""
+    columns = ["trajectory", "step"] + [f"x{d + 1}" for d in range(dim)] + ["termination"]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(columns) + "\n")
         for tid, traj in enumerate(trajectories):
-            for step in range(traj.length):
-                coords = ",".join(repr(float(v)) for v in traj.states[step])
-                fh.write(f"{tid},{step},{coords},{traj.termination}\n")
+            for step, state in enumerate(traj.states.tolist()):
+                fh.write(f"{tid},{step},{','.join(map(repr, state))},{traj.termination}\n")

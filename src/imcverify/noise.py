@@ -1,15 +1,16 @@
-"""Noise distributions with exact CDFs, noise cells, and the optimal
-per-component partition cut points for affine and multiplicative structures.
+"""Noise distributions with exact CDFs, the uniform noise grid, and the
+optimal per-component partition cut points for affine and multiplicative
+structures.
 
 CDF evaluation is analytic (error function for truncated Gaussians, weighted
 sums for mixtures) so that cell probabilities carry distribution-dependent
-soundness. A uniform grid over the support is the fallback partition for
-models without a usable noise structure.
+soundness. A uniform grid over the support (a ``NoiseGrid``) is the fallback
+partition for models without a usable noise structure. Sampling maps blocks
+of uniforms to noise: ``NoiseModel.sample``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,6 +30,8 @@ def _phi(z):
 
 class NoiseComponent:
     """One independent scalar noise coordinate."""
+
+    draws = 1  # uniforms one sample reads
 
     @property
     def support(self) -> Interval:
@@ -68,6 +71,10 @@ class NoiseComponent:
         p = np.minimum(np.maximum(self.cdf(hi) - self.cdf(lo), 0.0), 1.0)
         p = np.where(np.less(hi, lo), 0.0, p)
         return float(p) if p.ndim == 0 else p
+
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """One sample per row of the uniforms ``u``, shape (m, draws)."""
+        return self.inverse_cdf(u[:, 0])
 
 
 @dataclass(frozen=True)
@@ -140,6 +147,7 @@ class TruncatedGaussian(NoiseComponent):
 class Mixture(NoiseComponent):
     weights: tuple[float, ...]
     parts: tuple[NoiseComponent, ...]
+    draws = 2  # the part selector, then the value
 
     def __post_init__(self):
         weights = tuple(float(w) for w in self.weights)
@@ -163,6 +171,17 @@ class Mixture(NoiseComponent):
         out = np.clip(out, 0.0, 1.0)
         return float(out) if np.ndim(out) == 0 else out
 
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """``u[:, 0]`` picks a part by weight (the last part above the weight
+        sum, which may be 1 - 1e-12) and ``u[:, 1]`` is inverted in it."""
+        part = np.searchsorted(np.cumsum(self.weights), u[:, 0], side="right")
+        part = np.minimum(part, len(self.parts) - 1)
+        out = np.empty(len(u))
+        for i in np.unique(part).tolist():
+            mask = part == i
+            out[mask] = self.parts[i].inverse_cdf(u[mask, 1])
+        return out
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -182,24 +201,36 @@ class NoiseModel:
     def support_box(self) -> Box:
         return Box(tuple(c.support for c in self.components))
 
+    @property
+    def draws(self) -> int:
+        """Uniforms one noise vector reads: each component's, in order."""
+        return sum(c.draws for c in self.components)
 
-@dataclass(frozen=True)
-class NoiseCell:
-    """A box in noise space together with its exact probability."""
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """Noise vectors, shape (m, n), from uniforms of shape (m, draws):
+        each component reads its ``draws`` columns, in component order."""
+        cols = np.cumsum([0] + [c.draws for c in self.components]).tolist()
+        parts = zip(self.components, cols, cols[1:])
+        return np.stack([c.sample(u[:, a:b]) for c, a, b in parts], axis=-1)
 
-    intervals: tuple[Interval, ...]
-    probability: float
+
+def _point_mass(comp: NoiseComponent) -> bool:
+    """Whether ``comp`` has a uniform part with lo == hi: an atom that CDF
+    differences over (lo, hi], and so the noise partitions, drop."""
+    if isinstance(comp, Mixture):
+        return any(_point_mass(p) for p in comp.parts)
+    return isinstance(comp, Uniform) and comp.lo == comp.hi
 
 
-def cell_probability(noise: NoiseModel, cell: Sequence[Interval]) -> float:
-    """Product over components of CDF(hi) - CDF(lo); intervals may be
-    unbounded on either side."""
-    if len(cell) != noise.n:
-        raise ValueError(f"cell has {len(cell)} components, noise has {noise.n}")
-    p = 1.0
-    for comp, ival in zip(noise.components, cell):
-        p *= comp.interval_probability(ival.lo, ival.hi)
-    return min(max(p, 0.0), 1.0)
+@dataclass(frozen=True, eq=False)
+class NoiseGrid:
+    """Cells of a uniform grid over the noise support: cell k is the box
+    [lo[k], hi[k]] (shape (cells, n) each) of probability mass[k] (shape
+    (cells,)), listed row-major with the last component fastest."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    mass: np.ndarray
 
 
 # --- optimal structured partitions -------------------------------------------
@@ -224,25 +255,16 @@ class PartitionPair:
     lower_empty: bool
 
     def upper_cells(self) -> list[Interval]:
-        cells = [
-            Interval(-math.inf, self.eps1),
-            Interval(self.eps1, self.eps2),
-            Interval(self.eps2, math.inf),
-        ]
-        assert len(cells) <= 3
-        return cells
+        return _three_cells(self.eps1, self.eps2)
 
     def lower_cells(self) -> list[Interval]:
         if self.lower_empty:
-            cells = [Interval(-math.inf, math.inf)]
-        else:
-            cells = [
-                Interval(-math.inf, self.eps3),
-                Interval(self.eps3, self.eps4),
-                Interval(self.eps4, math.inf),
-            ]
-        assert len(cells) <= 3
-        return cells
+            return [Interval(-math.inf, math.inf)]
+        return _three_cells(self.eps3, self.eps4)
+
+
+def _three_cells(a, b) -> list[Interval]:
+    return [Interval(-math.inf, a), Interval(a, b), Interval(b, math.inf)]
 
 
 def optimal_partition_affine(postf: Interval, target: Interval) -> PartitionPair:
@@ -283,20 +305,16 @@ def optimal_partition_multiplicative(
     return PartitionPair(eps1, eps2, eps3, eps4, lower_empty=eps3 > eps4)
 
 
-def uniform_noise_grid(
-    noise: NoiseModel, resolution: Sequence[int]
-) -> list[NoiseCell]:
+def uniform_noise_grid(noise: NoiseModel, resolution: Sequence[int]) -> NoiseGrid:
     """Uniform measure-preserving grid over the (bounded) noise support.
 
-    Cells are ordered row-major with the last component varying fastest;
-    their probabilities sum to 1 because per-component CDF differences
-    telescope across the support.
+    A cell's mass is the product of its components' interval probabilities
+    in component order, from 1.0, clamped to [0, 1]; the masses sum to 1
+    because per-component CDF differences telescope across the support.
     """
     if len(resolution) != noise.n:
-        raise ValueError(
-            f"resolution length {len(resolution)} != noise dimension {noise.n}"
-        )
-    per_dim: list[list[Interval]] = []
+        raise ValueError(f"resolution length {len(resolution)} != noise dimension {noise.n}")
+    edges, probs = [], []
     for d, (comp, r) in enumerate(zip(noise.components, resolution)):
         if int(r) != r or int(r) < 1:
             raise ValueError(f"resolution[{d}] must be a positive integer, got {r}")
@@ -306,9 +324,12 @@ def uniform_noise_grid(
                 f"noise component {d} has unbounded support; gridding requires "
                 f"a bounded support"
             )
-        edges = np.linspace(sup.lo, sup.hi, int(r) + 1).tolist()
-        per_dim.append([Interval(a, b) for a, b in zip(edges, edges[1:])])
-    return [
-        NoiseCell(ivals, cell_probability(noise, ivals))
-        for ivals in itertools.product(*per_dim)
-    ]
+        edges.append(np.linspace(sup.lo, sup.hi, int(r) + 1))
+        probs.append(comp.interval_probability(edges[-1][:-1], edges[-1][1:]))
+    index = np.indices([len(p) for p in probs]).reshape(noise.n, -1)
+    mass = np.ones(index.shape[1])
+    for p, i in zip(probs, index):
+        mass = mass * p[i]
+    lo = np.stack([e[i] for e, i in zip(edges, index)], axis=-1)
+    hi = np.stack([e[i + 1] for e, i in zip(edges, index)], axis=-1)
+    return NoiseGrid(lo, hi, np.clip(mass, 0.0, 1.0))

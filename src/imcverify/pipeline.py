@@ -30,7 +30,7 @@ from .imc import (
     write_imc,
 )
 from .mc import ReachAvoidRegions, estimate_satisfaction, write_trajectories
-from .noise import NoiseCell, NoiseModel, uniform_noise_grid
+from .noise import NoiseGrid, NoiseModel, uniform_noise_grid
 from .verify import (
     ReachAvoidSpec,
     VerificationResult,
@@ -57,7 +57,7 @@ class RunContext:
     partition: StatePartition
     model: DynamicsModel
     noise: NoiseModel
-    noise_cells: Optional[list[NoiseCell]]
+    noise_cells: Optional[NoiseGrid]
     posterior_table: Optional[PosteriorTable]
     spec: ReachAvoidSpec
 
@@ -223,7 +223,7 @@ def phase_simulate(
                 "sound": bool(ci[0] <= p_hi and p_lo <= ci[1]),
             }
         )
-    write_trajectories(exported, cfg.output_dir / TRAJECTORIES_FILE)
+    write_trajectories(exported, cfg.output_dir / TRAJECTORIES_FILE, ctx.model.n)
     unsound = [r["state"] for r in records if not r["sound"]]
     if unsound:
         log.warning(

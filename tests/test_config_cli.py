@@ -97,6 +97,28 @@ output_dir: {outdir}
 """
 
 
+# x' = 0.5 x + w with w1 formatted in; cell 0 is validated, no path exported
+GENERAL_2D = """\
+domain: [[-1.0, 1.0], [-1.0, 1.0]]
+grid: [4, 4]
+dynamics:
+  expressions: ["0.5*x1 + w1", "0.5*x2 + w2"]
+  structure: general
+noise:
+  grid: [2, 2]
+  components:
+    - {w1}
+    - {{type: uniform, lo: -0.1, hi: 0.1}}
+labels:
+  goal: [[[-0.5, 0.5], [-0.5, 0.5]]]
+monte_carlo:
+  trajectories: 20
+  cells: [0]
+  export_trajectories: 0
+output_dir: out
+"""
+
+
 def _exit_code(argv) -> int:
     """``main``'s exit code, also when argparse exits."""
     try:
@@ -235,6 +257,30 @@ class TestLoadConfig:
             assert main(["run", "-c", str(path)]) == 1
         assert f"{field}: " in caplog.text
 
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("  cells: all", "  cells: []", "monte_carlo.cells"),
+            ("lo: -0.25, hi: 0.25}", "lo: 0.25, hi: 0.25}", "noise.components[0]"),
+            ("{type: uniform, lo: -0.25, hi: 0.25}",
+             "{type: mixture, weights: [0.5, 0.5], components: "
+             "[{type: uniform, lo: -0.25, hi: 0.25}, {type: uniform, lo: 0.0, hi: 0.0}]}",
+             "noise.components[0].components[1]"),
+        ],
+    )
+    def test_invalid_value_rejected(self, tmp_path, caplog, old, new, field):
+        # an empty cell list would validate nothing; a uniform with lo == hi
+        # is a point mass, which the noise partitions (over (lo, hi]) drop
+        path = tmp_path / "bad.yaml"
+        text = TOY_1D.format(passes=0, mc="true", outdir="out")
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(InputError, match=re.escape(field)):
+            load_config(path)
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["run", "-c", str(path)]) == 1
+        assert f"{field}: " in caplog.text
+
     def test_label_names_are_free_form(self, tmp_path):
         path = tmp_path / "labels.yaml"
         path.write_text(
@@ -326,7 +372,7 @@ class TestPipeline:
             summary = run_pipeline(cfg)
             rows = (cfg.output_dir / TRAJECTORIES_FILE).read_text().splitlines()
             runs[export] = (summary["phases"]["simulate"]["validation"], rows)
-        assert runs[0][1] == ["trajectory,step,termination"]
+        assert runs[0][1] == ["trajectory,step,x1,termination"]
         for export, (_, rows) in runs.items():
             ids = {row.split(",")[0] for row in rows[1:]}
             assert len(ids) == 4 * min(export, 100)  # 4 cells, 100 trajectories
@@ -341,6 +387,26 @@ class TestPipeline:
 
         assert first_paths(runs[150][1], 100, 2) == first_paths(runs[2][1], 2, 2)
         assert runs[0][0] == runs[2][0] == runs[150][0]
+
+    def test_trajectories_header_without_exports(self, tmp_path):
+        path = tmp_path / "general.yaml"
+        path.write_text(GENERAL_2D.format(w1="{type: uniform, lo: -0.001, hi: 0.001}"))
+        summary = run_pipeline(load_config(path))
+        assert len(summary["phases"]["simulate"]["validation"]) == 1
+        trajectories = (tmp_path / "out" / TRAJECTORIES_FILE).read_text()
+        assert trajectories == "trajectory,step,x1,x2,termination\n"
+
+    def test_point_mass_noise_rejected(self, tmp_path, caplog):
+        # Uniform(0, 0) has F(0) = 1, so every noise cell over (lo, hi] had
+        # mass 0 and 12 of 16 cells were classified as violating
+        path = tmp_path / "general.yaml"
+        path.write_text(GENERAL_2D.format(w1="{type: uniform, lo: 0.0, hi: 0.0}"))
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["run", "-c", str(path)]) == 1
+        assert "noise.components[0]: " in caplog.text
+        path.write_text(GENERAL_2D.format(w1="{type: uniform, lo: -0.001, hi: 0.001}"))
+        summary = run_pipeline(load_config(path))
+        assert summary["classification"]["counts"]["satisfies"] == 16
 
     def test_general_structure_pipeline(self, tmp_path):
         path = tmp_path / "gen.yaml"

@@ -157,6 +157,19 @@ class TestBuildImc:
         assert (self_loop.lower, self_loop.upper) == (1.0, 1.0)
         assert (unsafe_col.lower, unsafe_col.upper) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("structure", ["additive", "general"])
+    def test_point_mass_noise_rejected(self, structure):
+        # CDF differences measure (lo, hi]: the atom of Uniform(0, 0) would
+        # get no mass in any noise cell or cut-point interval
+        part = partition_domain(Box.from_bounds([[-1, 1]]), (4,))
+        model = parse_dynamics(["0.5*x1 + w1"], 1, structure)
+        atom = Uniform(0, 0)
+        for comp in (atom, Mixture((0.5, 0.5), (Uniform(-0.1, 0.1), atom))):
+            noise = NoiseModel((comp,))
+            cells = uniform_noise_grid(noise, [2]) if structure == "general" else None
+            with pytest.raises(InputError, match="point mass"):
+                build_imc(part, model, noise, {"goal": [part.domain]}, noise_cells=cells)
+
     def test_two_cell_bounds_against_kernel_oracle(self):
         part = partition_domain(Box.from_bounds([[0, 1]]), (2,))
         model = identity_additive()
@@ -287,12 +300,12 @@ def scalar_bounds(model, noise, cells, q, target):
     """Per-pair reference: the scalar loops the array kernels replace."""
     if cells is not None:
         lower = upper = 0.0
-        for cell in cells:
-            post = posterior(model, q, Box(cell.intervals))
+        for w_lo, w_hi, mass in zip(cells.lo.tolist(), cells.hi.tolist(), cells.mass.tolist()):
+            post = posterior(model, q, Box.from_bounds(zip(w_lo, w_hi)))
             if post.intersects(target):
-                upper += cell.probability
+                upper += mass
                 if target.contains(post):
-                    lower += cell.probability
+                    lower += mass
     else:
         postf = posterior_f(model, q)
         cut_points = (
@@ -544,6 +557,15 @@ class TestExports:
         loaded = read_imc(b1, l1, part)
         assert loaded.rows == imc.rows
         assert loaded.labels == imc.labels
+
+    def test_blocked_write_same_bytes(self, tmp_path, monkeypatch):
+        part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
+        noise = NoiseModel((Uniform(-0.2, 0.2),))
+        imc = build_imc(part, identity_additive(), noise, {"goal": [Box.from_bounds([[0.75, 1]])]})
+        write_imc(imc, tmp_path / "one.csv", tmp_path / "lab.csv")
+        monkeypatch.setattr(imc_module, "_WRITE_ROWS", 3)  # blocks end inside rows
+        write_imc(imc, tmp_path / "blocks.csv", tmp_path / "lab.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     def test_duplicate_pair_rejected(self, tmp_path):
         part = partition_domain(Box.from_bounds([[0, 1]]), (2,))

@@ -17,16 +17,6 @@ from imcverify.mc import (
 from imcverify.noise import Mixture, NoiseModel, TruncatedGaussian, Uniform
 
 
-class _QueuedRng:
-    """Deterministic stand-in yielding scripted uniform draws."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self):
-        return self._values.pop(0)
-
-
 def paper_mixture():
     return Mixture((0.5, 0.5), (Uniform(-0.05, -0.01), Uniform(0.0, 0.04)))
 
@@ -34,15 +24,28 @@ def paper_mixture():
 class TestSampleNoise:
     def test_uniform_inverse_is_identity(self):
         noise = NoiseModel((Uniform(0, 1),))
-        out = sample_noise(noise, _QueuedRng([0.3]))
-        assert out[0] == 0.3
+        assert noise.sample(np.array([[0.3]])).tolist() == [[0.3]]
 
     def test_mixture_selector_above_rounded_weight_sum(self):
         # the weights sum to 1 - 4e-13, inside the validation tolerance; a
         # selector draw above that sum picks the last part
         comp = Mixture((0.5, 0.5 - 4e-13), (Uniform(0, 1), Uniform(2, 3)))
-        out = sample_noise(NoiseModel((comp,)), _QueuedRng([1 - 1e-13, 0.5]))
-        assert out[0] == 2.5
+        out = NoiseModel((comp,)).sample(np.array([[1 - 1e-13, 0.5]]))
+        assert out.tolist() == [[2.5]]
+
+    def test_draws_in_component_order(self):
+        # per stream: a mixture's selector, then its value, then the next component
+        comps = (Uniform(0, 1), paper_mixture(), TruncatedGaussian(0, 1, -1, 1))
+        noise = NoiseModel(comps)
+        assert noise.draws == 4
+        u = np.random.default_rng(3).random((1, 4))
+        expected = [
+            comps[0].inverse_cdf(u[0, 0]),
+            comps[1].parts[int(u[0, 1] >= 0.5)].inverse_cdf(u[0, 2]),
+            comps[2].inverse_cdf(u[0, 3]),
+        ]
+        assert noise.sample(u).tolist() == [expected]
+        assert sample_noise(noise, np.random.default_rng(3)).tolist() == expected
 
     def test_truncated_gaussian_statistics(self):
         comp = TruncatedGaussian(1, 0.1, 0.9, 1.1)

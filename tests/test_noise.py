@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from imcverify.noise import (
     NoiseModel,
     TruncatedGaussian,
     Uniform,
-    cell_probability,
     optimal_partition_affine,
     optimal_partition_multiplicative,
     uniform_noise_grid,
@@ -81,26 +81,6 @@ class TestCdf:
             Mixture((0.5, 0.6), (Uniform(0, 1), Uniform(1, 2)))
 
 
-class TestCellProbability:
-    def test_product_rule(self):
-        noise = NoiseModel((Uniform(0, 1), Uniform(0, 1)))
-        cell = (Interval(0, 0.5), Interval(0, 0.5))
-        assert cell_probability(noise, cell) == pytest.approx(0.25)
-
-    def test_full_support(self):
-        noise = NoiseModel((TruncatedGaussian(1, 0.1, 0.9, 1.1),))
-        assert cell_probability(noise, (Interval(0.9, 1.1),)) == pytest.approx(1.0)
-
-    def test_mixture_gap_has_zero_mass(self):
-        noise = NoiseModel((paper_mixture(),))
-        assert cell_probability(noise, (Interval(-0.01, 0.0),)) == pytest.approx(0.0)
-
-    def test_unbounded_cell(self):
-        noise = NoiseModel((Uniform(0, 1),))
-        cell = (Interval(float("-inf"), 0.25),)
-        assert cell_probability(noise, cell) == pytest.approx(0.25)
-
-
 class TestOptimalPartitionAffine:
     def test_wide_posterior_empty_lower(self):
         cuts = optimal_partition_affine(Interval(0, 2), Interval(0, 1))
@@ -138,54 +118,101 @@ class TestOptimalPartitionMultiplicative:
             optimal_partition_multiplicative(Interval(-0.5, 1), Interval(1, 2))
 
 
+def random_noise_grids(seed):
+    """(noise, resolution) pairs of 1-2 random uniform, truncated Gaussian
+    and mixture components."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        comps = []
+        for _ in range(int(rng.integers(1, 3))):
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                lo = rng.uniform(-1, 0)
+                comps.append(Uniform(lo, lo + rng.uniform(0.1, 1)))
+            elif kind == 1:
+                comps.append(
+                    TruncatedGaussian(
+                        rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.5), -1, 1
+                    )
+                )
+            else:
+                comps.append(paper_mixture())
+        yield NoiseModel(tuple(comps)), [int(r) for r in rng.integers(1, 6, len(comps))]
+
+
+def scalar_grid(noise, resolution):
+    """Per-cell reference: every cell of the product of per-component
+    intervals, its mass a scalar product of interval probabilities."""
+    per_dim = []
+    for comp, r in zip(noise.components, resolution):
+        edges = np.linspace(comp.support.lo, comp.support.hi, r + 1).tolist()
+        per_dim.append([Interval(a, b) for a, b in zip(edges, edges[1:])])
+    lo, hi, mass = [], [], []
+    for cell in itertools.product(*per_dim):
+        p = 1.0
+        for comp, ival in zip(noise.components, cell):
+            p *= comp.interval_probability(ival.lo, ival.hi)
+        lo.append([ival.lo for ival in cell])
+        hi.append([ival.hi for ival in cell])
+        mass.append(min(max(p, 0.0), 1.0))
+    return np.array(lo), np.array(hi), np.array(mass)
+
+
 class TestUniformNoiseGrid:
     def test_uniform_four_cells(self):
-        cells = uniform_noise_grid(NoiseModel((Uniform(0, 1),)), [4])
-        assert len(cells) == 4
-        for c in cells:
-            assert c.probability == pytest.approx(0.25)
+        grid = uniform_noise_grid(NoiseModel((Uniform(0, 1),)), [4])
+        assert grid.mass.shape == (4,)
+        assert grid.mass == pytest.approx([0.25] * 4)
 
     def test_truncated_gaussian_symmetry(self):
-        cells = uniform_noise_grid(
+        grid = uniform_noise_grid(
             NoiseModel((TruncatedGaussian(1, 0.1, 0.9, 1.1),)), [2]
         )
-        assert [c.intervals[0].lo for c in cells] == pytest.approx([0.9, 1.0])
-        assert [c.probability for c in cells] == pytest.approx([0.5, 0.5])
+        assert grid.lo[:, 0] == pytest.approx([0.9, 1.0])
+        assert grid.mass == pytest.approx([0.5, 0.5])
 
     def test_mixture_hull(self):
-        cells = uniform_noise_grid(NoiseModel((paper_mixture(),)), [3])
-        assert cells[0].intervals[0].lo == pytest.approx(-0.05)
-        assert cells[-1].intervals[0].hi == pytest.approx(0.04)
-        assert sum(c.probability for c in cells) == pytest.approx(1.0, abs=1e-9)
+        grid = uniform_noise_grid(NoiseModel((paper_mixture(),)), [3])
+        assert grid.lo[0, 0] == pytest.approx(-0.05)
+        assert grid.hi[-1, 0] == pytest.approx(0.04)
+        assert grid.mass.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_measure_preservation_random(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            comps = []
-            for _ in range(int(rng.integers(1, 3))):
-                kind = rng.integers(0, 3)
-                if kind == 0:
-                    lo = rng.uniform(-1, 0)
-                    comps.append(Uniform(lo, lo + rng.uniform(0.1, 1)))
-                elif kind == 1:
-                    comps.append(
-                        TruncatedGaussian(
-                            rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.5), -1, 1
-                        )
-                    )
-                else:
-                    comps.append(paper_mixture())
-            noise = NoiseModel(tuple(comps))
-            res = [int(r) for r in rng.integers(1, 6, len(comps))]
-            cells = uniform_noise_grid(noise, res)
-            assert len(cells) == int(np.prod(res))
-            assert sum(c.probability for c in cells) == pytest.approx(1.0, abs=1e-9)
+        for noise, res in random_noise_grids(5):
+            grid = uniform_noise_grid(noise, res)
+            assert grid.mass.shape == (int(np.prod(res)),)
+            assert grid.mass.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_matches_scalar_reference(self):
+        for noise, res in random_noise_grids(5):
+            grid = uniform_noise_grid(noise, res)
+            lo, hi, mass = scalar_grid(noise, res)
+            assert np.array_equal(grid.lo, lo)
+            assert np.array_equal(grid.hi, hi)
+            assert np.array_equal(grid.mass, mass)
 
     def test_multidimensional_product(self):
         noise = NoiseModel((Uniform(0, 1), Uniform(0, 1)))
-        cells = uniform_noise_grid(noise, [4, 4])
-        assert len(cells) == 16
-        assert sum(c.probability for c in cells) == pytest.approx(1.0)
+        grid = uniform_noise_grid(noise, [4, 4])
+        assert grid.lo.shape == grid.hi.shape == (16, 2)
+        assert grid.mass.sum() == pytest.approx(1.0)
+
+    def test_product_rule(self):
+        noise = NoiseModel((Uniform(0, 1), Uniform(0, 1)))
+        grid = uniform_noise_grid(noise, [2, 2])
+        # row-major, the last component fastest
+        assert grid.lo.tolist() == [[0, 0], [0, 0.5], [0.5, 0], [0.5, 0.5]]
+        assert grid.mass == pytest.approx([0.25] * 4)
+
+    def test_full_support(self):
+        noise = NoiseModel((TruncatedGaussian(1, 0.1, 0.9, 1.1),))
+        assert uniform_noise_grid(noise, [1]).mass == pytest.approx([1.0])
+
+    def test_mixture_gap_has_zero_mass(self):
+        # cell 4 of 9 over [-0.05, 0.04] is the gap [-0.01, 0.0]
+        grid = uniform_noise_grid(NoiseModel((paper_mixture(),)), [9])
+        assert (grid.lo[4, 0], grid.hi[4, 0]) == pytest.approx((-0.01, 0.0))
+        assert grid.mass[4] == pytest.approx(0.0)
 
 
 class TestPartitionOptimality:
