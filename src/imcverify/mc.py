@@ -4,13 +4,13 @@ check empirical satisfaction against the verified intervals.
 Sampling is inverse-CDF based (``NoiseModel.sample``), so the draw count
 per step is fixed and runs are reproducible from the seed alone.
 
-There is one rollout: ``_rollout`` advances a batch of trajectories in
-lockstep, one RNG stream per trajectory (each step, every alive stream fills
-its row of one block of uniforms), and returns every termination plus the
-full paths of the first ``keep`` trajectories. ``estimate_satisfaction``
-seeds trajectory ``i`` from ``(*seed, i)``, so the paths it keeps are the
-first trajectories of its own validation batch; ``simulate`` and
-``sample_noise`` are one-stream calls into the same kernel and sampler.
+There is one rollout: ``_rollout`` advances the trajectories of whole cells
+in lockstep with one RNG stream per cell. While any of a cell's trajectories
+is alive, each step draws one (trajectories, draws) block from its stream
+and trajectory i reads row i, so a trajectory's noise never depends on
+which others have ended or which cells share its batch.
+``estimate_satisfaction`` validates many cells at once in groups of at most
+``GROUP_TRAJECTORIES``; ``simulate`` is a one-trajectory call.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ TERM_LEFT = "left-domain"
 # termination codes of the kernel; 0 means the trajectory is still running
 _RUNNING, _GOAL, _AVOID, _LEFT, _HORIZON = range(5)
 _TERMS = (None, TERM_GOAL, TERM_AVOID, TERM_LEFT, TERM_HORIZON)
+
+# trajectories per lockstep group (a larger cell is a group of its own)
+GROUP_TRAJECTORIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -75,43 +78,48 @@ def _rollout(
     model: DynamicsModel,
     noise: NoiseModel,
     regions: ReachAvoidRegions,
-    x0: Sequence[float],
+    starts: Sequence[Sequence[float]],
     rngs: Sequence[np.random.Generator],
+    n: int,
     horizon: int,
     keep: int,
-) -> tuple[np.ndarray, list[Trajectory]]:
-    """Advance one trajectory per stream from x0 for at most ``horizon``
-    steps, each stopping at its first goal hit, avoid hit or domain exit.
+) -> tuple[np.ndarray, list[list[Trajectory]]]:
+    """Advance n trajectories from each start (row of ``starts``, one
+    generator each) for at most ``horizon`` steps, each stopping at its
+    first goal hit, avoid hit or domain exit.
 
-    Returns the termination code of every trajectory and the full paths of
-    the first ``keep`` of them.
+    Returns the termination codes, shape (cells, n), and per cell the full
+    paths of its first ``keep`` trajectories.
     """
-    m = len(rngs)
-    u = np.empty((m, noise.draws))
-    x = np.tile(np.asarray(x0, dtype=float), (m, 1))
+    cells, k = len(rngs), min(keep, n)
+    x = np.repeat(np.asarray(starts, dtype=float), n, axis=0)
     cause = _classify(x, regions)
-    length = np.ones(m, dtype=int)
-    history = [x[:keep].copy()]
+    length = np.ones(len(x), dtype=int)
+    tracked = (n * np.arange(cells)[:, None] + np.arange(k)).ravel()
+    history = [x[tracked]]
+    tracking = bool(np.any(cause[tracked] == _RUNNING))
+    u = np.empty((len(x), noise.draws))
     alive = np.flatnonzero(cause == _RUNNING)
     for _ in range(horizon):
         if len(alive) == 0:
             break
-        for row, i in zip(u, alive.tolist()):
-            rngs[i].random(out=row)
-        x_alive = eval_point(model, x[alive], noise.sample(u[: len(alive)]))
+        for c in np.unique(alive // n).tolist():
+            u[c * n : (c + 1) * n] = rngs[c].random((n, noise.draws))
+        x_alive = eval_point(model, x[alive], noise.sample(u[alive]))
         x[alive] = x_alive
         cause[alive] = _classify(x_alive, regions)
         length[alive] += 1
-        if alive[0] < keep:
-            history.append(x[:keep].copy())
+        if tracking:
+            history.append(x[tracked])
+            tracking = bool(np.any(cause[tracked] == _RUNNING))
         alive = alive[cause[alive] == _RUNNING]
     cause[alive] = _HORIZON
     paths = np.stack(history)
     kept = [
-        Trajectory(states=paths[: length[i], i], termination=_TERMS[cause[i]])
-        for i in range(min(keep, m))
+        Trajectory(states=paths[: length[i], j], termination=_TERMS[cause[i]])
+        for j, i in enumerate(tracked.tolist())
     ]
-    return cause, kept
+    return cause.reshape(cells, n), [kept[c * k : (c + 1) * k] for c in range(cells)]
 
 
 def sample_noise(noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
@@ -128,8 +136,10 @@ def simulate(
     rng: np.random.Generator,
 ) -> Trajectory:
     """Roll out at most k steps, stopping at the first goal hit, avoid hit,
-    or domain exit."""
-    _, (trajectory,) = _rollout(model, noise, regions, x0, [rng], k, keep=1)
+    or domain exit. Step t reads ``rng.random((1, noise.draws))``."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    _, [[trajectory]] = _rollout(model, noise, regions, [x0], [rng], 1, k, keep=1)
     return trajectory
 
 
@@ -159,30 +169,40 @@ def estimate_satisfaction(
     model: DynamicsModel,
     noise: NoiseModel,
     regions: ReachAvoidRegions,
-    x0: Sequence[float],
+    starts: Sequence[Sequence[float]],
     n_samples: int,
     horizon: int,
-    seed,
+    seeds: Sequence,
     confidence: float = 0.99,
     keep: int = 0,
-) -> tuple[float, tuple[float, float], list[Trajectory]]:
-    """Empirical satisfaction frequency from x0 with a Clopper-Pearson CI,
-    and the paths of the first ``keep`` trajectories.
+) -> list[tuple[float, tuple[float, float], list[Trajectory]]]:
+    """Per start, the satisfaction frequency of ``n_samples`` trajectories,
+    its Clopper-Pearson CI and the paths of the first ``keep`` of them.
 
-    Trajectory i consumes the RNG stream seeded from (*seed, i), so it is
-    the path simulate() gives with that rng. ``seed`` is an int or a tuple
-    of ints.
+    Start j draws from ``np.random.default_rng(seeds[j])`` (an int or a
+    tuple of ints): its trajectory i is the path simulate() gives when fed
+    column i of ``default_rng(seeds[j]).random((horizon, n_samples,
+    draws))``. A start that is already terminal draws nothing.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     if keep < 0:
         raise ValueError(f"keep must be >= 0, got {keep}")
-    base = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    rngs = [np.random.default_rng([*base, i]) for i in range(n_samples)]
-    cause, kept = _rollout(model, noise, regions, x0, rngs, horizon, keep)
-    successes = int(np.count_nonzero(cause == _GOAL))
-    estimate = successes / n_samples
-    return estimate, clopper_pearson(successes, n_samples, confidence), kept
+    if len(starts) != len(seeds):
+        raise ValueError(f"got {len(starts)} starts but {len(seeds)} seeds")
+    per_group = max(1, GROUP_TRAJECTORIES // n_samples)
+    out = []
+    for a in range(0, len(seeds), per_group):
+        rngs = [np.random.default_rng(s) for s in seeds[a : a + per_group]]
+        cause, kept = _rollout(
+            model, noise, regions, starts[a : a + per_group], rngs, n_samples, horizon, keep
+        )
+        for successes, paths in zip(np.count_nonzero(cause == _GOAL, axis=1).tolist(), kept):
+            ci = clopper_pearson(successes, n_samples, confidence)
+            out.append((successes / n_samples, ci, paths))
+    return out
 
 
 def write_trajectories(trajectories: Sequence[Trajectory], path, dim: int) -> None:

@@ -184,7 +184,8 @@ def phase_simulate(
     confidence interval, the verified interval and the soundness verdict
     (the CI-widened estimate must intersect the verified interval). The
     first ``export_trajectories`` validation trajectories of each cell are
-    written to the trajectories export.
+    written to the trajectories export. Cell c draws from the generator
+    seeded with ``(seed, c)``.
     """
     cfg = ctx.config
     mc = cfg.monte_carlo
@@ -194,22 +195,22 @@ def phase_simulate(
         avoids=tuple(cfg.labels.get("obstacle", ())),
     )
     horizon = cfg.horizon if cfg.horizon is not None else mc.horizon
+    cells = _selected_cells(ctx)
+    lo, hi = ctx.partition.corners(np.asarray(cells, dtype=int))
+    validations = estimate_satisfaction(
+        ctx.model,
+        ctx.noise,
+        regions,
+        0.5 * (lo + hi),
+        mc.trajectories,
+        horizon,
+        seeds=[(mc.seed, cell_idx) for cell_idx in cells],
+        confidence=mc.confidence,
+        keep=mc.export_trajectories,
+    )
     records: list[dict] = []
     exported = []
-    for cell_idx in _selected_cells(ctx):
-        lo, hi = ctx.partition.corners(cell_idx)
-        x0 = tuple((0.5 * (lo + hi)).tolist())
-        estimate, ci, kept = estimate_satisfaction(
-            ctx.model,
-            ctx.noise,
-            regions,
-            x0,
-            mc.trajectories,
-            horizon,
-            seed=(mc.seed, cell_idx),
-            confidence=mc.confidence,
-            keep=mc.export_trajectories,
-        )
+    for cell_idx, (estimate, ci, kept) in zip(cells, validations):
         exported.extend(kept)
         p_lo = float(result.p_lower[cell_idx])
         p_hi = float(result.p_upper[cell_idx])

@@ -234,8 +234,8 @@ class TestClusterImprove:
         )
         for idx in range(part.n_cells):
             x0 = part.cell(idx).center()
-            est, ci, _ = estimate_satisfaction(
-                model, noise, regions, x0, 2000, 100, seed=(9, idx), confidence=0.999
+            [(est, ci, _)] = estimate_satisfaction(
+                model, noise, regions, [x0], 2000, 100, seeds=[(9, idx)], confidence=0.999
             )
             assert out.p_lower[idx] <= ci[1] + 1e-12
             assert out.p_upper[idx] >= ci[0] - 1e-12

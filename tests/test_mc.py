@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from imcverify import mc
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box
 from imcverify.mc import (
@@ -19,6 +20,29 @@ from imcverify.noise import Mixture, NoiseModel, TruncatedGaussian, Uniform
 
 def paper_mixture():
     return Mixture((0.5, 0.5), (Uniform(-0.05, -0.01), Uniform(0.0, 0.04)))
+
+
+def mixture_walk():
+    """A 1-D walk under mixture noise that can reach its goal, hit its
+    avoid box or run out its horizon."""
+    model = parse_dynamics(["x1 + w1"], 1, "additive")
+    regions = ReachAvoidRegions(
+        domain=Box.from_bounds([[-1, 1]]),
+        goals=(Box.from_bounds([[0.5, 1.0]]),),
+        avoids=(Box.from_bounds([[-1.0, -0.5]]),),
+    )
+    return model, NoiseModel((paper_mixture(),)), regions
+
+
+class Replay:
+    """A generator stand-in that hands out fixed rows of uniforms, one row
+    per ``random`` call."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def random(self, size):
+        return next(self.rows).reshape(size)
 
 
 class TestSampleNoise:
@@ -102,8 +126,8 @@ class TestSimulate:
         traj = simulate(model, noise, [0.5], 10, regions, np.random.default_rng(0))
         assert traj.length == 1
         assert traj.termination == "goal-hit"
-        est, _, kept = estimate_satisfaction(
-            model, noise, regions, [0.5], 5, 10, seed=0, keep=3
+        [(est, _, kept)] = estimate_satisfaction(
+            model, noise, regions, [[0.5]], 5, 10, seeds=[0], keep=3
         )
         assert est == 1.0
         assert [t.length for t in kept] == [1, 1, 1]
@@ -155,26 +179,22 @@ class TestEstimateSatisfaction:
         regions = ReachAvoidRegions(
             domain=Box.from_bounds([[0, 1]]), goals=(Box.from_bounds([[0.45, 0.55]]),)
         )
-        est, ci, _ = estimate_satisfaction(
-            model, noise, regions, [1.0], 200, 50, seed=3
+        [(est, ci, _)] = estimate_satisfaction(
+            model, noise, regions, [[1.0]], 200, 50, seeds=[3]
         )
         assert est == 1.0
         assert ci[1] == 1.0
         assert ci[0] < 1.0
 
     def test_batch_matches_sequential_simulate(self):
-        model = parse_dynamics(["x1 + w1"], 1, "additive")
-        noise = NoiseModel((paper_mixture(),))
-        regions = ReachAvoidRegions(
-            domain=Box.from_bounds([[-1, 1]]),
-            goals=(Box.from_bounds([[0.5, 1.0]]),),
-            avoids=(Box.from_bounds([[-1.0, -0.5]]),),
-        )
+        model, noise, regions = mixture_walk()
         n, horizon, seed = 64, 40, 17
         causes = set()
         for x0 in ([0.0], [0.4]):
+            # trajectory i reads row i of each step's (n, draws) block
+            block = np.random.default_rng(seed).random((horizon, n, noise.draws))
             sequential = [
-                simulate(model, noise, x0, horizon, regions, np.random.default_rng([seed, i]))
+                simulate(model, noise, x0, horizon, regions, Replay(block[:, i]))
                 for i in range(n)
             ]
             successes = sum(t.termination == "goal-hit" for t in sequential)
@@ -182,10 +202,10 @@ class TestEstimateSatisfaction:
             assert len({t.length for t in sequential}) > 1
             causes |= {t.termination for t in sequential}
             for keep in (0, 10, n, n + 36):
-                est, _, kept = estimate_satisfaction(
-                    model, noise, regions, x0, n, horizon, seed=seed, keep=keep
+                [(est, _, kept)] = estimate_satisfaction(
+                    model, noise, regions, [x0], n, horizon, seeds=[seed], keep=keep
                 )
-                assert est == pytest.approx(successes / n)
+                assert est == successes / n
                 # the kept paths are the first trajectories of the batch, bit for bit
                 assert len(kept) == min(keep, n)
                 for batch, single in zip(kept, sequential):
@@ -193,12 +213,63 @@ class TestEstimateSatisfaction:
                     assert np.array_equal(batch.states, single.states)
         assert causes == {"goal-hit", "avoid-hit", "horizon"}
 
+    def test_cells_do_not_depend_on_batch_or_grouping(self, monkeypatch):
+        model, noise, regions = mixture_walk()
+        n, horizon = 50, 40
+        starts = [[0.7], [0.0], [-0.7], [0.4]]  # in the goal, free, in the avoid box, free
+        seeds = [11, 12, 13, 14]
+
+        def validate(idx):
+            return estimate_satisfaction(
+                model, noise, regions, [starts[i] for i in idx], n, horizon,
+                seeds=[seeds[i] for i in idx], keep=7,
+            )
+
+        def same(a, b):
+            assert a[:2] == b[:2]
+            assert [t.termination for t in a[2]] == [t.termination for t in b[2]]
+            assert all(np.array_equal(s.states, t.states) for s, t in zip(a[2], b[2]))
+
+        alone = [validate([i])[0] for i in range(4)]
+        assert alone[0][0] == 1.0 and alone[2][0] == 0.0
+        together = validate(range(4))
+        for group in (3 * n, 2 * n, 1):
+            monkeypatch.setattr(mc, "GROUP_TRAJECTORIES", group)
+            for a, b, c in zip(alone, together, validate(range(4))):
+                same(a, b)
+                same(a, c)
+
+        # a cell whose start is terminal never draws from its generator
+        drawn = []
+        real = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.seed, self.rng = seed, real(seed)
+
+            def random(self, size):
+                drawn.append(self.seed)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        validate(range(4))
+        assert set(drawn) == {12, 14}
+
+    def test_bad_arguments_name_the_argument(self):
+        model, noise, regions = mixture_walk()
+        with pytest.raises(ValueError, match="horizon"):
+            estimate_satisfaction(model, noise, regions, [[0.0]], 4, -3, seeds=[0])
+        with pytest.raises(ValueError, match="k must"):
+            simulate(model, noise, [0.0], -2, regions, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="2 starts but 1 seeds"):
+            estimate_satisfaction(model, noise, regions, [[0.0], [0.1]], 4, 5, seeds=[0])
+
     def test_negative_keep_rejected(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
         regions = ReachAvoidRegions(domain=Box.from_bounds([[0, 1]]), goals=())
         with pytest.raises(ValueError):
-            estimate_satisfaction(model, noise, regions, [0.5], 4, 5, seed=0, keep=-1)
+            estimate_satisfaction(model, noise, regions, [[0.5]], 4, 5, seeds=[0], keep=-1)
 
     def test_estimate_within_verified_interval(self):
         from imcverify.imc import build_imc
@@ -214,8 +285,8 @@ class TestEstimateSatisfaction:
         regions = ReachAvoidRegions(domain=part.domain, goals=(goal,))
         for idx in range(part.n_cells):
             x0 = part.cell(idx).center()
-            est, ci, _ = estimate_satisfaction(
-                model, noise, regions, x0, 10**4, 200, seed=(1, idx), confidence=0.999
+            [(est, ci, _)] = estimate_satisfaction(
+                model, noise, regions, [x0], 10**4, 200, seeds=[(1, idx)], confidence=0.999
             )
             assert ci[0] <= res.p_upper[idx] + 1e-12
             assert ci[1] >= res.p_lower[idx] - 1e-12
