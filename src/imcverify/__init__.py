@@ -50,7 +50,6 @@ from .mc import (
     ReachAvoidRegions,
     Trajectory,
     estimate_satisfaction,
-    sample_noise,
     simulate,
 )
 from .config import RunConfig, load_config

@@ -464,10 +464,11 @@ def _row_sums(indptr, *arrays) -> list[np.ndarray]:
 
 def _check_rows(indptr, lower, upper, error: type = SoundnessError, states=None) -> np.ndarray:
     """Raise ``error`` at the first row with sum(lower) > 1 or sum(upper) < 1
-    (up to a 1e-9 tolerance), naming its state (``states[row]``, or the row
-    index); return the row sums of ``lower`` (``_row_sums``)."""
+    (up to a 1e-9 tolerance) or a NaN sum, naming its state (``states[row]``,
+    or the row index); return the row sums of ``lower`` (``_row_sums``)."""
     total_lower, total_upper = _row_sums(indptr, lower, upper)
-    bad = np.flatnonzero((total_lower > 1.0 + _ROW_TOL) | (total_upper < 1.0 - _ROW_TOL))
+    ok = (total_lower <= 1.0 + _ROW_TOL) & (total_upper >= 1.0 - _ROW_TOL)  # False on NaN
+    bad = np.flatnonzero(~ok)
     if len(bad):
         row = int(bad[0])
         raise error(

@@ -1,12 +1,13 @@
 """Monte Carlo validation: sample trajectories of the continuous system and
 check empirical satisfaction against the verified intervals.
 
-Sampling is inverse-CDF based (``NoiseModel.sample``), so the draw count
-per step is fixed and runs are reproducible from the seed alone.
+Sampling is closed form (``NoiseModel.sample``): a step reads one uniform
+per noise component, so the draw count per step is fixed and runs are
+reproducible from the seed alone.
 
 There is one rollout: ``_rollout`` advances the trajectories of whole cells
 in lockstep with one RNG stream per cell. While any of a cell's trajectories
-is alive, each step draws one (trajectories, draws) block from its stream
+is alive, each step draws one (trajectories, noise.n) block from its stream
 and trajectory i reads row i, so a trajectory's noise never depends on
 which others have ended or which cells share its batch.
 ``estimate_satisfaction`` validates many cells at once in groups of at most
@@ -98,13 +99,13 @@ def _rollout(
     tracked = (n * np.arange(cells)[:, None] + np.arange(k)).ravel()
     history = [x[tracked]]
     tracking = bool(np.any(cause[tracked] == _RUNNING))
-    u = np.empty((len(x), noise.draws))
+    u = np.empty((len(x), noise.n))
     alive = np.flatnonzero(cause == _RUNNING)
     for _ in range(horizon):
         if len(alive) == 0:
             break
         for c in np.unique(alive // n).tolist():
-            u[c * n : (c + 1) * n] = rngs[c].random((n, noise.draws))
+            u[c * n : (c + 1) * n] = rngs[c].random((n, noise.n))
         x_alive = eval_point(model, x[alive], noise.sample(u[alive]))
         x[alive] = x_alive
         cause[alive] = _classify(x_alive, regions)
@@ -122,11 +123,6 @@ def _rollout(
     return cause.reshape(cells, n), [kept[c * k : (c + 1) * k] for c in range(cells)]
 
 
-def sample_noise(noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """One noise vector via inverse-CDF sampling."""
-    return noise.sample(rng.random((1, noise.draws)))[0]
-
-
 def simulate(
     model: DynamicsModel,
     noise: NoiseModel,
@@ -136,7 +132,8 @@ def simulate(
     rng: np.random.Generator,
 ) -> Trajectory:
     """Roll out at most k steps, stopping at the first goal hit, avoid hit,
-    or domain exit. Step t reads ``rng.random((1, noise.draws))``."""
+    or domain exit. Step t reads ``rng.random((1, noise.n))``, one uniform
+    per noise component."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     _, [[trajectory]] = _rollout(model, noise, regions, [x0], [rng], 1, k, keep=1)
@@ -182,7 +179,8 @@ def estimate_satisfaction(
     Start j draws from ``np.random.default_rng(seeds[j])`` (an int or a
     tuple of ints): its trajectory i is the path simulate() gives when fed
     column i of ``default_rng(seeds[j]).random((horizon, n_samples,
-    draws))``. A start that is already terminal draws nothing.
+    noise.n))``: one uniform per noise component and step. A start that is
+    already terminal draws nothing.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")

@@ -5,8 +5,9 @@ structures.
 CDF evaluation is analytic (error function for truncated Gaussians, weighted
 sums for mixtures) so that cell probabilities carry distribution-dependent
 soundness. A uniform grid over the support (a ``NoiseGrid``) is the fallback
-partition for models without a usable noise structure. Sampling maps blocks
-of uniforms to noise: ``NoiseModel.sample``.
+partition for models without a usable noise structure. Sampling
+(``NoiseModel.sample``) is closed form, one uniform per component: the
+quantile, or for a mixture the composition method.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ def _phi(z):
 
 
 class NoiseComponent:
-    """One independent scalar noise coordinate."""
-
-    draws = 1  # uniforms one sample reads
+    """One independent scalar noise coordinate. ``sample`` maps one uniform
+    to one sample: by default through the subclass's closed-form quantile
+    ``inverse_cdf``."""
 
     @property
     def support(self) -> Interval:
@@ -41,30 +42,6 @@ class NoiseComponent:
         """Exact CDF at t (scalar or ndarray), clamped to [0, 1]."""
         raise NotImplementedError
 
-    def inverse_cdf(self, u):
-        """Quantile at u in [0, 1] via bracketed bisection on the support.
-
-        The bracket shrinks below 1e-12 in a fixed number of halvings that
-        depends only on the support width, so scalar and batched calls give
-        bit-identical results. On CDF plateaus any point of the plateau is a
-        valid generalized inverse.
-        """
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        sup = self.support
-        lo = np.full(u.shape, sup.lo)
-        hi = np.full(u.shape, sup.hi)
-        width = sup.hi - sup.lo
-        steps = 0 if width <= 1e-12 else int(math.ceil(math.log2(width / 1e-12)))
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self.cdf(mid)) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
-
     def interval_probability(self, lo, hi):
         """Pr(w in [lo, hi]), clamped to [0, 1] and 0 when hi < lo; scalar
         or elementwise over arrays."""
@@ -73,8 +50,8 @@ class NoiseComponent:
         return float(p) if p.ndim == 0 else p
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        """One sample per row of the uniforms ``u``, shape (m, draws)."""
-        return self.inverse_cdf(u[:, 0])
+        """One sample per uniform of ``u``, shape (m,)."""
+        return self.inverse_cdf(u)
 
 
 @dataclass(frozen=True)
@@ -118,10 +95,10 @@ class TruncatedGaussian(NoiseComponent):
     hi: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mean, self.stddev, self.lo, self.hi))):
+            raise ValueError("mean, stddev and truncation bounds must be finite")
         if self.stddev <= 0.0:
             raise ValueError("stddev must be positive")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("truncation bounds must be finite")
         if self.lo >= self.hi:
             raise ValueError("truncation requires lo < hi")
         phi_lo = _phi((self.lo - self.mean) / self.stddev)
@@ -142,12 +119,20 @@ class TruncatedGaussian(NoiseComponent):
         out = np.where(t < self.lo, 0.0, np.where(t > self.hi, 1.0, out))
         return float(out) if out.ndim == 0 else out
 
+    def inverse_cdf(self, u):
+        """Quantile at u in [0, 1]: the Gaussian quantile of Phi(lo) + u *
+        mass, clipped to [lo, hi] against rounding."""
+        from scipy.special import ndtri  # here, not at load, as in _phi
+
+        z = ndtri(self._phi_lo + np.asarray(u, dtype=float) * self._mass)
+        out = np.clip(self.mean + self.stddev * z, self.lo, self.hi)
+        return float(out) if out.ndim == 0 else out
+
 
 @dataclass(frozen=True)
 class Mixture(NoiseComponent):
     weights: tuple[float, ...]
     parts: tuple[NoiseComponent, ...]
-    draws = 2  # the part selector, then the value
 
     def __post_init__(self):
         weights = tuple(float(w) for w in self.weights)
@@ -155,8 +140,8 @@ class Mixture(NoiseComponent):
         object.__setattr__(self, "parts", tuple(self.parts))
         if len(weights) != len(self.parts) or not self.parts:
             raise ValueError("mixture needs matching, non-empty weights and parts")
-        if any(w <= 0.0 for w in weights):
-            raise ValueError("mixture weights must be positive")
+        if not all(math.isfinite(w) and w > 0.0 for w in weights):
+            raise ValueError("mixture weights must be finite and positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
 
@@ -172,14 +157,17 @@ class Mixture(NoiseComponent):
         return float(out) if np.ndim(out) == 0 else out
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        """``u[:, 0]`` picks a part by weight (the last part above the weight
-        sum, which may be 1 - 1e-12) and ``u[:, 1]`` is inverted in it."""
-        part = np.searchsorted(np.cumsum(self.weights), u[:, 0], side="right")
-        part = np.minimum(part, len(self.parts) - 1)
+        """Composition from one uniform: part i takes the u in [c_i, c_i +
+        w_i), c_i the sum of the earlier weights, and samples (u - c_i) / w_i.
+        The last part also takes any u above the weight sum, which may be
+        1 - 1e-12."""
+        ends = np.cumsum(self.weights)
+        part = np.minimum(np.searchsorted(ends, u, side="right"), len(self.parts) - 1)
         out = np.empty(len(u))
         for i in np.unique(part).tolist():
             mask = part == i
-            out[mask] = self.parts[i].inverse_cdf(u[mask, 1])
+            c = ends[i - 1] if i else 0.0
+            out[mask] = self.parts[i].sample(np.clip((u[mask] - c) / self.weights[i], 0.0, 1.0))
         return out
 
 
@@ -201,17 +189,10 @@ class NoiseModel:
     def support_box(self) -> Box:
         return Box(tuple(c.support for c in self.components))
 
-    @property
-    def draws(self) -> int:
-        """Uniforms one noise vector reads: each component's, in order."""
-        return sum(c.draws for c in self.components)
-
     def sample(self, u: np.ndarray) -> np.ndarray:
-        """Noise vectors, shape (m, n), from uniforms of shape (m, draws):
-        each component reads its ``draws`` columns, in component order."""
-        cols = np.cumsum([0] + [c.draws for c in self.components]).tolist()
-        parts = zip(self.components, cols, cols[1:])
-        return np.stack([c.sample(u[:, a:b]) for c, a, b in parts], axis=-1)
+        """Noise vectors, shape (m, n), from uniforms of shape (m, n):
+        column i drives component i."""
+        return np.stack([c.sample(u[:, i]) for i, c in enumerate(self.components)], axis=-1)
 
 
 def _point_mass(comp: NoiseComponent) -> bool:

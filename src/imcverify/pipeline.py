@@ -1,7 +1,9 @@
 """Pipeline orchestration: abstract, verify, improve, simulate.
 
 Each phase writes its artifacts into the configured output directory and
-later phases can reload them, so the CLI subcommands compose. Exports are
+later phases can reload them, so the CLI subcommands compose. Before a phase
+writes its exports it deletes those of every later phase, so no phase
+reloads an artifact derived from an overwritten one. Exports are
 byte-reproducible for a fixed config and seed; the summary additionally
 records wall-clock times and is a report, not an export.
 """
@@ -45,6 +47,8 @@ RESULTS_FILE = "results.csv"
 IMPROVED_FILE = "results_improved.csv"
 TRAJECTORIES_FILE = "trajectories.csv"
 SUMMARY_FILE = "summary.json"
+# the exports of abstract, verify, improve and simulate, in phase order
+EXPORTS = (IMC_FILE, LABELS_FILE, RESULTS_FILE, IMPROVED_FILE, TRAJECTORIES_FILE)
 
 log = logging.getLogger("imcverify")
 
@@ -85,6 +89,13 @@ def build_context(config: RunConfig) -> RunContext:
     )
 
 
+def _drop_exports_after(ctx: RunContext, last: str) -> None:
+    """Delete the exports after ``last``, the final export of the phase about
+    to write: later phases derived them from what it overwrites."""
+    for name in EXPORTS[EXPORTS.index(last) + 1 :]:
+        (ctx.config.output_dir / name).unlink(missing_ok=True)
+
+
 def phase_abstract(ctx: RunContext) -> Imc:
     imc = build_imc(
         ctx.partition,
@@ -96,6 +107,7 @@ def phase_abstract(ctx: RunContext) -> Imc:
     )
     out = ctx.config.output_dir
     out.mkdir(parents=True, exist_ok=True)
+    _drop_exports_after(ctx, LABELS_FILE)
     write_imc(imc, out / IMC_FILE, out / LABELS_FILE)
     return imc
 
@@ -117,6 +129,7 @@ def phase_verify(ctx: RunContext, imc: Imc) -> VerificationResult:
         convergence_tol=ctx.config.convergence_tol,
         max_iterations=ctx.config.max_iterations,
     )
+    _drop_exports_after(ctx, RESULTS_FILE)
     write_results(result, imc, ctx.config.output_dir / RESULTS_FILE)
     return result
 
@@ -160,6 +173,7 @@ def phase_improve(
         if changed == 0:
             break
     if ctx.config.cluster_passes > 0:
+        _drop_exports_after(ctx, IMPROVED_FILE)
         write_results(current, imc, ctx.config.output_dir / IMPROVED_FILE)
     return current, per_pass
 

@@ -266,11 +266,22 @@ class TestLoadConfig:
              "{type: mixture, weights: [0.5, 0.5], components: "
              "[{type: uniform, lo: -0.25, hi: 0.25}, {type: uniform, lo: 0.0, hi: 0.0}]}",
              "noise.components[0].components[1]"),
+            ("{type: uniform, lo: -0.25, hi: 0.25}",
+             "{type: truncated_gaussian, mean: .nan, std: 0.1, lo: -0.25, hi: 0.25}",
+             "noise.components[0]"),
+            ("{type: uniform, lo: -0.25, hi: 0.25}",
+             "{type: truncated_gaussian, mean: 0.0, std: .nan, lo: -0.25, hi: 0.25}",
+             "noise.components[0]"),
+            ("{type: uniform, lo: -0.25, hi: 0.25}",
+             "{type: mixture, weights: [.nan, 1.0], components: "
+             "[{type: uniform, lo: -0.25, hi: 0.0}, {type: uniform, lo: 0.0, hi: 0.25}]}",
+             "noise.components[0]"),
         ],
     )
     def test_invalid_value_rejected(self, tmp_path, caplog, old, new, field):
         # an empty cell list would validate nothing; a uniform with lo == hi
-        # is a point mass, which the noise partitions (over (lo, hi]) drop
+        # is a point mass, which the noise partitions (over (lo, hi]) drop;
+        # NaN noise parameters would turn into NaN bounds
         path = tmp_path / "bad.yaml"
         text = TOY_1D.format(passes=0, mc="true", outdir="out")
         assert old in text
@@ -452,6 +463,28 @@ class TestCli:
         out = tmp_path / "out"
         for name in (IMC_FILE, RESULTS_FILE, IMPROVED_FILE, TRAJECTORIES_FILE):
             assert (out / name).exists()
+
+    def test_later_phases_do_not_reload_stale_exports(self, tmp_path):
+        # rerunning abstract and verify after a dynamics change must not let
+        # simulate validate the previous run's improved results
+        def bounds(path):
+            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+            return {int(r[0]): [float(r[-3]), float(r[-2])] for r in rows}
+
+        cfg_path = write_toy(tmp_path, passes=1)
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(cfg_path)]) == 0
+        stale = bounds(out / IMPROVED_FILE)
+        cfg_path.write_text(cfg_path.read_text().replace('"x1 + w1"', '"0.5*x1 + w1"'))
+        for phase in ("abstract", "verify", "simulate"):
+            assert main([phase, "-c", str(cfg_path)]) == 0
+        assert not (out / IMPROVED_FILE).exists()
+        fresh = bounds(out / RESULTS_FILE)
+        records = json.loads((out / SUMMARY_FILE).read_text())["phases"]["simulate"]["validation"]
+        assert [r["state"] for r in records] == [0, 1, 2, 3]
+        validated = {r["state"]: [r["p_lower"], r["p_upper"]] for r in records}
+        assert validated == {s: fresh[s] for s in validated}
+        assert validated != {s: stale[s] for s in validated}
 
     def test_reloaded_results_are_classified_at_current_threshold(self, tmp_path):
         cfg_path = tmp_path / "paper.yaml"

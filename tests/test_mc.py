@@ -12,7 +12,6 @@ from imcverify.mc import (
     ReachAvoidRegions,
     clopper_pearson,
     estimate_satisfaction,
-    sample_noise,
     simulate,
 )
 from imcverify.noise import Mixture, NoiseModel, TruncatedGaussian, Uniform
@@ -52,24 +51,27 @@ class TestSampleNoise:
 
     def test_mixture_selector_above_rounded_weight_sum(self):
         # the weights sum to 1 - 4e-13, inside the validation tolerance; a
-        # selector draw above that sum picks the last part
+        # uniform above that sum picks the last part, at its top
         comp = Mixture((0.5, 0.5 - 4e-13), (Uniform(0, 1), Uniform(2, 3)))
-        out = NoiseModel((comp,)).sample(np.array([[1 - 1e-13, 0.5]]))
-        assert out.tolist() == [[2.5]]
+        out = NoiseModel((comp,)).sample(np.array([[1 - 1e-13]]))
+        assert out.tolist() == [[3.0]]
 
     def test_draws_in_component_order(self):
-        # per stream: a mixture's selector, then its value, then the next component
+        # column i drives component i; the mixture's part and value both
+        # come from its one uniform
         comps = (Uniform(0, 1), paper_mixture(), TruncatedGaussian(0, 1, -1, 1))
         noise = NoiseModel(comps)
-        assert noise.draws == 4
-        u = np.random.default_rng(3).random((1, 4))
-        expected = [
-            comps[0].inverse_cdf(u[0, 0]),
-            comps[1].parts[int(u[0, 1] >= 0.5)].inverse_cdf(u[0, 2]),
-            comps[2].inverse_cdf(u[0, 3]),
-        ]
-        assert noise.sample(u).tolist() == [expected]
-        assert sample_noise(noise, np.random.default_rng(3)).tolist() == expected
+        parts = set()
+        for u in np.random.default_rng(3).random((8, 1, 3)):
+            part = int(u[0, 1] >= 0.5)
+            parts.add(part)
+            expected = [
+                comps[0].inverse_cdf(u[0, 0]),
+                comps[1].parts[part].inverse_cdf(2.0 * u[0, 1] - part),
+                comps[2].inverse_cdf(u[0, 2]),
+            ]
+            assert noise.sample(u).tolist() == [expected]
+        assert parts == {0, 1}
 
     def test_truncated_gaussian_statistics(self):
         comp = TruncatedGaussian(1, 0.1, 0.9, 1.1)
@@ -90,7 +92,7 @@ class TestSampleNoise:
     def test_mixture_respects_weights_and_gap(self):
         noise = NoiseModel((paper_mixture(),))
         rng = np.random.default_rng(99)
-        samples = np.array([sample_noise(noise, rng)[0] for _ in range(4000)])
+        samples = np.array([noise.sample(rng.random((1, 1)))[0, 0] for _ in range(4000)])
         in_first = np.mean((samples >= -0.05) & (samples <= -0.01))
         in_second = np.mean((samples >= 0.0) & (samples <= 0.04))
         assert in_first == pytest.approx(0.5, abs=0.03)
@@ -191,8 +193,8 @@ class TestEstimateSatisfaction:
         n, horizon, seed = 64, 40, 17
         causes = set()
         for x0 in ([0.0], [0.4]):
-            # trajectory i reads row i of each step's (n, draws) block
-            block = np.random.default_rng(seed).random((horizon, n, noise.draws))
+            # trajectory i reads row i of each step's (n, noise.n) block
+            block = np.random.default_rng(seed).random((horizon, n, noise.n))
             sequential = [
                 simulate(model, noise, x0, horizon, regions, Replay(block[:, i]))
                 for i in range(n)

@@ -291,3 +291,27 @@ def test_inverse_cdf_tolerance():
     back = np.asarray(comp.cdf(ts))
     assert np.max(np.abs(back - us)) < 1e-9
     assert float(comp.inverse_cdf(0.5)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mean, std, lo, hi",
+    [(1.0, 0.1, 0.9, 1.1), (0.0, 0.05, -0.1, 0.1), (0.0, 0.1, 0.3, 0.5), (0.0, 0.1, -0.5, -0.3)],
+)
+def test_truncated_gaussian_quantile_matches_scipy(mean, std, lo, hi):
+    from scipy.stats import truncnorm
+
+    comp = TruncatedGaussian(mean, std, lo, hi)
+    us = np.append(np.linspace(0.0, 1.0, 10001), np.nextafter(1.0, 0.0))
+    ours = comp.inverse_cdf(us)
+    ref = truncnorm.ppf(us, (lo - mean) / std, (hi - mean) / std, loc=mean, scale=std)
+    assert np.max(np.abs(ours - ref)) <= 1e-11
+    assert np.all((ours >= lo) & (ours <= hi))
+
+
+def test_nested_mixture_samples_follow_its_cdf():
+    from scipy.stats import kstest
+
+    inner = Mixture((0.5, 0.5), (Uniform(-1.0, -0.5), TruncatedGaussian(0.0, 0.3, -0.4, 0.4)))
+    comp = Mixture((0.4, 0.6), (inner, Uniform(0.5, 1.5)))
+    samples = comp.sample(np.random.default_rng(8).random(20000))
+    assert kstest(samples, comp.cdf).pvalue > 0.01
