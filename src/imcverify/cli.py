@@ -2,7 +2,9 @@
 
 Subcommands run individual pipeline phases against the same configuration
 file, reusing artifacts already on disk; ``run`` executes the full
-pipeline. Exit codes: 0 success, 1 input error, 2 internal soundness error.
+pipeline. Exit codes: 0 success, 1 input error, 2 internal soundness error,
+3 an unbounded verify phase that hit ``max_iterations`` before converging
+(every export is still written).
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ def main(argv=None) -> int:
             simulate_summary["all_sound"],
         )
     log.info("artifacts written to the configured output directory")
-    return 0
+    verify_summary = summary.get("phases", {}).get("verify")
+    return 3 if verify_summary is not None and not verify_summary["converged"] else 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@ successor states: merging a state's successors into one box target can force
 probability mass into the merged region that the per-cell bounds could not
 pin down. The clusters of all states come from the IMC's CSR arrays at once
 (``cluster_proposals``); ``cluster_improve`` makes one pass over the states
-with them. The IMC itself is never rewritten.
+with them, on one ``RowLayout`` of the clustered rows whose parts are the
+runs of the pass. The IMC itself is never rewritten.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .dynamics import DynamicsModel
 from .errors import SoundnessError
-from .imc import CellPosteriors, Imc, PosteriorTable, _check_rows, _row_sums, _rows_with_last
+from .imc import CellPosteriors, Imc, PosteriorTable, RowLayout, _rows_with_last
 from .imc import cell_posteriors, pair_bounds
 from .noise import NoiseGrid, NoiseModel
 from .verify import (
@@ -78,7 +79,8 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     entry, src, multi, volume = entry[inside], src[inside], multi[inside], volume[inside]
     # one segment of eligible entries per source that has any
     seg = np.flatnonzero(np.diff(src, prepend=-1))
-    sources, count = src[seg], np.diff(np.append(seg, len(entry)))
+    segments = RowLayout(np.append(seg, len(entry)))
+    sources, count = src[seg], np.diff(segments.indptr)
     first = np.minimum.reduceat(multi, seg, axis=0)
     stop = np.maximum.reduceat(multi, seg, axis=0) + 1
     filled = count == (stop - first).prod(axis=1)
@@ -87,7 +89,7 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
         block = _largest_block(multi[seg[j]:seg[j] + count[j]])
         if block is not None:
             found[j], (first[j], stop[j]) = True, block
-    of = np.repeat(np.arange(len(seg)), count)
+    of = segments.row
     members = np.zeros(len(imc.dst), dtype=bool)
     members[entry[found[of] & ((first[of] <= multi) & (multi < stop[of])).all(axis=1)]] = True
     # the block runs from the lower corner of its first cell to the upper corner of its last
@@ -95,7 +97,7 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     hi = partition.corners(np.ravel_multi_index((stop - 1).T, partition.resolution))[1]
     hull_lo, hull_hi = posts.hull_lo[sources], posts.hull_hi[sources]
     hull_volume = np.prod(hull_hi - hull_lo, axis=1)  # in dimension order, as Box.volume
-    (tiled,) = _row_sums(np.append(seg, len(entry)), volume)
+    tiled = segments.sums(volume)
     dom_lo, dom_hi = partition.domain.endpoints()
     hull = filled & ((dom_lo <= hull_lo) & (hull_hi <= dom_hi)).all(axis=1)
     hull &= np.abs(tiled - hull_volume) <= 1e-9 * np.maximum(1.0, hull_volume)
@@ -152,7 +154,9 @@ def cluster_improve(
         [n + np.arange(count), cl_low, cl_up],
     )
     # the clustered rows must stay feasible; a violation is a bug
-    remaining = 1.0 - _check_rows(indptr, lower, upper, SoundnessError, sources)
+    layout = RowLayout(indptr)
+    layout.check(lower, upper, SoundnessError, sources)
+    gap = upper - lower
 
     # A run is a maximal stretch of the pass in which no row reads (as a
     # target of its source, members included) a state an earlier row of the
@@ -167,7 +171,10 @@ def cluster_improve(
     run_end = np.minimum.accumulate(reader[::-1])[::-1]
 
     keys = np.concatenate([np.arange(n), member_dst[member_ptr[:-1]]])
-    cl_lo, cl_hi = np.zeros(count), np.zeros(count)
+    # the values the runs read: the states' (p_lo and p_hi become views of
+    # them, so each run sees the earlier runs' updates), then the clusters'
+    lo_all, hi_all = (np.concatenate([p, np.zeros(count)]) for p in (p_lo, p_hi))
+    (p_lo, cl_lo), (p_hi, cl_hi) = (np.split(v, [n]) for v in (lo_all, hi_all))
     a = runs = 0
     while a < count:
         b, runs = int(run_end[a]), runs + 1
@@ -177,8 +184,8 @@ def cluster_improve(
         # rank only the states this run reads (return_index: a stable sort)
         states, _, local = np.unique(dst[entries], return_index=True, return_inverse=True)
         new_lo, new_hi = _extreme_expectations(
-            indptr[a:b + 1] - indptr[a], local, lower[entries], upper[entries], remaining[a:b],
-            np.append(p_lo, cl_lo)[states], np.append(p_hi, cl_hi)[states], keys[states],
+            layout.part(a, b), local, lower[entries], gap[entries],
+            lo_all[states], hi_all[states], keys[states],
         )
         q = sources[a:b]
         p_lo[q] = np.where(new_lo > p_lo[q], np.minimum(new_lo, p_hi[q]), p_lo[q])

@@ -6,6 +6,11 @@ An ``Imc`` holds CSR arrays: the row of state ``i`` is ``dst``, ``lower``
 and ``upper`` over ``indptr[i]:indptr[i + 1]``. ``Imc.from_rows`` and the
 ``Imc.rows`` view are the only conversions to and from ``TransitionBound``.
 
+``RowLayout`` owns the padded row layout of a CSR block: it alone builds
+the width-class blocks and reads padded slots, and it offers the
+left-to-right row sums, the row check and the adversary walk. The build,
+value iteration and the cluster step each lay out their rows once.
+
 ``cell_posteriors`` computes the posteriors, hulls and candidate targets of
 every grid cell at once; the build and the cluster step call it once each.
 ``_rows_with_last`` assembles the cluster step's CSR rows.
@@ -22,6 +27,7 @@ pairs. General systems sum the cell masses of a uniform ``NoiseGrid``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -121,6 +127,106 @@ class Imc:
     @property
     def unsafe_index(self) -> int:
         return self.partition.unsafe_index
+
+
+class RowLayout:
+    """The rows of one CSR block, laid out once from its ``indptr`` for the
+    row sums, the row check and the adversary walk. Per power-of-two length
+    class of the non-empty rows, ``blocks`` holds the rows and a (width,
+    rows) array of their entry positions (at most 2 x nnz), so a numpy pass
+    down the columns runs left to right within each row. A padded slot
+    points one past the last entry and reads 0.0; no other code reads the
+    blocks."""
+
+    def __init__(self, indptr: np.ndarray):
+        lengths = np.diff(indptr)
+        nonempty = np.flatnonzero(lengths)  # an empty row sums to 0 and walks nowhere
+        widths = 2 ** np.arange(int(lengths.max(initial=1)).bit_length() + 1)
+        width_class = np.searchsorted(widths, lengths[nonempty])  # the least width >= the length
+        self.blocks = []
+        for c in np.flatnonzero(np.bincount(width_class)).tolist():
+            rows = nonempty[width_class == c]
+            slot = indptr[rows] + np.arange(widths[c])[:, None]
+            np.putmask(slot, slot >= indptr[rows + 1], indptr[-1])
+            self.blocks.append((rows, slot))
+        self.indptr, self.remaining = indptr, None
+        # the walk's arrays, made on its first call, hold 0.0 past the last entry
+        self._size, self._work = int(indptr[-1]) + 1, []  # shared with parts
+
+    def part(self, a: int, b: int) -> "RowLayout":
+        """Rows a..b-1 alone, for ``walk``: the slice of each width class that
+        holds them. A part shares the walk's arrays and ``remaining``."""
+        part = RowLayout.__new__(RowLayout)
+        part.indptr, part.remaining = self.indptr[a:b + 1], self.remaining[a:b]
+        part._size, part._work = self._size, self._work
+        part.blocks = []
+        for rows, slot in self.blocks:
+            i, j = np.searchsorted(rows, (a, b))
+            if i < j:
+                part.blocks.append((rows[i:j] - a, slot[:, i:j]))
+        return part
+
+    @functools.cached_property
+    def row(self) -> np.ndarray:
+        """The row of every entry, from 0 also in a part."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Row sums of the per-entry ``x``, left to right from 0.0 as a Python
+        loop adds (``np.add.reduceat`` adds pairwise): np.cumsum runs down each
+        row's column of its block, the padding adds 0 and + 0.0 only turns
+        -0.0 into 0.0."""
+        total = np.zeros(len(self.indptr) - 1)
+        for rows, slot in self.blocks:
+            block = x.take(slot, mode="clip")
+            block[slot == len(x)] = 0.0  # the padded slots
+            total[rows] = np.cumsum(block, axis=0, out=block)[-1] + 0.0
+        return total
+
+    def check(self, lower, upper, error: type = SoundnessError, states=None) -> np.ndarray:
+        """Raise ``error`` at the first row with sum(lower) > 1 or sum(upper) < 1
+        (up to a 1e-9 tolerance) or a NaN sum, naming its state (``states[row]``,
+        or the row index). Returns and keeps for ``walk`` each row's
+        ``remaining`` mass, 1 - sum(lower)."""
+        total_lower, total_upper = self.sums(lower), self.sums(upper)
+        ok = (total_lower <= 1.0 + _ROW_TOL) & (total_upper >= 1.0 - _ROW_TOL)  # False on NaN
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            row = int(bad[0])
+            raise error(
+                f"row {row if states is None else int(states[row])} violates sum(lower) <= 1 <= "
+                f"sum(upper): sum(lower)={float(total_lower[row])}, sum(upper)={float(total_upper[row])}"
+            )
+        self.remaining = 1.0 - total_lower
+        return self.remaining
+
+    def walk(self, order, lower, gap, value) -> np.ndarray:
+        """The greedy adversary walk of every checked row: its k-th step is
+        entry ``order[k]`` of the per-entry ``lower``, ``gap`` (upper - lower)
+        and ``value``. Returns sum(gamma * value) per row."""
+        if not self._work:
+            self._work.extend(np.zeros(self._size) for _ in range(3))
+        entries = slice(self.indptr[0], self.indptr[-1])
+        for work, x in zip(self._work, (lower, gap, value)):
+            np.take(x, order, out=work[entries], mode="clip")  # mode "raise" would buffer a copy
+        low, gap, value = self._work
+        expectation = np.zeros(len(self.indptr) - 1)
+        for rows, slot in self.blocks:
+            block_gap = gap[slot]  # one row per column, in walk order
+            # The walk gives each successor its slack while the remaining
+            # mass exceeds it, then the rest to the first successor whose
+            # slack covers it, then nothing: its mass above the lower bound
+            # is the remaining mass before it (a sequential running
+            # difference) clipped to [0, slack]. gamma * value is then
+            # summed in walk order from 0.0, as ``sums`` adds.
+            walk = np.empty_like(block_gap)
+            walk[0], walk[1:] = self.remaining[rows], -block_gap[:-1]
+            np.cumsum(walk, axis=0, out=walk)
+            np.minimum(np.maximum(walk, 0.0, out=walk), block_gap, out=walk)
+            walk += low[slot]
+            walk *= value[slot]
+            expectation[rows] = np.cumsum(walk, axis=0, out=walk)[-1] + 0.0
+        return expectation
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,6 +446,12 @@ def _aligned_spans(
     return spans
 
 
+def grid_box(partition: StatePartition, box: Box, name: str) -> Box:
+    """The label box with each endpoint replaced by the grid edge it matches."""
+    spans = _aligned_spans(partition, box, name)
+    return Box.from_bounds([(e[s.start], e[s.stop]) for e, s in zip(partition.edges, spans)])
+
+
 def assign_labels(
     partition: StatePartition, label_boxes: Mapping[str, Sequence[Box]]
 ) -> tuple[frozenset[str], ...]:
@@ -421,7 +533,7 @@ def build_imc(
     dst[last], lower[last], upper[last] = unsafe, np.append(low_u, 1.0), np.append(up_u, 1.0)
     n = int(indptr[-1])
     imc = Imc(partition, indptr, dst[:n], lower[:n], upper[:n], labels)
-    _check_rows(imc.indptr, imc.lower, imc.upper)
+    RowLayout(imc.indptr).check(imc.lower, imc.upper)
     return imc
 
 
@@ -432,50 +544,6 @@ def _rows_with_last(counts, entries, last) -> tuple[np.ndarray, list[np.ndarray]
     ends = np.cumsum(counts)
     indptr = np.concatenate([[0], ends + np.arange(1, len(ends) + 1)])
     return indptr, [np.insert(x, ends, y) for x, y in zip(entries, last)]
-
-
-def _row_blocks(indptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per power-of-two row-length class, its rows and a (width, rows) array
-    of their entry positions, padded with ``indptr[-1]``: at most 2 x nnz."""
-    lengths = np.diff(indptr)
-    widths = 2 ** np.arange(int(lengths.max(initial=1)).bit_length() + 1)
-    width_class = np.searchsorted(widths, lengths)  # the least width >= the row length
-    blocks = []
-    for c in np.flatnonzero(np.bincount(width_class)).tolist():
-        rows = np.flatnonzero(width_class == c)
-        slot = indptr[rows] + np.arange(widths[c])[:, None]
-        blocks.append((rows, np.where(slot < indptr[rows + 1], slot, indptr[-1])))
-    return blocks
-
-
-def _row_sums(indptr, *arrays) -> list[np.ndarray]:
-    """Row sums of each array, left to right from 0.0 as a Python loop adds
-    (``np.add.reduceat`` adds pairwise): np.cumsum runs down each row's column
-    of its block, the padding adds 0 and + 0.0 only turns -0.0 into 0.0."""
-    blocks, sums = _row_blocks(indptr), []
-    for x in arrays:
-        total, x = np.zeros(len(indptr) - 1), np.append(x, 0.0)
-        for rows, slot in blocks:
-            block = x[slot]
-            total[rows] = np.cumsum(block, axis=0, out=block)[-1] + 0.0
-        sums.append(total)
-    return sums
-
-
-def _check_rows(indptr, lower, upper, error: type = SoundnessError, states=None) -> np.ndarray:
-    """Raise ``error`` at the first row with sum(lower) > 1 or sum(upper) < 1
-    (up to a 1e-9 tolerance) or a NaN sum, naming its state (``states[row]``,
-    or the row index); return the row sums of ``lower`` (``_row_sums``)."""
-    total_lower, total_upper = _row_sums(indptr, lower, upper)
-    ok = (total_lower <= 1.0 + _ROW_TOL) & (total_upper >= 1.0 - _ROW_TOL)  # False on NaN
-    bad = np.flatnonzero(~ok)
-    if len(bad):
-        row = int(bad[0])
-        raise error(
-            f"row {row if states is None else int(states[row])} violates sum(lower) <= 1 <= "
-            f"sum(upper): sum(lower)={float(total_lower[row])}, sum(upper)={float(total_upper[row])}"
-        )
-    return total_lower
 
 
 # --- file formats ---------------------------------------------------------------

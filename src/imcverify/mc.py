@@ -41,7 +41,8 @@ GROUP_TRAJECTORIES = 2**16
 @dataclass(frozen=True)
 class ReachAvoidRegions:
     """Geometric reach-avoid data for simulation: stay inside ``domain``,
-    reach any goal box, never touch an avoid box. Leaving the domain counts
+    reach any goal box, never enter an avoid box. Goal and avoid boxes are
+    half-open like grid cells (see ``_inside``). Leaving the domain counts
     as a violation, matching the absorbing unsafe state."""
 
     domain: Box
@@ -59,19 +60,23 @@ class Trajectory:
         return int(self.states.shape[0])
 
 
-def _inside(x: np.ndarray, box: Box) -> np.ndarray:
+def _inside(x: np.ndarray, box: Box, top: np.ndarray) -> np.ndarray:
+    """The rows of x in the box as a grid cell owns points: with its lower
+    faces, and with its upper faces only where they lie on ``top``, the
+    domain's upper corner (so the domain itself is closed)."""
     lo, hi = box.endpoints()
-    return np.all((x >= lo) & (x <= hi), axis=1)
+    return np.all((lo <= x) & ((x < hi) | ((x == hi) & (hi == top))), axis=1)
 
 
 def _classify(x: np.ndarray, regions: ReachAvoidRegions) -> np.ndarray:
     """Termination code per row of x (shape (m, n)). A goal hit wins over an
     avoid hit, which wins over leaving the domain."""
-    cause = np.where(_inside(x, regions.domain), _RUNNING, _LEFT)
+    top = regions.domain.endpoints()[1]
+    cause = np.where(_inside(x, regions.domain, top), _RUNNING, _LEFT)
     for box in regions.avoids:
-        cause[_inside(x, box)] = _AVOID
+        cause[_inside(x, box, top)] = _AVOID
     for box in regions.goals:
-        cause[_inside(x, box)] = _GOAL
+        cause[_inside(x, box, top)] = _GOAL
     return cause
 
 

@@ -27,6 +27,7 @@ from .imc import (
     Imc,
     PosteriorTable,
     build_imc,
+    grid_box,
     read_imc,
     read_posterior_table,
     write_imc,
@@ -189,6 +190,15 @@ def _selected_cells(ctx: RunContext) -> list[int]:
     return list(range(0, n, stride))
 
 
+def _regions(ctx: RunContext) -> ReachAvoidRegions:
+    """The goal and obstacle boxes on the grid edges their endpoints match,
+    so that Monte Carlo and the cell labels agree on every face."""
+    def boxes(name):
+        return tuple(grid_box(ctx.partition, box, name) for box in ctx.config.labels.get(name, ()))
+
+    return ReachAvoidRegions(ctx.config.domain, goals=boxes("goal"), avoids=boxes("obstacle"))
+
+
 def phase_simulate(
     ctx: RunContext, imc: Imc, result: VerificationResult
 ) -> list[dict]:
@@ -203,11 +213,7 @@ def phase_simulate(
     """
     cfg = ctx.config
     mc = cfg.monte_carlo
-    regions = ReachAvoidRegions(
-        domain=cfg.domain,
-        goals=tuple(cfg.labels.get("goal", ())),
-        avoids=tuple(cfg.labels.get("obstacle", ())),
-    )
+    regions = _regions(ctx)
     horizon = cfg.horizon if cfg.horizon is not None else mc.horizon
     cells = _selected_cells(ctx)
     lo, hi = ctx.partition.corners(np.asarray(cells, dtype=int))

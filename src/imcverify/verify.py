@@ -11,9 +11,12 @@ ordering construction (Givan, Leach & Dean, 2000): sort successors by value,
 give every successor its lower bound, then saturate the remaining mass in
 sorted order up to each upper bound. The feasible set is a transportation
 polytope and this greedy walk reaches its extreme points. One kernel,
-``_extreme_expectations``, runs both walks for every row of a CSR block in
-O(nnz) memory, sequentially within a row, so each row gets the bits of a
-walk over that row alone; value iteration and cluster improvement call it.
+``_extreme_expectations``, ranks the states and sorts every row of a CSR
+block into walk order for both walks; ``RowLayout.walk`` (``imc.py``, the
+owner of the row layout) then walks each row sequentially in O(nnz)
+memory, so each row gets the bits of a walk over that row alone. Value
+iteration lays its rows out and checks them once for all sweeps; cluster
+improvement calls the kernel on parts of its own layout.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, InvalidModelError, SpecificationError
-from .imc import _ROW_TOL, Imc, TransitionBound, UNSAFE_LABEL, _check_rows, _read_columns
-from .imc import _reject_first, _repeats, _row_blocks
+from .imc import _ROW_TOL, Imc, RowLayout, TransitionBound, UNSAFE_LABEL, _read_columns
+from .imc import _reject_first, _repeats
 
 log = logging.getLogger("imcverify")
 
@@ -76,46 +79,25 @@ class VerificationResult:
         object.__setattr__(self, "p_upper", np.asarray(self.p_upper, dtype=float))
 
 
-def _extreme_expectations(indptr, dst, lower, upper, remaining, lo_values, hi_values, keys=None):
+def _extreme_expectations(layout: RowLayout, dst, lower, gap, lo_values, hi_values, keys=None):
     """The minimum over ``lo_values`` and the maximum over ``hi_values`` of
-    the expectation over all adversaries, for every row of a CSR block.
+    the expectation over all adversaries, for every row of a checked layout.
 
-    ``dst``, ``lower`` and ``upper`` are per-entry: the successor, an index
-    into the per-state ``lo_values``/``hi_values``, and its bounds.
-    ``remaining`` is 1 - sum(lower) per row, from ``_check_rows`` on the
-    block. Ties in value break by ascending ``keys`` (default: the state
-    index); the expectations are tie-invariant.
+    ``dst``, ``lower`` and ``gap`` are per-entry: the successor, an index
+    into the per-state ``lo_values``/``hi_values``, its lower bound and its
+    upper - lower. Ties in value break by ascending ``keys`` (default: the
+    state index); the expectations are tie-invariant.
     """
     n_states = len(lo_values)
     keys = np.arange(n_states) if keys is None else keys
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    blocks = _row_blocks(indptr)  # padded slots read the appended zeros, adding nothing
-    slack = upper - lower
     both = []
     for values, sign in ((lo_values, 1.0), (hi_values, -1.0)):
         # one rank per state, by value (descending for the maximum) then
         # key; sorting each row by the rank of its targets is the walk order
         rank = np.empty(n_states, dtype=np.int64)
         rank[np.lexsort((keys, sign * values))] = np.arange(n_states)
-        order = np.argsort(rows * n_states + rank[dst], kind="stable")
-        low, gap, value = (np.append(x[order], 0.0) for x in (lower, slack, values[dst]))
-        expectation = np.empty(len(indptr) - 1)
-        for block, slot in blocks:
-            block_gap = gap[slot]  # one row per column, in walk order
-            # The walk gives each successor its slack while the remaining
-            # mass exceeds it, then the rest to the first successor whose
-            # slack covers it, then nothing: its mass above the lower bound
-            # is the remaining mass before it (a sequential running
-            # difference) clipped to [0, slack]. gamma * value is then
-            # summed in walk order from 0.0, as ``_check_rows`` sums rows.
-            walk = np.empty_like(block_gap)
-            walk[0], walk[1:] = remaining[block], -block_gap[:-1]
-            np.cumsum(walk, axis=0, out=walk)
-            np.minimum(np.maximum(walk, 0.0, out=walk), block_gap, out=walk)
-            walk += low[slot]
-            walk *= value[slot]
-            expectation[block] = np.cumsum(walk, axis=0, out=walk)[-1] + 0.0
-        both.append(expectation)
+        order = np.argsort(layout.row * n_states + rank[dst], kind="stable")
+        both.append(layout.walk(order, lower, gap, values[dst]))
     return tuple(both)
 
 
@@ -129,9 +111,9 @@ def adversary_extreme_expectation(
     lower = np.array([tb.lower for tb in row], dtype=float)
     upper = np.array([tb.upper for tb in row], dtype=float)
     values = np.asarray(values, dtype=float)
-    indptr = np.array([0, len(row)])
-    remaining = 1.0 - _check_rows(indptr, lower, upper, InvalidModelError)
-    low, high = _extreme_expectations(indptr, dst, lower, upper, remaining, values, values)
+    layout = RowLayout(np.array([0, len(row)]))
+    layout.check(lower, upper, InvalidModelError)
+    low, high = _extreme_expectations(layout, dst, lower, upper - lower, values, values)
     return float((low if mode == "min" else high)[0])
 
 
@@ -168,26 +150,22 @@ def robust_value_iteration(
     reports which happened.
     """
     goal, avoid = _goal_avoid_sets(imc, spec)
-    free = np.flatnonzero(~goal & ~avoid)
+    pinned = goal | avoid
 
     v_lo = goal.astype(float)
     v_hi = goal.astype(float)
     iterations = 0
-    converged = spec.horizon is not None or len(free) == 0
-    # the rows do not change between sweeps: check them once
-    remaining = 1.0 - _check_rows(imc.indptr, imc.lower, imc.upper, InvalidModelError)
+    converged = spec.horizon is not None or bool(pinned.all())
+    # the rows do not change between sweeps: lay them out and check them once
+    layout = RowLayout(imc.indptr)
+    layout.check(imc.lower, imc.upper, InvalidModelError)
+    gap = imc.upper - imc.lower
 
     for _ in range(spec.horizon if spec.horizon is not None else max_iterations):
-        low, high = _extreme_expectations(
-            imc.indptr, imc.dst, imc.lower, imc.upper, remaining, v_lo, v_hi
-        )
-        new_lo, new_hi = v_lo.copy(), v_hi.copy()
-        new_lo[free], new_hi[free] = low[free], high[free]
-        delta = max(
-            float(np.max(np.abs(new_lo - v_lo))),
-            float(np.max(np.abs(new_hi - v_hi))),
-        )
-        v_lo, v_hi = new_lo, new_hi
+        low, high = _extreme_expectations(layout, imc.dst, imc.lower, gap, v_lo, v_hi)
+        low[pinned], high[pinned] = v_lo[pinned], v_hi[pinned]
+        delta = max(float(np.max(np.abs(low - v_lo))), float(np.max(np.abs(high - v_hi))))
+        v_lo, v_hi = low, high
         iterations += 1
         if spec.horizon is None and delta < convergence_tol:
             converged = True

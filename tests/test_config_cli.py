@@ -17,6 +17,7 @@ from imcverify.errors import InputError
 from imcverify.geometry import partition_domain
 from imcverify.imc import PosteriorTable, write_posterior_table
 from imcverify.pipeline import (
+    EXPORTS,
     IMC_FILE,
     IMPROVED_FILE,
     LABELS_FILE,
@@ -455,14 +456,30 @@ class TestCli:
         assert (tmp_path / "out" / SUMMARY_FILE).exists()
 
     def test_phase_subcommands_compose(self, tmp_path):
+        """Four processes' worth of phases, each reloading what the one before
+        wrote, export the bytes of one ``run``."""
         cfg_path = write_toy(tmp_path, passes=1)
         assert main(["abstract", "-c", str(cfg_path)]) == 0
         assert main(["verify", "-c", str(cfg_path)]) == 0
         assert main(["improve", "-c", str(cfg_path)]) == 0
         assert main(["simulate", "-c", str(cfg_path)]) == 0
+        assert main(["run", "-c", str(cfg_path), "--output-dir", str(tmp_path / "whole")]) == 0
+        for name in EXPORTS:
+            phased, whole = (tmp_path / d / name for d in ("out", "whole"))
+            assert phased.read_bytes() == whole.read_bytes(), name
+
+    def test_unconverged_run_exits_3_after_its_exports(self, tmp_path):
+        cfg_path = write_toy(tmp_path, passes=1)
+        cfg_path.write_text(
+            cfg_path.read_text().replace("  threshold: 0.9\n", "  threshold: 0.9\n  max_iterations: 1\n")
+        )
+        assert main(["run", "-c", str(cfg_path)]) == 3
         out = tmp_path / "out"
-        for name in (IMC_FILE, RESULTS_FILE, IMPROVED_FILE, TRAJECTORIES_FILE):
-            assert (out / name).exists()
+        assert all((out / name).exists() for name in EXPORTS)
+        verify = json.loads((out / SUMMARY_FILE).read_text())["phases"]["verify"]
+        assert (verify["iterations"], verify["converged"]) == (1, False)
+        # an invocation without the verify phase does not report it again
+        assert main(["improve", "-c", str(cfg_path)]) == 0
 
     def test_later_phases_do_not_reload_stale_exports(self, tmp_path):
         # rerunning abstract and verify after a dynamics change must not let

@@ -1,13 +1,16 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from imcverify import mc
+from imcverify.config import load_config
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box
+from imcverify.imc import assign_labels
 from imcverify.mc import (
     ReachAvoidRegions,
     clopper_pearson,
@@ -15,6 +18,9 @@ from imcverify.mc import (
     simulate,
 )
 from imcverify.noise import Mixture, NoiseModel, TruncatedGaussian, Uniform
+from imcverify.pipeline import _regions, build_context
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 def paper_mixture():
@@ -292,6 +298,58 @@ class TestEstimateSatisfaction:
             )
             assert ci[0] <= res.p_upper[idx] + 1e-12
             assert ci[1] >= res.p_lower[idx] - 1e-12
+
+
+def corner_terminations(ctx):
+    """``_classify`` on every lower and upper cell corner, and what the
+    labels of the cell that owns the corner say: goal, else avoid, else
+    running."""
+    part, spec = ctx.partition, ctx.spec
+    labels = assign_labels(part, ctx.config.labels)
+    corners = np.concatenate(part.corners(np.arange(part.n_cells)))
+    expected = []
+    for x in corners.tolist():
+        labs = labels[part.cell_index_of_point(x)]
+        expected.append(
+            mc._GOAL if spec.goal_label in labs
+            else mc._AVOID if labs & spec.avoid_labels
+            else mc._RUNNING
+        )
+    return mc._classify(corners, _regions(ctx)), np.array(expected)
+
+
+class TestPointOwnership:
+    @pytest.mark.parametrize(
+        "workload", ["paper-mult-40", "general-sin-20", "additive-h200-phased", "mixture-mc-h30"]
+    )
+    def test_classify_agrees_with_cell_labels_on_corners(self, workload):
+        """Also on the domain's upper faces, which the mixture obstacle touches."""
+        found, expected = corner_terminations(build_context(load_config(WORKLOADS / f"{workload}.yaml")))
+        assert np.array_equal(found, expected)
+
+    def test_label_faces_belong_to_the_owning_cell(self):
+        """(2.0, 0.75) lies on the obstacle's upper face and (0.55, 0.4) on
+        the goal's; both belong to unlabelled cells, so both keep running."""
+        ctx = build_context(load_config(WORKLOADS / "paper-mult-40.yaml"))
+        points = [[2.0, 0.75], [0.55, 0.4]]
+        assert [ctx.partition.cell_index_of_point(x) for x in points] == [1410, 243]
+        assert mc._classify(np.array(points), _regions(ctx)).tolist() == [mc._RUNNING] * 2
+
+    def test_label_endpoint_above_its_grid_edge(self, tmp_path):
+        """The goal's lower endpoint 0.6666666667 matches the edge
+        0.6666666666666666 below it; the cells from that edge on are goal
+        cells, so the corners on the edge are goal hits."""
+        cfg = tmp_path / "sixths.yaml"
+        cfg.write_text(
+            "domain: [[0, 1], [0, 1]]\ngrid: [6, 6]\n"
+            "dynamics: {expressions: [x1, x2], structure: additive}\n"
+            "noise: {components: [{type: uniform, lo: -0.1, hi: 0.1}, "
+            "{type: uniform, lo: -0.1, hi: 0.1}]}\n"
+            "labels: {goal: [[[0.6666666667, 1.0], [0.0, 1.0]]]}\n"
+        )
+        found, expected = corner_terminations(build_context(load_config(cfg)))
+        assert np.count_nonzero(expected == mc._GOAL) > 0
+        assert np.array_equal(found, expected)
 
 
 class TestClopperPearson:
