@@ -23,8 +23,7 @@ class MonteCarloConfig:
     seed: int = 0
     confidence: float = 0.99
     horizon: int = 200
-    cells: Union[str, int, list[int]] = "stride"
-    cell_stride: int = 0  # 0 = auto (about 20 cells)
+    cells: Union[str, list[int]] = "stride"  # "stride": about 20 evenly spaced cells
     export_trajectories: int = 20
     enabled: bool = True
 
@@ -263,7 +262,6 @@ def load_config(path) -> RunConfig:
         confidence=mc_raw.get("confidence", 0.99),
         horizon=_integer(mc_raw, "horizon", 200, "monte_carlo", 1),
         cells=mc_raw.get("cells", "stride"),
-        cell_stride=_integer(mc_raw, "cell_stride", 0, "monte_carlo", 0),
         export_trajectories=_integer(mc_raw, "export_trajectories", 20, "monte_carlo", 0),
         enabled=mc_raw.get("enabled", True),
     )

@@ -442,6 +442,8 @@ def _aligned_spans(
                     f"not lie on a grid line"
                 )
             matched.append(i)
+        if matched[0] == matched[1]:
+            raise InputError(f"label {name!r}: box is narrower than a grid cell in dimension {d}")
         spans.append(range(*matched))
     return spans
 
@@ -549,46 +551,45 @@ def _rows_with_last(counts, entries, last) -> tuple[np.ndarray, list[np.ndarray]
 # --- file formats ---------------------------------------------------------------
 
 
-def _read_csv(path, header: str, *types, maxsplit: int = -1):
-    """Yield (line number, fields converted by ``types``) for each non-blank
-    line of a delimited file with this header; a wrong header, field count or
-    number is an InputError naming ``path:line``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        found = fh.readline().strip()
-        if found != header:
-            raise InputError(f"{path}:1: expected header {header!r}, got {found!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",", maxsplit)
-            if len(parts) != len(types):
-                raise InputError(f"{path}:{lineno}: expected {len(types)} fields")
-            try:
-                fields = [convert(p) for convert, p in zip(types, parts)]
-            except (ValueError, OverflowError):
-                raise InputError(f"{path}:{lineno}: malformed field") from None
-            yield lineno, fields
-
-
 def _read_columns(path, header: str, *types) -> list[np.ndarray]:
     """One array per field of a delimited file with this header, converted by
-    ``types``; a file ``np.loadtxt`` refuses is read again by ``_read_csv``,
-    which accepts blank lines and names the first malformed line."""
+    ``types`` through ``np.loadtxt``. Whitespace-only lines are skipped; a
+    line ``np.loadtxt`` refuses is an InputError naming ``path:line``."""
     dtype = [(f"f{i}", {int: np.int64, float: float, str: object}[t]) for i, t in enumerate(types)]
     with open(path, "r", encoding="utf-8") as fh:
         found = fh.readline().strip()
     if found != header:
         raise InputError(f"{path}:1: expected header {header!r}, got {found!r}")
-    try:
+
+    def load(rows, skip=0):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a header without rows
-            kwargs = dict(comments=None, delimiter=",", skiprows=1, encoding="utf-8", ndmin=1)
-            table = np.loadtxt(path, dtype, **kwargs)
-        return [table[name] for name, _ in dtype]
+            kwargs = dict(comments=None, delimiter=",", skiprows=skip, encoding="utf-8", ndmin=1)
+            return np.loadtxt(rows, dtype, **kwargs)
+
+    try:
+        table = load(path, skip=1)
     except ValueError:
-        converters = (np.int64 if t is int else t for t in types)  # an int64 overflow is malformed
-        rows = [fields for _, fields in _read_csv(path, header, *converters)]
-        return [np.array([r[i] for r in rows], dt) for i, (_, dt) in enumerate(dtype)]
+        with open(path, "r", encoding="utf-8") as fh:
+            numbered = [(i, line) for i, line in enumerate(fh, start=1) if i > 1 and line.strip()]
+        lines = [line for _, line in numbered]
+        try:
+            table = load(lines)
+        except ValueError:
+            # halve towards the shortest refused prefix: it ends at the first refused line
+            good, bad = 0, len(lines)  # lines[:good] loads, lines[:bad] is refused
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                try:
+                    load(lines[:mid])
+                    good = mid
+                except ValueError:
+                    bad = mid
+            lineno, line = numbered[good]
+            fields = line.count(",") + 1
+            reason = f"expected {len(types)} fields" if fields != len(types) else "malformed field"
+            raise InputError(f"{path}:{lineno}: {reason}") from None
+    return [table[name] for name, _ in dtype]
 
 
 def _repeats(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -615,8 +616,8 @@ def _reject_first(path, *checks) -> None:
 
 def write_imc(imc: Imc, bounds_path, labels_path) -> None:
     """Delimited exports: (from,to,lower,upper) sorted by (from,to), and one
-    (state,label) row per label, sorted. Entries are formatted
-    ``_WRITE_ROWS`` at a time, which bounds the memory the write takes."""
+    (state,label) row per label, sorted, a record nothing reads back. Entries
+    are formatted ``_WRITE_ROWS`` at a time, which bounds the memory used."""
     with open(bounds_path, "w", encoding="utf-8") as fh:
         fh.write("from,to,lower,upper\n")
         for a in range(0, len(imc.dst), _WRITE_ROWS):
@@ -631,10 +632,11 @@ def write_imc(imc: Imc, bounds_path, labels_path) -> None:
                 fh.write(f"{i},{name}\n")
 
 
-def read_imc(bounds_path, labels_path, partition: StatePartition) -> Imc:
-    """Load an exported IMC whose rows may come in any order; a malformed
-    line, an out-of-range state, an invalid bound or a repeated (from, to)
-    pair is an InputError naming ``path:line``."""
+def read_imc(bounds_path, partition: StatePartition, labels: Sequence[frozenset[str]]) -> Imc:
+    """Load exported bounds, whose rows may come in any order, as an IMC with
+    the given labels, which the bounds do not depend on. A malformed line, an
+    out-of-range state, an invalid bound or a repeated (from, to) pair is an
+    InputError naming ``path:line``."""
     n = partition.n_states
     src, dst, lo, hi = _read_columns(bounds_path, "from,to,lower,upper", int, int, float, float)
     in_range = (0 <= src) & (src < n) & (0 <= dst) & (dst < n)
@@ -646,14 +648,9 @@ def read_imc(bounds_path, labels_path, partition: StatePartition) -> Imc:
         (~((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)), "bound requires 0 <= lower <= upper <= 1"),
         (repeat, lambda k: f"duplicate pair ({src[k]},{dst[k]})"),
     )
-    labels: list[set[str]] = [set() for _ in range(n)]
-    for lineno, (state, label) in _read_csv(labels_path, "state,label", int, str, maxsplit=1):
-        if not 0 <= state < n:
-            raise InputError(f"{labels_path}:{lineno}: state index out of range")
-        labels[state].add(label)
     src, dst, lo, hi = (x[order] for x in (src, dst, lo, hi))
     indptr = np.searchsorted(src, np.arange(n + 1))
-    return Imc(partition, indptr, dst, lo, hi, tuple(frozenset(s) for s in labels))
+    return Imc(partition, indptr, dst, lo, hi, tuple(labels))
 
 
 def write_posterior_table(table: PosteriorTable, path) -> None:

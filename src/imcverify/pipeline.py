@@ -1,11 +1,14 @@
 """Pipeline orchestration: abstract, verify, improve, simulate.
 
 Each phase writes its artifacts into the configured output directory and
-later phases can reload them, so the CLI subcommands compose. Before a phase
-writes its exports it deletes those of every later phase, so no phase
-reloads an artifact derived from an overwritten one. Exports are
-byte-reproducible for a fixed config and seed; the summary additionally
-records wall-clock times and is a report, not an export.
+later phases can reload them, so the CLI subcommands compose. The config is
+the only source of the grid and the specification, labels included, and a
+phase reloads only what it cannot recompute: ``imc.csv`` for verify and
+improve, a result table for improve and simulate (``labels.csv`` is a
+record). Before a phase writes its exports it deletes those of every later
+phase, so no phase reloads an artifact derived from an overwritten one.
+Exports are byte-reproducible for a fixed config and seed; the summary
+additionally records wall-clock times and is a report, not an export.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .geometry import StatePartition, partition_domain
 from .imc import (
     Imc,
     PosteriorTable,
+    assign_labels,
     build_imc,
     grid_box,
     read_imc,
@@ -33,7 +37,7 @@ from .imc import (
     write_imc,
 )
 from .mc import ReachAvoidRegions, estimate_satisfaction, write_trajectories
-from .noise import NoiseGrid, NoiseModel, uniform_noise_grid
+from .noise import NoiseGrid, uniform_noise_grid
 from .verify import (
     ReachAvoidSpec,
     VerificationResult,
@@ -61,7 +65,6 @@ class RunContext:
     config: RunConfig
     partition: StatePartition
     model: DynamicsModel
-    noise: NoiseModel
     noise_cells: Optional[NoiseGrid]
     posterior_table: Optional[PosteriorTable]
     spec: ReachAvoidSpec
@@ -83,7 +86,6 @@ def build_context(config: RunConfig) -> RunContext:
         config=config,
         partition=partition,
         model=model,
-        noise=config.noise,
         noise_cells=noise_cells,
         posterior_table=table,
         spec=spec,
@@ -101,7 +103,7 @@ def phase_abstract(ctx: RunContext) -> Imc:
     imc = build_imc(
         ctx.partition,
         ctx.model,
-        ctx.noise,
+        ctx.config.noise,
         ctx.config.labels,
         posterior_table=ctx.posterior_table,
         noise_cells=ctx.noise_cells,
@@ -114,13 +116,12 @@ def phase_abstract(ctx: RunContext) -> Imc:
 
 
 def load_imc(ctx: RunContext) -> Imc:
-    out = ctx.config.output_dir
-    bounds, labels = out / IMC_FILE, out / LABELS_FILE
-    if not bounds.exists() or not labels.exists():
+    bounds = ctx.config.output_dir / IMC_FILE
+    if not bounds.exists():
         raise InputError(
-            f"missing abstraction artifacts in {out}; run the abstract phase first"
+            f"missing abstraction {bounds}; run the abstract phase first"
         )
-    return read_imc(bounds, labels, ctx.partition)
+    return read_imc(bounds, ctx.partition, assign_labels(ctx.partition, ctx.config.labels))
 
 
 def phase_verify(ctx: RunContext, imc: Imc) -> VerificationResult:
@@ -131,11 +132,11 @@ def phase_verify(ctx: RunContext, imc: Imc) -> VerificationResult:
         max_iterations=ctx.config.max_iterations,
     )
     _drop_exports_after(ctx, RESULTS_FILE)
-    write_results(result, imc, ctx.config.output_dir / RESULTS_FILE)
+    write_results(result, ctx.partition, ctx.config.output_dir / RESULTS_FILE)
     return result
 
 
-def load_results(ctx: RunContext, imc: Imc, improved: bool = False) -> VerificationResult:
+def load_results(ctx: RunContext, improved: bool = False) -> VerificationResult:
     out = ctx.config.output_dir
     name = IMPROVED_FILE if improved else RESULTS_FILE
     path = out / name
@@ -143,7 +144,7 @@ def load_results(ctx: RunContext, imc: Imc, improved: bool = False) -> Verificat
         raise InputError(
             f"missing result table {path}; run the verify phase first"
         )
-    return read_results(path, imc, ctx.spec.threshold)
+    return read_results(path, ctx.partition, ctx.spec.threshold)
 
 
 def phase_improve(
@@ -157,7 +158,7 @@ def phase_improve(
         improved = cluster_improve(
             imc,
             ctx.model,
-            ctx.noise,
+            ctx.config.noise,
             current,
             ctx.spec,
             posterior_table=ctx.posterior_table,
@@ -175,7 +176,7 @@ def phase_improve(
             break
     if ctx.config.cluster_passes > 0:
         _drop_exports_after(ctx, IMPROVED_FILE)
-        write_results(current, imc, ctx.config.output_dir / IMPROVED_FILE)
+        write_results(current, ctx.partition, ctx.config.output_dir / IMPROVED_FILE)
     return current, per_pass
 
 
@@ -186,8 +187,7 @@ def _selected_cells(ctx: RunContext) -> list[int]:
         return sorted(set(mc.cells))
     if mc.cells == "all":
         return list(range(n))
-    stride = mc.cell_stride if mc.cell_stride > 0 else max(1, n // 20)
-    return list(range(0, n, stride))
+    return list(range(0, n, max(1, n // 20)))  # about 20 cells
 
 
 def _regions(ctx: RunContext) -> ReachAvoidRegions:
@@ -199,9 +199,7 @@ def _regions(ctx: RunContext) -> ReachAvoidRegions:
     return ReachAvoidRegions(ctx.config.domain, goals=boxes("goal"), avoids=boxes("obstacle"))
 
 
-def phase_simulate(
-    ctx: RunContext, imc: Imc, result: VerificationResult
-) -> list[dict]:
+def phase_simulate(ctx: RunContext, result: VerificationResult) -> list[dict]:
     """Validate verified intervals by simulation from selected cell centers.
 
     Returns one record per sampled cell with the empirical estimate, its
@@ -219,7 +217,7 @@ def phase_simulate(
     lo, hi = ctx.partition.corners(np.asarray(cells, dtype=int))
     validations = estimate_satisfaction(
         ctx.model,
-        ctx.noise,
+        ctx.config.noise,
         regions,
         0.5 * (lo + hi),
         mc.trajectories,
@@ -258,8 +256,9 @@ def phase_simulate(
 def run_pipeline(
     config: RunConfig, phases: Sequence[str] = ("abstract", "verify", "improve", "simulate")
 ) -> dict:
-    """Run the requested phases in order, reusing on-disk artifacts for any
-    phase that is skipped, and write the summary. Returns the summary."""
+    """Run the requested phases in order, reloading the on-disk artifacts of
+    any earlier phase that is skipped, and write the summary. ``imc.csv`` is
+    parsed only when verify or improve runs. Returns the summary."""
     ctx = build_context(config)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -273,12 +272,12 @@ def run_pipeline(
         imc = phase_abstract(ctx)
         summary["phases"]["abstract"] = {"seconds": time.perf_counter() - t0}
     if {"verify", "improve", "simulate"} & set(phases):
-        if imc is None:
-            imc = load_imc(ctx)
-        summary["states"] = imc.n_states
+        summary["states"] = ctx.partition.n_states
         summary["cells"] = ctx.partition.n_cells
 
     if "verify" in phases:
+        if imc is None:
+            imc = load_imc(ctx)
         t0 = time.perf_counter()
         result = phase_verify(ctx, imc)
         summary["phases"]["verify"] = {
@@ -288,8 +287,10 @@ def run_pipeline(
         }
 
     if "improve" in phases and config.cluster_passes > 0:
+        if imc is None:
+            imc = load_imc(ctx)
         if result is None:
-            result = load_results(ctx, imc)
+            result = load_results(ctx)
         t0 = time.perf_counter()
         result, per_pass = phase_improve(ctx, imc, result)
         summary["phases"]["improve"] = {
@@ -300,9 +301,9 @@ def run_pipeline(
     if "simulate" in phases and config.monte_carlo.enabled:
         if result is None:
             improved = (out / IMPROVED_FILE).exists() and config.cluster_passes > 0
-            result = load_results(ctx, imc, improved=improved)
+            result = load_results(ctx, improved=improved)
         t0 = time.perf_counter()
-        records = phase_simulate(ctx, imc, result)
+        records = phase_simulate(ctx, result)
         summary["phases"]["simulate"] = {
             "seconds": time.perf_counter() - t0,
             "validation": records,

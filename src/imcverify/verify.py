@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, InvalidModelError, SpecificationError
+from .geometry import StatePartition
 from .imc import _ROW_TOL, Imc, RowLayout, TransitionBound, UNSAFE_LABEL, _read_columns
 from .imc import _reject_first, _repeats
 
@@ -210,12 +211,12 @@ def _results_header(dim: int) -> str:
     )
 
 
-def write_results(result: VerificationResult, imc: Imc, path) -> None:
-    """One row per state: index, box bounds, p_lower, p_upper, class.
+def write_results(result: VerificationResult, partition: StatePartition, path) -> None:
+    """One row per state of the partition: index, cell bounds, p_lower, p_upper, class.
 
     The unsafe state has no box; its bound fields stay empty.
     """
-    partition, dim = imc.partition, imc.partition.domain.dim
+    dim = partition.domain.dim
     lo, hi = (c.tolist() for c in partition.corners(np.arange(partition.n_cells)))
     bounds = [",".join(f"{a!r},{b!r}" for a, b in zip(*cell)) for cell in zip(lo, hi)]
     bounds.append("," * (2 * dim - 1))  # the unsafe state
@@ -225,16 +226,18 @@ def write_results(result: VerificationResult, imc: Imc, path) -> None:
         fh.writelines(f"{i},{b},{p!r},{q!r},{c}\n" for i, (b, p, q, c) in enumerate(rows))
 
 
-def read_results(path, imc: Imc, threshold: float = DEFAULT_THRESHOLD) -> VerificationResult:
-    """Reload an exported result table and classify it at ``threshold``;
-    iteration metadata is not persisted.
+def read_results(
+    path, partition: StatePartition, threshold: float = DEFAULT_THRESHOLD
+) -> VerificationResult:
+    """Reload an exported result table over the states of ``partition`` and
+    classify it at ``threshold``; iteration metadata is not persisted.
 
     Every state must appear once, with a known class and p_lower <= p_upper
     in [0, 1] (value iteration may leave p_upper a few ulps above 1); anything
     else is an InputError naming ``path:line``. The stored classes are only
     checked: a reload under another threshold reclassifies every state.
     """
-    n, dim = imc.n_states, imc.partition.domain.dim
+    n, dim = partition.n_states, partition.domain.dim
     types = (int,) + (str,) * (2 * dim) + (float, float, str)
     state, *_, lo, hi, label = _read_columns(path, _results_header(dim), *types)
     label = [c.rstrip() for c in label.tolist()]  # a line's trailing blanks are not its class

@@ -199,6 +199,7 @@ class TestLoadConfig:
              "dynamics.monotone"),
             ("{type: uniform, lo", "{type: uniform, scale: 2, lo", "noise.components[0].scale"),
             ("  seed: 5", "  seeds: 5", "monte_carlo.seeds"),
+            ("  cells: all", "  cells: stride\n  cell_stride: 5", "monte_carlo.cell_stride"),
             ("output_dir:", "outdir: x\noutput_dir:", "outdir"),
         ],
     )
@@ -333,7 +334,7 @@ class TestPipeline:
         zeros = np.zeros(imc.n_states)
         wrong = VerificationResult(zeros, zeros, ("violates",) * imc.n_states, 0, True)
         with caplog.at_level(logging.WARNING, logger="imcverify"):
-            records = phase_simulate(ctx, imc, wrong)
+            records = phase_simulate(ctx, wrong)
         unsound = [r["state"] for r in records if not r["sound"]]
         assert 3 in unsound
         (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
@@ -502,6 +503,39 @@ class TestCli:
         validated = {r["state"]: [r["p_lower"], r["p_upper"]] for r in records}
         assert validated == {s: fresh[s] for s in validated}
         assert validated != {s: stale[s] for s in validated}
+
+    def test_reloading_phases_take_the_labels_from_the_config(self, tmp_path):
+        # the bounds do not depend on the labels: after a goal edit, verify
+        # and simulate on the old imc.csv agree with a fresh run of the edit
+        cfg_path = write_toy(tmp_path, passes=0)
+        assert main(["abstract", "-c", str(cfg_path)]) == 0
+        cfg_path.write_text(cfg_path.read_text().replace("[[[0.75, 1.0]]]", "[[[0.25, 0.5]]]"))
+        for phase in ("verify", "simulate"):
+            assert main([phase, "-c", str(cfg_path)]) == 0
+        assert main(["run", "-c", str(cfg_path), "--output-dir", str(tmp_path / "fresh")]) == 0
+        out = tmp_path / "out"
+        assert (out / RESULTS_FILE).read_bytes() == (tmp_path / "fresh" / RESULTS_FILE).read_bytes()
+        assert json.loads((out / SUMMARY_FILE).read_text())["phases"]["simulate"]["all_sound"]
+
+    def test_simulate_does_not_read_the_abstraction(self, tmp_path):
+        cfg_path = write_toy(tmp_path, passes=0)
+        for phase in ("abstract", "verify", "simulate"):
+            assert main([phase, "-c", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        with_imc = (out / TRAJECTORIES_FILE).read_bytes()
+        (out / IMC_FILE).unlink()
+        assert main(["simulate", "-c", str(cfg_path)]) == 0
+        assert (out / TRAJECTORIES_FILE).read_bytes() == with_imc
+
+    def test_label_narrower_than_a_cell_exits_1(self, tmp_path, caplog):
+        # both endpoints match the edge 0.75: the goal would cover no cell
+        cfg_path = write_toy(tmp_path)
+        cfg_path.write_text(
+            cfg_path.read_text().replace("[[[0.75, 1.0]]]", "[[[0.75, 0.7500000001]]]")
+        )
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["run", "-c", str(cfg_path)]) == 1
+        assert "label 'goal': box is narrower than a grid cell in dimension 0" in caplog.text
 
     def test_reloaded_results_are_classified_at_current_threshold(self, tmp_path):
         cfg_path = tmp_path / "paper.yaml"

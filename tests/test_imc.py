@@ -250,6 +250,15 @@ class TestBuildImc:
         goal = [i for i, labs in enumerate(labels) if "goal" in labs]
         assert goal == [part.flat_index(m) for m in ((4, 4), (4, 5), (5, 4), (5, 5))]
 
+    def test_label_narrower_than_alignment_tolerance_rejected(self):
+        # both endpoints of the second interval match the edge 0.5, so the
+        # box would label no cell and every state would violate
+        part = partition_domain(Box.from_bounds([[0, 1], [0, 1]]), (4, 4))
+        box = Box.from_bounds([[0.25, 0.75], [0.5, 0.5000000001]])
+        message = "label 'goal': box is narrower than a grid cell in dimension 1"
+        with pytest.raises(InputError, match=message):
+            assign_labels(part, {"goal": [box]})
+
     def test_monte_carlo_kernel_soundness(self):
         # Definition-level check: empirical kernel inside every stored pair
         part = partition_domain(Box.from_bounds([[0, 2]]), (4,))
@@ -517,6 +526,8 @@ class TestPosteriorTable:
             (["0,0,0.0,0.5", "", "1,0,nan,1.0"], "table.csv:4: empty or invalid interval"),
             (["0,0,0.5,0.0", "1,0,0.5,1.0"], "table.csv:2: empty or invalid interval"),
             (["0,0,0.0,0.5", "1,x,0.5,1.0"], "table.csv:3: malformed field"),
+            (["0,0,0_5,1_0", "1,0,0.5,1.0"], "table.csv:2: malformed field"),
+            (["0,0,0.0,0.5", "  ", "1,0,\u0660.5,1.0"], "table.csv:4: malformed field"),
             (["0,0,0.0,0.5"], "missing state 1"),
             (["0,0,0.0,0.5", "1,0,0.5,1.0", "7,0,0.2,0.3"],
              "table.csv:4: state index out of range"),
@@ -526,8 +537,8 @@ class TestPosteriorTable:
              "table.csv:4: duplicate (state, component)"),
             (["0,0,0.0,inf", "1,0,0.5,1.0"], "table.csv:2: empty or invalid interval"),
         ],
-        ids=["component", "nan", "order", "number", "missing", "state", "negative", "duplicate",
-             "infinite"],
+        ids=["component", "nan", "order", "number", "underscore", "arabic-indic-digit", "missing",
+             "state", "negative", "duplicate", "infinite"],
     )
     def test_malformed_file_rejected(self, tmp_path, rows, where):
         path = tmp_path / "table.csv"
@@ -547,14 +558,15 @@ class TestExports:
         part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.2, 0.2),))
-        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[0.75, 1]])]})
+        boxes = {"goal": [Box.from_bounds([[0.75, 1]])]}
+        imc = build_imc(part, model, noise, boxes)
         b1, l1 = tmp_path / "imc1.csv", tmp_path / "lab1.csv"
         b2, l2 = tmp_path / "imc2.csv", tmp_path / "lab2.csv"
         write_imc(imc, b1, l1)
         write_imc(imc, b2, l2)
         assert b1.read_bytes() == b2.read_bytes()
         assert l1.read_bytes() == l2.read_bytes()
-        loaded = read_imc(b1, l1, part)
+        loaded = read_imc(b1, part, assign_labels(part, boxes))
         assert loaded.rows == imc.rows
         assert loaded.labels == imc.labels
 
@@ -575,7 +587,7 @@ class TestExports:
         lines = bounds.read_text().splitlines()
         bounds.write_text("\n".join(lines + [lines[1]]) + "\n")
         with pytest.raises(InputError, match=f"imc.csv:{len(lines) + 1}: duplicate"):
-            read_imc(bounds, labels, part)
+            read_imc(bounds, part, imc.labels)
 
     def _export(self, tmp_path):
         part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
@@ -583,7 +595,7 @@ class TestExports:
         imc = build_imc(part, identity_additive(), noise, {"goal": [Box.from_bounds([[0.75, 1]])]})
         bounds, labels = tmp_path / "imc.csv", tmp_path / "labels.csv"
         write_imc(imc, bounds, labels)
-        return part, imc, bounds, labels
+        return part, imc, bounds
 
     # lines of the exported table: header, then 15 entries sorted by
     # (from, to), the first three 0,0 / 0,1 / 0,4
@@ -594,6 +606,10 @@ class TestExports:
             (lambda lines: lines[:2] + [lines[2] + ",x"] + lines[3:],
              "imc.csv:3: expected 4 fields"),
             (lambda lines: lines[:2] + ["0,x,0.0,0.5"] + lines[3:], "imc.csv:3: malformed field"),
+            # Python's int() and float() read these; np.loadtxt does not
+            (lambda lines: lines[:2] + ["0,1,0.0,1_0"] + lines[3:], "imc.csv:3: malformed field"),
+            (lambda lines: lines[:3] + ["", "0,4,\u0660.5,1.0"] + lines[4:],
+             "imc.csv:5: malformed field"),
             (lambda lines: lines[:4] + ["1,5,0.0,0.5"] + lines[5:],
              "imc.csv:5: state index out of range"),
             (lambda lines: lines[:3] + ["0,4,0.6,0.5"] + lines[4:],
@@ -607,14 +623,14 @@ class TestExports:
             (lambda lines: lines[:3] + [""] + lines[3:] + [lines[2]],
              "imc.csv:18: duplicate pair (0,1)"),
         ],
-        ids=["header", "fields", "number", "state-range", "order", "nan", "upper", "duplicate",
-             "blank-then-duplicate"],
+        ids=["header", "fields", "number", "underscore", "arabic-indic-digit", "state-range",
+             "order", "nan", "upper", "duplicate", "blank-then-duplicate"],
     )
     def test_malformed_table_rejected(self, tmp_path, edit, where):
-        part, _, bounds, labels = self._export(tmp_path)
+        part, imc, bounds = self._export(tmp_path)
         bounds.write_text("\n".join(edit(bounds.read_text().splitlines())) + "\n")
         with pytest.raises(InputError, match=re.escape(where)):
-            read_imc(bounds, labels, part)
+            read_imc(bounds, part, imc.labels)
 
     @pytest.mark.parametrize(
         "edit",
@@ -626,12 +642,11 @@ class TestExports:
         ids=["blank-lines", "reversed", "rotated"],
     )
     def test_tolerated_edits_load_the_same_arrays(self, tmp_path, edit):
-        part, imc, bounds, labels = self._export(tmp_path)
+        part, imc, bounds = self._export(tmp_path)
         bounds.write_text("\n".join(edit(bounds.read_text().splitlines())) + "\n")
-        loaded = read_imc(bounds, labels, part)
+        loaded = read_imc(bounds, part, imc.labels)
         for name in ("indptr", "dst", "lower", "upper"):
             assert np.array_equal(getattr(loaded, name), getattr(imc, name)), name
-        assert loaded.labels == imc.labels
 
 
 def test_row_validity_violation_raises():

@@ -360,7 +360,7 @@ class TestReadResults:
         labels.append(frozenset({"unsafe"}))
         imc = Imc.from_rows(part, rows, labels)
         path = tmp_path / "results.csv"
-        write_results(robust_value_iteration(imc, ReachAvoidSpec(horizon=1)), imc, path)
+        write_results(robust_value_iteration(imc, ReachAvoidSpec(horizon=1)), part, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "state,lo1,hi1,lo2,hi2,lo3,hi3,p_lower,p_upper,class"
         for i, multi in enumerate(itertools.product(range(6), range(3), range(2))):
@@ -372,12 +372,12 @@ class TestReadResults:
         imc = three_state_fixture()
         res = robust_value_iteration(imc, ReachAvoidSpec())
         path = tmp_path / "results.csv"
-        write_results(res, imc, path)
+        write_results(res, imc.partition, path)
         return imc, res, path
 
     def test_round_trip(self, tmp_path):
         imc, res, path = self._export(tmp_path)
-        loaded = read_results(path, imc)
+        loaded = read_results(path, imc.partition)
         assert np.array_equal(loaded.p_lower, res.p_lower)
         assert np.array_equal(loaded.p_upper, res.p_upper)
         assert loaded.classification == res.classification
@@ -394,7 +394,7 @@ class TestReadResults:
     def test_tolerated_edits_load_the_same_result(self, tmp_path, edit):
         imc, res, path = self._export(tmp_path)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        loaded = read_results(path, imc)
+        loaded = read_results(path, imc.partition)
         assert np.array_equal(loaded.p_lower, res.p_lower)
         assert np.array_equal(loaded.p_upper, res.p_upper)
         assert loaded.classification == res.classification
@@ -427,4 +427,4 @@ class TestReadResults:
         imc, _, path = self._export(tmp_path)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(InputError, match=re.escape(where)):
-            read_results(path, imc)
+            read_results(path, imc.partition)
