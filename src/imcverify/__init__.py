@@ -34,6 +34,7 @@ from .imc import (
     PosteriorTable,
     TransitionBound,
     build_imc,
+    cell_posteriors,
     transition_bounds_general,
     transition_bounds_structured,
     unsafe_transitions,

@@ -1,10 +1,11 @@
 """Refinement-free improvement of satisfaction intervals by clustering
 successor states: merging a state's successors into one box target can force
 probability mass into the merged region that the per-cell bounds could not
-pin down. The clusters of all states come from the IMC's CSR arrays at once
-(``cluster_proposals``); ``cluster_improve`` makes one pass over the states
-with them, on one ``RowLayout`` of the clustered rows whose parts are the
-runs of the pass. The IMC itself is never rewritten.
+pin down. The clusters of all states come from the IMC's CSR arrays and the
+cells' posteriors at once (``cluster_proposals``); ``cluster_improve`` makes
+one pass over the states with them, on one ``RowLayout`` of the clustered
+rows whose parts are the runs of the pass. The posteriors are computed by
+the caller, once for any number of passes, and the IMC is never rewritten.
 """
 
 from __future__ import annotations
@@ -15,11 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DynamicsModel
 from .errors import SoundnessError
-from .imc import CellPosteriors, Imc, PosteriorTable, RowLayout, _rows_with_last
-from .imc import cell_posteriors, pair_bounds
-from .noise import NoiseGrid, NoiseModel
+from .imc import CellPosteriors, Imc, RowLayout, _rows_with_last, pair_bounds
 from .verify import (
     ReachAvoidSpec,
     VerificationResult,
@@ -106,16 +104,10 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
 
 
 def cluster_improve(
-    imc: Imc,
-    model: DynamicsModel,
-    noise: NoiseModel,
-    result: VerificationResult,
-    spec: ReachAvoidSpec,
-    *,
-    posterior_table: Optional[PosteriorTable] = None,
-    noise_cells: Optional[NoiseGrid] = None,
+    imc: Imc, posts: CellPosteriors, result: VerificationResult, spec: ReachAvoidSpec
 ) -> VerificationResult:
-    """One improvement pass over all states, in descending lower-bound order.
+    """One improvement pass over all states, in descending lower-bound order,
+    with the posteriors ``posts`` of the IMC's cells.
 
     For each state with a cluster (``cluster_proposals``), the one-step
     extreme expectations are recomputed with the cluster replacing its
@@ -125,9 +117,11 @@ def cluster_improve(
     state ever gets worse. Later states in the pass see earlier
     improvements: one kernel call per run of rows gives the bits of a
     row-by-row pass. The numbers of clusters, of sources with holes and of
-    runs are logged at DEBUG.
+    runs are logged at DEBUG. Posteriors of another partition, even an equal
+    one, are a ValueError.
     """
-    posts = cell_posteriors(imc.partition, model, noise, posterior_table, noise_cells)
+    if posts.partition is not imc.partition:
+        raise ValueError("the posteriors were computed on another partition than the IMC's")
     p_lo, p_hi = result.p_lower.copy(), result.p_upper.copy()
     pinned = np.logical_or(*_goal_avoid_sets(imc, spec))
     sources, box_lo, box_hi, members, holes = cluster_proposals(imc, posts, ~pinned)

@@ -32,8 +32,7 @@ class MonteCarloConfig:
 class RunConfig:
     domain: Box
     grid: tuple[int, ...]
-    expressions: tuple[str, ...]
-    structure: str
+    model: DynamicsModel
     noise: NoiseModel
     labels: dict[str, tuple[Box, ...]]
     threshold: float = 0.9
@@ -45,9 +44,6 @@ class RunConfig:
     monte_carlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     posterior_table: Optional[Path] = None
     output_dir: Path = Path("out")
-
-    def dynamics_model(self) -> DynamicsModel:
-        return parse_dynamics(list(self.expressions), len(self.grid), self.structure)
 
 
 def _fail(path: str, reason: str) -> None:
@@ -183,7 +179,7 @@ def load_config(path) -> RunConfig:
     if structure not in STRUCTURES:
         _fail("dynamics.structure", f"must be one of {STRUCTURES}, got {structure!r}")
     try:
-        parse_dynamics([str(e) for e in exprs_raw], n, structure)
+        model = parse_dynamics([str(e) for e in exprs_raw], n, structure)
     except (ParseError, StructureError, ValueError) as exc:
         _fail("dynamics.expressions", str(exc))
 
@@ -246,8 +242,8 @@ def load_config(path) -> RunConfig:
     convergence_tol = _number(
         spec_raw.get("convergence_tolerance", 1e-6), "spec.convergence_tolerance"
     )
-    if convergence_tol <= 0.0:
-        _fail("spec.convergence_tolerance", "must be positive")
+    if not 0.0 < convergence_tol < math.inf:
+        _fail("spec.convergence_tolerance", f"must be finite and positive, got {convergence_tol!r}")
     max_iterations = _integer(spec_raw, "max_iterations", 10**5, "spec", 1)
 
     cluster_raw = raw.get("cluster", {})
@@ -282,6 +278,8 @@ def load_config(path) -> RunConfig:
     posterior_table = Path(table_raw) if table_raw else None
     if posterior_table is not None and not posterior_table.is_absolute():
         posterior_table = path.parent / posterior_table
+    if posterior_table is not None and structure == GENERAL:
+        _fail("posterior_table", "requires an additive or multiplicative dynamics.structure")
 
     output_dir = Path(raw.get("output_dir", "out"))
     if not output_dir.is_absolute():
@@ -290,8 +288,7 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         domain=domain,
         grid=grid,
-        expressions=tuple(str(e) for e in exprs_raw),
-        structure=structure,
+        model=model,
         noise=noise,
         labels=labels,
         threshold=float(threshold),

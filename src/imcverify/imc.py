@@ -11,9 +11,11 @@ the width-class blocks and reads padded slots, and it offers the
 left-to-right row sums, the row check and the adversary walk. The build,
 value iteration and the cluster step each lay out their rows once.
 
-``cell_posteriors`` computes the posteriors, hulls and candidate targets of
-every grid cell at once; the build and the cluster step call it once each.
-``_rows_with_last`` assembles the cluster step's CSR rows.
+``cell_posteriors`` is the one reader of the model, the noise, a posterior
+table and a noise grid: it computes the posteriors, hulls and candidate
+targets of every grid cell at once, and its ``CellPosteriors``, which
+records their grid, is the only input the build and the cluster step take
+from the system. ``_rows_with_last`` assembles the cluster step's CSR rows.
 
 A transition bound depends only on the source's posterior and the target
 box, so one kernel, ``pair_bounds``, maps arrays of (source, target box)
@@ -366,8 +368,9 @@ class CellPosteriors(NamedTuple):
     general ones; ``hull_lo``/``hull_hi`` the posterior over the noise
     support. ``first``/``last`` bound, per cell and dimension, the cells
     within the hull expanded by one cell; every other target provably has
-    upper bound 0 (none is left if some first >= last). The last four are
-    None for a single posterior given as a box."""
+    upper bound 0 (none is left if some first >= last). ``partition`` is the
+    grid the posteriors were computed on. The last five are None for a
+    single posterior given as a box."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -378,6 +381,7 @@ class CellPosteriors(NamedTuple):
     hull_hi: Optional[np.ndarray] = None
     first: Optional[np.ndarray] = None
     last: Optional[np.ndarray] = None
+    partition: Optional[StatePartition] = None
 
 
 def cell_posteriors(
@@ -416,7 +420,7 @@ def cell_posteriors(
         last.append(np.minimum(np.searchsorted(e, hull[1][:, d] + width, side="left"), r))
     first, last = np.stack(first, axis=-1), np.stack(last, axis=-1)
     last = np.maximum(first, last)
-    return CellPosteriors(lo, hi, model.structure, noise, weights, *hull, first, last)
+    return CellPosteriors(lo, hi, model.structure, noise, weights, *hull, first, last, partition)
 
 
 # --- label handling -----------------------------------------------------------
@@ -480,25 +484,18 @@ def assign_labels(
 # --- full build ----------------------------------------------------------------
 
 
-def build_imc(
-    partition: StatePartition,
-    model: DynamicsModel,
-    noise: NoiseModel,
-    label_boxes: Mapping[str, Sequence[Box]],
-    posterior_table: Optional[PosteriorTable] = None,
-    noise_cells: Optional[NoiseGrid] = None,
-) -> Imc:
-    """Build the sound IMC abstraction over a grid partition: ``pair_bounds``
-    over every source's candidate block (the cells near its posterior hull,
-    row-major) in blocks of at most ``_BLOCK_PAIRS`` pairs, and once with
-    the domain as every source's target for the unsafe column.
+def build_imc(posts: CellPosteriors, label_boxes: Mapping[str, Sequence[Box]]) -> Imc:
+    """Build the sound IMC abstraction over the grid of ``posts``:
+    ``pair_bounds`` over every source's candidate block (the cells near its
+    posterior hull, row-major) in blocks of at most ``_BLOCK_PAIRS`` pairs,
+    and once with the domain as every source's target for the unsafe column.
 
     Pairs with upper bound 0 are omitted; the unsafe column is always
     stored. Every row must satisfy sum(lower) <= 1 <= sum(upper); a
     violation indicates a bug and raises SoundnessError rather than being
     rescaled away.
     """
-    posts = cell_posteriors(partition, model, noise, posterior_table, noise_cells)
+    partition = posts.partition
     labels = assign_labels(partition, label_boxes)
     cells, unsafe = np.arange(partition.n_cells), partition.unsafe_index
     sizes = posts.last - posts.first
@@ -554,10 +551,14 @@ def _rows_with_last(counts, entries, last) -> tuple[np.ndarray, list[np.ndarray]
 def _read_columns(path, header: str, *types) -> list[np.ndarray]:
     """One array per field of a delimited file with this header, converted by
     ``types`` through ``np.loadtxt``. Whitespace-only lines are skipped; a
-    line ``np.loadtxt`` refuses is an InputError naming ``path:line``."""
+    missing file is an InputError naming ``path``, and a line ``np.loadtxt``
+    refuses one naming ``path:line``."""
     dtype = [(f"f{i}", {int: np.int64, float: float, str: object}[t]) for i, t in enumerate(types)]
-    with open(path, "r", encoding="utf-8") as fh:
-        found = fh.readline().strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            found = fh.readline().strip()
+    except FileNotFoundError:
+        raise InputError(f"{path}: file does not exist") from None
     if found != header:
         raise InputError(f"{path}:1: expected header {header!r}, got {found!r}")
 

@@ -5,8 +5,11 @@ later phases can reload them, so the CLI subcommands compose. The config is
 the only source of the grid and the specification, labels included, and a
 phase reloads only what it cannot recompute: ``imc.csv`` for verify and
 improve, a result table for improve and simulate (``labels.csv`` is a
-record). Before a phase writes its exports it deletes those of every later
-phase, so no phase reloads an artifact derived from an overwritten one.
+record). Only abstract and improve bound transitions: each builds the
+cells' posteriors, the one place that reads a noise grid or a posterior
+table, once (``RunContext.posteriors``). Before a phase writes its exports
+it deletes those of every later phase, so no phase reloads an artifact
+derived from an overwritten one.
 Exports are byte-reproducible for a fixed config and seed; the summary
 additionally records wall-clock times and is a report, not an export.
 """
@@ -23,21 +26,22 @@ import numpy as np
 
 from .cluster import cluster_improve
 from .config import RunConfig
-from .dynamics import GENERAL, DynamicsModel
+from .dynamics import GENERAL
 from .errors import InputError
 from .geometry import StatePartition, partition_domain
 from .imc import (
+    CellPosteriors,
     Imc,
-    PosteriorTable,
     assign_labels,
     build_imc,
+    cell_posteriors,
     grid_box,
     read_imc,
     read_posterior_table,
     write_imc,
 )
 from .mc import ReachAvoidRegions, estimate_satisfaction, write_trajectories
-from .noise import NoiseGrid, uniform_noise_grid
+from .noise import uniform_noise_grid
 from .verify import (
     ReachAvoidSpec,
     VerificationResult,
@@ -60,36 +64,28 @@ log = logging.getLogger("imcverify")
 
 @dataclass
 class RunContext:
-    """Everything derivable from the configuration alone."""
+    """Everything derivable from the configuration alone and cheap to build."""
 
     config: RunConfig
     partition: StatePartition
-    model: DynamicsModel
-    noise_cells: Optional[NoiseGrid]
-    posterior_table: Optional[PosteriorTable]
     spec: ReachAvoidSpec
+
+    def posteriors(self) -> CellPosteriors:
+        """The posteriors of every cell, under the noise grid of a general
+        system or from the posterior table if one is configured. A general
+        system's hold every cell's image under every noise cell: build them
+        only to bound transitions, and do not keep them."""
+        cfg, noise_cells, table = self.config, None, None
+        if cfg.model.structure == GENERAL:
+            noise_cells = uniform_noise_grid(cfg.noise, cfg.noise_grid)
+        if cfg.posterior_table is not None:
+            table = read_posterior_table(cfg.posterior_table, self.partition.n_cells, cfg.model.n)
+        return cell_posteriors(self.partition, cfg.model, cfg.noise, table, noise_cells)
 
 
 def build_context(config: RunConfig) -> RunContext:
-    partition = partition_domain(config.domain, config.grid)
-    model = config.dynamics_model()
-    noise_cells = None
-    if model.structure == GENERAL:
-        noise_cells = uniform_noise_grid(config.noise, config.noise_grid)
-    table = None
-    if config.posterior_table is not None:
-        table = read_posterior_table(
-            config.posterior_table, partition.n_cells, config.domain.dim
-        )
     spec = ReachAvoidSpec(horizon=config.horizon, threshold=config.threshold)
-    return RunContext(
-        config=config,
-        partition=partition,
-        model=model,
-        noise_cells=noise_cells,
-        posterior_table=table,
-        spec=spec,
-    )
+    return RunContext(config, partition_domain(config.domain, config.grid), spec)
 
 
 def _drop_exports_after(ctx: RunContext, last: str) -> None:
@@ -100,14 +96,7 @@ def _drop_exports_after(ctx: RunContext, last: str) -> None:
 
 
 def phase_abstract(ctx: RunContext) -> Imc:
-    imc = build_imc(
-        ctx.partition,
-        ctx.model,
-        ctx.config.noise,
-        ctx.config.labels,
-        posterior_table=ctx.posterior_table,
-        noise_cells=ctx.noise_cells,
-    )
+    imc = build_imc(ctx.posteriors(), ctx.config.labels)
     out = ctx.config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     _drop_exports_after(ctx, LABELS_FILE)
@@ -150,20 +139,14 @@ def load_results(ctx: RunContext, improved: bool = False) -> VerificationResult:
 def phase_improve(
     ctx: RunContext, imc: Imc, result: VerificationResult
 ) -> tuple[VerificationResult, list[int]]:
-    """Clustering passes; returns the improved result and the number of
-    states whose interval changed in each pass."""
+    """Clustering passes, all on one computation of the posteriors; returns
+    the improved result and the number of states whose interval changed in
+    each pass."""
+    posts = ctx.posteriors()
     per_pass: list[int] = []
     current = result
     for _ in range(ctx.config.cluster_passes):
-        improved = cluster_improve(
-            imc,
-            ctx.model,
-            ctx.config.noise,
-            current,
-            ctx.spec,
-            posterior_table=ctx.posterior_table,
-            noise_cells=ctx.noise_cells,
-        )
+        improved = cluster_improve(imc, posts, current, ctx.spec)
         changed = int(
             np.count_nonzero(
                 (improved.p_lower != current.p_lower)
@@ -216,8 +199,8 @@ def phase_simulate(ctx: RunContext, result: VerificationResult) -> list[dict]:
     cells = _selected_cells(ctx)
     lo, hi = ctx.partition.corners(np.asarray(cells, dtype=int))
     validations = estimate_satisfaction(
-        ctx.model,
-        ctx.config.noise,
+        cfg.model,
+        cfg.noise,
         regions,
         0.5 * (lo + hi),
         mc.trajectories,
@@ -242,7 +225,7 @@ def phase_simulate(ctx: RunContext, result: VerificationResult) -> list[dict]:
                 "sound": bool(ci[0] <= p_hi and p_lo <= ci[1]),
             }
         )
-    write_trajectories(exported, cfg.output_dir / TRAJECTORIES_FILE, ctx.model.n)
+    write_trajectories(exported, cfg.output_dir / TRAJECTORIES_FILE, cfg.model.n)
     unsound = [r["state"] for r in records if not r["sound"]]
     if unsound:
         log.warning(

@@ -15,7 +15,12 @@ from imcverify.cluster import cluster_improve
 from imcverify.config import load_config
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box, Interval, partition_domain
-from imcverify.imc import TransitionBound, build_imc, transition_bounds_structured
+from imcverify.imc import (
+    TransitionBound,
+    build_imc,
+    cell_posteriors,
+    transition_bounds_structured,
+)
 from imcverify.noise import (
     Mixture,
     NoiseModel,
@@ -157,7 +162,7 @@ def test_criterion_1_transition_bound_soundness():
                 for d in range(domain.dim)
             )
         )
-        imc = build_imc(part, model, noise, {"goal": [goal]})
+        imc = build_imc(cell_posteriors(part, model, noise), {"goal": [goal]})
         for row in imc.rows[:-1]:
             q = part.cell(row[0].src)
             for tb in row:
@@ -343,7 +348,8 @@ def test_criterion_6_clustering():
     part = partition_domain(Box.from_bounds([[0.0, 5.0]]), (5,))
     model = parse_dynamics(["x1 + 2 + w1"], 1, "additive")
     noise = NoiseModel((Uniform(-1.25, 1.25),))
-    imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[4.0, 5.0]])]})
+    posts = cell_posteriors(part, model, noise)
+    imc = build_imc(posts, {"goal": [Box.from_bounds([[4.0, 5.0]])]})
     planted_lo = np.array([0.0, 0.8, 0.8, 0.8, 0.0, 0.0])
     planted_hi = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
     res = VerificationResult(
@@ -353,7 +359,7 @@ def test_criterion_6_clustering():
         iterations=0,
         converged=True,
     )
-    out = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
+    out = cluster_improve(imc, posts, res, ReachAvoidSpec())
     never_worse = bool(
         np.all(out.p_lower >= planted_lo) and np.all(out.p_upper <= planted_hi)
     )

@@ -26,8 +26,8 @@ def shifted_identity_setup():
     part = partition_domain(Box.from_bounds([[0, 5]]), (5,))
     model = parse_dynamics(["x1 + 2 + w1"], 1, "additive")
     noise = NoiseModel((Uniform(-1.25, 1.25),))
-    imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[4, 5]])]})
-    return part, model, noise, imc
+    posts = cell_posteriors(part, model, noise)
+    return part, model, noise, posts, build_imc(posts, {"goal": [Box.from_bounds([[4, 5]])]})
 
 
 def planted_result(p_lower, p_upper, threshold=0.9):
@@ -60,9 +60,10 @@ class TestSelectCluster:
         part = partition_domain(Box.from_bounds([[0, 6]]), (6,))
         model = parse_dynamics(["x1 + 2 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-1.0, 1.0),))
-        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[5, 6]])]})
+        posts = cell_posteriors(part, model, noise)
+        imc = build_imc(posts, {"goal": [Box.from_bounds([[5, 6]])]})
         # from cell [0,1]: hull = [1, 4], tiled exactly by cells 1..3
-        prop = select_cluster(0, imc, cell_posteriors(part, model, noise))
+        prop = select_cluster(0, imc, posts)
         assert prop is not None
         assert prop.members == (1, 2, 3)
         assert prop.box == Box.from_bounds([[1, 4]])
@@ -71,9 +72,9 @@ class TestSelectCluster:
         part = partition_domain(Box.from_bounds([[0, 6]]), (6,))
         model = parse_dynamics(["x1 + 2 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-1.0 - 1e-12, 1.0 + 1e-12),))
-        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[5, 6]])]})
-        # from cell [0,1]: hull ~ [1 - 1e-12, 4 + 1e-12], tiled by cells 1..3 up to 1e-9
         posts = cell_posteriors(part, model, noise)
+        imc = build_imc(posts, {"goal": [Box.from_bounds([[5, 6]])]})
+        # from cell [0,1]: hull ~ [1 - 1e-12, 4 + 1e-12], tiled by cells 1..3 up to 1e-9
         hull = Box.from_bounds(zip(posts.hull_lo[0], posts.hull_hi[0]))
         assert hull != Box.from_bounds([[1, 4]]) and hull.contains(Box.from_bounds([[1, 4]]))
         prop = select_cluster(0, imc, posts)
@@ -81,9 +82,9 @@ class TestSelectCluster:
         assert prop.box == hull
 
     def test_hull_exiting_domain_falls_back_to_block(self):
-        part, model, noise, imc = shifted_identity_setup()
+        part, model, noise, posts, imc = shifted_identity_setup()
         # from cell [2,3]: hull = [2.75, 6.25] exits X; block = cells {3, 4}
-        prop = select_cluster(2, imc, cell_posteriors(part, model, noise))
+        prop = select_cluster(2, imc, posts)
         assert prop is not None
         assert prop.members == (3, 4)
         assert prop.box == Box.from_bounds([[3, 5]])
@@ -92,18 +93,18 @@ class TestSelectCluster:
         part = partition_domain(Box.from_bounds([[0, 2]]), (2,))
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.05, 0.05),))
-        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[1, 2]])]})
-        assert select_cluster(0, imc, cell_posteriors(part, model, noise)) is None
+        posts = cell_posteriors(part, model, noise)
+        imc = build_imc(posts, {"goal": [Box.from_bounds([[1, 2]])]})
+        assert select_cluster(0, imc, posts) is None
 
     def test_2d_block(self):
         part = partition_domain(Box.from_bounds([[0, 4], [0, 4]]), (4, 4))
         model = parse_dynamics(["x1 + 1 + w1", "x2 + 1 + w2"], 2, "additive")
         noise = NoiseModel((Uniform(-1.0, 1.0), Uniform(-1.0, 1.0)))
-        imc = build_imc(
-            part, model, noise, {"goal": [Box.from_bounds([[3, 4], [3, 4]])]}
-        )
+        posts = cell_posteriors(part, model, noise)
+        imc = build_imc(posts, {"goal": [Box.from_bounds([[3, 4], [3, 4]])]})
         q_idx = part.flat_index((1, 1))  # cell [1,2]x[1,2], hull [1,4]^2
-        prop = select_cluster(q_idx, imc, cell_posteriors(part, model, noise))
+        prop = select_cluster(q_idx, imc, posts)
         assert prop is not None
         assert prop.box == Box.from_bounds([[1, 4], [1, 4]])
         assert len(prop.members) == 9
@@ -176,11 +177,11 @@ def test_largest_block_matches_reference():
 
 class TestClusterImprove:
     def test_strict_improvement_never_worse(self):
-        part, model, noise, imc = shifted_identity_setup()
+        part, model, noise, posts, imc = shifted_identity_setup()
         planted_lo = [0.0, 0.8, 0.8, 0.8, 0.0, 0.0]
         planted_hi = [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
         res = planted_result(planted_lo, planted_hi)
-        out = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
+        out = cluster_improve(imc, posts, res, ReachAvoidSpec())
         assert np.all(out.p_lower >= res.p_lower)
         assert np.all(out.p_upper <= res.p_upper)
         assert np.any(out.p_lower > res.p_lower)
@@ -189,14 +190,14 @@ class TestClusterImprove:
         assert out.p_lower[0] == pytest.approx(0.8 * 0.8)
 
     def test_noop_pass_is_identity(self):
-        part, model, noise, imc = shifted_identity_setup()
+        part, model, noise, posts, imc = shifted_identity_setup()
         res = robust_value_iteration(imc, ReachAvoidSpec())
-        once = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
+        once = cluster_improve(imc, posts, res, ReachAvoidSpec())
         assert np.all(once.p_lower >= res.p_lower)
         assert np.all(once.p_upper <= res.p_upper)
-        twice = cluster_improve(imc, model, noise, once, ReachAvoidSpec())
+        twice = cluster_improve(imc, posts, once, ReachAvoidSpec())
         # fixed point: a pass with no accepted improvement is bit-identical
-        again = cluster_improve(imc, model, noise, twice, ReachAvoidSpec())
+        again = cluster_improve(imc, posts, twice, ReachAvoidSpec())
         assert np.array_equal(again.p_lower, twice.p_lower)
         assert np.array_equal(again.p_upper, twice.p_upper)
 
@@ -205,16 +206,26 @@ class TestClusterImprove:
         part = partition_domain(Box.from_bounds([[0, 2]]), (2,))
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.05, 0.05),))
-        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[1, 2]])]})
+        posts = cell_posteriors(part, model, noise)
+        imc = build_imc(posts, {"goal": [Box.from_bounds([[1, 2]])]})
         res = planted_result([0.3, 1.0, 0.0], [0.6, 1.0, 0.0])
-        out = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
+        out = cluster_improve(imc, posts, res, ReachAvoidSpec())
         assert np.array_equal(out.p_lower, res.p_lower)
         assert np.array_equal(out.p_upper, res.p_upper)
 
-    def test_pinned_states_untouched(self):
-        part, model, noise, imc = shifted_identity_setup()
+    def test_posteriors_of_another_partition_rejected(self):
+        # an equal grid is still another partition: its posteriors could
+        # come from another domain of the same size
+        part, model, noise, posts, imc = shifted_identity_setup()
+        other = cell_posteriors(partition_domain(part.domain, part.resolution), model, noise)
         res = robust_value_iteration(imc, ReachAvoidSpec())
-        out = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
+        with pytest.raises(ValueError, match="another partition"):
+            cluster_improve(imc, other, res, ReachAvoidSpec())
+
+    def test_pinned_states_untouched(self):
+        part, model, noise, posts, imc = shifted_identity_setup()
+        res = robust_value_iteration(imc, ReachAvoidSpec())
+        out = cluster_improve(imc, posts, res, ReachAvoidSpec())
         goal_idx = 4
         assert out.p_lower[goal_idx] == 1.0 and out.p_upper[goal_idx] == 1.0
         assert out.p_lower[imc.unsafe_index] == 0.0
@@ -223,9 +234,9 @@ class TestClusterImprove:
     def test_improved_bounds_remain_sound(self):
         """After improvement, the lower bound must stay below the true
         satisfaction probability, estimated by direct simulation."""
-        part, model, noise, imc = shifted_identity_setup()
+        part, model, noise, posts, imc = shifted_identity_setup()
         res = robust_value_iteration(imc, ReachAvoidSpec(), convergence_tol=1e-10)
-        out = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
+        out = cluster_improve(imc, posts, res, ReachAvoidSpec())
 
         from imcverify.mc import ReachAvoidRegions, estimate_satisfaction
 
@@ -281,7 +292,8 @@ def test_pass_matches_one_row_at_a_time():
     part = partition_domain(Box.from_bounds([[0, 7], [0, 7]]), (7, 7))
     model = parse_dynamics(["x1 + 1 + w1", "x2 + 1 + w2"], 2, "additive")
     noise = NoiseModel((Uniform(-1.25, 1.25), Uniform(-1.25, 1.25)))
-    imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[6, 7], [6, 7]])]})
+    posts = cell_posteriors(part, model, noise)
+    imc = build_imc(posts, {"goal": [Box.from_bounds([[6, 7], [6, 7]])]})
     rng = np.random.default_rng(2)
     p_lower = rng.uniform(0.0, 0.9, imc.n_states)
     p_upper = np.minimum(1.0, p_lower + rng.uniform(0.0, 0.5, imc.n_states))
@@ -289,7 +301,7 @@ def test_pass_matches_one_row_at_a_time():
     p_lower[goal] = p_upper[goal] = 1.0
     p_lower[imc.unsafe_index] = p_upper[imc.unsafe_index] = 0.0
     res = planted_result(p_lower, p_upper)
-    out = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
+    out = cluster_improve(imc, posts, res, ReachAvoidSpec())
     ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res, ReachAvoidSpec())
     assert chained > 10
     assert np.array_equal(out.p_lower, ref_lo)
@@ -304,8 +316,8 @@ def test_holes_fallback_through_the_pass(caplog):
     model = parse_dynamics(["x1 + w1", "x2 + w2"], 2, "additive")
     gap = Mixture((0.5, 0.5), (Uniform(-0.15, -0.05), Uniform(0.05, 0.15)))
     noise = NoiseModel((gap, Uniform(-0.35, 0.35)))
-    imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[0, 0.25], [0, 1]])]})
     posts = cell_posteriors(part, model, noise)
+    imc = build_imc(posts, {"goal": [Box.from_bounds([[0, 0.25], [0, 1]])]})
     sources = [q for q in range(part.n_cells) if "goal" not in imc.labels[q]]
     allowed = np.zeros(imc.n_states, dtype=bool)
     allowed[sources] = True
@@ -321,7 +333,7 @@ def test_holes_fallback_through_the_pass(caplog):
     p_lower[part.n_cells] = p_upper[part.n_cells] = 0.0
     res = planted_result(p_lower, p_upper)
     with caplog.at_level("DEBUG", logger="imcverify"):
-        out = cluster_improve(imc, model, noise, res, ReachAvoidSpec())
+        out = cluster_improve(imc, posts, res, ReachAvoidSpec())
     assert f"{holes} reached the holes fallback" in caplog.text
     ref_lo, ref_hi, _ = one_row_at_a_time(imc, model, noise, res, ReachAvoidSpec())
     assert np.any(out.p_lower != res.p_lower)

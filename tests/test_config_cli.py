@@ -15,7 +15,7 @@ from imcverify.config import load_config
 from imcverify.dynamics import posterior_f
 from imcverify.errors import InputError
 from imcverify.geometry import partition_domain
-from imcverify.imc import PosteriorTable, write_posterior_table
+from imcverify.imc import PosteriorTable, cell_posteriors, write_posterior_table
 from imcverify.pipeline import (
     EXPORTS,
     IMC_FILE,
@@ -138,7 +138,7 @@ class TestLoadConfig:
     def test_minimal_valid(self, tmp_path):
         cfg = load_config(write_toy(tmp_path))
         assert cfg.grid == (4,)
-        assert cfg.structure == "additive"
+        assert cfg.model.structure == "additive"
         assert cfg.horizon is None
         assert cfg.threshold == 0.9
 
@@ -146,7 +146,7 @@ class TestLoadConfig:
         path = tmp_path / "paper.yaml"
         path.write_text(PAPER_2D)
         cfg = load_config(path)
-        assert cfg.structure == "multiplicative"
+        assert cfg.model.structure == "multiplicative"
         assert cfg.noise.n == 2
         assert cfg.monte_carlo.cells == [0, 55]
 
@@ -278,12 +278,17 @@ class TestLoadConfig:
              "{type: mixture, weights: [.nan, 1.0], components: "
              "[{type: uniform, lo: -0.25, hi: 0.0}, {type: uniform, lo: 0.0, hi: 0.25}]}",
              "noise.components[0]"),
+            ("  threshold: 0.9", "  threshold: 0.9\n  convergence_tolerance: .inf",
+             "spec.convergence_tolerance"),
+            ("  threshold: 0.9", "  threshold: 0.9\n  convergence_tolerance: .nan",
+             "spec.convergence_tolerance"),
         ],
     )
     def test_invalid_value_rejected(self, tmp_path, caplog, old, new, field):
         # an empty cell list would validate nothing; a uniform with lo == hi
         # is a point mass, which the noise partitions (over (lo, hi]) drop;
-        # NaN noise parameters would turn into NaN bounds
+        # NaN noise parameters would turn into NaN bounds; an infinite
+        # tolerance stops verify after one sweep, a NaN one never stops it
         path = tmp_path / "bad.yaml"
         text = TOY_1D.format(passes=0, mc="true", outdir="out")
         assert old in text
@@ -308,6 +313,18 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_config(tmp_path / "nope.yaml")
+
+    def test_posterior_table_requires_a_structured_system(self, tmp_path, caplog):
+        # verify and simulate never read the table, so the config must
+        # reject the combination for them to see it
+        path = tmp_path / "general.yaml"
+        w1 = "{type: uniform, lo: -0.1, hi: 0.1}"
+        path.write_text(GENERAL_2D.format(w1=w1) + "posterior_table: table.csv\n")
+        with pytest.raises(InputError, match="posterior_table: requires an additive"):
+            load_config(path)
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["verify", "-c", str(path)]) == 1
+        assert "posterior_table: " in caplog.text
 
 
 class TestPipeline:
@@ -346,6 +363,24 @@ class TestPipeline:
         passes = summary["phases"]["improve"]["passes"]
         assert 1 <= len(passes) <= 2
         assert all("improved" in p for p in passes)
+
+    def test_improve_computes_the_posteriors_once(self, tmp_path, monkeypatch):
+        from imcverify import pipeline
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return cell_posteriors(*args, **kwargs)
+
+        path = tmp_path / "paper.yaml"
+        path.write_text(PAPER_2D + "cluster:\n  passes: 3\n")
+        cfg = load_config(path)
+        run_pipeline(cfg, phases=("abstract", "verify"))
+        monkeypatch.setattr(pipeline, "cell_posteriors", counted)
+        summary = run_pipeline(cfg, phases=("improve",))
+        assert len(summary["phases"]["improve"]["passes"]) >= 2
+        assert len(calls) == 1
 
     def test_phase_isolation(self, tmp_path):
         base = load_config(write_toy(tmp_path, passes=0, mc="false", outdir="a"))
@@ -648,7 +683,7 @@ output_dir: out
         (tmp_path / "computed.yaml").write_text(ADDITIVE_2D.format(table="", outdir="computed"))
         cfg = load_config(tmp_path / "computed.yaml")
         part = partition_domain(cfg.domain, cfg.grid)
-        boxes = [posterior_f(cfg.dynamics_model(), part.cell(i)) for i in range(part.n_cells)]
+        boxes = [posterior_f(cfg.model, part.cell(i)) for i in range(part.n_cells)]
         lo, hi = (np.array(e) for e in zip(*(b.endpoints() for b in boxes)))
         write_posterior_table(PosteriorTable(lo, hi), tmp_path / "table.csv")
         (tmp_path / "table.yaml").write_text(
@@ -665,6 +700,51 @@ output_dir: out
         with caplog.at_level(logging.ERROR, logger="imcverify"):
             assert main(["abstract", "-c", str(tmp_path / "table.yaml")]) == 1
         assert "table.csv:4: state index out of range" in caplog.text
+
+    def test_only_improve_reads_the_posterior_table(self, tmp_path, caplog):
+        text = ADDITIVE_2D.format(
+            table="posterior_table: table.csv\ncluster:\n  passes: 1", outdir="out"
+        ).replace("  enabled: false", "  trajectories: 20\n  cells: [0, 5]")
+        (tmp_path / "table.yaml").write_text(text)
+        cfg = load_config(tmp_path / "table.yaml")
+        part = partition_domain(cfg.domain, cfg.grid)
+        boxes = [posterior_f(cfg.model, part.cell(i)) for i in range(part.n_cells)]
+        lo, hi = (np.array(e) for e in zip(*(b.endpoints() for b in boxes)))
+        write_posterior_table(PosteriorTable(lo, hi), tmp_path / "table.csv")
+        argv = ["-c", str(tmp_path / "table.yaml")]
+        assert main(["abstract", *argv]) == 0
+        (tmp_path / "table.csv").unlink()
+        for phase in ("verify", "simulate"):
+            assert main([phase, *argv]) == 0
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["improve", *argv]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert error == f"{tmp_path / 'table.csv'}: file does not exist"
+
+    def test_missing_posterior_table_exits_1(self, tmp_path, caplog):
+        path = tmp_path / "absent.yaml"
+        absent = tmp_path / "absent.csv"
+        path.write_text(ADDITIVE_2D.format(table=f"posterior_table: {absent}", outdir="out"))
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["abstract", "-c", str(path)]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert error == f"{absent}: file does not exist"
+
+    def test_verify_and_simulate_build_no_noise_grid(self, tmp_path, monkeypatch):
+        from imcverify import pipeline
+
+        def refused(*args):
+            raise AssertionError("uniform_noise_grid called")
+
+        path = tmp_path / "general.yaml"
+        w1 = "{type: uniform, lo: -0.1, hi: 0.1}"
+        path.write_text(GENERAL_2D.format(w1=w1) + "cluster:\n  passes: 1\n")
+        assert main(["abstract", "-c", str(path)]) == 0
+        monkeypatch.setattr(pipeline, "uniform_noise_grid", refused)
+        for phase in ("verify", "simulate"):
+            assert main([phase, "-c", str(path)]) == 0
+        with pytest.raises(AssertionError, match="uniform_noise_grid called"):
+            main(["improve", "-c", str(path)])
 
     def test_output_dir_and_seed_override(self, tmp_path):
         cfg_path = write_toy(tmp_path)

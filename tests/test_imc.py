@@ -140,7 +140,7 @@ class TestUnsafeTransitions:
         part = partition_domain(Box.from_bounds([[0, 1]]), (1,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.1, 0.1),))
-        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[0, 1]])]})
+        imc = build_imc(cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[0, 1]])]})
         row = imc.rows[imc.unsafe_index]
         assert row == (TransitionBound(1, 1, 1.0, 1.0),)
 
@@ -151,7 +151,9 @@ class TestBuildImc:
         part = partition_domain(Box.from_bounds([[-1, 1]]), (1,))
         model = parse_dynamics(["0.5*x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.25, 0.25),))
-        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[-1, 1]])]})
+        imc = build_imc(
+            cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[-1, 1]])]}
+        )
         assert imc.n_states == 2
         (self_loop, unsafe_col) = imc.rows[0]
         assert (self_loop.lower, self_loop.upper) == (1.0, 1.0)
@@ -168,13 +170,17 @@ class TestBuildImc:
             noise = NoiseModel((comp,))
             cells = uniform_noise_grid(noise, [2]) if structure == "general" else None
             with pytest.raises(InputError, match="point mass"):
-                build_imc(part, model, noise, {"goal": [part.domain]}, noise_cells=cells)
+                build_imc(
+                    cell_posteriors(part, model, noise, noise_cells=cells), {"goal": [part.domain]}
+                )
 
     def test_two_cell_bounds_against_kernel_oracle(self):
         part = partition_domain(Box.from_bounds([[0, 1]]), (2,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.25, 0.25),))
-        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[0.5, 1]])]})
+        imc = build_imc(
+            cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[0.5, 1]])]}
+        )
         assert imc.n_states == 3
         for row in imc.rows[:-1]:
             for tb in row:
@@ -197,9 +203,8 @@ class TestBuildImc:
             ["0.8*x1 + 0.1*x2 + w1", "0.2*x1 + 0.7*x2 + w2"], 2, "additive"
         )
         noise = NoiseModel((Uniform(-0.3, 0.2), Uniform(-0.1, 0.4)))
-        imc = build_imc(
-            part, model, noise, {"goal": [Box.from_bounds([[0, 2 / 3], [0, 2 / 3]])]}
-        )
+        goal = Box.from_bounds([[0, 2 / 3], [0, 2 / 3]])
+        imc = build_imc(cell_posteriors(part, model, noise), {"goal": [goal]})
         for row in imc.rows:
             assert sum(tb.lower for tb in row) <= 1.0 + 1e-9
             assert sum(tb.upper for tb in row) >= 1.0 - 1e-9
@@ -208,7 +213,9 @@ class TestBuildImc:
         part = partition_domain(Box.from_bounds([[0, 4]]), (8,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.3, 0.3),))
-        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[3.5, 4]])]})
+        imc = build_imc(
+            cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[3.5, 4]])]}
+        )
         for i, row in enumerate(imc.rows[:-1]):
             dsts = [tb.dst for tb in row]
             assert imc.unsafe_index in dsts
@@ -222,16 +229,16 @@ class TestBuildImc:
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.1, 0.1),))
         with pytest.raises(InputError):
-            build_imc(part, model, noise, {"goal": [Box.from_bounds([[0.3, 0.5]])]})
+            build_imc(
+                cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[0.3, 0.5]])]}
+            )
 
     def test_label_assignment(self):
         part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.1, 0.1),))
         imc = build_imc(
-            part,
-            model,
-            noise,
+            cell_posteriors(part, model, noise),
             {
                 "goal": [Box.from_bounds([[0.75, 1.0]])],
                 "obstacle": [Box.from_bounds([[0.0, 0.25]])],
@@ -264,7 +271,9 @@ class TestBuildImc:
         part = partition_domain(Box.from_bounds([[0, 2]]), (4,))
         model = parse_dynamics(["0.7*x1 + 0.2 + w1"], 1, "additive")
         noise = NoiseModel((TruncatedGaussian(0.0, 0.3, -0.5, 0.5),))
-        imc = build_imc(part, model, noise, {"goal": [Box.from_bounds([[1.5, 2]])]})
+        imc = build_imc(
+            cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[1.5, 2]])]}
+        )
         rng = np.random.default_rng(77)
         n = 10**5
         for row in imc.rows[:-1]:
@@ -401,9 +410,8 @@ class TestCandidatePruning:
         part, model, noise, cells = pruning_case(case)
         structure = model.structure
         goal = [[e[0], e[1]] for e in part.edges]
-        imc = build_imc(
-            part, model, noise, {"goal": [Box.from_bounds(goal)]}, noise_cells=cells
-        )
+        posts = cell_posteriors(part, model, noise, noise_cells=cells)
+        imc = build_imc(posts, {"goal": [Box.from_bounds(goal)]})
         for iq, q in enumerate(map(part.cell, range(part.n_cells))):
             stored = {tb.dst: (tb.lower, tb.upper) for tb in imc.rows[iq]}
             for it, target in enumerate(map(part.cell, range(part.n_cells))):
@@ -434,12 +442,12 @@ class TestCandidatePruning:
         column last."""
         part, model, noise, cells = pruning_case(case)
         labels = {"goal": [part.domain]}
-        default = build_imc(part, model, noise, labels, noise_cells=cells)
+        default = build_imc(cell_posteriors(part, model, noise, noise_cells=cells), labels)
         for a, b in zip(default.indptr[:-1], default.indptr[1:]):
             assert np.all(np.diff(default.dst[a:b]) > 0)
             assert default.dst[b - 1] == default.unsafe_index
         monkeypatch.setattr(imc_module, "_BLOCK_PAIRS", 3)
-        blocked = build_imc(part, model, noise, labels, noise_cells=cells)
+        blocked = build_imc(cell_posteriors(part, model, noise, noise_cells=cells), labels)
         for name in ("indptr", "dst", "lower", "upper"):
             assert np.array_equal(getattr(blocked, name), getattr(default, name)), name
         assert blocked.labels == default.labels
@@ -478,8 +486,8 @@ class TestPosteriorTable:
         part, model, noise = self._setup()
         table = _table(posterior_f(model, q) for q in map(part.cell, range(part.n_cells)))
         labels = {"goal": [Box.from_bounds([[0.5, 1]])]}
-        from_table = build_imc(part, model, noise, labels, posterior_table=table)
-        computed = build_imc(part, model, noise, labels)
+        from_table = build_imc(cell_posteriors(part, model, noise, posterior_table=table), labels)
+        computed = build_imc(cell_posteriors(part, model, noise), labels)
         assert from_table.rows == computed.rows
 
     def test_shifted_table_changes_bounds(self):
@@ -489,8 +497,8 @@ class TestPosteriorTable:
             for q in map(part.cell, range(part.n_cells))
         )
         labels = {"goal": [Box.from_bounds([[0.5, 1]])]}
-        imc = build_imc(part, model, noise, labels, posterior_table=shifted)
-        baseline = build_imc(part, model, noise, labels)
+        imc = build_imc(cell_posteriors(part, model, noise, posterior_table=shifted), labels)
+        baseline = build_imc(cell_posteriors(part, model, noise), labels)
         assert imc.rows != baseline.rows
 
     def test_missing_state_rejected(self):
@@ -498,11 +506,8 @@ class TestPosteriorTable:
         table = _table([posterior_f(model, part.cell(0))])
         with pytest.raises(InputError):
             build_imc(
-                part,
-                model,
-                noise,
+                cell_posteriors(part, model, noise, posterior_table=table),
                 {"goal": [Box.from_bounds([[0.5, 1]])]},
-                posterior_table=table,
             )
 
     def test_file_round_trip(self, tmp_path):
@@ -512,6 +517,19 @@ class TestPosteriorTable:
         write_posterior_table(table, path)
         loaded = read_posterior_table(path, part.n_cells, 1)
         assert np.array_equal(loaded.lo, table.lo) and np.array_equal(loaded.hi, table.hi)
+
+    def test_missing_files_are_input_errors(self, tmp_path):
+        from imcverify.verify import read_results
+
+        part = partition_domain(Box.from_bounds([[0, 1]]), (2,))
+        path = tmp_path / "absent.csv"
+        for read in (
+            lambda: read_posterior_table(path, 2, 1),
+            lambda: read_imc(path, part, assign_labels(part, {})),
+            lambda: read_results(path, part, 0.9),
+        ):
+            with pytest.raises(InputError, match=f"^{re.escape(str(path))}: file does not exist$"):
+                read()
 
     def test_incomplete_file_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -559,7 +577,7 @@ class TestExports:
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.2, 0.2),))
         boxes = {"goal": [Box.from_bounds([[0.75, 1]])]}
-        imc = build_imc(part, model, noise, boxes)
+        imc = build_imc(cell_posteriors(part, model, noise), boxes)
         b1, l1 = tmp_path / "imc1.csv", tmp_path / "lab1.csv"
         b2, l2 = tmp_path / "imc2.csv", tmp_path / "lab2.csv"
         write_imc(imc, b1, l1)
@@ -573,7 +591,8 @@ class TestExports:
     def test_blocked_write_same_bytes(self, tmp_path, monkeypatch):
         part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
         noise = NoiseModel((Uniform(-0.2, 0.2),))
-        imc = build_imc(part, identity_additive(), noise, {"goal": [Box.from_bounds([[0.75, 1]])]})
+        posts = cell_posteriors(part, identity_additive(), noise)
+        imc = build_imc(posts, {"goal": [Box.from_bounds([[0.75, 1]])]})
         write_imc(imc, tmp_path / "one.csv", tmp_path / "lab.csv")
         monkeypatch.setattr(imc_module, "_WRITE_ROWS", 3)  # blocks end inside rows
         write_imc(imc, tmp_path / "blocks.csv", tmp_path / "lab.csv")
@@ -581,7 +600,9 @@ class TestExports:
 
     def test_duplicate_pair_rejected(self, tmp_path):
         part = partition_domain(Box.from_bounds([[0, 1]]), (2,))
-        imc = build_imc(part, identity_additive(), NoiseModel((Uniform(-0.2, 0.2),)), {})
+        imc = build_imc(
+            cell_posteriors(part, identity_additive(), NoiseModel((Uniform(-0.2, 0.2),))), {}
+        )
         bounds, labels = tmp_path / "imc.csv", tmp_path / "labels.csv"
         write_imc(imc, bounds, labels)
         lines = bounds.read_text().splitlines()
@@ -592,7 +613,8 @@ class TestExports:
     def _export(self, tmp_path):
         part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
         noise = NoiseModel((Uniform(-0.2, 0.2),))
-        imc = build_imc(part, identity_additive(), noise, {"goal": [Box.from_bounds([[0.75, 1]])]})
+        posts = cell_posteriors(part, identity_additive(), noise)
+        imc = build_imc(posts, {"goal": [Box.from_bounds([[0.75, 1]])]})
         bounds, labels = tmp_path / "imc.csv", tmp_path / "labels.csv"
         write_imc(imc, bounds, labels)
         return part, imc, bounds

@@ -280,7 +280,7 @@ class TestEstimateSatisfaction:
             estimate_satisfaction(model, noise, regions, [[0.5]], 4, 5, seeds=[0], keep=-1)
 
     def test_estimate_within_verified_interval(self):
-        from imcverify.imc import build_imc
+        from imcverify.imc import build_imc, cell_posteriors
         from imcverify.geometry import partition_domain
         from imcverify.verify import ReachAvoidSpec, robust_value_iteration
 
@@ -288,7 +288,7 @@ class TestEstimateSatisfaction:
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.1, 0.3),))
         goal = Box.from_bounds([[1.5, 2.0]])
-        imc = build_imc(part, model, noise, {"goal": [goal]})
+        imc = build_imc(cell_posteriors(part, model, noise), {"goal": [goal]})
         res = robust_value_iteration(imc, ReachAvoidSpec(), convergence_tol=1e-10)
         regions = ReachAvoidRegions(domain=part.domain, goals=(goal,))
         for idx in range(part.n_cells):
