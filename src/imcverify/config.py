@@ -209,6 +209,9 @@ def load_config(path) -> RunConfig:
         noise_grid = _counts(noise_raw["grid"], n, "noise.grid")
     if structure == GENERAL and noise_grid is None:
         _fail("noise.grid", "required when dynamics.structure is 'general'")
+    if structure != GENERAL and noise_grid is not None:
+        # only general systems bound transitions over a noise grid
+        _fail("noise.grid", f"only read for dynamics.structure 'general', not {structure!r}")
 
     labels: dict[str, tuple[Box, ...]] = {}
     labels_raw = raw.get("labels", {})

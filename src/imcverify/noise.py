@@ -4,14 +4,17 @@ structures.
 
 CDF evaluation is analytic (error function for truncated Gaussians, weighted
 sums for mixtures) so that cell probabilities carry distribution-dependent
-soundness. A uniform grid over the support (a ``NoiseGrid``) is the fallback
-partition for models without a usable noise structure. Sampling
-(``NoiseModel.sample``) is closed form, one uniform per component: the
-quantile, or for a mixture the composition method.
+soundness. ``scipy.special`` supplies the truncated Gaussian's error function
+and quantile; a process imports it on its first Gaussian CDF or sample, not
+when it loads a config. A uniform grid over the support (a ``NoiseGrid``) is
+the fallback partition for models without a usable noise structure.
+Sampling (``NoiseModel.sample``) is closed form, one uniform per component:
+the quantile, or for a mixture the composition method.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,7 +27,9 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _phi(z):
-    from scipy.special import erf  # here, not at load: it costs every process ~0.2 s
+    # scipy's erf, imported on first use: the import costs a process ~0.3 s.
+    # Its bits set the truncated-Gaussian constants and so the exported bounds.
+    from scipy.special import erf
 
     return 0.5 * (1.0 + erf(z / _SQRT2))
 
@@ -86,8 +91,11 @@ class Uniform(NoiseComponent):
 
 @dataclass(frozen=True)
 class TruncatedGaussian(NoiseComponent):
-    """N(mean, stddev^2) conditioned on [lo, hi]. Phi(lo) and the mass are set
-    once, outside the fields that equality and hashing see."""
+    """N(mean, stddev^2) conditioned on [lo, hi]. Construction checks that
+    [lo, hi] has Gaussian mass with the stdlib ``math.erf``, which accepts
+    the same truncations as scipy's. Phi(lo) and the mass themselves come
+    from ``_phi`` on the first ``cdf`` or ``inverse_cdf`` call and are kept,
+    outside the fields that equality and hashing see."""
 
     mean: float
     stddev: float
@@ -101,12 +109,21 @@ class TruncatedGaussian(NoiseComponent):
             raise ValueError("stddev must be positive")
         if self.lo >= self.hi:
             raise ValueError("truncation requires lo < hi")
-        phi_lo = _phi((self.lo - self.mean) / self.stddev)
-        mass = float(_phi((self.hi - self.mean) / self.stddev) - phi_lo)
-        if mass <= 0.0:
+        # _phi's formula in math.erf, so that construction imports no scipy
+        z_lo, z_hi = ((b - self.mean) / self.stddev for b in (self.lo, self.hi))
+        if 0.5 * (1.0 + math.erf(z_hi / _SQRT2)) - 0.5 * (1.0 + math.erf(z_lo / _SQRT2)) <= 0.0:
             raise ValueError("truncation interval has no Gaussian mass")
-        object.__setattr__(self, "_phi_lo", phi_lo)
-        object.__setattr__(self, "_mass", mass)
+
+    @functools.cached_property
+    def _phi_lo(self) -> float:
+        return _phi((self.lo - self.mean) / self.stddev)
+
+    @functools.cached_property
+    def _mass(self) -> float:
+        mass = float(_phi((self.hi - self.mean) / self.stddev) - self._phi_lo)
+        if mass <= 0.0:  # a backstop: math.erf and scipy's erf may differ in the last bit
+            raise ValueError("truncation interval has no Gaussian mass")
+        return mass
 
     @property
     def support(self) -> Interval:
@@ -122,7 +139,7 @@ class TruncatedGaussian(NoiseComponent):
     def inverse_cdf(self, u):
         """Quantile at u in [0, 1]: the Gaussian quantile of Phi(lo) + u *
         mass, clipped to [lo, hi] against rounding."""
-        from scipy.special import ndtri  # here, not at load, as in _phi
+        from scipy.special import ndtri  # on first use, as in _phi
 
         z = ndtri(self._phi_lo + np.asarray(u, dtype=float) * self._mass)
         out = np.clip(self.mean + self.stddev * z, self.lo, self.hi)

@@ -180,6 +180,14 @@ class TestLoadConfig:
         with pytest.raises(InputError, match="noise.grid"):
             load_config(path)
 
+    def test_multiplicative_rejects_noise_grid(self, tmp_path):
+        # only general systems bound transitions over a noise grid; the
+        # additive case is one of test_invalid_value_rejected's
+        path = tmp_path / "bad.yaml"
+        path.write_text(PAPER_2D.replace("noise:\n", "noise:\n  grid: [7, 7]\n"))
+        with pytest.raises(InputError, match="noise.grid: .*not 'multiplicative'"):
+            load_config(path)
+
     def test_bad_expression_reported(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(
@@ -278,6 +286,7 @@ class TestLoadConfig:
              "{type: mixture, weights: [.nan, 1.0], components: "
              "[{type: uniform, lo: -0.25, hi: 0.0}, {type: uniform, lo: 0.0, hi: 0.25}]}",
              "noise.components[0]"),
+            ("hi: 0.25}", "hi: 0.25}\n  grid: [7]", "noise.grid"),
             ("  threshold: 0.9", "  threshold: 0.9\n  convergence_tolerance: .inf",
              "spec.convergence_tolerance"),
             ("  threshold: 0.9", "  threshold: 0.9\n  convergence_tolerance: .nan",
@@ -287,8 +296,9 @@ class TestLoadConfig:
     def test_invalid_value_rejected(self, tmp_path, caplog, old, new, field):
         # an empty cell list would validate nothing; a uniform with lo == hi
         # is a point mass, which the noise partitions (over (lo, hi]) drop;
-        # NaN noise parameters would turn into NaN bounds; an infinite
-        # tolerance stops verify after one sweep, a NaN one never stops it
+        # NaN noise parameters would turn into NaN bounds; nothing reads a
+        # noise grid of an additive system; an infinite tolerance stops
+        # verify after one sweep, a NaN one never stops it
         path = tmp_path / "bad.yaml"
         text = TOY_1D.format(passes=0, mc="true", outdir="out")
         assert old in text
@@ -676,6 +686,35 @@ output_dir: out
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, imcverify.cli; sys.exit('scipy.special' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_gaussian_config_loads_scipy_special_only_to_bound(self, tmp_path):
+        # a truncated Gaussian computes its constants on its first CDF or
+        # sample: loading its config and a verify phase over a stored
+        # abstraction import no scipy.special, and only abstract does
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        path = tmp_path / "paper.yaml"
+        path.write_text(PAPER_2D)
+
+        def loads_scipy_special(code):
+            code += "\nimport sys; print('scipy.special' in sys.modules)"
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            return out.stdout.split()[-1] == "True"
+
+        assert not loads_scipy_special(
+            "from imcverify.config import load_config\n"
+            "from imcverify.pipeline import run_pipeline\n"
+            f"run_pipeline(load_config({str(path)!r}), phases=())"
+        )
+        def phase(name):
+            return f"from imcverify.cli import main\nassert main([{name!r}, '-c', {str(path)!r}]) == 0"
+
+        assert loads_scipy_special(phase("abstract"))
+        assert not loads_scipy_special(phase("verify"))
+        assert (tmp_path / "out" / RESULTS_FILE).exists()
 
     def test_posterior_table_from_computed_posteriors(self, tmp_path, caplog):
         # the data-driven path: a table holding the computed g(q) gives the

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from imcverify import noise
 from imcverify.geometry import Interval
 from imcverify.noise import (
     Mixture,
@@ -55,8 +56,9 @@ class TestCdf:
         assert float(comp.cdf(float("inf"))) == 1.0
 
     def test_truncated_gaussian_cached_constants_exact(self):
-        # the CDF at lo and the mass are computed once at construction; the
-        # result must equal the formula that recomputes them on every call
+        # the CDF at lo and the mass are computed once, on the first cdf
+        # call; the result must equal the formula that recomputes them on
+        # every call
         comp = TruncatedGaussian(1.0, 0.1, 0.9, 1.1)
         ts = np.random.default_rng(4).uniform(0.85, 1.15, 1000)
 
@@ -71,6 +73,43 @@ class TestCdf:
         assert np.array_equal(comp.cdf(ts), expected)
         assert comp == TruncatedGaussian(1.0, 0.1, 0.9, 1.1)
         assert hash(comp) == hash(TruncatedGaussian(1.0, 0.1, 0.9, 1.1))
+
+    def test_truncated_gaussian_accepted_exactly_with_scipy_mass(self):
+        # construction checks the mass with math.erf: it must accept exactly
+        # the truncations whose mass by scipy's erf, which the CDF uses, is
+        # positive, also with both bounds in a tail beyond 8 sigma
+        zs = np.unique(np.concatenate([
+            np.linspace(-40.0, 40.0, 161), np.linspace(-9.0, -7.0, 41), np.linspace(7.0, 9.0, 41)
+        ]))
+
+        def phi(z):
+            return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+
+        outcomes = set()
+        for mean, std in ((0.0, 1.0), (1.0, 0.1), (-3.0, 2.5)):
+            for lo, hi in itertools.combinations((mean + std * zs).tolist(), 2):
+                if not lo < hi:
+                    continue
+                positive = float(phi((hi - mean) / std) - phi((lo - mean) / std)) > 0.0
+                try:
+                    TruncatedGaussian(mean, std, lo, hi)
+                except ValueError as exc:
+                    assert "no Gaussian mass" in str(exc)
+                    assert not positive, (mean, std, lo, hi)
+                else:
+                    assert positive, (mean, std, lo, hi)
+                outcomes.add(positive)
+        assert outcomes == {True, False}
+
+    def test_truncated_gaussian_lazy_mass_backstop(self, monkeypatch):
+        # the constants come from scipy's erf on first use; were its mass not
+        # positive where math.erf's was, cdf and inverse_cdf would raise
+        comp = TruncatedGaussian(0.0, 1.0, -1.0, 1.0)
+        monkeypatch.setattr(noise, "_phi", lambda z: np.float64(0.5))
+        with pytest.raises(ValueError, match="no Gaussian mass"):
+            comp.cdf(0.0)
+        with pytest.raises(ValueError, match="no Gaussian mass"):
+            comp.inverse_cdf(0.5)
 
     def test_invariants_rejected(self):
         with pytest.raises(ValueError):

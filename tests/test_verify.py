@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from imcverify import imc as imc_module
 from imcverify.errors import InputError, InvalidModelError, SpecificationError
 from imcverify.geometry import Box, partition_domain
-from imcverify.imc import Imc, TransitionBound
+from imcverify.imc import Imc, RowLayout, TransitionBound
 from imcverify.verify import (
     ReachAvoidSpec,
+    _extreme_expectations,
     adversary_extreme_expectation,
     classify,
     classify_arrays,
@@ -300,6 +302,44 @@ class TestValueIteration:
             high = scalar_walk(values, rows[s], "max")
             assert res.p_upper[s] == high
             assert res.p_lower[s] == min(low, high)
+
+    def test_wide_width_class_matches_scalar_walk(self, monkeypatch):
+        """600 rows of length 5-8 share one width class: row sums and both
+        walks are bit-equal whether its block adds row by row (``_LOOP_ROWS``
+        1) or by np.cumsum (10**9), and match a sequential sum and the
+        scalar walk of every row."""
+        rng = np.random.default_rng(15)
+        n_states = 700
+        lengths = np.concatenate([rng.integers(5, 9, 600), rng.integers(1, 40, 100)])
+        rng.shuffle(lengths)
+        rows = tuple(
+            random_row(rng, s, np.sort(rng.choice(n_states, m, replace=False)))
+            for s, m in enumerate(lengths.tolist())
+        )
+        entries = [tb for row in rows for tb in row]
+        dst = np.array([tb.dst for tb in entries])
+        lower = np.array([tb.lower for tb in entries])
+        upper = np.array([tb.upper for tb in entries])
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        values = rng.random(n_states)
+        results = []
+        for loop_rows in (1, 10**9):
+            monkeypatch.setattr(imc_module, "_LOOP_ROWS", loop_rows)
+            layout = RowLayout(indptr)
+            assert max(slot.shape[1] for _, slot in layout.blocks) >= 512
+            remaining = layout.check(lower, upper, InvalidModelError)
+            low, high = _extreme_expectations(layout, dst, lower, upper - lower, values, values)
+            results.append((layout.sums(upper), remaining, low, high))
+        for looped, cumsummed in zip(*results):
+            assert np.array_equal(looped, cumsummed)
+        sums, _, low, high = results[0]
+        for i, row in enumerate(rows):
+            total = 0.0
+            for tb in row:
+                total += tb.upper
+            assert sums[i] == total
+            assert low[i] == scalar_walk(values, row, "min")
+            assert high[i] == scalar_walk(values, row, "max")
 
     def test_label_overlap_rejected(self):
         rows = (
