@@ -12,11 +12,9 @@ from .geometry import (
 )
 from .dynamics import (
     DynamicsModel,
+    enclosure,
     eval_point,
-    interval_extension,
     parse_dynamics,
-    posterior,
-    posterior_f,
 )
 from .noise import (
     Mixture,
@@ -32,18 +30,13 @@ from .noise import (
 from .imc import (
     Imc,
     PosteriorTable,
-    TransitionBound,
     build_imc,
     cell_posteriors,
-    transition_bounds_general,
-    transition_bounds_structured,
-    unsafe_transitions,
+    pair_bounds,
 )
 from .verify import (
     ReachAvoidSpec,
     VerificationResult,
-    adversary_extreme_expectation,
-    classify,
     robust_value_iteration,
 )
 from .cluster import cluster_improve

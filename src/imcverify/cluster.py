@@ -68,31 +68,38 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     partition = imc.partition
     row = np.repeat(np.arange(imc.n_states), np.diff(imc.indptr))
     entry = np.flatnonzero((imc.dst != imc.unsafe_index) & (imc.upper > 0.0) & allowed[row])
-    src, multi = row[entry], np.stack(np.unravel_index(imc.dst[entry], partition.resolution), -1)
+    # one index array per dimension, so the gathers and reductions below are contiguous
+    src, multi = row[entry], np.unravel_index(imc.dst[entry], partition.resolution)
     inside, volume = np.ones(len(entry), dtype=bool), np.ones(len(entry))
-    for d, e in enumerate(partition.edges):
-        lo, hi = e[multi[:, d]], e[multi[:, d] + 1]
+    for d, (e, m) in enumerate(zip(partition.edges, multi)):
+        lo, hi = e[m], e[m + 1]
         inside &= (posts.hull_lo[src, d] <= lo) & (hi <= posts.hull_hi[src, d])
         volume = volume * (hi - lo)
-    entry, src, multi, volume = entry[inside], src[inside], multi[inside], volume[inside]
+    entry, src, volume = entry[inside], src[inside], volume[inside]
+    multi = [m[inside] for m in multi]
     # one segment of eligible entries per source that has any
     seg = np.flatnonzero(np.diff(src, prepend=-1))
     segments = RowLayout(np.append(seg, len(entry)))
     sources, count = src[seg], np.diff(segments.indptr)
-    first = np.minimum.reduceat(multi, seg, axis=0)
-    stop = np.maximum.reduceat(multi, seg, axis=0) + 1
-    filled = count == (stop - first).prod(axis=1)
+    first = [np.minimum.reduceat(m, seg) for m in multi]
+    stop = [np.maximum.reduceat(m, seg) + 1 for m in multi]
+    filled = count == reduce(np.multiply, (b - a for a, b in zip(first, stop)))
     found, holes = filled & (count >= 2), np.flatnonzero(~filled & (count >= 2))
     for j in holes.tolist():
-        block = _largest_block(multi[seg[j]:seg[j] + count[j]])
+        block = _largest_block(np.stack([m[seg[j]:seg[j] + count[j]] for m in multi], -1))
         if block is not None:
-            found[j], (first[j], stop[j]) = True, block
+            found[j] = True
+            for a, b, start, end in zip(first, stop, *block):
+                a[j], b[j] = start, end
     of = segments.row
+    member = found[of]
+    for m, a, b in zip(multi, first, stop):
+        member &= (a[of] <= m) & (m < b[of])
     members = np.zeros(len(imc.dst), dtype=bool)
-    members[entry[found[of] & ((first[of] <= multi) & (multi < stop[of])).all(axis=1)]] = True
+    members[entry[member]] = True
     # the block runs from the lower corner of its first cell to the upper corner of its last
-    lo = partition.corners(np.ravel_multi_index(first.T, partition.resolution))[0]
-    hi = partition.corners(np.ravel_multi_index((stop - 1).T, partition.resolution))[1]
+    lo = partition.corners(np.ravel_multi_index(first, partition.resolution))[0]
+    hi = partition.corners(np.ravel_multi_index([b - 1 for b in stop], partition.resolution))[1]
     hull_lo, hull_hi = posts.hull_lo[sources], posts.hull_hi[sources]
     hull_volume = np.prod(hull_hi - hull_lo, axis=1)  # in dimension order, as Box.volume
     tiled = segments.sums(volume)

@@ -85,6 +85,13 @@ def _number(value: Any, path: str) -> float:
     return float(value)
 
 
+def _path(value: Any, path: str) -> Path:
+    """A non-empty YAML string as a Path; other values, null included, are rejected."""
+    if not isinstance(value, str) or not value:
+        _fail(path, f"must be a non-empty path string, got {value!r}")
+    return Path(value)
+
+
 def _known_keys(mapping: Any, allowed: tuple[str, ...], path: str) -> None:
     """Reject keys outside ``allowed`` so that a typo cannot silently fall
     back to a default."""
@@ -278,13 +285,13 @@ def load_config(path) -> RunConfig:
         _fail("monte_carlo.enabled", f"must be true or false, got {mc.enabled!r}")
 
     table_raw = raw.get("posterior_table")
-    posterior_table = Path(table_raw) if table_raw else None
+    posterior_table = None if table_raw is None else _path(table_raw, "posterior_table")
     if posterior_table is not None and not posterior_table.is_absolute():
         posterior_table = path.parent / posterior_table
     if posterior_table is not None and structure == GENERAL:
         _fail("posterior_table", "requires an additive or multiplicative dynamics.structure")
 
-    output_dir = Path(raw.get("output_dir", "out"))
+    output_dir = _path(raw.get("output_dir", "out"), "output_dir")
     if not output_dir.is_absolute():
         output_dir = path.parent / output_dir
 

@@ -16,11 +16,11 @@ over-approximate the true range, which is the sound direction for every
 consumer in this package.
 
 The one interval evaluator, ``enclosure``, works on endpoint arrays over a
-whole batch of boxes; ``interval_extension``, ``posterior_f`` and
-``posterior`` are one-box calls into it. A non-finite enclosure (an
-overflow, say), a division by an interval containing 0, a negative power of
-one and sqrt below 0 raise EvaluationError naming the component, whichever
-box of the batch they occur in.
+whole batch of boxes, and ``combine_posterior`` puts noise cells onto the
+noise-free images it gives; one box is a batch of one. A non-finite
+enclosure (an overflow, say), a division by an interval containing 0, a
+negative power of one and sqrt below 0 raise EvaluationError naming the
+component, whichever box of the batch they occur in.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import EvaluationError, ParseError, StructureError
-from .geometry import Box, Interval
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -601,25 +600,7 @@ def enclosure(exprs: Sequence[Expr], x, w=None) -> tuple[np.ndarray, np.ndarray]
     return _checked(lo, hi)
 
 
-def interval_extension(expr: Expr, xbox: Box, wbox: Optional[Box] = None) -> Interval:
-    """Interval enclosing the range of expr over xbox (and wbox, if given)."""
-    lo, hi = enclosure((expr,), xbox.endpoints(), None if wbox is None else wbox.endpoints())
-    return Interval(lo[0], hi[0])
-
-
 # --- posteriors --------------------------------------------------------------
-
-
-def posterior_f(model: DynamicsModel, q: Box) -> Box:
-    """Over-approximation of the noise-free image {g(x) : x in q}.
-
-    Exact when g is affine in x; conservative otherwise.
-    """
-    if model.g_components is None:
-        raise ValueError("posterior_f requires an additive or multiplicative model")
-    if q.dim != model.n:
-        raise ValueError(f"region dimension {q.dim} != model dimension {model.n}")
-    return Box.from_bounds(zip(*enclosure(model.g_components, q.endpoints())))
 
 
 def combine_posterior(structure: str, postf, c) -> tuple[np.ndarray, np.ndarray]:
@@ -632,13 +613,3 @@ def combine_posterior(structure: str, postf, c) -> tuple[np.ndarray, np.ndarray]
         if structure == MULTIPLICATIVE:
             return _checked(*_mul(postf, c))
     raise ValueError(f"cannot combine posteriors for structure {structure!r}")
-
-
-def posterior(model: DynamicsModel, q: Box, c: Box) -> Box:
-    """Over-approximation of Post(q, c) = {f(x, w) : x in q, w in c}."""
-    if c.dim != model.n:
-        raise ValueError(f"noise cell dimension {c.dim} != model dimension {model.n}")
-    if model.structure in (ADDITIVE, MULTIPLICATIVE):
-        postf = posterior_f(model, q).endpoints()
-        return Box.from_bounds(zip(*combine_posterior(model.structure, postf, c.endpoints())))
-    return Box.from_bounds(zip(*enclosure(model.components, q.endpoints(), c.endpoints())))

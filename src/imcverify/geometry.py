@@ -177,7 +177,7 @@ class StatePartition:
         )
 
     def cell(self, i: int) -> Box:
-        """Cell ``i`` as a ``Box``, for the one-box API."""
+        """Cell ``i`` as a ``Box``; ``corners`` gives many cells at once as arrays."""
         return Box.from_bounds(zip(*(c.tolist() for c in self.corners(i))))
 
     def flat_index(self, multi: Sequence[int]) -> int:

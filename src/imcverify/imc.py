@@ -3,8 +3,9 @@ noise partitions, unsafe-state transitions, and the full model build with
 hard row-validity checks.
 
 An ``Imc`` holds CSR arrays: the row of state ``i`` is ``dst``, ``lower``
-and ``upper`` over ``indptr[i]:indptr[i + 1]``. ``Imc.from_rows`` and the
-``Imc.rows`` view are the only conversions to and from ``TransitionBound``.
+and ``upper`` over ``indptr[i]:indptr[i + 1]``. These arrays are its only
+representation: an IMC built by hand is ``Imc(partition, indptr, dst,
+lower, upper, labels)``.
 
 ``RowLayout`` owns the padded row layout of a CSR block: it alone builds
 the width-class blocks and reads padded slots, and it offers the
@@ -19,12 +20,12 @@ from the system. ``_rows_with_last`` assembles the cluster step's CSR rows.
 
 A transition bound depends only on the source's posterior and the target
 box, so one kernel, ``pair_bounds``, maps arrays of (source, target box)
-pairs to their bounds; the build, the unsafe column, the cluster step and
-the one-pair functions are all calls into it. Structured systems
-(additive or multiplicative noise) get the optimal three-cell partition
-per component: a bound is a product of single interval probabilities, one
-vectorised ``interval_probability`` call per dimension and bound over all
-pairs. General systems sum the cell masses of a uniform ``NoiseGrid``.
+pairs to their bounds; the build, the unsafe column and the cluster step
+are all calls into it. Structured systems (additive or multiplicative
+noise) get the optimal three-cell partition per component: a bound is a
+product of single interval probabilities, one vectorised
+``interval_probability`` call per dimension and bound over all pairs.
+General systems sum the cell masses of a uniform ``NoiseGrid``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .dynamics import (
     DynamicsModel,
     combine_posterior,
     enclosure,
-    posterior_f,
 )
 from .errors import InputError, SoundnessError
 from .geometry import Box, StatePartition
@@ -81,21 +81,6 @@ def _cumsum(block: np.ndarray) -> np.ndarray:
     return block
 
 
-@dataclass(frozen=True)
-class TransitionBound:
-    src: int
-    dst: int
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper <= 1.0):
-            raise ValueError(
-                f"transition bound requires 0 <= lower <= upper <= 1, got "
-                f"[{self.lower}, {self.upper}]"
-            )
-
-
 @dataclass(frozen=True, eq=False)
 class Imc:
     """Finite-state abstraction with transition-bound rows in CSR arrays.
@@ -111,31 +96,6 @@ class Imc:
     lower: np.ndarray
     upper: np.ndarray
     labels: tuple[frozenset[str], ...]
-
-    @classmethod
-    def from_rows(cls, partition, rows: Sequence[Sequence[TransitionBound]], labels) -> "Imc":
-        """CSR arrays from one row of bounds per state, in the given order."""
-        if any(tb.src != i for i, row in enumerate(rows) for tb in row):
-            raise ValueError("every bound in row i must leave state i")
-        entries = [tb for row in rows for tb in row]
-        return cls(
-            partition,
-            np.cumsum([0] + [len(row) for row in rows]),
-            np.array([tb.dst for tb in entries], dtype=np.int64),
-            np.array([tb.lower for tb in entries], dtype=float),
-            np.array([tb.upper for tb in entries], dtype=float),
-            tuple(labels),
-        )
-
-    @property
-    def rows(self) -> tuple[tuple[TransitionBound, ...], ...]:
-        """The rows as tuples of ``TransitionBound``, built on each access."""
-        bounds = self.indptr.tolist()
-        dst, lower, upper = self.dst.tolist(), self.lower.tolist(), self.upper.tolist()
-        return tuple(
-            tuple(TransitionBound(i, dst[k], lower[k], upper[k]) for k in range(a, b))
-            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
-        )
 
     @property
     def n_states(self) -> int:
@@ -310,69 +270,6 @@ def pair_bounds(
     return _clamped(lower, upper)
 
 
-def _one_pair(posts: "CellPosteriors", target: Box) -> tuple[float, float]:
-    """The bounds from the one source of ``posts`` toward one box."""
-    t_lo, t_hi = target.endpoints()
-    lower, upper = pair_bounds(posts, np.zeros(1, dtype=np.int64), t_lo[None], t_hi[None])
-    return float(lower[0]), float(upper[0])
-
-
-def _general_posteriors(model: DynamicsModel, x, cells: NoiseGrid):
-    """Posteriors of the boxes x (endpoint arrays of shape (..., n)) under
-    every noise cell, shape (..., noise cells, n), and the cell masses."""
-    x = (x[0][..., None, :], x[1][..., None, :])
-    return (*enclosure(model.components, x, (cells.lo, cells.hi)), cells.mass)
-
-
-def transition_bounds_structured(
-    postf: Box, target: Box, noise: NoiseModel, structure: str
-) -> tuple[float, float]:
-    """Transition bounds from the optimal per-component noise partitions.
-
-    lower = prod_i Pr(w_i in [eps3_i, eps4_i]) and
-    upper = prod_i Pr(w_i in [eps1_i, eps2_i]); a component with an empty
-    containment interval zeroes the lower bound.
-    """
-    if structure not in (ADDITIVE, MULTIPLICATIVE):
-        raise ValueError(f"structured bounds require additive or multiplicative, got {structure!r}")
-    if postf.dim != target.dim or postf.dim != noise.n:
-        raise ValueError("postf, target and noise dimensions disagree")
-    lo, hi = postf.endpoints()
-    return _one_pair(CellPosteriors(lo[None], hi[None], structure, noise), target)
-
-
-def transition_bounds_general(
-    model: DynamicsModel, cells: NoiseGrid, q: Box, target: Box
-) -> tuple[float, float]:
-    """Transition bounds by direct enumeration of a noise partition."""
-    lo, hi, weights = _general_posteriors(model, q.endpoints(), cells)
-    return _one_pair(CellPosteriors(lo[None], hi[None], GENERAL, None, weights), target)
-
-
-def unsafe_transitions(
-    q: Box,
-    safe: Box,
-    model: DynamicsModel,
-    noise: NoiseModel,
-    *,
-    postf: Optional[Box] = None,
-    noise_cells: Optional[NoiseGrid] = None,
-) -> tuple[float, float]:
-    """Bounds on the transition from q to the unsafe state.
-
-    Computed from the bounds toward the safe set itself:
-    lower = 1 - upper(q -> X), upper = 1 - lower(q -> X).
-    """
-    if model.structure != GENERAL:
-        postf = posterior_f(model, q) if postf is None else postf
-        low_x, up_x = transition_bounds_structured(postf, safe, noise, model.structure)
-    elif noise_cells is None:
-        raise ValueError("general structure requires a noise cell partition")
-    else:
-        low_x, up_x = transition_bounds_general(model, noise_cells, q, safe)
-    return (min(max(1.0 - up_x, 0.0), 1.0), min(max(1.0 - low_x, 0.0), 1.0))
-
-
 # --- posteriors of every cell ---------------------------------------------------
 
 
@@ -384,8 +281,9 @@ class CellPosteriors(NamedTuple):
     support. ``first``/``last`` bound, per cell and dimension, the cells
     within the hull expanded by one cell; every other target provably has
     upper bound 0 (none is left if some first >= last). ``partition`` is the
-    grid the posteriors were computed on. The last five are None for a
-    single posterior given as a box."""
+    grid the posteriors were computed on. ``pair_bounds`` reads only the
+    first five; the rest stay None in posteriors built by hand, such as
+    ``CellPosteriors(lo[None], hi[None], structure, noise)`` for one box."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -417,7 +315,10 @@ def cell_posteriors(
     x = partition.corners(np.arange(partition.n_cells))
     support = noise.support_box().endpoints()
     if model.structure == GENERAL:
-        lo, hi, weights = _general_posteriors(model, x, noise_cells)
+        # every cell's image under every noise cell, shape (cells, noise cells, n)
+        x_cells = (x[0][:, None, :], x[1][:, None, :])
+        lo, hi = enclosure(model.components, x_cells, (noise_cells.lo, noise_cells.hi))
+        weights = noise_cells.mass
         hull = enclosure(model.components, x, support)
     else:
         weights = None

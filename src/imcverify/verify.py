@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, InvalidModelError, SpecificationError
 from .geometry import StatePartition
-from .imc import _ROW_TOL, Imc, RowLayout, TransitionBound, UNSAFE_LABEL, _read_columns
+from .imc import _ROW_TOL, Imc, RowLayout, UNSAFE_LABEL, _read_columns
 from .imc import _reject_first, _repeats
 
 log = logging.getLogger("imcverify")
@@ -100,22 +100,6 @@ def _extreme_expectations(layout: RowLayout, dst, lower, gap, lo_values, hi_valu
         order = np.argsort(layout.row * n_states + rank[dst], kind="stable")
         both.append(layout.walk(order, lower, gap, values[dst]))
     return tuple(both)
-
-
-def adversary_extreme_expectation(
-    values: np.ndarray, row: Sequence[TransitionBound], mode: str
-) -> float:
-    """Extreme of sum_q' gamma(q,q') * values(q') over all valid adversaries."""
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    dst = np.array([tb.dst for tb in row], dtype=np.int64)
-    lower = np.array([tb.lower for tb in row], dtype=float)
-    upper = np.array([tb.upper for tb in row], dtype=float)
-    values = np.asarray(values, dtype=float)
-    layout = RowLayout(np.array([0, len(row)]))
-    layout.check(lower, upper, InvalidModelError)
-    low, high = _extreme_expectations(layout, dst, lower, upper - lower, values, values)
-    return float((low if mode == "min" else high)[0])
 
 
 def _goal_avoid_sets(imc: Imc, spec: ReachAvoidSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -191,13 +175,9 @@ def robust_value_iteration(
 def classify_arrays(
     p_lower: np.ndarray, p_upper: np.ndarray, threshold: float
 ) -> tuple[str, ...]:
+    """Three-way classification of each state against a threshold."""
     below = np.where(np.asarray(p_upper) < threshold, VIOLATES, UNDETERMINED)
     return tuple(np.where(np.asarray(p_lower) >= threshold, SATISFIES, below).tolist())
-
-
-def classify(result: VerificationResult, threshold: float) -> tuple[str, ...]:
-    """Three-way classification of each state against a threshold."""
-    return classify_arrays(result.p_lower, result.p_upper, threshold)
 
 
 # --- result export --------------------------------------------------------------
@@ -229,8 +209,8 @@ def write_results(result: VerificationResult, partition: StatePartition, path) -
 def read_results(
     path, partition: StatePartition, threshold: float = DEFAULT_THRESHOLD
 ) -> VerificationResult:
-    """Reload an exported result table over the states of ``partition`` and
-    classify it at ``threshold``; iteration metadata is not persisted.
+    """Reload an exported result table over the states of ``partition``, its
+    classes taken at ``threshold``; iteration metadata is not persisted.
 
     Every state must appear once, with a known class and p_lower <= p_upper
     in [0, 1] (value iteration may leave p_upper a few ulps above 1); anything

@@ -1,0 +1,27 @@
+"""Hand-written IMC rows as CSR arrays, and the adversary on one such row."""
+
+import numpy as np
+
+from imcverify.errors import InvalidModelError
+from imcverify.imc import RowLayout
+from imcverify.verify import _extreme_expectations
+
+
+def csr(rows):
+    """``indptr, dst, lower, upper`` from one sequence of (dst, lower, upper) per row."""
+    entries = [entry for row in rows for entry in row]
+    dtypes = (np.int64, float, float)
+    columns = (np.array([e[k] for e in entries], dtype=t) for k, t in enumerate(dtypes))
+    return (np.cumsum([0] + [len(row) for row in rows]), *columns)
+
+
+def extremes(values, row):
+    """The minimum and the maximum expectation of ``values`` over all
+    adversaries of one (dst, lower, upper) row; an infeasible row raises
+    InvalidModelError."""
+    indptr, dst, lower, upper = csr([row])
+    layout = RowLayout(indptr)
+    layout.check(lower, upper, InvalidModelError)
+    values = np.asarray(values, dtype=float)
+    low, high = _extreme_expectations(layout, dst, lower, upper - lower, values, values)
+    return float(low[0]), float(high[0])

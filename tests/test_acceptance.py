@@ -15,12 +15,7 @@ from imcverify.cluster import cluster_improve
 from imcverify.config import load_config
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box, Interval, partition_domain
-from imcverify.imc import (
-    TransitionBound,
-    build_imc,
-    cell_posteriors,
-    transition_bounds_structured,
-)
+from imcverify.imc import CellPosteriors, Imc, build_imc, cell_posteriors, pair_bounds
 from imcverify.noise import (
     Mixture,
     NoiseModel,
@@ -40,10 +35,10 @@ from imcverify.pipeline import (
 from imcverify.verify import (
     ReachAvoidSpec,
     VerificationResult,
-    adversary_extreme_expectation,
     classify_arrays,
     robust_value_iteration,
 )
+from csr_rows import csr, extremes
 from oracles import (
     chain_reach_probability,
     extreme_by_vertex_enumeration,
@@ -163,18 +158,18 @@ def test_criterion_1_transition_bound_soundness():
             )
         )
         imc = build_imc(cell_posteriors(part, model, noise), {"goal": [goal]})
-        for row in imc.rows[:-1]:
-            q = part.cell(row[0].src)
-            for tb in row:
-                if tb.dst == imc.unsafe_index:
+        for src in range(part.n_cells):
+            q = part.cell(src)
+            for k in range(imc.indptr[src], imc.indptr[src + 1]):
+                if imc.dst[k] == imc.unsafe_index:
                     t_min, t_max = kernel_grid_extrema(model, noise, q, domain)
                     t_min, t_max = 1.0 - t_max, 1.0 - t_min
                 else:
                     t_min, t_max = kernel_grid_extrema(
-                        model, noise, q, part.cell(tb.dst)
+                        model, noise, q, part.cell(imc.dst[k])
                     )
                 checked += 1
-                if tb.lower > t_min + 1e-9 or tb.upper < t_max - 1e-9:
+                if imc.lower[k] > t_min + 1e-9 or imc.upper[k] < t_max - 1e-9:
                     ok = False
     elapsed = time.perf_counter() - t0
     _report(
@@ -240,11 +235,8 @@ def test_criterion_3_adversary_correctness():
         lows = anchor * rng.uniform(0.0, 1.0, m)
         ups = anchor + (1.0 - anchor) * rng.uniform(0.0, 1.0, m)
         values = rng.uniform(0.0, 1.0, m)
-        row = tuple(
-            TransitionBound(0, i, float(lows[i]), float(ups[i])) for i in range(m)
-        )
-        for mode in ("min", "max"):
-            greedy = adversary_extreme_expectation(values, row, mode)
+        row = tuple((i, float(lows[i]), float(ups[i])) for i in range(m))
+        for mode, greedy in zip(("min", "max"), extremes(values, row)):
             exhaustive = extreme_by_vertex_enumeration(values, lows, ups, mode)
             if abs(greedy - exhaustive) > 1e-12:
                 ok = False
@@ -265,18 +257,12 @@ def test_criterion_4_value_iteration_fixture():
     t0 = time.perf_counter()
     part = partition_domain(Box.from_bounds([[0.0, 2.0]]), (2,))
     rows = (
-        (
-            TransitionBound(0, 0, 0.2, 0.4),
-            TransitionBound(0, 1, 0.4, 0.6),
-            TransitionBound(0, 2, 0.1, 0.3),
-        ),
-        (TransitionBound(1, 1, 1.0, 1.0),),
-        (TransitionBound(2, 2, 1.0, 1.0),),
+        ((0, 0.2, 0.4), (1, 0.4, 0.6), (2, 0.1, 0.3)),
+        ((1, 1.0, 1.0),),
+        ((2, 1.0, 1.0),),
     )
     labels = (frozenset(), frozenset({"goal"}), frozenset({"unsafe"}))
-    from imcverify.imc import Imc
-
-    imc = Imc.from_rows(part, rows, labels)
+    imc = Imc(part, *csr(rows), labels)
     res = robust_value_iteration(imc, ReachAvoidSpec(), convergence_tol=1e-12)
     error = abs(res.p_lower[0] - 4.0 / 7.0)
     elapsed = time.perf_counter() - t0
@@ -295,8 +281,6 @@ def test_criterion_5_degenerate_chain_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
     ok = True
-    from imcverify.imc import Imc
-
     for _ in range(20):
         n_cells = int(rng.integers(3, 10))
         n = n_cells + 1
@@ -304,25 +288,19 @@ def test_criterion_5_degenerate_chain_equivalence():
         chain = []
         for s in range(n_cells):
             if s == 0:  # goal, absorbing
-                rows.append((TransitionBound(s, s, 1.0, 1.0),))
+                rows.append(((s, 1.0, 1.0),))
                 chain.append({s: 1.0})
                 continue
             probs = rng.dirichlet(np.ones(n) * 0.8)
-            rows.append(
-                tuple(
-                    TransitionBound(s, t, float(p), float(p))
-                    for t, p in enumerate(probs)
-                    if p > 0
-                )
-            )
+            rows.append(tuple((t, float(p), float(p)) for t, p in enumerate(probs) if p > 0))
             chain.append({t: float(p) for t, p in enumerate(probs) if p > 0})
-        rows.append((TransitionBound(n_cells, n_cells, 1.0, 1.0),))
+        rows.append(((n_cells, 1.0, 1.0),))
         chain.append({n_cells: 1.0})
         labels = tuple(
             frozenset({"goal"}) if s == 0 else frozenset() for s in range(n_cells)
         ) + (frozenset({"unsafe"}),)
         part = partition_domain(Box.from_bounds([[0.0, float(n_cells)]]), (n_cells,))
-        imc = Imc.from_rows(part, tuple(rows), labels)
+        imc = Imc(part, *csr(rows), labels)
         res = robust_value_iteration(imc, ReachAvoidSpec(), convergence_tol=1e-13)
         exact = chain_reach_probability(chain, {0}, {n_cells})
         if (
@@ -445,10 +423,10 @@ def test_criterion_8_cell_budget(monkeypatch):
 
     monkeypatch.setattr(Uniform, "interval_probability", counting)
     noise = NoiseModel((Uniform(-0.5, 0.5), Uniform(-0.5, 0.5)))
-    postf = Box.from_bounds([[0.0, 0.4], [-0.2, 0.2]])
-    target = Box.from_bounds([[0.1, 0.5], [0.0, 0.3]])
+    # one pair: from the posterior box [0, 0.4] x [-0.2, 0.2] toward [0.1, 0.5] x [0, 0.3]
+    posts = CellPosteriors(np.array([[0.0, -0.2]]), np.array([[0.4, 0.2]]), "additive", noise)
     counts.clear()
-    transition_bounds_structured(postf, target, noise, "additive")
+    pair_bounds(posts, [0], np.array([[0.1, 0.0]]), np.array([[0.5, 0.3]]))
     per_component = len(counts) / noise.n
     # one middle-cell evaluation per bound per component, within the
     # 3-cells-per-component budget; the builder makes the same calls, each

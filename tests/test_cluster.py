@@ -7,15 +7,15 @@ import pytest
 from imcverify.cluster import _largest_block, cluster_improve, cluster_proposals
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box, partition_domain
-from imcverify.imc import TransitionBound, build_imc, cell_posteriors, pair_bounds
+from imcverify.imc import build_imc, cell_posteriors, pair_bounds
 from imcverify.noise import Mixture, NoiseModel, Uniform
 from imcverify.verify import (
     ReachAvoidSpec,
     VerificationResult,
-    adversary_extreme_expectation,
     classify_arrays,
     robust_value_iteration,
 )
+from csr_rows import extremes
 
 
 def shifted_identity_setup():
@@ -254,7 +254,7 @@ class TestClusterImprove:
 
 def one_row_at_a_time(imc, model, noise, result, spec):
     """Reference pass: each clustered row on its own, in descending p_lower
-    order, through the public one-row walk. The cluster takes the place of
+    order, through the adversary kernel on that one row. The cluster takes the place of
     its first member, valued at the weakest member value. Returns the bounds
     and the number of rows that read a state improved earlier in the pass."""
     posts = cell_posteriors(imc.partition, model, noise)
@@ -270,13 +270,16 @@ def one_row_at_a_time(imc, model, noise, result, spec):
         members = list(prop.members)
         lo, hi = (np.array([e]) for e in prop.box.endpoints())
         (c_lo,), (c_hi,) = pair_bounds(posts, np.array([q]), lo, hi)
-        row = [tb for tb in imc.rows[q] if tb.dst not in prop.members]
-        row.append(TransitionBound(q, members[0], float(c_lo), float(c_hi)))
+        entries = slice(imc.indptr[q], imc.indptr[q + 1])
+        dst = imc.dst[entries].tolist()
+        full = zip(dst, imc.lower[entries].tolist(), imc.upper[entries].tolist())
+        row = [entry for entry in full if entry[0] not in prop.members]
+        row.append((members[0], float(c_lo), float(c_hi)))
         v_lo, v_hi = p_lo.copy(), p_hi.copy()
         v_lo[members[0]], v_hi[members[0]] = p_lo[members].min(), p_hi[members].max()
-        chained += bool(improved & {tb.dst for tb in imc.rows[q]})
-        new_lo = adversary_extreme_expectation(v_lo, row, "min")
-        new_hi = adversary_extreme_expectation(v_hi, row, "max")
+        chained += bool(improved & set(dst))
+        new_lo = extremes(v_lo, row)[0]
+        new_hi = extremes(v_hi, row)[1]
         if new_lo > p_lo[q]:
             p_lo[q] = min(new_lo, p_hi[q])
         if new_hi < p_hi[q]:

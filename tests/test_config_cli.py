@@ -12,7 +12,7 @@ import pytest
 from imcverify import cli
 from imcverify.cli import main
 from imcverify.config import load_config
-from imcverify.dynamics import posterior_f
+from imcverify.dynamics import enclosure
 from imcverify.errors import InputError
 from imcverify.geometry import partition_domain
 from imcverify.imc import PosteriorTable, cell_posteriors, write_posterior_table
@@ -142,6 +142,11 @@ class TestLoadConfig:
         assert cfg.horizon is None
         assert cfg.threshold == 0.9
 
+    def test_null_posterior_table_is_no_table(self, tmp_path):
+        path = write_toy(tmp_path)
+        path.write_text(path.read_text() + "posterior_table: null\n")
+        assert load_config(path).posterior_table is None
+
     def test_paper_config(self, tmp_path):
         path = tmp_path / "paper.yaml"
         path.write_text(PAPER_2D)
@@ -252,6 +257,13 @@ class TestLoadConfig:
              "spec.convergence_tolerance"),
             ("  threshold: 0.9", "  threshold: 0.9\n  convergence_tolerance: true",
              "spec.convergence_tolerance"),
+            # paths: a non-empty string, and for posterior_table null means no table
+            ("output_dir: out", "output_dir: 5", "output_dir"),
+            ("output_dir: out", "output_dir: [a]", "output_dir"),
+            ("output_dir: out", "output_dir: null", "output_dir"),
+            ("output_dir: out", "output_dir: out\nposterior_table: 5", "posterior_table"),
+            ("output_dir: out", 'output_dir: out\nposterior_table: ""', "posterior_table"),
+            ("output_dir: out", "output_dir: out\nposterior_table: false", "posterior_table"),
         ],
     )
     def test_wrongly_typed_value_rejected(self, tmp_path, caplog, old, new, field):
@@ -687,6 +699,22 @@ output_dir: out
         code = "import sys, imcverify.cli; sys.exit('scipy.special' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_public_api(self):
+        # one array API: bounds are pair_bounds over CellPosteriors, boxes go
+        # through enclosure, and no one-box or per-entry wrapper is exported
+        import imcverify
+
+        assert imcverify.__all__ == [
+            "Box", "DynamicsModel", "Imc", "Interval", "Mixture", "NoiseGrid", "NoiseModel",
+            "PartitionPair", "PosteriorTable", "ReachAvoidRegions", "ReachAvoidSpec",
+            "RunConfig", "StatePartition", "Trajectory", "TruncatedGaussian", "Uniform",
+            "VerificationResult", "build_imc", "cell_posteriors", "cluster_improve",
+            "enclosure", "estimate_satisfaction", "eval_point", "load_config",
+            "optimal_partition_affine", "optimal_partition_multiplicative", "pair_bounds",
+            "parse_dynamics", "partition_domain", "robust_value_iteration", "run_pipeline",
+            "simulate", "uniform_noise_grid",
+        ]
+
     def test_gaussian_config_loads_scipy_special_only_to_bound(self, tmp_path):
         # a truncated Gaussian computes its constants on its first CDF or
         # sample: loading its config and a verify phase over a stored
@@ -722,8 +750,8 @@ output_dir: out
         (tmp_path / "computed.yaml").write_text(ADDITIVE_2D.format(table="", outdir="computed"))
         cfg = load_config(tmp_path / "computed.yaml")
         part = partition_domain(cfg.domain, cfg.grid)
-        boxes = [posterior_f(cfg.model, part.cell(i)) for i in range(part.n_cells)]
-        lo, hi = (np.array(e) for e in zip(*(b.endpoints() for b in boxes)))
+        cells = part.corners(np.arange(part.n_cells))
+        lo, hi = enclosure(cfg.model.g_components, cells)
         write_posterior_table(PosteriorTable(lo, hi), tmp_path / "table.csv")
         (tmp_path / "table.yaml").write_text(
             ADDITIVE_2D.format(table="posterior_table: table.csv", outdir="from_table")
@@ -747,8 +775,8 @@ output_dir: out
         (tmp_path / "table.yaml").write_text(text)
         cfg = load_config(tmp_path / "table.yaml")
         part = partition_domain(cfg.domain, cfg.grid)
-        boxes = [posterior_f(cfg.model, part.cell(i)) for i in range(part.n_cells)]
-        lo, hi = (np.array(e) for e in zip(*(b.endpoints() for b in boxes)))
+        cells = part.corners(np.arange(part.n_cells))
+        lo, hi = enclosure(cfg.model.g_components, cells)
         write_posterior_table(PosteriorTable(lo, hi), tmp_path / "table.csv")
         argv = ["-c", str(tmp_path / "table.yaml")]
         assert main(["abstract", *argv]) == 0

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from imcverify.dynamics import (
+    combine_posterior,
     enclosure,
     eval_point,
-    interval_extension,
     parse_dynamics,
     parse_expression,
-    posterior,
-    posterior_f,
 )
 from imcverify.errors import EvaluationError, ParseError, StructureError
-from imcverify.geometry import Box, Interval
+from imcverify.geometry import Box
 
 
 def paper_multiplicative():
@@ -100,29 +98,29 @@ class TestEvalPoint:
 class TestIntervalExtension:
     def test_affine_exact(self):
         expr = parse_expression("x1 + x2")
-        out = interval_extension(expr, Box.from_bounds([[0, 1], [0, 1]]))
-        assert (out.lo, out.hi) == (0.0, 2.0)
+        (lo,), (hi,) = enclosure((expr,), Box.from_bounds([[0, 1], [0, 1]]).endpoints())
+        assert (lo, hi) == (0.0, 2.0)
 
     def test_square_natural_extension(self):
         expr = parse_expression("x1 * x1")
-        out = interval_extension(expr, Box.from_bounds([[-1, 1]]))
-        assert (out.lo, out.hi) == (-1.0, 1.0)
+        (lo,), (hi,) = enclosure((expr,), Box.from_bounds([[-1, 1]]).endpoints())
+        assert (lo, hi) == (-1.0, 1.0)
 
     def test_sin_critical_point(self):
         expr = parse_expression("sin(x1)")
-        out = interval_extension(expr, Box.from_bounds([[0, math.pi]]))
-        assert out.lo == pytest.approx(0.0, abs=1e-15)
-        assert out.hi == 1.0
+        (lo,), (hi,) = enclosure((expr,), Box.from_bounds([[0, math.pi]]).endpoints())
+        assert lo == pytest.approx(0.0, abs=1e-15)
+        assert hi == 1.0
 
     def test_power_even_crossing_zero(self):
         expr = parse_expression("x1^2")
-        out = interval_extension(expr, Box.from_bounds([[-2, 1]]))
-        assert (out.lo, out.hi) == (0.0, 4.0)
+        (lo,), (hi,) = enclosure((expr,), Box.from_bounds([[-2, 1]]).endpoints())
+        assert (lo, hi) == (0.0, 4.0)
 
     def test_division_guard(self):
         expr = parse_expression("1/x1")
         with pytest.raises(EvaluationError):
-            interval_extension(expr, Box.from_bounds([[-1, 1]]))
+            enclosure((expr,), Box.from_bounds([[-1, 1]]).endpoints())
 
     @pytest.mark.parametrize(
         "source",
@@ -139,15 +137,15 @@ class TestIntervalExtension:
         expr = parse_expression(source)
         xbox = Box.from_bounds([[-1.5, 0.5], [0.2, 2.0]])
         wbox = Box.from_bounds([[-0.3, 0.4], [-1.0, 1.0]])
-        enclosure = interval_extension(expr, xbox, wbox)
+        (lo,), (hi,) = enclosure((expr,), xbox.endpoints(), wbox.endpoints())
         rng = np.random.default_rng(abs(hash(source)) % 2**32)
         xs = rng.uniform([-1.5, 0.2], [0.5, 2.0], (1000, 2))
         ws = rng.uniform([-0.3, -1.0], [0.4, 1.0], (1000, 2))
         from imcverify.dynamics import _eval
 
         vals = np.asarray(_eval(expr, xs, ws, 1), dtype=float)
-        assert np.all(vals >= enclosure.lo - 1e-12)
-        assert np.all(vals <= enclosure.hi + 1e-12)
+        assert np.all(vals >= lo - 1e-12)
+        assert np.all(vals <= hi + 1e-12)
 
 
 def _bits(values):
@@ -189,12 +187,9 @@ class TestBatchedEvaluation:
         expr = parse_expression(source)
         lo, hi = _random_boxes(np.random.default_rng(11), 300)
         batch_lo, batch_hi = enclosure((expr,), (lo, hi))
-        singles = [
-            interval_extension(expr, Box.from_bounds(list(zip(a, b))))
-            for a, b in zip(lo.tolist(), hi.tolist())
-        ]
-        assert np.array_equal(_bits(batch_lo[:, 0]), _bits([s.lo for s in singles]))
-        assert np.array_equal(_bits(batch_hi[:, 0]), _bits([s.hi for s in singles]))
+        singles = [enclosure((expr,), (a, b)) for a, b in zip(lo, hi)]
+        assert np.array_equal(_bits(batch_lo[:, 0]), _bits([s[0][0] for s in singles]))
+        assert np.array_equal(_bits(batch_hi[:, 0]), _bits([s[1][0] for s in singles]))
 
     def test_broadcast_noise_batch_matches_one_box_calls(self):
         # general posteriors: boxes of shape (cells, 1, n) against noise
@@ -206,13 +201,11 @@ class TestBatchedEvaluation:
         lo, hi = enclosure(exprs, (xlo[:, None, :], xhi[:, None, :]), (wlo, whi))
         assert lo.shape == hi.shape == (40, 12, 2)
         for i in range(40):
-            xbox = Box.from_bounds(list(zip(xlo[i].tolist(), xhi[i].tolist())))
             for k in range(12):
-                wbox = Box.from_bounds(list(zip(wlo[k].tolist(), whi[k].tolist())))
                 for c, expr in enumerate(exprs):
-                    one = interval_extension(expr, xbox, wbox)
+                    one = enclosure((expr,), (xlo[i], xhi[i]), (wlo[k], whi[k]))
                     batched = _bits([lo[i, k, c], hi[i, k, c]])
-                    assert np.array_equal(batched, _bits([one.lo, one.hi]))
+                    assert np.array_equal(batched, _bits([one[0][0], one[1][0]]))
 
     @pytest.mark.parametrize(
         "source, bad, message",
@@ -242,81 +235,85 @@ class TestBatchedEvaluation:
 
 
 class TestPosteriors:
+    """Posteriors from the array API: ``enclosure`` of g over a box, then
+    ``combine_posterior`` with a noise cell; general systems enclose f over
+    the box and the noise cell together."""
+
     def test_identity(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
-        out = posterior_f(model, Box.from_bounds([[0, 0.2]]))
-        assert (out.component(0).lo, out.component(0).hi) == (0.0, 0.2)
+        (lo,), (hi,) = enclosure(model.g_components, Box.from_bounds([[0, 0.2]]).endpoints())
+        assert (lo, hi) == (0.0, 0.2)
 
     def test_paper_model_component(self):
-        out = posterior_f(paper_multiplicative(), Box.from_bounds([[1, 1.1], [1, 1.1]]))
-        assert out.component(0).lo == pytest.approx(0.8)
-        assert out.component(0).hi == pytest.approx(0.88)
+        q = Box.from_bounds([[1, 1.1], [1, 1.1]])
+        lo, hi = enclosure(paper_multiplicative().g_components, q.endpoints())
+        assert lo[0] == pytest.approx(0.8)
+        assert hi[0] == pytest.approx(0.88)
 
     def test_square_conservative(self):
         # x1*x1 treats the occurrences independently: conservative [-1, 1]
+        q = Box.from_bounds([[-1, 1]]).endpoints()
         model = parse_dynamics(["x1*x1 + w1"], 1, "additive")
-        out = posterior_f(model, Box.from_bounds([[-1, 1]]))
-        assert (out.component(0).lo, out.component(0).hi) == (-1.0, 1.0)
+        (lo,), (hi,) = enclosure(model.g_components, q)
+        assert (lo, hi) == (-1.0, 1.0)
         # the power operator applies sign analysis: exact [0, 1], also sound
         model2 = parse_dynamics(["x1^2 + w1"], 1, "additive")
-        out2 = posterior_f(model2, Box.from_bounds([[-1, 1]]))
-        assert (out2.component(0).lo, out2.component(0).hi) == (0.0, 1.0)
+        (lo2,), (hi2,) = enclosure(model2.g_components, q)
+        assert (lo2, hi2) == (0.0, 1.0)
 
     def test_posterior_additive(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
-        out = posterior(model, Box.from_bounds([[0, 0.2]]), Box.from_bounds([[1, 1.8]]))
-        assert (out.component(0).lo, out.component(0).hi) == (1.0, 2.0)
+        postf = enclosure(model.g_components, Box.from_bounds([[0, 0.2]]).endpoints())
+        (lo,), (hi,) = combine_posterior("additive", postf, Box.from_bounds([[1, 1.8]]).endpoints())
+        assert (lo, hi) == (1.0, 2.0)
 
     def test_posterior_multiplicative(self):
-        out = posterior(
-            paper_multiplicative(),
-            Box.from_bounds([[1, 1.1], [1, 1.1]]),
-            Box.from_bounds([[0.9, 1.0], [0.9, 1.0]]),
-        )
-        assert out.component(0).lo == pytest.approx(0.72)
-        assert out.component(0).hi == pytest.approx(0.88)
+        q = Box.from_bounds([[1, 1.1], [1, 1.1]]).endpoints()
+        postf = enclosure(paper_multiplicative().g_components, q)
+        c = Box.from_bounds([[0.9, 1.0], [0.9, 1.0]]).endpoints()
+        lo, hi = combine_posterior("multiplicative", postf, c)
+        assert lo[0] == pytest.approx(0.72)
+        assert hi[0] == pytest.approx(0.88)
 
     def test_posterior_general_zero_noise(self):
         model = parse_dynamics(["x1 + w1"], 1, "general")
-        out = posterior(model, Box.from_bounds([[0, 1]]), Box((Interval(0.0, 0.0),)))
-        assert (out.component(0).lo, out.component(0).hi) == (0.0, 1.0)
+        zero = (np.zeros(1), np.zeros(1))
+        (lo,), (hi,) = enclosure(model.components, Box.from_bounds([[0, 1]]).endpoints(), zero)
+        assert (lo, hi) == (0.0, 1.0)
 
     def test_posterior_encloses_samples(self):
         model = paper_multiplicative()
-        q = Box.from_bounds([[0.8, 1.3], [0.6, 1.4]])
-        c = Box.from_bounds([[0.9, 1.05], [0.95, 1.1]])
-        post = posterior(model, q, c)
+        q = Box.from_bounds([[0.8, 1.3], [0.6, 1.4]]).endpoints()
+        c = Box.from_bounds([[0.9, 1.05], [0.95, 1.1]]).endpoints()
+        lo, hi = combine_posterior(model.structure, enclosure(model.g_components, q), c)
         rng = np.random.default_rng(42)
         xs = rng.uniform([0.8, 0.6], [1.3, 1.4], (1000, 2))
         ws = rng.uniform([0.9, 0.95], [1.05, 1.1], (1000, 2))
         ys = eval_point(model, xs, ws)
         for d in range(2):
-            assert np.all(ys[:, d] >= post.component(d).lo - 1e-12)
-            assert np.all(ys[:, d] <= post.component(d).hi + 1e-12)
+            assert np.all(ys[:, d] >= lo[d] - 1e-12)
+            assert np.all(ys[:, d] <= hi[d] + 1e-12)
 
     def test_structured_contained_in_general_for_affine(self):
         add = parse_dynamics(["0.5*x1 + 0.2*x2 + w1", "x2 + w2"], 2, "additive")
         gen = parse_dynamics(["0.5*x1 + 0.2*x2 + w1", "x2 + w2"], 2, "general")
-        q = Box.from_bounds([[-1, 1], [0, 2]])
-        c = Box.from_bounds([[-0.2, 0.1], [-0.4, 0.3]])
-        strong = posterior(add, q, c)
-        weak = posterior(gen, q, c)
-        assert weak.contains(strong)
+        q = Box.from_bounds([[-1, 1], [0, 2]]).endpoints()
+        c = Box.from_bounds([[-0.2, 0.1], [-0.4, 0.3]]).endpoints()
+        strong_lo, strong_hi = combine_posterior("additive", enclosure(add.g_components, q), c)
+        weak_lo, weak_hi = enclosure(gen.components, q, c)
+        assert np.all(weak_lo <= strong_lo) and np.all(strong_hi <= weak_hi)
 
     def test_monotone_in_noise_cell(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
-        q = Box.from_bounds([[0, 1]])
-        small = posterior(model, q, Box.from_bounds([[0.1, 0.2]]))
-        large = posterior(model, q, Box.from_bounds([[0.0, 0.5]]))
-        assert large.contains(small)
+        postf = enclosure(model.g_components, Box.from_bounds([[0, 1]]).endpoints())
+        small = combine_posterior("additive", postf, Box.from_bounds([[0.1, 0.2]]).endpoints())
+        large = combine_posterior("additive", postf, Box.from_bounds([[0.0, 0.5]]).endpoints())
+        assert np.all(large[0] <= small[0]) and np.all(small[1] <= large[1])
 
         mult = paper_multiplicative()
-        q2 = Box.from_bounds([[1, 1.1], [1, 1.1]])
-        small2 = posterior(mult, q2, Box.from_bounds([[0.95, 1.0], [0.95, 1.0]]))
-        large2 = posterior(mult, q2, Box.from_bounds([[0.9, 1.1], [0.9, 1.1]]))
-        assert large2.contains(small2)
-
-    def test_posterior_f_requires_structure(self):
-        model = parse_dynamics(["x1 + w1"], 1, "general")
-        with pytest.raises(ValueError):
-            posterior_f(model, Box.from_bounds([[0, 1]]))
+        postf2 = enclosure(mult.g_components, Box.from_bounds([[1, 1.1], [1, 1.1]]).endpoints())
+        c_small = Box.from_bounds([[0.95, 1.0], [0.95, 1.0]]).endpoints()
+        c_large = Box.from_bounds([[0.9, 1.1], [0.9, 1.1]]).endpoints()
+        small2 = combine_posterior("multiplicative", postf2, c_small)
+        large2 = combine_posterior("multiplicative", postf2, c_large)
+        assert np.all(large2[0] <= small2[0]) and np.all(small2[1] <= large2[1])

@@ -3,22 +3,19 @@ import re
 import numpy as np
 import pytest
 
-from imcverify.dynamics import parse_dynamics, posterior, posterior_f
+from imcverify.dynamics import enclosure, parse_dynamics
 from imcverify.errors import InputError, SoundnessError
 from imcverify.geometry import Box, partition_domain
 import imcverify.imc as imc_module
 from imcverify.imc import (
+    CellPosteriors,
     PosteriorTable,
-    TransitionBound,
     assign_labels,
     build_imc,
     cell_posteriors,
     pair_bounds,
     read_imc,
     read_posterior_table,
-    transition_bounds_general,
-    transition_bounds_structured,
-    unsafe_transitions,
     write_imc,
     write_posterior_table,
 )
@@ -39,22 +36,20 @@ def identity_additive():
 
 
 class TestStructuredBounds:
+    """Bounds from one noise-free posterior box g(q): ``pair_bounds`` over
+    ``CellPosteriors`` built from that box alone."""
+
     def test_disjoint_shift(self):
         noise = NoiseModel((Uniform(0, 1),))
-        low, up = transition_bounds_structured(
-            Box.from_bounds([[0, 0.2]]), Box.from_bounds([[1, 2]]), noise, "additive"
-        )
+        posts = CellPosteriors(np.array([[0.0]]), np.array([[0.2]]), "additive", noise)
+        (low,), (up,) = pair_bounds(posts, [0], np.array([[1.0]]), np.array([[2.0]]))
         assert low == pytest.approx(0.0)
         assert up == pytest.approx(0.2)
 
     def test_sound_but_not_tight(self):
         noise = NoiseModel((Uniform(0, 1),))
-        low, up = transition_bounds_structured(
-            Box.from_bounds([[0, 0.2]]),
-            Box.from_bounds([[0.5, 0.9]]),
-            noise,
-            "additive",
-        )
+        posts = CellPosteriors(np.array([[0.0]]), np.array([[0.2]]), "additive", noise)
+        (low,), (up,) = pair_bounds(posts, [0], np.array([[0.5]]), np.array([[0.9]]))
         assert low == pytest.approx(0.2)
         assert up == pytest.approx(0.6)
         # true kernel extrema are both 0.4; the bounds enclose them
@@ -67,48 +62,46 @@ class TestStructuredBounds:
 
     def test_multiplicative_truncated_gaussian(self):
         noise = NoiseModel((TruncatedGaussian(1, 0.1, 0.9, 1.1),))
-        low, up = transition_bounds_structured(
-            Box.from_bounds([[0.8, 0.88]]),
-            Box.from_bounds([[0.72, 0.88]]),
-            noise,
-            "multiplicative",
-        )
+        posts = CellPosteriors(np.array([[0.8]]), np.array([[0.88]]), "multiplicative", noise)
+        (low,), (up,) = pair_bounds(posts, [0], np.array([[0.72]]), np.array([[0.88]]))
         # containment cuts are [0.9, 1.0]; half the symmetric mass
         assert low == pytest.approx(0.5, abs=1e-12)
         assert up == pytest.approx(1.0)
 
 
 class TestGeneralBounds:
+    """Bounds from one box q: ``cell_posteriors`` on the one-cell grid of q."""
+
     def test_certain_transition_single_cell(self):
-        model = identity_additive()
+        model = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
         cells = uniform_noise_grid(noise, [1])
-        low, up = transition_bounds_general(
-            model, cells, Box.from_bounds([[0.4, 0.6]]), Box.from_bounds([[0, 1]])
-        )
+        part = partition_domain(Box.from_bounds([[0.4, 0.6]]), (1,))
+        posts = cell_posteriors(part, model, noise, noise_cells=cells)
+        (low,), (up,) = pair_bounds(posts, [0], np.array([[0.0]]), np.array([[1.0]]))
         assert (low, up) == (1.0, 1.0)
 
     def test_disjoint_single_cell(self):
-        model = identity_additive()
+        model = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
         cells = uniform_noise_grid(noise, [1])
-        low, up = transition_bounds_general(
-            model, cells, Box.from_bounds([[0.4, 0.6]]), Box.from_bounds([[2, 3]])
-        )
+        part = partition_domain(Box.from_bounds([[0.4, 0.6]]), (1,))
+        posts = cell_posteriors(part, model, noise, noise_cells=cells)
+        (low,), (up,) = pair_bounds(posts, [0], np.array([[2.0]]), np.array([[3.0]]))
         assert (low, up) == (0.0, 0.0)
 
     def test_converges_to_structured(self):
         model_gen = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(0, 1),))
-        q = Box.from_bounds([[0, 0.2]])
-        target = Box.from_bounds([[1, 2]])
-        s_low, s_up = transition_bounds_structured(
-            Box.from_bounds([[0, 0.2]]), target, noise, "additive"
-        )
+        part = partition_domain(Box.from_bounds([[0, 0.2]]), (1,))
+        target = np.array([[1.0]]), np.array([[2.0]])
+        structured = cell_posteriors(part, identity_additive(), noise)
+        (s_low,), (s_up,) = pair_bounds(structured, [0], *target)
         prev_low, prev_up = -1.0, 2.0
         for res in (2, 4, 8, 16, 32):
             cells = uniform_noise_grid(noise, [res])
-            low, up = transition_bounds_general(model_gen, cells, q, target)
+            posts = cell_posteriors(part, model_gen, noise, noise_cells=cells)
+            (low,), (up,) = pair_bounds(posts, [0], *target)
             # general bounds are never tighter than the structured optimum
             assert low <= s_low + 1e-12
             assert up >= s_up - 1e-12
@@ -120,29 +113,34 @@ class TestGeneralBounds:
 
 
 class TestUnsafeTransitions:
+    """The unsafe column of cell [0.4, 0.6] in the build over X = [0, 1]:
+    the last entry of its row."""
+
     def test_interior_state(self):
-        model = identity_additive()
+        part = partition_domain(Box.from_bounds([[0, 1]]), (5,))
         noise = NoiseModel((Uniform(-0.1, 0.1),))
-        low, up = unsafe_transitions(
-            Box.from_bounds([[0.4, 0.6]]), Box.from_bounds([[0, 1]]), model, noise
-        )
-        assert (low, up) == (0.0, 0.0)
+        imc = build_imc(cell_posteriors(part, identity_additive(), noise), {})
+        last = imc.indptr[3] - 1
+        assert imc.dst[last] == imc.unsafe_index
+        assert (imc.lower[last], imc.upper[last]) == (0.0, 0.0)
 
     def test_certain_escape(self):
-        model = identity_additive()
+        part = partition_domain(Box.from_bounds([[0, 1]]), (5,))
         noise = NoiseModel((Uniform(4.0, 4.5),))
-        low, up = unsafe_transitions(
-            Box.from_bounds([[0.4, 0.6]]), Box.from_bounds([[0, 1]]), model, noise
-        )
-        assert (low, up) == (1.0, 1.0)
+        imc = build_imc(cell_posteriors(part, identity_additive(), noise), {})
+        last = imc.indptr[3] - 1
+        assert imc.dst[last] == imc.unsafe_index
+        assert (imc.lower[last], imc.upper[last]) == (1.0, 1.0)
 
     def test_unsafe_self_loop(self):
         part = partition_domain(Box.from_bounds([[0, 1]]), (1,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.1, 0.1),))
         imc = build_imc(cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[0, 1]])]})
-        row = imc.rows[imc.unsafe_index]
-        assert row == (TransitionBound(1, 1, 1.0, 1.0),)
+        row = slice(imc.indptr[imc.unsafe_index], imc.indptr[imc.unsafe_index + 1])
+        assert (imc.dst[row].tolist(), imc.lower[row].tolist(), imc.upper[row].tolist()) == (
+            [1], [1.0], [1.0]
+        )
 
 
 class TestBuildImc:
@@ -155,9 +153,10 @@ class TestBuildImc:
             cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[-1, 1]])]}
         )
         assert imc.n_states == 2
-        (self_loop, unsafe_col) = imc.rows[0]
-        assert (self_loop.lower, self_loop.upper) == (1.0, 1.0)
-        assert (unsafe_col.lower, unsafe_col.upper) == (0.0, 0.0)
+        # row 0 is the self-loop, then the unsafe column
+        assert imc.indptr[1] == 2 and imc.dst[:2].tolist() == [0, 1]
+        assert (imc.lower[0], imc.upper[0]) == (1.0, 1.0)
+        assert (imc.lower[1], imc.upper[1]) == (0.0, 0.0)
 
     @pytest.mark.parametrize("structure", ["additive", "general"])
     def test_point_mass_noise_rejected(self, structure):
@@ -182,20 +181,20 @@ class TestBuildImc:
             cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[0.5, 1]])]}
         )
         assert imc.n_states == 3
-        for row in imc.rows[:-1]:
-            for tb in row:
-                q = part.cell(tb.src)
-                if tb.dst == imc.unsafe_index:
+        for src in range(part.n_cells):
+            q = part.cell(src)
+            for k in range(imc.indptr[src], imc.indptr[src + 1]):
+                if imc.dst[k] == imc.unsafe_index:
                     t_min, t_max = kernel_grid_extrema(
                         model, noise, q, part.domain
                     )
                     t_min, t_max = 1.0 - t_max, 1.0 - t_min
                 else:
                     t_min, t_max = kernel_grid_extrema(
-                        model, noise, q, part.cell(tb.dst)
+                        model, noise, q, part.cell(imc.dst[k])
                     )
-                assert tb.lower <= t_min + 1e-9
-                assert tb.upper >= t_max - 1e-9
+                assert imc.lower[k] <= t_min + 1e-9
+                assert imc.upper[k] >= t_max - 1e-9
 
     def test_row_validity(self):
         part = partition_domain(Box.from_bounds([[0, 2], [0, 2]]), (3, 3))
@@ -205,9 +204,9 @@ class TestBuildImc:
         noise = NoiseModel((Uniform(-0.3, 0.2), Uniform(-0.1, 0.4)))
         goal = Box.from_bounds([[0, 2 / 3], [0, 2 / 3]])
         imc = build_imc(cell_posteriors(part, model, noise), {"goal": [goal]})
-        for row in imc.rows:
-            assert sum(tb.lower for tb in row) <= 1.0 + 1e-9
-            assert sum(tb.upper for tb in row) >= 1.0 - 1e-9
+        for a, b in zip(imc.indptr[:-1], imc.indptr[1:]):
+            assert sum(imc.lower[a:b].tolist()) <= 1.0 + 1e-9
+            assert sum(imc.upper[a:b].tolist()) >= 1.0 - 1e-9
 
     def test_sparsity_and_unsafe_column(self):
         part = partition_domain(Box.from_bounds([[0, 4]]), (8,))
@@ -216,13 +215,13 @@ class TestBuildImc:
         imc = build_imc(
             cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[3.5, 4]])]}
         )
-        for i, row in enumerate(imc.rows[:-1]):
-            dsts = [tb.dst for tb in row]
+        for a, b in zip(imc.indptr[:-2], imc.indptr[1:-1]):
+            dsts = imc.dst[a:b].tolist()
             assert imc.unsafe_index in dsts
             assert dsts == sorted(dsts)
-            for tb in row:
-                if tb.dst != imc.unsafe_index:
-                    assert tb.upper > 0.0
+            for dst, upper in zip(dsts, imc.upper[a:b].tolist()):
+                if dst != imc.unsafe_index:
+                    assert upper > 0.0
 
     def test_misaligned_label_rejected(self):
         part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
@@ -276,12 +275,12 @@ class TestBuildImc:
         )
         rng = np.random.default_rng(77)
         n = 10**5
-        for row in imc.rows[:-1]:
-            q = part.cell(row[0].src)
+        for src in range(part.n_cells):
+            q = part.cell(src)
             xs = rng.uniform(q.component(0).lo, q.component(0).hi, 3)
-            for tb in row:
+            for k in range(imc.indptr[src], imc.indptr[src + 1]):
                 for x in xs:
-                    if tb.dst == imc.unsafe_index:
+                    if imc.dst[k] == imc.unsafe_index:
                         p, sigma = empirical_kernel(
                             model, noise, [x], part.domain, n, seed=int(x * 1e6) % 2**31
                         )
@@ -291,11 +290,11 @@ class TestBuildImc:
                             model,
                             noise,
                             [x],
-                            part.cell(tb.dst),
+                            part.cell(imc.dst[k]),
                             n,
                             seed=int(x * 1e6) % 2**31,
                         )
-                    assert tb.lower - 3 * sigma <= p <= tb.upper + 3 * sigma
+                    assert imc.lower[k] - 3 * sigma <= p <= imc.upper[k] + 3 * sigma
 
     def test_structured_tighter_than_general(self):
         part = partition_domain(Box.from_bounds([[0, 1]]), (3,))
@@ -303,29 +302,29 @@ class TestBuildImc:
         model_gen = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(-0.2, 0.2),))
         cells = uniform_noise_grid(noise, [7])
-        for q in map(part.cell, range(part.n_cells)):
-            postf = posterior_f(model_add, q)
-            for target in map(part.cell, range(part.n_cells)):
-                s_low, s_up = transition_bounds_structured(
-                    postf, target, noise, "additive"
-                )
-                g_low, g_up = transition_bounds_general(model_gen, cells, q, target)
-                assert s_low >= g_low - 1e-12
-                assert s_up <= g_up + 1e-12
+        # every (source, target) pair of cells
+        src, target = np.divmod(np.arange(part.n_cells**2), part.n_cells)
+        structured = cell_posteriors(part, model_add, noise)
+        general = cell_posteriors(part, model_gen, noise, noise_cells=cells)
+        s_low, s_up = pair_bounds(structured, src, *part.corners(target))
+        g_low, g_up = pair_bounds(general, src, *part.corners(target))
+        assert np.all(s_low >= g_low - 1e-12)
+        assert np.all(s_up <= g_up + 1e-12)
 
 
 def scalar_bounds(model, noise, cells, q, target):
-    """Per-pair reference: the scalar loops the array kernels replace."""
+    """Per-pair reference: the scalar loops the array kernels replace, over
+    the enclosures of the one box q."""
     if cells is not None:
         lower = upper = 0.0
-        for w_lo, w_hi, mass in zip(cells.lo.tolist(), cells.hi.tolist(), cells.mass.tolist()):
-            post = posterior(model, q, Box.from_bounds(zip(w_lo, w_hi)))
+        for w_lo, w_hi, mass in zip(cells.lo, cells.hi, cells.mass.tolist()):
+            post = Box.from_bounds(zip(*enclosure(model.components, q.endpoints(), (w_lo, w_hi))))
             if post.intersects(target):
                 upper += mass
                 if target.contains(post):
                     lower += mass
     else:
-        postf = posterior_f(model, q)
+        postf = Box.from_bounds(zip(*enclosure(model.g_components, q.endpoints())))
         cut_points = (
             optimal_partition_affine
             if model.structure == "additive"
@@ -352,7 +351,7 @@ PRUNING_CASES = {
         (Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4)),
     ),
     # nonlinear g: the batched interval evaluation over all cells must give
-    # the one-box posterior_f of every cell exactly
+    # every cell the enclosure of g over that cell alone, exactly
     "additive-nonlinear": (
         "additive",
         [[-1, 1], [-1, 1]],
@@ -405,24 +404,20 @@ class TestCandidatePruning:
     @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
     def test_pruned_build_matches_exhaustive_pairs(self, case):
         """Pairs skipped by the posterior-hull pruning must provably have
-        upper bound 0; stored pairs, the unsafe column and the one-target
-        functions must equal a per-pair scalar computation exactly."""
+        upper bound 0; stored pairs, the unsafe column and ``pair_bounds``
+        toward every cell must equal a per-pair scalar computation exactly."""
         part, model, noise, cells = pruning_case(case)
-        structure = model.structure
         goal = [[e[0], e[1]] for e in part.edges]
         posts = cell_posteriors(part, model, noise, noise_cells=cells)
         imc = build_imc(posts, {"goal": [Box.from_bounds(goal)]})
+        every_cell = np.arange(part.n_cells)
         for iq, q in enumerate(map(part.cell, range(part.n_cells))):
-            stored = {tb.dst: (tb.lower, tb.upper) for tb in imc.rows[iq]}
+            row = slice(imc.indptr[iq], imc.indptr[iq + 1])
+            stored = dict(zip(imc.dst[row].tolist(), zip(imc.lower[row], imc.upper[row])))
+            low, up = pair_bounds(posts, np.full(part.n_cells, iq), *part.corners(every_cell))
             for it, target in enumerate(map(part.cell, range(part.n_cells))):
                 expected = scalar_bounds(model, noise, cells, q, target)
-                if cells is None:
-                    one_target = transition_bounds_structured(
-                        posterior_f(model, q), target, noise, structure
-                    )
-                else:
-                    one_target = transition_bounds_general(model, cells, q, target)
-                assert one_target == expected
+                assert (float(low[it]), float(up[it])) == expected
                 if it in stored:
                     assert stored[it] == expected
                 else:
@@ -470,11 +465,6 @@ class TestCandidatePruning:
             assert (float(lower[j]), float(upper[j])) == expected
 
 
-def _table(boxes):
-    """A posterior table from one box per cell."""
-    return PosteriorTable(*(np.array(e) for e in zip(*(b.endpoints() for b in boxes))))
-
-
 class TestPosteriorTable:
     def _setup(self):
         part = partition_domain(Box.from_bounds([[0, 1]]), (2,))
@@ -484,26 +474,29 @@ class TestPosteriorTable:
 
     def test_table_replaces_computed_posterior(self):
         part, model, noise = self._setup()
-        table = _table(posterior_f(model, q) for q in map(part.cell, range(part.n_cells)))
+        cells = part.corners(np.arange(part.n_cells))
+        table = PosteriorTable(*enclosure(model.g_components, cells))
         labels = {"goal": [Box.from_bounds([[0.5, 1]])]}
         from_table = build_imc(cell_posteriors(part, model, noise, posterior_table=table), labels)
         computed = build_imc(cell_posteriors(part, model, noise), labels)
-        assert from_table.rows == computed.rows
+        for name in ("indptr", "dst", "lower", "upper"):
+            assert np.array_equal(getattr(from_table, name), getattr(computed, name)), name
 
     def test_shifted_table_changes_bounds(self):
         part, model, noise = self._setup()
-        shifted = _table(
-            Box.from_bounds([[q.component(0).lo + 0.5, q.component(0).hi + 0.5]])
-            for q in map(part.cell, range(part.n_cells))
-        )
+        lo, hi = part.corners(np.arange(part.n_cells))
+        shifted = PosteriorTable(lo + 0.5, hi + 0.5)
         labels = {"goal": [Box.from_bounds([[0.5, 1]])]}
         imc = build_imc(cell_posteriors(part, model, noise, posterior_table=shifted), labels)
         baseline = build_imc(cell_posteriors(part, model, noise), labels)
-        assert imc.rows != baseline.rows
+        assert not all(
+            np.array_equal(getattr(imc, name), getattr(baseline, name))
+            for name in ("indptr", "dst", "lower", "upper")
+        )
 
     def test_missing_state_rejected(self):
         part, model, noise = self._setup()
-        table = _table([posterior_f(model, part.cell(0))])
+        table = PosteriorTable(*enclosure(model.g_components, part.corners(np.arange(1))))
         with pytest.raises(InputError):
             build_imc(
                 cell_posteriors(part, model, noise, posterior_table=table),
@@ -512,7 +505,8 @@ class TestPosteriorTable:
 
     def test_file_round_trip(self, tmp_path):
         part, model, noise = self._setup()
-        table = _table(posterior_f(model, q) for q in map(part.cell, range(part.n_cells)))
+        cells = part.corners(np.arange(part.n_cells))
+        table = PosteriorTable(*enclosure(model.g_components, cells))
         path = tmp_path / "table.csv"
         write_posterior_table(table, path)
         loaded = read_posterior_table(path, part.n_cells, 1)
@@ -585,7 +579,8 @@ class TestExports:
         assert b1.read_bytes() == b2.read_bytes()
         assert l1.read_bytes() == l2.read_bytes()
         loaded = read_imc(b1, part, assign_labels(part, boxes))
-        assert loaded.rows == imc.rows
+        for name in ("indptr", "dst", "lower", "upper"):
+            assert np.array_equal(getattr(loaded, name), getattr(imc, name)), name
         assert loaded.labels == imc.labels
 
     def test_blocked_write_same_bytes(self, tmp_path, monkeypatch):

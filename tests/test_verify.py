@@ -8,29 +8,28 @@ import pytest
 from imcverify import imc as imc_module
 from imcverify.errors import InputError, InvalidModelError, SpecificationError
 from imcverify.geometry import Box, partition_domain
-from imcverify.imc import Imc, RowLayout, TransitionBound
+from imcverify.imc import Imc, RowLayout
 from imcverify.verify import (
     ReachAvoidSpec,
     _extreme_expectations,
-    adversary_extreme_expectation,
-    classify,
     classify_arrays,
     read_results,
     robust_value_iteration,
     write_results,
 )
+from csr_rows import csr, extremes
 from oracles import chain_reach_probability, extreme_by_vertex_enumeration
 
 
 def make_imc(rows, labels, n_cells):
     """Hand-built IMC over a dummy 1D grid with n_cells cells plus unsafe."""
     part = partition_domain(Box.from_bounds([[0, float(n_cells)]]), (n_cells,))
-    return Imc.from_rows(part, rows, labels)
+    return Imc(part, *csr(rows), tuple(labels))
 
 
 def scalar_walk(values, row, mode):
-    """Reference: the greedy walk over one row, in Python floats."""
-    entries = [(float(values[tb.dst]), tb.lower, tb.upper, tb.dst) for tb in row]
+    """Reference: the greedy walk over one (dst, lower, upper) row, in Python floats."""
+    entries = [(float(values[dst]), lower, upper, dst) for dst, lower, upper in row]
     sign = 1.0 if mode == "min" else -1.0
     remaining = 1.0 - sum(e[1] for e in entries)
     expectation = 0.0
@@ -44,25 +43,18 @@ def scalar_walk(values, row, mode):
     return expectation
 
 
-def random_row(rng, src, targets):
+def random_row(rng, targets):
     anchor = rng.dirichlet(np.ones(len(targets)))
     lows = anchor * rng.uniform(0.0, 1.0, len(targets))
     ups = anchor + (1.0 - anchor) * rng.uniform(0.0, 1.0, len(targets))
-    return tuple(
-        TransitionBound(src, int(t), float(lo), float(up))
-        for t, lo, up in zip(targets, lows, ups)
-    )
+    return tuple((int(t), float(lo), float(up)) for t, lo, up in zip(targets, lows, ups))
 
 
 def three_state_fixture():
     rows = (
-        (
-            TransitionBound(0, 0, 0.2, 0.4),
-            TransitionBound(0, 1, 0.4, 0.6),
-            TransitionBound(0, 2, 0.1, 0.3),
-        ),
-        (TransitionBound(1, 1, 1.0, 1.0),),
-        (TransitionBound(2, 2, 1.0, 1.0),),
+        ((0, 0.2, 0.4), (1, 0.4, 0.6), (2, 0.1, 0.3)),
+        ((1, 1.0, 1.0),),
+        ((2, 1.0, 1.0),),
     )
     labels = (frozenset(), frozenset({"goal"}), frozenset({"unsafe"}))
     return make_imc(rows, labels, 2)
@@ -71,39 +63,29 @@ def three_state_fixture():
 class TestAdversary:
     def test_two_successor_example(self):
         values = np.array([0.0, 1.0])
-        row = (TransitionBound(0, 0, 0.2, 0.8), TransitionBound(0, 1, 0.2, 0.8))
-        assert adversary_extreme_expectation(values, row, "min") == pytest.approx(0.2)
-        assert adversary_extreme_expectation(values, row, "max") == pytest.approx(0.8)
+        low, high = extremes(values, ((0, 0.2, 0.8), (1, 0.2, 0.8)))
+        assert low == pytest.approx(0.2)
+        assert high == pytest.approx(0.8)
 
     def test_degenerate_row_is_dot_product(self):
         values = np.array([0.3, 0.9, 0.1])
-        row = (
-            TransitionBound(0, 0, 0.5, 0.5),
-            TransitionBound(0, 1, 0.2, 0.2),
-            TransitionBound(0, 2, 0.3, 0.3),
-        )
+        low, high = extremes(values, ((0, 0.5, 0.5), (1, 0.2, 0.2), (2, 0.3, 0.3)))
         expected = 0.5 * 0.3 + 0.2 * 0.9 + 0.3 * 0.1
-        assert adversary_extreme_expectation(values, row, "min") == pytest.approx(expected)
-        assert adversary_extreme_expectation(values, row, "max") == pytest.approx(expected)
+        assert low == pytest.approx(expected)
+        assert high == pytest.approx(expected)
 
     def test_equal_values_adversary_independent(self):
         values = np.array([0.7, 0.7, 0.7])
-        row = (
-            TransitionBound(0, 0, 0.1, 0.9),
-            TransitionBound(0, 1, 0.0, 0.5),
-            TransitionBound(0, 2, 0.2, 0.6),
-        )
-        assert adversary_extreme_expectation(values, row, "min") == pytest.approx(0.7)
-        assert adversary_extreme_expectation(values, row, "max") == pytest.approx(0.7)
+        low, high = extremes(values, ((0, 0.1, 0.9), (1, 0.0, 0.5), (2, 0.2, 0.6)))
+        assert low == pytest.approx(0.7)
+        assert high == pytest.approx(0.7)
 
     def test_infeasible_row(self):
         values = np.array([0.0, 1.0])
-        row = (TransitionBound(0, 0, 0.1, 0.3), TransitionBound(0, 1, 0.1, 0.3))
         with pytest.raises(InvalidModelError):
-            adversary_extreme_expectation(values, row, "min")
-        row2 = (TransitionBound(0, 0, 0.7, 0.8), TransitionBound(0, 1, 0.6, 0.9))
+            extremes(values, ((0, 0.1, 0.3), (1, 0.1, 0.3)))
         with pytest.raises(InvalidModelError):
-            adversary_extreme_expectation(values, row2, "max")
+            extremes(values, ((0, 0.7, 0.8), (1, 0.6, 0.9)))
 
     @pytest.mark.parametrize("mode", ["min", "max"])
     def test_matches_vertex_enumeration(self, mode):
@@ -114,10 +96,8 @@ class TestAdversary:
             lows = anchor * rng.uniform(0.0, 1.0, m)
             ups = anchor + (1.0 - anchor) * rng.uniform(0.0, 1.0, m)
             values = rng.uniform(0.0, 1.0, m)
-            row = tuple(
-                TransitionBound(0, i, float(lows[i]), float(ups[i])) for i in range(m)
-            )
-            greedy = adversary_extreme_expectation(values, row, mode)
+            row = tuple((i, float(lows[i]), float(ups[i])) for i in range(m))
+            greedy = extremes(values, row)[("min", "max").index(mode)]
             exhaustive = extreme_by_vertex_enumeration(values, lows, ups, mode)
             assert greedy == pytest.approx(exhaustive, abs=1e-12)
 
@@ -128,12 +108,11 @@ class TestAdversary:
         for _ in range(300):
             m = int(rng.integers(1, 7))
             targets = np.sort(rng.choice(10, m, replace=False))
-            row = random_row(rng, 0, targets)
+            row = random_row(rng, targets)
             # few distinct values, so ties are common
             values = rng.choice([0.0, 0.25, 0.5, 1.0], 10)
-            assert adversary_extreme_expectation(values, row, mode) == scalar_walk(
-                values, row, mode
-            )
+            greedy = extremes(values, row)[("min", "max").index(mode)]
+            assert greedy == scalar_walk(values, row, mode)
 
 
 class TestValueIteration:
@@ -191,18 +170,14 @@ class TestValueIteration:
             chain = []
             for s in range(n_cells):
                 if s == goal_state:
-                    rows.append((TransitionBound(s, s, 1.0, 1.0),))
+                    rows.append(((s, 1.0, 1.0),))
                     chain.append({s: 1.0})
                     continue
                 probs = rng.dirichlet(np.ones(n) * 0.7)
-                row = tuple(
-                    TransitionBound(s, t, float(p), float(p))
-                    for t, p in enumerate(probs)
-                    if p > 0
-                )
+                row = tuple((t, float(p), float(p)) for t, p in enumerate(probs) if p > 0)
                 rows.append(row)
                 chain.append({t: float(p) for t, p in enumerate(probs) if p > 0})
-            rows.append((TransitionBound(n_cells, n_cells, 1.0, 1.0),))
+            rows.append(((n_cells, 1.0, 1.0),))
             chain.append({n_cells: 1.0})
             labels = tuple(
                 frozenset({"goal"}) if s == goal_state else frozenset()
@@ -220,41 +195,40 @@ class TestValueIteration:
         """One sweep over rows of unequal length, tied values (the goal
         indicator) and slack that runs out part-way through a row gives each
         row exactly its single-row extreme expectation."""
-        tb = TransitionBound
         rows = (
-            (tb(0, 0, 0.1, 0.3), tb(0, 1, 0.1, 0.4), tb(0, 2, 0.1, 0.5),
-             tb(0, 3, 0.1, 0.2), tb(0, 4, 0.1, 0.3)),
-            (tb(1, 1, 0.4, 0.7), tb(1, 2, 0.3, 0.6)),
-            (tb(2, 2, 1.0, 1.0),),
-            (tb(3, 0, 0.2, 0.5), tb(3, 4, 0.1, 0.6), tb(3, 6, 0.0, 0.35)),
-            (tb(4, 4, 1.0, 1.0),),
-            (tb(5, 5, 1.0, 1.0),),
-            (tb(6, 6, 1.0, 1.0),),
+            ((0, 0.1, 0.3), (1, 0.1, 0.4), (2, 0.1, 0.5), (3, 0.1, 0.2), (4, 0.1, 0.3)),
+            ((1, 0.4, 0.7), (2, 0.3, 0.6)),
+            ((2, 1.0, 1.0),),
+            ((0, 0.2, 0.5), (4, 0.1, 0.6), (6, 0.0, 0.35)),
+            ((4, 1.0, 1.0),),
+            ((5, 1.0, 1.0),),
+            ((6, 1.0, 1.0),),
         )
         goal = frozenset({"goal"})
         labels = (frozenset(), frozenset(), goal, frozenset(), goal, frozenset(),
                   frozenset({"unsafe"}))
         rng = np.random.default_rng(8)
-        imcs = [make_imc(rows, labels, 6)]
+        cases = [(rows, labels, 6)]
         for _ in range(20):
             n_cells = 8
             lengths = rng.integers(1, 7, n_cells)
             random_rows = tuple(
-                random_row(rng, s, np.sort(rng.choice(n_cells + 1, m, replace=False)))
-                for s, m in enumerate(lengths)
-            ) + ((tb(n_cells, n_cells, 1.0, 1.0),),)
+                random_row(rng, np.sort(rng.choice(n_cells + 1, m, replace=False)))
+                for m in lengths
+            ) + (((n_cells, 1.0, 1.0),),)
             random_labels = tuple(
                 goal if rng.random() < 0.3 else frozenset() for _ in range(n_cells)
             ) + (frozenset({"unsafe"}),)
-            imcs.append(make_imc(random_rows, random_labels, n_cells))
-        for imc in imcs:
-            res = robust_value_iteration(imc, ReachAvoidSpec(horizon=1))
-            values = np.array(["goal" in labs for labs in imc.labels], dtype=float)
-            for i, row in enumerate(imc.rows):
-                if imc.labels[i] & {"goal", "unsafe"}:
+            cases.append((random_rows, random_labels, n_cells))
+        for rows, labels, n_cells in cases:
+            res = robust_value_iteration(make_imc(rows, labels, n_cells), ReachAvoidSpec(horizon=1))
+            values = np.array(["goal" in labs for labs in labels], dtype=float)
+            for i, row in enumerate(rows):
+                if labels[i] & {"goal", "unsafe"}:
                     continue
-                for mode, bound in (("min", res.p_lower), ("max", res.p_upper)):
-                    expected = adversary_extreme_expectation(values, row, mode)
+                for mode, bound, expected in zip(
+                    ("min", "max"), (res.p_lower, res.p_upper), extremes(values, row)
+                ):
                     assert bound[i] == expected == scalar_walk(values, row, mode)
 
     def test_multi_row_block_matches_scalar_walk(self):
@@ -263,17 +237,16 @@ class TestValueIteration:
         rest to an obstacle. Over rows of length 1-70 (every power-of-two
         class boundary), heavy ties and rows whose lower bounds sum to 1,
         the sweep gives every row its scalar walk, bit for bit."""
-        tb = TransitionBound
         rng = np.random.default_rng(77)
         n_values = 80
         values = np.concatenate([[1.0, 0.0], rng.choice([0.0, 0.25, 0.5, 1.0], n_values - 2)])
         rows, labels = [], []
         for s, v in enumerate(values.tolist()):
             if v in (0.0, 1.0):
-                rows.append((tb(s, s, 1.0, 1.0),))
+                rows.append(((s, 1.0, 1.0),))
                 labels.append(frozenset({"goal" if v else "obstacle"}))
             else:
-                rows.append((tb(s, 0, v, v), tb(s, 1, 1.0 - v, 1.0 - v)))
+                rows.append(((0, v, v), (1, 1.0 - v, 1.0 - v)))
                 labels.append(frozenset())
         lengths = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 70]
         lengths += rng.integers(1, 71, 30).tolist()
@@ -285,13 +258,13 @@ class TestValueIteration:
                 lows = rng.multinomial(64, np.ones(m) / m) / 64.0
                 ups = np.minimum(1.0, lows + rng.choice([0.0, 0.25, 0.5], m))
                 rows.append(tuple(
-                    tb(s, int(t), float(lo), float(up)) for t, lo, up in zip(targets, lows, ups)
+                    (int(t), float(lo), float(up)) for t, lo, up in zip(targets, lows, ups)
                 ))
             else:
-                rows.append(random_row(rng, s, targets))
+                rows.append(random_row(rng, targets))
             labels.append(frozenset())
         n_cells = n_values + len(lengths)
-        rows.append((tb(n_cells, n_cells, 1.0, 1.0),))
+        rows.append(((n_cells, 1.0, 1.0),))
         labels.append(frozenset({"unsafe"}))
         imc = make_imc(tuple(rows), tuple(labels), n_cells)
         res = robust_value_iteration(imc, ReachAvoidSpec(horizon=2))
@@ -313,14 +286,10 @@ class TestValueIteration:
         lengths = np.concatenate([rng.integers(5, 9, 600), rng.integers(1, 40, 100)])
         rng.shuffle(lengths)
         rows = tuple(
-            random_row(rng, s, np.sort(rng.choice(n_states, m, replace=False)))
-            for s, m in enumerate(lengths.tolist())
+            random_row(rng, np.sort(rng.choice(n_states, m, replace=False)))
+            for m in lengths.tolist()
         )
-        entries = [tb for row in rows for tb in row]
-        dst = np.array([tb.dst for tb in entries])
-        lower = np.array([tb.lower for tb in entries])
-        upper = np.array([tb.upper for tb in entries])
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indptr, dst, lower, upper = csr(rows)
         values = rng.random(n_states)
         results = []
         for loop_rows in (1, 10**9):
@@ -335,17 +304,14 @@ class TestValueIteration:
         sums, _, low, high = results[0]
         for i, row in enumerate(rows):
             total = 0.0
-            for tb in row:
-                total += tb.upper
+            for _, _, up in row:
+                total += up
             assert sums[i] == total
             assert low[i] == scalar_walk(values, row, "min")
             assert high[i] == scalar_walk(values, row, "max")
 
     def test_label_overlap_rejected(self):
-        rows = (
-            (TransitionBound(0, 0, 1.0, 1.0),),
-            (TransitionBound(1, 1, 1.0, 1.0),),
-        )
+        rows = (((0, 1.0, 1.0),), ((1, 1.0, 1.0),))
         labels = (frozenset({"goal", "obstacle"}), frozenset({"unsafe"}))
         imc = make_imc(rows, labels, 1)
         with pytest.raises(SpecificationError):
@@ -376,11 +342,11 @@ class TestClassify:
     def test_reclassify_result(self):
         imc = three_state_fixture()
         res = robust_value_iteration(imc, ReachAvoidSpec())
-        relaxed = classify(res, 0.5)
+        relaxed = classify_arrays(res.p_lower, res.p_upper, 0.5)
         assert relaxed[0] == "satisfies"  # 4/7 >= 0.5
-        strict = classify(res, 0.9)
+        strict = classify_arrays(res.p_lower, res.p_upper, 0.9)
         assert strict[0] == "violates"  # 6/7 < 0.9
-        middle = classify(res, 0.7)
+        middle = classify_arrays(res.p_lower, res.p_upper, 0.7)
         assert middle[0] == "undetermined"  # 4/7 < 0.7 <= 6/7
 
     def test_spec_invariants(self):
@@ -395,10 +361,10 @@ class TestReadResults:
         # non-dyadic edges, so that a float32 or a rounded repr would show
         edges = [np.linspace(-1.3, 2.7, 7), np.linspace(0.1, 0.9, 4), np.linspace(-0.7, 0.3, 3)]
         part = partition_domain(Box.from_bounds([(e[0], e[-1]) for e in edges]), (6, 3, 2))
-        rows = [(TransitionBound(i, i, 1.0, 1.0),) for i in range(part.n_states)]
+        rows = [((i, 1.0, 1.0),) for i in range(part.n_states)]
         labels = [frozenset({"goal"})] + [frozenset()] * (part.n_cells - 1)
         labels.append(frozenset({"unsafe"}))
-        imc = Imc.from_rows(part, rows, labels)
+        imc = Imc(part, *csr(rows), tuple(labels))
         path = tmp_path / "results.csv"
         write_results(robust_value_iteration(imc, ReachAvoidSpec(horizon=1)), part, path)
         lines = path.read_text().splitlines()
