@@ -4,6 +4,8 @@ clustering-based improvement and Monte Carlo validation."""
 
 import types as _types
 
+__version__ = "0.1.0"  # before the submodules: the pipeline records it
+
 from .geometry import (
     Box,
     Interval,
@@ -48,8 +50,6 @@ from .mc import (
 )
 from .config import RunConfig, load_config
 from .pipeline import run_pipeline
-
-__version__ = "0.1.0"
 
 # the public API is exactly the names imported above
 __all__ = sorted(

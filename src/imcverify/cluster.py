@@ -4,8 +4,9 @@ probability mass into the merged region that the per-cell bounds could not
 pin down. The clusters of all states come from the IMC's CSR arrays and the
 cells' posteriors at once (``cluster_proposals``); ``cluster_improve`` makes
 one pass over the states with them, on one ``RowLayout`` of the clustered
-rows whose parts are the runs of the pass. The posteriors are computed by
-the caller, once for any number of passes, and the IMC is never rewritten.
+rows whose parts are the pass's dependency levels (``_levels``). The
+posteriors are computed by the caller, once for any number of passes, and
+the IMC is never rewritten.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .verify import (
 )
 
 log = logging.getLogger("imcverify")
+
+_BLOCK = 32  # rows per numpy step of the level computation
 
 
 def _largest_block(cells: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -110,6 +113,40 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     return sources[found], lo[found], hi[found], members, len(holes)
 
 
+def _levels(imc: Imc, sources: np.ndarray) -> np.ndarray:
+    """Per row of a pass over ``sources``, a level at least 1 + that of each
+    earlier row whose source it reads (read after write) and at least that of
+    each earlier row that reads its source (write after read): one kernel call
+    per level, in level order, gives the bits of a row-by-row pass (level
+    scheduling, Anderson & Saad, 1989). Per ``_BLOCK`` rows, numpy takes the
+    dependencies that cross the block's edges and Python walks the rest."""
+    count = len(sources)
+    step = np.full(imc.n_states, count)
+    step[sources] = np.arange(count)
+    # per IMC entry of the pass's rows, in pass order: the row that writes its target, or count
+    length = np.diff(imc.indptr)[sources]
+    ptr = np.concatenate([[0], np.cumsum(length)])
+    writer = step[imc.dst[np.repeat(imc.indptr[sources] - ptr[:-1], length) + np.arange(ptr[-1])]]
+    level = np.zeros(count, dtype=np.int64)
+    for a in range(0, count, _BLOCK):
+        b = min(a + _BLOCK, count)
+        reader, w = np.repeat(np.arange(a, b), length[a:b]), writer[ptr[a]:ptr[b]]
+        before = w < a  # reads of what earlier blocks write
+        np.maximum.at(level, reader[before], level[w[before]] + 1)
+        inside = (a <= w) & (w < b) & (w != reader)
+        r, t = reader[inside] - a, w[inside] - a
+        # the later row of each pair follows the earlier, one level up if it reads
+        later, earlier, up = np.maximum(r, t), np.minimum(r, t), t < r
+        order = np.argsort(later, kind="stable")
+        top = level[a:b].tolist()
+        for j, i, d in zip(later[order].tolist(), earlier[order].tolist(), up[order].tolist()):
+            top[j] = max(top[j], top[i] + d)
+        level[a:b] = top
+        after = (b <= w) & (w < count)  # later blocks write what this one reads
+        np.maximum.at(level, w[after], level[reader[after]])
+    return level
+
+
 def cluster_improve(
     imc: Imc, posts: CellPosteriors, result: VerificationResult, spec: ReachAvoidSpec
 ) -> VerificationResult:
@@ -122,9 +159,9 @@ def cluster_improve(
     bounds, max of upper bounds) and its transition interval comes from
     ``pair_bounds``. A new value is kept only when strictly better, so no
     state ever gets worse. Later states in the pass see earlier
-    improvements: one kernel call per run of rows gives the bits of a
+    improvements: one kernel call per dependency level gives the bits of a
     row-by-row pass. The numbers of clusters, of sources with holes and of
-    runs are logged at DEBUG. Posteriors of another partition, even an equal
+    levels are logged at DEBUG. Posteriors of another partition, even an equal
     one, are a ValueError.
     """
     if posts.partition is not imc.partition:
@@ -133,10 +170,12 @@ def cluster_improve(
     pinned = np.logical_or(*_goal_avoid_sets(imc, spec))
     sources, box_lo, box_hi, members, holes = cluster_proposals(imc, posts, ~pinned)
     order = np.argsort(-p_lo[sources], kind="stable")  # ties by state
+    level = _levels(imc, sources[order])
+    order, ends = order[np.argsort(level, kind="stable")], np.cumsum(np.bincount(level))
     sources = sources[order]
     cl_low, cl_up = pair_bounds(posts, sources, box_lo[order], box_hi[order])
 
-    # the source rows in pass order, members included
+    # the source rows in level order, members included
     n, count = imc.n_states, len(sources)
     length = np.diff(imc.indptr)[sources]
     offset = np.cumsum(length) - length
@@ -159,30 +198,17 @@ def cluster_improve(
     layout.check(lower, upper, SoundnessError, sources)
     gap = upper - lower
 
-    # A run is a maximal stretch of the pass in which no row reads (as a
-    # target of its source, members included) a state an earlier row of the
-    # run writes, so its rows see the values of a row-by-row pass: the run
-    # from row a ends at the first row whose latest earlier writer is >= a.
-    step = np.full(n, -1)
-    step[sources] = np.arange(count)
-    writer = step[imc.dst[entry]]
-    latest = np.maximum.reduceat(np.where(writer < row_of, writer, -1), offset)
-    reader = np.full(count + 1, count)
-    np.minimum.at(reader, latest[latest >= 0], np.flatnonzero(latest >= 0))
-    run_end = np.minimum.accumulate(reader[::-1])[::-1]
-
     keys = np.concatenate([np.arange(n), member_dst[member_ptr[:-1]]])
-    # the values the runs read: the states' (p_lo and p_hi become views of
-    # them, so each run sees the earlier runs' updates), then the clusters'
+    # the values the levels read: the states' (p_lo and p_hi become views of
+    # them, so each level sees the earlier levels' updates), then the clusters'
     lo_all, hi_all = (np.concatenate([p, np.zeros(count)]) for p in (p_lo, p_hi))
     (p_lo, cl_lo), (p_hi, cl_hi) = (np.split(v, [n]) for v in (lo_all, hi_all))
-    a = runs = 0
-    while a < count:
-        b, runs = int(run_end[a]), runs + 1
+    a = 0
+    for b in ends.tolist():
         m, at = member_dst[member_ptr[a]:member_ptr[b]], member_ptr[a:b] - member_ptr[a]
         cl_lo[a:b], cl_hi[a:b] = np.minimum.reduceat(p_lo[m], at), np.maximum.reduceat(p_hi[m], at)
         entries = slice(indptr[a], indptr[b])
-        # rank only the states this run reads (return_index: a stable sort)
+        # rank only the states this level reads (return_index: a stable sort)
         states, _, local = np.unique(dst[entries], return_index=True, return_inverse=True)
         new_lo, new_hi = _extreme_expectations(
             layout.part(a, b), local, lower[entries], gap[entries],
@@ -192,7 +218,8 @@ def cluster_improve(
         p_lo[q] = np.where(new_lo > p_lo[q], np.minimum(new_lo, p_hi[q]), p_lo[q])
         p_hi[q] = np.where(new_hi < p_hi[q], np.maximum(new_hi, p_lo[q]), p_hi[q])
         a = b
-    log.debug("cluster: %d proposals, %d reached the holes fallback, %d runs", count, holes, runs)
+    log.debug("cluster: %d proposals, %d reached the holes fallback, %d levels",
+              count, holes, len(ends))
 
     classification = classify_arrays(p_lo, p_hi, spec.threshold)
     return VerificationResult(p_lo, p_hi, classification, result.iterations, result.converged)

@@ -44,6 +44,7 @@ class RunConfig:
     monte_carlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     posterior_table: Optional[Path] = None
     output_dir: Path = Path("out")
+    source: Optional[bytes] = None  # the config file's bytes, set by load_config
 
 
 def _fail(path: str, reason: str) -> None:
@@ -163,9 +164,9 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise InputError(f"config file does not exist: {path}")
+    data = path.read_bytes()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+        raw = yaml.safe_load(data)
     except yaml.YAMLError as exc:
         raise InputError(f"config parse error in {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -310,4 +311,5 @@ def load_config(path) -> RunConfig:
         monte_carlo=mc,
         posterior_table=posterior_table,
         output_dir=output_dir,
+        source=data,
     )

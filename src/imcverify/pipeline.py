@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .cluster import cluster_improve
 from .config import RunConfig
 from .dynamics import GENERAL
@@ -246,7 +247,8 @@ def run_pipeline(
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    summary: dict = {"phases": {}}
+    summary: dict = {"provenance": {"version": __version__, "config_sha256": None,
+                                    "seed": config.monte_carlo.seed}, "phases": {}}
     imc: Optional[Imc] = None
     result: Optional[VerificationResult] = None
 
@@ -267,6 +269,7 @@ def run_pipeline(
             "seconds": time.perf_counter() - t0,
             "iterations": result.iterations,
             "converged": result.converged,
+            "fixpoint_sweep": dict(zip(("lower", "upper"), result.fixpoints)),
         }
 
     if "improve" in phases and config.cluster_passes > 0:
@@ -303,6 +306,9 @@ def run_pipeline(
             "fractions": {k: v / n for k, v in counts.items()},
         }
 
+    if config.source is not None:
+        import hashlib  # only here: its OpenSSL adds about 3.5 MB to a process's RSS
+        summary["provenance"]["config_sha256"] = hashlib.sha256(config.source).hexdigest()
     with open(out / SUMMARY_FILE, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

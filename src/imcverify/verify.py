@@ -11,12 +11,13 @@ ordering construction (Givan, Leach & Dean, 2000): sort successors by value,
 give every successor its lower bound, then saturate the remaining mass in
 sorted order up to each upper bound. The feasible set is a transportation
 polytope and this greedy walk reaches its extreme points. One kernel,
-``_extreme_expectations``, ranks the states and sorts every row of a CSR
-block into walk order for both walks; ``RowLayout.walk`` (``imc.py``, the
+``_extreme_expectation``, ranks the states and sorts every row of a CSR
+block into walk order for one bound; ``RowLayout.walk`` (``imc.py``, the
 owner of the row layout) then walks each row sequentially in O(nnz)
 memory, so each row gets the bits of a walk over that row alone. Value
-iteration lays its rows out and checks them once for all sweeps; cluster
-improvement calls the kernel on parts of its own layout.
+iteration lays its rows out and checks them once, and stops sweeping a bound
+whose sweep returns its own bits; cluster improvement calls the kernel for
+both bounds on parts of its own layout.
 """
 
 from __future__ import annotations
@@ -74,32 +75,36 @@ class VerificationResult:
     classification: tuple[str, ...]
     iterations: int
     converged: bool
+    fixpoints: tuple = (None, None)  # (lower, upper): first sweep that returned its input bits
 
     def __post_init__(self):
         object.__setattr__(self, "p_lower", np.asarray(self.p_lower, dtype=float))
         object.__setattr__(self, "p_upper", np.asarray(self.p_upper, dtype=float))
 
 
-def _extreme_expectations(layout: RowLayout, dst, lower, gap, lo_values, hi_values, keys=None):
-    """The minimum over ``lo_values`` and the maximum over ``hi_values`` of
-    the expectation over all adversaries, for every row of a checked layout.
+def _extreme_expectation(layout: RowLayout, dst, lower, gap, values, sign: float, keys=None):
+    """The minimum (``sign`` 1.0) or maximum (-1.0) over all adversaries of the
+    expectation of the per-state ``values``, for every row of a checked layout.
 
     ``dst``, ``lower`` and ``gap`` are per-entry: the successor, an index
-    into the per-state ``lo_values``/``hi_values``, its lower bound and its
-    upper - lower. Ties in value break by ascending ``keys`` (default: the
-    state index); the expectations are tie-invariant.
+    into ``values``, its lower bound and its upper - lower. Ties in value
+    break by ascending ``keys`` (default: the state index); the expectation
+    is tie-invariant.
     """
-    n_states = len(lo_values)
+    n_states = len(values)
     keys = np.arange(n_states) if keys is None else keys
-    both = []
-    for values, sign in ((lo_values, 1.0), (hi_values, -1.0)):
-        # one rank per state, by value (descending for the maximum) then
-        # key; sorting each row by the rank of its targets is the walk order
-        rank = np.empty(n_states, dtype=np.int64)
-        rank[np.lexsort((keys, sign * values))] = np.arange(n_states)
-        order = np.argsort(layout.row * n_states + rank[dst], kind="stable")
-        both.append(layout.walk(order, lower, gap, values[dst]))
-    return tuple(both)
+    # one rank per state, by value (descending for the maximum) then key;
+    # sorting each row by the rank of its targets is the walk order
+    rank = np.empty(n_states, dtype=np.int64)
+    rank[np.lexsort((keys, sign * values))] = np.arange(n_states)
+    order = np.argsort(layout.row * n_states + rank[dst], kind="stable")
+    return layout.walk(order, lower, gap, values[dst])
+
+
+def _extreme_expectations(layout: RowLayout, dst, lower, gap, lo_values, hi_values, keys=None):
+    """The minimum over ``lo_values`` and the maximum over ``hi_values``."""
+    return (_extreme_expectation(layout, dst, lower, gap, lo_values, 1.0, keys),
+            _extreme_expectation(layout, dst, lower, gap, hi_values, -1.0, keys))
 
 
 def _goal_avoid_sets(imc: Imc, spec: ReachAvoidSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -132,13 +137,13 @@ def robust_value_iteration(
     A finite horizon runs exactly that many iterations. The unbounded
     horizon iterates until the largest per-state change in either bound is
     below ``convergence_tol`` or the iteration cap is hit; the result
-    reports which happened.
+    reports which happened. A bound is final once a sweep returns its bits;
+    ``iterations`` counts every sweep the result stands for.
     """
     goal, avoid = _goal_avoid_sets(imc, spec)
     pinned = goal | avoid
 
-    v_lo = goal.astype(float)
-    v_hi = goal.astype(float)
+    bounds, fixpoints = [goal.astype(float), goal.astype(float)], [None, None]  # lower, upper
     iterations = 0
     converged = spec.horizon is not None or bool(pinned.all())
     # the rows do not change between sweeps: lay them out and check them once
@@ -146,22 +151,31 @@ def robust_value_iteration(
     layout.check(imc.lower, imc.upper, InvalidModelError)
     gap = imc.upper - imc.lower
 
-    for _ in range(spec.horizon if spec.horizon is not None else max_iterations):
-        low, high = _extreme_expectations(layout, imc.dst, imc.lower, gap, v_lo, v_hi)
-        low[pinned], high[pinned] = v_lo[pinned], v_hi[pinned]
-        delta = max(float(np.max(np.abs(low - v_lo))), float(np.max(np.abs(high - v_hi))))
-        v_lo, v_hi = low, high
-        iterations += 1
+    sweeps = spec.horizon if spec.horizon is not None else max_iterations
+    for iterations in range(1, sweeps + 1):
+        delta = 0.0
+        for b in [b for b in (0, 1) if fixpoints[b] is None]:
+            new = _extreme_expectation(layout, imc.dst, imc.lower, gap, bounds[b], (1.0, -1.0)[b])
+            new[pinned] = bounds[b][pinned]
+            delta = max(delta, float(np.max(np.abs(new - bounds[b]))))
+            # bitwise, so that -0.0 and 0.0 differ: each later sweep would return these bits
+            if np.array_equal(new.view(np.int64), bounds[b].view(np.int64)):
+                fixpoints[b] = iterations
+            bounds[b] = new
         if spec.horizon is None and delta < convergence_tol:
             converged = True
             break
+        if None not in fixpoints:
+            iterations = sweeps  # the sweeps left would return these bits
+            break
+    log.debug("value iteration: bitwise fixpoint from sweep %s (lower), %s (upper)", *fixpoints)
     if not converged:
         log.warning(
             "value iteration hit max_iterations=%d before the change per sweep fell "
             "below %g; the bounds are not a fixpoint", max_iterations, convergence_tol
         )
 
-    v_lo = np.minimum(v_lo, v_hi)
+    v_lo, v_hi = np.minimum(*bounds), bounds[1]
     classification = classify_arrays(v_lo, v_hi, spec.threshold)
     return VerificationResult(
         p_lower=v_lo,
@@ -169,6 +183,7 @@ def robust_value_iteration(
         classification=classification,
         iterations=iterations,
         converged=converged,
+        fixpoints=tuple(fixpoints),
     )
 
 

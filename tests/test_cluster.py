@@ -1,10 +1,12 @@
-from itertools import product
+import re
+from itertools import count, product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from imcverify.cluster import _largest_block, cluster_improve, cluster_proposals
+import imcverify.cluster as cluster_module
+from imcverify.cluster import _largest_block, _levels, cluster_improve, cluster_proposals
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box, partition_domain
 from imcverify.imc import build_imc, cell_posteriors, pair_bounds
@@ -309,6 +311,74 @@ def test_pass_matches_one_row_at_a_time():
     assert chained > 10
     assert np.array_equal(out.p_lower, ref_lo)
     assert np.array_equal(out.p_upper, ref_hi)
+
+
+def test_levels_keep_reads_before_and_after_writes(caplog):
+    """A pass in which earlier rows read states that later rows improve
+    (write after read) and rows read states improved earlier (read after
+    write) runs in fewer levels than rows and keeps the bits of the one-row
+    walk."""
+    part = partition_domain(Box.from_bounds([[0, 8], [0, 8]]), (8, 8))
+    model = parse_dynamics(["x1 + 1 + w1", "x2 - 1 + w2"], 2, "additive")
+    noise = NoiseModel((Uniform(-1.5, 1.5), Uniform(-1.5, 1.5)))
+    posts = cell_posteriors(part, model, noise)
+    imc = build_imc(posts, {"goal": [Box.from_bounds([[7, 8], [0, 1]])]})
+    rng = np.random.default_rng(10)
+    p_lower = rng.uniform(0.0, 0.9, imc.n_states)
+    p_upper = np.minimum(1.0, p_lower + rng.uniform(0.0, 0.5, imc.n_states))
+    pinned = [part.flat_index((7, 0)), imc.unsafe_index]
+    p_lower[pinned], p_upper[pinned] = (1.0, 0.0), (1.0, 0.0)
+    res = planted_result(p_lower, p_upper)
+    with caplog.at_level("DEBUG", logger="imcverify"):
+        out = cluster_improve(imc, posts, res, ReachAvoidSpec())
+    ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res, ReachAvoidSpec())
+    assert np.array_equal(out.p_lower, ref_lo)
+    assert np.array_equal(out.p_upper, ref_hi)
+
+    allowed = np.ones(imc.n_states, dtype=bool)
+    allowed[pinned] = False
+    sources = cluster_proposals(imc, posts, allowed)[0]
+    in_pass = sorted(sources.tolist(), key=lambda q: (-p_lower[q], q))
+    position = dict(zip(in_pass, count()))
+    changed = (out.p_lower != res.p_lower) | (out.p_upper != res.p_upper)
+    # rows that read a state a later row of the pass improves
+    targets = np.split(imc.dst, imc.indptr[1:-1])
+    read_before_write = sum(
+        any(position.get(r, -1) > k and changed[r] for r in targets[q])
+        for q, k in position.items()
+    )
+    assert chained > 5 and read_before_write >= 3
+    counts = re.search(r"(\d+) proposals, .* (\d+) levels", caplog.text).groups()
+    proposals, levels = map(int, counts)
+    assert 3 <= levels < proposals == len(sources)
+
+
+def levels_reference(indptr, dst, sources):
+    """The levels of a pass over ``sources``, row by row from their definition."""
+    position = {q: k for k, q in enumerate(sources.tolist())}
+    reads = [{position.get(t, -1) for t in dst[indptr[q]:indptr[q + 1]].tolist()} for q in sources]
+    level = []
+    for j in range(len(sources)):
+        after_write = [level[i] + 1 for i in reads[j] if 0 <= i < j]
+        after_read = [level[i] for i in range(j) if j in reads[i]]
+        level.append(max(after_write + after_read, default=0))
+    return level
+
+
+def test_levels_match_their_definition_for_any_block(monkeypatch):
+    """Random rows (repeated targets, self loops, states outside the pass):
+    the levels do not depend on how many rows one numpy step settles."""
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        n = int(rng.integers(1, 50))
+        indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 6, n))])
+        dst = rng.integers(0, n, indptr[-1])
+        sources = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+        imc = SimpleNamespace(n_states=n, indptr=indptr, dst=dst)
+        expected = levels_reference(indptr, dst, sources)
+        for block in (1, 2, 5, 32):
+            monkeypatch.setattr(cluster_module, "_BLOCK", block)
+            assert _levels(imc, sources).tolist() == expected
 
 
 def test_holes_fallback_through_the_pass(caplog):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -822,3 +823,34 @@ output_dir: out
         assert (override / SUMMARY_FILE).exists()
         summary = json.loads((override / SUMMARY_FILE).read_text())
         assert summary["phases"]["simulate"]["all_sound"]
+
+    def test_summary_records_provenance_and_fixpoints(self, tmp_path):
+        """The summary names the package version, the sha256 of the config
+        file's bytes (null for a config built in code) and the Monte Carlo
+        seed the run used (after --seed), and the sweep at which each bound
+        became a bitwise fixpoint."""
+        import hashlib
+
+        import imcverify
+
+        cfg_path = write_toy(tmp_path, passes=0)
+        digest = hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+        assert load_config(cfg_path).source == cfg_path.read_bytes()
+        for argv, seed in (([], 5), (["--seed", "123"], 123)):
+            assert main(["run", "-c", str(cfg_path), *argv]) == 0
+            summary = json.loads((tmp_path / "out" / SUMMARY_FILE).read_text())
+            provenance = {"version": imcverify.__version__, "config_sha256": digest, "seed": seed}
+            assert summary["provenance"] == provenance
+        from imcverify.pipeline import build_context, load_imc, phase_verify
+
+        ctx = build_context(load_config(cfg_path))
+        result = phase_verify(ctx, load_imc(ctx))
+        assert result.fixpoints[0] is not None
+        fixpoint_sweep = dict(zip(("lower", "upper"), result.fixpoints))
+        assert summary["phases"]["verify"]["fixpoint_sweep"] == fixpoint_sweep
+        # one more byte is another config, even when it loads the same
+        cfg_path.write_bytes(cfg_path.read_bytes() + b"\n")
+        summary = run_pipeline(load_config(cfg_path), phases=())
+        assert summary["provenance"]["config_sha256"] != digest
+        in_code = dataclasses.replace(load_config(cfg_path), source=None)
+        assert run_pipeline(in_code, phases=())["provenance"]["config_sha256"] is None

@@ -333,6 +333,99 @@ class TestValueIteration:
         assert not caplog.records
 
 
+def sweep_both_every_time(imc, spec, convergence_tol=1e-6, max_iterations=10**5):
+    """Reference value iteration that sweeps both bounds on every sweep.
+    Returns p_lower, p_upper, the sweep count, convergence and, per bound,
+    the first sweep that returned the bits it was given (or None)."""
+    goal = np.array([spec.goal_label in labs for labs in imc.labels])
+    pinned = goal | np.array([bool(labs & spec.avoid_labels) for labs in imc.labels])
+    layout = RowLayout(imc.indptr)
+    layout.check(imc.lower, imc.upper, InvalidModelError)
+    v_lo, v_hi = goal.astype(float), goal.astype(float)
+    iterations, converged, fixpoints = 0, spec.horizon is not None, [None, None]
+    for _ in range(spec.horizon if spec.horizon is not None else max_iterations):
+        low, high = _extreme_expectations(
+            layout, imc.dst, imc.lower, imc.upper - imc.lower, v_lo, v_hi
+        )
+        low[pinned], high[pinned] = v_lo[pinned], v_hi[pinned]
+        iterations += 1
+        for b, (new, old) in enumerate(((low, v_lo), (high, v_hi))):
+            if fixpoints[b] is None and new.tobytes() == old.tobytes():
+                fixpoints[b] = iterations
+        delta = max(float(np.max(np.abs(low - v_lo))), float(np.max(np.abs(high - v_hi))))
+        v_lo, v_hi = low, high
+        if spec.horizon is None and delta < convergence_tol:
+            converged = True
+            break
+    return np.minimum(v_lo, v_hi), v_hi, iterations, converged, tuple(fixpoints)
+
+
+def lower_settles_first():
+    """Cell 3 is the goal. The lower bound of cell 0 sends its slack to the
+    unsafe state and settles after four sweeps; its upper bound keeps it on
+    the self-loop and creeps towards cell 1's value by a factor 0.9 a sweep."""
+    rows = (
+        ((0, 0.0, 0.9), (1, 0.1, 0.1), (4, 0.0, 0.9)),
+        ((2, 1.0, 1.0),),
+        ((3, 0.3, 0.3), (4, 0.7, 0.7)),
+        ((3, 1.0, 1.0),),
+        ((4, 1.0, 1.0),),
+    )
+    labels = (frozenset(),) * 3 + (frozenset({"goal"}), frozenset({"unsafe"}))
+    return make_imc(rows, labels, 4)
+
+
+def both_settle():
+    """An acyclic chain into the goal (cell 3). The lower bound can send the
+    mass of cells 0 and 1 to the unsafe state and settles at sweep 2; the
+    upper bound follows the chain and settles at sweep 4."""
+    rows = (
+        ((1, 0.0, 0.6), (4, 0.4, 1.0)),
+        ((2, 0.0, 0.7), (3, 0.0, 0.5), (4, 0.3, 1.0)),
+        ((3, 0.1, 0.2), (4, 0.8, 0.9)),
+        ((3, 1.0, 1.0),),
+        ((4, 1.0, 1.0),),
+    )
+    labels = (frozenset(),) * 3 + (frozenset({"goal"}), frozenset({"unsafe"}))
+    return make_imc(rows, labels, 4)
+
+
+class TestSettledBounds:
+    """A bound whose sweep returns the bits it was given is not swept again;
+    the result keeps the bits and the sweep count of sweeping it every time."""
+
+    @staticmethod
+    def assert_same(res, ref):
+        p_lower, p_upper, iterations, converged, fixpoints = ref
+        assert res.p_lower.tobytes() == p_lower.tobytes()
+        assert res.p_upper.tobytes() == p_upper.tobytes()
+        assert (res.iterations, res.converged, res.fixpoints) == (iterations, converged, fixpoints)
+
+    @pytest.mark.parametrize("build", [lower_settles_first, both_settle])
+    def test_finite_horizons_past_a_fixpoint(self, build):
+        imc = build()
+        for horizon in range(1, 61):
+            spec = ReachAvoidSpec(horizon=horizon)
+            self.assert_same(robust_value_iteration(imc, spec), sweep_both_every_time(imc, spec))
+        fixpoints = robust_value_iteration(imc, ReachAvoidSpec(horizon=60)).fixpoints
+        assert fixpoints == ((4, None) if build is lower_settles_first else (2, 4))
+
+    @pytest.mark.parametrize("build", [lower_settles_first, both_settle])
+    @pytest.mark.parametrize("tol, cap", [(1e-6, 10**5), (1e-15, 10**5), (0.0, 80)])
+    def test_unbounded_horizon(self, build, tol, cap, caplog):
+        imc = build()
+        with caplog.at_level(logging.DEBUG, logger="imcverify"):
+            res = robust_value_iteration(
+                imc, ReachAvoidSpec(), convergence_tol=tol, max_iterations=cap
+            )
+        ref = sweep_both_every_time(imc, ReachAvoidSpec(), tol, cap)
+        self.assert_same(res, ref)
+        lower, upper = res.fixpoints
+        assert f"bitwise fixpoint from sweep {lower} (lower), {upper} (upper)" in caplog.text
+        if tol == 0.0:  # no sweep can converge: every sweep up to the cap counts
+            assert (res.iterations, res.converged) == (cap, False)
+
+
 class TestClassify:
     def test_examples(self):
         assert classify_arrays([0.95], [1.0], 0.9) == ("satisfies",)
