@@ -9,13 +9,20 @@ There is one rollout: ``_rollout`` advances the trajectories of whole cells
 in lockstep with one RNG stream per cell. While any of a cell's trajectories
 is alive, each step draws one (trajectories, noise.n) block from its stream
 and trajectory i reads row i, so a trajectory's noise never depends on
-which others have ended or which cells share its batch.
+which others have ended or which cells share its batch. A step costs what
+the live trajectories cost: their states sit in a compact array that drops
+a trajectory when it ends, only an ending trajectory writes its
+termination and length, and only the exported ones write their states
+back. ``_inside`` tests a label box one coordinate at a time.
 ``estimate_satisfaction`` validates many cells at once in groups of at most
-``GROUP_TRAJECTORIES``; ``simulate`` is a one-trajectory call.
+``GROUP_TRAJECTORIES``, logging each group's trajectory-steps at DEBUG;
+``simulate`` is a one-trajectory call.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +40,8 @@ TERM_LEFT = "left-domain"
 # termination codes of the kernel; 0 means the trajectory is still running
 _RUNNING, _GOAL, _AVOID, _LEFT, _HORIZON = range(5)
 _TERMS = (None, TERM_GOAL, TERM_AVOID, TERM_LEFT, TERM_HORIZON)
+
+log = logging.getLogger("imcverify")
 
 # trajectories per lockstep group (a larger cell is a group of its own)
 GROUP_TRAJECTORIES = 2**16
@@ -65,7 +74,10 @@ def _inside(x: np.ndarray, box: Box, top: np.ndarray) -> np.ndarray:
     faces, and with its upper faces only where they lie on ``top``, the
     domain's upper corner (so the domain itself is closed)."""
     lo, hi = box.endpoints()
-    return np.all((lo <= x) & ((x < hi) | ((x == hi) & (hi == top))), axis=1)
+    inside = np.ones(len(x), dtype=bool)
+    for d, c in enumerate(x.T):
+        inside &= (lo[d] <= c) & ((c <= hi[d]) if hi[d] == top[d] else (c < hi[d]))
+    return inside
 
 
 def _classify(x: np.ndarray, regions: ReachAvoidRegions) -> np.ndarray:
@@ -89,43 +101,51 @@ def _rollout(
     n: int,
     horizon: int,
     keep: int,
-) -> tuple[np.ndarray, list[list[Trajectory]]]:
+) -> tuple[np.ndarray, list[list[Trajectory]], int]:
     """Advance n trajectories from each start (row of ``starts``, one
     generator each) for at most ``horizon`` steps, each stopping at its
     first goal hit, avoid hit or domain exit.
 
-    Returns the termination codes, shape (cells, n), and per cell the full
-    paths of its first ``keep`` trajectories.
+    Returns the termination codes, shape (cells, n), per cell the full
+    paths of its first ``keep`` trajectories, and the number of
+    trajectory-steps advanced.
     """
     cells, k = len(rngs), min(keep, n)
     x = np.repeat(np.asarray(starts, dtype=float), n, axis=0)
     cause = _classify(x, regions)
-    length = np.ones(len(x), dtype=int)
+    length = np.where(cause == _RUNNING, horizon + 1, 1)
     tracked = (n * np.arange(cells)[:, None] + np.arange(k)).ravel()
     history = [x[tracked]]
     tracking = bool(np.any(cause[tracked] == _RUNNING))
     u = np.empty((len(x), noise.n))
     alive = np.flatnonzero(cause == _RUNNING)
-    for _ in range(horizon):
+    x_alive = x[alive]
+    for step in range(horizon):
         if len(alive) == 0:
             break
-        for c in np.unique(alive // n).tolist():
+        for c in np.flatnonzero(np.bincount(alive // n, minlength=cells)).tolist():
             u[c * n : (c + 1) * n] = rngs[c].random((n, noise.n))
-        x_alive = eval_point(model, x[alive], noise.sample(u[alive]))
-        x[alive] = x_alive
-        cause[alive] = _classify(x_alive, regions)
-        length[alive] += 1
+        x_alive = eval_point(model, x_alive, noise.sample(u[alive]))
+        found = _classify(x_alive, regions)
+        ended = np.flatnonzero(found)
+        done = alive[ended]
+        cause[done], length[done] = found[ended], step + 2
         if tracking:
+            shown = alive % n < k
+            x[alive[shown]] = x_alive[shown]
             history.append(x[tracked])
             tracking = bool(np.any(cause[tracked] == _RUNNING))
-        alive = alive[cause[alive] == _RUNNING]
+        if len(ended):
+            running = found == _RUNNING
+            alive, x_alive = alive[running], x_alive[running]
     cause[alive] = _HORIZON
     paths = np.stack(history)
     kept = [
         Trajectory(states=paths[: length[i], j], termination=_TERMS[cause[i]])
         for j, i in enumerate(tracked.tolist())
     ]
-    return cause.reshape(cells, n), [kept[c * k : (c + 1) * k] for c in range(cells)]
+    kept_per_cell = [kept[c * k : (c + 1) * k] for c in range(cells)]
+    return cause.reshape(cells, n), kept_per_cell, int(length.sum()) - len(length)
 
 
 def simulate(
@@ -141,7 +161,7 @@ def simulate(
     per noise component."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    _, [[trajectory]] = _rollout(model, noise, regions, [x0], [rng], 1, k, keep=1)
+    _, [[trajectory]], _ = _rollout(model, noise, regions, [x0], [rng], 1, k, keep=1)
     return trajectory
 
 
@@ -199,9 +219,12 @@ def estimate_satisfaction(
     out = []
     for a in range(0, len(seeds), per_group):
         rngs = [np.random.default_rng(s) for s in seeds[a : a + per_group]]
-        cause, kept = _rollout(
+        t0 = time.perf_counter()
+        cause, kept, steps = _rollout(
             model, noise, regions, starts[a : a + per_group], rngs, n_samples, horizon, keep
         )
+        log.debug("monte carlo: %d trajectories, %d trajectory-steps in %.3f s",
+                  cause.size, steps, time.perf_counter() - t0)
         for successes, paths in zip(np.count_nonzero(cause == _GOAL, axis=1).tolist(), kept):
             ci = clopper_pearson(successes, n_samples, confidence)
             out.append((successes / n_samples, ci, paths))

@@ -181,7 +181,7 @@ class Mixture(NoiseComponent):
         ends = np.cumsum(self.weights)
         part = np.minimum(np.searchsorted(ends, u, side="right"), len(self.parts) - 1)
         out = np.empty(len(u))
-        for i in np.unique(part).tolist():
+        for i in np.flatnonzero(np.bincount(part, minlength=len(self.parts))).tolist():
             mask = part == i
             c = ends[i - 1] if i else 0.0
             out[mask] = self.parts[i].sample(np.clip((u[mask] - c) / self.weights[i], 0.0, 1.0))

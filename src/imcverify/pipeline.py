@@ -105,6 +105,17 @@ def phase_abstract(ctx: RunContext) -> Imc:
     return imc
 
 
+def _abstraction_statistics(imc: Imc) -> dict:
+    """The IMC's stored entries, their mean number per row and the mean
+    width ``upper - lower`` of their intervals."""
+    entries = len(imc.dst)
+    return {
+        "entries": entries,
+        "row_nnz_mean": entries / (len(imc.indptr) - 1),
+        "interval_width_mean": float(np.mean(imc.upper - imc.lower)),
+    }
+
+
 def load_imc(ctx: RunContext) -> Imc:
     bounds = ctx.config.output_dir / IMC_FILE
     if not bounds.exists():
@@ -255,7 +266,11 @@ def run_pipeline(
     if "abstract" in phases:
         t0 = time.perf_counter()
         imc = phase_abstract(ctx)
-        summary["phases"]["abstract"] = {"seconds": time.perf_counter() - t0}
+        summary["phases"]["abstract"] = {
+            "seconds": time.perf_counter() - t0, **_abstraction_statistics(imc)
+        }
+        log.info("abstract: %.3f s, %d entries",
+                 summary["phases"]["abstract"]["seconds"], len(imc.dst))
     if {"verify", "improve", "simulate"} & set(phases):
         summary["states"] = ctx.partition.n_states
         summary["cells"] = ctx.partition.n_cells
@@ -271,6 +286,8 @@ def run_pipeline(
             "converged": result.converged,
             "fixpoint_sweep": dict(zip(("lower", "upper"), result.fixpoints)),
         }
+        log.info("verify: %.3f s, %d sweeps, bitwise fixpoint from sweep %s (lower), %s (upper)",
+                 summary["phases"]["verify"]["seconds"], result.iterations, *result.fixpoints)
 
     if "improve" in phases and config.cluster_passes > 0:
         if imc is None:
@@ -283,6 +300,8 @@ def run_pipeline(
             "seconds": time.perf_counter() - t0,
             "passes": [{"pass": i + 1, "improved": c} for i, c in enumerate(per_pass)],
         }
+        log.info("improve: %.3f s, states changed per pass %s",
+                 summary["phases"]["improve"]["seconds"], per_pass)
 
     if "simulate" in phases and config.monte_carlo.enabled:
         if result is None:
@@ -295,6 +314,9 @@ def run_pipeline(
             "validation": records,
             "all_sound": all(r["sound"] for r in records),
         }
+        log.info("simulate: %.3f s, %d cells x %d trajectories",
+                 summary["phases"]["simulate"]["seconds"], len(records),
+                 config.monte_carlo.trajectories)
 
     if result is not None:
         counts = {"satisfies": 0, "violates": 0, "undetermined": 0}

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -379,6 +380,44 @@ class TestPipeline:
         assert 3 in unsound
         (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert f"states {unsound}" in warning.getMessage()
+
+    def test_each_phase_logs_its_seconds_and_count(self, tmp_path, caplog):
+        cfg = load_config(write_toy(tmp_path, passes=2))
+        with caplog.at_level(logging.INFO, logger="imcverify"):
+            summary = run_pipeline(cfg)
+        phases = summary["phases"]
+        abstract, verify, improve, simulate = (
+            phases[name] for name in ("abstract", "verify", "improve", "simulate")
+        )
+        fixpoints = verify["fixpoint_sweep"]
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+            f"abstract: {abstract['seconds']:.3f} s, {abstract['entries']} entries",
+            f"verify: {verify['seconds']:.3f} s, {verify['iterations']} sweeps, bitwise "
+            f"fixpoint from sweep {fixpoints['lower']} (lower), {fixpoints['upper']} (upper)",
+            f"improve: {improve['seconds']:.3f} s, states changed per pass "
+            f"{[p['improved'] for p in improve['passes']]}",
+            f"simulate: {simulate['seconds']:.3f} s, {len(simulate['validation'])} cells x "
+            f"{cfg.monte_carlo.trajectories} trajectories",
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="imcverify"):
+            run_pipeline(cfg, phases=("verify",))
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["verify"]
+
+    def test_abstraction_statistics_match_the_exported_entries(self, tmp_path):
+        path = tmp_path / "paper.yaml"
+        path.write_text(PAPER_2D)
+        cfg = load_config(path)
+        summary = run_pipeline(cfg, phases=("abstract", "verify"))
+        rows = [line.split(",") for line in (cfg.output_dir / IMC_FILE).read_text().splitlines()[1:]]
+        widths = [float(upper) - float(lower) for _, _, lower, upper in rows]
+        stats = summary["phases"]["abstract"]
+        assert stats["entries"] == len(rows)
+        # every state has a row: its unsafe column is always stored
+        assert len({src for src, *_ in rows}) == summary["states"]
+        assert stats["row_nnz_mean"] == len(rows) / summary["states"]
+        assert stats["interval_width_mean"] == pytest.approx(math.fsum(widths) / len(rows), rel=1e-12)
+        assert 0.0 < stats["interval_width_mean"] < 1.0
 
     def test_cluster_pass_counts_reported(self, tmp_path):
         cfg = load_config(write_toy(tmp_path, passes=2))

@@ -1,6 +1,9 @@
+import logging
 import os
+import re
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 from imcverify import mc
 from imcverify.config import load_config
-from imcverify.dynamics import parse_dynamics
+from imcverify.dynamics import eval_point, parse_dynamics
 from imcverify.geometry import Box
 from imcverify.imc import assign_labels
 from imcverify.mc import (
@@ -263,6 +266,25 @@ class TestEstimateSatisfaction:
         validate(range(4))
         assert set(drawn) == {12, 14}
 
+    def test_groups_log_their_trajectory_steps(self, monkeypatch, caplog):
+        model, noise, regions = mixture_walk()
+        n, horizon = 50, 40
+        starts = [[0.7], [0.0], [-0.7], [0.4]]  # in the goal, free, in the avoid box, free
+        monkeypatch.setattr(mc, "GROUP_TRAJECTORIES", 2 * n)
+        with caplog.at_level(logging.DEBUG, logger="imcverify"):
+            out = estimate_satisfaction(
+                model, noise, regions, starts, n, horizon, seeds=[1, 2, 3, 4], keep=n
+            )
+        # a path of length L took L - 1 steps
+        steps = [sum(t.length - 1 for t in kept) for _, _, kept in out]
+        assert steps[0] == steps[2] == 0 and steps[1] > 0 and steps[3] > 0
+        logged = [
+            re.fullmatch(r"monte carlo: (\d+) trajectories, (\d+) trajectory-steps in [\d.]+ s",
+                         r.getMessage()).groups()
+            for r in caplog.records
+        ]
+        assert logged == [(str(2 * n), str(steps[0] + steps[1])), (str(2 * n), str(steps[2] + steps[3]))]
+
     def test_bad_arguments_name_the_argument(self):
         model, noise, regions = mixture_walk()
         with pytest.raises(ValueError, match="horizon"):
@@ -298,6 +320,115 @@ class TestEstimateSatisfaction:
             )
             assert ci[0] <= res.p_upper[idx] + 1e-12
             assert ci[1] >= res.p_lower[idx] - 1e-12
+
+
+def walk_2d():
+    """A 2-D additive walk under mixture x truncated-Gaussian noise that can
+    reach its goal, hit its avoid box, leave the domain or run out its
+    horizon. The goal's upper face lies on the domain's top in x1 only."""
+    model = parse_dynamics(["0.95*x1 + 0.1*x2 + w1", "-0.1*x1 + 0.95*x2 + w2"], 2, "additive")
+    noise = NoiseModel((
+        Mixture((0.4, 0.6), (Uniform(-0.25, -0.05), Uniform(0.05, 0.25))),
+        TruncatedGaussian(0.0, 0.1, -0.25, 0.25),
+    ))
+    regions = ReachAvoidRegions(
+        domain=Box.from_bounds([[-1, 1], [-1, 1]]),
+        goals=(Box.from_bounds([[0.5, 1.0], [0.25, 0.75]]),),
+        avoids=(Box.from_bounds([[-0.75, -0.25], [-1.0, -0.5]]),),
+    )
+    return model, noise, regions
+
+
+def owns(box, top, x):
+    """The half-open rule, point by point: a box holds its lower faces, and
+    its upper faces only where they lie on ``top``."""
+    return all(
+        ival.lo <= c and (c < ival.hi or (c == ival.hi and ival.hi == t))
+        for c, ival, t in zip(x, box.intervals, top)
+    )
+
+
+def replay(model, noise, regions, x0, uniforms):
+    """One trajectory stepped in plain Python: step t feeds the row
+    ``uniforms[t]`` to the components' own samplers, one uniform each."""
+    top = [ival.hi for ival in regions.domain.intervals]
+
+    def termination(x):
+        if any(owns(box, top, x) for box in regions.goals):
+            return "goal-hit"
+        if any(owns(box, top, x) for box in regions.avoids):
+            return "avoid-hit"
+        return None if owns(regions.domain, top, x) else "left-domain"
+
+    states = [[float(c) for c in x0]]
+    end = termination(states[0])
+    for u in uniforms.tolist():
+        if end is not None:
+            break
+        w = [float(comp.sample(np.array([v]))[0]) for comp, v in zip(noise.components, u)]
+        states.append(eval_point(model, np.array(states[-1]), np.array(w)).tolist())
+        end = termination(states[-1])
+    return np.array(states), end or "horizon"
+
+
+class TestReplayReference:
+    """The lockstep rollout against trajectories replayed one at a time
+    without ``_rollout``, ``_classify`` or ``_inside``."""
+
+    # free, near the top corner, on the goal's upper face at the domain's
+    # top (a goal hit), on its upper face below the top (not a goal hit),
+    # in the avoid box, near the left face
+    STARTS = [[0.0, 0.0], [0.8, 0.9], [1.0, 0.5], [0.7, 0.75], [-0.5, -0.75], [-0.9, 0.1]]
+
+    @pytest.mark.parametrize("group", [mc.GROUP_TRAJECTORIES, 1])
+    def test_rollout_matches_plain_python_replay(self, monkeypatch, group):
+        model, noise, regions = walk_2d()
+        n, horizon = 40, 12
+        seeds = [(5, c) for c in range(len(self.STARTS))]
+        reference = []
+        for x0, seed in zip(self.STARTS, seeds):
+            block = np.random.default_rng(seed).random((horizon, n, noise.n))
+            reference.append([replay(model, noise, regions, x0, block[:, i]) for i in range(n)])
+        ends = [[end for _, end in cell] for cell in reference]
+        assert set().union(*ends) == {"goal-hit", "avoid-hit", "left-domain", "horizon"}
+        assert set(ends[2]) == {"goal-hit"} and set(ends[4]) == {"avoid-hit"}
+        assert all(len(states) > 1 for states, _ in reference[3])
+
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        cause, _, _ = mc._rollout(model, noise, regions, self.STARTS, rngs, n, horizon, keep=0)
+        assert cause.tolist() == [[mc._TERMS.index(end) for end in cell] for cell in ends]
+
+        monkeypatch.setattr(mc, "GROUP_TRAJECTORIES", group)
+        validations = estimate_satisfaction(
+            model, noise, regions, self.STARTS, n, horizon, seeds=seeds, keep=n
+        )
+        for cell, (est, _, kept) in zip(reference, validations):
+            assert est == sum(end == "goal-hit" for _, end in cell) / n
+            assert len(kept) == n
+            for traj, (states, end) in zip(kept, cell):
+                assert traj.termination == end
+                assert np.array_equal(traj.states, states)
+
+    def test_inside_on_every_face_and_corner(self):
+        box = Box.from_bounds([[0.0, 1.0], [-2.0, 2.0], [0.5, 3.0]])
+        top = np.array([1.0, 5.0, 3.0])  # the upper face is on the top in dimensions 0 and 2
+        values = [
+            [np.nextafter(lo, -np.inf), lo, 0.5 * (lo + hi), np.nextafter(hi, -np.inf), hi,
+             np.nextafter(hi, np.inf)]
+            for lo, hi in ((0.0, 1.0), (-2.0, 2.0), (0.5, 3.0))
+        ]
+        points = np.array(list(product(*values)))
+        expected = [owns(box, top, x) for x in points.tolist()]
+        assert mc._inside(points, box, top).tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+        # the far corner on the top in dimensions 0 and 2, and on the open
+        # upper face of dimension 1
+        assert mc._inside(np.array([[1.0, 0.0, 3.0], [1.0, 2.0, 3.0]]), box, top).tolist() == [
+            True, False
+        ]
+        nan = np.nan
+        rows = np.array([[nan, 0.0, 1.0], [0.5, nan, 1.0], [0.5, 0.0, nan], [nan, nan, nan]])
+        assert not mc._inside(rows, box, top).any()
 
 
 def corner_terminations(ctx):
