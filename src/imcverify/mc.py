@@ -15,13 +15,15 @@ a trajectory when it ends, only an ending trajectory writes its
 termination and length, and only the exported ones write their states
 back. ``_inside`` tests a label box one coordinate at a time.
 ``estimate_satisfaction`` validates many cells at once in groups of at most
-``GROUP_TRAJECTORIES``, logging each group's trajectory-steps at DEBUG;
+``GROUP_TRAJECTORIES``, logging each group's trajectory-steps at DEBUG, with
+one ``clopper_pearson`` call per group (numpy and ``math`` only, no scipy);
 ``simulate`` is a one-trajectory call.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -166,25 +168,68 @@ def simulate(
 
 
 def clopper_pearson(
-    successes: int, trials: int, confidence: float
-) -> tuple[float, float]:
-    """Two-sided exact binomial confidence interval from Beta quantiles
-    (``betaincinv`` gives ``scipy.stats.beta.ppf``'s values without importing
-    ``scipy.stats``; like ``erf``, it is imported where it is used)."""
-    from scipy.special import betaincinv
+    successes: np.ndarray | int, trials: int, confidence: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact two-sided binomial confidence intervals (Clopper & Pearson, 1934),
+    rounded outward: the arrays of lower and upper ends for an integer array
+    of ``successes`` out of ``trials`` (a scalar is a batch of one).
 
+    The ends solve P(X >= s | p) = alpha/2 and P(X <= s | p) = alpha/2, each a
+    tail P(Y >= k) of a binomial in q (q = p, k = s, or q = 1 - p, k = trials -
+    s), all at once by a safeguarded Newton iteration on logit q. Each end is
+    a float p whose tail, plus its rounding error, is at most alpha/2."""
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    alpha = 1.0 - confidence
-    if successes == 0:
-        lo = 0.0
-    else:
-        lo = float(betaincinv(successes, trials - successes + 1, alpha / 2.0))
-    if successes == trials:
-        hi = 1.0
-    else:
-        hi = float(betaincinv(successes + 1, trials - successes, 1.0 - alpha / 2.0))
-    return lo, hi
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    s = np.asarray(successes)
+    if s.dtype.kind not in "iuf" or np.any((s != np.round(s)) | (s < 0) | (s > trials)):
+        raise ValueError(f"successes must be integers in [0, {trials}], got {successes!r}")
+    n, target = int(trials), math.log((1.0 - confidence) / 2.0)
+    lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # log j!
+    lc = lg[n] - lg - lg[::-1]  # log C(n, j)
+    k = np.concatenate([s.ravel(), n - s.ravel()]).astype(np.int64)
+    sign = np.repeat([1.0, -1.0], s.size)  # p = 1 / (1 + exp(-sign * logit q))
+    t = math.sqrt(-2.0 * target)  # start: Wilson bound, z by Abramowitz & Stegun 26.2.22
+    z, x = t - (2.30753 + 0.27061 * t) / (1 + t * (0.99229 + 0.04481 * t)), np.maximum(k - 0.5, 0.5)
+    q0 = (x + z * z / 2 - z * np.sqrt(x * (n - x) / n + z * z / 4)) / (n + z * z)
+    u = np.log(q0) - np.log1p(-q0)
+    safe = np.where(sign > 0, 0.0, 1.0)  # the tail at q = 0 is 0 for k >= 1
+    below, above = np.full(len(k), -750.0), np.full(len(k), 750.0)  # logit q at p = 0 and 1
+    live = np.flatnonzero(k > 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(100):
+            if not len(live):
+                break
+            kl, ul, sl = k[live], u[live], sign[live]
+            p = 1.0 / (1.0 + np.exp(-sl * ul))
+            # log q, log(1 - q); log 0 as -746 (below any float's) only raises the tail
+            lq, lr = np.where(sl > 0, (np.log(p), np.log1p(-p)), (np.log1p(-p), np.log(p)))
+            lq, lr = np.maximum(lq, -746.0), np.maximum(lr, -746.0)
+            # sum in order (a row's sum is its own) 10 sd + 10 terms either side of the
+            # largest; by log-concavity a term outside is at most the edge on its side
+            q = np.exp(lq)
+            h = (10 * np.sqrt(n * q * (1 - q))).astype(np.int64) + 10
+            mode = np.minimum(np.floor((n + 1) * q), n).astype(np.int64)
+            first, last = np.maximum(kl, mode - h), np.minimum(np.maximum(kl, mode) + h, n)
+            j = first[:, None] + np.arange((last - first).max() + 1)
+            terms = lc[np.minimum(j, n)] + j * lq[:, None] + (n - j) * lr[:, None]
+            terms[j > last[:, None]] = -np.inf
+            top = terms.max(axis=1)
+            w, at = np.exp(terms - top[:, None]), (np.arange(len(kl)), last - first)
+            log_p = top + np.log(w.cumsum(axis=1)[at] + (first - kl) * w[:, 0] + (n - last) * w[at])
+            err = 2.0**-47 * (3 * lg[n] + last * abs(lq) + (n - first) * abs(lr) + last - first + 1)
+            ok = log_p + err <= target
+            safe[live[ok]] = p[ok]
+            below[live[ok]], above[live[~ok]] = ul[ok], ul[~ok]
+            # Newton on log P aimed below the check: d P / d logit q is one term
+            slope = np.exp(np.log(kl) + lc[kl] + kl * lq + (n - kl + 1) * lr - log_p)
+            step = (target - 2 * err - log_p) / slope
+            lo, hi = below[live], above[live]
+            u[live] = np.where((lo < ul + step) & (ul + step < hi), ul + step, 0.5 * (lo + hi))
+            done = (ok & (step <= 1e-10 * (1 + abs(ul)))) | (hi - lo <= 1e-10 * (1 + abs(lo)))
+            live = live[~done]
+    return tuple(safe.reshape(2, *s.shape))
 
 
 def estimate_satisfaction(
@@ -225,9 +270,9 @@ def estimate_satisfaction(
         )
         log.debug("monte carlo: %d trajectories, %d trajectory-steps in %.3f s",
                   cause.size, steps, time.perf_counter() - t0)
-        for successes, paths in zip(np.count_nonzero(cause == _GOAL, axis=1).tolist(), kept):
-            ci = clopper_pearson(successes, n_samples, confidence)
-            out.append((successes / n_samples, ci, paths))
+        successes = np.count_nonzero(cause == _GOAL, axis=1)
+        lower, upper = clopper_pearson(successes, n_samples, confidence)
+        out.extend(zip((successes / n_samples).tolist(), zip(lower.tolist(), upper.tolist()), kept))
     return out
 
 

@@ -1,13 +1,15 @@
 """Independent oracles used across the test suite.
 
 Everything here recomputes quantities from first principles (direct kernel
-evaluation, exhaustive enumeration, direct linear solves) and stays off the
-code paths it is checking.
+evaluation, exhaustive enumeration, direct linear solves, exact rational
+sums) and stays off the code paths it is checking.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -177,3 +179,17 @@ def empirical_kernel(model, noise: NoiseModel, x, target: Box, n: int, seed: int
     p = float(np.count_nonzero(inside)) / n
     sigma = float(np.sqrt(max(p * (1.0 - p), 1.0 / n) / n))
     return p, sigma
+
+
+def binomial_tail(n: int, s: int, p: float, upper: bool) -> Fraction:
+    """P(X >= s) (``upper``) or P(X <= s) for X ~ Binomial(n, p), exactly:
+    the float p is read as the fraction it is, a / d, and the tail is
+    sum C(n, k) a^k (d - a)^(n - k) / d^n, summed over integers by Horner's
+    rule in (d - a)."""
+    a, d = Fraction(p).as_integer_ratio()
+    ks = range(s, n + 1) if upper else range(s + 1)
+    total, power = 0, a ** ks[0]
+    for k in ks:  # total = sum of C(n, j) a^j (d - a)^(k - j) over j in ks up to k
+        total = total * (d - a) + comb(n, k) * power
+        power *= a
+    return Fraction(total * (d - a) ** (n - ks[-1]), d**n)

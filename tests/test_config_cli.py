@@ -784,6 +784,31 @@ output_dir: out
         assert not loads_scipy_special(phase("verify"))
         assert (tmp_path / "out" / RESULTS_FILE).exists()
 
+    def test_uniform_config_runs_and_simulates_without_scipy(self, tmp_path):
+        # with uniform noise nothing needs scipy: a run works with scipy
+        # blocked, and a phased simulate (Clopper-Pearson intervals
+        # included) leaves scipy.special unloaded
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        path = tmp_path / "toy.yaml"
+        path.write_text(TOY_1D.format(passes=1, mc="true", outdir=tmp_path / "out"))
+
+        def run(code):
+            code += "\nimport sys; print('scipy.special' in sys.modules)"
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            return out.stdout.split()[-1] == "True"
+
+        def phase(name):
+            return f"from imcverify.cli import main\nassert main([{name!r}, '-c', {str(path)!r}]) == 0"
+
+        assert not run("import sys; sys.modules['scipy'] = None\n" + phase("run"))
+        assert not run(phase("simulate"))
+        validation = json.loads((tmp_path / "out" / SUMMARY_FILE).read_text())["phases"]["simulate"]
+        assert len(validation["validation"]) == 4 and validation["all_sound"] is True
+
     def test_posterior_table_from_computed_posteriors(self, tmp_path, caplog):
         # the data-driven path: a table holding the computed g(q) gives the
         # same abstraction as the run that computes it

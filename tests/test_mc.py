@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from imcverify.mc import (
 )
 from imcverify.noise import Mixture, NoiseModel, TruncatedGaussian, Uniform
 from imcverify.pipeline import _regions, build_context
+from oracles import binomial_tail
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
@@ -505,16 +507,53 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             clopper_pearson(1, 2, 1.5)
 
-    def test_matches_beta_ppf_bit_for_bit(self):
+    @pytest.mark.parametrize(
+        "successes, trials, name",
+        [(5, 3, "successes"), (-1, 3, "successes"), (2.5, 3, "successes"),
+         (np.array([0, 4]), 3, "successes"), (np.nan, 3, "successes"), ("1", 3, "successes"),
+         (0, 0, "trials"), (1, 2.5, "trials"), (0, True, "trials")],
+    )
+    def test_invalid_counts_name_the_argument(self, successes, trials, name):
+        with pytest.raises(ValueError, match=name):
+            clopper_pearson(successes, trials, 0.99)
+
+    def test_contains_beta_ppf_within_1e7(self):
+        # the Beta quantiles by scipy lie inside each interval, which is
+        # rounded outward from them by at most 1e-7 relative
         from scipy.stats import beta
 
         for n in (1, 2, 3, 10, 37, 100, 1000, 2000, 10**4):
-            for s in sorted({0, 1, 2, n // 3, n // 2, n - 2, n - 1, n} & set(range(n + 1))):
-                for conf in (0.5, 0.9, 0.95, 0.99, 0.999, 0.9999):
-                    alpha = 1.0 - conf
-                    lo = 0.0 if s == 0 else float(beta.ppf(alpha / 2, s, n - s + 1))
-                    hi = 1.0 if s == n else float(beta.ppf(1 - alpha / 2, s + 1, n - s))
-                    assert clopper_pearson(s, n, conf) == (lo, hi), (s, n, conf)
+            s = np.array(sorted({0, 1, 2, n // 3, n // 2, n - 2, n - 1, n} & set(range(n + 1))))
+            for conf in (0.5, 0.9, 0.95, 0.99, 0.999, 0.9999):
+                alpha = 1.0 - conf
+                lo = np.where(s == 0, 0.0, beta.ppf(alpha / 2, s, n - s + 1))
+                hi = np.where(s == n, 1.0, beta.ppf(1 - alpha / 2, s + 1, n - s))
+                found_lo, found_hi = clopper_pearson(s, n, conf)
+                assert np.all(found_lo <= lo) and np.all(lo - found_lo <= 1e-7 * lo), (n, conf)
+                assert np.all(found_hi >= hi) and np.all(found_hi - hi <= 1e-7 * hi), (n, conf)
+
+    @pytest.mark.parametrize("conf", [0.5, 0.9, 0.95, 0.99, 0.999, 0.9999])
+    def test_exact_tails_contain_and_are_tight(self, conf):
+        # at each end the exact tail is at most alpha/2; 1e-7 relative
+        # inward from it the exact tail exceeds alpha/2
+        half = Fraction((1.0 - conf) / 2.0)
+        for n in range(1, 61):
+            lo, hi = clopper_pearson(np.arange(n + 1), n, conf)
+            for s in range(1, n + 1):
+                assert binomial_tail(n, s, float(lo[s]), upper=True) <= half, (n, s)
+                assert binomial_tail(n, s, float(lo[s]) * (1 + 1e-7), upper=True) > half, (n, s)
+            for s in range(n):
+                assert binomial_tail(n, s, float(hi[s]), upper=False) <= half, (n, s)
+                assert binomial_tail(n, s, float(hi[s]) * (1 - 1e-7), upper=False) > half, (n, s)
+            assert lo[0] == 0.0 and hi[n] == 1.0
+
+    def test_batch_matches_single_calls(self):
+        # a cell's interval must not depend on which cells share its group
+        s = np.array([[0, 7], [250, 1000]])
+        lo, hi = clopper_pearson(s, 1000, 0.95)
+        assert lo.shape == hi.shape == s.shape
+        for i, j in product(range(2), range(2)):
+            assert (lo[i, j], hi[i, j]) == clopper_pearson(int(s[i, j]), 1000, 0.95)
 
     def test_package_import_skips_scipy_stats(self):
         # scipy.stats costs most of the CLI start-up time
