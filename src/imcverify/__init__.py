@@ -22,7 +22,6 @@ from .noise import (
     Mixture,
     NoiseGrid,
     NoiseModel,
-    PartitionPair,
     TruncatedGaussian,
     Uniform,
     optimal_partition_affine,

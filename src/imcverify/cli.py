@@ -15,15 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import (
-    EvaluationError,
-    InputError,
-    InvalidModelError,
-    ParseError,
-    SoundnessError,
-    SpecificationError,
-    StructureError,
-)
+from .errors import EvaluationError, InputError, SoundnessError
 from .pipeline import run_pipeline
 
 log = logging.getLogger("imcverify")
@@ -85,15 +77,7 @@ def main(argv=None) -> int:
     except SoundnessError as exc:
         log.error("internal soundness error: %s", exc)
         return 2
-    except (
-        InputError,
-        ParseError,
-        StructureError,
-        SpecificationError,
-        InvalidModelError,
-        EvaluationError,
-        ValueError,
-    ) as exc:
+    except (EvaluationError, ValueError) as exc:  # the input errors are ValueErrors
         log.error("%s", exc)
         return 1
 

@@ -167,7 +167,7 @@ def cluster_improve(
     if posts.partition is not imc.partition:
         raise ValueError("the posteriors were computed on another partition than the IMC's")
     p_lo, p_hi = result.p_lower.copy(), result.p_upper.copy()
-    pinned = np.logical_or(*_goal_avoid_sets(imc, spec))
+    pinned = np.logical_or(*_goal_avoid_sets(imc))
     sources, box_lo, box_hi, members, holes = cluster_proposals(imc, posts, ~pinned)
     order = np.argsort(-p_lo[sources], kind="stable")  # ties by state
     level = _levels(imc, sources[order])

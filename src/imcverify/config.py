@@ -14,7 +14,9 @@ import yaml
 from .dynamics import GENERAL, STRUCTURES, DynamicsModel, parse_dynamics
 from .errors import InputError, ParseError, StructureError
 from .geometry import Box
+from .imc import AVOID_LABELS, GOAL_LABEL
 from .noise import Mixture, NoiseComponent, NoiseModel, TruncatedGaussian, Uniform
+from .verify import DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_ITERATIONS, DEFAULT_THRESHOLD
 
 
 @dataclass
@@ -35,10 +37,10 @@ class RunConfig:
     model: DynamicsModel
     noise: NoiseModel
     labels: dict[str, tuple[Box, ...]]
-    threshold: float = 0.9
+    threshold: float = DEFAULT_THRESHOLD
     horizon: Optional[int] = None
-    convergence_tol: float = 1e-6
-    max_iterations: int = 10**5
+    convergence_tol: float = DEFAULT_CONVERGENCE_TOL
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
     noise_grid: Optional[tuple[int, ...]] = None
     cluster_passes: int = 0
     monte_carlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
@@ -63,10 +65,9 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _integer(raw: dict, key: str, default: int, path: str, minimum: int) -> int:
-    value = raw.get(key, default)
+def _integer(value: Any, path: str, minimum: int) -> int:
     if not _is_int(value) or value < minimum:
-        _fail(f"{path}.{key}", f"must be an integer >= {minimum}, got {value!r}")
+        _fail(path, f"must be an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -237,41 +238,44 @@ def load_config(path) -> RunConfig:
             if not domain.contains(b):
                 _fail(f"labels.{name}[{i}]", "box is not inside the domain")
         labels[str(name)] = boxes
-    if "goal" not in labels:
-        _fail("labels.goal", "a goal label with at least one box is required")
+    if GOAL_LABEL not in labels:
+        _fail(f"labels.{GOAL_LABEL}", "a goal label with at least one box is required")
+    # a goal box may share a face with an avoid box, but no interior point
+    avoid = [(f"labels.{m}[{j}]", b) for m in AVOID_LABELS for j, b in enumerate(labels.get(m, ()))]
+    for i, goal in enumerate(labels[GOAL_LABEL]):
+        for where, box in avoid:
+            if all(a.lo < b.hi and b.lo < a.hi for a, b in zip(goal.intervals, box.intervals)):
+                _fail(f"labels.{GOAL_LABEL}[{i}]", f"overlaps {where}; they may share only a face")
 
     spec_raw = raw.get("spec", {})
     _known_keys(spec_raw, _SPEC_FIELDS, "spec")
-    threshold = spec_raw.get("threshold", 0.9)
+    threshold = spec_raw.get("threshold", RunConfig.threshold)
     if not isinstance(threshold, (int, float)) or not 0.0 < threshold < 1.0:
         _fail("spec.threshold", f"must be in (0, 1), got {threshold!r}")
-    horizon = spec_raw.get("horizon", "unbounded")
+    horizon = spec_raw.get("horizon", RunConfig.horizon)
     if horizon in ("unbounded", None):
         horizon = None
     elif not _is_int(horizon) or horizon < 0:
         _fail("spec.horizon", f"must be 'unbounded' or an integer >= 0, got {horizon!r}")
     convergence_tol = _number(
-        spec_raw.get("convergence_tolerance", 1e-6), "spec.convergence_tolerance"
+        spec_raw.get("convergence_tolerance", RunConfig.convergence_tol),
+        "spec.convergence_tolerance",
     )
     if not 0.0 < convergence_tol < math.inf:
         _fail("spec.convergence_tolerance", f"must be finite and positive, got {convergence_tol!r}")
-    max_iterations = _integer(spec_raw, "max_iterations", 10**5, "spec", 1)
+    max_iterations = _integer(
+        spec_raw.get("max_iterations", RunConfig.max_iterations), "spec.max_iterations", 1
+    )
 
     cluster_raw = raw.get("cluster", {})
     _known_keys(cluster_raw, ("passes",), "cluster")
-    passes = _integer(cluster_raw, "passes", 0, "cluster", 0)
+    passes = _integer(cluster_raw.get("passes", RunConfig.cluster_passes), "cluster.passes", 0)
 
     mc_raw = raw.get("monte_carlo", {})
     _known_keys(mc_raw, tuple(f.name for f in fields(MonteCarloConfig)), "monte_carlo")
-    mc = MonteCarloConfig(
-        trajectories=_integer(mc_raw, "trajectories", 1000, "monte_carlo", 1),
-        seed=_integer(mc_raw, "seed", 0, "monte_carlo", 0),
-        confidence=mc_raw.get("confidence", 0.99),
-        horizon=_integer(mc_raw, "horizon", 200, "monte_carlo", 1),
-        cells=mc_raw.get("cells", "stride"),
-        export_trajectories=_integer(mc_raw, "export_trajectories", 20, "monte_carlo", 0),
-        enabled=mc_raw.get("enabled", True),
-    )
+    mc = MonteCarloConfig(**mc_raw)  # a field the file leaves out keeps its default
+    for key, least in ("trajectories", 1), ("seed", 0), ("horizon", 1), ("export_trajectories", 0):
+        _integer(getattr(mc, key), f"monte_carlo.{key}", least)
     if not isinstance(mc.confidence, float) or not 0.0 < mc.confidence < 1.0:
         _fail("monte_carlo.confidence", "must be in (0, 1)")
     if isinstance(mc.cells, list):
@@ -292,7 +296,7 @@ def load_config(path) -> RunConfig:
     if posterior_table is not None and structure == GENERAL:
         _fail("posterior_table", "requires an additive or multiplicative dynamics.structure")
 
-    output_dir = _path(raw.get("output_dir", "out"), "output_dir")
+    output_dir = _path(raw.get("output_dir", str(RunConfig.output_dir)), "output_dir")
     if not output_dir.is_absolute():
         output_dir = path.parent / output_dir
 

@@ -4,8 +4,10 @@ hard row-validity checks.
 
 An ``Imc`` holds CSR arrays: the row of state ``i`` is ``dst``, ``lower``
 and ``upper`` over ``indptr[i]:indptr[i + 1]``. These arrays are its only
-representation: an IMC built by hand is ``Imc(partition, indptr, dst,
-lower, upper, labels)``.
+representation, and its labels are one boolean mask over the states per
+label name: an IMC built by hand is ``Imc(partition, indptr, dst, lower,
+upper, labels)``. A reach-avoid property reads the ``GOAL_LABEL`` and
+``AVOID_LABELS`` masks.
 
 ``RowLayout`` owns the padded row layout of a CSR block: it alone builds
 the width-class blocks and reads padded slots, and it offers the
@@ -31,7 +33,6 @@ General systems sum the cell masses of a uniform ``NoiseGrid``.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -57,6 +58,9 @@ from .noise import (
 )
 
 UNSAFE_LABEL = "unsafe"
+# the labels a reach-avoid property reaches and avoids
+GOAL_LABEL = "goal"
+AVOID_LABELS = ("obstacle", UNSAFE_LABEL)
 
 _ROW_TOL = 1e-9
 _ALIGN_TOL = 1e-9
@@ -87,7 +91,8 @@ class Imc:
 
     The last state (index ``partition.unsafe_index``) is the absorbing
     unsafe state. Rows are sorted by target index; pairs with upper bound 0
-    are omitted except for the always-present unsafe column.
+    are omitted except for the always-present unsafe column. ``labels``
+    maps each label name to a boolean mask over the states.
     """
 
     partition: StatePartition
@@ -95,7 +100,7 @@ class Imc:
     dst: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    labels: tuple[frozenset[str], ...]
+    labels: dict[str, np.ndarray]
 
     @property
     def n_states(self) -> int:
@@ -222,14 +227,6 @@ class PosteriorTable:
 # --- bound kernel -------------------------------------------------------------
 
 
-class _Span(NamedTuple):
-    """Endpoints of one interval per pair as arrays; the cut-point formulas
-    read its ``lo``/``hi`` like an ``Interval``'s."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-
 def _clamped(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lower = np.minimum(np.maximum(lower, 0.0), 1.0)
     upper = np.minimum(np.maximum(upper, 0.0), 1.0)
@@ -264,9 +261,9 @@ def pair_bounds(
     lower = upper = np.ones(len(src))
     c, d = posts.lo[src], posts.hi[src]
     for i, comp in enumerate(posts.noise.components):
-        cuts = cut_points(_Span(c[:, i], d[:, i]), _Span(t_lo[:, i], t_hi[:, i]))
-        upper = upper * comp.interval_probability(cuts.eps1, cuts.eps2)
-        lower = lower * comp.interval_probability(cuts.eps3, cuts.eps4)
+        eps1, eps2, eps3, eps4 = cut_points(c[:, i], d[:, i], t_lo[:, i], t_hi[:, i])
+        upper = upper * comp.interval_probability(eps1, eps2)
+        lower = lower * comp.interval_probability(eps3, eps4)
     return _clamped(lower, upper)
 
 
@@ -342,12 +339,10 @@ def cell_posteriors(
 # --- label handling -----------------------------------------------------------
 
 
-def _aligned_spans(
-    partition: StatePartition, box: Box, name: str
-) -> list[range]:
-    """Per dimension, the range of grid cells the box covers. Each endpoint
+def _aligned_spans(partition: StatePartition, box: Box, name: str) -> list[slice]:
+    """Per dimension, the slice of grid cells the box covers. Each endpoint
     must lie on a grid line (up to rounding); the edge it matches bounds the
-    range, so edges such as ``-0.19999999999999996`` do not spill a label
+    slice, so edges such as ``-0.19999999999999996`` do not spill a label
     into the neighbouring cells."""
     spans = []
     for d in range(box.dim):
@@ -355,7 +350,7 @@ def _aligned_spans(
         scale = max(1.0, abs(edges[-1] - edges[0]))
         matched = []
         for endpoint in (box.component(d).lo, box.component(d).hi):
-            i = min(range(len(edges)), key=lambda j: abs(endpoint - edges[j]))
+            i = int(np.argmin(np.abs(edges - endpoint)))
             if abs(endpoint - edges[i]) > _ALIGN_TOL * scale:
                 raise InputError(
                     f"label {name!r}: endpoint {endpoint} in dimension {d} does "
@@ -364,7 +359,7 @@ def _aligned_spans(
             matched.append(i)
         if matched[0] == matched[1]:
             raise InputError(f"label {name!r}: box is narrower than a grid cell in dimension {d}")
-        spans.append(range(*matched))
+        spans.append(slice(*matched))
     return spans
 
 
@@ -376,25 +371,27 @@ def grid_box(partition: StatePartition, box: Box, name: str) -> Box:
 
 def assign_labels(
     partition: StatePartition, label_boxes: Mapping[str, Sequence[Box]]
-) -> tuple[frozenset[str], ...]:
-    """Map label boxes onto grid cells; misaligned boxes are an error.
+) -> dict[str, np.ndarray]:
+    """Map label boxes onto grid cells: one boolean mask over the states per
+    label, the reserved unsafe label included. Misaligned boxes are an error.
 
     A cell carries a label exactly when its interior intersects the label
-    box. The unsafe state always carries the reserved unsafe label.
+    box. The unsafe state carries only the unsafe label.
     """
-    labels: list[set[str]] = [set() for _ in range(partition.n_states)]
+    labels = {}
     for name, boxes in label_boxes.items():
         if name == UNSAFE_LABEL:
             raise InputError(f"label name {UNSAFE_LABEL!r} is reserved")
+        cells = np.zeros(partition.resolution, dtype=bool)
         for box in boxes:
             if box.dim != partition.domain.dim:
                 raise InputError(f"label {name!r}: box dimension mismatch")
             if not partition.domain.contains(box):
                 raise InputError(f"label {name!r}: box {box} leaves the domain")
-            for multi in itertools.product(*_aligned_spans(partition, box, name)):
-                labels[partition.flat_index(multi)].add(name)
-    labels[partition.unsafe_index].add(UNSAFE_LABEL)
-    return tuple(frozenset(s) for s in labels)
+            cells[tuple(_aligned_spans(partition, box, name))] = True
+        labels[name] = np.append(cells, False)  # the cells row-major, then the unsafe state
+    labels[UNSAFE_LABEL] = np.arange(partition.n_states) == partition.unsafe_index
+    return labels
 
 
 # --- full build ----------------------------------------------------------------
@@ -542,14 +539,15 @@ def write_imc(imc: Imc, bounds_path, labels_path) -> None:
             src = np.searchsorted(imc.indptr, np.arange(a, b), side="right") - 1
             block = (x.tolist() for x in (src, imc.dst[a:b], imc.lower[a:b], imc.upper[a:b]))
             fh.writelines(f"{s},{d},{lo!r},{up!r}\n" for s, d, lo, up in zip(*block))
+    names = sorted(imc.labels)
+    # the (state, label) pairs of the (states, labels) mask, state-major
+    state, label = np.nonzero(np.stack([imc.labels[name] for name in names], axis=1))
     with open(labels_path, "w", encoding="utf-8") as fh:
         fh.write("state,label\n")
-        for i, labs in enumerate(imc.labels):
-            for name in sorted(labs):
-                fh.write(f"{i},{name}\n")
+        fh.writelines(f"{i},{names[k]}\n" for i, k in zip(state.tolist(), label.tolist()))
 
 
-def read_imc(bounds_path, partition: StatePartition, labels: Sequence[frozenset[str]]) -> Imc:
+def read_imc(bounds_path, partition: StatePartition, labels: Mapping[str, np.ndarray]) -> Imc:
     """Load exported bounds, whose rows may come in any order, as an IMC with
     the given labels, which the bounds do not depend on. A malformed line, an
     out-of-range state, an invalid bound or a repeated (from, to) pair is an
@@ -567,7 +565,7 @@ def read_imc(bounds_path, partition: StatePartition, labels: Sequence[frozenset[
     )
     src, dst, lo, hi = (x[order] for x in (src, dst, lo, hi))
     indptr = np.searchsorted(src, np.arange(n + 1))
-    return Imc(partition, indptr, dst, lo, hi, tuple(labels))
+    return Imc(partition, indptr, dst, lo, hi, dict(labels))
 
 
 def write_posterior_table(table: PosteriorTable, path) -> None:

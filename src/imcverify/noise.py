@@ -1,6 +1,7 @@
 """Noise distributions with exact CDFs, the uniform noise grid, and the
 optimal per-component partition cut points for affine and multiplicative
-structures.
+structures: each maps the endpoints of posteriors and targets, scalars or
+arrays, to the four cut points (eps1, eps2, eps3, eps4).
 
 CDF evaluation is analytic (error function for truncated Gaussians, weighted
 sums for mixtures) so that cell probabilities carry distribution-dependent
@@ -234,73 +235,36 @@ class NoiseGrid:
 # --- optimal structured partitions -------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionPair:
-    """Cut points for one noise component.
+def optimal_partition_affine(c, d, a, b):
+    """Optimal cut points (eps1, eps2, eps3, eps4) for one component of an
+    additive-noise system, from the noise-free posterior [c, d] and the
+    target [a, b] (scalars, or arrays with one pair per element).
 
     The upper-bound partition is {(-inf, eps1], [eps1, eps2], [eps2, inf)}
-    and the lower-bound one uses eps3/eps4. Only the middle cells carry the
-    bound; ``lower_empty`` marks the degenerate case where no noise value
-    keeps the whole posterior inside the target. Given endpoint arrays (one
-    posterior and one target interval per pair), the cut point functions
-    return arrays in every field.
+    and the lower-bound one uses eps3/eps4; only the middle cells carry the
+    bound. The posterior shifted by w intersects the target exactly for
+    w in [a - d, b - c] and is contained in it exactly for w in
+    [a - c, b - d]. The case split over relative geometries collapses to
+    these two intervals; the containment interval is empty (eps3 > eps4)
+    when the posterior is wider than the target.
     """
-
-    eps1: float
-    eps2: float
-    eps3: float
-    eps4: float
-    lower_empty: bool
-
-    def upper_cells(self) -> list[Interval]:
-        return _three_cells(self.eps1, self.eps2)
-
-    def lower_cells(self) -> list[Interval]:
-        if self.lower_empty:
-            return [Interval(-math.inf, math.inf)]
-        return _three_cells(self.eps3, self.eps4)
+    return a - d, b - c, a - c, b - d
 
 
-def _three_cells(a, b) -> list[Interval]:
-    return [Interval(-math.inf, a), Interval(a, b), Interval(b, math.inf)]
+def optimal_partition_multiplicative(c, d, a, b):
+    """Optimal cut points for positive multiplicative noise, in the order of
+    ``optimal_partition_affine``.
 
-
-def optimal_partition_affine(postf: Interval, target: Interval) -> PartitionPair:
-    """Optimal cut points for one component of an additive-noise system.
-
-    With target vertices [A, B] and noise-free posterior vertices [C, D],
-    the posterior shifted by w intersects the target exactly for
-    w in [A - D, B - C] and is contained in it exactly for w in
-    [A - C, B - D]. The case split over relative geometries collapses to
-    these two intervals, with the containment interval empty when the
-    posterior is wider than the target.
+    Requires strictly positive vertices; the scaled posterior [c w, d w]
+    meets the target [a, b] for w in [a/d, b/c] and sits inside it for
+    w in [a/c, b/d].
     """
-    a, b = target.lo, target.hi
-    c, d = postf.lo, postf.hi
-    eps1, eps2 = a - d, b - c
-    eps3, eps4 = a - c, b - d
-    return PartitionPair(eps1, eps2, eps3, eps4, lower_empty=eps3 > eps4)
-
-
-def optimal_partition_multiplicative(
-    postf: Interval, target: Interval
-) -> PartitionPair:
-    """Optimal cut points for positive multiplicative noise.
-
-    Requires strictly positive vertices; the scaled posterior [C w, D w]
-    meets target [A, B] for w in [A/D, B/C] and sits inside it for
-    w in [A/C, B/D].
-    """
-    a, b = target.lo, target.hi
-    c, d = postf.lo, postf.hi
     if min(np.min(a), np.min(b), np.min(c), np.min(d)) <= 0.0:
         raise ValueError(
             f"multiplicative partition requires positive vertices, got "
             f"target [{a}, {b}], posterior [{c}, {d}]"
         )
-    eps1, eps2 = a / d, b / c
-    eps3, eps4 = a / c, b / d
-    return PartitionPair(eps1, eps2, eps3, eps4, lower_empty=eps3 > eps4)
+    return a / d, b / c, a / c, b / d
 
 
 def uniform_noise_grid(noise: NoiseModel, resolution: Sequence[int]) -> NoiseGrid:

@@ -31,6 +31,8 @@ from .dynamics import GENERAL
 from .errors import InputError
 from .geometry import StatePartition, partition_domain
 from .imc import (
+    AVOID_LABELS,
+    GOAL_LABEL,
     CellPosteriors,
     Imc,
     assign_labels,
@@ -188,10 +190,11 @@ def _selected_cells(ctx: RunContext) -> list[int]:
 def _regions(ctx: RunContext) -> ReachAvoidRegions:
     """The goal and obstacle boxes on the grid edges their endpoints match,
     so that Monte Carlo and the cell labels agree on every face."""
-    def boxes(name):
-        return tuple(grid_box(ctx.partition, box, name) for box in ctx.config.labels.get(name, ()))
+    def boxes(*names):
+        labels = ctx.config.labels
+        return tuple(grid_box(ctx.partition, b, n) for n in names for b in labels.get(n, ()))
 
-    return ReachAvoidRegions(ctx.config.domain, goals=boxes("goal"), avoids=boxes("obstacle"))
+    return ReachAvoidRegions(ctx.config.domain, boxes(GOAL_LABEL), boxes(*AVOID_LABELS))
 
 
 def phase_simulate(ctx: RunContext, result: VerificationResult) -> list[dict]:

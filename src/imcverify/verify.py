@@ -4,7 +4,8 @@ Satisfaction bounds follow the standard interval dynamic program: the lower
 bound iterates the minimizing adversary and the upper bound the maximizing
 one, both starting from the goal indicator. Goal states stay pinned at 1 and
 avoid states (obstacles and the unsafe state) at 0, which collapses the
-reach-avoid product onto the labels.
+reach-avoid product onto the labels: the IMC's ``GOAL_LABEL`` mask and the
+union of its ``AVOID_LABELS`` masks.
 
 The extreme one-step expectation over all adversaries is attained by the
 ordering construction (Givan, Leach & Dean, 2000): sort successors by value,
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import InputError, InvalidModelError, SpecificationError
 from .geometry import StatePartition
-from .imc import _ROW_TOL, Imc, RowLayout, UNSAFE_LABEL, _read_columns
+from .imc import _ROW_TOL, AVOID_LABELS, GOAL_LABEL, Imc, RowLayout, _read_columns
 from .imc import _reject_first, _repeats
 
 log = logging.getLogger("imcverify")
@@ -53,8 +54,6 @@ class ReachAvoidSpec:
     ``horizon`` is a step count, or None for the unbounded horizon.
     """
 
-    goal_label: str = "goal"
-    avoid_labels: frozenset[str] = frozenset({"obstacle", UNSAFE_LABEL})
     horizon: Optional[int] = None
     threshold: float = DEFAULT_THRESHOLD
 
@@ -63,7 +62,6 @@ class ReachAvoidSpec:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.horizon is not None and self.horizon < 0:
             raise ValueError(f"finite horizon must be >= 0, got {self.horizon}")
-        object.__setattr__(self, "avoid_labels", frozenset(self.avoid_labels))
 
 
 @dataclass(frozen=True)
@@ -107,15 +105,11 @@ def _extreme_expectations(layout: RowLayout, dst, lower, gap, lo_values, hi_valu
             _extreme_expectation(layout, dst, lower, gap, hi_values, -1.0, keys))
 
 
-def _goal_avoid_sets(imc: Imc, spec: ReachAvoidSpec) -> tuple[np.ndarray, np.ndarray]:
-    n = imc.n_states
-    goal = np.zeros(n, dtype=bool)
-    avoid = np.zeros(n, dtype=bool)
-    for i, labs in enumerate(imc.labels):
-        if spec.goal_label in labs:
-            goal[i] = True
-        if labs & spec.avoid_labels:
-            avoid[i] = True
+def _goal_avoid_sets(imc: Imc) -> tuple[np.ndarray, np.ndarray]:
+    """The state masks of the goal label and of any avoid label."""
+    none = np.zeros(imc.n_states, dtype=bool)
+    goal = imc.labels.get(GOAL_LABEL, none)
+    avoid = np.logical_or.reduce([imc.labels.get(name, none) for name in AVOID_LABELS])
     overlap = goal & avoid
     if overlap.any():
         raise SpecificationError(
@@ -140,7 +134,7 @@ def robust_value_iteration(
     reports which happened. A bound is final once a sweep returns its bits;
     ``iterations`` counts every sweep the result stands for.
     """
-    goal, avoid = _goal_avoid_sets(imc, spec)
+    goal, avoid = _goal_avoid_sets(imc)
     pinned = goal | avoid
 
     bounds, fixpoints = [goal.astype(float), goal.astype(float)], [None, None]  # lower, upper

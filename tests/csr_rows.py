@@ -1,4 +1,5 @@
-"""Hand-written IMC rows as CSR arrays, and the adversary on one such row."""
+"""Hand-written IMC rows as CSR arrays and label masks, and the adversary on
+one such row."""
 
 import numpy as np
 
@@ -13,6 +14,17 @@ def csr(rows):
     dtypes = (np.int64, float, float)
     columns = (np.array([e[k] for e in entries], dtype=t) for k, t in enumerate(dtypes))
     return (np.cumsum([0] + [len(row) for row in rows]), *columns)
+
+
+def label_masks(n_cells, goal=(), obstacle=()):
+    """The label masks of an IMC over ``n_cells`` cells and the unsafe state:
+    ``goal`` and ``obstacle`` list the cells that carry those labels."""
+    states = np.arange(n_cells + 1)
+    return {
+        "goal": np.isin(states, goal),
+        "obstacle": np.isin(states, obstacle),
+        "unsafe": states == n_cells,
+    }
 
 
 def extremes(values, row):

@@ -9,7 +9,7 @@ import imcverify.cluster as cluster_module
 from imcverify.cluster import _largest_block, _levels, cluster_improve, cluster_proposals
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box, partition_domain
-from imcverify.imc import build_imc, cell_posteriors, pair_bounds
+from imcverify.imc import AVOID_LABELS, GOAL_LABEL, build_imc, cell_posteriors, pair_bounds
 from imcverify.noise import Mixture, NoiseModel, Uniform
 from imcverify.verify import (
     ReachAvoidSpec,
@@ -254,17 +254,18 @@ class TestClusterImprove:
             assert out.p_upper[idx] >= ci[0] - 1e-12
 
 
-def one_row_at_a_time(imc, model, noise, result, spec):
+def one_row_at_a_time(imc, model, noise, result):
     """Reference pass: each clustered row on its own, in descending p_lower
     order, through the adversary kernel on that one row. The cluster takes the place of
     its first member, valued at the weakest member value. Returns the bounds
     and the number of rows that read a state improved earlier in the pass."""
     posts = cell_posteriors(imc.partition, model, noise)
     p_lo, p_hi = result.p_lower.copy(), result.p_upper.copy()
-    labels = [imc.labels[i] for i in range(imc.partition.n_cells)]
+    names = [name for name in (GOAL_LABEL, *AVOID_LABELS) if name in imc.labels]
+    pinned = np.logical_or.reduce([imc.labels[name] for name in names])
     improved, chained = set(), 0
     for q in sorted(range(imc.partition.n_cells), key=lambda i: (-p_lo[i], i)):
-        if labels[q] & ({spec.goal_label} | spec.avoid_labels):
+        if pinned[q]:
             continue
         prop = select_cluster_reference(q, imc, posts)
         if prop is None:
@@ -307,7 +308,7 @@ def test_pass_matches_one_row_at_a_time():
     p_lower[imc.unsafe_index] = p_upper[imc.unsafe_index] = 0.0
     res = planted_result(p_lower, p_upper)
     out = cluster_improve(imc, posts, res, ReachAvoidSpec())
-    ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res, ReachAvoidSpec())
+    ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res)
     assert chained > 10
     assert np.array_equal(out.p_lower, ref_lo)
     assert np.array_equal(out.p_upper, ref_hi)
@@ -331,7 +332,7 @@ def test_levels_keep_reads_before_and_after_writes(caplog):
     res = planted_result(p_lower, p_upper)
     with caplog.at_level("DEBUG", logger="imcverify"):
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
-    ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res, ReachAvoidSpec())
+    ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res)
     assert np.array_equal(out.p_lower, ref_lo)
     assert np.array_equal(out.p_upper, ref_hi)
 
@@ -391,7 +392,7 @@ def test_holes_fallback_through_the_pass(caplog):
     noise = NoiseModel((gap, Uniform(-0.35, 0.35)))
     posts = cell_posteriors(part, model, noise)
     imc = build_imc(posts, {"goal": [Box.from_bounds([[0, 0.25], [0, 1]])]})
-    sources = [q for q in range(part.n_cells) if "goal" not in imc.labels[q]]
+    sources = np.flatnonzero(~imc.labels["goal"][:-1]).tolist()
     allowed = np.zeros(imc.n_states, dtype=bool)
     allowed[sources] = True
     holes = cluster_proposals(imc, posts, allowed)[-1]
@@ -408,7 +409,7 @@ def test_holes_fallback_through_the_pass(caplog):
     with caplog.at_level("DEBUG", logger="imcverify"):
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
     assert f"{holes} reached the holes fallback" in caplog.text
-    ref_lo, ref_hi, _ = one_row_at_a_time(imc, model, noise, res, ReachAvoidSpec())
+    ref_lo, ref_hi, _ = one_row_at_a_time(imc, model, noise, res)
     assert np.any(out.p_lower != res.p_lower)
     assert np.array_equal(out.p_lower, ref_lo)
     assert np.array_equal(out.p_upper, ref_hi)

@@ -13,7 +13,7 @@ import pytest
 
 from imcverify import cli
 from imcverify.cli import main
-from imcverify.config import load_config
+from imcverify.config import MonteCarloConfig, RunConfig, load_config
 from imcverify.dynamics import enclosure
 from imcverify.errors import InputError
 from imcverify.geometry import partition_domain
@@ -28,6 +28,7 @@ from imcverify.pipeline import (
     TRAJECTORIES_FILE,
     run_pipeline,
 )
+from imcverify.verify import DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_ITERATIONS, DEFAULT_THRESHOLD
 
 TOY_1D = """\
 domain: [[0.0, 1.0]]
@@ -143,6 +144,53 @@ class TestLoadConfig:
         assert cfg.model.structure == "additive"
         assert cfg.horizon is None
         assert cfg.threshold == 0.9
+
+    def test_minimal_config_loads_the_field_defaults(self, tmp_path):
+        path = tmp_path / "minimal.yaml"
+        path.write_text(
+            "domain: [[0.0, 1.0]]\ngrid: [4]\n"
+            "dynamics: {expressions: [x1 + w1], structure: additive}\n"
+            "noise: {components: [{type: uniform, lo: -0.25, hi: 0.25}]}\n"
+            "labels: {goal: [[[0.75, 1.0]]]}\n"
+        )
+        cfg = load_config(path)
+        for f in dataclasses.fields(RunConfig):
+            if f.default is not dataclasses.MISSING and f.name not in ("output_dir", "source"):
+                assert getattr(cfg, f.name) == f.default, f.name
+        assert cfg.monte_carlo == MonteCarloConfig()
+        assert cfg.output_dir == tmp_path / RunConfig.output_dir
+        assert (cfg.threshold, cfg.convergence_tol, cfg.max_iterations) == (
+            DEFAULT_THRESHOLD, DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_ITERATIONS
+        )
+
+    OVERLAP_2D = """\
+domain: [[-1.0, 1.0], [-1.0, 1.0]]
+grid: [10, 10]
+dynamics: {{expressions: [x1 + w1, x2 + w2], structure: additive}}
+noise: {{components: [{{type: uniform, lo: -0.1, hi: 0.1}}, {{type: uniform, lo: -0.1, hi: 0.1}}]}}
+labels:
+  goal: [[[-0.2, 0.2], [-0.2, 0.2]]]
+  obstacle: [[[-1.0, -0.6], [-1.0, -0.6]], {obstacle}]
+monte_carlo: {{enabled: false}}
+"""
+
+    def test_goal_overlapping_an_obstacle_rejected(self, tmp_path, caplog):
+        # a state in both would be pinned at 1 and at 0: the config names
+        # both boxes before any phase runs
+        path = tmp_path / "overlap.yaml"
+        path.write_text(self.OVERLAP_2D.format(obstacle="[[0.0, 0.6], [0.0, 0.6]]"))
+        message = "labels.goal[0]: overlaps labels.obstacle[1]"
+        with pytest.raises(InputError, match=re.escape(message)):
+            load_config(path)
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["abstract", "-c", str(path)]) == 1
+        assert not (tmp_path / "out" / IMC_FILE).exists()
+
+    def test_goal_sharing_a_face_with_an_obstacle_loads(self, tmp_path):
+        path = tmp_path / "face.yaml"
+        path.write_text(self.OVERLAP_2D.format(obstacle="[[0.2, 0.6], [-0.2, 0.2]]"))
+        assert load_config(path).labels["obstacle"][1].component(0).lo == 0.2
+        assert main(["run", "-c", str(path)]) == 0
 
     def test_null_posterior_table_is_no_table(self, tmp_path):
         path = write_toy(tmp_path)
@@ -741,12 +789,13 @@ output_dir: out
 
     def test_public_api(self):
         # one array API: bounds are pair_bounds over CellPosteriors, boxes go
-        # through enclosure, and no one-box or per-entry wrapper is exported
+        # through enclosure, cut points are arrays, and no one-box or
+        # per-entry wrapper is exported
         import imcverify
 
         assert imcverify.__all__ == [
             "Box", "DynamicsModel", "Imc", "Interval", "Mixture", "NoiseGrid", "NoiseModel",
-            "PartitionPair", "PosteriorTable", "ReachAvoidRegions", "ReachAvoidSpec",
+            "PosteriorTable", "ReachAvoidRegions", "ReachAvoidSpec",
             "RunConfig", "StatePartition", "Trajectory", "TruncatedGaussian", "Uniform",
             "VerificationResult", "build_imc", "cell_posteriors", "cluster_improve",
             "enclosure", "estimate_satisfaction", "eval_point", "load_config",

@@ -243,17 +243,17 @@ class TestBuildImc:
                 "obstacle": [Box.from_bounds([[0.0, 0.25]])],
             },
         )
-        assert imc.labels[0] == frozenset({"obstacle"})
-        assert imc.labels[1] == frozenset()
-        assert imc.labels[3] == frozenset({"goal"})
-        assert imc.labels[4] == frozenset({"unsafe"})
+        assert list(imc.labels) == ["goal", "obstacle", "unsafe"]
+        assert imc.labels["obstacle"].tolist() == [True, False, False, False, False]
+        assert imc.labels["goal"].tolist() == [False, False, False, True, False]
+        assert imc.labels["unsafe"].tolist() == [False, False, False, False, True]
 
     def test_label_on_rounded_grid_edges(self):
         # linspace gives the edge -0.19999999999999996 for -0.2; the label
         # must cover exactly the 2x2 cells the box spans, not their neighbours
         part = partition_domain(Box.from_bounds([[-1, 1], [-1, 1]]), (10, 10))
         labels = assign_labels(part, {"goal": [Box.from_bounds([[-0.2, 0.2], [-0.2, 0.2]])]})
-        goal = [i for i, labs in enumerate(labels) if "goal" in labs]
+        goal = np.flatnonzero(labels["goal"]).tolist()
         assert goal == [part.flat_index(m) for m in ((4, 4), (4, 5), (5, 4), (5, 5))]
 
     def test_label_narrower_than_alignment_tolerance_rejected(self):
@@ -332,12 +332,13 @@ def scalar_bounds(model, noise, cells, q, target):
         )
         lower = upper = 1.0
         for i, comp in enumerate(noise.components):
-            cuts = cut_points(postf.component(i), target.component(i))
-            upper *= comp.interval_probability(cuts.eps1, cuts.eps2)
-            if cuts.lower_empty:
+            p, t = postf.component(i), target.component(i)
+            eps1, eps2, eps3, eps4 = cut_points(p.lo, p.hi, t.lo, t.hi)
+            upper *= comp.interval_probability(eps1, eps2)
+            if eps3 > eps4:
                 lower = 0.0
             else:
-                lower *= comp.interval_probability(cuts.eps3, cuts.eps4)
+                lower *= comp.interval_probability(eps3, eps4)
     lower = min(max(lower, 0.0), 1.0)
     upper = min(max(upper, 0.0), 1.0)
     return min(lower, upper), upper
@@ -445,7 +446,9 @@ class TestCandidatePruning:
         blocked = build_imc(cell_posteriors(part, model, noise, noise_cells=cells), labels)
         for name in ("indptr", "dst", "lower", "upper"):
             assert np.array_equal(getattr(blocked, name), getattr(default, name)), name
-        assert blocked.labels == default.labels
+        assert blocked.labels.keys() == default.labels.keys()
+        for name, mask in default.labels.items():
+            assert np.array_equal(blocked.labels[name], mask), name
 
     @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
     def test_pair_kernel_on_off_grid_boxes(self, case):
@@ -581,7 +584,26 @@ class TestExports:
         loaded = read_imc(b1, part, assign_labels(part, boxes))
         for name in ("indptr", "dst", "lower", "upper"):
             assert np.array_equal(getattr(loaded, name), getattr(imc, name)), name
-        assert loaded.labels == imc.labels
+        assert loaded.labels.keys() == imc.labels.keys()
+        for name, mask in imc.labels.items():
+            assert np.array_equal(loaded.labels[name], mask), name
+
+    def test_labels_export_bytes(self, tmp_path):
+        # rows by state, then by label name: "base" sorts before "goal" and
+        # overlaps it on cell 3, which carries both; the unsafe state ends it
+        part = partition_domain(Box.from_bounds([[0, 1], [0, 1]]), (2, 2))
+        model = parse_dynamics(["x1 + w1", "x2 + w2"], 2, "additive")
+        noise = NoiseModel((Uniform(-0.1, 0.1), Uniform(-0.1, 0.1)))
+        boxes = {
+            "goal": [Box.from_bounds([[0.5, 1], [0, 1]])],
+            "obstacle": [Box.from_bounds([[0, 0.5], [0, 0.5]])],
+            "base": [Box.from_bounds([[0, 1], [0.5, 1]])],
+        }
+        imc = build_imc(cell_posteriors(part, model, noise), boxes)
+        write_imc(imc, tmp_path / "imc.csv", tmp_path / "labels.csv")
+        assert (tmp_path / "labels.csv").read_bytes() == (
+            b"state,label\n0,obstacle\n1,base\n2,goal\n3,base\n3,goal\n4,unsafe\n"
+        )
 
     def test_blocked_write_same_bytes(self, tmp_path, monkeypatch):
         part = partition_domain(Box.from_bounds([[0, 1]]), (4,))

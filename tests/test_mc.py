@@ -14,7 +14,7 @@ from imcverify import mc
 from imcverify.config import load_config
 from imcverify.dynamics import eval_point, parse_dynamics
 from imcverify.geometry import Box
-from imcverify.imc import assign_labels
+from imcverify.imc import AVOID_LABELS, GOAL_LABEL, assign_labels
 from imcverify.mc import (
     ReachAvoidRegions,
     clopper_pearson,
@@ -437,18 +437,15 @@ def corner_terminations(ctx):
     """``_classify`` on every lower and upper cell corner, and what the
     labels of the cell that owns the corner say: goal, else avoid, else
     running."""
-    part, spec = ctx.partition, ctx.spec
+    part = ctx.partition
     labels = assign_labels(part, ctx.config.labels)
+    avoid = np.logical_or.reduce([labels[name] for name in AVOID_LABELS if name in labels])
     corners = np.concatenate(part.corners(np.arange(part.n_cells)))
-    expected = []
-    for x in corners.tolist():
-        labs = labels[part.cell_index_of_point(x)]
-        expected.append(
-            mc._GOAL if spec.goal_label in labs
-            else mc._AVOID if labs & spec.avoid_labels
-            else mc._RUNNING
-        )
-    return mc._classify(corners, _regions(ctx)), np.array(expected)
+    owner = [part.cell_index_of_point(x) for x in corners.tolist()]
+    expected = np.where(
+        labels[GOAL_LABEL][owner], mc._GOAL, np.where(avoid[owner], mc._AVOID, mc._RUNNING)
+    )
+    return mc._classify(corners, _regions(ctx)), expected
 
 
 class TestPointOwnership:

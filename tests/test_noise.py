@@ -6,6 +6,7 @@ import pytest
 from scipy.special import erf
 
 from imcverify import noise
+from imcverify.imc import CellPosteriors, pair_bounds
 from imcverify.geometry import Interval
 from imcverify.noise import (
     Mixture,
@@ -121,40 +122,40 @@ class TestCdf:
 
 
 class TestOptimalPartitionAffine:
+    # arguments: posterior [c, d], then target [a, b]
     def test_wide_posterior_empty_lower(self):
-        cuts = optimal_partition_affine(Interval(0, 2), Interval(0, 1))
-        assert cuts.lower_empty
-        assert (cuts.eps1, cuts.eps2) == (-2.0, 1.0)
+        eps1, eps2, eps3, eps4 = optimal_partition_affine(0, 2, 0, 1)
+        assert eps3 > eps4
+        assert (eps1, eps2) == (-2.0, 1.0)
 
     def test_disjoint_geometry(self):
-        cuts = optimal_partition_affine(Interval(0, 0.2), Interval(1, 2))
-        assert (cuts.eps1, cuts.eps2, cuts.eps3, cuts.eps4) == (0.8, 2.0, 1.0, 1.8)
-        assert not cuts.lower_empty
+        cuts = optimal_partition_affine(0, 0.2, 1, 2)
+        assert cuts == (0.8, 2.0, 1.0, 1.8)
+        assert not cuts[2] > cuts[3]
 
     def test_equal_intervals_point_lower_cell(self):
-        cuts = optimal_partition_affine(Interval(0, 1), Interval(0, 1))
-        assert (cuts.eps1, cuts.eps2, cuts.eps3, cuts.eps4) == (-1.0, 1.0, 0.0, 0.0)
-        assert not cuts.lower_empty
+        cuts = optimal_partition_affine(0, 1, 0, 1)
+        assert cuts == (-1.0, 1.0, 0.0, 0.0)
+        assert not cuts[2] > cuts[3]
 
 
 class TestOptimalPartitionMultiplicative:
     def test_point_posterior(self):
-        cuts = optimal_partition_multiplicative(Interval(1, 1), Interval(0.9, 1.1))
-        assert (cuts.eps1, cuts.eps3) == (0.9, 0.9)
-        assert (cuts.eps2, cuts.eps4) == pytest.approx((1.1, 1.1))
+        eps1, eps2, eps3, eps4 = optimal_partition_multiplicative(1, 1, 0.9, 1.1)
+        assert (eps1, eps3) == (0.9, 0.9)
+        assert (eps2, eps4) == pytest.approx((1.1, 1.1))
 
     def test_containment_algebra(self):
-        cuts = optimal_partition_multiplicative(Interval(0.5, 1), Interval(1, 2))
-        assert (cuts.eps1, cuts.eps2, cuts.eps3, cuts.eps4) == (1.0, 4.0, 2.0, 2.0)
+        assert optimal_partition_multiplicative(0.5, 1, 1, 2) == (1.0, 4.0, 2.0, 2.0)
 
     def test_empty_lower(self):
-        cuts = optimal_partition_multiplicative(Interval(0.5, 2), Interval(1, 1.5))
-        assert cuts.lower_empty
-        assert (cuts.eps3, cuts.eps4) == (2.0, 0.75)
+        _, _, eps3, eps4 = optimal_partition_multiplicative(0.5, 2, 1, 1.5)
+        assert eps3 > eps4
+        assert (eps3, eps4) == (2.0, 0.75)
 
     def test_positivity_required(self):
         with pytest.raises(ValueError):
-            optimal_partition_multiplicative(Interval(-0.5, 1), Interval(1, 2))
+            optimal_partition_multiplicative(-0.5, 1, 1, 2)
 
 
 def random_noise_grids(seed):
@@ -278,13 +279,9 @@ class TestPartitionOptimality:
             d = c + rng.uniform(0.0, 1.5)
             a = rng.uniform(-1.5, 1.0)
             b = a + rng.uniform(0.05, 1.5)
-            cuts = optimal_partition_affine(Interval(c, d), Interval(a, b))
-            ours_lower = (
-                0.0
-                if cuts.lower_empty
-                else comp.interval_probability(cuts.eps3, cuts.eps4)
-            )
-            ours_upper = comp.interval_probability(cuts.eps1, cuts.eps2)
+            eps1, eps2, eps3, eps4 = optimal_partition_affine(c, d, a, b)
+            ours_lower = 0.0 if eps3 > eps4 else comp.interval_probability(eps3, eps4)
+            ours_upper = comp.interval_probability(eps1, eps2)
             best_lower, best_upper = sweep_best_bounds(
                 "additive", (c, d), (a, b), comp
             )
@@ -300,13 +297,9 @@ class TestPartitionOptimality:
             d = c + rng.uniform(0.0, 1.0)
             a = rng.uniform(0.3, 1.5)
             b = a + rng.uniform(0.05, 1.0)
-            cuts = optimal_partition_multiplicative(Interval(c, d), Interval(a, b))
-            ours_lower = (
-                0.0
-                if cuts.lower_empty
-                else comp.interval_probability(cuts.eps3, cuts.eps4)
-            )
-            ours_upper = comp.interval_probability(cuts.eps1, cuts.eps2)
+            eps1, eps2, eps3, eps4 = optimal_partition_multiplicative(c, d, a, b)
+            ours_lower = 0.0 if eps3 > eps4 else comp.interval_probability(eps3, eps4)
+            ours_upper = comp.interval_probability(eps1, eps2)
             best_lower, best_upper = sweep_best_bounds(
                 "multiplicative", (c, d), (a, b), comp
             )
@@ -314,13 +307,26 @@ class TestPartitionOptimality:
             assert ours_upper <= best_upper + 1e-9
 
 
-def test_cell_budget_is_three_per_component():
-    cuts = optimal_partition_affine(Interval(0, 1), Interval(0.2, 0.9))
-    assert len(cuts.upper_cells()) <= 3
-    assert len(cuts.lower_cells()) <= 3
-    cuts2 = optimal_partition_multiplicative(Interval(0.5, 2), Interval(1, 1.5))
-    assert len(cuts2.upper_cells()) <= 3
-    assert len(cuts2.lower_cells()) <= 3
+def test_cell_budget_is_three_per_component(monkeypatch):
+    """``pair_bounds`` evaluates at most three cells of each component's
+    partitions: one ``interval_probability`` call per bound."""
+    calls = []
+    original = Uniform.interval_probability
+
+    def counting(self, lo, hi):
+        calls.append(1)
+        return original(self, lo, hi)
+
+    monkeypatch.setattr(Uniform, "interval_probability", counting)
+    noise = NoiseModel((Uniform(0.5, 2.5), Uniform(0.5, 2.5)))
+    for structure, (c, d), (a, b) in [
+        ("additive", (0, 1), (0.2, 0.9)),
+        ("multiplicative", (0.5, 2), (1, 1.5)),
+    ]:
+        posts = CellPosteriors(np.full((1, 2), c), np.full((1, 2), d), structure, noise)
+        calls.clear()
+        pair_bounds(posts, [0], np.full((1, 2), a), np.full((1, 2), b))
+        assert len(calls) / noise.n <= 3
 
 
 def test_inverse_cdf_tolerance():

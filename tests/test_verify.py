@@ -17,14 +17,15 @@ from imcverify.verify import (
     robust_value_iteration,
     write_results,
 )
-from csr_rows import csr, extremes
+from csr_rows import csr, extremes, label_masks
 from oracles import chain_reach_probability, extreme_by_vertex_enumeration
 
 
-def make_imc(rows, labels, n_cells):
-    """Hand-built IMC over a dummy 1D grid with n_cells cells plus unsafe."""
+def make_imc(rows, n_cells, goal=(), obstacle=()):
+    """Hand-built IMC over a dummy 1D grid with n_cells cells plus unsafe;
+    ``goal`` and ``obstacle`` list the labelled cells."""
     part = partition_domain(Box.from_bounds([[0, float(n_cells)]]), (n_cells,))
-    return Imc(part, *csr(rows), tuple(labels))
+    return Imc(part, *csr(rows), label_masks(n_cells, goal, obstacle))
 
 
 def scalar_walk(values, row, mode):
@@ -56,8 +57,7 @@ def three_state_fixture():
         ((1, 1.0, 1.0),),
         ((2, 1.0, 1.0),),
     )
-    labels = (frozenset(), frozenset({"goal"}), frozenset({"unsafe"}))
-    return make_imc(rows, labels, 2)
+    return make_imc(rows, 2, goal=[1])
 
 
 class TestAdversary:
@@ -179,11 +179,7 @@ class TestValueIteration:
                 chain.append({t: float(p) for t, p in enumerate(probs) if p > 0})
             rows.append(((n_cells, 1.0, 1.0),))
             chain.append({n_cells: 1.0})
-            labels = tuple(
-                frozenset({"goal"}) if s == goal_state else frozenset()
-                for s in range(n_cells)
-            ) + (frozenset({"unsafe"}),)
-            imc = make_imc(tuple(rows), labels, n_cells)
+            imc = make_imc(tuple(rows), n_cells, goal=[goal_state])
             res = robust_value_iteration(
                 imc, ReachAvoidSpec(), convergence_tol=1e-13
             )
@@ -204,11 +200,8 @@ class TestValueIteration:
             ((5, 1.0, 1.0),),
             ((6, 1.0, 1.0),),
         )
-        goal = frozenset({"goal"})
-        labels = (frozenset(), frozenset(), goal, frozenset(), goal, frozenset(),
-                  frozenset({"unsafe"}))
         rng = np.random.default_rng(8)
-        cases = [(rows, labels, 6)]
+        cases = [(rows, [2, 4], 6)]
         for _ in range(20):
             n_cells = 8
             lengths = rng.integers(1, 7, n_cells)
@@ -216,15 +209,14 @@ class TestValueIteration:
                 random_row(rng, np.sort(rng.choice(n_cells + 1, m, replace=False)))
                 for m in lengths
             ) + (((n_cells, 1.0, 1.0),),)
-            random_labels = tuple(
-                goal if rng.random() < 0.3 else frozenset() for _ in range(n_cells)
-            ) + (frozenset({"unsafe"}),)
-            cases.append((random_rows, random_labels, n_cells))
-        for rows, labels, n_cells in cases:
-            res = robust_value_iteration(make_imc(rows, labels, n_cells), ReachAvoidSpec(horizon=1))
-            values = np.array(["goal" in labs for labs in labels], dtype=float)
+            random_goal = [s for s in range(n_cells) if rng.random() < 0.3]
+            cases.append((random_rows, random_goal, n_cells))
+        for rows, goal, n_cells in cases:
+            imc = make_imc(rows, n_cells, goal)
+            res = robust_value_iteration(imc, ReachAvoidSpec(horizon=1))
+            values = imc.labels["goal"].astype(float)
             for i, row in enumerate(rows):
-                if labels[i] & {"goal", "unsafe"}:
+                if imc.labels["goal"][i] or imc.labels["unsafe"][i]:
                     continue
                 for mode, bound, expected in zip(
                     ("min", "max"), (res.p_lower, res.p_upper), extremes(values, row)
@@ -240,14 +232,13 @@ class TestValueIteration:
         rng = np.random.default_rng(77)
         n_values = 80
         values = np.concatenate([[1.0, 0.0], rng.choice([0.0, 0.25, 0.5, 1.0], n_values - 2)])
-        rows, labels = [], []
+        rows, goal, obstacle = [], [], []
         for s, v in enumerate(values.tolist()):
             if v in (0.0, 1.0):
                 rows.append(((s, 1.0, 1.0),))
-                labels.append(frozenset({"goal" if v else "obstacle"}))
+                (goal if v else obstacle).append(s)
             else:
                 rows.append(((0, v, v), (1, 1.0 - v, 1.0 - v)))
-                labels.append(frozenset())
         lengths = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 70]
         lengths += rng.integers(1, 71, 30).tolist()
         for k, m in enumerate(lengths):
@@ -262,11 +253,9 @@ class TestValueIteration:
                 ))
             else:
                 rows.append(random_row(rng, targets))
-            labels.append(frozenset())
         n_cells = n_values + len(lengths)
         rows.append(((n_cells, 1.0, 1.0),))
-        labels.append(frozenset({"unsafe"}))
-        imc = make_imc(tuple(rows), tuple(labels), n_cells)
+        imc = make_imc(tuple(rows), n_cells, goal, obstacle)
         res = robust_value_iteration(imc, ReachAvoidSpec(horizon=2))
         assert np.array_equal(res.p_lower[:n_values], values)
         assert np.array_equal(res.p_upper[:n_values], values)
@@ -312,8 +301,7 @@ class TestValueIteration:
 
     def test_label_overlap_rejected(self):
         rows = (((0, 1.0, 1.0),), ((1, 1.0, 1.0),))
-        labels = (frozenset({"goal", "obstacle"}), frozenset({"unsafe"}))
-        imc = make_imc(rows, labels, 1)
+        imc = make_imc(rows, 1, goal=[0], obstacle=[0])
         with pytest.raises(SpecificationError):
             robust_value_iteration(imc, ReachAvoidSpec())
 
@@ -337,8 +325,8 @@ def sweep_both_every_time(imc, spec, convergence_tol=1e-6, max_iterations=10**5)
     """Reference value iteration that sweeps both bounds on every sweep.
     Returns p_lower, p_upper, the sweep count, convergence and, per bound,
     the first sweep that returned the bits it was given (or None)."""
-    goal = np.array([spec.goal_label in labs for labs in imc.labels])
-    pinned = goal | np.array([bool(labs & spec.avoid_labels) for labs in imc.labels])
+    goal = imc.labels["goal"]
+    pinned = goal | imc.labels["obstacle"] | imc.labels["unsafe"]
     layout = RowLayout(imc.indptr)
     layout.check(imc.lower, imc.upper, InvalidModelError)
     v_lo, v_hi = goal.astype(float), goal.astype(float)
@@ -371,8 +359,7 @@ def lower_settles_first():
         ((3, 1.0, 1.0),),
         ((4, 1.0, 1.0),),
     )
-    labels = (frozenset(),) * 3 + (frozenset({"goal"}), frozenset({"unsafe"}))
-    return make_imc(rows, labels, 4)
+    return make_imc(rows, 4, goal=[3])
 
 
 def both_settle():
@@ -386,8 +373,7 @@ def both_settle():
         ((3, 1.0, 1.0),),
         ((4, 1.0, 1.0),),
     )
-    labels = (frozenset(),) * 3 + (frozenset({"goal"}), frozenset({"unsafe"}))
-    return make_imc(rows, labels, 4)
+    return make_imc(rows, 4, goal=[3])
 
 
 class TestSettledBounds:
@@ -455,9 +441,7 @@ class TestReadResults:
         edges = [np.linspace(-1.3, 2.7, 7), np.linspace(0.1, 0.9, 4), np.linspace(-0.7, 0.3, 3)]
         part = partition_domain(Box.from_bounds([(e[0], e[-1]) for e in edges]), (6, 3, 2))
         rows = [((i, 1.0, 1.0),) for i in range(part.n_states)]
-        labels = [frozenset({"goal"})] + [frozenset()] * (part.n_cells - 1)
-        labels.append(frozenset({"unsafe"}))
-        imc = Imc(part, *csr(rows), tuple(labels))
+        imc = Imc(part, *csr(rows), label_masks(part.n_cells, goal=[0]))
         path = tmp_path / "results.csv"
         write_results(robust_value_iteration(imc, ReachAvoidSpec(horizon=1)), part, path)
         lines = path.read_text().splitlines()
