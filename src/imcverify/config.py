@@ -14,7 +14,7 @@ import yaml
 from .dynamics import GENERAL, STRUCTURES, DynamicsModel, parse_dynamics
 from .errors import InputError, ParseError, StructureError
 from .geometry import Box
-from .imc import AVOID_LABELS, GOAL_LABEL
+from .imc import AVOID_LABELS, GOAL_LABEL, UNSAFE_LABEL
 from .noise import Mixture, NoiseComponent, NoiseModel, TruncatedGaussian, Uniform
 from .verify import DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_ITERATIONS, DEFAULT_THRESHOLD
 
@@ -227,6 +227,8 @@ def load_config(path) -> RunConfig:
     if not isinstance(labels_raw, dict):
         _fail("labels", "expected a mapping from label name to a list of boxes")
     for name, boxes_raw in labels_raw.items():
+        if str(name) == UNSAFE_LABEL:
+            _fail(f"labels.{name}", "the name is reserved for the state outside the domain")
         if not isinstance(boxes_raw, (list, tuple)):
             _fail(f"labels.{name}", "expected a list of boxes")
         boxes = tuple(

@@ -5,33 +5,32 @@ arrays, to the four cut points (eps1, eps2, eps3, eps4).
 
 CDF evaluation is analytic (error function for truncated Gaussians, weighted
 sums for mixtures) so that cell probabilities carry distribution-dependent
-soundness. ``scipy.special`` supplies the truncated Gaussian's error function
-and quantile; a process imports it on its first Gaussian CDF or sample, not
-when it loads a config. A uniform grid over the support (a ``NoiseGrid``) is
-the fallback partition for models without a usable noise structure.
+soundness. The truncated Gaussian's error function and quantile are numpy
+ports of the Cephes routines that scipy runs (``_special``) and return
+scipy's bits, so no run imports scipy. A uniform grid over the support (a
+``NoiseGrid``) is the fallback partition for models without a usable noise
+structure.
 Sampling (``NoiseModel.sample``) is closed form, one uniform per component:
 the quantile, or for a mixture the composition method.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._special import erf, ndtri
 from .geometry import Box, Interval
 
 _SQRT2 = math.sqrt(2.0)
 
 
 def _phi(z):
-    # scipy's erf, imported on first use: the import costs a process ~0.3 s.
-    # Its bits set the truncated-Gaussian constants and so the exported bounds.
-    from scipy.special import erf
-
+    # erf has scipy's bits, which set the truncated-Gaussian constants and so
+    # the exported bounds
     return 0.5 * (1.0 + erf(z / _SQRT2))
 
 
@@ -92,11 +91,9 @@ class Uniform(NoiseComponent):
 
 @dataclass(frozen=True)
 class TruncatedGaussian(NoiseComponent):
-    """N(mean, stddev^2) conditioned on [lo, hi]. Construction checks that
-    [lo, hi] has Gaussian mass with the stdlib ``math.erf``, which accepts
-    the same truncations as scipy's. Phi(lo) and the mass themselves come
-    from ``_phi`` on the first ``cdf`` or ``inverse_cdf`` call and are kept,
-    outside the fields that equality and hashing see."""
+    """N(mean, stddev^2) conditioned on [lo, hi]. Construction computes
+    Phi(lo) and the Gaussian mass of [lo, hi], which must be positive, and
+    keeps them outside the fields that equality and hashing see."""
 
     mean: float
     stddev: float
@@ -110,21 +107,12 @@ class TruncatedGaussian(NoiseComponent):
             raise ValueError("stddev must be positive")
         if self.lo >= self.hi:
             raise ValueError("truncation requires lo < hi")
-        # _phi's formula in math.erf, so that construction imports no scipy
-        z_lo, z_hi = ((b - self.mean) / self.stddev for b in (self.lo, self.hi))
-        if 0.5 * (1.0 + math.erf(z_hi / _SQRT2)) - 0.5 * (1.0 + math.erf(z_lo / _SQRT2)) <= 0.0:
+        phi_lo, phi_hi = _phi((np.array([self.lo, self.hi]) - self.mean) / self.stddev).tolist()
+        mass = phi_hi - phi_lo
+        if mass <= 0.0:
             raise ValueError("truncation interval has no Gaussian mass")
-
-    @functools.cached_property
-    def _phi_lo(self) -> float:
-        return _phi((self.lo - self.mean) / self.stddev)
-
-    @functools.cached_property
-    def _mass(self) -> float:
-        mass = float(_phi((self.hi - self.mean) / self.stddev) - self._phi_lo)
-        if mass <= 0.0:  # a backstop: math.erf and scipy's erf may differ in the last bit
-            raise ValueError("truncation interval has no Gaussian mass")
-        return mass
+        object.__setattr__(self, "_phi_lo", phi_lo)
+        object.__setattr__(self, "_mass", mass)
 
     @property
     def support(self) -> Interval:
@@ -140,8 +128,6 @@ class TruncatedGaussian(NoiseComponent):
     def inverse_cdf(self, u):
         """Quantile at u in [0, 1]: the Gaussian quantile of Phi(lo) + u *
         mass, clipped to [lo, hi] against rounding."""
-        from scipy.special import ndtri  # on first use, as in _phi
-
         z = ndtri(self._phi_lo + np.asarray(u, dtype=float) * self._mass)
         out = np.clip(self.mean + self.stddev * z, self.lo, self.hi)
         return float(out) if out.ndim == 0 else out

@@ -186,6 +186,20 @@ monte_carlo: {{enabled: false}}
             assert main(["abstract", "-c", str(path)]) == 1
         assert not (tmp_path / "out" / IMC_FILE).exists()
 
+    def test_unsafe_label_rejected_before_any_phase(self, tmp_path, caplog):
+        # "unsafe" names the state outside the domain; a config label of that
+        # name is an input error naming the field, and no output_dir is made
+        path = tmp_path / "unsafe.yaml"
+        path.write_text(TOY_1D.format(passes=0, mc="false", outdir="out").replace(
+            "goal: [[[0.75, 1.0]]]", "goal: [[[0.75, 1.0]]]\n  unsafe: [[[0.0, 0.25]]]"
+        ))
+        with pytest.raises(InputError, match=re.escape("labels.unsafe: the name is reserved")):
+            load_config(path)
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["run", "-c", str(path)]) == 1
+        assert "labels.unsafe" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_goal_sharing_a_face_with_an_obstacle_loads(self, tmp_path):
         path = tmp_path / "face.yaml"
         path.write_text(self.OVERLAP_2D.format(obstacle="[[0.2, 0.6], [-0.2, 0.2]]"))
@@ -780,8 +794,7 @@ output_dir: out
         assert not (tmp_path / "out").exists()  # rejected before any phase ran
 
     def test_import_does_not_load_scipy_special(self):
-        # scipy.special is imported where a truncated Gaussian or a Monte
-        # Carlo interval needs it, not by every CLI process
+        # no phase needs scipy.special, so importing the CLI must not load it
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, imcverify.cli; sys.exit('scipy.special' in sys.modules)"
@@ -804,34 +817,27 @@ output_dir: out
             "simulate", "uniform_noise_grid",
         ]
 
-    def test_gaussian_config_loads_scipy_special_only_to_bound(self, tmp_path):
-        # a truncated Gaussian computes its constants on its first CDF or
-        # sample: loading its config and a verify phase over a stored
-        # abstraction import no scipy.special, and only abstract does
+    def test_gaussian_config_runs_every_phase_without_scipy(self, tmp_path):
+        # the truncated Gaussian's erf and quantile are ports with scipy's
+        # bits: with scipy blocked, run and each phase of a Gaussian config
+        # work and export the bytes of a run in a process that has scipy
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         path = tmp_path / "paper.yaml"
-        path.write_text(PAPER_2D)
-
-        def loads_scipy_special(code):
-            code += "\nimport sys; print('scipy.special' in sys.modules)"
-            out = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                timeout=120, check=True,
-            )
-            return out.stdout.split()[-1] == "True"
-
-        assert not loads_scipy_special(
-            "from imcverify.config import load_config\n"
-            "from imcverify.pipeline import run_pipeline\n"
-            f"run_pipeline(load_config({str(path)!r}), phases=())"
-        )
-        def phase(name):
-            return f"from imcverify.cli import main\nassert main([{name!r}, '-c', {str(path)!r}]) == 0"
-
-        assert loads_scipy_special(phase("abstract"))
-        assert not loads_scipy_special(phase("verify"))
-        assert (tmp_path / "out" / RESULTS_FILE).exists()
+        path.write_text(PAPER_2D + "cluster:\n  passes: 1\n")
+        code = ["import sys; sys.modules['scipy'] = None", "from imcverify.cli import main"]
+        for out, phases in (("blocked-run", ["run"]),
+                            ("blocked-phased", ["abstract", "verify", "improve", "simulate"])):
+            code += [f"assert main([{p!r}, '-c', {str(path)!r}, '--output-dir', "
+                     f"{str(tmp_path / out)!r}]) == 0" for p in phases]
+        subprocess.run([sys.executable, "-c", "\n".join(code)], env=env, timeout=120, check=True)
+        assert main(["run", "-c", str(path), "--output-dir", str(tmp_path / "free")]) == 0
+        exports = sorted(p.name for p in (tmp_path / "free").glob("*.csv"))
+        assert TRAJECTORIES_FILE in exports and IMPROVED_FILE in exports
+        for out in ("blocked-run", "blocked-phased"):
+            assert sorted(p.name for p in (tmp_path / out).glob("*.csv")) == exports
+            for name in exports:
+                assert (tmp_path / out / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
 
     def test_uniform_config_runs_and_simulates_without_scipy(self, tmp_path):
         # with uniform noise nothing needs scipy: a run works with scipy

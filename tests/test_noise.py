@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import erf
 
-from imcverify import noise
+from imcverify import _special, noise
 from imcverify.imc import CellPosteriors, pair_bounds
 from imcverify.geometry import Interval
 from imcverify.noise import (
@@ -57,9 +58,9 @@ class TestCdf:
         assert float(comp.cdf(float("inf"))) == 1.0
 
     def test_truncated_gaussian_cached_constants_exact(self):
-        # the CDF at lo and the mass are computed once, on the first cdf
-        # call; the result must equal the formula that recomputes them on
-        # every call
+        # the CDF at lo and the mass are computed once, at construction; the
+        # result must equal the formula, in scipy's erf, that recomputes them
+        # on every call
         comp = TruncatedGaussian(1.0, 0.1, 0.9, 1.1)
         ts = np.random.default_rng(4).uniform(0.85, 1.15, 1000)
 
@@ -76,9 +77,9 @@ class TestCdf:
         assert hash(comp) == hash(TruncatedGaussian(1.0, 0.1, 0.9, 1.1))
 
     def test_truncated_gaussian_accepted_exactly_with_scipy_mass(self):
-        # construction checks the mass with math.erf: it must accept exactly
-        # the truncations whose mass by scipy's erf, which the CDF uses, is
-        # positive, also with both bounds in a tail beyond 8 sigma
+        # construction must accept exactly the truncations whose mass by
+        # scipy's erf is positive, also with both bounds in a tail beyond
+        # 8 sigma
         zs = np.unique(np.concatenate([
             np.linspace(-40.0, 40.0, 161), np.linspace(-9.0, -7.0, 41), np.linspace(7.0, 9.0, 41)
         ]))
@@ -102,15 +103,15 @@ class TestCdf:
                 outcomes.add(positive)
         assert outcomes == {True, False}
 
-    def test_truncated_gaussian_lazy_mass_backstop(self, monkeypatch):
-        # the constants come from scipy's erf on first use; were its mass not
-        # positive where math.erf's was, cdf and inverse_cdf would raise
+    def test_truncated_gaussian_mass_checked_at_construction(self, monkeypatch):
+        # Phi(lo) and the mass come from _phi, the function the CDF uses, when
+        # the component is built: a mass that is not positive by _phi is
+        # rejected there, and a built component keeps its constants
         comp = TruncatedGaussian(0.0, 1.0, -1.0, 1.0)
-        monkeypatch.setattr(noise, "_phi", lambda z: np.float64(0.5))
+        monkeypatch.setattr(noise, "_phi", lambda z: np.full(np.shape(z), 0.5))
         with pytest.raises(ValueError, match="no Gaussian mass"):
-            comp.cdf(0.0)
-        with pytest.raises(ValueError, match="no Gaussian mass"):
-            comp.inverse_cdf(0.5)
+            TruncatedGaussian(0.0, 1.0, -1.0, 1.0)
+        assert comp.inverse_cdf(0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_invariants_rejected(self):
         with pytest.raises(ValueError):
@@ -360,3 +361,58 @@ def test_nested_mixture_samples_follow_its_cdf():
     comp = Mixture((0.4, 0.6), (inner, Uniform(0.5, 1.5)))
     samples = comp.sample(np.random.default_rng(8).random(20000))
     assert kstest(samples, comp.cdf).pvalue > 0.01
+
+
+def _neighbours(points):
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([points, np.nextafter(points, np.inf), np.nextafter(points, -np.inf)])
+
+
+class TestSpecialBits:
+    """The Cephes ports return scipy's bits in scipy's shape."""
+
+    @staticmethod
+    def assert_same_bits(name, x):
+        ours = getattr(_special, name)(x)  # a RuntimeWarning fails the test (pyproject.toml)
+        ref = getattr(scipy.special, name)(x)
+        assert type(ours) is type(ref) and np.shape(ours) == np.shape(ref)
+        ours, ref = np.asarray(ours).view(np.int64), np.asarray(ref).view(np.int64)
+        bad = np.flatnonzero(ours.ravel() != ref.ravel())
+        assert bad.size == 0, np.asarray(x).ravel()[bad[:10]]
+
+    def test_erf_dense(self):
+        # 1 < |x| < 2.3 is where numpy's exp, not libm's, would miss a bit
+        rng = np.random.default_rng(21)
+        self.assert_same_bits("erf", np.concatenate([
+            rng.uniform(-40.0, 40.0, 200_000), rng.uniform(-3.0, 3.0, 200_000)
+        ]))
+
+    def test_erf_branch_points(self):
+        maxlog_edge = math.sqrt(7.09782712893383996843e2)  # exp(-x^2) underflows past it
+        edges = [0.0, 1.0, 8.0, maxlog_edge, 5e-324, 2.2250738585072014e-308, 1e300, np.inf]
+        x = _neighbours(edges + [-e for e in edges])
+        self.assert_same_bits("erf", np.concatenate([x, [np.nan, -np.nan]]))
+
+    def test_ndtri_dense(self):
+        rng = np.random.default_rng(22)
+        self.assert_same_bits("ndtri", np.concatenate([
+            rng.uniform(0.0, 1.0, 200_000),
+            10.0 ** rng.uniform(-300.0, 0.0, 100_000),
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 100_000),
+        ]))
+
+    def test_ndtri_branch_points(self):
+        inside = [0.0, 1.0, math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 5e-324,
+                  np.nextafter(1.0, 0.0), 0.5]
+        outside = [-0.0, -1e-300, 2.0, -np.inf, np.inf, np.nan, -np.nan]
+        self.assert_same_bits("ndtri", np.concatenate([_neighbours(inside), outside]))
+
+    @pytest.mark.parametrize("name", ["erf", "ndtri"])
+    @pytest.mark.parametrize(
+        "x",
+        [0.3, np.float64(0.95), np.array(0.05), np.array([]), np.full((2, 3), 0.7),
+         np.asfortranarray(np.linspace(0.01, 0.99, 12).reshape(3, 4))],
+        ids=["scalar", "np-scalar", "0-d", "empty", "2-d", "fortran"],
+    )
+    def test_shapes(self, name, x):
+        self.assert_same_bits(name, x)
