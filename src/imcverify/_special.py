@@ -50,9 +50,11 @@ _Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081
 def _polevl(x, coef):
     if not x.size:  # a branch no element takes costs one numpy call, not one per term
         return x
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
+    ans = coef[0] * x
+    ans += coef[1]
+    for c in coef[2:]:  # ans = ans * x + c in place, rounded as two ufunc calls round
+        ans *= x
+        ans += c
     return ans
 
 
@@ -70,7 +72,8 @@ def erf(x):
     out = np.ones(a.size)
     small = np.flatnonzero(a <= 1.0)
     v = a[small]
-    out[small] = v * _polevl(v * v, _T) / _polevl(v * v, _U)
+    v2 = v * v
+    out[small] = v * _polevl(v2, _T) / _polevl(v2, _U)
     big = np.flatnonzero((a > 1.0) & (a < 8.0))
     v = a[big]
     out[big] = 1.0 - _libm(math.exp, -v * v) * _polevl(v, _P) / _polevl(v, _Q)
@@ -90,12 +93,16 @@ def ndtri(y0):
     y = np.where(upper, 1.0 - y0, y0)
     mid = y > _EXPM2
     v = y[mid] - 0.5
-    out[mid] = (v + v * (v * v * _polevl(v * v, _P0) / _polevl(v * v, _Q0))) * _S2PI
+    v2 = v * v
+    out[mid] = (v + v * (v2 * _polevl(v2, _P0) / _polevl(v2, _Q0))) * _S2PI
     tail = ~(y <= 0.0) & ~mid  # y0 in (0, exp(-2)] or [1 - exp(-2), 1), or nan as in Cephes
     x = np.sqrt(-2.0 * _libm(math.log, y[tail]))
     z = 1.0 / x
-    x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _polevl(z, _Q1),
-                  z * _polevl(z, _P2) / _polevl(z, _Q2))
+    x1 = np.empty_like(x)
+    near = x < 8.0  # False on nan, which either rational keeps
+    for part, p, q in ((near, _P1, _Q1), (~near, _P2, _Q2)):  # each on its own elements
+        zp = z[part]
+        x1[part] = zp * _polevl(zp, p) / _polevl(zp, q)
     x = x - _libm(math.log, x) / x - x1
     out[tail] = np.where(upper[tail], x, -x)
     return out[()]

@@ -64,10 +64,20 @@ AVOID_LABELS = ("obstacle", UNSAFE_LABEL)
 
 _ROW_TOL = 1e-9
 _ALIGN_TOL = 1e-9
-# candidate pairs per ``pair_bounds`` call in ``build_imc``: bounds the
-# build's working memory at a few times 2**18 * n floats
-_BLOCK_PAIRS = 2**18
-_WRITE_ROWS = 2**16
+# candidate pairs per ``pair_bounds`` call in ``build_imc``: the block's
+# arrays, a few times 2**14 * n floats, stay in the cache. On paper-mult-40
+# (2 vCPU) the build takes 76-81 ms against 132-142 ms with 2**18 pairs,
+# and its traced peak is 6.9 MB against 28.2 MB
+_BLOCK_PAIRS = 2**14
+# CSR entries per block of formatted lines in ``write_imc``: 2**12 takes the
+# time of 2**16 with a transient of 0.6 MB in place of 8.7 MB (paper-mult-40)
+_WRITE_ROWS = 2**12
+# entries per row range that a sweep sorts at once (``RowLayout.parts``) and
+# slots per ``RowLayout`` block: the sort key, the permutation and the
+# gathers of a part, and the walk's scratch, take a few MB whatever the nnz.
+# A 40^2 IMC (at most 62k entries) is one part; a budget of 2**14 made the
+# sweeps of paper-mult-40 10% and of additive-h200-phased 18% slower
+_PART_ENTRIES = 2**18
 # ``_cumsum`` adds one contiguous block row to the next on (width, rows)
 # blocks at least this many CSR rows across, where that runs up to twice as
 # fast as np.cumsum down axis 0; on narrower blocks the loop's Python step
@@ -80,8 +90,10 @@ def _cumsum(block: np.ndarray) -> np.ndarray:
     additions and so with the same bits."""
     if block.shape[1] < _LOOP_ROWS:
         return np.cumsum(block, axis=0, out=block)
-    for k in range(1, len(block)):
-        np.add(block[k - 1], block[k], out=block[k])
+    rows = iter(block)  # iterating makes each row's view at half the cost of block[k]
+    prev = next(rows)
+    for row in rows:
+        prev = np.add(prev, row, out=row)
     return block
 
 
@@ -115,10 +127,13 @@ class RowLayout:
     """The rows of one CSR block, laid out once from its ``indptr`` for the
     row sums, the row check and the adversary walk. Per power-of-two length
     class of the non-empty rows, ``blocks`` holds the rows and a (width,
-    rows) array of their entry positions (at most 2 x nnz), so a numpy pass
-    down the columns runs left to right within each row. A padded slot
-    points one past the last entry and reads 0.0; no other code reads the
-    blocks."""
+    rows) array of their entry positions (at most 2 x nnz in all), cut into
+    blocks of at most ``_PART_ENTRIES`` slots (or one longer row), so a numpy
+    pass down the columns runs left to right within each row and its scratch
+    arrays do not grow with nnz. A padded slot points one past the last entry
+    and reads 0.0; no other code reads the blocks. A sweep puts the entries
+    in walk order one row range of ``parts`` at a time (``arrange``), then
+    walks the blocks (``walk``)."""
 
     def __init__(self, indptr: np.ndarray):
         lengths = np.diff(indptr)
@@ -128,19 +143,24 @@ class RowLayout:
         self.blocks = []
         for c in np.flatnonzero(np.bincount(width_class)).tolist():
             rows = nonempty[width_class == c]
-            slot = indptr[rows] + np.arange(widths[c])[:, None]
-            np.putmask(slot, slot >= indptr[rows + 1], indptr[-1])
-            self.blocks.append((rows, slot))
+            step = max(_PART_ENTRIES // int(widths[c]), 1)
+            for i in range(0, len(rows), step):
+                block = rows[i:i + step]
+                slot = indptr[block] + np.arange(widths[c])[:, None]
+                np.putmask(slot, slot >= indptr[block + 1], indptr[-1])
+                self.blocks.append((block, slot))
         self.indptr, self.remaining = indptr, None
-        # the walk's arrays, made on its first call, hold 0.0 past the last entry
+        # the walk's arrays, made on the first ``arrange``: three that hold
+        # 0.0 past the last entry, then two for the walk of one block
         self._size, self._work = int(indptr[-1]) + 1, []  # shared with parts
+        self._block_size = max((slot.size for _, slot in self.blocks), default=0)
 
     def part(self, a: int, b: int) -> "RowLayout":
-        """Rows a..b-1 alone, for ``walk``: the slice of each width class that
-        holds them. A part shares the walk's arrays and ``remaining``."""
+        """Rows a..b-1 alone, for ``walk``: the slice of each block that holds
+        them. A part shares the walk's arrays and ``remaining``."""
         part = RowLayout.__new__(RowLayout)
         part.indptr, part.remaining = self.indptr[a:b + 1], self.remaining[a:b]
-        part._size, part._work = self._size, self._work
+        part._size, part._work, part._block_size = self._size, self._work, self._block_size
         part.blocks = []
         for rows, slot in self.blocks:
             i, j = np.searchsorted(rows, (a, b))
@@ -149,9 +169,22 @@ class RowLayout:
         return part
 
     @functools.cached_property
+    def parts(self) -> list[tuple[int, int]]:
+        """Consecutive row ranges a..b-1 of at most ``_PART_ENTRIES`` entries
+        (a longer row alone) that cover the rows, for ``arrange``."""
+        indptr, rows = self.indptr, len(self.indptr) - 1
+        parts, a = [], 0
+        while a < rows:
+            b = int(np.searchsorted(indptr, indptr[a] + _PART_ENTRIES, side="right")) - 1
+            parts.append((a, max(b, a + 1)))
+            a = parts[-1][1]
+        return parts
+
+    @functools.cached_property
     def row(self) -> np.ndarray:
-        """The row of every entry, from 0 also in a part."""
-        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        """The row of every entry, from 0 also in a part (int32: a row is a
+        state)."""
+        return np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int32), np.diff(self.indptr))
 
     def sums(self, x: np.ndarray) -> np.ndarray:
         """Row sums of the per-entry ``x``, left to right from 0.0 as a Python
@@ -182,31 +215,37 @@ class RowLayout:
         self.remaining = 1.0 - total_lower
         return self.remaining
 
-    def walk(self, order, lower, gap, value) -> np.ndarray:
-        """The greedy adversary walk of every checked row: its k-th step is
-        entry ``order[k]`` of the per-entry ``lower``, ``gap`` (upper - lower)
-        and ``value``. Returns sum(gamma * value) per row."""
+    def arrange(self, a: int, b: int, order, lower, gap, value) -> None:
+        """Set the walk order of rows a..b-1: the k-th step of their walk is
+        entry ``order[k]`` of ``lower``, ``gap`` (upper - lower) and
+        ``value``, which hold the entries of these rows alone."""
         if not self._work:
             self._work.extend(np.zeros(self._size) for _ in range(3))
-        entries = slice(self.indptr[0], self.indptr[-1])
+            self._work.extend(np.empty((2, self._block_size)))
+        entries = slice(self.indptr[a], self.indptr[b])
         for work, x in zip(self._work, (lower, gap, value)):
             np.take(x, order, out=work[entries], mode="clip")  # mode "raise" would buffer a copy
-        low, gap, value = self._work
+
+    def walk(self) -> np.ndarray:
+        """The greedy adversary walk of every checked and arranged row.
+        Returns sum(gamma * value) per row."""
+        low, gap, value, *scratch = self._work
         expectation = np.zeros(len(self.indptr) - 1)
         for rows, slot in self.blocks:
-            block_gap = gap[slot]  # one row per column, in walk order
+            x, walk = (a[:slot.size].reshape(slot.shape) for a in scratch)
+            block_gap = np.take(gap, slot, out=x, mode="clip")  # one row per column, in walk order
             # The walk gives each successor its slack while the remaining
             # mass exceeds it, then the rest to the first successor whose
             # slack covers it, then nothing: its mass above the lower bound
             # is the remaining mass before it (a sequential running
             # difference) clipped to [0, slack]. gamma * value is then
             # summed in walk order from 0.0, as ``sums`` adds.
-            walk = np.empty_like(block_gap)
-            walk[0], walk[1:] = self.remaining[rows], -block_gap[:-1]
+            walk[0] = self.remaining[rows]
+            np.negative(block_gap[:-1], out=walk[1:])
             _cumsum(walk)
             np.minimum(np.maximum(walk, 0.0, out=walk), block_gap, out=walk)
-            walk += low[slot]
-            walk *= value[slot]
+            walk += np.take(low, slot, out=x, mode="clip")  # x held block_gap, now used up
+            walk *= np.take(value, slot, out=x, mode="clip")
             expectation[rows] = _cumsum(walk)[-1] + 0.0
         return expectation
 
@@ -400,11 +439,13 @@ def assign_labels(
 def build_imc(posts: CellPosteriors, label_boxes: Mapping[str, Sequence[Box]]) -> Imc:
     """Build the sound IMC abstraction over the grid of ``posts``:
     ``pair_bounds`` over every source's candidate block (the cells near its
-    posterior hull, row-major) in blocks of at most ``_BLOCK_PAIRS`` pairs,
-    and once with the domain as every source's target for the unsafe column.
+    posterior hull, row-major) in blocks of at most ``_BLOCK_PAIRS`` (2**14)
+    pairs, and once with the domain as every source's target for the unsafe
+    column.
 
     Pairs with upper bound 0 are omitted; the unsafe column is always
-    stored. Every row must satisfy sum(lower) <= 1 <= sum(upper); a
+    stored. Every row must satisfy sum(lower) <= 1 <= sum(upper), summed
+    over ``RowLayout`` blocks of at most ``_PART_ENTRIES`` (2**18) slots; a
     violation indicates a bug and raises SoundnessError rather than being
     rescaled away.
     """
@@ -531,7 +572,8 @@ def _reject_first(path, *checks) -> None:
 def write_imc(imc: Imc, bounds_path, labels_path) -> None:
     """Delimited exports: (from,to,lower,upper) sorted by (from,to), and one
     (state,label) row per label, sorted, a record nothing reads back. Entries
-    are formatted ``_WRITE_ROWS`` at a time, which bounds the memory used."""
+    are formatted ``_WRITE_ROWS`` (2**12) at a time, which bounds the memory
+    used."""
     with open(bounds_path, "w", encoding="utf-8") as fh:
         fh.write("from,to,lower,upper\n")
         for a in range(0, len(imc.dst), _WRITE_ROWS):

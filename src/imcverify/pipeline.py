@@ -11,13 +11,15 @@ table, once (``RunContext.posteriors``). Before a phase writes its exports
 it deletes those of every later phase, so no phase reloads an artifact
 derived from an overwritten one.
 Exports are byte-reproducible for a fixed config and seed; the summary
-additionally records wall-clock times and is a report, not an export.
+additionally records wall-clock times and the peak RSS after each phase,
+and is a report, not an export.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -84,6 +86,21 @@ class RunContext:
         if cfg.posterior_table is not None:
             table = read_posterior_table(cfg.posterior_table, self.partition.n_cells, cfg.model.n)
         return cell_posteriors(self.partition, cfg.model, cfg.noise, table, noise_cells)
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (2**20 bytes):
+    VmHWM where Linux has it, else ``ru_maxrss``."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    import resource  # not on Windows, which also has no /proc
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes on macOS, else KiB
 
 
 def build_context(config: RunConfig) -> RunContext:
@@ -270,10 +287,12 @@ def run_pipeline(
         t0 = time.perf_counter()
         imc = phase_abstract(ctx)
         summary["phases"]["abstract"] = {
-            "seconds": time.perf_counter() - t0, **_abstraction_statistics(imc)
+            "seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb(),
+            **_abstraction_statistics(imc),
         }
-        log.info("abstract: %.3f s, %d entries",
-                 summary["phases"]["abstract"]["seconds"], len(imc.dst))
+        log.info("abstract: %.3f s, %d entries, peak RSS %.1f MB",
+                 summary["phases"]["abstract"]["seconds"], len(imc.dst),
+                 summary["phases"]["abstract"]["peak_rss_mb"])
     if {"verify", "improve", "simulate"} & set(phases):
         summary["states"] = ctx.partition.n_states
         summary["cells"] = ctx.partition.n_cells
@@ -285,12 +304,14 @@ def run_pipeline(
         result = phase_verify(ctx, imc)
         summary["phases"]["verify"] = {
             "seconds": time.perf_counter() - t0,
+            "peak_rss_mb": _peak_rss_mb(),
             "iterations": result.iterations,
             "converged": result.converged,
             "fixpoint_sweep": dict(zip(("lower", "upper"), result.fixpoints)),
         }
-        log.info("verify: %.3f s, %d sweeps, bitwise fixpoint from sweep %s (lower), %s (upper)",
-                 summary["phases"]["verify"]["seconds"], result.iterations, *result.fixpoints)
+        log.info("verify: %.3f s, %d sweeps, bitwise fixpoint from sweep %s (lower), %s (upper), "
+                 "peak RSS %.1f MB", summary["phases"]["verify"]["seconds"], result.iterations,
+                 *result.fixpoints, summary["phases"]["verify"]["peak_rss_mb"])
 
     if "improve" in phases and config.cluster_passes > 0:
         if imc is None:
@@ -301,10 +322,12 @@ def run_pipeline(
         result, per_pass = phase_improve(ctx, imc, result)
         summary["phases"]["improve"] = {
             "seconds": time.perf_counter() - t0,
+            "peak_rss_mb": _peak_rss_mb(),
             "passes": [{"pass": i + 1, "improved": c} for i, c in enumerate(per_pass)],
         }
-        log.info("improve: %.3f s, states changed per pass %s",
-                 summary["phases"]["improve"]["seconds"], per_pass)
+        log.info("improve: %.3f s, states changed per pass %s, peak RSS %.1f MB",
+                 summary["phases"]["improve"]["seconds"], per_pass,
+                 summary["phases"]["improve"]["peak_rss_mb"])
 
     if "simulate" in phases and config.monte_carlo.enabled:
         if result is None:
@@ -314,12 +337,13 @@ def run_pipeline(
         records = phase_simulate(ctx, result)
         summary["phases"]["simulate"] = {
             "seconds": time.perf_counter() - t0,
+            "peak_rss_mb": _peak_rss_mb(),
             "validation": records,
             "all_sound": all(r["sound"] for r in records),
         }
-        log.info("simulate: %.3f s, %d cells x %d trajectories",
+        log.info("simulate: %.3f s, %d cells x %d trajectories, peak RSS %.1f MB",
                  summary["phases"]["simulate"]["seconds"], len(records),
-                 config.monte_carlo.trajectories)
+                 config.monte_carlo.trajectories, summary["phases"]["simulate"]["peak_rss_mb"])
 
     if result is not None:
         counts = {"satisfies": 0, "violates": 0, "undetermined": 0}

@@ -13,12 +13,13 @@ give every successor its lower bound, then saturate the remaining mass in
 sorted order up to each upper bound. The feasible set is a transportation
 polytope and this greedy walk reaches its extreme points. One kernel,
 ``_extreme_expectation``, ranks the states and sorts every row of a CSR
-block into walk order for one bound; ``RowLayout.walk`` (``imc.py``, the
-owner of the row layout) then walks each row sequentially in O(nnz)
-memory, so each row gets the bits of a walk over that row alone. Value
-iteration lays its rows out and checks them once, and stops sweeping a bound
-whose sweep returns its own bits; cluster improvement calls the kernel for
-both bounds on parts of its own layout.
+block into walk order for one bound, one ``RowLayout.parts`` row range at
+a time (``RowLayout.arrange``); ``RowLayout.walk`` (``imc.py``, the owner
+of the row layout) then walks each row sequentially, one block of the
+layout at a time, so each row gets the bits of a walk over that row
+alone. Value iteration lays its rows out and checks them once, and stops
+sweeping a bound whose sweep returns its own bits; cluster improvement
+calls the kernel for both bounds on parts of its own layout.
 """
 
 from __future__ import annotations
@@ -95,8 +96,14 @@ def _extreme_expectation(layout: RowLayout, dst, lower, gap, values, sign: float
     # sorting each row by the rank of its targets is the walk order
     rank = np.empty(n_states, dtype=np.int64)
     rank[np.lexsort((keys, sign * values))] = np.arange(n_states)
-    order = np.argsort(layout.row * n_states + rank[dst], kind="stable")
-    return layout.walk(order, lower, gap, values[dst])
+    # sort one part at a time, so that the key, the permutation and the
+    # gathers are part-sized, then walk the blocks
+    for a, b in layout.parts:
+        e = slice(layout.indptr[a] - layout.indptr[0], layout.indptr[b] - layout.indptr[0])
+        key = np.multiply(layout.row[e], n_states, dtype=np.int64)
+        order = np.argsort(np.add(key, rank[dst[e]], out=key), kind="stable")
+        layout.arrange(a, b, order, lower[e], gap[e], values[dst[e]])
+    return layout.walk()
 
 
 def _extreme_expectations(layout: RowLayout, dst, lower, gap, lo_values, hi_values, keys=None):
@@ -133,6 +140,10 @@ def robust_value_iteration(
     below ``convergence_tol`` or the iteration cap is hit; the result
     reports which happened. A bound is final once a sweep returns its bits;
     ``iterations`` counts every sweep the result stands for.
+
+    A sweep ranks the states once per bound, sorts the rows into walk order
+    in parts of at most ``_PART_ENTRIES`` (2**18) entries and walks blocks of
+    at most that many slots, so its scratch arrays do not grow with nnz.
     """
     goal, avoid = _goal_avoid_sets(imc)
     pinned = goal | avoid

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import imcverify.cluster as cluster_module
+import imcverify.imc as imc_module
 from imcverify.cluster import _largest_block, _levels, cluster_improve, cluster_proposals
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import Box, partition_domain
@@ -292,9 +293,10 @@ def one_row_at_a_time(imc, model, noise, result):
     return p_lo, p_hi, chained
 
 
-def test_pass_matches_one_row_at_a_time():
+def test_pass_matches_one_row_at_a_time(monkeypatch):
     """Clustered rows that read states improved earlier in the same pass
-    get the bits of a pass that walks one row at a time."""
+    get the bits of a pass that walks one row at a time, whatever the
+    entry budget of a part."""
     part = partition_domain(Box.from_bounds([[0, 7], [0, 7]]), (7, 7))
     model = parse_dynamics(["x1 + 1 + w1", "x2 + 1 + w2"], 2, "additive")
     noise = NoiseModel((Uniform(-1.25, 1.25), Uniform(-1.25, 1.25)))
@@ -307,11 +309,13 @@ def test_pass_matches_one_row_at_a_time():
     p_lower[goal] = p_upper[goal] = 1.0
     p_lower[imc.unsafe_index] = p_upper[imc.unsafe_index] = 0.0
     res = planted_result(p_lower, p_upper)
-    out = cluster_improve(imc, posts, res, ReachAvoidSpec())
     ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res)
     assert chained > 10
-    assert np.array_equal(out.p_lower, ref_lo)
-    assert np.array_equal(out.p_upper, ref_hi)
+    for budget in (imc_module._PART_ENTRIES, 7, 1):
+        monkeypatch.setattr(imc_module, "_PART_ENTRIES", budget)
+        out = cluster_improve(imc, posts, res, ReachAvoidSpec())
+        assert np.array_equal(out.p_lower, ref_lo)
+        assert np.array_equal(out.p_upper, ref_hi)
 
 
 def test_levels_keep_reads_before_and_after_writes(caplog):

@@ -453,14 +453,20 @@ class TestPipeline:
         )
         fixpoints = verify["fixpoint_sweep"]
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
-            f"abstract: {abstract['seconds']:.3f} s, {abstract['entries']} entries",
+            f"abstract: {abstract['seconds']:.3f} s, {abstract['entries']} entries, "
+            f"peak RSS {abstract['peak_rss_mb']:.1f} MB",
             f"verify: {verify['seconds']:.3f} s, {verify['iterations']} sweeps, bitwise "
-            f"fixpoint from sweep {fixpoints['lower']} (lower), {fixpoints['upper']} (upper)",
+            f"fixpoint from sweep {fixpoints['lower']} (lower), {fixpoints['upper']} (upper), "
+            f"peak RSS {verify['peak_rss_mb']:.1f} MB",
             f"improve: {improve['seconds']:.3f} s, states changed per pass "
-            f"{[p['improved'] for p in improve['passes']]}",
+            f"{[p['improved'] for p in improve['passes']]}, peak RSS {improve['peak_rss_mb']:.1f} MB",
             f"simulate: {simulate['seconds']:.3f} s, {len(simulate['validation'])} cells x "
-            f"{cfg.monte_carlo.trajectories} trajectories",
+            f"{cfg.monte_carlo.trajectories} trajectories, peak RSS {simulate['peak_rss_mb']:.1f} MB",
         ]
+        # the peak RSS only grows from phase to phase of one process
+        peaks = [abstract["peak_rss_mb"], verify["peak_rss_mb"], improve["peak_rss_mb"],
+                 simulate["peak_rss_mb"]]
+        assert 0.0 < peaks[0] and peaks == sorted(peaks)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="imcverify"):
             run_pipeline(cfg, phases=("verify",))

@@ -1,8 +1,11 @@
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from imcverify.config import load_config
 from imcverify.dynamics import enclosure, parse_dynamics
 from imcverify.errors import InputError, SoundnessError
 from imcverify.geometry import Box, partition_domain
@@ -28,7 +31,10 @@ from imcverify.noise import (
     optimal_partition_multiplicative,
     uniform_noise_grid,
 )
+from imcverify.pipeline import build_context
 from oracles import empirical_kernel, kernel_grid_extrema
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 def identity_additive():
@@ -614,6 +620,27 @@ class TestExports:
         monkeypatch.setattr(imc_module, "_WRITE_ROWS", 3)  # blocks end inside rows
         write_imc(imc, tmp_path / "blocks.csv", tmp_path / "lab.csv")
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_build_and_write_scratch_is_fixed_per_block(self, tmp_path):
+        """On the 40^2 paper config (62k stored entries) the build's traced
+        peak stays under 12 MB and the export's under 2 MB: their blocks,
+        not the pair or entry count, set them (28.2 and 8.7 MB with blocks
+        of 2**18 pairs and 2**16 entries)."""
+        ctx = build_context(load_config(WORKLOADS / "paper-mult-40.yaml"))
+        posts = ctx.posteriors()
+        tracemalloc.start()
+        try:
+            imc = build_imc(posts, ctx.config.labels)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_imc(imc, tmp_path / "imc.csv", tmp_path / "labels.csv")
+            write_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(imc.dst) > 3 * imc_module._BLOCK_PAIRS
+        assert build_peak < 12 * 2**20
+        assert write_peak < 2 * 2**20
 
     def test_duplicate_pair_rejected(self, tmp_path):
         part = partition_domain(Box.from_bounds([[0, 1]]), (2,))

@@ -1,14 +1,17 @@
 import itertools
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from imcverify import imc as imc_module
+from imcverify.config import load_config
 from imcverify.errors import InputError, InvalidModelError, SpecificationError
 from imcverify.geometry import Box, partition_domain
-from imcverify.imc import Imc, RowLayout
+from imcverify.imc import Imc, RowLayout, build_imc
+from imcverify.pipeline import build_context
 from imcverify.verify import (
     ReachAvoidSpec,
     _extreme_expectations,
@@ -19,6 +22,8 @@ from imcverify.verify import (
 )
 from csr_rows import csr, extremes, label_masks
 from oracles import chain_reach_probability, extreme_by_vertex_enumeration
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 def make_imc(rows, n_cells, goal=(), obstacle=()):
@@ -410,6 +415,57 @@ class TestSettledBounds:
         assert f"bitwise fixpoint from sweep {lower} (lower), {upper} (upper)" in caplog.text
         if tol == 0.0:  # no sweep can converge: every sweep up to the cap counts
             assert (res.iterations, res.converged) == (cap, False)
+
+
+def random_imc(rng, n_cells):
+    """Random rows of 1 to 12 successors among the cells and the unsafe
+    state, with random goal and obstacle cells."""
+    rows = tuple(
+        random_row(rng, np.sort(rng.choice(n_cells + 1, m, replace=False)))
+        for m in rng.integers(1, min(13, n_cells + 2), n_cells).tolist()
+    ) + (((n_cells, 1.0, 1.0),),)
+    marks = rng.random(n_cells)
+    return make_imc(rows, n_cells, np.flatnonzero(marks < 0.15), np.flatnonzero(marks > 0.9))
+
+
+class TestSweepParts:
+    """Value iteration sorts rows in parts of at most ``_PART_ENTRIES``
+    entries and walks blocks of at most that many slots; the budget changes
+    neither the bits nor the sweep counts."""
+
+    @staticmethod
+    def sweeps(imc, spec, budget, monkeypatch):
+        """With no tolerance the unbounded horizon runs until both bounds
+        return their bits (or 400 sweeps)."""
+        monkeypatch.setattr(imc_module, "_PART_ENTRIES", budget)
+        res = robust_value_iteration(imc, spec, convergence_tol=0.0, max_iterations=400)
+        return res.p_lower.tobytes(), res.p_upper.tobytes(), res.iterations, res.fixpoints
+
+    def test_random_imcs(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        default, fixpoints = imc_module._PART_ENTRIES, []
+        for _ in range(6):
+            imc = random_imc(rng, int(rng.integers(2, 25)))
+            for spec in (ReachAvoidSpec(), ReachAvoidSpec(horizon=25)):
+                expected = self.sweeps(imc, spec, default, monkeypatch)
+                fixpoints += expected[3]
+                for budget in (1, 7):
+                    assert self.sweeps(imc, spec, budget, monkeypatch) == expected
+        assert sum(f is not None for f in fixpoints) >= 6
+
+    def test_additive_h200_phased(self, monkeypatch):
+        """The bench IMC (1,601 states, 200 sweeps). Budgets 1 and 7, which
+        sort each row alone, run the first sweeps only."""
+        ctx = build_context(load_config(WORKLOADS / "additive-h200-phased.yaml"))
+        imc = build_imc(ctx.posteriors(), ctx.config.labels)
+        default = imc_module._PART_ENTRIES
+        assert len(imc.dst) < default  # one part at the default budget
+        expected = self.sweeps(imc, ctx.spec, default, monkeypatch)
+        assert self.sweeps(imc, ctx.spec, 2**12, monkeypatch) == expected
+        first = ReachAvoidSpec(horizon=3, threshold=ctx.spec.threshold)
+        expected = self.sweeps(imc, first, default, monkeypatch)
+        for budget in (1, 7):
+            assert self.sweeps(imc, first, budget, monkeypatch) == expected
 
 
 class TestClassify:
