@@ -39,6 +39,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._csv import write_columns
 from .dynamics import (
     ADDITIVE,
     GENERAL,
@@ -69,9 +70,6 @@ _ALIGN_TOL = 1e-9
 # (2 vCPU) the build takes 76-81 ms against 132-142 ms with 2**18 pairs,
 # and its traced peak is 6.9 MB against 28.2 MB
 _BLOCK_PAIRS = 2**14
-# CSR entries per block of formatted lines in ``write_imc``: 2**12 takes the
-# time of 2**16 with a transient of 0.6 MB in place of 8.7 MB (paper-mult-40)
-_WRITE_ROWS = 2**12
 # entries per row range that a sweep sorts at once (``RowLayout.parts``) and
 # slots per ``RowLayout`` block: the sort key, the permutation and the
 # gathers of a part, and the walk's scratch, take a few MB whatever the nnz.
@@ -571,22 +569,18 @@ def _reject_first(path, *checks) -> None:
 
 def write_imc(imc: Imc, bounds_path, labels_path) -> None:
     """Delimited exports: (from,to,lower,upper) sorted by (from,to), and one
-    (state,label) row per label, sorted, a record nothing reads back. Entries
-    are formatted ``_WRITE_ROWS`` (2**12) at a time, which bounds the memory
-    used."""
-    with open(bounds_path, "w", encoding="utf-8") as fh:
-        fh.write("from,to,lower,upper\n")
-        for a in range(0, len(imc.dst), _WRITE_ROWS):
-            b = min(a + _WRITE_ROWS, len(imc.dst))
-            src = np.searchsorted(imc.indptr, np.arange(a, b), side="right") - 1
-            block = (x.tolist() for x in (src, imc.dst[a:b], imc.lower[a:b], imc.upper[a:b]))
-            fh.writelines(f"{s},{d},{lo!r},{up!r}\n" for s, d, lo, up in zip(*block))
+    (state,label) row per label, sorted, a record nothing reads back."""
+
+    def entries(a, b):
+        src = np.searchsorted(imc.indptr, np.arange(a, b), side="right") - 1
+        return src, imc.dst[a:b], imc.lower[a:b], imc.upper[a:b]
+
+    write_columns(bounds_path, "from,to,lower,upper", (len(imc.dst), entries))
     names = sorted(imc.labels)
     # the (state, label) pairs of the (states, labels) mask, state-major
     state, label = np.nonzero(np.stack([imc.labels[name] for name in names], axis=1))
-    with open(labels_path, "w", encoding="utf-8") as fh:
-        fh.write("state,label\n")
-        fh.writelines(f"{i},{names[k]}\n" for i, k in zip(state.tolist(), label.tolist()))
+    pairs = (len(state), lambda a, b: (state[a:b], (names, label[a:b])))
+    write_columns(labels_path, "state,label", pairs)
 
 
 def read_imc(bounds_path, partition: StatePartition, labels: Mapping[str, np.ndarray]) -> Imc:
@@ -611,10 +605,15 @@ def read_imc(bounds_path, partition: StatePartition, labels: Mapping[str, np.nda
 
 
 def write_posterior_table(table: PosteriorTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("state,component,lo,hi\n")
-        for state, (lo, hi) in enumerate(zip(table.lo.tolist(), table.hi.tolist())):
-            fh.writelines(f"{state},{d},{a!r},{b!r}\n" for d, (a, b) in enumerate(zip(lo, hi)))
+    """One (state,component,lo,hi) row per state and component, in order."""
+    dim = table.lo.shape[1]
+    lo, hi = table.lo.ravel(), table.hi.ravel()
+
+    def entries(a, b):
+        k = np.arange(a, b)
+        return k // dim, k % dim, lo[a:b], hi[a:b]
+
+    write_columns(path, "state,component,lo,hi", (len(lo), entries))
 
 
 def read_posterior_table(path, n_states: int, dim: int) -> PosteriorTable:

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._csv import write_columns
 from .dynamics import DynamicsModel, eval_point
 from .geometry import Box
 from .noise import NoiseModel
@@ -280,8 +281,15 @@ def write_trajectories(trajectories: Sequence[Trajectory], path, dim: int) -> No
     """One row per step: trajectory id, step, the ``dim`` state components
     (a header of ``x1..x{dim}`` even without trajectories), termination."""
     columns = ["trajectory", "step"] + [f"x{d + 1}" for d in range(dim)] + ["termination"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for tid, traj in enumerate(trajectories):
-            for step, state in enumerate(traj.states.tolist()):
-                fh.write(f"{tid},{step},{','.join(map(repr, state))},{traj.termination}\n")
+    names = sorted({t.termination for t in trajectories})
+    term = np.array([names.index(t.termination) for t in trajectories], np.intp)
+    start = np.cumsum([0] + [t.length for t in trajectories])  # each one's first row
+
+    def steps(a, b):
+        row = np.arange(a, b)
+        tid = np.searchsorted(start, row, side="right") - 1
+        states = np.concatenate([trajectories[i].states[max(a - start[i], 0) : b - start[i]]
+                                 for i in range(tid[0], tid[-1] + 1)])
+        return tid, row - start[tid], *states.T, (names, term[tid])
+
+    write_columns(path, ",".join(columns), (int(start[-1]), steps))

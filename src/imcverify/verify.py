@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._csv import write_columns
 from .errors import InputError, InvalidModelError, SpecificationError
 from .geometry import StatePartition
 from .imc import _ROW_TOL, AVOID_LABELS, GOAL_LABEL, Imc, RowLayout, _read_columns
@@ -216,14 +217,20 @@ def write_results(result: VerificationResult, partition: StatePartition, path) -
 
     The unsafe state has no box; its bound fields stay empty.
     """
-    dim = partition.domain.dim
-    lo, hi = (c.tolist() for c in partition.corners(np.arange(partition.n_cells)))
-    bounds = [",".join(f"{a!r},{b!r}" for a, b in zip(*cell)) for cell in zip(lo, hi)]
-    bounds.append("," * (2 * dim - 1))  # the unsafe state
-    rows = zip(bounds, result.p_lower.tolist(), result.p_upper.tolist(), result.classification)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_results_header(dim) + "\n")
-        fh.writelines(f"{i},{b},{p!r},{q!r},{c}\n" for i, (b, p, q, c) in enumerate(rows))
+    dim, cells = partition.domain.dim, partition.n_cells
+    index = {c: k for k, c in enumerate(_CLASSES)}
+    classes = np.fromiter(map(index.__getitem__, result.classification), np.intp, cells + 1)
+    p_lower, p_upper = result.p_lower, result.p_upper
+
+    def cell_rows(a, b):
+        lo, hi = partition.corners(np.arange(a, b))
+        bounds = [c for d in range(dim) for c in (lo[:, d], hi[:, d])]
+        return np.arange(a, b), *bounds, p_lower[a:b], p_upper[a:b], (_CLASSES, classes[a:b])
+
+    empty = ("",), np.zeros(1, np.intp)
+    unsafe = (np.array([cells]), *[empty] * (2 * dim), p_lower[cells:], p_upper[cells:],
+              (_CLASSES, classes[cells:]))
+    write_columns(path, _results_header(dim), (cells, cell_rows), (1, lambda a, b: unsafe))
 
 
 def read_results(
@@ -252,7 +259,9 @@ def read_results(
         (~((0.0 <= lo) & (hi <= 1.0 + _ROW_TOL)),
          lambda k: f"requires 0 <= p_lower and p_upper <= 1, got [{lo[k]}, {hi[k]}]"),
     )
-    missing = np.setdiff1d(np.arange(n), state)
+    seen = np.zeros(n, bool)
+    seen[state] = True
+    missing = np.flatnonzero(~seen)
     if len(missing):
         raise InputError(f"{path}: result table is missing states {missing.tolist()}")
     p_lower, p_upper = np.empty(n), np.empty(n)

@@ -193,3 +193,58 @@ def binomial_tail(n: int, s: int, p: float, upper: bool) -> Fraction:
         total = total * (d - a) + comb(n, k) * power
         power *= a
     return Fraction(total * (d - a) ** (n - ks[-1]), d**n)
+
+
+# --- reference exports: one f-string line per row, each float by ``repr`` ---
+
+
+def write_imc_lines(imc, bounds_path, labels_path) -> None:
+    """``write_imc`` as f-string lines: (from,to,lower,upper) in CSR order,
+    then (state,label) per label of each state, label names sorted."""
+    with open(bounds_path, "w", encoding="utf-8") as fh:
+        fh.write("from,to,lower,upper\n")
+        for s in range(len(imc.indptr) - 1):
+            for k in range(imc.indptr[s], imc.indptr[s + 1]):
+                lo, up = float(imc.lower[k]), float(imc.upper[k])
+                fh.write(f"{s},{int(imc.dst[k])},{lo!r},{up!r}\n")
+    names = sorted(imc.labels)
+    with open(labels_path, "w", encoding="utf-8") as fh:
+        fh.write("state,label\n")
+        for i in range(imc.n_states):
+            fh.writelines(f"{i},{name}\n" for name in names if imc.labels[name][i])
+
+
+def write_results_lines(result, partition, path) -> None:
+    """``write_results`` as f-string lines; the unsafe state's bound fields
+    are empty."""
+    dim = partition.domain.dim
+    bounds = [f"lo{d + 1},hi{d + 1}" for d in range(dim)]
+    header = ["state"] + bounds + ["p_lower", "p_upper", "class"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(partition.n_states):
+            if i < partition.n_cells:
+                cell = partition.cell(i)
+                bounds = ",".join(f"{c.lo!r},{c.hi!r}" for c in cell.intervals)
+            else:
+                bounds = "," * (2 * dim - 1)
+            p, q = float(result.p_lower[i]), float(result.p_upper[i])
+            fh.write(f"{i},{bounds},{p!r},{q!r},{result.classification[i]}\n")
+
+
+def write_trajectories_lines(trajectories, path, dim: int) -> None:
+    """``write_trajectories`` as f-string lines, one per step."""
+    columns = ["trajectory", "step"] + [f"x{d + 1}" for d in range(dim)] + ["termination"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for tid, traj in enumerate(trajectories):
+            for step, state in enumerate(traj.states.tolist()):
+                fh.write(f"{tid},{step},{','.join(map(repr, state))},{traj.termination}\n")
+
+
+def write_posterior_table_lines(table, path) -> None:
+    """``write_posterior_table`` as f-string lines, one per state and component."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("state,component,lo,hi\n")
+        for state, (lo, hi) in enumerate(zip(table.lo.tolist(), table.hi.tolist())):
+            fh.writelines(f"{state},{d},{a!r},{b!r}\n" for d, (a, b) in enumerate(zip(lo, hi)))

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import imcverify.config as config_module
 from imcverify import cli
 from imcverify.cli import main
 from imcverify.config import MonteCarloConfig, RunConfig, load_config
@@ -29,6 +31,8 @@ from imcverify.pipeline import (
     run_pipeline,
 )
 from imcverify.verify import DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_ITERATIONS, DEFAULT_THRESHOLD
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 TOY_1D = """\
 domain: [[0.0, 1.0]]
@@ -162,6 +166,24 @@ class TestLoadConfig:
         assert (cfg.threshold, cfg.convergence_tol, cfg.max_iterations) == (
             DEFAULT_THRESHOLD, DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_ITERATIONS
         )
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+    def test_yaml_loaders_agree(self, tmp_path, monkeypatch):
+        # configs parse with libyaml's loader where PyYAML has it: both
+        # loaders give equal dicts, and a malformed file is an input error
+        # naming the path under either
+        assert config_module._YAML_LOADER is yaml.CSafeLoader
+        paths = sorted(WORKLOADS.glob("*.yaml"))
+        assert paths
+        for path in paths:
+            data = path.read_bytes()
+            assert yaml.load(data, Loader=yaml.CSafeLoader) == yaml.safe_load(data), path.name
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("domain: [[0.0, 1.0]\ngrid: [4]\n")
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+            with pytest.raises(InputError, match=f"config parse error in {re.escape(str(bad))}"):
+                load_config(bad)
 
     OVERLAP_2D = """\
 domain: [[-1.0, 1.0], [-1.0, 1.0]]
@@ -869,6 +891,21 @@ output_dir: out
         assert not run(phase("simulate"))
         validation = json.loads((tmp_path / "out" / SUMMARY_FILE).read_text())["phases"]["simulate"]
         assert len(validation["validation"]) == 4 and validation["all_sound"] is True
+
+    def test_phased_improve_does_not_load_numpy_ma(self, tmp_path):
+        # reloading results.csv finds missing states with a mask of the states
+        # seen: np.setdiff1d would import numpy.ma, about 18 ms per process
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        path = tmp_path / "toy.yaml"
+        path.write_text(TOY_1D.format(passes=1, mc="false", outdir=tmp_path / "out"))
+        for phase in ("abstract", "verify"):
+            assert main([phase, "-c", str(path)]) == 0
+        code = ("import sys\nfrom imcverify.cli import main\n"
+                f"assert main(['improve', '-c', {str(path)!r}]) == 0\n"
+                "sys.exit('numpy.ma' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+        assert (tmp_path / "out" / IMPROVED_FILE).exists()
 
     def test_posterior_table_from_computed_posteriors(self, tmp_path, caplog):
         # the data-driven path: a table holding the computed g(q) gives the

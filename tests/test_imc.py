@@ -9,6 +9,7 @@ from imcverify.config import load_config
 from imcverify.dynamics import enclosure, parse_dynamics
 from imcverify.errors import InputError, SoundnessError
 from imcverify.geometry import Box, partition_domain
+import imcverify._csv as csv_module
 import imcverify.imc as imc_module
 from imcverify.imc import (
     CellPosteriors,
@@ -617,7 +618,7 @@ class TestExports:
         posts = cell_posteriors(part, identity_additive(), noise)
         imc = build_imc(posts, {"goal": [Box.from_bounds([[0.75, 1]])]})
         write_imc(imc, tmp_path / "one.csv", tmp_path / "lab.csv")
-        monkeypatch.setattr(imc_module, "_WRITE_ROWS", 3)  # blocks end inside rows
+        monkeypatch.setattr(csv_module, "_WRITE_ROWS", 3)  # blocks end inside rows
         write_imc(imc, tmp_path / "blocks.csv", tmp_path / "lab.csv")
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
