@@ -6,12 +6,7 @@ import types as _types
 
 __version__ = "0.1.0"  # before the submodules: the pipeline records it
 
-from .geometry import (
-    Box,
-    Interval,
-    StatePartition,
-    partition_domain,
-)
+from .geometry import StatePartition, partition_domain
 from .dynamics import (
     DynamicsModel,
     enclosure,
@@ -45,7 +40,6 @@ from .mc import (
     ReachAvoidRegions,
     Trajectory,
     estimate_satisfaction,
-    simulate,
 )
 from .config import RunConfig, load_config
 from .pipeline import run_pipeline

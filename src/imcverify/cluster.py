@@ -104,9 +104,9 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     lo = partition.corners(np.ravel_multi_index(first, partition.resolution))[0]
     hi = partition.corners(np.ravel_multi_index([b - 1 for b in stop], partition.resolution))[1]
     hull_lo, hull_hi = posts.hull_lo[sources], posts.hull_hi[sources]
-    hull_volume = np.prod(hull_hi - hull_lo, axis=1)  # in dimension order, as Box.volume
+    hull_volume = np.prod(hull_hi - hull_lo, axis=1)
     tiled = segments.sums(volume)
-    dom_lo, dom_hi = partition.domain.endpoints()
+    dom_lo, dom_hi = (np.array([e[k] for e in partition.edges]) for k in (0, -1))
     hull = filled & ((dom_lo <= hull_lo) & (hull_hi <= dom_hi)).all(axis=1)
     hull &= np.abs(tiled - hull_volume) <= 1e-9 * np.maximum(1.0, hull_volume)
     lo[hull], hi[hull] = hull_lo[hull], hull_hi[hull]

@@ -9,11 +9,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional, Union
 
+import numpy as np
 import yaml
 
 from .dynamics import GENERAL, STRUCTURES, DynamicsModel, parse_dynamics
 from .errors import InputError, ParseError, StructureError
-from .geometry import Box
 from .imc import AVOID_LABELS, GOAL_LABEL, UNSAFE_LABEL
 from .noise import Mixture, NoiseComponent, NoiseModel, TruncatedGaussian, Uniform
 from .verify import DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_ITERATIONS, DEFAULT_THRESHOLD
@@ -37,11 +37,11 @@ class MonteCarloConfig:
 
 @dataclass
 class RunConfig:
-    domain: Box
+    domain: tuple[np.ndarray, np.ndarray]  # (lo, hi), each of shape (n,)
     grid: tuple[int, ...]
     model: DynamicsModel
     noise: NoiseModel
-    labels: dict[str, tuple[Box, ...]]
+    labels: dict[str, tuple[np.ndarray, np.ndarray]]  # (lo, hi), each of shape (boxes, n)
     threshold: float = DEFAULT_THRESHOLD
     horizon: Optional[int] = None
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
@@ -109,16 +109,20 @@ def _known_keys(mapping: Any, allowed: tuple[str, ...], path: str) -> None:
             _fail(f"{path}.{key}" if path else str(key), "unknown field")
 
 
-def _as_box(value: Any, path: str) -> Box:
+def _as_box(value: Any, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A list of finite [lo, hi] pairs as the arrays of its lower and upper ends."""
     if not isinstance(value, (list, tuple)) or not value:
         _fail(path, "expected a list of [lo, hi] pairs")
     for i, pair in enumerate(value):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             _fail(f"{path}[{i}]", "expected a [lo, hi] pair")
         lo, hi = (_number(v, f"{path}[{i}]") for v in pair)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            _fail(f"{path}[{i}]", f"requires finite endpoints, got [{lo}, {hi}]")
         if not lo < hi:
             _fail(f"{path}[{i}]", f"requires lo < hi, got [{lo}, {hi}]")
-    return Box.from_bounds(value)
+    lo, hi = np.array(value, dtype=float).T.copy()
+    return lo, hi
 
 
 _TOP_FIELDS = (
@@ -180,7 +184,7 @@ def load_config(path) -> RunConfig:
     _known_keys(raw, _TOP_FIELDS, "")
 
     domain = _as_box(_need(raw, "domain", ""), "domain")
-    n = domain.dim
+    n = len(domain[0])
 
     grid = _counts(_need(raw, "grid", ""), n, "grid")
 
@@ -211,9 +215,9 @@ def load_config(path) -> RunConfig:
     if structure == "multiplicative":
         # Corollary-style multiplicative cut points assume positivity
         for d in range(n):
-            if domain.component(d).lo <= 0.0:
+            if domain[0][d] <= 0.0:
                 _fail("domain", "multiplicative structure requires a strictly positive domain")
-            if noise.components[d].support.lo < 0.0:
+            if noise.components[d].support[0] < 0.0:
                 _fail(
                     f"noise.components[{d}]",
                     "multiplicative structure requires non-negative noise support",
@@ -227,7 +231,7 @@ def load_config(path) -> RunConfig:
         # only general systems bound transitions over a noise grid
         _fail("noise.grid", f"only read for dynamics.structure 'general', not {structure!r}")
 
-    labels: dict[str, tuple[Box, ...]] = {}
+    labels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     labels_raw = raw.get("labels", {})
     if not isinstance(labels_raw, dict):
         _fail("labels", "expected a mapping from label name to a list of boxes")
@@ -236,22 +240,23 @@ def load_config(path) -> RunConfig:
             _fail(f"labels.{name}", "the name is reserved for the state outside the domain")
         if not isinstance(boxes_raw, (list, tuple)):
             _fail(f"labels.{name}", "expected a list of boxes")
-        boxes = tuple(
-            _as_box(b, f"labels.{name}[{i}]") for i, b in enumerate(boxes_raw)
-        )
-        for i, b in enumerate(boxes):
-            if b.dim != n:
+        boxes = [_as_box(b, f"labels.{name}[{i}]") for i, b in enumerate(boxes_raw)]
+        for i, (lo, hi) in enumerate(boxes):
+            if len(lo) != n:
                 _fail(f"labels.{name}[{i}]", "box dimension differs from domain")
-            if not domain.contains(b):
+            if not ((domain[0] <= lo) & (hi <= domain[1])).all():
                 _fail(f"labels.{name}[{i}]", "box is not inside the domain")
-        labels[str(name)] = boxes
-    if GOAL_LABEL not in labels:
+        labels[str(name)] = tuple(np.array([b[k] for b in boxes]).reshape(-1, n) for k in (0, 1))
+    if GOAL_LABEL not in labels or not len(labels[GOAL_LABEL][0]):
         _fail(f"labels.{GOAL_LABEL}", "a goal label with at least one box is required")
     # a goal box may share a face with an avoid box, but no interior point
-    avoid = [(f"labels.{m}[{j}]", b) for m in AVOID_LABELS for j, b in enumerate(labels.get(m, ()))]
-    for i, goal in enumerate(labels[GOAL_LABEL]):
-        for where, box in avoid:
-            if all(a.lo < b.hi and b.lo < a.hi for a, b in zip(goal.intervals, box.intervals)):
+    avoid = [
+        (f"labels.{m}[{j}]", lo, hi)
+        for m in AVOID_LABELS for j, (lo, hi) in enumerate(zip(*labels.get(m, ())))
+    ]
+    for i, (goal_lo, goal_hi) in enumerate(zip(*labels[GOAL_LABEL])):
+        for where, lo, hi in avoid:
+            if ((goal_lo < hi) & (lo < goal_hi)).all():
                 _fail(f"labels.{GOAL_LABEL}[{i}]", f"overlaps {where}; they may share only a face")
 
     spec_raw = raw.get("spec", {})

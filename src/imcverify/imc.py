@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .dynamics import (
     enclosure,
 )
 from .errors import InputError, SoundnessError
-from .geometry import Box, StatePartition
+from .geometry import StatePartition
 from .noise import (
     NoiseGrid,
     NoiseModel,
@@ -347,7 +347,7 @@ def cell_posteriors(
     if posterior_table is not None and model.structure == GENERAL:
         raise ValueError("posterior tables require an additive or multiplicative structure")
     x = partition.corners(np.arange(partition.n_cells))
-    support = noise.support_box().endpoints()
+    support = noise.support()
     if model.structure == GENERAL:
         # every cell's image under every noise cell, shape (cells, noise cells, n)
         x_cells = (x[0][:, None, :], x[1][:, None, :])
@@ -376,17 +376,20 @@ def cell_posteriors(
 # --- label handling -----------------------------------------------------------
 
 
-def _aligned_spans(partition: StatePartition, box: Box, name: str) -> list[slice]:
-    """Per dimension, the slice of grid cells the box covers. Each endpoint
-    must lie on a grid line (up to rounding); the edge it matches bounds the
-    slice, so edges such as ``-0.19999999999999996`` do not spill a label
-    into the neighbouring cells."""
+def _aligned_spans(
+    partition: StatePartition, lo: np.ndarray, hi: np.ndarray, name: str
+) -> list[slice]:
+    """Per dimension, the slice of grid cells the box ``[lo, hi]`` covers.
+    Each endpoint must lie on a grid line (up to rounding); the edge it
+    matches bounds the slice, so edges such as ``-0.19999999999999996`` do
+    not spill a label into the neighbouring cells."""
+    if len(lo) != len(partition.edges):
+        raise InputError(f"label {name!r}: box dimension mismatch")
     spans = []
-    for d in range(box.dim):
-        edges = partition.edges[d]
+    for d, (edges, ends) in enumerate(zip(partition.edges, zip(lo.tolist(), hi.tolist()))):
         scale = max(1.0, abs(edges[-1] - edges[0]))
         matched = []
-        for endpoint in (box.component(d).lo, box.component(d).hi):
+        for endpoint in ends:
             i = int(np.argmin(np.abs(edges - endpoint)))
             if abs(endpoint - edges[i]) > _ALIGN_TOL * scale:
                 raise InputError(
@@ -394,38 +397,41 @@ def _aligned_spans(partition: StatePartition, box: Box, name: str) -> list[slice
                     f"not lie on a grid line"
                 )
             matched.append(i)
-        if matched[0] == matched[1]:
+        if matched[0] >= matched[1]:
             raise InputError(f"label {name!r}: box is narrower than a grid cell in dimension {d}")
         spans.append(slice(*matched))
     return spans
 
 
-def grid_box(partition: StatePartition, box: Box, name: str) -> Box:
-    """The label box with each endpoint replaced by the grid edge it matches."""
-    spans = _aligned_spans(partition, box, name)
-    return Box.from_bounds([(e[s.start], e[s.stop]) for e, s in zip(partition.edges, spans)])
+def grid_box(
+    partition: StatePartition, lo: np.ndarray, hi: np.ndarray, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The label boxes ``lo``, ``hi`` (shape (boxes, n) each) with each
+    endpoint replaced by the grid edge it matches."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for k, spans in enumerate([_aligned_spans(partition, a, b, name) for a, b in zip(lo, hi)]):
+        for d, (e, s) in enumerate(zip(partition.edges, spans)):
+            lo[k, d], hi[k, d] = e[s.start], e[s.stop]
+    return lo, hi
 
 
 def assign_labels(
-    partition: StatePartition, label_boxes: Mapping[str, Sequence[Box]]
+    partition: StatePartition, label_boxes: Mapping[str, tuple[np.ndarray, np.ndarray]]
 ) -> dict[str, np.ndarray]:
-    """Map label boxes onto grid cells: one boolean mask over the states per
-    label, the reserved unsafe label included. Misaligned boxes are an error.
+    """Map label boxes, ``(lo, hi)`` of shape (boxes, n) per label name,
+    onto grid cells: one boolean mask over the states per label, the
+    reserved unsafe label included. Misaligned boxes are an error.
 
     A cell carries a label exactly when its interior intersects the label
     box. The unsafe state carries only the unsafe label.
     """
     labels = {}
-    for name, boxes in label_boxes.items():
+    for name, (lo, hi) in label_boxes.items():
         if name == UNSAFE_LABEL:
             raise InputError(f"label name {UNSAFE_LABEL!r} is reserved")
         cells = np.zeros(partition.resolution, dtype=bool)
-        for box in boxes:
-            if box.dim != partition.domain.dim:
-                raise InputError(f"label {name!r}: box dimension mismatch")
-            if not partition.domain.contains(box):
-                raise InputError(f"label {name!r}: box {box} leaves the domain")
-            cells[tuple(_aligned_spans(partition, box, name))] = True
+        for a, b in zip(lo, hi):
+            cells[tuple(_aligned_spans(partition, a, b, name))] = True
         labels[name] = np.append(cells, False)  # the cells row-major, then the unsafe state
     labels[UNSAFE_LABEL] = np.arange(partition.n_states) == partition.unsafe_index
     return labels
@@ -434,8 +440,9 @@ def assign_labels(
 # --- full build ----------------------------------------------------------------
 
 
-def build_imc(posts: CellPosteriors, label_boxes: Mapping[str, Sequence[Box]]) -> Imc:
-    """Build the sound IMC abstraction over the grid of ``posts``:
+def build_imc(posts: CellPosteriors, labels: Mapping[str, np.ndarray]) -> Imc:
+    """Build the sound IMC abstraction over the grid of ``posts``, with the
+    label masks ``labels`` (from ``assign_labels``):
     ``pair_bounds`` over every source's candidate block (the cells near its
     posterior hull, row-major) in blocks of at most ``_BLOCK_PAIRS`` (2**14)
     pairs, and once with the domain as every source's target for the unsafe
@@ -448,7 +455,6 @@ def build_imc(posts: CellPosteriors, label_boxes: Mapping[str, Sequence[Box]]) -
     rescaled away.
     """
     partition = posts.partition
-    labels = assign_labels(partition, label_boxes)
     cells, unsafe = np.arange(partition.n_cells), partition.unsafe_index
     sizes = posts.last - posts.first
     # pair offset of each source's candidate block in the concatenated pairs
@@ -475,7 +481,7 @@ def build_imc(posts: CellPosteriors, label_boxes: Mapping[str, Sequence[Box]]) -
         slot = counts.sum() + np.arange(len(keep)) + s[keep]
         dst[slot], lower[slot], upper[slot] = target[keep], low[keep], up[keep]
         counts += np.bincount(s[keep], minlength=partition.n_states)
-    dom_lo, dom_hi = (np.tile(e, (len(cells), 1)) for e in partition.domain.endpoints())
+    dom_lo, dom_hi = (np.tile([e[k] for e in partition.edges], (len(cells), 1)) for k in (0, -1))
     low_x, up_x = pair_bounds(posts, cells, dom_lo, dom_hi)
     low_u, up_u = _clamped(1.0 - up_x, 1.0 - low_x)
     indptr = np.concatenate([[0], np.cumsum(counts + 1)])
@@ -483,7 +489,7 @@ def build_imc(posts: CellPosteriors, label_boxes: Mapping[str, Sequence[Box]]) -
     last = indptr[1:] - 1
     dst[last], lower[last], upper[last] = unsafe, np.append(low_u, 1.0), np.append(up_u, 1.0)
     n = int(indptr[-1])
-    imc = Imc(partition, indptr, dst[:n], lower[:n], upper[:n], labels)
+    imc = Imc(partition, indptr, dst[:n], lower[:n], upper[:n], dict(labels))
     RowLayout(imc.indptr).check(imc.lower, imc.upper)
     return imc
 

@@ -16,8 +16,7 @@ termination and length, and only the exported ones write their states
 back. ``_inside`` tests a label box one coordinate at a time.
 ``estimate_satisfaction`` validates many cells at once in groups of at most
 ``GROUP_TRAJECTORIES``, logging each group's trajectory-steps at DEBUG, with
-one ``clopper_pearson`` call per group (numpy and ``math`` only, no scipy);
-``simulate`` is a one-trajectory call.
+one ``clopper_pearson`` call per group (numpy and ``math`` only, no scipy).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 
 from ._csv import write_columns
 from .dynamics import DynamicsModel, eval_point
-from .geometry import Box
 from .noise import NoiseModel
 
 TERM_HORIZON = "horizon"
@@ -53,13 +51,15 @@ GROUP_TRAJECTORIES = 2**16
 @dataclass(frozen=True)
 class ReachAvoidRegions:
     """Geometric reach-avoid data for simulation: stay inside ``domain``,
-    reach any goal box, never enter an avoid box. Goal and avoid boxes are
+    reach any goal box, never enter an avoid box. ``domain`` is a ``(lo,
+    hi)`` pair of shape (n,) arrays; ``goals`` and ``avoids`` are pairs of
+    shape (boxes, n) arrays, or ``()`` for no box. Goal and avoid boxes are
     half-open like grid cells (see ``_inside``). Leaving the domain counts
     as a violation, matching the absorbing unsafe state."""
 
-    domain: Box
-    goals: tuple[Box, ...]
-    avoids: tuple[Box, ...] = ()
+    domain: tuple[np.ndarray, np.ndarray]
+    goals: tuple
+    avoids: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,10 @@ class Trajectory:
         return int(self.states.shape[0])
 
 
-def _inside(x: np.ndarray, box: Box, top: np.ndarray) -> np.ndarray:
-    """The rows of x in the box as a grid cell owns points: with its lower
-    faces, and with its upper faces only where they lie on ``top``, the
-    domain's upper corner (so the domain itself is closed)."""
-    lo, hi = box.endpoints()
+def _inside(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The rows of x in the box [lo, hi] as a grid cell owns points: with
+    its lower faces, and with its upper faces only where they lie on
+    ``top``, the domain's upper corner (so the domain itself is closed)."""
     inside = np.ones(len(x), dtype=bool)
     for d, c in enumerate(x.T):
         inside &= (lo[d] <= c) & ((c <= hi[d]) if hi[d] == top[d] else (c < hi[d]))
@@ -86,12 +85,12 @@ def _inside(x: np.ndarray, box: Box, top: np.ndarray) -> np.ndarray:
 def _classify(x: np.ndarray, regions: ReachAvoidRegions) -> np.ndarray:
     """Termination code per row of x (shape (m, n)). A goal hit wins over an
     avoid hit, which wins over leaving the domain."""
-    top = regions.domain.endpoints()[1]
-    cause = np.where(_inside(x, regions.domain, top), _RUNNING, _LEFT)
-    for box in regions.avoids:
-        cause[_inside(x, box, top)] = _AVOID
-    for box in regions.goals:
-        cause[_inside(x, box, top)] = _GOAL
+    top = regions.domain[1]
+    cause = np.where(_inside(x, *regions.domain, top), _RUNNING, _LEFT)
+    for lo, hi in zip(*regions.avoids):
+        cause[_inside(x, lo, hi, top)] = _AVOID
+    for lo, hi in zip(*regions.goals):
+        cause[_inside(x, lo, hi, top)] = _GOAL
     return cause
 
 
@@ -149,23 +148,6 @@ def _rollout(
     ]
     kept_per_cell = [kept[c * k : (c + 1) * k] for c in range(cells)]
     return cause.reshape(cells, n), kept_per_cell, int(length.sum()) - len(length)
-
-
-def simulate(
-    model: DynamicsModel,
-    noise: NoiseModel,
-    x0: Sequence[float],
-    k: int,
-    regions: ReachAvoidRegions,
-    rng: np.random.Generator,
-) -> Trajectory:
-    """Roll out at most k steps, stopping at the first goal hit, avoid hit,
-    or domain exit. Step t reads ``rng.random((1, noise.n))``, one uniform
-    per noise component."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    _, [[trajectory]], _ = _rollout(model, noise, regions, [x0], [rng], 1, k, keep=1)
-    return trajectory
 
 
 def clopper_pearson(
@@ -248,10 +230,10 @@ def estimate_satisfaction(
     its Clopper-Pearson CI and the paths of the first ``keep`` of them.
 
     Start j draws from ``np.random.default_rng(seeds[j])`` (an int or a
-    tuple of ints): its trajectory i is the path simulate() gives when fed
-    column i of ``default_rng(seeds[j]).random((horizon, n_samples,
-    noise.n))``: one uniform per noise component and step. A start that is
-    already terminal draws nothing.
+    tuple of ints): its trajectory i reads column i of
+    ``default_rng(seeds[j]).random((horizon, n_samples, noise.n))``, one
+    uniform per noise component and step. A start that is already terminal
+    draws nothing.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")

@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from ._special import erf, ndtri
-from .geometry import Box, Interval
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -40,7 +39,8 @@ class NoiseComponent:
     ``inverse_cdf``."""
 
     @property
-    def support(self) -> Interval:
+    def support(self) -> tuple[float, float]:
+        """The (lo, hi) ends of the closed interval that holds all the mass."""
         raise NotImplementedError
 
     def cdf(self, t):
@@ -71,8 +71,8 @@ class Uniform(NoiseComponent):
             raise ValueError(f"uniform requires lo <= hi, got ({self.lo}, {self.hi})")
 
     @property
-    def support(self) -> Interval:
-        return Interval(self.lo, self.hi)
+    def support(self) -> tuple[float, float]:
+        return self.lo, self.hi
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -115,8 +115,8 @@ class TruncatedGaussian(NoiseComponent):
         object.__setattr__(self, "_mass", mass)
 
     @property
-    def support(self) -> Interval:
-        return Interval(self.lo, self.hi)
+    def support(self) -> tuple[float, float]:
+        return self.lo, self.hi
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -150,9 +150,10 @@ class Mixture(NoiseComponent):
             raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
 
     @property
-    def support(self) -> Interval:
+    def support(self) -> tuple[float, float]:
         # hull of the part supports; gaps are handled exactly by the CDF
-        return Interval.hull(p.support for p in self.parts)
+        lo, hi = zip(*(p.support for p in self.parts))
+        return min(lo), max(hi)
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -190,8 +191,10 @@ class NoiseModel:
     def n(self) -> int:
         return len(self.components)
 
-    def support_box(self) -> Box:
-        return Box(tuple(c.support for c in self.components))
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lower and the upper ends of the component supports, shape (n,) each."""
+        lo, hi = np.array([c.support for c in self.components], dtype=float).T.copy()
+        return lo, hi
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Noise vectors, shape (m, n), from uniforms of shape (m, n):
@@ -254,7 +257,7 @@ def optimal_partition_multiplicative(c, d, a, b):
 
 
 def uniform_noise_grid(noise: NoiseModel, resolution: Sequence[int]) -> NoiseGrid:
-    """Uniform measure-preserving grid over the (bounded) noise support.
+    """Uniform measure-preserving grid over the noise support.
 
     A cell's mass is the product of its components' interval probabilities
     in component order, from 1.0, clamped to [0, 1]; the masses sum to 1
@@ -263,16 +266,11 @@ def uniform_noise_grid(noise: NoiseModel, resolution: Sequence[int]) -> NoiseGri
     if len(resolution) != noise.n:
         raise ValueError(f"resolution length {len(resolution)} != noise dimension {noise.n}")
     edges, probs = [], []
+    support = noise.support()
     for d, (comp, r) in enumerate(zip(noise.components, resolution)):
         if int(r) != r or int(r) < 1:
             raise ValueError(f"resolution[{d}] must be a positive integer, got {r}")
-        sup = comp.support
-        if not sup.is_bounded():
-            raise ValueError(
-                f"noise component {d} has unbounded support; gridding requires "
-                f"a bounded support"
-            )
-        edges.append(np.linspace(sup.lo, sup.hi, int(r) + 1))
+        edges.append(np.linspace(support[0][d], support[1][d], int(r) + 1))
         probs.append(comp.interval_probability(edges[-1][:-1], edges[-1][1:]))
     index = np.indices([len(p) for p in probs]).reshape(noise.n, -1)
     mass = np.ones(index.shape[1])

@@ -69,11 +69,14 @@ log = logging.getLogger("imcverify")
 
 @dataclass
 class RunContext:
-    """Everything derivable from the configuration alone and cheap to build."""
+    """Everything derivable from the configuration alone and cheap to build,
+    the label masks of the grid cells included: a label off the grid lines
+    fails here, before any phase runs or writes."""
 
     config: RunConfig
     partition: StatePartition
     spec: ReachAvoidSpec
+    labels: dict[str, np.ndarray]
 
     def posteriors(self) -> CellPosteriors:
         """The posteriors of every cell, under the noise grid of a general
@@ -105,7 +108,8 @@ def _peak_rss_mb() -> float:
 
 def build_context(config: RunConfig) -> RunContext:
     spec = ReachAvoidSpec(horizon=config.horizon, threshold=config.threshold)
-    return RunContext(config, partition_domain(config.domain, config.grid), spec)
+    partition = partition_domain(*config.domain, config.grid)
+    return RunContext(config, partition, spec, assign_labels(partition, config.labels))
 
 
 def _drop_exports_after(ctx: RunContext, last: str) -> None:
@@ -116,7 +120,7 @@ def _drop_exports_after(ctx: RunContext, last: str) -> None:
 
 
 def phase_abstract(ctx: RunContext) -> Imc:
-    imc = build_imc(ctx.posteriors(), ctx.config.labels)
+    imc = build_imc(ctx.posteriors(), ctx.labels)
     out = ctx.config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     _drop_exports_after(ctx, LABELS_FILE)
@@ -141,7 +145,7 @@ def load_imc(ctx: RunContext) -> Imc:
         raise InputError(
             f"missing abstraction {bounds}; run the abstract phase first"
         )
-    return read_imc(bounds, ctx.partition, assign_labels(ctx.partition, ctx.config.labels))
+    return read_imc(bounds, ctx.partition, ctx.labels)
 
 
 def phase_verify(ctx: RunContext, imc: Imc) -> VerificationResult:
@@ -209,7 +213,8 @@ def _regions(ctx: RunContext) -> ReachAvoidRegions:
     so that Monte Carlo and the cell labels agree on every face."""
     def boxes(*names):
         labels = ctx.config.labels
-        return tuple(grid_box(ctx.partition, b, n) for n in names for b in labels.get(n, ()))
+        snapped = [grid_box(ctx.partition, *labels[m], m) for m in names if m in labels]
+        return tuple(np.concatenate(ends) for ends in zip(*snapped))  # () for no box
 
     return ReachAvoidRegions(ctx.config.domain, boxes(GOAL_LABEL), boxes(*AVOID_LABELS))
 

@@ -217,7 +217,7 @@ def write_results(result: VerificationResult, partition: StatePartition, path) -
 
     The unsafe state has no box; its bound fields stay empty.
     """
-    dim, cells = partition.domain.dim, partition.n_cells
+    dim, cells = len(partition.resolution), partition.n_cells
     index = {c: k for k, c in enumerate(_CLASSES)}
     classes = np.fromiter(map(index.__getitem__, result.classification), np.intp, cells + 1)
     p_lower, p_upper = result.p_lower, result.p_upper
@@ -244,7 +244,7 @@ def read_results(
     else is an InputError naming ``path:line``. The stored classes are only
     checked: a reload under another threshold reclassifies every state.
     """
-    n, dim = partition.n_states, partition.domain.dim
+    n, dim = partition.n_states, len(partition.resolution)
     types = (int,) + (str,) * (2 * dim) + (float, float, str)
     state, *_, lo, hi, label = _read_columns(path, _results_header(dim), *types)
     label = [c.rstrip() for c in label.tolist()]  # a line's trailing blanks are not its class

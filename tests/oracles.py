@@ -14,24 +14,22 @@ from math import comb
 import numpy as np
 
 from imcverify.dynamics import ADDITIVE, MULTIPLICATIVE, eval_point
-from imcverify.geometry import Box
 from imcverify.noise import NoiseModel
 
 
 def kernel_grid_extrema(
-    model, noise: NoiseModel, q: Box, target: Box, points: int = 200
+    model, noise: NoiseModel, q, target, points: int = 200
 ) -> tuple[float, float]:
-    """Min and max over a grid of x in q of the exact one-step kernel
-    T(target | x) = Pr(f(x, w) in target).
+    """Min and max over a grid of x in the box q of the exact one-step
+    kernel T(target | x) = Pr(f(x, w) in target); q and target are ``(lo,
+    hi)`` pairs of arrays of shape (n,).
 
     Uses the per-component CDFs directly: for g(x) + w the component mass is
     F(B - g(x)) - F(A - g(x)); for g(x) * w with positive g it is
     F(B / g(x)) - F(A / g(x)). No noise partitions are involved.
     """
-    axes = [
-        np.linspace(q.component(d).lo, q.component(d).hi, points)
-        for d in range(q.dim)
-    ]
+    dim = len(q[0])
+    axes = [np.linspace(q[0][d], q[1][d], points) for d in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     xs = np.stack([m.ravel() for m in mesh], axis=-1)
     neutral = 0.0 if model.structure == ADDITIVE else 1.0
@@ -39,9 +37,9 @@ def kernel_grid_extrema(
     g = eval_point(model, xs, w)  # g(x) exactly, by neutral noise
 
     t = np.ones(xs.shape[0])
-    for d in range(q.dim):
+    for d in range(dim):
         comp = noise.components[d]
-        a, b = target.component(d).lo, target.component(d).hi
+        a, b = target[0][d], target[1][d]
         if model.structure == ADDITIVE:
             lo, hi = a - g[:, d], b - g[:, d]
         elif model.structure == MULTIPLICATIVE:
@@ -71,8 +69,8 @@ def sweep_best_bounds(
     """
     c, d = postf
     a, b = target
-    sup = component.support
-    ts = np.arange(sup.lo - step, sup.hi + 2 * step, step)
+    sup_lo, sup_hi = component.support
+    ts = np.arange(sup_lo - step, sup_hi + 2 * step, step)
     cdf = np.asarray(component.cdf(ts))
     k = len(ts)
     t1 = ts[:, None]
@@ -96,7 +94,7 @@ def sweep_best_bounds(
         # right cell [t2, inf): posterior [c + t2, inf)
         upper = upper + np.where(c + t2 <= b, 1.0 - f2, 0.0)
     elif structure == MULTIPLICATIVE:
-        assert min(a, b, c, d) > 0.0 and sup.lo > 0.0
+        assert min(a, b, c, d) > 0.0 and sup_lo > 0.0
         lower = np.where((c * t1 >= a) & (d * t2 <= b), f2 - f1, 0.0)
         upper = np.where((c * t1 <= b) & (d * t2 >= a), f2 - f1, 0.0)
         # left cell (0, t1]: posterior (0, d * t1]
@@ -164,8 +162,9 @@ def chain_reach_probability(rows, goal: set[int], avoid: set[int]) -> np.ndarray
     return out
 
 
-def empirical_kernel(model, noise: NoiseModel, x, target: Box, n: int, seed: int):
-    """Monte Carlo estimate of T(target | x) with its standard error."""
+def empirical_kernel(model, noise: NoiseModel, x, target, n: int, seed: int):
+    """Monte Carlo estimate of T(target | x) with its standard error; target
+    is a ``(lo, hi)`` pair of arrays of shape (n,)."""
     rng = np.random.default_rng(seed)
     xs = np.tile(np.asarray(x, dtype=float), (n, 1))
     ws = np.empty((n, noise.n))
@@ -173,12 +172,24 @@ def empirical_kernel(model, noise: NoiseModel, x, target: Box, n: int, seed: int
         ws[:, d] = np.asarray(comp.inverse_cdf(rng.random(n)))
     ys = eval_point(model, xs, ws)
     inside = np.ones(n, dtype=bool)
-    for d in range(target.dim):
-        ival = target.component(d)
-        inside &= (ys[:, d] >= ival.lo) & (ys[:, d] <= ival.hi)
+    for d, (lo, hi) in enumerate(zip(*target)):
+        inside &= (ys[:, d] >= lo) & (ys[:, d] <= hi)
     p = float(np.count_nonzero(inside)) / n
     sigma = float(np.sqrt(max(p * (1.0 - p), 1.0 / n) / n))
     return p, sigma
+
+
+def cell_index_of_point(partition, x):
+    """Index of the cell that owns the point x, or None if x is outside the
+    domain. Points on interior grid lines resolve to the higher-index cell
+    and the domain's upper faces to the last cell, so the result is always a
+    cell whose closure contains x."""
+    edges = partition.edges
+    if not all(e[0] <= t <= e[-1] for e, t in zip(edges, x)):
+        return None
+    multi = (int(np.searchsorted(e, t, side="right")) - 1 for e, t in zip(edges, x))
+    owner = [min(i, r - 1) for i, r in zip(multi, partition.resolution)]
+    return int(np.ravel_multi_index(owner, partition.resolution))
 
 
 def binomial_tail(n: int, s: int, p: float, upper: bool) -> Fraction:
@@ -217,15 +228,16 @@ def write_imc_lines(imc, bounds_path, labels_path) -> None:
 def write_results_lines(result, partition, path) -> None:
     """``write_results`` as f-string lines; the unsafe state's bound fields
     are empty."""
-    dim = partition.domain.dim
+    dim = len(partition.edges)
     bounds = [f"lo{d + 1},hi{d + 1}" for d in range(dim)]
     header = ["state"] + bounds + ["p_lower", "p_upper", "class"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(partition.n_states):
             if i < partition.n_cells:
-                cell = partition.cell(i)
-                bounds = ",".join(f"{c.lo!r},{c.hi!r}" for c in cell.intervals)
+                multi = np.unravel_index(i, partition.resolution)
+                bounds = ",".join(f"{float(e[m])!r},{float(e[m + 1])!r}"
+                                  for e, m in zip(partition.edges, multi))
             else:
                 bounds = "," * (2 * dim - 1)
             p, q = float(result.p_lower[i]), float(result.p_upper[i])

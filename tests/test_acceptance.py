@@ -14,8 +14,15 @@ import numpy as np
 from imcverify.cluster import cluster_improve
 from imcverify.config import load_config
 from imcverify.dynamics import parse_dynamics
-from imcverify.geometry import Box, Interval, partition_domain
-from imcverify.imc import CellPosteriors, Imc, build_imc, cell_posteriors, pair_bounds
+from imcverify.geometry import partition_domain
+from imcverify.imc import (
+    CellPosteriors,
+    Imc,
+    assign_labels,
+    build_imc,
+    cell_posteriors,
+    pair_bounds,
+)
 from imcverify.noise import (
     Mixture,
     NoiseModel,
@@ -38,6 +45,7 @@ from imcverify.verify import (
     classify_arrays,
     robust_value_iteration,
 )
+from boxes import box
 from csr_rows import csr, extremes, label_masks
 from oracles import (
     chain_reach_probability,
@@ -88,7 +96,7 @@ def _random_systems(seed: int):
             (
                 parse_dynamics([f"{a}*x1 + {b} + w1"], 1, "additive"),
                 NoiseModel((_noise_1d(rng, False),)),
-                Box.from_bounds([[-2.0, 2.0]]),
+                box([[-2.0, 2.0]]),
                 (6,),
             )
         )
@@ -99,7 +107,7 @@ def _random_systems(seed: int):
             (
                 parse_dynamics([f"{a}*x1 + {c}*sin(x1) + w1"], 1, "additive"),
                 NoiseModel((_noise_1d(rng, False),)),
-                Box.from_bounds([[-2.0, 2.0]]),
+                box([[-2.0, 2.0]]),
                 (6,),
             )
         )
@@ -110,7 +118,7 @@ def _random_systems(seed: int):
             (
                 parse_dynamics([f"{a}*x1 + {b}"], 1, "multiplicative"),
                 NoiseModel((_noise_1d(rng, True),)),
-                Box.from_bounds([[0.3, 2.1]]),
+                box([[0.3, 2.1]]),
                 (6,),
             )
         )
@@ -125,7 +133,7 @@ def _random_systems(seed: int):
             (
                 parse_dynamics(exprs, 2, "additive"),
                 NoiseModel((_noise_1d(rng, False), _noise_1d(rng, False))),
-                Box.from_bounds([[-1.5, 1.5], [-1.5, 1.5]]),
+                box([[-1.5, 1.5], [-1.5, 1.5]]),
                 (3, 3),
             )
         )
@@ -136,7 +144,7 @@ def _random_systems(seed: int):
             (
                 parse_dynamics(exprs, 2, "multiplicative"),
                 NoiseModel((_noise_1d(rng, True), _noise_1d(rng, True))),
-                Box.from_bounds([[0.3, 2.3], [0.3, 2.3]]),
+                box([[0.3, 2.3], [0.3, 2.3]]),
                 (3, 3),
             )
         )
@@ -150,23 +158,18 @@ def test_criterion_1_transition_bound_soundness():
     checked = 0
     ok = True
     for model, noise, domain, resolution in systems:
-        part = partition_domain(domain, resolution)
-        goal = Box(
-            tuple(
-                Interval(part.edges[d][0], part.edges[d][1])
-                for d in range(domain.dim)
-            )
-        )
-        imc = build_imc(cell_posteriors(part, model, noise), {"goal": [goal]})
+        part = partition_domain(*domain, resolution)
+        goal = box([[[e[0], e[1]] for e in part.edges]])
+        imc = build_imc(cell_posteriors(part, model, noise), assign_labels(part, {"goal": goal}))
         for src in range(part.n_cells):
-            q = part.cell(src)
+            q = part.corners(src)
             for k in range(imc.indptr[src], imc.indptr[src + 1]):
                 if imc.dst[k] == imc.unsafe_index:
                     t_min, t_max = kernel_grid_extrema(model, noise, q, domain)
                     t_min, t_max = 1.0 - t_max, 1.0 - t_min
                 else:
                     t_min, t_max = kernel_grid_extrema(
-                        model, noise, q, part.cell(imc.dst[k])
+                        model, noise, q, part.corners(imc.dst[k])
                     )
                 checked += 1
                 if imc.lower[k] > t_min + 1e-9 or imc.upper[k] < t_max - 1e-9:
@@ -253,7 +256,7 @@ def test_criterion_3_adversary_correctness():
 
 def test_criterion_4_value_iteration_fixture():
     t0 = time.perf_counter()
-    part = partition_domain(Box.from_bounds([[0.0, 2.0]]), (2,))
+    part = partition_domain(*box([[0.0, 2.0]]), (2,))
     rows = (
         ((0, 0.2, 0.4), (1, 0.4, 0.6), (2, 0.1, 0.3)),
         ((1, 1.0, 1.0),),
@@ -293,7 +296,7 @@ def test_criterion_5_degenerate_chain_equivalence():
             chain.append({t: float(p) for t, p in enumerate(probs) if p > 0})
         rows.append(((n_cells, 1.0, 1.0),))
         chain.append({n_cells: 1.0})
-        part = partition_domain(Box.from_bounds([[0.0, float(n_cells)]]), (n_cells,))
+        part = partition_domain(*box([[0.0, float(n_cells)]]), (n_cells,))
         imc = Imc(part, *csr(rows), label_masks(n_cells, goal=[0]))
         res = robust_value_iteration(imc, ReachAvoidSpec(), convergence_tol=1e-13)
         exact = chain_reach_probability(chain, {0}, {n_cells})
@@ -317,11 +320,11 @@ def test_criterion_5_degenerate_chain_equivalence():
 
 def test_criterion_6_clustering():
     t0 = time.perf_counter()
-    part = partition_domain(Box.from_bounds([[0.0, 5.0]]), (5,))
+    part = partition_domain(*box([[0.0, 5.0]]), (5,))
     model = parse_dynamics(["x1 + 2 + w1"], 1, "additive")
     noise = NoiseModel((Uniform(-1.25, 1.25),))
     posts = cell_posteriors(part, model, noise)
-    imc = build_imc(posts, {"goal": [Box.from_bounds([[4.0, 5.0]])]})
+    imc = build_imc(posts, assign_labels(part, {"goal": box([[[4.0, 5.0]]])}))
     planted_lo = np.array([0.0, 0.8, 0.8, 0.8, 0.0, 0.0])
     planted_hi = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
     res = VerificationResult(

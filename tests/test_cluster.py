@@ -1,3 +1,4 @@
+import math
 import re
 from itertools import count, product
 from types import SimpleNamespace
@@ -9,8 +10,15 @@ import imcverify.cluster as cluster_module
 import imcverify.imc as imc_module
 from imcverify.cluster import _largest_block, _levels, cluster_improve, cluster_proposals
 from imcverify.dynamics import parse_dynamics
-from imcverify.geometry import Box, partition_domain
-from imcverify.imc import AVOID_LABELS, GOAL_LABEL, build_imc, cell_posteriors, pair_bounds
+from imcverify.geometry import partition_domain
+from imcverify.imc import (
+    AVOID_LABELS,
+    GOAL_LABEL,
+    assign_labels,
+    build_imc,
+    cell_posteriors,
+    pair_bounds,
+)
 from imcverify.noise import Mixture, NoiseModel, Uniform
 from imcverify.verify import (
     ReachAvoidSpec,
@@ -18,6 +26,7 @@ from imcverify.verify import (
     classify_arrays,
     robust_value_iteration,
 )
+from boxes import box
 from csr_rows import extremes
 
 
@@ -26,11 +35,12 @@ def shifted_identity_setup():
     w ~ Uniform(-1.25, 1.25). From cell [0, 1] the posterior hull is
     [0.75, 4.25]; cells [1,2], [2,3], [3,4] sit inside it and tile [1, 4],
     while every per-cell containment interval carries zero mass."""
-    part = partition_domain(Box.from_bounds([[0, 5]]), (5,))
+    part = partition_domain(*box([[0, 5]]), (5,))
     model = parse_dynamics(["x1 + 2 + w1"], 1, "additive")
     noise = NoiseModel((Uniform(-1.25, 1.25),))
     posts = cell_posteriors(part, model, noise)
-    return part, model, noise, posts, build_imc(posts, {"goal": [Box.from_bounds([[4, 5]])]})
+    labels = assign_labels(part, {"goal": box([[[4, 5]]])})
+    return part, model, noise, posts, build_imc(posts, labels)
 
 
 def planted_result(p_lower, p_upper, threshold=0.9):
@@ -47,39 +57,39 @@ def planted_result(p_lower, p_upper, threshold=0.9):
 
 def select_cluster(source, imc, posts):
     """The cluster ``cluster_proposals`` gives ``source`` alone, with its
-    ``members`` and ``box``, or None."""
+    ``members`` and ``box`` (as ``[[lo, hi], ...]``), or None."""
     allowed = np.zeros(imc.n_states, dtype=bool)
     allowed[source] = True
     sources, lo, hi, members, _ = cluster_proposals(imc, posts, allowed)
     if not len(sources):
         return None
     return SimpleNamespace(
-        members=tuple(imc.dst[members].tolist()), box=Box.from_bounds(zip(lo[0], hi[0]))
+        members=tuple(imc.dst[members].tolist()), box=np.stack([lo[0], hi[0]], -1).tolist()
     )
 
 
 class TestSelectCluster:
     def test_hull_spanning_cells_exactly(self):
-        part = partition_domain(Box.from_bounds([[0, 6]]), (6,))
+        part = partition_domain(*box([[0, 6]]), (6,))
         model = parse_dynamics(["x1 + 2 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-1.0, 1.0),))
         posts = cell_posteriors(part, model, noise)
-        imc = build_imc(posts, {"goal": [Box.from_bounds([[5, 6]])]})
+        imc = build_imc(posts, assign_labels(part, {"goal": box([[[5, 6]]])}))
         # from cell [0,1]: hull = [1, 4], tiled exactly by cells 1..3
         prop = select_cluster(0, imc, posts)
         assert prop is not None
         assert prop.members == (1, 2, 3)
-        assert prop.box == Box.from_bounds([[1, 4]])
+        assert prop.box == [[1, 4]]
 
     def test_hull_tiled_within_tolerance_is_the_box(self):
-        part = partition_domain(Box.from_bounds([[0, 6]]), (6,))
+        part = partition_domain(*box([[0, 6]]), (6,))
         model = parse_dynamics(["x1 + 2 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-1.0 - 1e-12, 1.0 + 1e-12),))
         posts = cell_posteriors(part, model, noise)
-        imc = build_imc(posts, {"goal": [Box.from_bounds([[5, 6]])]})
+        imc = build_imc(posts, assign_labels(part, {"goal": box([[[5, 6]]])}))
         # from cell [0,1]: hull ~ [1 - 1e-12, 4 + 1e-12], tiled by cells 1..3 up to 1e-9
-        hull = Box.from_bounds(zip(posts.hull_lo[0], posts.hull_hi[0]))
-        assert hull != Box.from_bounds([[1, 4]]) and hull.contains(Box.from_bounds([[1, 4]]))
+        hull = np.stack([posts.hull_lo[0], posts.hull_hi[0]], -1).tolist()
+        assert hull != [[1, 4]] and hull[0][0] <= 1 and 4 <= hull[0][1]
         prop = select_cluster(0, imc, posts)
         assert prop.members == (1, 2, 3)
         assert prop.box == hull
@@ -90,26 +100,26 @@ class TestSelectCluster:
         prop = select_cluster(2, imc, posts)
         assert prop is not None
         assert prop.members == (3, 4)
-        assert prop.box == Box.from_bounds([[3, 5]])
+        assert prop.box == [[3, 5]]
 
     def test_single_successor_gives_empty_proposal(self):
-        part = partition_domain(Box.from_bounds([[0, 2]]), (2,))
+        part = partition_domain(*box([[0, 2]]), (2,))
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.05, 0.05),))
         posts = cell_posteriors(part, model, noise)
-        imc = build_imc(posts, {"goal": [Box.from_bounds([[1, 2]])]})
+        imc = build_imc(posts, assign_labels(part, {"goal": box([[[1, 2]]])}))
         assert select_cluster(0, imc, posts) is None
 
     def test_2d_block(self):
-        part = partition_domain(Box.from_bounds([[0, 4], [0, 4]]), (4, 4))
+        part = partition_domain(*box([[0, 4], [0, 4]]), (4, 4))
         model = parse_dynamics(["x1 + 1 + w1", "x2 + 1 + w2"], 2, "additive")
         noise = NoiseModel((Uniform(-1.0, 1.0), Uniform(-1.0, 1.0)))
         posts = cell_posteriors(part, model, noise)
-        imc = build_imc(posts, {"goal": [Box.from_bounds([[3, 4], [3, 4]])]})
-        q_idx = part.flat_index((1, 1))  # cell [1,2]x[1,2], hull [1,4]^2
+        imc = build_imc(posts, assign_labels(part, {"goal": box([[[3, 4], [3, 4]]])}))
+        q_idx = np.ravel_multi_index((1, 1), part.resolution)  # cell [1,2]x[1,2], hull [1,4]^2
         prop = select_cluster(q_idx, imc, posts)
         assert prop is not None
-        assert prop.box == Box.from_bounds([[1, 4], [1, 4]])
+        assert prop.box == [[1, 4], [1, 4]]
         assert len(prop.members) == 9
 
 
@@ -122,7 +132,8 @@ def largest_block_reference(partition, eligible):
     blocks = sorted(product(*spans), key=lambda c: -np.prod([len(r) for r in c]))
     for combo in blocks:
         if np.prod([len(r) for r in combo]) >= 2 and set(product(*combo)) <= cells:
-            return tuple(sorted(partition.flat_index(m) for m in product(*combo)))
+            multi = np.array(list(product(*combo))).T
+            return tuple(sorted(np.ravel_multi_index(multi, partition.resolution).tolist()))
     return None
 
 
@@ -131,7 +142,7 @@ def select_cluster_reference(source, imc, posts):
     eligible successors inside the hull; the hull itself when it lies in
     the domain and they tile it, else ``largest_block_reference``."""
     partition = imc.partition
-    hull = Box.from_bounds(zip(posts.hull_lo[source], posts.hull_hi[source]))
+    hull_lo, hull_hi = posts.hull_lo[source].tolist(), posts.hull_hi[source].tolist()
     row = slice(imc.indptr[source], imc.indptr[source + 1])
     successors = imc.dst[row][(imc.dst[row] != imc.unsafe_index) & (imc.upper[row] > 0.0)]
     multi = np.unravel_index(successors, partition.resolution)
@@ -139,43 +150,41 @@ def select_cluster_reference(source, imc, posts):
     volume = np.ones(len(successors))
     for d, m in enumerate(multi):
         edges = np.asarray(partition.edges[d])
-        ival = hull.component(d)
-        in_hull &= (ival.lo <= edges[m]) & (edges[m + 1] <= ival.hi)
+        in_hull &= (hull_lo[d] <= edges[m]) & (edges[m + 1] <= hull_hi[d])
         volume *= edges[m + 1] - edges[m]
     inside = successors[in_hull]
-    if len(inside) >= 2 and partition.domain.contains(hull):
-        if abs(sum(volume[in_hull].tolist()) - hull.volume) <= 1e-9 * max(1.0, hull.volume):
+    hull = [[a, b] for a, b in zip(hull_lo, hull_hi)]
+    hull_volume = math.prod(b - a for a, b in hull)
+    in_domain = all(e[0] <= a and b <= e[-1] for e, (a, b) in zip(partition.edges, hull))
+    if len(inside) >= 2 and in_domain:
+        if abs(sum(volume[in_hull].tolist()) - hull_volume) <= 1e-9 * max(1.0, hull_volume):
             return SimpleNamespace(members=tuple(sorted(inside.tolist())), box=hull)
     members = largest_block_reference(partition, inside)
     if members is None:
         return None
     multi = np.unravel_index(members, partition.resolution)
     edges = partition.edges
-    box = Box.from_bounds([(edges[d][m.min()], edges[d][m.max() + 1]) for d, m in enumerate(multi)])
-    return SimpleNamespace(members=members, box=box)
+    block = [[float(edges[d][m.min()]), float(edges[d][m.max() + 1])] for d, m in enumerate(multi)]
+    return SimpleNamespace(members=members, box=block)
 
 
 def test_largest_block_matches_reference():
     rng = np.random.default_rng(11)
     for _ in range(300):
         resolution = tuple(int(r) for r in rng.integers(1, 6, int(rng.integers(1, 4))))
-        part = partition_domain(Box.from_bounds([[0, r] for r in resolution]), resolution)
+        part = partition_domain(*box([[0, r] for r in resolution]), resolution)
         eligible = rng.choice(part.n_cells, int(rng.integers(0, part.n_cells + 1)), replace=False)
         block = _largest_block(np.stack(np.unravel_index(eligible, resolution), axis=-1))
         expected = largest_block_reference(part, eligible)
-        members = block and tuple(sorted(
-            part.flat_index(m) for m in product(*(range(a, b) for a, b in zip(*block)))
-        ))
+        members = block and tuple(sorted(np.ravel_multi_index(
+            np.array(list(product(*(range(a, b) for a, b in zip(*block))))).T, resolution
+        ).tolist()))
         assert members == expected
         if block is not None:
             edges = part.edges
             multi = [np.unravel_index(members, resolution)[d] for d in range(len(resolution))]
-            box = Box.from_bounds(
-                [(edges[d][a], edges[d][b]) for d, (a, b) in enumerate(zip(*block))]
-            )
-            assert box == Box.from_bounds(
-                [(edges[d][m.min()], edges[d][m.max() + 1]) for d, m in enumerate(multi)]
-            )
+            bounds = [(edges[d][a], edges[d][b]) for d, (a, b) in enumerate(zip(*block))]
+            assert bounds == [(e[m.min()], e[m.max() + 1]) for e, m in zip(edges, multi)]
 
 
 class TestClusterImprove:
@@ -206,11 +215,11 @@ class TestClusterImprove:
 
     def test_pass_without_proposals_is_identity(self):
         # every cell has one successor besides the unsafe state
-        part = partition_domain(Box.from_bounds([[0, 2]]), (2,))
+        part = partition_domain(*box([[0, 2]]), (2,))
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.05, 0.05),))
         posts = cell_posteriors(part, model, noise)
-        imc = build_imc(posts, {"goal": [Box.from_bounds([[1, 2]])]})
+        imc = build_imc(posts, assign_labels(part, {"goal": box([[[1, 2]]])}))
         res = planted_result([0.3, 1.0, 0.0], [0.6, 1.0, 0.0])
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
         assert np.array_equal(out.p_lower, res.p_lower)
@@ -220,7 +229,7 @@ class TestClusterImprove:
         # an equal grid is still another partition: its posteriors could
         # come from another domain of the same size
         part, model, noise, posts, imc = shifted_identity_setup()
-        other = cell_posteriors(partition_domain(part.domain, part.resolution), model, noise)
+        other = cell_posteriors(partition_domain(*box([[0, 5]]), part.resolution), model, noise)
         res = robust_value_iteration(imc, ReachAvoidSpec())
         with pytest.raises(ValueError, match="another partition"):
             cluster_improve(imc, other, res, ReachAvoidSpec())
@@ -243,11 +252,9 @@ class TestClusterImprove:
 
         from imcverify.mc import ReachAvoidRegions, estimate_satisfaction
 
-        regions = ReachAvoidRegions(
-            domain=part.domain, goals=(Box.from_bounds([[4, 5]]),)
-        )
+        regions = ReachAvoidRegions(domain=box([[0, 5]]), goals=box([[[4, 5]]]))
         for idx in range(part.n_cells):
-            x0 = part.cell(idx).center()
+            x0 = 0.5 * sum(part.corners(idx))
             [(est, ci, _)] = estimate_satisfaction(
                 model, noise, regions, [x0], 2000, 100, seeds=[(9, idx)], confidence=0.999
             )
@@ -272,7 +279,7 @@ def one_row_at_a_time(imc, model, noise, result):
         if prop is None:
             continue
         members = list(prop.members)
-        lo, hi = (np.array([e]) for e in prop.box.endpoints())
+        lo, hi = (a[None] for a in box(prop.box))
         (c_lo,), (c_hi,) = pair_bounds(posts, np.array([q]), lo, hi)
         entries = slice(imc.indptr[q], imc.indptr[q + 1])
         dst = imc.dst[entries].tolist()
@@ -297,15 +304,15 @@ def test_pass_matches_one_row_at_a_time(monkeypatch):
     """Clustered rows that read states improved earlier in the same pass
     get the bits of a pass that walks one row at a time, whatever the
     entry budget of a part."""
-    part = partition_domain(Box.from_bounds([[0, 7], [0, 7]]), (7, 7))
+    part = partition_domain(*box([[0, 7], [0, 7]]), (7, 7))
     model = parse_dynamics(["x1 + 1 + w1", "x2 + 1 + w2"], 2, "additive")
     noise = NoiseModel((Uniform(-1.25, 1.25), Uniform(-1.25, 1.25)))
     posts = cell_posteriors(part, model, noise)
-    imc = build_imc(posts, {"goal": [Box.from_bounds([[6, 7], [6, 7]])]})
+    imc = build_imc(posts, assign_labels(part, {"goal": box([[[6, 7], [6, 7]]])}))
     rng = np.random.default_rng(2)
     p_lower = rng.uniform(0.0, 0.9, imc.n_states)
     p_upper = np.minimum(1.0, p_lower + rng.uniform(0.0, 0.5, imc.n_states))
-    goal = part.flat_index((6, 6))
+    goal = np.ravel_multi_index((6, 6), part.resolution)
     p_lower[goal] = p_upper[goal] = 1.0
     p_lower[imc.unsafe_index] = p_upper[imc.unsafe_index] = 0.0
     res = planted_result(p_lower, p_upper)
@@ -323,15 +330,15 @@ def test_levels_keep_reads_before_and_after_writes(caplog):
     (write after read) and rows read states improved earlier (read after
     write) runs in fewer levels than rows and keeps the bits of the one-row
     walk."""
-    part = partition_domain(Box.from_bounds([[0, 8], [0, 8]]), (8, 8))
+    part = partition_domain(*box([[0, 8], [0, 8]]), (8, 8))
     model = parse_dynamics(["x1 + 1 + w1", "x2 - 1 + w2"], 2, "additive")
     noise = NoiseModel((Uniform(-1.5, 1.5), Uniform(-1.5, 1.5)))
     posts = cell_posteriors(part, model, noise)
-    imc = build_imc(posts, {"goal": [Box.from_bounds([[7, 8], [0, 1]])]})
+    imc = build_imc(posts, assign_labels(part, {"goal": box([[[7, 8], [0, 1]]])}))
     rng = np.random.default_rng(10)
     p_lower = rng.uniform(0.0, 0.9, imc.n_states)
     p_upper = np.minimum(1.0, p_lower + rng.uniform(0.0, 0.5, imc.n_states))
-    pinned = [part.flat_index((7, 0)), imc.unsafe_index]
+    pinned = [np.ravel_multi_index((7, 0), part.resolution), imc.unsafe_index]
     p_lower[pinned], p_upper[pinned] = (1.0, 0.0), (1.0, 0.0)
     res = planted_result(p_lower, p_upper)
     with caplog.at_level("DEBUG", logger="imcverify"):
@@ -390,12 +397,12 @@ def test_holes_fallback_through_the_pass(caplog):
     """A bimodal noise whose gap holds the source's own cell (cell width
     plus posterior width 2/24 < 0.1): eligible sets have holes, the pass
     picks the reference blocks and keeps the bits of the one-row walk."""
-    part = partition_domain(Box.from_bounds([[0, 1], [0, 1]]), (24, 3))
+    part = partition_domain(*box([[0, 1], [0, 1]]), (24, 3))
     model = parse_dynamics(["x1 + w1", "x2 + w2"], 2, "additive")
     gap = Mixture((0.5, 0.5), (Uniform(-0.15, -0.05), Uniform(0.05, 0.15)))
     noise = NoiseModel((gap, Uniform(-0.35, 0.35)))
     posts = cell_posteriors(part, model, noise)
-    imc = build_imc(posts, {"goal": [Box.from_bounds([[0, 0.25], [0, 1]])]})
+    imc = build_imc(posts, assign_labels(part, {"goal": box([[[0, 0.25], [0, 1]]])}))
     sources = np.flatnonzero(~imc.labels["goal"][:-1]).tolist()
     allowed = np.zeros(imc.n_states, dtype=bool)
     allowed[sources] = True

@@ -225,7 +225,7 @@ monte_carlo: {{enabled: false}}
     def test_goal_sharing_a_face_with_an_obstacle_loads(self, tmp_path):
         path = tmp_path / "face.yaml"
         path.write_text(self.OVERLAP_2D.format(obstacle="[[0.2, 0.6], [-0.2, 0.2]]"))
-        assert load_config(path).labels["obstacle"][1].component(0).lo == 0.2
+        assert load_config(path).labels["obstacle"][0][1, 0] == 0.2
         assert main(["run", "-c", str(path)]) == 0
 
     def test_null_posterior_table_is_no_table(self, tmp_path):
@@ -406,6 +406,29 @@ monte_carlo: {{enabled: false}}
         with caplog.at_level(logging.ERROR, logger="imcverify"):
             assert main(["run", "-c", str(path)]) == 1
         assert f"{field}: " in caplog.text
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("domain: [[0.0, 1.0]]", "domain: [[-.inf, 1.0]]",
+             "domain[0]: requires finite endpoints, got [-inf, 1.0]"),
+            ("  goal: [[[0.75, 1.0]]]", "  goal: [[[0.75, 1.0]]]\n  obstacle: [[[.nan, 0.25]]]",
+             "labels.obstacle[0][0]: requires finite endpoints, got [nan, 0.25]"),
+            ("  goal: [[[0.75, 1.0]]]", "  goal: []",
+             "labels.goal: a goal label with at least one box is required"),
+            ("  goal: [[[0.75, 1.0]]]", "  obstacle: [[[0.0, 0.25]]]",
+             "labels.goal: a goal label with at least one box is required"),
+        ],
+    )
+    def test_boxes_need_finite_endpoints_and_a_goal(self, tmp_path, old, new, message):
+        # an infinite domain cannot be gridded, and without a goal box every
+        # state would violate
+        path = tmp_path / "bad.yaml"
+        path.write_text(TOY_1D.format(passes=0, mc="false", outdir="out").replace(old, new))
+        with pytest.raises(InputError, match=re.escape(message)):
+            load_config(path)
+        assert main(["run", "-c", str(path)]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_label_names_are_free_form(self, tmp_path):
         path = tmp_path / "labels.yaml"
@@ -723,6 +746,16 @@ class TestCli:
         with caplog.at_level(logging.ERROR, logger="imcverify"):
             assert main(["run", "-c", str(cfg_path)]) == 1
         assert "label 'goal': box is narrower than a grid cell in dimension 0" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_label_off_the_grid_creates_no_output_dir(self, tmp_path, caplog):
+        # labels are assigned to the cells before any phase runs or writes
+        cfg_path = write_toy(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace("[[[0.75, 1.0]]]", "[[[0.7, 1.0]]]"))
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["run", "-c", str(cfg_path)]) == 1
+        assert "label 'goal': endpoint 0.7 in dimension 0 does not lie on a grid line" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_reloaded_results_are_classified_at_current_threshold(self, tmp_path):
         cfg_path = tmp_path / "paper.yaml"
@@ -829,20 +862,20 @@ output_dir: out
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_public_api(self):
-        # one array API: bounds are pair_bounds over CellPosteriors, boxes go
-        # through enclosure, cut points are arrays, and no one-box or
-        # per-entry wrapper is exported
+        # one array API: bounds are pair_bounds over CellPosteriors, boxes are
+        # (lo, hi) arrays, cut points are arrays, and no one-box or per-entry
+        # wrapper is exported
         import imcverify
 
         assert imcverify.__all__ == [
-            "Box", "DynamicsModel", "Imc", "Interval", "Mixture", "NoiseGrid", "NoiseModel",
+            "DynamicsModel", "Imc", "Mixture", "NoiseGrid", "NoiseModel",
             "PosteriorTable", "ReachAvoidRegions", "ReachAvoidSpec",
             "RunConfig", "StatePartition", "Trajectory", "TruncatedGaussian", "Uniform",
             "VerificationResult", "build_imc", "cell_posteriors", "cluster_improve",
             "enclosure", "estimate_satisfaction", "eval_point", "load_config",
             "optimal_partition_affine", "optimal_partition_multiplicative", "pair_bounds",
             "parse_dynamics", "partition_domain", "robust_value_iteration", "run_pipeline",
-            "simulate", "uniform_noise_grid",
+            "uniform_noise_grid",
         ]
 
     def test_gaussian_config_runs_every_phase_without_scipy(self, tmp_path):
@@ -912,7 +945,7 @@ output_dir: out
         # same abstraction as the run that computes it
         (tmp_path / "computed.yaml").write_text(ADDITIVE_2D.format(table="", outdir="computed"))
         cfg = load_config(tmp_path / "computed.yaml")
-        part = partition_domain(cfg.domain, cfg.grid)
+        part = partition_domain(*cfg.domain, cfg.grid)
         cells = part.corners(np.arange(part.n_cells))
         lo, hi = enclosure(cfg.model.g_components, cells)
         write_posterior_table(PosteriorTable(lo, hi), tmp_path / "table.csv")
@@ -937,7 +970,7 @@ output_dir: out
         ).replace("  enabled: false", "  trajectories: 20\n  cells: [0, 5]")
         (tmp_path / "table.yaml").write_text(text)
         cfg = load_config(tmp_path / "table.yaml")
-        part = partition_domain(cfg.domain, cfg.grid)
+        part = partition_domain(*cfg.domain, cfg.grid)
         cells = part.corners(np.arange(part.n_cells))
         lo, hi = enclosure(cfg.model.g_components, cells)
         write_posterior_table(PosteriorTable(lo, hi), tmp_path / "table.csv")

@@ -6,7 +6,7 @@ import pytest
 
 import imcverify._csv as csv_module
 from imcverify._csv import csv_lines
-from imcverify.geometry import Box, StatePartition
+from imcverify.geometry import StatePartition
 from imcverify.imc import Imc, PosteriorTable, write_imc, write_posterior_table
 from imcverify.mc import (
     TERM_AVOID,
@@ -104,12 +104,11 @@ class TestColumns:
 
 
 def random_partition(rng, resolution) -> StatePartition:
-    domain = Box.from_bounds([(-1.3, 2.7), (0.1, 0.35)][: len(resolution)])
     edges = []
-    for ival, r in zip(domain.intervals, resolution):
-        inner = np.sort(rng.uniform(ival.lo, ival.hi, r - 1))
-        edges.append(np.concatenate([[ival.lo], inner, [ival.hi]]))
-    return StatePartition(domain, tuple(resolution), tuple(edges))
+    for (lo, hi), r in zip([(-1.3, 2.7), (0.1, 0.35)], resolution):
+        inner = np.sort(rng.uniform(lo, hi, r - 1))
+        edges.append(np.concatenate([[lo], inner, [hi]]))
+    return StatePartition(tuple(resolution), tuple(edges))
 
 
 def bounds_like(rng, n):

@@ -12,7 +12,7 @@ from imcverify.dynamics import (
     parse_expression,
 )
 from imcverify.errors import EvaluationError, ParseError, StructureError
-from imcverify.geometry import Box
+from boxes import box
 
 
 def paper_multiplicative():
@@ -98,29 +98,29 @@ class TestEvalPoint:
 class TestIntervalExtension:
     def test_affine_exact(self):
         expr = parse_expression("x1 + x2")
-        (lo,), (hi,) = enclosure((expr,), Box.from_bounds([[0, 1], [0, 1]]).endpoints())
+        (lo,), (hi,) = enclosure((expr,), box([[0, 1], [0, 1]]))
         assert (lo, hi) == (0.0, 2.0)
 
     def test_square_natural_extension(self):
         expr = parse_expression("x1 * x1")
-        (lo,), (hi,) = enclosure((expr,), Box.from_bounds([[-1, 1]]).endpoints())
+        (lo,), (hi,) = enclosure((expr,), box([[-1, 1]]))
         assert (lo, hi) == (-1.0, 1.0)
 
     def test_sin_critical_point(self):
         expr = parse_expression("sin(x1)")
-        (lo,), (hi,) = enclosure((expr,), Box.from_bounds([[0, math.pi]]).endpoints())
+        (lo,), (hi,) = enclosure((expr,), box([[0, math.pi]]))
         assert lo == pytest.approx(0.0, abs=1e-15)
         assert hi == 1.0
 
     def test_power_even_crossing_zero(self):
         expr = parse_expression("x1^2")
-        (lo,), (hi,) = enclosure((expr,), Box.from_bounds([[-2, 1]]).endpoints())
+        (lo,), (hi,) = enclosure((expr,), box([[-2, 1]]))
         assert (lo, hi) == (0.0, 4.0)
 
     def test_division_guard(self):
         expr = parse_expression("1/x1")
         with pytest.raises(EvaluationError):
-            enclosure((expr,), Box.from_bounds([[-1, 1]]).endpoints())
+            enclosure((expr,), box([[-1, 1]]))
 
     @pytest.mark.parametrize(
         "source",
@@ -135,9 +135,9 @@ class TestIntervalExtension:
     )
     def test_random_samples_enclosed(self, source):
         expr = parse_expression(source)
-        xbox = Box.from_bounds([[-1.5, 0.5], [0.2, 2.0]])
-        wbox = Box.from_bounds([[-0.3, 0.4], [-1.0, 1.0]])
-        (lo,), (hi,) = enclosure((expr,), xbox.endpoints(), wbox.endpoints())
+        xbox = box([[-1.5, 0.5], [0.2, 2.0]])
+        wbox = box([[-0.3, 0.4], [-1.0, 1.0]])
+        (lo,), (hi,) = enclosure((expr,), xbox, wbox)
         rng = np.random.default_rng(abs(hash(source)) % 2**32)
         xs = rng.uniform([-1.5, 0.2], [0.5, 2.0], (1000, 2))
         ws = rng.uniform([-0.3, -1.0], [0.4, 1.0], (1000, 2))
@@ -241,18 +241,18 @@ class TestPosteriors:
 
     def test_identity(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
-        (lo,), (hi,) = enclosure(model.g_components, Box.from_bounds([[0, 0.2]]).endpoints())
+        (lo,), (hi,) = enclosure(model.g_components, box([[0, 0.2]]))
         assert (lo, hi) == (0.0, 0.2)
 
     def test_paper_model_component(self):
-        q = Box.from_bounds([[1, 1.1], [1, 1.1]])
-        lo, hi = enclosure(paper_multiplicative().g_components, q.endpoints())
+        q = box([[1, 1.1], [1, 1.1]])
+        lo, hi = enclosure(paper_multiplicative().g_components, q)
         assert lo[0] == pytest.approx(0.8)
         assert hi[0] == pytest.approx(0.88)
 
     def test_square_conservative(self):
         # x1*x1 treats the occurrences independently: conservative [-1, 1]
-        q = Box.from_bounds([[-1, 1]]).endpoints()
+        q = box([[-1, 1]])
         model = parse_dynamics(["x1*x1 + w1"], 1, "additive")
         (lo,), (hi,) = enclosure(model.g_components, q)
         assert (lo, hi) == (-1.0, 1.0)
@@ -263,14 +263,14 @@ class TestPosteriors:
 
     def test_posterior_additive(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
-        postf = enclosure(model.g_components, Box.from_bounds([[0, 0.2]]).endpoints())
-        (lo,), (hi,) = combine_posterior("additive", postf, Box.from_bounds([[1, 1.8]]).endpoints())
+        postf = enclosure(model.g_components, box([[0, 0.2]]))
+        (lo,), (hi,) = combine_posterior("additive", postf, box([[1, 1.8]]))
         assert (lo, hi) == (1.0, 2.0)
 
     def test_posterior_multiplicative(self):
-        q = Box.from_bounds([[1, 1.1], [1, 1.1]]).endpoints()
+        q = box([[1, 1.1], [1, 1.1]])
         postf = enclosure(paper_multiplicative().g_components, q)
-        c = Box.from_bounds([[0.9, 1.0], [0.9, 1.0]]).endpoints()
+        c = box([[0.9, 1.0], [0.9, 1.0]])
         lo, hi = combine_posterior("multiplicative", postf, c)
         assert lo[0] == pytest.approx(0.72)
         assert hi[0] == pytest.approx(0.88)
@@ -278,13 +278,13 @@ class TestPosteriors:
     def test_posterior_general_zero_noise(self):
         model = parse_dynamics(["x1 + w1"], 1, "general")
         zero = (np.zeros(1), np.zeros(1))
-        (lo,), (hi,) = enclosure(model.components, Box.from_bounds([[0, 1]]).endpoints(), zero)
+        (lo,), (hi,) = enclosure(model.components, box([[0, 1]]), zero)
         assert (lo, hi) == (0.0, 1.0)
 
     def test_posterior_encloses_samples(self):
         model = paper_multiplicative()
-        q = Box.from_bounds([[0.8, 1.3], [0.6, 1.4]]).endpoints()
-        c = Box.from_bounds([[0.9, 1.05], [0.95, 1.1]]).endpoints()
+        q = box([[0.8, 1.3], [0.6, 1.4]])
+        c = box([[0.9, 1.05], [0.95, 1.1]])
         lo, hi = combine_posterior(model.structure, enclosure(model.g_components, q), c)
         rng = np.random.default_rng(42)
         xs = rng.uniform([0.8, 0.6], [1.3, 1.4], (1000, 2))
@@ -297,23 +297,23 @@ class TestPosteriors:
     def test_structured_contained_in_general_for_affine(self):
         add = parse_dynamics(["0.5*x1 + 0.2*x2 + w1", "x2 + w2"], 2, "additive")
         gen = parse_dynamics(["0.5*x1 + 0.2*x2 + w1", "x2 + w2"], 2, "general")
-        q = Box.from_bounds([[-1, 1], [0, 2]]).endpoints()
-        c = Box.from_bounds([[-0.2, 0.1], [-0.4, 0.3]]).endpoints()
+        q = box([[-1, 1], [0, 2]])
+        c = box([[-0.2, 0.1], [-0.4, 0.3]])
         strong_lo, strong_hi = combine_posterior("additive", enclosure(add.g_components, q), c)
         weak_lo, weak_hi = enclosure(gen.components, q, c)
         assert np.all(weak_lo <= strong_lo) and np.all(strong_hi <= weak_hi)
 
     def test_monotone_in_noise_cell(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
-        postf = enclosure(model.g_components, Box.from_bounds([[0, 1]]).endpoints())
-        small = combine_posterior("additive", postf, Box.from_bounds([[0.1, 0.2]]).endpoints())
-        large = combine_posterior("additive", postf, Box.from_bounds([[0.0, 0.5]]).endpoints())
+        postf = enclosure(model.g_components, box([[0, 1]]))
+        small = combine_posterior("additive", postf, box([[0.1, 0.2]]))
+        large = combine_posterior("additive", postf, box([[0.0, 0.5]]))
         assert np.all(large[0] <= small[0]) and np.all(small[1] <= large[1])
 
         mult = paper_multiplicative()
-        postf2 = enclosure(mult.g_components, Box.from_bounds([[1, 1.1], [1, 1.1]]).endpoints())
-        c_small = Box.from_bounds([[0.95, 1.0], [0.95, 1.0]]).endpoints()
-        c_large = Box.from_bounds([[0.9, 1.1], [0.9, 1.1]]).endpoints()
+        postf2 = enclosure(mult.g_components, box([[1, 1.1], [1, 1.1]]))
+        c_small = box([[0.95, 1.0], [0.95, 1.0]])
+        c_large = box([[0.9, 1.1], [0.9, 1.1]])
         small2 = combine_posterior("multiplicative", postf2, c_small)
         large2 = combine_posterior("multiplicative", postf2, c_large)
         assert np.all(large2[0] <= small2[0]) and np.all(small2[1] <= large2[1])

@@ -8,7 +8,7 @@ import pytest
 from imcverify.config import load_config
 from imcverify.dynamics import enclosure, parse_dynamics
 from imcverify.errors import InputError, SoundnessError
-from imcverify.geometry import Box, partition_domain
+from imcverify.geometry import partition_domain
 import imcverify._csv as csv_module
 import imcverify.imc as imc_module
 from imcverify.imc import (
@@ -33,6 +33,7 @@ from imcverify.noise import (
     uniform_noise_grid,
 )
 from imcverify.pipeline import build_context
+from boxes import box
 from oracles import empirical_kernel, kernel_grid_extrema
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
@@ -62,7 +63,7 @@ class TestStructuredBounds:
         # true kernel extrema are both 0.4; the bounds enclose them
         model = identity_additive()
         t_min, t_max = kernel_grid_extrema(
-            model, noise, Box.from_bounds([[0, 0.2]]), Box.from_bounds([[0.5, 0.9]])
+            model, noise, box([[0, 0.2]]), box([[0.5, 0.9]])
         )
         assert t_min == pytest.approx(0.4, abs=1e-2)
         assert low <= t_min + 1e-9 and up >= t_max - 1e-9
@@ -83,7 +84,7 @@ class TestGeneralBounds:
         model = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
         cells = uniform_noise_grid(noise, [1])
-        part = partition_domain(Box.from_bounds([[0.4, 0.6]]), (1,))
+        part = partition_domain(*box([[0.4, 0.6]]), (1,))
         posts = cell_posteriors(part, model, noise, noise_cells=cells)
         (low,), (up,) = pair_bounds(posts, [0], np.array([[0.0]]), np.array([[1.0]]))
         assert (low, up) == (1.0, 1.0)
@@ -92,7 +93,7 @@ class TestGeneralBounds:
         model = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
         cells = uniform_noise_grid(noise, [1])
-        part = partition_domain(Box.from_bounds([[0.4, 0.6]]), (1,))
+        part = partition_domain(*box([[0.4, 0.6]]), (1,))
         posts = cell_posteriors(part, model, noise, noise_cells=cells)
         (low,), (up,) = pair_bounds(posts, [0], np.array([[2.0]]), np.array([[3.0]]))
         assert (low, up) == (0.0, 0.0)
@@ -100,7 +101,7 @@ class TestGeneralBounds:
     def test_converges_to_structured(self):
         model_gen = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(0, 1),))
-        part = partition_domain(Box.from_bounds([[0, 0.2]]), (1,))
+        part = partition_domain(*box([[0, 0.2]]), (1,))
         target = np.array([[1.0]]), np.array([[2.0]])
         structured = cell_posteriors(part, identity_additive(), noise)
         (s_low,), (s_up,) = pair_bounds(structured, [0], *target)
@@ -124,26 +125,27 @@ class TestUnsafeTransitions:
     the last entry of its row."""
 
     def test_interior_state(self):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (5,))
+        part = partition_domain(*box([[0, 1]]), (5,))
         noise = NoiseModel((Uniform(-0.1, 0.1),))
-        imc = build_imc(cell_posteriors(part, identity_additive(), noise), {})
+        imc = build_imc(cell_posteriors(part, identity_additive(), noise), assign_labels(part, {}))
         last = imc.indptr[3] - 1
         assert imc.dst[last] == imc.unsafe_index
         assert (imc.lower[last], imc.upper[last]) == (0.0, 0.0)
 
     def test_certain_escape(self):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (5,))
+        part = partition_domain(*box([[0, 1]]), (5,))
         noise = NoiseModel((Uniform(4.0, 4.5),))
-        imc = build_imc(cell_posteriors(part, identity_additive(), noise), {})
+        imc = build_imc(cell_posteriors(part, identity_additive(), noise), assign_labels(part, {}))
         last = imc.indptr[3] - 1
         assert imc.dst[last] == imc.unsafe_index
         assert (imc.lower[last], imc.upper[last]) == (1.0, 1.0)
 
     def test_unsafe_self_loop(self):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (1,))
+        part = partition_domain(*box([[0, 1]]), (1,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.1, 0.1),))
-        imc = build_imc(cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[0, 1]])]})
+        labels = assign_labels(part, {"goal": box([[[0, 1]]])})
+        imc = build_imc(cell_posteriors(part, model, noise), labels)
         row = slice(imc.indptr[imc.unsafe_index], imc.indptr[imc.unsafe_index + 1])
         assert (imc.dst[row].tolist(), imc.lower[row].tolist(), imc.upper[row].tolist()) == (
             [1], [1.0], [1.0]
@@ -153,11 +155,11 @@ class TestUnsafeTransitions:
 class TestBuildImc:
     def test_single_cell_certain_self_loop(self):
         # contraction keeps everything inside X with probability 1
-        part = partition_domain(Box.from_bounds([[-1, 1]]), (1,))
+        part = partition_domain(*box([[-1, 1]]), (1,))
         model = parse_dynamics(["0.5*x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.25, 0.25),))
         imc = build_imc(
-            cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[-1, 1]])]}
+            cell_posteriors(part, model, noise), assign_labels(part, {"goal": box([[[-1, 1]]])})
         )
         assert imc.n_states == 2
         # row 0 is the self-loop, then the unsafe column
@@ -169,7 +171,7 @@ class TestBuildImc:
     def test_point_mass_noise_rejected(self, structure):
         # CDF differences measure (lo, hi]: the atom of Uniform(0, 0) would
         # get no mass in any noise cell or cut-point interval
-        part = partition_domain(Box.from_bounds([[-1, 1]]), (4,))
+        part = partition_domain(*box([[-1, 1]]), (4,))
         model = parse_dynamics(["0.5*x1 + w1"], 1, structure)
         atom = Uniform(0, 0)
         for comp in (atom, Mixture((0.5, 0.5), (Uniform(-0.1, 0.1), atom))):
@@ -177,50 +179,51 @@ class TestBuildImc:
             cells = uniform_noise_grid(noise, [2]) if structure == "general" else None
             with pytest.raises(InputError, match="point mass"):
                 build_imc(
-                    cell_posteriors(part, model, noise, noise_cells=cells), {"goal": [part.domain]}
+                    cell_posteriors(part, model, noise, noise_cells=cells),
+                    assign_labels(part, {"goal": box([[[-1, 1]]])}),
                 )
 
     def test_two_cell_bounds_against_kernel_oracle(self):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (2,))
+        part = partition_domain(*box([[0, 1]]), (2,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.25, 0.25),))
         imc = build_imc(
-            cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[0.5, 1]])]}
+            cell_posteriors(part, model, noise), assign_labels(part, {"goal": box([[[0.5, 1]]])})
         )
         assert imc.n_states == 3
         for src in range(part.n_cells):
-            q = part.cell(src)
+            q = part.corners(src)
             for k in range(imc.indptr[src], imc.indptr[src + 1]):
                 if imc.dst[k] == imc.unsafe_index:
                     t_min, t_max = kernel_grid_extrema(
-                        model, noise, q, part.domain
+                        model, noise, q, box([[0, 1]])
                     )
                     t_min, t_max = 1.0 - t_max, 1.0 - t_min
                 else:
                     t_min, t_max = kernel_grid_extrema(
-                        model, noise, q, part.cell(imc.dst[k])
+                        model, noise, q, part.corners(imc.dst[k])
                     )
                 assert imc.lower[k] <= t_min + 1e-9
                 assert imc.upper[k] >= t_max - 1e-9
 
     def test_row_validity(self):
-        part = partition_domain(Box.from_bounds([[0, 2], [0, 2]]), (3, 3))
+        part = partition_domain(*box([[0, 2], [0, 2]]), (3, 3))
         model = parse_dynamics(
             ["0.8*x1 + 0.1*x2 + w1", "0.2*x1 + 0.7*x2 + w2"], 2, "additive"
         )
         noise = NoiseModel((Uniform(-0.3, 0.2), Uniform(-0.1, 0.4)))
-        goal = Box.from_bounds([[0, 2 / 3], [0, 2 / 3]])
-        imc = build_imc(cell_posteriors(part, model, noise), {"goal": [goal]})
+        goal = box([[[0, 2 / 3], [0, 2 / 3]]])
+        imc = build_imc(cell_posteriors(part, model, noise), assign_labels(part, {"goal": goal}))
         for a, b in zip(imc.indptr[:-1], imc.indptr[1:]):
             assert sum(imc.lower[a:b].tolist()) <= 1.0 + 1e-9
             assert sum(imc.upper[a:b].tolist()) >= 1.0 - 1e-9
 
     def test_sparsity_and_unsafe_column(self):
-        part = partition_domain(Box.from_bounds([[0, 4]]), (8,))
+        part = partition_domain(*box([[0, 4]]), (8,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.3, 0.3),))
         imc = build_imc(
-            cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[3.5, 4]])]}
+            cell_posteriors(part, model, noise), assign_labels(part, {"goal": box([[[3.5, 4]]])})
         )
         for a, b in zip(imc.indptr[:-2], imc.indptr[1:-1]):
             dsts = imc.dst[a:b].tolist()
@@ -231,24 +234,20 @@ class TestBuildImc:
                     assert upper > 0.0
 
     def test_misaligned_label_rejected(self):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
-        model = identity_additive()
-        noise = NoiseModel((Uniform(-0.1, 0.1),))
+        part = partition_domain(*box([[0, 1]]), (4,))
         with pytest.raises(InputError):
-            build_imc(
-                cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[0.3, 0.5]])]}
-            )
+            assign_labels(part, {"goal": box([[[0.3, 0.5]]])})
 
     def test_label_assignment(self):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
+        part = partition_domain(*box([[0, 1]]), (4,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.1, 0.1),))
         imc = build_imc(
             cell_posteriors(part, model, noise),
-            {
-                "goal": [Box.from_bounds([[0.75, 1.0]])],
-                "obstacle": [Box.from_bounds([[0.0, 0.25]])],
-            },
+            assign_labels(part, {
+                "goal": box([[[0.75, 1.0]]]),
+                "obstacle": box([[[0.0, 0.25]]]),
+            }),
         )
         assert list(imc.labels) == ["goal", "obstacle", "unsafe"]
         assert imc.labels["obstacle"].tolist() == [True, False, False, False, False]
@@ -258,38 +257,38 @@ class TestBuildImc:
     def test_label_on_rounded_grid_edges(self):
         # linspace gives the edge -0.19999999999999996 for -0.2; the label
         # must cover exactly the 2x2 cells the box spans, not their neighbours
-        part = partition_domain(Box.from_bounds([[-1, 1], [-1, 1]]), (10, 10))
-        labels = assign_labels(part, {"goal": [Box.from_bounds([[-0.2, 0.2], [-0.2, 0.2]])]})
+        part = partition_domain(*box([[-1, 1], [-1, 1]]), (10, 10))
+        labels = assign_labels(part, {"goal": box([[[-0.2, 0.2], [-0.2, 0.2]]])})
         goal = np.flatnonzero(labels["goal"]).tolist()
-        assert goal == [part.flat_index(m) for m in ((4, 4), (4, 5), (5, 4), (5, 5))]
+        assert goal == np.ravel_multi_index(([4, 4, 5, 5], [4, 5, 4, 5]), (10, 10)).tolist()
 
     def test_label_narrower_than_alignment_tolerance_rejected(self):
         # both endpoints of the second interval match the edge 0.5, so the
         # box would label no cell and every state would violate
-        part = partition_domain(Box.from_bounds([[0, 1], [0, 1]]), (4, 4))
-        box = Box.from_bounds([[0.25, 0.75], [0.5, 0.5000000001]])
+        part = partition_domain(*box([[0, 1], [0, 1]]), (4, 4))
+        goal = box([[[0.25, 0.75], [0.5, 0.5000000001]]])
         message = "label 'goal': box is narrower than a grid cell in dimension 1"
         with pytest.raises(InputError, match=message):
-            assign_labels(part, {"goal": [box]})
+            assign_labels(part, {"goal": goal})
 
     def test_monte_carlo_kernel_soundness(self):
         # Definition-level check: empirical kernel inside every stored pair
-        part = partition_domain(Box.from_bounds([[0, 2]]), (4,))
+        part = partition_domain(*box([[0, 2]]), (4,))
         model = parse_dynamics(["0.7*x1 + 0.2 + w1"], 1, "additive")
         noise = NoiseModel((TruncatedGaussian(0.0, 0.3, -0.5, 0.5),))
         imc = build_imc(
-            cell_posteriors(part, model, noise), {"goal": [Box.from_bounds([[1.5, 2]])]}
+            cell_posteriors(part, model, noise), assign_labels(part, {"goal": box([[[1.5, 2]]])})
         )
         rng = np.random.default_rng(77)
         n = 10**5
         for src in range(part.n_cells):
-            q = part.cell(src)
-            xs = rng.uniform(q.component(0).lo, q.component(0).hi, 3)
+            q = part.corners(src)
+            xs = rng.uniform(q[0][0], q[1][0], 3)
             for k in range(imc.indptr[src], imc.indptr[src + 1]):
                 for x in xs:
                     if imc.dst[k] == imc.unsafe_index:
                         p, sigma = empirical_kernel(
-                            model, noise, [x], part.domain, n, seed=int(x * 1e6) % 2**31
+                            model, noise, [x], box([[0, 2]]), n, seed=int(x * 1e6) % 2**31
                         )
                         p = 1.0 - p
                     else:
@@ -297,14 +296,14 @@ class TestBuildImc:
                             model,
                             noise,
                             [x],
-                            part.cell(imc.dst[k]),
+                            part.corners(imc.dst[k]),
                             n,
                             seed=int(x * 1e6) % 2**31,
                         )
                     assert imc.lower[k] - 3 * sigma <= p <= imc.upper[k] + 3 * sigma
 
     def test_structured_tighter_than_general(self):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (3,))
+        part = partition_domain(*box([[0, 1]]), (3,))
         model_add = identity_additive()
         model_gen = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(-0.2, 0.2),))
@@ -325,13 +324,13 @@ def scalar_bounds(model, noise, cells, q, target):
     if cells is not None:
         lower = upper = 0.0
         for w_lo, w_hi, mass in zip(cells.lo, cells.hi, cells.mass.tolist()):
-            post = Box.from_bounds(zip(*enclosure(model.components, q.endpoints(), (w_lo, w_hi))))
-            if post.intersects(target):
+            post_lo, post_hi = enclosure(model.components, q, (w_lo, w_hi))
+            if ((post_lo <= target[1]) & (target[0] <= post_hi)).all():
                 upper += mass
-                if target.contains(post):
+                if ((target[0] <= post_lo) & (post_hi <= target[1])).all():
                     lower += mass
     else:
-        postf = Box.from_bounds(zip(*enclosure(model.g_components, q.endpoints())))
+        postf = [a.tolist() for a in enclosure(model.g_components, q)]
         cut_points = (
             optimal_partition_affine
             if model.structure == "additive"
@@ -339,8 +338,8 @@ def scalar_bounds(model, noise, cells, q, target):
         )
         lower = upper = 1.0
         for i, comp in enumerate(noise.components):
-            p, t = postf.component(i), target.component(i)
-            eps1, eps2, eps3, eps4 = cut_points(p.lo, p.hi, t.lo, t.hi)
+            c, d = postf[0][i], postf[1][i]
+            eps1, eps2, eps3, eps4 = cut_points(c, d, float(target[0][i]), float(target[1][i]))
             upper *= comp.interval_probability(eps1, eps2)
             if eps3 > eps4:
                 lower = 0.0
@@ -402,7 +401,7 @@ def pruning_case(case):
     a case, on 4 cells per dimension and 3 noise cells per component."""
     structure, bounds, exprs, components = PRUNING_CASES[case]
     n = len(bounds)
-    part = partition_domain(Box.from_bounds(bounds), (4,) * n)
+    part = partition_domain(*box(bounds), (4,) * n)
     noise = NoiseModel(components)
     cells = uniform_noise_grid(noise, [3] * n) if structure == "general" else None
     return part, parse_dynamics(exprs, n, structure), noise, cells
@@ -417,20 +416,20 @@ class TestCandidatePruning:
         part, model, noise, cells = pruning_case(case)
         goal = [[e[0], e[1]] for e in part.edges]
         posts = cell_posteriors(part, model, noise, noise_cells=cells)
-        imc = build_imc(posts, {"goal": [Box.from_bounds(goal)]})
+        imc = build_imc(posts, assign_labels(part, {"goal": box([goal])}))
         every_cell = np.arange(part.n_cells)
-        for iq, q in enumerate(map(part.cell, range(part.n_cells))):
+        for iq, q in enumerate(map(part.corners, range(part.n_cells))):
             row = slice(imc.indptr[iq], imc.indptr[iq + 1])
             stored = dict(zip(imc.dst[row].tolist(), zip(imc.lower[row], imc.upper[row])))
             low, up = pair_bounds(posts, np.full(part.n_cells, iq), *part.corners(every_cell))
-            for it, target in enumerate(map(part.cell, range(part.n_cells))):
+            for it, target in enumerate(map(part.corners, range(part.n_cells))):
                 expected = scalar_bounds(model, noise, cells, q, target)
                 assert (float(low[it]), float(up[it])) == expected
                 if it in stored:
                     assert stored[it] == expected
                 else:
                     assert expected[1] == 0.0
-            low_x, up_x = scalar_bounds(model, noise, cells, q, part.domain)
+            low_x, up_x = scalar_bounds(model, noise, cells, q, box(PRUNING_CASES[case][1]))
             assert stored[imc.unsafe_index] == (
                 min(max(1.0 - up_x, 0.0), 1.0),
                 min(max(1.0 - low_x, 0.0), 1.0),
@@ -444,7 +443,7 @@ class TestCandidatePruning:
         lists its targets in increasing (row-major) order, the unsafe
         column last."""
         part, model, noise, cells = pruning_case(case)
-        labels = {"goal": [part.domain]}
+        labels = assign_labels(part, {"goal": box([PRUNING_CASES[case][1]])})
         default = build_imc(cell_posteriors(part, model, noise, noise_cells=cells), labels)
         for a, b in zip(default.indptr[:-1], default.indptr[1:]):
             assert np.all(np.diff(default.dst[a:b]) > 0)
@@ -464,20 +463,19 @@ class TestCandidatePruning:
         part, model, noise, cells = pruning_case(case)
         posts = cell_posteriors(part, model, noise, noise_cells=cells)
         rng = np.random.default_rng(23)
-        dom_lo, dom_hi = part.domain.endpoints()
+        dom_lo, dom_hi = box(PRUNING_CASES[case][1])
         src = rng.integers(0, part.n_cells, 40)
         t_lo = rng.uniform(dom_lo, dom_hi, (40, len(dom_lo)))
         t_hi = rng.uniform(t_lo, dom_hi)
         lower, upper = pair_bounds(posts, src, t_lo, t_hi)
         for j, i in enumerate(src.tolist()):
-            target = Box.from_bounds(zip(t_lo[j], t_hi[j]))
-            expected = scalar_bounds(model, noise, cells, part.cell(i), target)
+            expected = scalar_bounds(model, noise, cells, part.corners(i), (t_lo[j], t_hi[j]))
             assert (float(lower[j]), float(upper[j])) == expected
 
 
 class TestPosteriorTable:
     def _setup(self):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (2,))
+        part = partition_domain(*box([[0, 1]]), (2,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.25, 0.25),))
         return part, model, noise
@@ -486,7 +484,7 @@ class TestPosteriorTable:
         part, model, noise = self._setup()
         cells = part.corners(np.arange(part.n_cells))
         table = PosteriorTable(*enclosure(model.g_components, cells))
-        labels = {"goal": [Box.from_bounds([[0.5, 1]])]}
+        labels = assign_labels(part, {"goal": box([[[0.5, 1]]])})
         from_table = build_imc(cell_posteriors(part, model, noise, posterior_table=table), labels)
         computed = build_imc(cell_posteriors(part, model, noise), labels)
         for name in ("indptr", "dst", "lower", "upper"):
@@ -496,7 +494,7 @@ class TestPosteriorTable:
         part, model, noise = self._setup()
         lo, hi = part.corners(np.arange(part.n_cells))
         shifted = PosteriorTable(lo + 0.5, hi + 0.5)
-        labels = {"goal": [Box.from_bounds([[0.5, 1]])]}
+        labels = assign_labels(part, {"goal": box([[[0.5, 1]]])})
         imc = build_imc(cell_posteriors(part, model, noise, posterior_table=shifted), labels)
         baseline = build_imc(cell_posteriors(part, model, noise), labels)
         assert not all(
@@ -510,7 +508,7 @@ class TestPosteriorTable:
         with pytest.raises(InputError):
             build_imc(
                 cell_posteriors(part, model, noise, posterior_table=table),
-                {"goal": [Box.from_bounds([[0.5, 1]])]},
+                assign_labels(part, {"goal": box([[[0.5, 1]]])}),
             )
 
     def test_file_round_trip(self, tmp_path):
@@ -525,7 +523,7 @@ class TestPosteriorTable:
     def test_missing_files_are_input_errors(self, tmp_path):
         from imcverify.verify import read_results
 
-        part = partition_domain(Box.from_bounds([[0, 1]]), (2,))
+        part = partition_domain(*box([[0, 1]]), (2,))
         path = tmp_path / "absent.csv"
         for read in (
             lambda: read_posterior_table(path, 2, 1),
@@ -577,18 +575,18 @@ class TestPosteriorTable:
 
 class TestExports:
     def test_round_trip_and_determinism(self, tmp_path):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
+        part = partition_domain(*box([[0, 1]]), (4,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.2, 0.2),))
-        boxes = {"goal": [Box.from_bounds([[0.75, 1]])]}
-        imc = build_imc(cell_posteriors(part, model, noise), boxes)
+        labels = assign_labels(part, {"goal": box([[[0.75, 1]]])})
+        imc = build_imc(cell_posteriors(part, model, noise), labels)
         b1, l1 = tmp_path / "imc1.csv", tmp_path / "lab1.csv"
         b2, l2 = tmp_path / "imc2.csv", tmp_path / "lab2.csv"
         write_imc(imc, b1, l1)
         write_imc(imc, b2, l2)
         assert b1.read_bytes() == b2.read_bytes()
         assert l1.read_bytes() == l2.read_bytes()
-        loaded = read_imc(b1, part, assign_labels(part, boxes))
+        loaded = read_imc(b1, part, labels)
         for name in ("indptr", "dst", "lower", "upper"):
             assert np.array_equal(getattr(loaded, name), getattr(imc, name)), name
         assert loaded.labels.keys() == imc.labels.keys()
@@ -598,25 +596,25 @@ class TestExports:
     def test_labels_export_bytes(self, tmp_path):
         # rows by state, then by label name: "base" sorts before "goal" and
         # overlaps it on cell 3, which carries both; the unsafe state ends it
-        part = partition_domain(Box.from_bounds([[0, 1], [0, 1]]), (2, 2))
+        part = partition_domain(*box([[0, 1], [0, 1]]), (2, 2))
         model = parse_dynamics(["x1 + w1", "x2 + w2"], 2, "additive")
         noise = NoiseModel((Uniform(-0.1, 0.1), Uniform(-0.1, 0.1)))
-        boxes = {
-            "goal": [Box.from_bounds([[0.5, 1], [0, 1]])],
-            "obstacle": [Box.from_bounds([[0, 0.5], [0, 0.5]])],
-            "base": [Box.from_bounds([[0, 1], [0.5, 1]])],
-        }
-        imc = build_imc(cell_posteriors(part, model, noise), boxes)
+        labels = assign_labels(part, {
+            "goal": box([[[0.5, 1], [0, 1]]]),
+            "obstacle": box([[[0, 0.5], [0, 0.5]]]),
+            "base": box([[[0, 1], [0.5, 1]]]),
+        })
+        imc = build_imc(cell_posteriors(part, model, noise), labels)
         write_imc(imc, tmp_path / "imc.csv", tmp_path / "labels.csv")
         assert (tmp_path / "labels.csv").read_bytes() == (
             b"state,label\n0,obstacle\n1,base\n2,goal\n3,base\n3,goal\n4,unsafe\n"
         )
 
     def test_blocked_write_same_bytes(self, tmp_path, monkeypatch):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
+        part = partition_domain(*box([[0, 1]]), (4,))
         noise = NoiseModel((Uniform(-0.2, 0.2),))
         posts = cell_posteriors(part, identity_additive(), noise)
-        imc = build_imc(posts, {"goal": [Box.from_bounds([[0.75, 1]])]})
+        imc = build_imc(posts, assign_labels(part, {"goal": box([[[0.75, 1]]])}))
         write_imc(imc, tmp_path / "one.csv", tmp_path / "lab.csv")
         monkeypatch.setattr(csv_module, "_WRITE_ROWS", 3)  # blocks end inside rows
         write_imc(imc, tmp_path / "blocks.csv", tmp_path / "lab.csv")
@@ -631,7 +629,7 @@ class TestExports:
         posts = ctx.posteriors()
         tracemalloc.start()
         try:
-            imc = build_imc(posts, ctx.config.labels)
+            imc = build_imc(posts, ctx.labels)
             build_peak = tracemalloc.get_traced_memory()[1]
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -644,9 +642,10 @@ class TestExports:
         assert write_peak < 2 * 2**20
 
     def test_duplicate_pair_rejected(self, tmp_path):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (2,))
+        part = partition_domain(*box([[0, 1]]), (2,))
         imc = build_imc(
-            cell_posteriors(part, identity_additive(), NoiseModel((Uniform(-0.2, 0.2),))), {}
+            cell_posteriors(part, identity_additive(), NoiseModel((Uniform(-0.2, 0.2),))),
+            assign_labels(part, {}),
         )
         bounds, labels = tmp_path / "imc.csv", tmp_path / "labels.csv"
         write_imc(imc, bounds, labels)
@@ -656,10 +655,10 @@ class TestExports:
             read_imc(bounds, part, imc.labels)
 
     def _export(self, tmp_path):
-        part = partition_domain(Box.from_bounds([[0, 1]]), (4,))
+        part = partition_domain(*box([[0, 1]]), (4,))
         noise = NoiseModel((Uniform(-0.2, 0.2),))
         posts = cell_posteriors(part, identity_additive(), noise)
-        imc = build_imc(posts, {"goal": [Box.from_bounds([[0.75, 1]])]})
+        imc = build_imc(posts, assign_labels(part, {"goal": box([[[0.75, 1]]])}))
         bounds, labels = tmp_path / "imc.csv", tmp_path / "labels.csv"
         write_imc(imc, bounds, labels)
         return part, imc, bounds

@@ -13,17 +13,12 @@ import pytest
 from imcverify import mc
 from imcverify.config import load_config
 from imcverify.dynamics import eval_point, parse_dynamics
-from imcverify.geometry import Box
 from imcverify.imc import AVOID_LABELS, GOAL_LABEL, assign_labels
-from imcverify.mc import (
-    ReachAvoidRegions,
-    clopper_pearson,
-    estimate_satisfaction,
-    simulate,
-)
+from imcverify.mc import ReachAvoidRegions, clopper_pearson, estimate_satisfaction
 from imcverify.noise import Mixture, NoiseModel, TruncatedGaussian, Uniform
 from imcverify.pipeline import _regions, build_context
-from oracles import binomial_tail
+from boxes import box
+from oracles import binomial_tail, cell_index_of_point
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
@@ -37,11 +32,19 @@ def mixture_walk():
     avoid box or run out its horizon."""
     model = parse_dynamics(["x1 + w1"], 1, "additive")
     regions = ReachAvoidRegions(
-        domain=Box.from_bounds([[-1, 1]]),
-        goals=(Box.from_bounds([[0.5, 1.0]]),),
-        avoids=(Box.from_bounds([[-1.0, -0.5]]),),
+        domain=box([[-1, 1]]),
+        goals=box([[[0.5, 1.0]]]),
+        avoids=box([[[-1.0, -0.5]]]),
     )
     return model, NoiseModel((paper_mixture(),)), regions
+
+
+def simulate(model, noise, x0, k, regions, rng):
+    """One trajectory of at most k steps from x0, stopping at the first goal
+    hit, avoid hit or domain exit: the rollout of one start with one
+    generator, of which step t reads ``rng.random((1, noise.n))``."""
+    _, [[trajectory]], _ = mc._rollout(model, noise, regions, [x0], [rng], 1, k, keep=1)
+    return trajectory
 
 
 class Replay:
@@ -116,7 +119,7 @@ class TestSimulate:
         model = parse_dynamics(["0.5*x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(0.25, 0.25),))
         regions = ReachAvoidRegions(
-            domain=Box.from_bounds([[0, 1]]), goals=(Box.from_bounds([[0.49, 0.51]]),)
+            domain=box([[0, 1]]), goals=box([[[0.49, 0.51]]])
         )
         rng = np.random.default_rng(0)
         traj = simulate(model, noise, [1.0], 20, regions, rng)
@@ -134,7 +137,7 @@ class TestSimulate:
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
         regions = ReachAvoidRegions(
-            domain=Box.from_bounds([[0, 1]]), goals=(Box.from_bounds([[0.4, 0.6]]),)
+            domain=box([[0, 1]]), goals=box([[[0.4, 0.6]]])
         )
         traj = simulate(model, noise, [0.5], 10, regions, np.random.default_rng(0))
         assert traj.length == 1
@@ -150,9 +153,9 @@ class TestSimulate:
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(0.5, 0.5),))
         regions = ReachAvoidRegions(
-            domain=Box.from_bounds([[0, 2]]),
-            goals=(Box.from_bounds([[1.9, 2.0]]),),
-            avoids=(Box.from_bounds([[0.9, 1.1]]),),
+            domain=box([[0, 2]]),
+            goals=box([[[1.9, 2.0]]]),
+            avoids=box([[[0.9, 1.1]]]),
         )
         traj = simulate(model, noise, [0.5], 10, regions, np.random.default_rng(0))
         assert traj.termination == "avoid-hit"
@@ -167,7 +170,7 @@ class TestSimulate:
             (TruncatedGaussian(1, 0.1, 0.9, 1.1), TruncatedGaussian(1, 0.1, 0.9, 1.1))
         )
         regions = ReachAvoidRegions(
-            domain=Box.from_bounds([[-10, 10], [-10, 10]]), goals=()
+            domain=box([[-10, 10], [-10, 10]]), goals=()
         )
         traj = simulate(model, noise, [1.0, 1.0], 10, regions, np.random.default_rng(5))
         assert traj.termination == "horizon"
@@ -177,7 +180,7 @@ class TestSimulate:
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((paper_mixture(),))
         regions = ReachAvoidRegions(
-            domain=Box.from_bounds([[-3, 3]]), goals=(Box.from_bounds([[2, 3]]),)
+            domain=box([[-3, 3]]), goals=box([[[2, 3]]])
         )
         a = simulate(model, noise, [0.0], 50, regions, np.random.default_rng(42))
         b = simulate(model, noise, [0.0], 50, regions, np.random.default_rng(42))
@@ -190,7 +193,7 @@ class TestEstimateSatisfaction:
         model = parse_dynamics(["0.5*x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(0.25, 0.25),))
         regions = ReachAvoidRegions(
-            domain=Box.from_bounds([[0, 1]]), goals=(Box.from_bounds([[0.45, 0.55]]),)
+            domain=box([[0, 1]]), goals=box([[[0.45, 0.55]]])
         )
         [(est, ci, _)] = estimate_satisfaction(
             model, noise, regions, [[1.0]], 200, 50, seeds=[3]
@@ -291,15 +294,13 @@ class TestEstimateSatisfaction:
         model, noise, regions = mixture_walk()
         with pytest.raises(ValueError, match="horizon"):
             estimate_satisfaction(model, noise, regions, [[0.0]], 4, -3, seeds=[0])
-        with pytest.raises(ValueError, match="k must"):
-            simulate(model, noise, [0.0], -2, regions, np.random.default_rng(0))
         with pytest.raises(ValueError, match="2 starts but 1 seeds"):
             estimate_satisfaction(model, noise, regions, [[0.0], [0.1]], 4, 5, seeds=[0])
 
     def test_negative_keep_rejected(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
-        regions = ReachAvoidRegions(domain=Box.from_bounds([[0, 1]]), goals=())
+        regions = ReachAvoidRegions(domain=box([[0, 1]]), goals=())
         with pytest.raises(ValueError):
             estimate_satisfaction(model, noise, regions, [[0.5]], 4, 5, seeds=[0], keep=-1)
 
@@ -308,15 +309,15 @@ class TestEstimateSatisfaction:
         from imcverify.geometry import partition_domain
         from imcverify.verify import ReachAvoidSpec, robust_value_iteration
 
-        part = partition_domain(Box.from_bounds([[0, 2]]), (4,))
+        part = partition_domain(*box([[0, 2]]), (4,))
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.1, 0.3),))
-        goal = Box.from_bounds([[1.5, 2.0]])
-        imc = build_imc(cell_posteriors(part, model, noise), {"goal": [goal]})
+        goal = box([[[1.5, 2.0]]])
+        imc = build_imc(cell_posteriors(part, model, noise), assign_labels(part, {"goal": goal}))
         res = robust_value_iteration(imc, ReachAvoidSpec(), convergence_tol=1e-10)
-        regions = ReachAvoidRegions(domain=part.domain, goals=(goal,))
+        regions = ReachAvoidRegions(domain=box([[0, 2]]), goals=goal)
         for idx in range(part.n_cells):
-            x0 = part.cell(idx).center()
+            x0 = 0.5 * sum(part.corners(idx))
             [(est, ci, _)] = estimate_satisfaction(
                 model, noise, regions, [x0], 10**4, 200, seeds=[(1, idx)], confidence=0.999
             )
@@ -334,33 +335,33 @@ def walk_2d():
         TruncatedGaussian(0.0, 0.1, -0.25, 0.25),
     ))
     regions = ReachAvoidRegions(
-        domain=Box.from_bounds([[-1, 1], [-1, 1]]),
-        goals=(Box.from_bounds([[0.5, 1.0], [0.25, 0.75]]),),
-        avoids=(Box.from_bounds([[-0.75, -0.25], [-1.0, -0.5]]),),
+        domain=box([[-1, 1], [-1, 1]]),
+        goals=box([[[0.5, 1.0], [0.25, 0.75]]]),
+        avoids=box([[[-0.75, -0.25], [-1.0, -0.5]]]),
     )
     return model, noise, regions
 
 
-def owns(box, top, x):
-    """The half-open rule, point by point: a box holds its lower faces, and
-    its upper faces only where they lie on ``top``."""
+def owns(lo, hi, top, x):
+    """The half-open rule, point by point: the box [lo, hi] holds its lower
+    faces, and its upper faces only where they lie on ``top``."""
     return all(
-        ival.lo <= c and (c < ival.hi or (c == ival.hi and ival.hi == t))
-        for c, ival, t in zip(x, box.intervals, top)
+        a <= c and (c < b or (c == b and b == t))
+        for c, a, b, t in zip(x, lo.tolist(), hi.tolist(), top)
     )
 
 
 def replay(model, noise, regions, x0, uniforms):
     """One trajectory stepped in plain Python: step t feeds the row
     ``uniforms[t]`` to the components' own samplers, one uniform each."""
-    top = [ival.hi for ival in regions.domain.intervals]
+    top = regions.domain[1].tolist()
 
     def termination(x):
-        if any(owns(box, top, x) for box in regions.goals):
+        if any(owns(lo, hi, top, x) for lo, hi in zip(*regions.goals)):
             return "goal-hit"
-        if any(owns(box, top, x) for box in regions.avoids):
+        if any(owns(lo, hi, top, x) for lo, hi in zip(*regions.avoids)):
             return "avoid-hit"
-        return None if owns(regions.domain, top, x) else "left-domain"
+        return None if owns(*regions.domain, top, x) else "left-domain"
 
     states = [[float(c) for c in x0]]
     end = termination(states[0])
@@ -412,36 +413,35 @@ class TestReplayReference:
                 assert np.array_equal(traj.states, states)
 
     def test_inside_on_every_face_and_corner(self):
-        box = Box.from_bounds([[0.0, 1.0], [-2.0, 2.0], [0.5, 3.0]])
+        lo, hi = box([[0.0, 1.0], [-2.0, 2.0], [0.5, 3.0]])
         top = np.array([1.0, 5.0, 3.0])  # the upper face is on the top in dimensions 0 and 2
         values = [
-            [np.nextafter(lo, -np.inf), lo, 0.5 * (lo + hi), np.nextafter(hi, -np.inf), hi,
-             np.nextafter(hi, np.inf)]
-            for lo, hi in ((0.0, 1.0), (-2.0, 2.0), (0.5, 3.0))
+            [np.nextafter(a, -np.inf), a, 0.5 * (a + b), np.nextafter(b, -np.inf), b,
+             np.nextafter(b, np.inf)]
+            for a, b in ((0.0, 1.0), (-2.0, 2.0), (0.5, 3.0))
         ]
         points = np.array(list(product(*values)))
-        expected = [owns(box, top, x) for x in points.tolist()]
-        assert mc._inside(points, box, top).tolist() == expected
+        expected = [owns(lo, hi, top, x) for x in points.tolist()]
+        assert mc._inside(points, lo, hi, top).tolist() == expected
         assert 0 < sum(expected) < len(expected)
         # the far corner on the top in dimensions 0 and 2, and on the open
         # upper face of dimension 1
-        assert mc._inside(np.array([[1.0, 0.0, 3.0], [1.0, 2.0, 3.0]]), box, top).tolist() == [
+        assert mc._inside(np.array([[1.0, 0.0, 3.0], [1.0, 2.0, 3.0]]), lo, hi, top).tolist() == [
             True, False
         ]
         nan = np.nan
         rows = np.array([[nan, 0.0, 1.0], [0.5, nan, 1.0], [0.5, 0.0, nan], [nan, nan, nan]])
-        assert not mc._inside(rows, box, top).any()
+        assert not mc._inside(rows, lo, hi, top).any()
 
 
 def corner_terminations(ctx):
     """``_classify`` on every lower and upper cell corner, and what the
     labels of the cell that owns the corner say: goal, else avoid, else
     running."""
-    part = ctx.partition
-    labels = assign_labels(part, ctx.config.labels)
+    part, labels = ctx.partition, ctx.labels
     avoid = np.logical_or.reduce([labels[name] for name in AVOID_LABELS if name in labels])
     corners = np.concatenate(part.corners(np.arange(part.n_cells)))
-    owner = [part.cell_index_of_point(x) for x in corners.tolist()]
+    owner = [cell_index_of_point(part, x) for x in corners.tolist()]
     expected = np.where(
         labels[GOAL_LABEL][owner], mc._GOAL, np.where(avoid[owner], mc._AVOID, mc._RUNNING)
     )
@@ -462,7 +462,7 @@ class TestPointOwnership:
         the goal's; both belong to unlabelled cells, so both keep running."""
         ctx = build_context(load_config(WORKLOADS / "paper-mult-40.yaml"))
         points = [[2.0, 0.75], [0.55, 0.4]]
-        assert [ctx.partition.cell_index_of_point(x) for x in points] == [1410, 243]
+        assert [cell_index_of_point(ctx.partition, x) for x in points] == [1410, 243]
         assert mc._classify(np.array(points), _regions(ctx)).tolist() == [mc._RUNNING] * 2
 
     def test_label_endpoint_above_its_grid_edge(self, tmp_path):

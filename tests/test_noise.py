@@ -8,7 +8,6 @@ from scipy.special import erf
 
 from imcverify import _special, noise
 from imcverify.imc import CellPosteriors, pair_bounds
-from imcverify.geometry import Interval
 from imcverify.noise import (
     Mixture,
     NoiseModel,
@@ -48,12 +47,12 @@ class TestCdf:
         ],
     )
     def test_monotone_and_support_limits(self, comp):
-        sup = comp.support
-        ts = np.linspace(sup.lo, sup.hi, 500)
+        sup_lo, sup_hi = comp.support
+        ts = np.linspace(sup_lo, sup_hi, 500)
         vals = np.asarray(comp.cdf(ts))
         assert np.all(np.diff(vals) >= -1e-15)
-        assert abs(float(comp.cdf(sup.lo))) <= 1e-12
-        assert abs(float(comp.cdf(sup.hi)) - 1.0) <= 1e-12
+        assert abs(float(comp.cdf(sup_lo))) <= 1e-12
+        assert abs(float(comp.cdf(sup_hi)) - 1.0) <= 1e-12
         assert float(comp.cdf(float("-inf"))) == 0.0
         assert float(comp.cdf(float("inf"))) == 1.0
 
@@ -186,15 +185,15 @@ def scalar_grid(noise, resolution):
     intervals, its mass a scalar product of interval probabilities."""
     per_dim = []
     for comp, r in zip(noise.components, resolution):
-        edges = np.linspace(comp.support.lo, comp.support.hi, r + 1).tolist()
-        per_dim.append([Interval(a, b) for a, b in zip(edges, edges[1:])])
+        edges = np.linspace(*comp.support, r + 1).tolist()
+        per_dim.append(list(zip(edges, edges[1:])))
     lo, hi, mass = [], [], []
     for cell in itertools.product(*per_dim):
         p = 1.0
-        for comp, ival in zip(noise.components, cell):
-            p *= comp.interval_probability(ival.lo, ival.hi)
-        lo.append([ival.lo for ival in cell])
-        hi.append([ival.hi for ival in cell])
+        for comp, (a, b) in zip(noise.components, cell):
+            p *= comp.interval_probability(a, b)
+        lo.append([a for a, _ in cell])
+        hi.append([b for _, b in cell])
         mass.append(min(max(p, 0.0), 1.0))
     return np.array(lo), np.array(hi), np.array(mass)
 

@@ -9,7 +9,7 @@ import pytest
 from imcverify import imc as imc_module
 from imcverify.config import load_config
 from imcverify.errors import InputError, InvalidModelError, SpecificationError
-from imcverify.geometry import Box, partition_domain
+from imcverify.geometry import partition_domain
 from imcverify.imc import Imc, RowLayout, build_imc
 from imcverify.pipeline import build_context
 from imcverify.verify import (
@@ -29,7 +29,7 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 def make_imc(rows, n_cells, goal=(), obstacle=()):
     """Hand-built IMC over a dummy 1D grid with n_cells cells plus unsafe;
     ``goal`` and ``obstacle`` list the labelled cells."""
-    part = partition_domain(Box.from_bounds([[0, float(n_cells)]]), (n_cells,))
+    part = partition_domain([0.0], [float(n_cells)], (n_cells,))
     return Imc(part, *csr(rows), label_masks(n_cells, goal, obstacle))
 
 
@@ -457,7 +457,7 @@ class TestSweepParts:
         """The bench IMC (1,601 states, 200 sweeps). Budgets 1 and 7, which
         sort each row alone, run the first sweeps only."""
         ctx = build_context(load_config(WORKLOADS / "additive-h200-phased.yaml"))
-        imc = build_imc(ctx.posteriors(), ctx.config.labels)
+        imc = build_imc(ctx.posteriors(), ctx.labels)
         default = imc_module._PART_ENTRIES
         assert len(imc.dst) < default  # one part at the default budget
         expected = self.sweeps(imc, ctx.spec, default, monkeypatch)
@@ -495,7 +495,7 @@ class TestReadResults:
     def test_bounds_columns_are_cell_edges_in_row_major_order(self, tmp_path):
         # non-dyadic edges, so that a float32 or a rounded repr would show
         edges = [np.linspace(-1.3, 2.7, 7), np.linspace(0.1, 0.9, 4), np.linspace(-0.7, 0.3, 3)]
-        part = partition_domain(Box.from_bounds([(e[0], e[-1]) for e in edges]), (6, 3, 2))
+        part = partition_domain([e[0] for e in edges], [e[-1] for e in edges], (6, 3, 2))
         rows = [((i, 1.0, 1.0),) for i in range(part.n_states)]
         imc = Imc(part, *csr(rows), label_masks(part.n_cells, goal=[0]))
         path = tmp_path / "results.csv"
