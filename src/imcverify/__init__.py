@@ -36,11 +36,7 @@ from .verify import (
     robust_value_iteration,
 )
 from .cluster import cluster_improve
-from .mc import (
-    ReachAvoidRegions,
-    Trajectory,
-    estimate_satisfaction,
-)
+from .mc import Trajectory, estimate_satisfaction
 from .config import RunConfig, load_config
 from .pipeline import run_pipeline
 

@@ -18,12 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import SoundnessError
-from .imc import CellPosteriors, Imc, RowLayout, _rows_with_last, pair_bounds
+from .imc import CellPosteriors, Imc, RowLayout, _goal_avoid_sets, _rows_with_last, pair_bounds
 from .verify import (
     ReachAvoidSpec,
     VerificationResult,
     _extreme_expectations,
-    _goal_avoid_sets,
     classify_arrays,
 )
 
@@ -167,7 +166,7 @@ def cluster_improve(
     if posts.partition is not imc.partition:
         raise ValueError("the posteriors were computed on another partition than the IMC's")
     p_lo, p_hi = result.p_lower.copy(), result.p_upper.copy()
-    pinned = np.logical_or(*_goal_avoid_sets(imc))
+    pinned = np.logical_or(*_goal_avoid_sets(imc.labels, imc.n_states))
     sources, box_lo, box_hi, members, holes = cluster_proposals(imc, posts, ~pinned)
     order = np.argsort(-p_lo[sources], kind="stable")  # ties by state
     level = _levels(imc, sources[order])

@@ -26,7 +26,7 @@ class StatePartition:
     row-major over them (the last dimension varies fastest), so they tile
     the domain and cell lookups stay O(log resolution). The extra unsafe
     state (everything outside the domain) has index ``n_cells``. ``corners``
-    maps cell indices to coordinates.
+    maps cell indices to coordinates and ``owner`` maps points to cells.
     """
 
     resolution: tuple[int, ...]
@@ -64,6 +64,21 @@ class StatePartition:
         return tuple(
             np.stack([e[m + k] for e, m in zip(self.edges, multi)], axis=-1) for k in (0, 1)
         )
+
+    def owner(self, x) -> np.ndarray:
+        """The flat index of the cell that owns each point of ``x`` (last
+        axis the dimension), the inverse of ``corners``: a cell owns its
+        lower faces, and its upper faces only on the domain's upper end, so
+        the cells tile the closed domain. A point outside it, or with a NaN
+        coordinate, maps to ``unsafe_index``."""
+        x = np.asarray(x, dtype=float)
+        index, inside = np.zeros(x.shape[:-1], dtype=np.intp), np.ones(x.shape[:-1], dtype=bool)
+        for e, r, c in zip(self.edges, self.resolution, np.moveaxis(x, -1, 0)):
+            index *= r
+            index += np.searchsorted(e[1:-1], c, side="right")
+            inside &= (e[0] <= c) & (c <= e[-1])
+        index[~inside] = self.unsafe_index
+        return index
 
 
 def partition_domain(lo, hi, resolution: Sequence[int]) -> StatePartition:

@@ -7,7 +7,8 @@ and ``upper`` over ``indptr[i]:indptr[i + 1]``. These arrays are its only
 representation, and its labels are one boolean mask over the states per
 label name: an IMC built by hand is ``Imc(partition, indptr, dst, lower,
 upper, labels)``. A reach-avoid property reads the ``GOAL_LABEL`` and
-``AVOID_LABELS`` masks.
+``AVOID_LABELS`` masks, through ``_goal_avoid_sets`` in verification,
+clustering and Monte Carlo alike.
 
 ``RowLayout`` owns the padded row layout of a CSR block: it alone builds
 the width-class blocks and reads padded slots, and it offers the
@@ -48,7 +49,7 @@ from .dynamics import (
     combine_posterior,
     enclosure,
 )
-from .errors import InputError, SoundnessError
+from .errors import InputError, SoundnessError, SpecificationError
 from .geometry import StatePartition
 from .noise import (
     NoiseGrid,
@@ -403,18 +404,6 @@ def _aligned_spans(
     return spans
 
 
-def grid_box(
-    partition: StatePartition, lo: np.ndarray, hi: np.ndarray, name: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The label boxes ``lo``, ``hi`` (shape (boxes, n) each) with each
-    endpoint replaced by the grid edge it matches."""
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    for k, spans in enumerate([_aligned_spans(partition, a, b, name) for a, b in zip(lo, hi)]):
-        for d, (e, s) in enumerate(zip(partition.edges, spans)):
-            lo[k, d], hi[k, d] = e[s.start], e[s.stop]
-    return lo, hi
-
-
 def assign_labels(
     partition: StatePartition, label_boxes: Mapping[str, tuple[np.ndarray, np.ndarray]]
 ) -> dict[str, np.ndarray]:
@@ -435,6 +424,23 @@ def assign_labels(
         labels[name] = np.append(cells, False)  # the cells row-major, then the unsafe state
     labels[UNSAFE_LABEL] = np.arange(partition.n_states) == partition.unsafe_index
     return labels
+
+
+def _goal_avoid_sets(
+    labels: Mapping[str, np.ndarray], n_states: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The state masks of the goal label and of any avoid label, from the
+    label masks ``labels`` over ``n_states`` states."""
+    none = np.zeros(n_states, dtype=bool)
+    goal = labels.get(GOAL_LABEL, none)
+    avoid = np.logical_or.reduce([labels.get(name, none) for name in AVOID_LABELS])
+    overlap = goal & avoid
+    if overlap.any():
+        raise SpecificationError(
+            f"goal and avoid label sets overlap on states "
+            f"{np.flatnonzero(overlap).tolist()}"
+        )
+    return goal, avoid
 
 
 # --- full build ----------------------------------------------------------------

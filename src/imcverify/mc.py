@@ -13,7 +13,9 @@ which others have ended or which cells share its batch. A step costs what
 the live trajectories cost: their states sit in a compact array that drops
 a trajectory when it ends, only an ending trajectory writes its
 termination and length, and only the exported ones write their states
-back. ``_inside`` tests a label box one coordinate at a time.
+back. A point is judged by the labels of the grid cell that owns it
+(``StatePartition.owner``), the cells the IMC was built on: one gather from
+a termination code per state, built once per call.
 ``estimate_satisfaction`` validates many cells at once in groups of at most
 ``GROUP_TRAJECTORIES``, logging each group's trajectory-steps at DEBUG, with
 one ``clopper_pearson`` call per group (numpy and ``math`` only, no scipy).
@@ -25,12 +27,14 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._csv import write_columns
 from .dynamics import DynamicsModel, eval_point
+from .geometry import StatePartition
+from .imc import _goal_avoid_sets
 from .noise import NoiseModel
 
 TERM_HORIZON = "horizon"
@@ -49,20 +53,6 @@ GROUP_TRAJECTORIES = 2**16
 
 
 @dataclass(frozen=True)
-class ReachAvoidRegions:
-    """Geometric reach-avoid data for simulation: stay inside ``domain``,
-    reach any goal box, never enter an avoid box. ``domain`` is a ``(lo,
-    hi)`` pair of shape (n,) arrays; ``goals`` and ``avoids`` are pairs of
-    shape (boxes, n) arrays, or ``()`` for no box. Goal and avoid boxes are
-    half-open like grid cells (see ``_inside``). Leaving the domain counts
-    as a violation, matching the absorbing unsafe state."""
-
-    domain: tuple[np.ndarray, np.ndarray]
-    goals: tuple
-    avoids: tuple = ()
-
-
-@dataclass(frozen=True)
 class Trajectory:
     states: np.ndarray  # shape (length, n)
     termination: str
@@ -72,32 +62,21 @@ class Trajectory:
         return int(self.states.shape[0])
 
 
-def _inside(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """The rows of x in the box [lo, hi] as a grid cell owns points: with
-    its lower faces, and with its upper faces only where they lie on
-    ``top``, the domain's upper corner (so the domain itself is closed)."""
-    inside = np.ones(len(x), dtype=bool)
-    for d, c in enumerate(x.T):
-        inside &= (lo[d] <= c) & ((c <= hi[d]) if hi[d] == top[d] else (c < hi[d]))
-    return inside
-
-
-def _classify(x: np.ndarray, regions: ReachAvoidRegions) -> np.ndarray:
-    """Termination code per row of x (shape (m, n)). A goal hit wins over an
-    avoid hit, which wins over leaving the domain."""
-    top = regions.domain[1]
-    cause = np.where(_inside(x, *regions.domain, top), _RUNNING, _LEFT)
-    for lo, hi in zip(*regions.avoids):
-        cause[_inside(x, lo, hi, top)] = _AVOID
-    for lo, hi in zip(*regions.goals):
-        cause[_inside(x, lo, hi, top)] = _GOAL
-    return cause
+def _termination_codes(partition: StatePartition, labels: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The termination code of a point in each state, from the label masks
+    ``labels``: goal, else avoid, else running, and left-domain at the
+    unsafe state."""
+    goal, avoid = _goal_avoid_sets(labels, partition.n_states)
+    code = np.where(goal, _GOAL, np.where(avoid, _AVOID, _RUNNING))
+    code[partition.unsafe_index] = _LEFT
+    return code
 
 
 def _rollout(
     model: DynamicsModel,
     noise: NoiseModel,
-    regions: ReachAvoidRegions,
+    partition: StatePartition,
+    code: np.ndarray,
     starts: Sequence[Sequence[float]],
     rngs: Sequence[np.random.Generator],
     n: int,
@@ -106,7 +85,8 @@ def _rollout(
 ) -> tuple[np.ndarray, list[list[Trajectory]], int]:
     """Advance n trajectories from each start (row of ``starts``, one
     generator each) for at most ``horizon`` steps, each stopping at its
-    first goal hit, avoid hit or domain exit.
+    first goal hit, avoid hit or domain exit: a point ends as ``code`` (from
+    ``_termination_codes``) says for the state that owns it.
 
     Returns the termination codes, shape (cells, n), per cell the full
     paths of its first ``keep`` trajectories, and the number of
@@ -114,7 +94,7 @@ def _rollout(
     """
     cells, k = len(rngs), min(keep, n)
     x = np.repeat(np.asarray(starts, dtype=float), n, axis=0)
-    cause = _classify(x, regions)
+    cause = code[partition.owner(x)]
     length = np.where(cause == _RUNNING, horizon + 1, 1)
     tracked = (n * np.arange(cells)[:, None] + np.arange(k)).ravel()
     history = [x[tracked]]
@@ -128,7 +108,7 @@ def _rollout(
         for c in np.flatnonzero(np.bincount(alive // n, minlength=cells)).tolist():
             u[c * n : (c + 1) * n] = rngs[c].random((n, noise.n))
         x_alive = eval_point(model, x_alive, noise.sample(u[alive]))
-        found = _classify(x_alive, regions)
+        found = code[partition.owner(x_alive)]
         ended = np.flatnonzero(found)
         done = alive[ended]
         cause[done], length[done] = found[ended], step + 2
@@ -218,7 +198,8 @@ def clopper_pearson(
 def estimate_satisfaction(
     model: DynamicsModel,
     noise: NoiseModel,
-    regions: ReachAvoidRegions,
+    partition: StatePartition,
+    labels: Mapping[str, np.ndarray],
     starts: Sequence[Sequence[float]],
     n_samples: int,
     horizon: int,
@@ -228,6 +209,8 @@ def estimate_satisfaction(
 ) -> list[tuple[float, tuple[float, float], list[Trajectory]]]:
     """Per start, the satisfaction frequency of ``n_samples`` trajectories,
     its Clopper-Pearson CI and the paths of the first ``keep`` of them.
+    A point ends a trajectory as the label masks ``labels`` (from
+    ``assign_labels``) say for the cell of ``partition`` that owns it.
 
     Start j draws from ``np.random.default_rng(seeds[j])`` (an int or a
     tuple of ints): its trajectory i reads column i of
@@ -243,13 +226,18 @@ def estimate_satisfaction(
         raise ValueError(f"keep must be >= 0, got {keep}")
     if len(starts) != len(seeds):
         raise ValueError(f"got {len(starts)} starts but {len(seeds)} seeds")
+    shape = np.shape(starts)
+    if shape != (len(seeds), model.n) or model.n != len(partition.resolution):
+        raise ValueError(f"starts of shape {shape} for a {model.n}-dimensional system "
+                         f"on a {len(partition.resolution)}-dimensional grid")
+    code = _termination_codes(partition, labels)
     per_group = max(1, GROUP_TRAJECTORIES // n_samples)
     out = []
     for a in range(0, len(seeds), per_group):
         rngs = [np.random.default_rng(s) for s in seeds[a : a + per_group]]
         t0 = time.perf_counter()
         cause, kept, steps = _rollout(
-            model, noise, regions, starts[a : a + per_group], rngs, n_samples, horizon, keep
+            model, noise, partition, code, starts[a : a + per_group], rngs, n_samples, horizon, keep
         )
         log.debug("monte carlo: %d trajectories, %d trajectory-steps in %.3f s",
                   cause.size, steps, time.perf_counter() - t0)

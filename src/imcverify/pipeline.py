@@ -33,19 +33,16 @@ from .dynamics import GENERAL
 from .errors import InputError
 from .geometry import StatePartition, partition_domain
 from .imc import (
-    AVOID_LABELS,
-    GOAL_LABEL,
     CellPosteriors,
     Imc,
     assign_labels,
     build_imc,
     cell_posteriors,
-    grid_box,
     read_imc,
     read_posterior_table,
     write_imc,
 )
-from .mc import ReachAvoidRegions, estimate_satisfaction, write_trajectories
+from .mc import estimate_satisfaction, write_trajectories
 from .noise import uniform_noise_grid
 from .verify import (
     ReachAvoidSpec,
@@ -208,17 +205,6 @@ def _selected_cells(ctx: RunContext) -> list[int]:
     return list(range(0, n, max(1, n // 20)))  # about 20 cells
 
 
-def _regions(ctx: RunContext) -> ReachAvoidRegions:
-    """The goal and obstacle boxes on the grid edges their endpoints match,
-    so that Monte Carlo and the cell labels agree on every face."""
-    def boxes(*names):
-        labels = ctx.config.labels
-        snapped = [grid_box(ctx.partition, *labels[m], m) for m in names if m in labels]
-        return tuple(np.concatenate(ends) for ends in zip(*snapped))  # () for no box
-
-    return ReachAvoidRegions(ctx.config.domain, boxes(GOAL_LABEL), boxes(*AVOID_LABELS))
-
-
 def phase_simulate(ctx: RunContext, result: VerificationResult) -> list[dict]:
     """Validate verified intervals by simulation from selected cell centers.
 
@@ -231,14 +217,14 @@ def phase_simulate(ctx: RunContext, result: VerificationResult) -> list[dict]:
     """
     cfg = ctx.config
     mc = cfg.monte_carlo
-    regions = _regions(ctx)
     horizon = cfg.horizon if cfg.horizon is not None else mc.horizon
     cells = _selected_cells(ctx)
     lo, hi = ctx.partition.corners(np.asarray(cells, dtype=int))
     validations = estimate_satisfaction(
         cfg.model,
         cfg.noise,
-        regions,
+        ctx.partition,
+        ctx.labels,
         0.5 * (lo + hi),
         mc.trajectories,
         horizon,
@@ -273,6 +259,16 @@ def phase_simulate(ctx: RunContext, result: VerificationResult) -> list[dict]:
     return records
 
 
+def _record_phase(summary: dict, name: str, t0: float, detail: str, stats: dict) -> None:
+    """Record phase ``name`` in the summary: its seconds since ``t0``, the
+    peak RSS so far and ``stats``; log them at INFO with ``detail``."""
+    phase = summary["phases"][name] = {
+        "seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb(), **stats
+    }
+    log.info("%s: %.3f s, %s, peak RSS %.1f MB",
+             name, phase["seconds"], detail, phase["peak_rss_mb"])
+
+
 def run_pipeline(
     config: RunConfig, phases: Sequence[str] = ("abstract", "verify", "improve", "simulate")
 ) -> dict:
@@ -291,13 +287,8 @@ def run_pipeline(
     if "abstract" in phases:
         t0 = time.perf_counter()
         imc = phase_abstract(ctx)
-        summary["phases"]["abstract"] = {
-            "seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb(),
-            **_abstraction_statistics(imc),
-        }
-        log.info("abstract: %.3f s, %d entries, peak RSS %.1f MB",
-                 summary["phases"]["abstract"]["seconds"], len(imc.dst),
-                 summary["phases"]["abstract"]["peak_rss_mb"])
+        stats = _abstraction_statistics(imc)
+        _record_phase(summary, "abstract", t0, f"{stats['entries']} entries", stats)
     if {"verify", "improve", "simulate"} & set(phases):
         summary["states"] = ctx.partition.n_states
         summary["cells"] = ctx.partition.n_cells
@@ -307,16 +298,14 @@ def run_pipeline(
             imc = load_imc(ctx)
         t0 = time.perf_counter()
         result = phase_verify(ctx, imc)
-        summary["phases"]["verify"] = {
-            "seconds": time.perf_counter() - t0,
-            "peak_rss_mb": _peak_rss_mb(),
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "fixpoint_sweep": dict(zip(("lower", "upper"), result.fixpoints)),
-        }
-        log.info("verify: %.3f s, %d sweeps, bitwise fixpoint from sweep %s (lower), %s (upper), "
-                 "peak RSS %.1f MB", summary["phases"]["verify"]["seconds"], result.iterations,
-                 *result.fixpoints, summary["phases"]["verify"]["peak_rss_mb"])
+        lower, upper = result.fixpoints
+        _record_phase(
+            summary, "verify", t0,
+            f"{result.iterations} sweeps, bitwise fixpoint from sweep {lower} (lower), "
+            f"{upper} (upper)",
+            {"iterations": result.iterations, "converged": result.converged,
+             "fixpoint_sweep": {"lower": lower, "upper": upper}},
+        )
 
     if "improve" in phases and config.cluster_passes > 0:
         if imc is None:
@@ -325,14 +314,10 @@ def run_pipeline(
             result = load_results(ctx)
         t0 = time.perf_counter()
         result, per_pass = phase_improve(ctx, imc, result)
-        summary["phases"]["improve"] = {
-            "seconds": time.perf_counter() - t0,
-            "peak_rss_mb": _peak_rss_mb(),
-            "passes": [{"pass": i + 1, "improved": c} for i, c in enumerate(per_pass)],
-        }
-        log.info("improve: %.3f s, states changed per pass %s, peak RSS %.1f MB",
-                 summary["phases"]["improve"]["seconds"], per_pass,
-                 summary["phases"]["improve"]["peak_rss_mb"])
+        _record_phase(
+            summary, "improve", t0, f"states changed per pass {per_pass}",
+            {"passes": [{"pass": i + 1, "improved": c} for i, c in enumerate(per_pass)]},
+        )
 
     if "simulate" in phases and config.monte_carlo.enabled:
         if result is None:
@@ -340,15 +325,11 @@ def run_pipeline(
             result = load_results(ctx, improved=improved)
         t0 = time.perf_counter()
         records = phase_simulate(ctx, result)
-        summary["phases"]["simulate"] = {
-            "seconds": time.perf_counter() - t0,
-            "peak_rss_mb": _peak_rss_mb(),
-            "validation": records,
-            "all_sound": all(r["sound"] for r in records),
-        }
-        log.info("simulate: %.3f s, %d cells x %d trajectories, peak RSS %.1f MB",
-                 summary["phases"]["simulate"]["seconds"], len(records),
-                 config.monte_carlo.trajectories, summary["phases"]["simulate"]["peak_rss_mb"])
+        _record_phase(
+            summary, "simulate", t0,
+            f"{len(records)} cells x {config.monte_carlo.trajectories} trajectories",
+            {"validation": records, "all_sound": all(r["sound"] for r in records)},
+        )
 
     if result is not None:
         counts = {"satisfies": 0, "violates": 0, "undetermined": 0}

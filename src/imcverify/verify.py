@@ -5,7 +5,7 @@ bound iterates the minimizing adversary and the upper bound the maximizing
 one, both starting from the goal indicator. Goal states stay pinned at 1 and
 avoid states (obstacles and the unsafe state) at 0, which collapses the
 reach-avoid product onto the labels: the IMC's ``GOAL_LABEL`` mask and the
-union of its ``AVOID_LABELS`` masks.
+union of its ``AVOID_LABELS`` masks (``imc._goal_avoid_sets``).
 
 The extreme one-step expectation over all adversaries is attained by the
 ordering construction (Givan, Leach & Dean, 2000): sort successors by value,
@@ -31,10 +31,9 @@ from typing import Optional
 import numpy as np
 
 from ._csv import write_columns
-from .errors import InputError, InvalidModelError, SpecificationError
+from .errors import InputError, InvalidModelError
 from .geometry import StatePartition
-from .imc import _ROW_TOL, AVOID_LABELS, GOAL_LABEL, Imc, RowLayout, _read_columns
-from .imc import _reject_first, _repeats
+from .imc import _ROW_TOL, Imc, RowLayout, _goal_avoid_sets, _read_columns, _reject_first, _repeats
 
 log = logging.getLogger("imcverify")
 
@@ -113,20 +112,6 @@ def _extreme_expectations(layout: RowLayout, dst, lower, gap, lo_values, hi_valu
             _extreme_expectation(layout, dst, lower, gap, hi_values, -1.0, keys))
 
 
-def _goal_avoid_sets(imc: Imc) -> tuple[np.ndarray, np.ndarray]:
-    """The state masks of the goal label and of any avoid label."""
-    none = np.zeros(imc.n_states, dtype=bool)
-    goal = imc.labels.get(GOAL_LABEL, none)
-    avoid = np.logical_or.reduce([imc.labels.get(name, none) for name in AVOID_LABELS])
-    overlap = goal & avoid
-    if overlap.any():
-        raise SpecificationError(
-            f"goal and avoid label sets overlap on states "
-            f"{np.flatnonzero(overlap).tolist()}"
-        )
-    return goal, avoid
-
-
 def robust_value_iteration(
     imc: Imc,
     spec: ReachAvoidSpec,
@@ -146,7 +131,7 @@ def robust_value_iteration(
     in parts of at most ``_PART_ENTRIES`` (2**18) entries and walks blocks of
     at most that many slots, so its scratch arrays do not grow with nnz.
     """
-    goal, avoid = _goal_avoid_sets(imc)
+    goal, avoid = _goal_avoid_sets(imc.labels, imc.n_states)
     pinned = goal | avoid
 
     bounds, fixpoints = [goal.astype(float), goal.astype(float)], [None, None]  # lower, upper

@@ -250,13 +250,12 @@ class TestClusterImprove:
         res = robust_value_iteration(imc, ReachAvoidSpec(), convergence_tol=1e-10)
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
 
-        from imcverify.mc import ReachAvoidRegions, estimate_satisfaction
+        from imcverify.mc import estimate_satisfaction
 
-        regions = ReachAvoidRegions(domain=box([[0, 5]]), goals=box([[[4, 5]]]))
         for idx in range(part.n_cells):
             x0 = 0.5 * sum(part.corners(idx))
             [(est, ci, _)] = estimate_satisfaction(
-                model, noise, regions, [x0], 2000, 100, seeds=[(9, idx)], confidence=0.999
+                model, noise, part, imc.labels, [x0], 2000, 100, seeds=[(9, idx)], confidence=0.999
             )
             assert out.p_lower[idx] <= ci[1] + 1e-12
             assert out.p_upper[idx] >= ci[0] - 1e-12

@@ -869,7 +869,7 @@ output_dir: out
 
         assert imcverify.__all__ == [
             "DynamicsModel", "Imc", "Mixture", "NoiseGrid", "NoiseModel",
-            "PosteriorTable", "ReachAvoidRegions", "ReachAvoidSpec",
+            "PosteriorTable", "ReachAvoidSpec",
             "RunConfig", "StatePartition", "Trajectory", "TruncatedGaussian", "Uniform",
             "VerificationResult", "build_imc", "cell_posteriors", "cluster_improve",
             "enclosure", "estimate_satisfaction", "eval_point", "load_config",

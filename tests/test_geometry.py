@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,53 @@ def test_cell_index_of_point():
     assert cell_index_of_point(part, (0.9, 1.9)) == 7
     assert cell_index_of_point(part, (1.0, 2.0)) == 7  # upper corner clamps
     assert cell_index_of_point(part, (1.5, 0.5)) is None
+
+
+def edge_probes(edges):
+    """Per dimension: every edge, both float neighbours of each, the cell
+    midpoints, NaN and both infinities."""
+    values = []
+    for e in edges:
+        e = np.asarray(e, dtype=float)
+        near = np.concatenate([np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)])
+        values.append(np.concatenate([near, 0.5 * (e[:-1] + e[1:]), [np.nan, -np.inf, np.inf]]))
+    return values
+
+
+def test_owner_matches_the_oracle_on_an_uneven_grid():
+    edges = ([0.0, 0.1, 0.7, 1.0], [-1.0, 0.3, 2.0])
+    part = StatePartition((3, 2), edges)
+    points = np.array(list(product(*edge_probes(edges))))
+    expected = [cell_index_of_point(part, x) for x in points.tolist()]
+    expected = [part.unsafe_index if c is None else c for c in expected]
+    assert part.owner(points).tolist() == expected
+    assert set(expected) == set(range(part.n_states))
+    # the owner of a point is a cell whose closure holds it
+    inside = np.array(expected) != part.unsafe_index
+    lo, hi = part.corners(part.owner(points[inside]))
+    assert np.all((lo <= points[inside]) & (points[inside] <= hi))
+    # any leading shape; the last axis is the dimension
+    assert part.owner(points.reshape(-1, 3, 2)).tolist() == np.reshape(expected, (-1, 3)).tolist()
+
+
+def test_owner_on_every_face_and_corner():
+    """A cell owns its lower faces, and its upper faces only on the domain's
+    upper end: here in dimensions 0 and 2, while dimension 1 has a second
+    cell above the face at 2."""
+    part = StatePartition((1, 2, 1), ([0.0, 1.0], [-2.0, 2.0, 5.0], [0.5, 3.0]))
+    values = [
+        [np.nextafter(a, -np.inf), a, 0.5 * (a + b), np.nextafter(b, -np.inf), b,
+         np.nextafter(b, np.inf)]
+        for a, b in ((0.0, 1.0), (-2.0, 2.0), (0.5, 3.0))
+    ]
+    points = np.array(list(product(*values)))
+    expected = [cell_index_of_point(part, x) for x in points.tolist()]
+    found = part.owner(points)
+    assert found.tolist() == [part.unsafe_index if c is None else c for c in expected]
+    assert 0 < np.count_nonzero(found == 0) < len(points)
+    # the far corner of cell 0 on the top in dimensions 0 and 2 belongs to
+    # it; on its upper face in dimension 1 the point belongs to cell 1
+    assert part.owner(np.array([[1.0, 0.0, 3.0], [1.0, 2.0, 3.0]])).tolist() == [0, 1]
+    nan = np.nan
+    rows = np.array([[nan, 0.0, 1.0], [0.5, nan, 1.0], [0.5, 0.0, nan], [nan, nan, nan]])
+    assert part.owner(rows).tolist() == [part.unsafe_index] * 4

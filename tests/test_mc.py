@@ -13,10 +13,11 @@ import pytest
 from imcverify import mc
 from imcverify.config import load_config
 from imcverify.dynamics import eval_point, parse_dynamics
+from imcverify.geometry import partition_domain
 from imcverify.imc import AVOID_LABELS, GOAL_LABEL, assign_labels
-from imcverify.mc import ReachAvoidRegions, clopper_pearson, estimate_satisfaction
+from imcverify.mc import clopper_pearson, estimate_satisfaction
 from imcverify.noise import Mixture, NoiseModel, TruncatedGaussian, Uniform
-from imcverify.pipeline import _regions, build_context
+from imcverify.pipeline import build_context
 from boxes import box
 from oracles import binomial_tail, cell_index_of_point
 
@@ -27,23 +28,28 @@ def paper_mixture():
     return Mixture((0.5, 0.5), (Uniform(-0.05, -0.01), Uniform(0.0, 0.04)))
 
 
+def labelled(domain, resolution, **label_boxes):
+    """A grid of ``resolution`` cells over the box ``domain`` and its label
+    masks: each keyword names a label and lists its boxes."""
+    part = partition_domain(*box(domain), resolution)
+    return part, assign_labels(part, {name: box(b) for name, b in label_boxes.items()})
+
+
 def mixture_walk():
     """A 1-D walk under mixture noise that can reach its goal, hit its
     avoid box or run out its horizon."""
     model = parse_dynamics(["x1 + w1"], 1, "additive")
-    regions = ReachAvoidRegions(
-        domain=box([[-1, 1]]),
-        goals=box([[[0.5, 1.0]]]),
-        avoids=box([[[-1.0, -0.5]]]),
-    )
-    return model, NoiseModel((paper_mixture(),)), regions
+    grid = labelled([[-1, 1]], (4,), goal=[[[0.5, 1.0]]], obstacle=[[[-1.0, -0.5]]])
+    return model, NoiseModel((paper_mixture(),)), grid
 
 
-def simulate(model, noise, x0, k, regions, rng):
+def simulate(model, noise, x0, k, grid, rng):
     """One trajectory of at most k steps from x0, stopping at the first goal
     hit, avoid hit or domain exit: the rollout of one start with one
     generator, of which step t reads ``rng.random((1, noise.n))``."""
-    _, [[trajectory]], _ = mc._rollout(model, noise, regions, [x0], [rng], 1, k, keep=1)
+    part, labels = grid
+    code = mc._termination_codes(part, labels)
+    _, [[trajectory]], _ = mc._rollout(model, noise, part, code, [x0], [rng], 1, k, keep=1)
     return trajectory
 
 
@@ -118,11 +124,9 @@ class TestSimulate:
     def test_point_mass_noise_deterministic_orbit(self):
         model = parse_dynamics(["0.5*x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(0.25, 0.25),))
-        regions = ReachAvoidRegions(
-            domain=box([[0, 1]]), goals=box([[[0.49, 0.51]]])
-        )
+        grid = labelled([[0, 1]], (100,), goal=[[[0.49, 0.51]]])
         rng = np.random.default_rng(0)
-        traj = simulate(model, noise, [1.0], 20, regions, rng)
+        traj = simulate(model, noise, [1.0], 20, grid, rng)
         # orbit 1.0 -> 0.75 -> 0.625 -> ... -> fixed point 0.5 enters goal
         expected = [1.0]
         while True:
@@ -136,14 +140,12 @@ class TestSimulate:
     def test_start_inside_goal(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
-        regions = ReachAvoidRegions(
-            domain=box([[0, 1]]), goals=box([[[0.4, 0.6]]])
-        )
-        traj = simulate(model, noise, [0.5], 10, regions, np.random.default_rng(0))
+        grid = labelled([[0, 1]], (5,), goal=[[[0.4, 0.6]]])
+        traj = simulate(model, noise, [0.5], 10, grid, np.random.default_rng(0))
         assert traj.length == 1
         assert traj.termination == "goal-hit"
         [(est, _, kept)] = estimate_satisfaction(
-            model, noise, regions, [[0.5]], 5, 10, seeds=[0], keep=3
+            model, noise, *grid, [[0.5]], 5, 10, seeds=[0], keep=3
         )
         assert est == 1.0
         assert [t.length for t in kept] == [1, 1, 1]
@@ -152,14 +154,10 @@ class TestSimulate:
     def test_avoid_hit_and_left_domain(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(0.5, 0.5),))
-        regions = ReachAvoidRegions(
-            domain=box([[0, 2]]),
-            goals=box([[[1.9, 2.0]]]),
-            avoids=box([[[0.9, 1.1]]]),
-        )
-        traj = simulate(model, noise, [0.5], 10, regions, np.random.default_rng(0))
+        grid = labelled([[0, 2]], (20,), goal=[[[1.9, 2.0]]], obstacle=[[[0.9, 1.1]]])
+        traj = simulate(model, noise, [0.5], 10, grid, np.random.default_rng(0))
         assert traj.termination == "avoid-hit"
-        out = simulate(model, noise, [1.7], 10, regions, np.random.default_rng(0))
+        out = simulate(model, noise, [1.7], 10, grid, np.random.default_rng(0))
         assert out.termination == "left-domain"
 
     def test_paper_multiplicative_contracts(self):
@@ -169,21 +167,17 @@ class TestSimulate:
         noise = NoiseModel(
             (TruncatedGaussian(1, 0.1, 0.9, 1.1), TruncatedGaussian(1, 0.1, 0.9, 1.1))
         )
-        regions = ReachAvoidRegions(
-            domain=box([[-10, 10], [-10, 10]]), goals=()
-        )
-        traj = simulate(model, noise, [1.0, 1.0], 10, regions, np.random.default_rng(5))
+        grid = labelled([[-10, 10], [-10, 10]], (2, 2))
+        traj = simulate(model, noise, [1.0, 1.0], 10, grid, np.random.default_rng(5))
         assert traj.termination == "horizon"
         assert np.linalg.norm(traj.states[-1]) < 0.5 * np.linalg.norm(traj.states[0])
 
     def test_reproducible_given_seed(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((paper_mixture(),))
-        regions = ReachAvoidRegions(
-            domain=box([[-3, 3]]), goals=box([[[2, 3]]])
-        )
-        a = simulate(model, noise, [0.0], 50, regions, np.random.default_rng(42))
-        b = simulate(model, noise, [0.0], 50, regions, np.random.default_rng(42))
+        grid = labelled([[-3, 3]], (6,), goal=[[[2, 3]]])
+        a = simulate(model, noise, [0.0], 50, grid, np.random.default_rng(42))
+        b = simulate(model, noise, [0.0], 50, grid, np.random.default_rng(42))
         assert np.array_equal(a.states, b.states)
         assert a.termination == b.termination
 
@@ -192,25 +186,21 @@ class TestEstimateSatisfaction:
     def test_deterministic_goal_reach(self):
         model = parse_dynamics(["0.5*x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(0.25, 0.25),))
-        regions = ReachAvoidRegions(
-            domain=box([[0, 1]]), goals=box([[[0.45, 0.55]]])
-        )
-        [(est, ci, _)] = estimate_satisfaction(
-            model, noise, regions, [[1.0]], 200, 50, seeds=[3]
-        )
+        grid = labelled([[0, 1]], (20,), goal=[[[0.45, 0.55]]])
+        [(est, ci, _)] = estimate_satisfaction(model, noise, *grid, [[1.0]], 200, 50, seeds=[3])
         assert est == 1.0
         assert ci[1] == 1.0
         assert ci[0] < 1.0
 
     def test_batch_matches_sequential_simulate(self):
-        model, noise, regions = mixture_walk()
+        model, noise, grid = mixture_walk()
         n, horizon, seed = 64, 40, 17
         causes = set()
         for x0 in ([0.0], [0.4]):
             # trajectory i reads row i of each step's (n, noise.n) block
             block = np.random.default_rng(seed).random((horizon, n, noise.n))
             sequential = [
-                simulate(model, noise, x0, horizon, regions, Replay(block[:, i]))
+                simulate(model, noise, x0, horizon, grid, Replay(block[:, i]))
                 for i in range(n)
             ]
             successes = sum(t.termination == "goal-hit" for t in sequential)
@@ -219,7 +209,7 @@ class TestEstimateSatisfaction:
             causes |= {t.termination for t in sequential}
             for keep in (0, 10, n, n + 36):
                 [(est, _, kept)] = estimate_satisfaction(
-                    model, noise, regions, [x0], n, horizon, seeds=[seed], keep=keep
+                    model, noise, *grid, [x0], n, horizon, seeds=[seed], keep=keep
                 )
                 assert est == successes / n
                 # the kept paths are the first trajectories of the batch, bit for bit
@@ -230,14 +220,14 @@ class TestEstimateSatisfaction:
         assert causes == {"goal-hit", "avoid-hit", "horizon"}
 
     def test_cells_do_not_depend_on_batch_or_grouping(self, monkeypatch):
-        model, noise, regions = mixture_walk()
+        model, noise, grid = mixture_walk()
         n, horizon = 50, 40
         starts = [[0.7], [0.0], [-0.7], [0.4]]  # in the goal, free, in the avoid box, free
         seeds = [11, 12, 13, 14]
 
         def validate(idx):
             return estimate_satisfaction(
-                model, noise, regions, [starts[i] for i in idx], n, horizon,
+                model, noise, *grid, [starts[i] for i in idx], n, horizon,
                 seeds=[seeds[i] for i in idx], keep=7,
             )
 
@@ -272,13 +262,13 @@ class TestEstimateSatisfaction:
         assert set(drawn) == {12, 14}
 
     def test_groups_log_their_trajectory_steps(self, monkeypatch, caplog):
-        model, noise, regions = mixture_walk()
+        model, noise, grid = mixture_walk()
         n, horizon = 50, 40
         starts = [[0.7], [0.0], [-0.7], [0.4]]  # in the goal, free, in the avoid box, free
         monkeypatch.setattr(mc, "GROUP_TRAJECTORIES", 2 * n)
         with caplog.at_level(logging.DEBUG, logger="imcverify"):
             out = estimate_satisfaction(
-                model, noise, regions, starts, n, horizon, seeds=[1, 2, 3, 4], keep=n
+                model, noise, *grid, starts, n, horizon, seeds=[1, 2, 3, 4], keep=n
             )
         # a path of length L took L - 1 steps
         steps = [sum(t.length - 1 for t in kept) for _, _, kept in out]
@@ -291,18 +281,27 @@ class TestEstimateSatisfaction:
         assert logged == [(str(2 * n), str(steps[0] + steps[1])), (str(2 * n), str(steps[2] + steps[3]))]
 
     def test_bad_arguments_name_the_argument(self):
-        model, noise, regions = mixture_walk()
+        model, noise, grid = mixture_walk()
         with pytest.raises(ValueError, match="horizon"):
-            estimate_satisfaction(model, noise, regions, [[0.0]], 4, -3, seeds=[0])
+            estimate_satisfaction(model, noise, *grid, [[0.0]], 4, -3, seeds=[0])
         with pytest.raises(ValueError, match="2 starts but 1 seeds"):
-            estimate_satisfaction(model, noise, regions, [[0.0], [0.1]], 4, 5, seeds=[0])
+            estimate_satisfaction(model, noise, *grid, [[0.0], [0.1]], 4, 5, seeds=[0])
+        # a start must have a coordinate per dimension: a 1-wide start on a
+        # 2-D system lies in no cell, and a 3-wide one has one coordinate too many
+        model, noise, grid = walk_2d()
+        for starts in ([[0.0]], [[0.0, 0.0, 0.0]]):
+            with pytest.raises(ValueError, match="starts"):
+                estimate_satisfaction(model, noise, *grid, starts, 4, 5, seeds=[0])
+        # the system and the grid must have the same dimension
+        with pytest.raises(ValueError, match="starts"):
+            estimate_satisfaction(model, noise, *mixture_walk()[2], [[0.0, 0.0]], 4, 5, seeds=[0])
 
     def test_negative_keep_rejected(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
-        regions = ReachAvoidRegions(domain=box([[0, 1]]), goals=())
+        grid = labelled([[0, 1]], (1,))
         with pytest.raises(ValueError):
-            estimate_satisfaction(model, noise, regions, [[0.5]], 4, 5, seeds=[0], keep=-1)
+            estimate_satisfaction(model, noise, *grid, [[0.5]], 4, 5, seeds=[0], keep=-1)
 
     def test_estimate_within_verified_interval(self):
         from imcverify.imc import build_imc, cell_posteriors
@@ -315,11 +314,10 @@ class TestEstimateSatisfaction:
         goal = box([[[1.5, 2.0]]])
         imc = build_imc(cell_posteriors(part, model, noise), assign_labels(part, {"goal": goal}))
         res = robust_value_iteration(imc, ReachAvoidSpec(), convergence_tol=1e-10)
-        regions = ReachAvoidRegions(domain=box([[0, 2]]), goals=goal)
         for idx in range(part.n_cells):
             x0 = 0.5 * sum(part.corners(idx))
             [(est, ci, _)] = estimate_satisfaction(
-                model, noise, regions, [x0], 10**4, 200, seeds=[(1, idx)], confidence=0.999
+                model, noise, part, imc.labels, [x0], 10**4, 200, seeds=[(1, idx)], confidence=0.999
             )
             assert ci[0] <= res.p_upper[idx] + 1e-12
             assert ci[1] >= res.p_lower[idx] - 1e-12
@@ -334,34 +332,27 @@ def walk_2d():
         Mixture((0.4, 0.6), (Uniform(-0.25, -0.05), Uniform(0.05, 0.25))),
         TruncatedGaussian(0.0, 0.1, -0.25, 0.25),
     ))
-    regions = ReachAvoidRegions(
-        domain=box([[-1, 1], [-1, 1]]),
-        goals=box([[[0.5, 1.0], [0.25, 0.75]]]),
-        avoids=box([[[-0.75, -0.25], [-1.0, -0.5]]]),
+    grid = labelled(
+        [[-1, 1], [-1, 1]], (8, 8),
+        goal=[[[0.5, 1.0], [0.25, 0.75]]], obstacle=[[[-0.75, -0.25], [-1.0, -0.5]]],
     )
-    return model, noise, regions
+    return model, noise, grid
 
 
-def owns(lo, hi, top, x):
-    """The half-open rule, point by point: the box [lo, hi] holds its lower
-    faces, and its upper faces only where they lie on ``top``."""
-    return all(
-        a <= c and (c < b or (c == b and b == t))
-        for c, a, b, t in zip(x, lo.tolist(), hi.tolist(), top)
-    )
-
-
-def replay(model, noise, regions, x0, uniforms):
+def replay(model, noise, grid, x0, uniforms):
     """One trajectory stepped in plain Python: step t feeds the row
-    ``uniforms[t]`` to the components' own samplers, one uniform each."""
-    top = regions.domain[1].tolist()
+    ``uniforms[t]`` to the components' own samplers, one uniform each, and
+    a point ends as the labels of the cell the oracle gives it say."""
+    part, labels = grid
+    avoid = np.logical_or.reduce([labels[name] for name in AVOID_LABELS if name in labels])
 
     def termination(x):
-        if any(owns(lo, hi, top, x) for lo, hi in zip(*regions.goals)):
+        cell = cell_index_of_point(part, x)
+        if cell is None:
+            return "left-domain"
+        if labels[GOAL_LABEL][cell]:
             return "goal-hit"
-        if any(owns(lo, hi, top, x) for lo, hi in zip(*regions.avoids)):
-            return "avoid-hit"
-        return None if owns(*regions.domain, top, x) else "left-domain"
+        return "avoid-hit" if avoid[cell] else None
 
     states = [[float(c) for c in x0]]
     end = termination(states[0])
@@ -376,7 +367,7 @@ def replay(model, noise, regions, x0, uniforms):
 
 class TestReplayReference:
     """The lockstep rollout against trajectories replayed one at a time
-    without ``_rollout``, ``_classify`` or ``_inside``."""
+    without ``_rollout`` or ``StatePartition.owner``."""
 
     # free, near the top corner, on the goal's upper face at the domain's
     # top (a goal hit), on its upper face below the top (not a goal hit),
@@ -385,25 +376,27 @@ class TestReplayReference:
 
     @pytest.mark.parametrize("group", [mc.GROUP_TRAJECTORIES, 1])
     def test_rollout_matches_plain_python_replay(self, monkeypatch, group):
-        model, noise, regions = walk_2d()
+        model, noise, grid = walk_2d()
         n, horizon = 40, 12
         seeds = [(5, c) for c in range(len(self.STARTS))]
         reference = []
         for x0, seed in zip(self.STARTS, seeds):
             block = np.random.default_rng(seed).random((horizon, n, noise.n))
-            reference.append([replay(model, noise, regions, x0, block[:, i]) for i in range(n)])
+            reference.append([replay(model, noise, grid, x0, block[:, i]) for i in range(n)])
         ends = [[end for _, end in cell] for cell in reference]
         assert set().union(*ends) == {"goal-hit", "avoid-hit", "left-domain", "horizon"}
         assert set(ends[2]) == {"goal-hit"} and set(ends[4]) == {"avoid-hit"}
         assert all(len(states) > 1 for states, _ in reference[3])
 
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        cause, _, _ = mc._rollout(model, noise, regions, self.STARTS, rngs, n, horizon, keep=0)
+        part, labels = grid
+        code = mc._termination_codes(part, labels)
+        cause, _, _ = mc._rollout(model, noise, part, code, self.STARTS, rngs, n, horizon, keep=0)
         assert cause.tolist() == [[mc._TERMS.index(end) for end in cell] for cell in ends]
 
         monkeypatch.setattr(mc, "GROUP_TRAJECTORIES", group)
         validations = estimate_satisfaction(
-            model, noise, regions, self.STARTS, n, horizon, seeds=seeds, keep=n
+            model, noise, *grid, self.STARTS, n, horizon, seeds=seeds, keep=n
         )
         for cell, (est, _, kept) in zip(reference, validations):
             assert est == sum(end == "goal-hit" for _, end in cell) / n
@@ -412,32 +405,11 @@ class TestReplayReference:
                 assert traj.termination == end
                 assert np.array_equal(traj.states, states)
 
-    def test_inside_on_every_face_and_corner(self):
-        lo, hi = box([[0.0, 1.0], [-2.0, 2.0], [0.5, 3.0]])
-        top = np.array([1.0, 5.0, 3.0])  # the upper face is on the top in dimensions 0 and 2
-        values = [
-            [np.nextafter(a, -np.inf), a, 0.5 * (a + b), np.nextafter(b, -np.inf), b,
-             np.nextafter(b, np.inf)]
-            for a, b in ((0.0, 1.0), (-2.0, 2.0), (0.5, 3.0))
-        ]
-        points = np.array(list(product(*values)))
-        expected = [owns(lo, hi, top, x) for x in points.tolist()]
-        assert mc._inside(points, lo, hi, top).tolist() == expected
-        assert 0 < sum(expected) < len(expected)
-        # the far corner on the top in dimensions 0 and 2, and on the open
-        # upper face of dimension 1
-        assert mc._inside(np.array([[1.0, 0.0, 3.0], [1.0, 2.0, 3.0]]), lo, hi, top).tolist() == [
-            True, False
-        ]
-        nan = np.nan
-        rows = np.array([[nan, 0.0, 1.0], [0.5, nan, 1.0], [0.5, 0.0, nan], [nan, nan, nan]])
-        assert not mc._inside(rows, lo, hi, top).any()
-
 
 def corner_terminations(ctx):
-    """``_classify`` on every lower and upper cell corner, and what the
-    labels of the cell that owns the corner say: goal, else avoid, else
-    running."""
+    """The termination codes of every lower and upper cell corner, and what
+    the labels of the cell the oracle gives the corner say: goal, else
+    avoid, else running."""
     part, labels = ctx.partition, ctx.labels
     avoid = np.logical_or.reduce([labels[name] for name in AVOID_LABELS if name in labels])
     corners = np.concatenate(part.corners(np.arange(part.n_cells)))
@@ -445,7 +417,7 @@ def corner_terminations(ctx):
     expected = np.where(
         labels[GOAL_LABEL][owner], mc._GOAL, np.where(avoid[owner], mc._AVOID, mc._RUNNING)
     )
-    return mc._classify(corners, _regions(ctx)), expected
+    return mc._termination_codes(part, labels)[part.owner(corners)], expected
 
 
 class TestPointOwnership:
@@ -461,9 +433,11 @@ class TestPointOwnership:
         """(2.0, 0.75) lies on the obstacle's upper face and (0.55, 0.4) on
         the goal's; both belong to unlabelled cells, so both keep running."""
         ctx = build_context(load_config(WORKLOADS / "paper-mult-40.yaml"))
-        points = [[2.0, 0.75], [0.55, 0.4]]
-        assert [cell_index_of_point(ctx.partition, x) for x in points] == [1410, 243]
-        assert mc._classify(np.array(points), _regions(ctx)).tolist() == [mc._RUNNING] * 2
+        points = np.array([[2.0, 0.75], [0.55, 0.4]])
+        assert [cell_index_of_point(ctx.partition, x) for x in points.tolist()] == [1410, 243]
+        assert ctx.partition.owner(points).tolist() == [1410, 243]
+        code = mc._termination_codes(ctx.partition, ctx.labels)
+        assert code[[1410, 243]].tolist() == [mc._RUNNING] * 2
 
     def test_label_endpoint_above_its_grid_edge(self, tmp_path):
         """The goal's lower endpoint 0.6666666667 matches the edge
