@@ -159,9 +159,10 @@ def cluster_improve(
     ``pair_bounds``. A new value is kept only when strictly better, so no
     state ever gets worse. Later states in the pass see earlier
     improvements: one kernel call per dependency level gives the bits of a
-    row-by-row pass. The numbers of clusters, of sources with holes and of
-    levels are logged at DEBUG. Posteriors of another partition, even an equal
-    one, are a ValueError.
+    row-by-row pass. Only avoid states violate where the ``upper_residual``
+    of ``result`` is above 0. The numbers of clusters, of sources with holes
+    and of levels are logged at DEBUG. Posteriors of another partition, even
+    an equal one, are a ValueError.
     """
     if posts.partition is not imc.partition:
         raise ValueError("the posteriors were computed on another partition than the IMC's")
@@ -220,5 +221,7 @@ def cluster_improve(
     log.debug("cluster: %d proposals, %d reached the holes fallback, %d levels",
               count, holes, len(ends))
 
-    classification = classify_arrays(p_lo, p_hi, spec.threshold)
-    return VerificationResult(p_lo, p_hi, classification, result.iterations, result.converged)
+    violates = pinned | (not result.upper_residual)
+    classification = classify_arrays(p_lo, p_hi, spec.threshold, violates)
+    return VerificationResult(p_lo, p_hi, classification, result.iterations, result.converged,
+                              upper_residual=result.upper_residual)

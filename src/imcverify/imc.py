@@ -22,19 +22,22 @@ records their grid, is the only input the build and the cluster step take
 from the system. ``_rows_with_last`` assembles the cluster step's CSR rows.
 
 A transition bound depends only on the source's posterior and the target
-box, so one kernel, ``pair_bounds``, maps arrays of (source, target box)
-pairs to their bounds; the build, the unsafe column and the cluster step
-are all calls into it. Structured systems (additive or multiplicative
-noise) get the optimal three-cell partition per component: a bound is a
-product of single interval probabilities, one vectorised
-``interval_probability`` call per dimension and bound over all pairs.
-General systems sum the cell masses of a uniform ``NoiseGrid``.
+box: ``pair_bounds`` maps arrays of (source, target box) pairs to their
+bounds. Structured systems (additive or multiplicative noise) get the
+optimal three-cell partition per component, so a bound is a product of 1-D
+interval probabilities (``_factors``), each set by the source cell, the
+dimension and the target's interval along it. ``factor_bounds`` computes
+each once per cell and candidate interval, and ``build_imc`` multiplies
+the ones of each pair, and of the domain for the unsafe column, with the
+bits of ``pair_bounds``, which the cluster step calls for its boxes.
+General systems sum the cell masses of a uniform ``NoiseGrid`` per pair.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
@@ -44,7 +47,6 @@ from ._csv import write_columns
 from .dynamics import (
     ADDITIVE,
     GENERAL,
-    MULTIPLICATIVE,
     DynamicsModel,
     combine_posterior,
     enclosure,
@@ -66,10 +68,10 @@ AVOID_LABELS = ("obstacle", UNSAFE_LABEL)
 
 _ROW_TOL = 1e-9
 _ALIGN_TOL = 1e-9
-# candidate pairs per ``pair_bounds`` call in ``build_imc``: the block's
-# arrays, a few times 2**14 * n floats, stay in the cache. On paper-mult-40
-# (2 vCPU) the build takes 76-81 ms against 132-142 ms with 2**18 pairs,
-# and its traced peak is 6.9 MB against 28.2 MB
+# candidate pairs per block of ``build_imc``, and factors per block of
+# ``factor_bounds``: the block's arrays, a few times 2**14 * n floats, stay
+# in the cache. A per-pair build of paper-mult-40 (2 vCPU) took 76-81 ms
+# against 132-142 ms with 2**18 pairs, and peaked at 6.9 against 28.2 MB
 _BLOCK_PAIRS = 2**14
 # entries per row range that a sweep sorts at once (``RowLayout.parts``) and
 # slots per ``RowLayout`` block: the sort key, the permutation and the
@@ -271,6 +273,27 @@ def _clamped(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.minimum(lower, upper), upper
 
 
+def _factors(posts: "CellPosteriors", d: int, src, t_lo, t_hi) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D factors along dimension d of a structured system from the cell
+    ``src[j]`` of ``posts`` toward [t_lo[j], t_hi[j]]: Pr(w_d in [eps3,
+    eps4]) for the lower bound (0 if empty) and Pr(w_d in [eps1, eps2]) for
+    the upper."""
+    cut_points = (
+        optimal_partition_affine if posts.structure == ADDITIVE else optimal_partition_multiplicative
+    )
+    eps1, eps2, eps3, eps4 = cut_points(posts.lo[src, d], posts.hi[src, d], t_lo, t_hi)
+    comp = posts.noise.components[d]
+    return comp.interval_probability(eps3, eps4), comp.interval_probability(eps1, eps2)
+
+
+def _product(factors) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dimension (lower, upper) factors multiplied in dimension order from 1.0, clamped."""
+    lower = upper = 1.0
+    for low, up in factors:
+        lower, upper = lower * low, upper * up
+    return _clamped(lower, upper)
+
+
 def pair_bounds(
     posts: "CellPosteriors", src: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -278,13 +301,11 @@ def pair_bounds(
     ``src[j]`` of ``posts`` toward the box [t_lo[j], t_hi[j]] (shape
     (pairs, n)).
 
-    Structured systems: lower = prod_d Pr(w_d in [eps3_d, eps4_d]) and
-    upper = prod_d Pr(w_d in [eps1_d, eps2_d]), multiplied in dimension
-    order; an empty containment interval gives the factor 0. General
-    systems: noise cell k adds its mass to the upper bound of every pair
-    whose posterior under k meets the target and to the lower bound of
-    every pair whose target contains it, in noise-cell order (np.sum
-    would round differently).
+    Structured systems: the product of each dimension's ``_factors``.
+    General systems: noise cell k adds its mass to the upper bound of every
+    pair whose posterior under k meets the target and to the lower bound of
+    every pair whose target contains it, in noise-cell order (np.sum would
+    round differently).
     """
     if posts.structure == GENERAL:
         lower, upper = np.zeros(len(src)), np.zeros(len(src))
@@ -293,16 +314,31 @@ def pair_bounds(
             upper[((lo <= t_hi) & (t_lo <= hi)).all(axis=1)] += p
             lower[((t_lo <= lo) & (hi <= t_hi)).all(axis=1)] += p
         return _clamped(lower, upper)
-    cut_points = (
-        optimal_partition_affine if posts.structure == ADDITIVE else optimal_partition_multiplicative
-    )
-    lower = upper = np.ones(len(src))
-    c, d = posts.lo[src], posts.hi[src]
-    for i, comp in enumerate(posts.noise.components):
-        eps1, eps2, eps3, eps4 = cut_points(c[:, i], d[:, i], t_lo[:, i], t_hi[:, i])
-        upper = upper * comp.interval_probability(eps1, eps2)
-        lower = lower * comp.interval_probability(eps3, eps4)
-    return _clamped(lower, upper)
+    return _product(_factors(posts, d, src, t_lo[:, d], t_hi[:, d]) for d in range(t_lo.shape[1]))
+
+
+Factors = namedtuple("Factors", "off lower upper stay")
+
+
+def factor_bounds(posts: "CellPosteriors") -> list[Factors]:
+    """The 1-D factors of a structured system, once per (cell, dimension,
+    target interval), in blocks of at most ``_BLOCK_PAIRS``. Per dimension
+    d, cell i's band is the intervals ``first[i, d] + k`` along d for k <
+    ``last[i, d] - first[i, d]``, with the factors ``lower[off[i] + k]`` and
+    ``upper[off[i] + k]``; ``stay`` holds each cell's (lower, upper) pair
+    toward the domain along d, whose complement leaves the domain."""
+    factors, cells = [], np.arange(len(posts.lo))
+    for d, e in enumerate(posts.partition.edges):
+        first = posts.first[:, d]
+        off = np.concatenate([[0], np.cumsum(posts.last[:, d] - first)])
+        lower, upper = np.empty(off[-1]), np.empty(off[-1])
+        for a in range(0, int(off[-1]), _BLOCK_PAIRS):
+            k = np.arange(a, min(a + _BLOCK_PAIRS, int(off[-1])))
+            s = np.searchsorted(off, k, side="right") - 1
+            m = first[s] + k - off[s]
+            lower[k], upper[k] = _factors(posts, d, s, e[m], e[m + 1])
+        factors.append(Factors(off, lower, upper, _factors(posts, d, cells, e[0], e[-1])))
+    return factors
 
 
 # --- posteriors of every cell ---------------------------------------------------
@@ -448,11 +484,13 @@ def _goal_avoid_sets(
 
 def build_imc(posts: CellPosteriors, labels: Mapping[str, np.ndarray]) -> Imc:
     """Build the sound IMC abstraction over the grid of ``posts``, with the
-    label masks ``labels`` (from ``assign_labels``):
-    ``pair_bounds`` over every source's candidate block (the cells near its
-    posterior hull, row-major) in blocks of at most ``_BLOCK_PAIRS`` (2**14)
-    pairs, and once with the domain as every source's target for the unsafe
-    column.
+    label masks ``labels`` (from ``assign_labels``), over every source's
+    candidate block (the cells near its posterior hull, row-major) in blocks
+    of at most ``_BLOCK_PAIRS`` (2**14) pairs. A structured system gathers
+    each pair's factors from ``factor_bounds`` and the unsafe column from
+    their ``stay`` pairs; a general one calls ``pair_bounds`` per block and
+    once with the domain as every source's target for the unsafe column.
+    Either way each bound has the bits of ``pair_bounds`` for its pair.
 
     Pairs with upper bound 0 are omitted; the unsafe column is always
     stored. Every row must satisfy sum(lower) <= 1 <= sum(upper), summed
@@ -462,6 +500,7 @@ def build_imc(posts: CellPosteriors, labels: Mapping[str, np.ndarray]) -> Imc:
     """
     partition = posts.partition
     cells, unsafe = np.arange(partition.n_cells), partition.unsafe_index
+    factors = None if posts.structure == GENERAL else factor_bounds(posts)
     sizes = posts.last - posts.first
     # pair offset of each source's candidate block in the concatenated pairs
     starts = np.concatenate([[0], np.cumsum(sizes.prod(axis=1))])
@@ -477,19 +516,28 @@ def build_imc(posts: CellPosteriors, labels: Mapping[str, np.ndarray]) -> Imc:
         pair = np.arange(a, min(a + _BLOCK_PAIRS, int(starts[-1])))
         s = np.searchsorted(starts, pair, side="right") - 1
         # the pair's target: its row-major position in the block, unravelled
-        rest, multi = pair - starts[s], [None] * len(partition.resolution)
-        for d in reversed(range(len(multi))):
-            rest, m = np.divmod(rest, sizes[s, d])
-            multi[d] = posts.first[s, d] + m
-        target = np.ravel_multi_index(multi, partition.resolution)
-        low, up = pair_bounds(posts, s, *partition.corners(target))
+        # into the position m[d] in each dimension's band
+        rest, m = pair - starts[s], [None] * len(partition.resolution)
+        for d in reversed(range(len(m))):
+            rest, m[d] = np.divmod(rest, sizes[s, d])
+        target = np.ravel_multi_index([posts.first[s, d] + k for d, k in enumerate(m)],
+                                      partition.resolution)
+        if factors is None:
+            low, up = pair_bounds(posts, s, *partition.corners(target))
+        else:  # the pair's factors: position m[d] of its source's band along d
+            at = [f.off[s] + k for f, k in zip(factors, m)]
+            low, up = _product((f.lower[i], f.upper[i]) for f, i in zip(factors, at))
         keep = np.flatnonzero(up > 0.0)
         slot = counts.sum() + np.arange(len(keep)) + s[keep]
         dst[slot], lower[slot], upper[slot] = target[keep], low[keep], up[keep]
         counts += np.bincount(s[keep], minlength=partition.n_states)
-    dom_lo, dom_hi = (np.tile([e[k] for e in partition.edges], (len(cells), 1)) for k in (0, -1))
-    low_x, up_x = pair_bounds(posts, cells, dom_lo, dom_hi)
+    if factors is None:
+        domain = (np.tile([e[k] for e in partition.edges], (len(cells), 1)) for k in (0, -1))
+        low_x, up_x = pair_bounds(posts, cells, *domain)
+    else:
+        low_x, up_x = _product(f.stay for f in factors)
     low_u, up_u = _clamped(1.0 - up_x, 1.0 - low_x)
+    del factors  # before the row check, which sets the build's peak
     indptr = np.concatenate([[0], np.cumsum(counts + 1)])
     # each row ends with the unsafe column; the unsafe state has only its certain self-loop
     last = indptr[1:] - 1

@@ -17,6 +17,7 @@ and is a report, not an export.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import sys
@@ -49,6 +50,7 @@ from .verify import (
     VerificationResult,
     read_results,
     robust_value_iteration,
+    upper_residual,
     write_results,
 )
 
@@ -116,20 +118,24 @@ def _drop_exports_after(ctx: RunContext, last: str) -> None:
         (ctx.config.output_dir / name).unlink(missing_ok=True)
 
 
-def phase_abstract(ctx: RunContext) -> Imc:
-    imc = build_imc(ctx.posteriors(), ctx.labels)
+def phase_abstract(ctx: RunContext) -> tuple[Imc, dict]:
+    posts = ctx.posteriors()
+    imc = build_imc(posts, ctx.labels)
     out = ctx.config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     _drop_exports_after(ctx, LABELS_FILE)
     write_imc(imc, out / IMC_FILE, out / LABELS_FILE)
-    return imc
+    return imc, _abstraction_statistics(imc, posts)
 
 
-def _abstraction_statistics(imc: Imc) -> dict:
-    """The IMC's stored entries, their mean number per row and the mean
-    width ``upper - lower`` of their intervals."""
-    entries = len(imc.dst)
+def _abstraction_statistics(imc: Imc, posts: CellPosteriors) -> dict:
+    """The candidate pairs and band factors (none if general) the build
+    bounds, the IMC's stored entries, their mean number per row and the
+    mean width ``upper - lower`` of their intervals."""
+    entries, sizes = len(imc.dst), posts.last - posts.first
     return {
+        "pairs": int(sizes.prod(axis=1).sum()),
+        "factors": 0 if posts.structure == GENERAL else int(sizes.sum()),
         "entries": entries,
         "row_nnz_mean": entries / (len(imc.indptr) - 1),
         "interval_width_mean": float(np.mean(imc.upper - imc.lower)),
@@ -173,7 +179,9 @@ def phase_improve(
 ) -> tuple[VerificationResult, list[int]]:
     """Clustering passes, all on one computation of the posteriors; returns
     the improved result and the number of states whose interval changed in
-    each pass."""
+    each pass. A reloaded unbounded result gets its ``upper_residual`` back."""
+    if result.upper_residual is None and ctx.spec.horizon is None:
+        result = dataclasses.replace(result, upper_residual=upper_residual(imc, result.p_upper))
     posts = ctx.posteriors()
     per_pass: list[int] = []
     current = result
@@ -286,9 +294,9 @@ def run_pipeline(
 
     if "abstract" in phases:
         t0 = time.perf_counter()
-        imc = phase_abstract(ctx)
-        stats = _abstraction_statistics(imc)
-        _record_phase(summary, "abstract", t0, f"{stats['entries']} entries", stats)
+        imc, stats = phase_abstract(ctx)
+        detail = f"{stats['pairs']} pairs, {stats['factors']} factors, {stats['entries']} entries"
+        _record_phase(summary, "abstract", t0, detail, stats)
     if {"verify", "improve", "simulate"} & set(phases):
         summary["states"] = ctx.partition.n_states
         summary["cells"] = ctx.partition.n_cells
@@ -304,7 +312,8 @@ def run_pipeline(
             f"{result.iterations} sweeps, bitwise fixpoint from sweep {lower} (lower), "
             f"{upper} (upper)",
             {"iterations": result.iterations, "converged": result.converged,
-             "fixpoint_sweep": {"lower": lower, "upper": upper}},
+             "fixpoint_sweep": {"lower": lower, "upper": upper},
+             "upper_residual": result.upper_residual},
         )
 
     if "improve" in phases and config.cluster_passes > 0:
@@ -342,7 +351,9 @@ def run_pipeline(
         }
 
     if config.source is not None:
-        import hashlib  # only here: its OpenSSL adds about 3.5 MB to a process's RSS
+        # only here: its OpenSSL adds about 3.5 MB to the RSS of a run without
+        # Monte Carlo (numpy.random, which Monte Carlo imports, imports hashlib)
+        import hashlib
         summary["provenance"]["config_sha256"] = hashlib.sha256(config.source).hexdigest()
     with open(out / SUMMARY_FILE, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

@@ -75,6 +75,9 @@ class VerificationResult:
     iterations: int
     converged: bool
     fixpoints: tuple = (None, None)  # (lower, upper): first sweep that returned its input bits
+    # ``upper_residual(imc, p_upper)`` of an unbounded value iteration, None
+    # for a finite horizon or a reloaded result: above 0, no state violates
+    upper_residual: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "p_lower", np.asarray(self.p_lower, dtype=float))
@@ -130,6 +133,11 @@ def robust_value_iteration(
     A sweep ranks the states once per bound, sorts the rows into walk order
     in parts of at most ``_PART_ENTRIES`` (2**18) entries and walks blocks of
     at most that many slots, so its scratch arrays do not grow with nnz.
+
+    An unbounded ``p_upper`` rises from the goal indicator and may stop below
+    the least fixpoint; ``upper_residual`` checks it (0.0 with no sweep after a
+    bitwise fixpoint). Above 0, no state but an avoid state violates, and a
+    WARNING says how many states that spares.
     """
     goal, avoid = _goal_avoid_sets(imc.labels, imc.n_states)
     pinned = goal | avoid
@@ -167,7 +175,16 @@ def robust_value_iteration(
         )
 
     v_lo, v_hi = np.minimum(*bounds), bounds[1]
-    classification = classify_arrays(v_lo, v_hi, spec.threshold)
+    residual = None  # finite horizons are exempt; a bitwise fixpoint needs no sweep
+    if spec.horizon is None:
+        residual = 0.0 if fixpoints[1] else upper_residual(imc, v_hi)
+    if residual:
+        log.warning(
+            "the upper bound is not a pre-fixpoint (residual %g): %d states below the "
+            "threshold are undetermined, not violating",
+            residual, np.count_nonzero(~pinned & (v_hi < spec.threshold)),
+        )
+    classification = classify_arrays(v_lo, v_hi, spec.threshold, pinned | (not residual))
     return VerificationResult(
         p_lower=v_lo,
         p_upper=v_hi,
@@ -175,14 +192,27 @@ def robust_value_iteration(
         iterations=iterations,
         converged=converged,
         fixpoints=tuple(fixpoints),
+        upper_residual=residual,
     )
 
 
+def upper_residual(imc: Imc, p_upper: np.ndarray) -> float:
+    """max(T_max(p_upper) - p_upper, 0) over the states that are neither goal
+    nor avoid, by one maximising sweep: 0 certifies ``p_upper`` as an upper
+    bound of the unbounded reach-avoid probability."""
+    layout = RowLayout(imc.indptr)
+    layout.check(imc.lower, imc.upper, InvalidModelError)
+    pinned = np.logical_or(*_goal_avoid_sets(imc.labels, imc.n_states))
+    swept = _extreme_expectation(layout, imc.dst, imc.lower, imc.upper - imc.lower, p_upper, -1.0)
+    return float(np.max(swept - p_upper, where=~pinned, initial=0.0))
+
+
 def classify_arrays(
-    p_lower: np.ndarray, p_upper: np.ndarray, threshold: float
+    p_lower: np.ndarray, p_upper: np.ndarray, threshold: float, violates=True
 ) -> tuple[str, ...]:
-    """Three-way classification of each state against a threshold."""
-    below = np.where(np.asarray(p_upper) < threshold, VIOLATES, UNDETERMINED)
+    """Three-way classification of each state against a threshold; a state
+    below it violates only where ``violates`` (one bool or a mask) allows."""
+    below = np.where((np.asarray(p_upper) < threshold) & violates, VIOLATES, UNDETERMINED)
     return tuple(np.where(np.asarray(p_lower) >= threshold, SATISFIES, below).tolist())
 
 
@@ -226,8 +256,10 @@ def read_results(
 
     Every state must appear once, with a known class and p_lower <= p_upper
     in [0, 1] (value iteration may leave p_upper a few ulps above 1); anything
-    else is an InputError naming ``path:line``. The stored classes are only
-    checked: a reload under another threshold reclassifies every state.
+    else is an InputError naming ``path:line``. A reload under another
+    threshold reclassifies every state, except that a state stored as
+    undetermined never violates: value iteration stores a state below the
+    threshold so when its upper bound is not certified (``upper_residual``).
     """
     n, dim = partition.n_states, len(partition.resolution)
     types = (int,) + (str,) * (2 * dim) + (float, float, str)
@@ -249,7 +281,8 @@ def read_results(
     missing = np.flatnonzero(~seen)
     if len(missing):
         raise InputError(f"{path}: result table is missing states {missing.tolist()}")
-    p_lower, p_upper = np.empty(n), np.empty(n)
+    p_lower, p_upper, violates = np.empty(n), np.empty(n), np.empty(n, bool)
     p_lower[state], p_upper[state] = lo, hi
-    classification = classify_arrays(p_lower, p_upper, threshold)
+    violates[state] = np.not_equal(label, UNDETERMINED)
+    classification = classify_arrays(p_lower, p_upper, threshold, violates)
     return VerificationResult(p_lower, p_upper, classification, iterations=0, converged=True)

@@ -477,7 +477,7 @@ class TestPipeline:
         from imcverify.verify import VerificationResult
 
         ctx = build_context(load_config(write_toy(tmp_path, passes=0)))
-        imc = phase_abstract(ctx)
+        imc, _ = phase_abstract(ctx)
         # claims every state violates, but the goal cell starts in the goal
         zeros = np.zeros(imc.n_states)
         wrong = VerificationResult(zeros, zeros, ("violates",) * imc.n_states, 0, True)
@@ -498,7 +498,8 @@ class TestPipeline:
         )
         fixpoints = verify["fixpoint_sweep"]
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
-            f"abstract: {abstract['seconds']:.3f} s, {abstract['entries']} entries, "
+            f"abstract: {abstract['seconds']:.3f} s, {abstract['pairs']} pairs, "
+            f"{abstract['factors']} factors, {abstract['entries']} entries, "
             f"peak RSS {abstract['peak_rss_mb']:.1f} MB",
             f"verify: {verify['seconds']:.3f} s, {verify['iterations']} sweeps, bitwise "
             f"fixpoint from sweep {fixpoints['lower']} (lower), {fixpoints['upper']} (upper), "
@@ -515,7 +516,8 @@ class TestPipeline:
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="imcverify"):
             run_pipeline(cfg, phases=("verify",))
-        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["verify"]
+        info = [r.getMessage().split(":")[0] for r in caplog.records if r.levelno == logging.INFO]
+        assert info == ["verify"]
 
     def test_abstraction_statistics_match_the_exported_entries(self, tmp_path):
         path = tmp_path / "paper.yaml"
@@ -531,6 +533,26 @@ class TestPipeline:
         assert stats["row_nnz_mean"] == len(rows) / summary["states"]
         assert stats["interval_width_mean"] == pytest.approx(math.fsum(widths) / len(rows), rel=1e-12)
         assert 0.0 < stats["interval_width_mean"] < 1.0
+
+    def test_abstraction_counts_pairs_and_factors(self, tmp_path, monkeypatch):
+        """The abstract phase reports the candidate pairs the build bounds and
+        the band factors it computes: paper-mult-40 bounds 105,088 pairs from
+        25,752 factors (plus one domain factor per cell and dimension), and
+        a general system computes none."""
+        import imcverify.imc as imc_module
+
+        computed, factors = [], imc_module._factors
+
+        def counted(posts, d, src, t_lo, t_hi):
+            computed.append(len(src))
+            return factors(posts, d, src, t_lo, t_hi)
+
+        monkeypatch.setattr(imc_module, "_factors", counted)
+        for name, expected in (("paper-mult-40", (105088, 25752)), ("general-sin-20", (7768, 0))):
+            cfg = dataclasses.replace(load_config(WORKLOADS / f"{name}.yaml"), output_dir=tmp_path / name)
+            stats = run_pipeline(cfg, phases=("abstract",))["phases"]["abstract"]
+            assert (stats["pairs"], stats["factors"]) == expected
+        assert sum(computed) == 25752 + 2 * 40**2
 
     def test_cluster_pass_counts_reported(self, tmp_path):
         cfg = load_config(write_toy(tmp_path, passes=2))
@@ -678,6 +700,26 @@ class TestCli:
         for name in EXPORTS:
             phased, whole = (tmp_path / d / name for d in ("out", "whole"))
             assert phased.read_bytes() == whole.read_bytes(), name
+
+    def test_withheld_violations_stay_withheld_across_phases(self, tmp_path):
+        """Under a threshold of 1 - 1e-9 the toy's upper bound, which stops on
+        the tolerance, not at a fixpoint, puts three cells below the threshold.
+        The pre-fixpoint check fails, so neither ``run`` nor phases that
+        reload ``results.csv`` report them violating, and both export the
+        same bytes."""
+        cfg_path = write_toy(tmp_path, passes=1, mc="false")
+        cfg_path.write_text(cfg_path.read_text().replace("threshold: 0.9", "threshold: 0.999999999"))
+        for phase in ("abstract", "verify", "improve"):
+            assert main([phase, "-c", str(cfg_path)]) == 0
+        assert main(["run", "-c", str(cfg_path), "--output-dir", str(tmp_path / "whole")]) == 0
+        summary = json.loads((tmp_path / "whole" / SUMMARY_FILE).read_text())
+        assert summary["phases"]["verify"]["upper_residual"] > 0.0
+        for name in (RESULTS_FILE, IMPROVED_FILE):
+            phased, whole = (tmp_path / d / name for d in ("out", "whole"))
+            assert phased.read_bytes() == whole.read_bytes(), name
+            rows = [line.split(",") for line in whole.read_text().splitlines()[1:]]
+            assert [float(r[-2]) < 0.999999999 for r in rows[:3]] == [True] * 3
+            assert [r[-1] for r in rows] == ["undetermined"] * 3 + ["satisfies", "violates"]
 
     def test_unconverged_run_exits_3_after_its_exports(self, tmp_path):
         cfg_path = write_toy(tmp_path, passes=1)

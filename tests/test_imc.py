@@ -318,9 +318,10 @@ class TestBuildImc:
         assert np.all(s_up <= g_up + 1e-12)
 
 
-def scalar_bounds(model, noise, cells, q, target):
+def scalar_bounds(model, noise, cells, q, target, post=None):
     """Per-pair reference: the scalar loops the array kernels replace, over
-    the enclosures of the one box q."""
+    the enclosures of the one box q, or for a structured system over its
+    noise-free posterior ``post`` (a posterior table's row) if given."""
     if cells is not None:
         lower = upper = 0.0
         for w_lo, w_hi, mass in zip(cells.lo, cells.hi, cells.mass.tolist()):
@@ -330,7 +331,7 @@ def scalar_bounds(model, noise, cells, q, target):
                 if ((target[0] <= post_lo) & (post_hi <= target[1])).all():
                     lower += mass
     else:
-        postf = [a.tolist() for a in enclosure(model.g_components, q)]
+        postf = [a.tolist() for a in (enclosure(model.g_components, q) if post is None else post)]
         cut_points = (
             optimal_partition_affine
             if model.structure == "additive"
@@ -393,18 +394,74 @@ PRUNING_CASES = {
         ["0.6*x1 - 0.2*x3 + w1", "0.3*x1 + 0.5*x2 + w2", "0.2*x2 + 0.7*x3 + w3"],
         (Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4), Uniform(-0.1, 0.1)),
     ),
+    # one factor per pair: the bands of a single dimension
+    "additive-1d": (
+        "additive",
+        [[-1, 1]],
+        ["0.8*x1 - 0.1*x1^2 + w1"],
+        (Mixture((0.3, 0.7), (Uniform(-0.3, -0.1), TruncatedGaussian(0, 0.2, -0.4, 0.4))),),
+    ),
+    # a "-table" case reads the posteriors from a posterior table: the
+    # enclosures of g widened by seeded random margins
+    "multiplicative-table": (
+        "multiplicative",
+        [[0.5, 2.5], [0.5, 2.5]],
+        ["0.7*x1 + 0.1*x2", "0.1*x1 + 0.8*x2"],
+        (
+            TruncatedGaussian(1.0, 0.1, 0.9, 1.1),
+            Mixture((0.5, 0.5), (Uniform(0.8, 0.95), Uniform(1.0, 1.3))),
+        ),
+    ),
 }
 
 
 def pruning_case(case):
-    """The partition, model, noise and noise cells (None unless general) of
-    a case, on 4 cells per dimension and 3 noise cells per component."""
+    """The partition, model, noise, noise cells (None unless general) and
+    posterior table (None unless a "-table" case) of a case, on 4 cells per
+    dimension and 3 noise cells per component."""
     structure, bounds, exprs, components = PRUNING_CASES[case]
     n = len(bounds)
     part = partition_domain(*box(bounds), (4,) * n)
-    noise = NoiseModel(components)
+    model, noise = parse_dynamics(exprs, n, structure), NoiseModel(components)
     cells = uniform_noise_grid(noise, [3] * n) if structure == "general" else None
-    return part, parse_dynamics(exprs, n, structure), noise, cells
+    table = None
+    if case.endswith("-table"):
+        lo, hi = enclosure(model.g_components, part.corners(np.arange(part.n_cells)))
+        rng = np.random.default_rng(8)
+        table = PosteriorTable(lo - rng.uniform(0, 0.1, lo.shape), hi + rng.uniform(0, 0.1, hi.shape))
+    return part, model, noise, cells, table
+
+
+def case_posteriors(case):
+    """``cell_posteriors`` of a case, and the posterior ``post(i)`` of cell
+    i that ``scalar_bounds`` takes (None: the enclosure of g)."""
+    part, model, noise, cells, table = pruning_case(case)
+    posts = cell_posteriors(part, model, noise, table, cells)
+    return posts, (lambda i: None if table is None else (table.lo[i], table.hi[i]))
+
+
+class TestFactoredBuild:
+    @pytest.mark.parametrize("workload", sorted(p.stem for p in WORKLOADS.glob("*.yaml")))
+    def test_bounds_are_pair_bounds_on_the_bench_workloads(self, workload):
+        """Every stored bound of a bench workload's IMC has the bits of
+        ``pair_bounds`` toward its target cell, and every unsafe column
+        those of one minus ``pair_bounds`` toward the domain, clamped."""
+        ctx = build_context(load_config(WORKLOADS / f"{workload}.yaml"))
+        posts, part = ctx.posteriors(), ctx.partition
+        imc = build_imc(posts, ctx.labels)
+        src = np.repeat(np.arange(part.n_states), np.diff(imc.indptr))
+        cell = imc.dst != part.unsafe_index
+        low, up = pair_bounds(posts, src[cell], *part.corners(imc.dst[cell]))
+        assert low.tobytes() == imc.lower[cell].tobytes()
+        assert up.tobytes() == imc.upper[cell].tobytes()
+        domain = [np.tile([e[k] for e in part.edges], (part.n_cells, 1)) for k in (0, -1)]
+        low_x, up_x = pair_bounds(posts, np.arange(part.n_cells), *domain)
+        up_u = np.minimum(np.maximum(1.0 - low_x, 0.0), 1.0)
+        low_u = np.minimum(np.minimum(np.maximum(1.0 - up_x, 0.0), 1.0), up_u)
+        unsafe = imc.indptr[1:-1] - 1  # the last entry of each cell's row
+        assert np.all(imc.dst[unsafe] == part.unsafe_index)
+        assert low_u.tobytes() == imc.lower[unsafe].tobytes()
+        assert up_u.tobytes() == imc.upper[unsafe].tobytes()
 
 
 class TestCandidatePruning:
@@ -413,9 +470,9 @@ class TestCandidatePruning:
         """Pairs skipped by the posterior-hull pruning must provably have
         upper bound 0; stored pairs, the unsafe column and ``pair_bounds``
         toward every cell must equal a per-pair scalar computation exactly."""
-        part, model, noise, cells = pruning_case(case)
+        part, model, noise, cells, _ = pruning_case(case)
         goal = [[e[0], e[1]] for e in part.edges]
-        posts = cell_posteriors(part, model, noise, noise_cells=cells)
+        posts, post = case_posteriors(case)
         imc = build_imc(posts, assign_labels(part, {"goal": box([goal])}))
         every_cell = np.arange(part.n_cells)
         for iq, q in enumerate(map(part.corners, range(part.n_cells))):
@@ -423,13 +480,14 @@ class TestCandidatePruning:
             stored = dict(zip(imc.dst[row].tolist(), zip(imc.lower[row], imc.upper[row])))
             low, up = pair_bounds(posts, np.full(part.n_cells, iq), *part.corners(every_cell))
             for it, target in enumerate(map(part.corners, range(part.n_cells))):
-                expected = scalar_bounds(model, noise, cells, q, target)
+                expected = scalar_bounds(model, noise, cells, q, target, post(iq))
                 assert (float(low[it]), float(up[it])) == expected
                 if it in stored:
                     assert stored[it] == expected
                 else:
                     assert expected[1] == 0.0
-            low_x, up_x = scalar_bounds(model, noise, cells, q, box(PRUNING_CASES[case][1]))
+            domain = box(PRUNING_CASES[case][1])
+            low_x, up_x = scalar_bounds(model, noise, cells, q, domain, post(iq))
             assert stored[imc.unsafe_index] == (
                 min(max(1.0 - up_x, 0.0), 1.0),
                 min(max(1.0 - low_x, 0.0), 1.0),
@@ -442,14 +500,14 @@ class TestCandidatePruning:
         assembled arrays must equal the default build exactly. Every row
         lists its targets in increasing (row-major) order, the unsafe
         column last."""
-        part, model, noise, cells = pruning_case(case)
+        part = pruning_case(case)[0]
         labels = assign_labels(part, {"goal": box([PRUNING_CASES[case][1]])})
-        default = build_imc(cell_posteriors(part, model, noise, noise_cells=cells), labels)
+        default = build_imc(case_posteriors(case)[0], labels)
         for a, b in zip(default.indptr[:-1], default.indptr[1:]):
             assert np.all(np.diff(default.dst[a:b]) > 0)
             assert default.dst[b - 1] == default.unsafe_index
         monkeypatch.setattr(imc_module, "_BLOCK_PAIRS", 3)
-        blocked = build_imc(cell_posteriors(part, model, noise, noise_cells=cells), labels)
+        blocked = build_imc(case_posteriors(case)[0], labels)
         for name in ("indptr", "dst", "lower", "upper"):
             assert np.array_equal(getattr(blocked, name), getattr(default, name)), name
         assert blocked.labels.keys() == default.labels.keys()
@@ -460,8 +518,8 @@ class TestCandidatePruning:
     def test_pair_kernel_on_off_grid_boxes(self, case):
         """Random target boxes off the grid lines, like cluster boxes: every
         pair bound equals the per-pair scalar computation exactly."""
-        part, model, noise, cells = pruning_case(case)
-        posts = cell_posteriors(part, model, noise, noise_cells=cells)
+        part, model, noise, cells, _ = pruning_case(case)
+        posts, post = case_posteriors(case)
         rng = np.random.default_rng(23)
         dom_lo, dom_hi = box(PRUNING_CASES[case][1])
         src = rng.integers(0, part.n_cells, 40)
@@ -469,7 +527,8 @@ class TestCandidatePruning:
         t_hi = rng.uniform(t_lo, dom_hi)
         lower, upper = pair_bounds(posts, src, t_lo, t_hi)
         for j, i in enumerate(src.tolist()):
-            expected = scalar_bounds(model, noise, cells, part.corners(i), (t_lo[j], t_hi[j]))
+            target = (t_lo[j], t_hi[j])
+            expected = scalar_bounds(model, noise, cells, part.corners(i), target, post(i))
             assert (float(lower[j]), float(upper[j])) == expected
 
 

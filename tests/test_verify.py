@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from imcverify import imc as imc_module
+from imcverify import verify as verify_module
 from imcverify.config import load_config
 from imcverify.errors import InputError, InvalidModelError, SpecificationError
 from imcverify.geometry import partition_domain
@@ -318,12 +319,18 @@ class TestValueIteration:
             )
         assert not res.converged
         assert res.iterations == 3
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1 and "max_iterations=3" in warnings[0].getMessage()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 2 and "max_iterations=3" in warnings[0]
+        # the upper bound stopped below its fixpoint: the pre-fixpoint check fails
+        residual = f"the upper bound is not a pre-fixpoint (residual {res.upper_residual:g})"
+        assert warnings[1].startswith(residual)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="imcverify"):
-            assert robust_value_iteration(imc, ReachAvoidSpec()).converged
-        assert not caplog.records
+            res = robust_value_iteration(imc, ReachAvoidSpec())
+        assert res.converged
+        # converged on the tolerance, not at a fixpoint: only the pre-fixpoint check warns
+        residual = f"the upper bound is not a pre-fixpoint (residual {res.upper_residual:g})"
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [residual]
 
 
 def sweep_both_every_time(imc, spec, convergence_tol=1e-6, max_iterations=10**5):
@@ -415,6 +422,42 @@ class TestSettledBounds:
         assert f"bitwise fixpoint from sweep {lower} (lower), {upper} (upper)" in caplog.text
         if tol == 0.0:  # no sweep can converge: every sweep up to the cap counts
             assert (res.iterations, res.converged) == (cap, False)
+
+
+class TestPreFixpointCheck:
+    """An unbounded upper bound iterated up from the goal indicator may stop
+    on the tolerance far below the maximal reach probability. One more
+    maximising sweep checks it: a state that is not an avoid state violates
+    only if the sweep raises no bound (``upper_residual`` 0)."""
+
+    @pytest.mark.parametrize("stay, reach", [(0.999999, 1e-6), (0.9999999, 1e-7)])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+    def test_tolerance_stop_does_not_violate(self, stay, reach, cap):
+        """Cell 1 is the goal. Cell 0 may stay with up to ``stay`` and reaches
+        the goal with ``reach``, so the maximal probability of reaching it is
+        1; the iterate stops after a sweep or two near ``reach``."""
+        rows = (((0, 0.0, stay), (1, reach, reach), (2, 0.0, 1.0)), ((1, 1.0, 1.0),), ((2, 1.0, 1.0),))
+        res = robust_value_iteration(make_imc(rows, 2, goal=[1]), ReachAvoidSpec(), max_iterations=cap)
+        assert res.p_upper[0] >= 0.9999 or res.classification[0] == "undetermined"
+        assert res.upper_residual > 0.0
+        assert res.classification[2] == "violates"  # the unsafe state's 0 is pinned, not iterated
+
+    def test_fixpoint_is_certified_without_a_sweep(self, monkeypatch):
+        """After a bitwise fixpoint of the upper bound the residual is 0.0
+        without the extra sweep, and a state below the threshold violates."""
+        imc, checked = both_settle(), []
+        monkeypatch.setattr(verify_module, "upper_residual", lambda *args: checked.append(args))
+        res = robust_value_iteration(imc, ReachAvoidSpec())
+        assert res.fixpoints[1] is not None and not checked
+        assert res.upper_residual == 0.0
+        assert res.p_upper[0] < 0.9 and res.classification[0] == "violates"
+        monkeypatch.undo()
+        assert verify_module.upper_residual(imc, res.p_upper) == 0.0
+
+    def test_finite_horizons_are_exempt(self):
+        res = robust_value_iteration(three_state_fixture(), ReachAvoidSpec(horizon=3))
+        assert res.upper_residual is None
+        assert res.classification[0] == "violates"
 
 
 def random_imc(rng, n_cells):
