@@ -4,9 +4,10 @@ probability mass into the merged region that the per-cell bounds could not
 pin down. The clusters of all states come from the IMC's CSR arrays and the
 cells' posteriors at once (``cluster_proposals``); ``cluster_improve`` makes
 one pass over the states with them, on one ``RowLayout`` of the clustered
-rows whose parts are the pass's dependency levels (``_levels``). The
-posteriors are computed by the caller, once for any number of passes, and
-the IMC is never rewritten.
+rows, walking one part of it per dependency level of the pass (``_levels``)
+and ranking only the states that level reads. The posteriors are computed
+by the caller, once for any number of passes, and the IMC is never
+rewritten.
 """
 
 from __future__ import annotations
@@ -18,13 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SoundnessError
-from .imc import CellPosteriors, Imc, RowLayout, _goal_avoid_sets, _rows_with_last, pair_bounds
-from .verify import (
-    ReachAvoidSpec,
-    VerificationResult,
-    _extreme_expectations,
-    classify_arrays,
-)
+from .imc import CellPosteriors, Imc, RowLayout, _goal_avoid_sets, _row_sums, _rows_with_last, pair_bounds
+from .verify import ReachAvoidSpec, VerificationResult, _rank, classify_arrays
 
 log = logging.getLogger("imcverify")
 
@@ -81,8 +77,8 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     multi = [m[inside] for m in multi]
     # one segment of eligible entries per source that has any
     seg = np.flatnonzero(np.diff(src, prepend=-1))
-    segments = RowLayout(np.append(seg, len(entry)))
-    sources, count = src[seg], np.diff(segments.indptr)
+    indptr = np.append(seg, len(entry))
+    sources, count = src[seg], np.diff(indptr)
     first = [np.minimum.reduceat(m, seg) for m in multi]
     stop = [np.maximum.reduceat(m, seg) + 1 for m in multi]
     filled = count == reduce(np.multiply, (b - a for a, b in zip(first, stop)))
@@ -93,7 +89,7 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
             found[j] = True
             for a, b, start, end in zip(first, stop, *block):
                 a[j], b[j] = start, end
-    of = segments.row
+    of = np.repeat(np.arange(len(seg)), count)
     member = found[of]
     for m, a, b in zip(multi, first, stop):
         member &= (a[of] <= m) & (m < b[of])
@@ -104,7 +100,7 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     hi = partition.corners(np.ravel_multi_index([b - 1 for b in stop], partition.resolution))[1]
     hull_lo, hull_hi = posts.hull_lo[sources], posts.hull_hi[sources]
     hull_volume = np.prod(hull_hi - hull_lo, axis=1)
-    tiled = segments.sums(volume)
+    tiled = _row_sums(indptr, volume)
     dom_lo, dom_hi = (np.array([e[k] for e in partition.edges]) for k in (0, -1))
     hull = filled & ((dom_lo <= hull_lo) & (hull_hi <= dom_hi)).all(axis=1)
     hull &= np.abs(tiled - hull_volume) <= 1e-9 * np.maximum(1.0, hull_volume)
@@ -194,9 +190,7 @@ def cluster_improve(
         [n + np.arange(count), cl_low, cl_up],
     )
     # the clustered rows must stay feasible; a violation is a bug
-    layout = RowLayout(indptr)
-    layout.check(lower, upper, SoundnessError, sources)
-    gap = upper - lower
+    layout = RowLayout(indptr, dst, lower, upper, SoundnessError, sources)
 
     keys = np.concatenate([np.arange(n), member_dst[member_ptr[:-1]]])
     # the values the levels read: the states' (p_lo and p_hi become views of
@@ -207,13 +201,12 @@ def cluster_improve(
     for b in ends.tolist():
         m, at = member_dst[member_ptr[a]:member_ptr[b]], member_ptr[a:b] - member_ptr[a]
         cl_lo[a:b], cl_hi[a:b] = np.minimum.reduceat(p_lo[m], at), np.maximum.reduceat(p_hi[m], at)
-        entries = slice(indptr[a], indptr[b])
-        # rank only the states this level reads (return_index: a stable sort)
-        states, _, local = np.unique(dst[entries], return_index=True, return_inverse=True)
-        new_lo, new_hi = _extreme_expectations(
-            layout.part(a, b), local, lower[entries], gap[entries],
-            lo_all[states], hi_all[states], keys[states],
-        )
+        # rank only the states this level reads (return_index, for a plain
+        # np.unique imports numpy.ma)
+        states = np.unique(dst[indptr[a]:indptr[b]], return_index=True)[0]
+        part = layout.part(a, b)
+        new_lo = part.walk(_rank(lo_all, 1.0, keys, states), lo_all)
+        new_hi = part.walk(_rank(hi_all, -1.0, keys, states), hi_all)
         q = sources[a:b]
         p_lo[q] = np.where(new_lo > p_lo[q], np.minimum(new_lo, p_hi[q]), p_lo[q])
         p_hi[q] = np.where(new_hi < p_hi[q], np.maximum(new_hi, p_lo[q]), p_hi[q])

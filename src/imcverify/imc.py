@@ -10,10 +10,12 @@ upper, labels)``. A reach-avoid property reads the ``GOAL_LABEL`` and
 ``AVOID_LABELS`` masks, through ``_goal_avoid_sets`` in verification,
 clustering and Monte Carlo alike.
 
-``RowLayout`` owns the padded row layout of a CSR block: it alone builds
-the width-class blocks and reads padded slots, and it offers the
-left-to-right row sums, the row check and the adversary walk. The build,
-value iteration and the cluster step each lay out their rows once.
+``_blocks`` is the one padded row layout: blocks of rows whose lengths
+round up to one multiple of 8. ``_row_sums`` adds rows left to right over
+it and ``_check_rows`` checks them, for the build and the cluster proposals
+alike; a ``RowLayout`` keeps each block's targets, lower bounds and gaps
+for the adversary walk, which sorts every row of a block at once. Value
+iteration and the cluster step each lay out their rows once.
 
 ``cell_posteriors`` is the one reader of the model, the noise, a posterior
 table and a noise grid: it computes the posteriors, hulls and candidate
@@ -35,7 +37,6 @@ General systems sum the cell masses of a uniform ``NoiseGrid`` per pair.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -73,12 +74,11 @@ _ALIGN_TOL = 1e-9
 # in the cache. A per-pair build of paper-mult-40 (2 vCPU) took 76-81 ms
 # against 132-142 ms with 2**18 pairs, and peaked at 6.9 against 28.2 MB
 _BLOCK_PAIRS = 2**14
-# entries per row range that a sweep sorts at once (``RowLayout.parts``) and
-# slots per ``RowLayout`` block: the sort key, the permutation and the
-# gathers of a part, and the walk's scratch, take a few MB whatever the nnz.
-# A 40^2 IMC (at most 62k entries) is one part; a budget of 2**14 made the
-# sweeps of paper-mult-40 10% and of additive-h200-phased 18% slower
-_PART_ENTRIES = 2**18
+# slots per block of a ``RowLayout`` and of ``_row_sums``: a block's arrays
+# and a sweep's sort and gathers over it take a few MB whatever the nnz.
+# Budgets from 2**14 to 2**18 sweep paper-mult-40 and additive-h200-phased
+# equally fast
+_BLOCK_SLOTS = 2**18
 # ``_cumsum`` adds one contiguous block row to the next on (width, rows)
 # blocks at least this many CSR rows across, where that runs up to twice as
 # fast as np.cumsum down axis 0; on narrower blocks the loop's Python step
@@ -124,129 +124,127 @@ class Imc:
         return self.partition.unsafe_index
 
 
-class RowLayout:
-    """The rows of one CSR block, laid out once from its ``indptr`` for the
-    row sums, the row check and the adversary walk. Per power-of-two length
-    class of the non-empty rows, ``blocks`` holds the rows and a (width,
-    rows) array of their entry positions (at most 2 x nnz in all), cut into
-    blocks of at most ``_PART_ENTRIES`` slots (or one longer row), so a numpy
-    pass down the columns runs left to right within each row and its scratch
-    arrays do not grow with nnz. A padded slot points one past the last entry
-    and reads 0.0; no other code reads the blocks. A sweep puts the entries
-    in walk order one row range of ``parts`` at a time (``arrange``), then
-    walks the blocks (``walk``)."""
+def _blocks(indptr: np.ndarray):
+    """The non-empty rows of a CSR block per width class, the least multiple
+    of 8 at or above the row's length, in blocks of at most ``_BLOCK_SLOTS``
+    slots (or one longer row). Yields each block's rows, the (rows, width)
+    array of their entry positions and the mask of its padded slots.
+    Multiples of 8 pad additive-h200-phased's 26,949 entries to 37,280
+    slots (powers of two would take 48,945)."""
+    lengths = np.diff(indptr)
+    nonempty = np.flatnonzero(lengths)  # an empty row sums to 0 and walks nowhere
+    width_class = (lengths[nonempty] + 7) // 8
+    for c in np.flatnonzero(np.bincount(width_class)).tolist():
+        rows = nonempty[width_class == c]
+        step = max(_BLOCK_SLOTS // (8 * c), 1)
+        for i in range(0, len(rows), step):
+            block = rows[i:i + step]
+            slot = indptr[block, None] + np.arange(8 * c)
+            yield block, slot, slot >= indptr[block + 1, None]
 
-    def __init__(self, indptr: np.ndarray):
-        lengths = np.diff(indptr)
-        nonempty = np.flatnonzero(lengths)  # an empty row sums to 0 and walks nowhere
-        widths = 2 ** np.arange(int(lengths.max(initial=1)).bit_length() + 1)
-        width_class = np.searchsorted(widths, lengths[nonempty])  # the least width >= the length
+
+def _padded(x: np.ndarray, slot: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """``x`` at the entry positions ``slot``, 0 in the padded slots."""
+    block = x.take(slot, mode="clip")  # mode "raise" would buffer a copy
+    block[pad] = 0
+    return block
+
+
+def _row_sums(indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row sums of the per-entry ``x``, left to right from 0.0 as a Python
+    loop adds (``np.add.reduceat`` adds pairwise): ``_cumsum`` runs down each
+    row's column of its transposed block, the padding adds 0 and + 0.0 only
+    turns -0.0 into 0.0."""
+    total = np.zeros(len(indptr) - 1)
+    for rows, slot, pad in _blocks(indptr):
+        total[rows] = _cumsum(_padded(x, slot, pad).T.copy())[-1] + 0.0
+    return total
+
+
+def _check_rows(indptr, lower, upper, error: type = SoundnessError, states=None) -> np.ndarray:
+    """Raise ``error`` at the first row with sum(lower) > 1 or sum(upper) < 1
+    (up to a 1e-9 tolerance) or a NaN sum, naming its state (``states[row]``,
+    or the row index). Returns each row's remaining mass, 1 - sum(lower)."""
+    total_lower, total_upper = _row_sums(indptr, lower), _row_sums(indptr, upper)
+    ok = (total_lower <= 1.0 + _ROW_TOL) & (total_upper >= 1.0 - _ROW_TOL)  # False on NaN
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        row = int(bad[0])
+        raise error(
+            f"row {row if states is None else int(states[row])} violates sum(lower) <= 1 <= "
+            f"sum(upper): sum(lower)={float(total_lower[row])}, sum(upper)={float(total_upper[row])}"
+        )
+    return 1.0 - total_lower
+
+
+class RowLayout:
+    """The checked rows of one CSR block (``_check_rows``), laid out once for
+    the adversary walk: ``blocks`` holds, per block of ``_blocks``, the rows
+    and their targets, lower bounds and gaps (upper - lower) as (rows, width)
+    arrays, one CSR row per row. A padded slot targets state 0 with bounds
+    0.0, so it adds exactly 0 to a walk wherever it sorts. No other code
+    reads the blocks."""
+
+    def __init__(self, indptr, dst, lower, upper, error: type = SoundnessError, states=None):
+        self.remaining = _check_rows(indptr, lower, upper, error, states)
         self.blocks = []
-        for c in np.flatnonzero(np.bincount(width_class)).tolist():
-            rows = nonempty[width_class == c]
-            step = max(_PART_ENTRIES // int(widths[c]), 1)
-            for i in range(0, len(rows), step):
-                block = rows[i:i + step]
-                slot = indptr[block] + np.arange(widths[c])[:, None]
-                np.putmask(slot, slot >= indptr[block + 1], indptr[-1])
-                self.blocks.append((block, slot))
-        self.indptr, self.remaining = indptr, None
-        # the walk's arrays, made on the first ``arrange``: three that hold
-        # 0.0 past the last entry, then two for the walk of one block
-        self._size, self._work = int(indptr[-1]) + 1, []  # shared with parts
-        self._block_size = max((slot.size for _, slot in self.blocks), default=0)
+        for rows, slot, pad in _blocks(indptr):
+            dst_block, low = _padded(dst, slot, pad), _padded(lower, slot, pad)
+            self.blocks.append((rows, dst_block, low, _padded(upper, slot, pad) - low))
+        # The walk's scratch: two int64 and two float arrays the size of the
+        # largest block, kept for every walk. Block-sized temporaries that
+        # each sweep freed and allocated again page-faulted anew: the 200
+        # sweeps of additive-h200-phased took 320-380 ms against 180-200 ms
+        size = max((x.size for _, x, _, _ in self.blocks), default=0)
+        self._scratch = np.empty((2, size), dtype=np.int64), np.empty((2, size))
 
     def part(self, a: int, b: int) -> "RowLayout":
-        """Rows a..b-1 alone, for ``walk``: the slice of each block that holds
-        them. A part shares the walk's arrays and ``remaining``."""
+        """Rows a..b-1 alone: the rows of each block that hold them. A part
+        shares the walk's scratch."""
         part = RowLayout.__new__(RowLayout)
-        part.indptr, part.remaining = self.indptr[a:b + 1], self.remaining[a:b]
-        part._size, part._work, part._block_size = self._size, self._work, self._block_size
-        part.blocks = []
-        for rows, slot in self.blocks:
+        part.remaining, part.blocks, part._scratch = self.remaining[a:b], [], self._scratch
+        for rows, *arrays in self.blocks:
             i, j = np.searchsorted(rows, (a, b))
             if i < j:
-                part.blocks.append((rows[i:j] - a, slot[:, i:j]))
+                part.blocks.append((rows[i:j] - a, *(x[i:j] for x in arrays)))
         return part
 
-    @functools.cached_property
-    def parts(self) -> list[tuple[int, int]]:
-        """Consecutive row ranges a..b-1 of at most ``_PART_ENTRIES`` entries
-        (a longer row alone) that cover the rows, for ``arrange``."""
-        indptr, rows = self.indptr, len(self.indptr) - 1
-        parts, a = [], 0
-        while a < rows:
-            b = int(np.searchsorted(indptr, indptr[a] + _PART_ENTRIES, side="right")) - 1
-            parts.append((a, max(b, a + 1)))
-            a = parts[-1][1]
-        return parts
-
-    @functools.cached_property
-    def row(self) -> np.ndarray:
-        """The row of every entry, from 0 also in a part (int32: a row is a
-        state)."""
-        return np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int32), np.diff(self.indptr))
-
-    def sums(self, x: np.ndarray) -> np.ndarray:
-        """Row sums of the per-entry ``x``, left to right from 0.0 as a Python
-        loop adds (``np.add.reduceat`` adds pairwise): ``_cumsum`` runs down
-        each row's column of its block, the padding adds 0 and + 0.0 only
-        turns -0.0 into 0.0."""
-        total = np.zeros(len(self.indptr) - 1)
-        for rows, slot in self.blocks:
-            block = x.take(slot, mode="clip")
-            block[slot == len(x)] = 0.0  # the padded slots
-            total[rows] = _cumsum(block)[-1] + 0.0
-        return total
-
-    def check(self, lower, upper, error: type = SoundnessError, states=None) -> np.ndarray:
-        """Raise ``error`` at the first row with sum(lower) > 1 or sum(upper) < 1
-        (up to a 1e-9 tolerance) or a NaN sum, naming its state (``states[row]``,
-        or the row index). Returns and keeps for ``walk`` each row's
-        ``remaining`` mass, 1 - sum(lower)."""
-        total_lower, total_upper = self.sums(lower), self.sums(upper)
-        ok = (total_lower <= 1.0 + _ROW_TOL) & (total_upper >= 1.0 - _ROW_TOL)  # False on NaN
-        bad = np.flatnonzero(~ok)
-        if len(bad):
-            row = int(bad[0])
-            raise error(
-                f"row {row if states is None else int(states[row])} violates sum(lower) <= 1 <= "
-                f"sum(upper): sum(lower)={float(total_lower[row])}, sum(upper)={float(total_upper[row])}"
-            )
-        self.remaining = 1.0 - total_lower
-        return self.remaining
-
-    def arrange(self, a: int, b: int, order, lower, gap, value) -> None:
-        """Set the walk order of rows a..b-1: the k-th step of their walk is
-        entry ``order[k]`` of ``lower``, ``gap`` (upper - lower) and
-        ``value``, which hold the entries of these rows alone."""
-        if not self._work:
-            self._work.extend(np.zeros(self._size) for _ in range(3))
-            self._work.extend(np.empty((2, self._block_size)))
-        entries = slice(self.indptr[a], self.indptr[b])
-        for work, x in zip(self._work, (lower, gap, value)):
-            np.take(x, order, out=work[entries], mode="clip")  # mode "raise" would buffer a copy
-
-    def walk(self) -> np.ndarray:
-        """The greedy adversary walk of every checked and arranged row.
-        Returns sum(gamma * value) per row."""
-        low, gap, value, *scratch = self._work
-        expectation = np.zeros(len(self.indptr) - 1)
-        for rows, slot in self.blocks:
-            x, walk = (a[:slot.size].reshape(slot.shape) for a in scratch)
-            block_gap = np.take(gap, slot, out=x, mode="clip")  # one row per column, in walk order
+    def walk(self, rank: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The greedy adversary walk of every row, its successors in ascending
+        ``rank`` of their targets (one distinct rank per state a row reads).
+        Returns sum(gamma * values) per row."""
+        expectation = np.zeros(len(self.remaining))
+        ints, floats = self._scratch
+        for rows, dst, low, gap in self.blocks:
+            width, size = dst.shape[1], dst.size
+            key = ints[0, :size].reshape(dst.shape)
+            at, x, walk = (a[:size].reshape(width, len(rows)) for a in (ints[1], *floats))
+            # Sort each row in place by (rank, slot), packed into one int64
+            # (four times as fast as np.argsort on 24-wide rows), then turn
+            # the slots into positions in the block, one row per column:
+            # row k of ``at`` holds each row's k-th step.
+            shift = (width - 1).bit_length()
+            np.take(rank, dst, out=key, mode="clip")
+            key <<= shift
+            key |= np.arange(width)
+            key.sort(axis=1)
+            key &= (1 << shift) - 1
+            key += np.arange(0, size, width)[:, None]
+            at[...] = key.T
+            step_gap = np.take(gap, at, out=x, mode="clip")  # mode "raise" would buffer a copy
             # The walk gives each successor its slack while the remaining
             # mass exceeds it, then the rest to the first successor whose
             # slack covers it, then nothing: its mass above the lower bound
             # is the remaining mass before it (a sequential running
             # difference) clipped to [0, slack]. gamma * value is then
-            # summed in walk order from 0.0, as ``sums`` adds.
+            # summed in walk order from 0.0, as ``_row_sums`` adds.
             walk[0] = self.remaining[rows]
-            np.negative(block_gap[:-1], out=walk[1:])
+            np.negative(step_gap[:-1], out=walk[1:])
             _cumsum(walk)
-            np.minimum(np.maximum(walk, 0.0, out=walk), block_gap, out=walk)
-            walk += np.take(low, slot, out=x, mode="clip")  # x held block_gap, now used up
-            walk *= np.take(value, slot, out=x, mode="clip")
+            np.minimum(np.maximum(walk, 0.0, out=walk), step_gap, out=walk)
+            walk += np.take(low, at, out=x, mode="clip")  # x held step_gap, now used up
+            target = np.take(dst, at, out=key.reshape(at.shape), mode="clip")  # key is used up
+            walk *= np.take(values, target, out=x, mode="clip")
             expectation[rows] = _cumsum(walk)[-1] + 0.0
         return expectation
 
@@ -494,9 +492,9 @@ def build_imc(posts: CellPosteriors, labels: Mapping[str, np.ndarray]) -> Imc:
 
     Pairs with upper bound 0 are omitted; the unsafe column is always
     stored. Every row must satisfy sum(lower) <= 1 <= sum(upper), summed
-    over ``RowLayout`` blocks of at most ``_PART_ENTRIES`` (2**18) slots; a
-    violation indicates a bug and raises SoundnessError rather than being
-    rescaled away.
+    left to right over ``_blocks`` of at most ``_BLOCK_SLOTS`` (2**18) slots
+    (``_check_rows``, which lays out no walk); a violation indicates a bug
+    and raises SoundnessError rather than being rescaled away.
     """
     partition = posts.partition
     cells, unsafe = np.arange(partition.n_cells), partition.unsafe_index
@@ -544,7 +542,7 @@ def build_imc(posts: CellPosteriors, labels: Mapping[str, np.ndarray]) -> Imc:
     dst[last], lower[last], upper[last] = unsafe, np.append(low_u, 1.0), np.append(up_u, 1.0)
     n = int(indptr[-1])
     imc = Imc(partition, indptr, dst[:n], lower[:n], upper[:n], dict(labels))
-    RowLayout(imc.indptr).check(imc.lower, imc.upper)
+    _check_rows(imc.indptr, imc.lower, imc.upper)
     return imc
 
 

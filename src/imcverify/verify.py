@@ -11,15 +11,14 @@ The extreme one-step expectation over all adversaries is attained by the
 ordering construction (Givan, Leach & Dean, 2000): sort successors by value,
 give every successor its lower bound, then saturate the remaining mass in
 sorted order up to each upper bound. The feasible set is a transportation
-polytope and this greedy walk reaches its extreme points. One kernel,
-``_extreme_expectation``, ranks the states and sorts every row of a CSR
-block into walk order for one bound, one ``RowLayout.parts`` row range at
-a time (``RowLayout.arrange``); ``RowLayout.walk`` (``imc.py``, the owner
-of the row layout) then walks each row sequentially, one block of the
-layout at a time, so each row gets the bits of a walk over that row
-alone. Value iteration lays its rows out and checks them once, and stops
-sweeping a bound whose sweep returns its own bits; cluster improvement
-calls the kernel for both bounds on parts of its own layout.
+polytope and this greedy walk reaches its extreme points. A sweep ranks the
+states once for one bound (``_rank``); ``RowLayout.walk`` (``imc.py``, the
+owner of the row layout) then sorts every row of one block of the layout
+at a time by that rank and walks each row sequentially, so each row gets
+the bits of a walk over that row alone. Value iteration lays its rows out and
+checks them once, takes the pre-fixpoint residual from the same layout, and
+stops sweeping a bound whose sweep returns its own bits; cluster
+improvement walks the levels of its own layout (``RowLayout.part``).
 """
 
 from __future__ import annotations
@@ -84,35 +83,17 @@ class VerificationResult:
         object.__setattr__(self, "p_upper", np.asarray(self.p_upper, dtype=float))
 
 
-def _extreme_expectation(layout: RowLayout, dst, lower, gap, values, sign: float, keys=None):
-    """The minimum (``sign`` 1.0) or maximum (-1.0) over all adversaries of the
-    expectation of the per-state ``values``, for every row of a checked layout.
-
-    ``dst``, ``lower`` and ``gap`` are per-entry: the successor, an index
-    into ``values``, its lower bound and its upper - lower. Ties in value
-    break by ascending ``keys`` (default: the state index); the expectation
-    is tie-invariant.
-    """
-    n_states = len(values)
-    keys = np.arange(n_states) if keys is None else keys
-    # one rank per state, by value (descending for the maximum) then key;
-    # sorting each row by the rank of its targets is the walk order
-    rank = np.empty(n_states, dtype=np.int64)
-    rank[np.lexsort((keys, sign * values))] = np.arange(n_states)
-    # sort one part at a time, so that the key, the permutation and the
-    # gathers are part-sized, then walk the blocks
-    for a, b in layout.parts:
-        e = slice(layout.indptr[a] - layout.indptr[0], layout.indptr[b] - layout.indptr[0])
-        key = np.multiply(layout.row[e], n_states, dtype=np.int64)
-        order = np.argsort(np.add(key, rank[dst[e]], out=key), kind="stable")
-        layout.arrange(a, b, order, lower[e], gap[e], values[dst[e]])
-    return layout.walk()
-
-
-def _extreme_expectations(layout: RowLayout, dst, lower, gap, lo_values, hi_values, keys=None):
-    """The minimum over ``lo_values`` and the maximum over ``hi_values``."""
-    return (_extreme_expectation(layout, dst, lower, gap, lo_values, 1.0, keys),
-            _extreme_expectation(layout, dst, lower, gap, hi_values, -1.0, keys))
+def _rank(values, sign: float, keys=None, states=None) -> np.ndarray:
+    """Per state, its place in walk order: by ``values``, ascending for the
+    minimum (``sign`` 1.0) and descending for the maximum (-1.0), ties by
+    ascending ``keys`` (default: the state index); the expectation is
+    tie-invariant. With ``states``, only those are ranked and the others get
+    rank 0."""
+    states = np.arange(len(values)) if states is None else states
+    keys = states if keys is None else keys[states]
+    rank = np.zeros(len(values), dtype=np.int64)
+    rank[states[np.lexsort((keys, sign * values[states]))]] = np.arange(len(states))
+    return rank
 
 
 def robust_value_iteration(
@@ -130,14 +111,15 @@ def robust_value_iteration(
     reports which happened. A bound is final once a sweep returns its bits;
     ``iterations`` counts every sweep the result stands for.
 
-    A sweep ranks the states once per bound, sorts the rows into walk order
-    in parts of at most ``_PART_ENTRIES`` (2**18) entries and walks blocks of
-    at most that many slots, so its scratch arrays do not grow with nnz.
+    A sweep ranks the states once per bound, then sorts and walks the
+    layout's blocks of at most ``_BLOCK_SLOTS`` (2**18) slots one at a time,
+    so its scratch arrays do not grow with nnz.
 
     An unbounded ``p_upper`` rises from the goal indicator and may stop below
-    the least fixpoint; ``upper_residual`` checks it (0.0 with no sweep after a
-    bitwise fixpoint). Above 0, no state but an avoid state violates, and a
-    WARNING says how many states that spares.
+    the least fixpoint; one more maximising walk of the same layout checks it
+    (``upper_residual``; 0.0 with no walk after a bitwise fixpoint). Above 0,
+    no state but an avoid state violates, and a WARNING says how many states
+    that spares.
     """
     goal, avoid = _goal_avoid_sets(imc.labels, imc.n_states)
     pinned = goal | avoid
@@ -146,15 +128,13 @@ def robust_value_iteration(
     iterations = 0
     converged = spec.horizon is not None or bool(pinned.all())
     # the rows do not change between sweeps: lay them out and check them once
-    layout = RowLayout(imc.indptr)
-    layout.check(imc.lower, imc.upper, InvalidModelError)
-    gap = imc.upper - imc.lower
+    layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, InvalidModelError)
 
     sweeps = spec.horizon if spec.horizon is not None else max_iterations
     for iterations in range(1, sweeps + 1):
         delta = 0.0
         for b in [b for b in (0, 1) if fixpoints[b] is None]:
-            new = _extreme_expectation(layout, imc.dst, imc.lower, gap, bounds[b], (1.0, -1.0)[b])
+            new = layout.walk(_rank(bounds[b], (1.0, -1.0)[b]), bounds[b])
             new[pinned] = bounds[b][pinned]
             delta = max(delta, float(np.max(np.abs(new - bounds[b]))))
             # bitwise, so that -0.0 and 0.0 differ: each later sweep would return these bits
@@ -177,7 +157,7 @@ def robust_value_iteration(
     v_lo, v_hi = np.minimum(*bounds), bounds[1]
     residual = None  # finite horizons are exempt; a bitwise fixpoint needs no sweep
     if spec.horizon is None:
-        residual = 0.0 if fixpoints[1] else upper_residual(imc, v_hi)
+        residual = 0.0 if fixpoints[1] else _residual(layout, v_hi, pinned)
     if residual:
         log.warning(
             "the upper bound is not a pre-fixpoint (residual %g): %d states below the "
@@ -200,10 +180,13 @@ def upper_residual(imc: Imc, p_upper: np.ndarray) -> float:
     """max(T_max(p_upper) - p_upper, 0) over the states that are neither goal
     nor avoid, by one maximising sweep: 0 certifies ``p_upper`` as an upper
     bound of the unbounded reach-avoid probability."""
-    layout = RowLayout(imc.indptr)
-    layout.check(imc.lower, imc.upper, InvalidModelError)
-    pinned = np.logical_or(*_goal_avoid_sets(imc.labels, imc.n_states))
-    swept = _extreme_expectation(layout, imc.dst, imc.lower, imc.upper - imc.lower, p_upper, -1.0)
+    layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, InvalidModelError)
+    return _residual(layout, p_upper, np.logical_or(*_goal_avoid_sets(imc.labels, imc.n_states)))
+
+
+def _residual(layout: RowLayout, p_upper: np.ndarray, pinned: np.ndarray) -> float:
+    """``upper_residual`` on the checked layout of the IMC's rows."""
+    swept = layout.walk(_rank(p_upper, -1.0), p_upper)
     return float(np.max(swept - p_upper, where=~pinned, initial=0.0))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 
 from imcverify.errors import InvalidModelError
 from imcverify.imc import RowLayout
-from imcverify.verify import _extreme_expectations
+from imcverify.verify import _rank
 
 
 def csr(rows):
@@ -31,9 +31,7 @@ def extremes(values, row):
     """The minimum and the maximum expectation of ``values`` over all
     adversaries of one (dst, lower, upper) row; an infeasible row raises
     InvalidModelError."""
-    indptr, dst, lower, upper = csr([row])
-    layout = RowLayout(indptr)
-    layout.check(lower, upper, InvalidModelError)
+    layout = RowLayout(*csr([row]), InvalidModelError)
     values = np.asarray(values, dtype=float)
-    low, high = _extreme_expectations(layout, dst, lower, upper - lower, values, values)
+    low, high = (layout.walk(_rank(values, sign), values) for sign in (1.0, -1.0))
     return float(low[0]), float(high[0])

@@ -302,7 +302,7 @@ def one_row_at_a_time(imc, model, noise, result):
 def test_pass_matches_one_row_at_a_time(monkeypatch):
     """Clustered rows that read states improved earlier in the same pass
     get the bits of a pass that walks one row at a time, whatever the
-    entry budget of a part."""
+    slot budget of a block."""
     part = partition_domain(*box([[0, 7], [0, 7]]), (7, 7))
     model = parse_dynamics(["x1 + 1 + w1", "x2 + 1 + w2"], 2, "additive")
     noise = NoiseModel((Uniform(-1.25, 1.25), Uniform(-1.25, 1.25)))
@@ -317,8 +317,8 @@ def test_pass_matches_one_row_at_a_time(monkeypatch):
     res = planted_result(p_lower, p_upper)
     ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res)
     assert chained > 10
-    for budget in (imc_module._PART_ENTRIES, 7, 1):
-        monkeypatch.setattr(imc_module, "_PART_ENTRIES", budget)
+    for budget in (imc_module._BLOCK_SLOTS, 7, 1):
+        monkeypatch.setattr(imc_module, "_BLOCK_SLOTS", budget)
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
         assert np.array_equal(out.p_lower, ref_lo)
         assert np.array_equal(out.p_upper, ref_hi)

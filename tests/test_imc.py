@@ -775,12 +775,12 @@ class TestExports:
 
 
 def test_row_validity_violation_raises():
-    from imcverify.imc import RowLayout
+    from imcverify.imc import _check_rows
 
     with pytest.raises(SoundnessError):
-        RowLayout(np.array([0, 2])).check(np.array([0.7, 0.5]), np.array([0.8, 0.6]))
+        _check_rows(np.array([0, 2]), np.array([0.7, 0.5]), np.array([0.8, 0.6]))
     with pytest.raises(SoundnessError):
-        RowLayout(np.array([0, 1])).check(np.array([0.1]), np.array([0.4]))
+        _check_rows(np.array([0, 1]), np.array([0.1]), np.array([0.4]))
     # a NaN bound makes a NaN row sum, which no comparison flags by itself
     with pytest.raises(SoundnessError, match="row 1"):
-        RowLayout(np.array([0, 1, 3])).check(np.array([0.5, 0.2, 0.3]), np.array([1.0, np.nan, 0.9]))
+        _check_rows(np.array([0, 1, 3]), np.array([0.5, 0.2, 0.3]), np.array([1.0, np.nan, 0.9]))

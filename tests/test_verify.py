@@ -11,17 +11,18 @@ from imcverify import verify as verify_module
 from imcverify.config import load_config
 from imcverify.errors import InputError, InvalidModelError, SpecificationError
 from imcverify.geometry import partition_domain
-from imcverify.imc import Imc, RowLayout, build_imc
+from imcverify.imc import Imc, RowLayout, _row_sums, build_imc
 from imcverify.pipeline import build_context
 from imcverify.verify import (
     ReachAvoidSpec,
-    _extreme_expectations,
+    _rank,
     classify_arrays,
     read_results,
     robust_value_iteration,
     write_results,
 )
 from csr_rows import csr, extremes, label_masks
+from test_config_cli import PAPER_2D
 from oracles import chain_reach_probability, extreme_by_vertex_enumeration
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
@@ -48,6 +49,11 @@ def scalar_walk(values, row, mode):
             remaining -= add
         expectation += gamma * value
     return expectation
+
+
+def walks(layout, values):
+    """The minimum and the maximum walk of ``values`` over every row of ``layout``."""
+    return layout.walk(_rank(values, 1.0), values), layout.walk(_rank(values, -1.0), values)
 
 
 def random_row(rng, targets):
@@ -232,8 +238,8 @@ class TestValueIteration:
     def test_multi_row_block_matches_scalar_walk(self):
         """The second sweep's rows read fixed values in {0, 0.25, 0.5, 1}:
         each value state sends exactly its value to a goal state and the
-        rest to an obstacle. Over rows of length 1-70 (every power-of-two
-        class boundary), heavy ties and rows whose lower bounds sum to 1,
+        rest to an obstacle. Over rows of length 1-70 (every width-class
+        boundary up to 64), heavy ties and rows whose lower bounds sum to 1,
         the sweep gives every row its scalar walk, bit for bit."""
         rng = np.random.default_rng(77)
         n_values = 80
@@ -289,11 +295,10 @@ class TestValueIteration:
         results = []
         for loop_rows in (1, 10**9):
             monkeypatch.setattr(imc_module, "_LOOP_ROWS", loop_rows)
-            layout = RowLayout(indptr)
-            assert max(slot.shape[1] for _, slot in layout.blocks) >= 512
-            remaining = layout.check(lower, upper, InvalidModelError)
-            low, high = _extreme_expectations(layout, dst, lower, upper - lower, values, values)
-            results.append((layout.sums(upper), remaining, low, high))
+            layout = RowLayout(indptr, dst, lower, upper, InvalidModelError)
+            assert max(len(rows) for rows, *_ in layout.blocks) >= 512
+            low, high = walks(layout, values)
+            results.append((_row_sums(indptr, upper), layout.remaining, low, high))
         for looped, cumsummed in zip(*results):
             assert np.array_equal(looped, cumsummed)
         sums, _, low, high = results[0]
@@ -304,6 +309,39 @@ class TestValueIteration:
             assert sums[i] == total
             assert low[i] == scalar_walk(values, row, "min")
             assert high[i] == scalar_walk(values, row, "max")
+
+    @pytest.mark.parametrize("budget", [imc_module._BLOCK_SLOTS, 16, 1])
+    def test_padding_and_width_classes_keep_the_bits(self, budget, monkeypatch):
+        """Rows of lengths on both sides of the width classes (multiples of
+        8), every other one with an entry to state 0, which the padding
+        targets too, and values with ties: both walks of every row match
+        ``scalar_walk``, the row sums a Python loop, and a part's walks the
+        rows it holds, with blocks of one row, two rows of width 8 and
+        whole width classes."""
+        monkeypatch.setattr(imc_module, "_BLOCK_SLOTS", budget)
+        rng = np.random.default_rng(43)
+        n_states = 80
+        values = rng.choice(rng.random(12), n_states)
+        rows = []
+        for k, m in enumerate([1, 7, 8, 9, 15, 16, 17, 24, 25, 64, 65] * 3):
+            targets = np.sort(rng.choice(np.arange(1, n_states), m - k % 2, replace=False))
+            rows.append(random_row(rng, np.concatenate([[0] * (k % 2), targets])))
+        assert sum(row[0][0] == 0 for row in rows) == len(rows) // 2
+        indptr, dst, lower, upper = csr(rows)
+        layout = RowLayout(indptr, dst, lower, upper, InvalidModelError)
+        low, high = walks(layout, values)
+        sums = _row_sums(indptr, lower)
+        for i, row in enumerate(rows):
+            assert low[i] == scalar_walk(values, row, "min")
+            assert high[i] == scalar_walk(values, row, "max")
+            total = 0.0
+            for _, lo, _ in row:
+                total += lo
+            assert sums[i] == total
+        for _ in range(20):
+            a, b = sorted(rng.choice(len(rows) + 1, 2, replace=False).tolist())
+            part_low, part_high = walks(layout.part(a, b), values)
+            assert np.array_equal(part_low, low[a:b]) and np.array_equal(part_high, high[a:b])
 
     def test_label_overlap_rejected(self):
         rows = (((0, 1.0, 1.0),), ((1, 1.0, 1.0),))
@@ -339,14 +377,11 @@ def sweep_both_every_time(imc, spec, convergence_tol=1e-6, max_iterations=10**5)
     the first sweep that returned the bits it was given (or None)."""
     goal = imc.labels["goal"]
     pinned = goal | imc.labels["obstacle"] | imc.labels["unsafe"]
-    layout = RowLayout(imc.indptr)
-    layout.check(imc.lower, imc.upper, InvalidModelError)
+    layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, InvalidModelError)
     v_lo, v_hi = goal.astype(float), goal.astype(float)
     iterations, converged, fixpoints = 0, spec.horizon is not None, [None, None]
     for _ in range(spec.horizon if spec.horizon is not None else max_iterations):
-        low, high = _extreme_expectations(
-            layout, imc.dst, imc.lower, imc.upper - imc.lower, v_lo, v_hi
-        )
+        low, high = layout.walk(_rank(v_lo, 1.0), v_lo), layout.walk(_rank(v_hi, -1.0), v_hi)
         low[pinned], high[pinned] = v_lo[pinned], v_hi[pinned]
         iterations += 1
         for b, (new, old) in enumerate(((low, v_lo), (high, v_hi))):
@@ -446,13 +481,36 @@ class TestPreFixpointCheck:
         """After a bitwise fixpoint of the upper bound the residual is 0.0
         without the extra sweep, and a state below the threshold violates."""
         imc, checked = both_settle(), []
-        monkeypatch.setattr(verify_module, "upper_residual", lambda *args: checked.append(args))
+        monkeypatch.setattr(verify_module, "_residual", lambda *args: checked.append(args))
         res = robust_value_iteration(imc, ReachAvoidSpec())
         assert res.fixpoints[1] is not None and not checked
         assert res.upper_residual == 0.0
         assert res.p_upper[0] < 0.9 and res.classification[0] == "violates"
         monkeypatch.undo()
         assert verify_module.upper_residual(imc, res.p_upper) == 0.0
+
+    def test_residual_comes_from_the_sweeps_layout(self, tmp_path, monkeypatch):
+        """On the 10² paper config the upper bound stops on the tolerance, not
+        at a fixpoint: value iteration lays the IMC out once and takes the
+        residual from that layout, with the bits of ``upper_residual``."""
+        path = tmp_path / "paper.yaml"
+        path.write_text(PAPER_2D)
+        ctx = build_context(load_config(path))
+        imc = build_imc(ctx.posteriors(), ctx.labels)
+        built = []
+
+        class Counted(RowLayout):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(verify_module, "RowLayout", Counted)
+        res = robust_value_iteration(imc, ctx.spec)
+        assert res.converged and res.fixpoints[1] is None
+        assert len(built) == 1
+        assert res.upper_residual > 0.0
+        monkeypatch.undo()
+        assert res.upper_residual == verify_module.upper_residual(imc, res.p_upper)
 
     def test_finite_horizons_are_exempt(self):
         res = robust_value_iteration(three_state_fixture(), ReachAvoidSpec(horizon=3))
@@ -471,22 +529,21 @@ def random_imc(rng, n_cells):
     return make_imc(rows, n_cells, np.flatnonzero(marks < 0.15), np.flatnonzero(marks > 0.9))
 
 
-class TestSweepParts:
-    """Value iteration sorts rows in parts of at most ``_PART_ENTRIES``
-    entries and walks blocks of at most that many slots; the budget changes
-    neither the bits nor the sweep counts."""
+class TestSweepBlocks:
+    """Value iteration sorts and walks blocks of at most ``_BLOCK_SLOTS``
+    slots; the budget changes neither the bits nor the sweep counts."""
 
     @staticmethod
     def sweeps(imc, spec, budget, monkeypatch):
         """With no tolerance the unbounded horizon runs until both bounds
         return their bits (or 400 sweeps)."""
-        monkeypatch.setattr(imc_module, "_PART_ENTRIES", budget)
+        monkeypatch.setattr(imc_module, "_BLOCK_SLOTS", budget)
         res = robust_value_iteration(imc, spec, convergence_tol=0.0, max_iterations=400)
         return res.p_lower.tobytes(), res.p_upper.tobytes(), res.iterations, res.fixpoints
 
     def test_random_imcs(self, monkeypatch):
         rng = np.random.default_rng(31)
-        default, fixpoints = imc_module._PART_ENTRIES, []
+        default, fixpoints = imc_module._BLOCK_SLOTS, []
         for _ in range(6):
             imc = random_imc(rng, int(rng.integers(2, 25)))
             for spec in (ReachAvoidSpec(), ReachAvoidSpec(horizon=25)):
@@ -498,11 +555,14 @@ class TestSweepParts:
 
     def test_additive_h200_phased(self, monkeypatch):
         """The bench IMC (1,601 states, 200 sweeps). Budgets 1 and 7, which
-        sort each row alone, run the first sweeps only."""
+        put each row in a block alone, run the first sweeps only."""
         ctx = build_context(load_config(WORKLOADS / "additive-h200-phased.yaml"))
         imc = build_imc(ctx.posteriors(), ctx.labels)
-        default = imc_module._PART_ENTRIES
-        assert len(imc.dst) < default  # one part at the default budget
+        default = imc_module._BLOCK_SLOTS
+        # one block per width class at the default budget
+        layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper)
+        widths = [block.shape[1] for _, block, _, _ in layout.blocks]
+        assert len(set(widths)) == len(widths)
         expected = self.sweeps(imc, ctx.spec, default, monkeypatch)
         assert self.sweeps(imc, ctx.spec, 2**12, monkeypatch) == expected
         first = ReachAvoidSpec(horizon=3, threshold=ctx.spec.threshold)
