@@ -7,7 +7,8 @@ one pass over the states with them, on one ``RowLayout`` of the clustered
 rows, walking one part of it per dependency level of the pass (``_levels``)
 and ranking only the states that level reads. The posteriors are computed
 by the caller, once for any number of passes, and the IMC is never
-rewritten.
+rewritten. From sound bounds the pass keeps sound one-step bounds, so it
+classifies by the threshold alone.
 """
 
 from __future__ import annotations
@@ -155,9 +156,8 @@ def cluster_improve(
     ``pair_bounds``. A new value is kept only when strictly better, so no
     state ever gets worse. Later states in the pass see earlier
     improvements: one kernel call per dependency level gives the bits of a
-    row-by-row pass. Only avoid states violate where the ``upper_residual``
-    of ``result`` is above 0. The numbers of clusters, of sources with holes
-    and of levels are logged at DEBUG. Posteriors of another partition, even
+    row-by-row pass. The numbers of clusters, of sources with holes and of
+    levels are logged at DEBUG. Posteriors of another partition, even
     an equal one, are a ValueError.
     """
     if posts.partition is not imc.partition:
@@ -214,7 +214,5 @@ def cluster_improve(
     log.debug("cluster: %d proposals, %d reached the holes fallback, %d levels",
               count, holes, len(ends))
 
-    violates = pinned | (not result.upper_residual)
-    classification = classify_arrays(p_lo, p_hi, spec.threshold, violates)
-    return VerificationResult(p_lo, p_hi, classification, result.iterations, result.converged,
-                              upper_residual=result.upper_residual)
+    classification = classify_arrays(p_lo, p_hi, spec.threshold)
+    return VerificationResult(p_lo, p_hi, classification, result.iterations, result.converged)

@@ -48,11 +48,10 @@ class NoiseComponent:
         raise NotImplementedError
 
     def interval_probability(self, lo, hi):
-        """Pr(w in [lo, hi]), clamped to [0, 1] and 0 when hi < lo; scalar
-        or elementwise over arrays."""
+        """Pr(w in [lo, hi]), clamped to [0, 1] and 0 when hi < lo;
+        elementwise over arrays."""
         p = np.minimum(np.maximum(self.cdf(hi) - self.cdf(lo), 0.0), 1.0)
-        p = np.where(np.less(hi, lo), 0.0, p)
-        return float(p) if p.ndim == 0 else p
+        return np.where(np.less(hi, lo), 0.0, p)
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """One sample per uniform of ``u``, shape (m,)."""
@@ -78,15 +77,11 @@ class Uniform(NoiseComponent):
         t = np.asarray(t, dtype=float)
         if self.hi == self.lo:
             # point mass at lo
-            out = np.where(t >= self.lo, 1.0, 0.0)
-        else:
-            out = np.clip((t - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+            return np.where(t >= self.lo, 1.0, 0.0)
+        return np.clip((t - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def inverse_cdf(self, u):
-        u = np.asarray(u, dtype=float)
-        out = self.lo + u * (self.hi - self.lo)
-        return float(out) if out.ndim == 0 else out
+        return self.lo + np.asarray(u, dtype=float) * (self.hi - self.lo)
 
 
 @dataclass(frozen=True)
@@ -119,18 +114,16 @@ class TruncatedGaussian(NoiseComponent):
         return self.lo, self.hi
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        z = _phi((np.clip(t, self.lo, self.hi) - self.mean) / self.stddev)
-        out = np.clip((z - self._phi_lo) / self._mass, 0.0, 1.0)
-        out = np.where(t < self.lo, 0.0, np.where(t > self.hi, 1.0, out))
-        return float(out) if out.ndim == 0 else out
+        # t clipped to [lo, hi] gives exactly (Phi(lo) - Phi(lo)) / mass = 0.0
+        # below the support and mass / mass = 1.0 above it
+        z = _phi((np.clip(np.asarray(t, dtype=float), self.lo, self.hi) - self.mean) / self.stddev)
+        return np.clip((z - self._phi_lo) / self._mass, 0.0, 1.0)
 
     def inverse_cdf(self, u):
         """Quantile at u in [0, 1]: the Gaussian quantile of Phi(lo) + u *
         mass, clipped to [lo, hi] against rounding."""
         z = ndtri(self._phi_lo + np.asarray(u, dtype=float) * self._mass)
-        out = np.clip(self.mean + self.stddev * z, self.lo, self.hi)
-        return float(out) if out.ndim == 0 else out
+        return np.clip(self.mean + self.stddev * z, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -156,10 +149,7 @@ class Mixture(NoiseComponent):
         return min(lo), max(hi)
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = sum(w * np.asarray(p.cdf(t)) for w, p in zip(self.weights, self.parts))
-        out = np.clip(out, 0.0, 1.0)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.clip(sum(w * p.cdf(t) for w, p in zip(self.weights, self.parts)), 0.0, 1.0)
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Composition from one uniform: part i takes the u in [c_i, c_i +

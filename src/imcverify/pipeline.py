@@ -9,7 +9,8 @@ record). Only abstract and improve bound transitions: each builds the
 cells' posteriors, the one place that reads a noise grid or a posterior
 table, once (``RunContext.posteriors``). Before a phase writes its exports
 it deletes those of every later phase, so no phase reloads an artifact
-derived from an overwritten one.
+derived from an overwritten one. Verify exports only a sound ``p_upper``,
+so a reloaded result table is classified by the threshold alone.
 Exports are byte-reproducible for a fixed config and seed; the summary
 additionally records wall-clock times and the peak RSS after each phase,
 and is a report, not an export.
@@ -17,7 +18,6 @@ and is a report, not an export.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import sys
@@ -50,7 +50,6 @@ from .verify import (
     VerificationResult,
     read_results,
     robust_value_iteration,
-    upper_residual,
     write_results,
 )
 
@@ -179,9 +178,7 @@ def phase_improve(
 ) -> tuple[VerificationResult, list[int]]:
     """Clustering passes, all on one computation of the posteriors; returns
     the improved result and the number of states whose interval changed in
-    each pass. A reloaded unbounded result gets its ``upper_residual`` back."""
-    if result.upper_residual is None and ctx.spec.horizon is None:
-        result = dataclasses.replace(result, upper_residual=upper_residual(imc, result.p_upper))
+    each pass."""
     posts = ctx.posteriors()
     per_pass: list[int] = []
     current = result

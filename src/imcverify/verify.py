@@ -19,6 +19,8 @@ the bits of a walk over that row alone. Value iteration lays its rows out and
 checks them once, takes the pre-fixpoint residual from the same layout, and
 stops sweeping a bound whose sweep returns its own bits; cluster
 improvement walks the levels of its own layout (``RowLayout.part``).
+Value iteration alone decides whether an unbounded ``p_upper`` may be
+trusted, so every consumer of a result classifies by the threshold alone.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ class VerificationResult:
     iterations: int
     converged: bool
     fixpoints: tuple = (None, None)  # (lower, upper): first sweep that returned its input bits
-    # ``upper_residual(imc, p_upper)`` of an unbounded value iteration, None
-    # for a finite horizon or a reloaded result: above 0, no state violates
+    # ``_residual`` of the unbounded upper iterate from the goal indicator, a
+    # report; None for a finite horizon, a reloaded result or a cluster pass
     upper_residual: Optional[float] = None
 
     def __post_init__(self):
@@ -94,6 +96,31 @@ def _rank(values, sign: float, keys=None, states=None) -> np.ndarray:
     rank = np.zeros(len(values), dtype=np.int64)
     rank[states[np.lexsort((keys, sign * values[states]))]] = np.arange(len(states))
     return rank
+
+
+def _sweep(layout: RowLayout, bounds: list, signs, pinned, done: int, sweeps: int, tol):
+    """Sweep ``bounds`` in place with the adversaries of ``signs`` (1.0
+    minimises, -1.0 maximises), ``pinned`` held, from sweep ``done + 1`` up
+    to ``sweeps``; a bound whose sweep returns its own bits is not swept
+    again. Returns the last sweep (``sweeps`` once every bound is settled:
+    the sweeps left would return these bits), whether the change fell below
+    ``tol`` (None: never) and per bound the sweep that returned its bits."""
+    fixpoints = [None] * len(bounds)
+    for done in range(done + 1, sweeps + 1):
+        delta = 0.0
+        for b in [b for b, f in enumerate(fixpoints) if f is None]:
+            new = layout.walk(_rank(bounds[b], signs[b]), bounds[b])
+            new[pinned] = bounds[b][pinned]
+            delta = max(delta, float(np.max(np.abs(new - bounds[b]))))
+            # bitwise, so that -0.0 and 0.0 differ: each later sweep would return these bits
+            if np.array_equal(new.view(np.int64), bounds[b].view(np.int64)):
+                fixpoints[b] = done
+            bounds[b] = new
+        if tol is not None and delta < tol:
+            return done, True, fixpoints
+        if None not in fixpoints:
+            break
+    return sweeps, False, fixpoints
 
 
 def robust_value_iteration(
@@ -118,36 +145,32 @@ def robust_value_iteration(
     An unbounded ``p_upper`` rises from the goal indicator and may stop below
     the least fixpoint; one more maximising walk of the same layout checks it
     (``upper_residual``; 0.0 with no walk after a bitwise fixpoint). Above 0,
-    no state but an avoid state violates, and a WARNING says how many states
-    that spares.
+    a WARNING gives it, and the sweeps left sweep the upper bound again from
+    1 (0 on avoid states): ``T_max`` is monotone and that start lies above
+    the least fixpoint, so every iterate is an upper bound (Haddad & Monmege,
+    TCS 735, 2018). With no sweep left, ``p_upper`` is that start.
     """
     goal, avoid = _goal_avoid_sets(imc.labels, imc.n_states)
     pinned = goal | avoid
-
-    bounds, fixpoints = [goal.astype(float), goal.astype(float)], [None, None]  # lower, upper
-    iterations = 0
-    converged = spec.horizon is not None or bool(pinned.all())
     # the rows do not change between sweeps: lay them out and check them once
     layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, InvalidModelError)
 
+    bounds = [goal.astype(float), goal.astype(float)]  # lower, upper
+    tol = None if spec.horizon is not None else convergence_tol
     sweeps = spec.horizon if spec.horizon is not None else max_iterations
-    for iterations in range(1, sweeps + 1):
-        delta = 0.0
-        for b in [b for b in (0, 1) if fixpoints[b] is None]:
-            new = layout.walk(_rank(bounds[b], (1.0, -1.0)[b]), bounds[b])
-            new[pinned] = bounds[b][pinned]
-            delta = max(delta, float(np.max(np.abs(new - bounds[b]))))
-            # bitwise, so that -0.0 and 0.0 differ: each later sweep would return these bits
-            if np.array_equal(new.view(np.int64), bounds[b].view(np.int64)):
-                fixpoints[b] = iterations
-            bounds[b] = new
-        if spec.horizon is None and delta < convergence_tol:
-            converged = True
-            break
-        if None not in fixpoints:
-            iterations = sweeps  # the sweeps left would return these bits
-            break
+    iterations, stopped, fixpoints = _sweep(layout, bounds, (1.0, -1.0), pinned, 0, sweeps, tol)
+    residual = None  # finite horizons need no check; a bitwise fixpoint needs no sweep
+    if spec.horizon is None:
+        residual = 0.0 if fixpoints[1] else _residual(layout, bounds[1], pinned)
+    if residual:
+        log.warning("the upper bound is not a pre-fixpoint (residual %g): "
+                    "iterating it down from 1", residual)
+        upper = [(~avoid).astype(float)]
+        iterations, stopped, (fixpoints[1],) = _sweep(
+            layout, upper, (-1.0,), pinned, iterations, sweeps, tol)
+        bounds[1] = upper[0]
     log.debug("value iteration: bitwise fixpoint from sweep %s (lower), %s (upper)", *fixpoints)
+    converged = spec.horizon is not None or bool(pinned.all()) or stopped
     if not converged:
         log.warning(
             "value iteration hit max_iterations=%d before the change per sweep fell "
@@ -155,20 +178,10 @@ def robust_value_iteration(
         )
 
     v_lo, v_hi = np.minimum(*bounds), bounds[1]
-    residual = None  # finite horizons are exempt; a bitwise fixpoint needs no sweep
-    if spec.horizon is None:
-        residual = 0.0 if fixpoints[1] else _residual(layout, v_hi, pinned)
-    if residual:
-        log.warning(
-            "the upper bound is not a pre-fixpoint (residual %g): %d states below the "
-            "threshold are undetermined, not violating",
-            residual, np.count_nonzero(~pinned & (v_hi < spec.threshold)),
-        )
-    classification = classify_arrays(v_lo, v_hi, spec.threshold, pinned | (not residual))
     return VerificationResult(
         p_lower=v_lo,
         p_upper=v_hi,
-        classification=classification,
+        classification=classify_arrays(v_lo, v_hi, spec.threshold),
         iterations=iterations,
         converged=converged,
         fixpoints=tuple(fixpoints),
@@ -176,26 +189,18 @@ def robust_value_iteration(
     )
 
 
-def upper_residual(imc: Imc, p_upper: np.ndarray) -> float:
-    """max(T_max(p_upper) - p_upper, 0) over the states that are neither goal
-    nor avoid, by one maximising sweep: 0 certifies ``p_upper`` as an upper
-    bound of the unbounded reach-avoid probability."""
-    layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, InvalidModelError)
-    return _residual(layout, p_upper, np.logical_or(*_goal_avoid_sets(imc.labels, imc.n_states)))
-
-
 def _residual(layout: RowLayout, p_upper: np.ndarray, pinned: np.ndarray) -> float:
-    """``upper_residual`` on the checked layout of the IMC's rows."""
+    """max(T_max(p_upper) - p_upper, 0) over the states that are not
+    ``pinned``, by one maximising walk of the layout of the IMC's rows: 0
+    certifies ``p_upper`` as an upper bound of the unbounded reach-avoid
+    probability."""
     swept = layout.walk(_rank(p_upper, -1.0), p_upper)
     return float(np.max(swept - p_upper, where=~pinned, initial=0.0))
 
 
-def classify_arrays(
-    p_lower: np.ndarray, p_upper: np.ndarray, threshold: float, violates=True
-) -> tuple[str, ...]:
-    """Three-way classification of each state against a threshold; a state
-    below it violates only where ``violates`` (one bool or a mask) allows."""
-    below = np.where((np.asarray(p_upper) < threshold) & violates, VIOLATES, UNDETERMINED)
+def classify_arrays(p_lower: np.ndarray, p_upper: np.ndarray, threshold: float) -> tuple[str, ...]:
+    """Three-way classification of each state against a threshold."""
+    below = np.where(np.asarray(p_upper) < threshold, VIOLATES, UNDETERMINED)
     return tuple(np.where(np.asarray(p_lower) >= threshold, SATISFIES, below).tolist())
 
 
@@ -240,9 +245,7 @@ def read_results(
     Every state must appear once, with a known class and p_lower <= p_upper
     in [0, 1] (value iteration may leave p_upper a few ulps above 1); anything
     else is an InputError naming ``path:line``. A reload under another
-    threshold reclassifies every state, except that a state stored as
-    undetermined never violates: value iteration stores a state below the
-    threshold so when its upper bound is not certified (``upper_residual``).
+    threshold reclassifies every state.
     """
     n, dim = partition.n_states, len(partition.resolution)
     types = (int,) + (str,) * (2 * dim) + (float, float, str)
@@ -264,8 +267,7 @@ def read_results(
     missing = np.flatnonzero(~seen)
     if len(missing):
         raise InputError(f"{path}: result table is missing states {missing.tolist()}")
-    p_lower, p_upper, violates = np.empty(n), np.empty(n), np.empty(n, bool)
+    p_lower, p_upper = np.empty(n), np.empty(n)
     p_lower[state], p_upper[state] = lo, hi
-    violates[state] = np.not_equal(label, UNDETERMINED)
-    classification = classify_arrays(p_lower, p_upper, threshold, violates)
+    classification = classify_arrays(p_lower, p_upper, threshold)
     return VerificationResult(p_lower, p_upper, classification, iterations=0, converged=True)

@@ -30,7 +30,12 @@ from imcverify.pipeline import (
     TRAJECTORIES_FILE,
     run_pipeline,
 )
-from imcverify.verify import DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_ITERATIONS, DEFAULT_THRESHOLD
+from imcverify.verify import (
+    DEFAULT_CONVERGENCE_TOL,
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_THRESHOLD,
+    classify_arrays,
+)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
@@ -701,14 +706,17 @@ class TestCli:
             phased, whole = (tmp_path / d / name for d in ("out", "whole"))
             assert phased.read_bytes() == whole.read_bytes(), name
 
-    def test_withheld_violations_stay_withheld_across_phases(self, tmp_path):
-        """Under a threshold of 1 - 1e-9 the toy's upper bound, which stops on
-        the tolerance, not at a fixpoint, puts three cells below the threshold.
-        The pre-fixpoint check fails, so neither ``run`` nor phases that
-        reload ``results.csv`` report them violating, and both export the
-        same bytes."""
+    def test_uncertified_upper_bound_is_iterated_from_1_across_phases(self, tmp_path):
+        """Under a threshold of 1 - 1e-9 the toy's upper bound from the goal
+        indicator stops on the tolerance, not at a fixpoint, below the
+        maximal reach probability 1 of cells 0-2, and the pre-fixpoint check
+        fails. Verify iterates the upper bound down from 1 instead, so cells
+        0-2 export 1.0, every class is the plain thresholding of the
+        exported bounds, and phases that reload ``results.csv`` export the
+        bytes of ``run``."""
+        threshold = 0.999999999
         cfg_path = write_toy(tmp_path, passes=1, mc="false")
-        cfg_path.write_text(cfg_path.read_text().replace("threshold: 0.9", "threshold: 0.999999999"))
+        cfg_path.write_text(cfg_path.read_text().replace("threshold: 0.9", f"threshold: {threshold}"))
         for phase in ("abstract", "verify", "improve"):
             assert main([phase, "-c", str(cfg_path)]) == 0
         assert main(["run", "-c", str(cfg_path), "--output-dir", str(tmp_path / "whole")]) == 0
@@ -718,8 +726,9 @@ class TestCli:
             phased, whole = (tmp_path / d / name for d in ("out", "whole"))
             assert phased.read_bytes() == whole.read_bytes(), name
             rows = [line.split(",") for line in whole.read_text().splitlines()[1:]]
-            assert [float(r[-2]) < 0.999999999 for r in rows[:3]] == [True] * 3
-            assert [r[-1] for r in rows] == ["undetermined"] * 3 + ["satisfies", "violates"]
+            p_lower, p_upper = (np.array([float(r[k]) for r in rows]) for k in (-3, -2))
+            assert p_upper[:3].tolist() == [1.0] * 3
+            assert tuple(r[-1] for r in rows) == classify_arrays(p_lower, p_upper, threshold)
 
     def test_unconverged_run_exits_3_after_its_exports(self, tmp_path):
         cfg_path = write_toy(tmp_path, passes=1)

@@ -358,25 +358,33 @@ class TestValueIteration:
         assert not res.converged
         assert res.iterations == 3
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 2 and "max_iterations=3" in warnings[0]
-        # the upper bound stopped below its fixpoint: the pre-fixpoint check fails
+        # the upper bound stopped below its fixpoint: the pre-fixpoint check
+        # fails, and with no sweep left the upper bound is its start from 1
         residual = f"the upper bound is not a pre-fixpoint (residual {res.upper_residual:g})"
-        assert warnings[1].startswith(residual)
+        assert len(warnings) == 2 and warnings[0].startswith(residual)
+        assert "iterating it down from 1" in warnings[0] and "max_iterations=3" in warnings[1]
+        assert res.p_upper.tolist() == [1.0, 1.0, 0.0]
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="imcverify"):
             res = robust_value_iteration(imc, ReachAvoidSpec())
         assert res.converged
-        # converged on the tolerance, not at a fixpoint: only the pre-fixpoint check warns
+        # converged on the tolerance, not at a fixpoint: only the pre-fixpoint
+        # check warns, and 11 sweeps down from 1 follow the first 13
         residual = f"the upper bound is not a pre-fixpoint (residual {res.upper_residual:g})"
         assert [r.getMessage().split(":")[0] for r in caplog.records] == [residual]
+        assert res.iterations == 24
+        assert 6 / 7 <= res.p_upper[0] < 0.9 and res.classification[0] == "violates"
 
 
 def sweep_both_every_time(imc, spec, convergence_tol=1e-6, max_iterations=10**5):
-    """Reference value iteration that sweeps both bounds on every sweep.
-    Returns p_lower, p_upper, the sweep count, convergence and, per bound,
-    the first sweep that returned the bits it was given (or None)."""
-    goal = imc.labels["goal"]
-    pinned = goal | imc.labels["obstacle"] | imc.labels["unsafe"]
+    """Reference value iteration that sweeps both bounds on every sweep and,
+    when an unbounded upper bound that is no bitwise fixpoint fails the
+    pre-fixpoint check, sweeps it again from 1 (0 on avoid states) for the
+    sweeps left. Returns p_lower, p_upper, the sweep count, convergence and,
+    per bound, the first sweep that returned the bits it was given (or
+    None)."""
+    goal, avoid = imc.labels["goal"], imc.labels["obstacle"] | imc.labels["unsafe"]
+    pinned = goal | avoid
     layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, InvalidModelError)
     v_lo, v_hi = goal.astype(float), goal.astype(float)
     iterations, converged, fixpoints = 0, spec.horizon is not None, [None, None]
@@ -392,6 +400,17 @@ def sweep_both_every_time(imc, spec, convergence_tol=1e-6, max_iterations=10**5)
         if spec.horizon is None and delta < convergence_tol:
             converged = True
             break
+    swept = layout.walk(_rank(v_hi, -1.0), v_hi)
+    if spec.horizon is None and fixpoints[1] is None and np.any(swept[~pinned] > v_hi[~pinned]):
+        v_hi, converged = (~avoid).astype(float), False
+        while iterations < max_iterations and not converged:
+            high = layout.walk(_rank(v_hi, -1.0), v_hi)
+            high[pinned] = v_hi[pinned]
+            iterations += 1
+            if fixpoints[1] is None and high.tobytes() == v_hi.tobytes():
+                fixpoints[1] = iterations
+            converged = float(np.max(np.abs(high - v_hi))) < convergence_tol
+            v_hi = high
     return np.minimum(v_lo, v_hi), v_hi, iterations, converged, tuple(fixpoints)
 
 
@@ -462,8 +481,12 @@ class TestSettledBounds:
 class TestPreFixpointCheck:
     """An unbounded upper bound iterated up from the goal indicator may stop
     on the tolerance far below the maximal reach probability. One more
-    maximising sweep checks it: a state that is not an avoid state violates
-    only if the sweep raises no bound (``upper_residual`` 0)."""
+    maximising sweep checks it (``upper_residual``); where the check fails,
+    the upper bound is iterated again, down from 1."""
+
+    @staticmethod
+    def pinned(imc):
+        return imc.labels["goal"] | imc.labels["obstacle"] | imc.labels["unsafe"]
 
     @pytest.mark.parametrize("stay, reach", [(0.999999, 1e-6), (0.9999999, 1e-7)])
     @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
@@ -473,9 +496,55 @@ class TestPreFixpointCheck:
         1; the iterate stops after a sweep or two near ``reach``."""
         rows = (((0, 0.0, stay), (1, reach, reach), (2, 0.0, 1.0)), ((1, 1.0, 1.0),), ((2, 1.0, 1.0),))
         res = robust_value_iteration(make_imc(rows, 2, goal=[1]), ReachAvoidSpec(), max_iterations=cap)
-        assert res.p_upper[0] >= 0.9999 or res.classification[0] == "undetermined"
+        assert res.p_upper[0] >= 0.9999
         assert res.upper_residual > 0.0
         assert res.classification[2] == "violates"  # the unsafe state's 0 is pinned, not iterated
+
+    def test_lossy_end_component_keeps_the_certified_bound(self):
+        """Cell 0 may loop on itself or move to cell 1, which reaches the goal
+        (cell 2) and the unsafe state with 0.5 each. The iterate from the goal
+        indicator is a bitwise fixpoint at 0.5 and certified; an iterate down
+        from 1 would keep the loop at 1."""
+        rows = (((0, 0.0, 1.0), (1, 0.0, 1.0)), ((2, 0.5, 0.5), (3, 0.5, 0.5)),
+                ((2, 1.0, 1.0),), ((3, 1.0, 1.0),))
+        res = robust_value_iteration(make_imc(rows, 3, goal=[2]), ReachAvoidSpec())
+        assert res.fixpoints[1] is not None and res.upper_residual == 0.0
+        assert res.p_upper[0] == 0.5 and res.classification[0] == "violates"
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.1])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 10**5])
+    def test_exported_upper_bound_is_a_pre_fixpoint(self, tol, cap):
+        """However the sweeps stop, every state that is neither goal nor avoid
+        has a ``p_upper`` no lower than its one-step maximum over ``p_upper``
+        (vertex enumeration), so ``p_upper`` lies above the least fixpoint."""
+        rng = np.random.default_rng(37)
+        for _ in range(8):
+            imc = random_imc(rng, int(rng.integers(2, 9)))
+            res = robust_value_iteration(
+                imc, ReachAvoidSpec(), convergence_tol=tol, max_iterations=cap
+            )
+            for i in np.flatnonzero(~self.pinned(imc)).tolist():
+                e = slice(imc.indptr[i], imc.indptr[i + 1])
+                best = extreme_by_vertex_enumeration(
+                    res.p_upper[imc.dst[e]], imc.lower[e], imc.upper[e], "max"
+                )
+                assert res.p_upper[i] >= best - 1e-12, (i, res.p_upper[i], best)
+
+    def test_float_noise_residual_keeps_the_verdicts(self):
+        """paper-mult-40 under a tolerance of 0.05 stops on it with a residual
+        of about 4e-11, rounding noise. Two sweeps down from 1 follow, and
+        every verdict is that of the default tolerance: cell 6, neither goal
+        nor avoid, violates with that run's ``p_upper`` bits."""
+        ctx = build_context(load_config(WORKLOADS / "paper-mult-40.yaml"))
+        imc = build_imc(ctx.posteriors(), ctx.labels)
+        res = robust_value_iteration(imc, ctx.spec, convergence_tol=0.05)
+        ref = robust_value_iteration(imc, ctx.spec)
+        assert 0.0 < res.upper_residual < 1e-10 and ref.upper_residual == 0.0
+        assert (res.iterations, res.converged, ref.iterations) == (13, True, 20)
+        assert not self.pinned(imc)[6]
+        assert res.p_upper[6] == ref.p_upper[6] < ctx.spec.threshold
+        assert res.classification == ref.classification
+        assert res.classification.count("violates") == 38
 
     def test_fixpoint_is_certified_without_a_sweep(self, monkeypatch):
         """After a bitwise fixpoint of the upper bound the residual is 0.0
@@ -487,30 +556,38 @@ class TestPreFixpointCheck:
         assert res.upper_residual == 0.0
         assert res.p_upper[0] < 0.9 and res.classification[0] == "violates"
         monkeypatch.undo()
-        assert verify_module.upper_residual(imc, res.p_upper) == 0.0
+        layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper)
+        assert verify_module._residual(layout, res.p_upper, self.pinned(imc)) == 0.0
 
     def test_residual_comes_from_the_sweeps_layout(self, tmp_path, monkeypatch):
         """On the 10² paper config the upper bound stops on the tolerance, not
         at a fixpoint: value iteration lays the IMC out once and takes the
-        residual from that layout, with the bits of ``upper_residual``."""
+        residual from that layout, with the bits of ``_residual`` on a layout
+        of its own."""
         path = tmp_path / "paper.yaml"
         path.write_text(PAPER_2D)
         ctx = build_context(load_config(path))
         imc = build_imc(ctx.posteriors(), ctx.labels)
-        built = []
+        built, checked, residual = [], [], verify_module._residual
 
         class Counted(RowLayout):
             def __init__(self, *args):
-                built.append(args)
+                built.append(self)
                 super().__init__(*args)
 
+        def counted_residual(layout, p_upper, pinned):
+            checked.append((layout, p_upper.copy()))
+            return residual(layout, p_upper, pinned)
+
         monkeypatch.setattr(verify_module, "RowLayout", Counted)
+        monkeypatch.setattr(verify_module, "_residual", counted_residual)
         res = robust_value_iteration(imc, ctx.spec)
         assert res.converged and res.fixpoints[1] is None
-        assert len(built) == 1
+        assert len(built) == 1 and len(checked) == 1 and checked[0][0] is built[0]
         assert res.upper_residual > 0.0
         monkeypatch.undo()
-        assert res.upper_residual == verify_module.upper_residual(imc, res.p_upper)
+        layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper)
+        assert res.upper_residual == residual(layout, checked[0][1], self.pinned(imc))
 
     def test_finite_horizons_are_exempt(self):
         res = robust_value_iteration(three_state_fixture(), ReachAvoidSpec(horizon=3))
