@@ -4,11 +4,11 @@ probability mass into the merged region that the per-cell bounds could not
 pin down. The clusters of all states come from the IMC's CSR arrays and the
 cells' posteriors at once (``cluster_proposals``); ``cluster_improve`` makes
 one pass over the states with them, on one ``RowLayout`` of the clustered
-rows, walking one part of it per dependency level of the pass (``_levels``)
-and ranking only the states that level reads. The posteriors are computed
-by the caller, once for any number of passes, and the IMC is never
-rewritten. From sound bounds the pass keeps sound one-step bounds, so it
-classifies by the threshold alone.
+rows in pass order, in rounds: the first walks every row, each later one
+only the rows that read a state the round before changed. The posteriors
+are computed by the caller, once for any number of passes, and the IMC is
+never rewritten. From sound bounds the pass keeps sound one-step bounds, so
+it classifies by the threshold alone.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import SoundnessError
-from .imc import CellPosteriors, Imc, RowLayout, _goal_avoid_sets, _row_sums, _rows_with_last, pair_bounds
+from .imc import (_BLOCK_PAIRS, CellPosteriors, Imc, RowLayout, _goal_avoid_sets, _row_sums,
+                  _rows_with_last, pair_bounds)
 from .verify import ReachAvoidSpec, VerificationResult, _rank, classify_arrays
 
 log = logging.getLogger("imcverify")
-
-_BLOCK = 32  # rows per numpy step of the level computation
 
 
 def _largest_block(cells: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -62,13 +61,26 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     the cluster is their ``_largest_block``. Returns the sources with a
     cluster (ascending), the clusters' corners (shape (sources, n)), the
     mask of the IMC entries they merge and the number of sources whose
-    eligible cells had holes.
+    eligible cells had holes. The rows go in blocks of about
+    ``_BLOCK_PAIRS`` entries, so that the per-entry arrays stay small.
     """
-    partition = imc.partition
-    row = np.repeat(np.arange(imc.n_states), np.diff(imc.indptr))
-    entry = np.flatnonzero((imc.dst != imc.unsafe_index) & (imc.upper > 0.0) & allowed[row])
+    members = np.zeros(len(imc.dst), dtype=bool)
+    step = max(1, _BLOCK_PAIRS * imc.n_states // len(imc.dst))
+    blocks = [_proposals(imc, posts, allowed, range(a, min(a + step, imc.n_states)), members)
+              for a in range(0, imc.n_states, step)]
+    sources, lo, hi, holes = zip(*blocks)
+    return np.concatenate(sources), np.concatenate(lo), np.concatenate(hi), members, sum(holes)
+
+
+def _proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray, rows: range, members):
+    """``cluster_proposals`` for ``rows``; their merged entries go into ``members``."""
+    partition, base = imc.partition, imc.indptr[rows.start]
+    entries = slice(base, imc.indptr[rows.stop])
+    dst, upper = imc.dst[entries], imc.upper[entries]
+    row = np.repeat(np.array(rows), np.diff(imc.indptr[rows.start:rows.stop + 1]))
+    entry = np.flatnonzero((dst != imc.unsafe_index) & (upper > 0.0) & allowed[row])
     # one index array per dimension, so the gathers and reductions below are contiguous
-    src, multi = row[entry], np.unravel_index(imc.dst[entry], partition.resolution)
+    src, multi = row[entry], np.unravel_index(dst[entry], partition.resolution)
     inside, volume = np.ones(len(entry), dtype=bool), np.ones(len(entry))
     for d, (e, m) in enumerate(zip(partition.edges, multi)):
         lo, hi = e[m], e[m + 1]
@@ -94,8 +106,7 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     member = found[of]
     for m, a, b in zip(multi, first, stop):
         member &= (a[of] <= m) & (m < b[of])
-    members = np.zeros(len(imc.dst), dtype=bool)
-    members[entry[member]] = True
+    members[base + entry[member]] = True
     # the block runs from the lower corner of its first cell to the upper corner of its last
     lo = partition.corners(np.ravel_multi_index(first, partition.resolution))[0]
     hi = partition.corners(np.ravel_multi_index([b - 1 for b in stop], partition.resolution))[1]
@@ -106,41 +117,40 @@ def cluster_proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray):
     hull = filled & ((dom_lo <= hull_lo) & (hull_hi <= dom_hi)).all(axis=1)
     hull &= np.abs(tiled - hull_volume) <= 1e-9 * np.maximum(1.0, hull_volume)
     lo[hull], hi[hull] = hull_lo[hull], hull_hi[hull]
-    return sources[found], lo[found], hi[found], members, len(holes)
+    return sources[found], lo[found], hi[found], len(holes)
 
 
-def _levels(imc: Imc, sources: np.ndarray) -> np.ndarray:
-    """Per row of a pass over ``sources``, a level at least 1 + that of each
-    earlier row whose source it reads (read after write) and at least that of
-    each earlier row that reads its source (write after read): one kernel call
-    per level, in level order, gives the bits of a row-by-row pass (level
-    scheduling, Anderson & Saad, 1989). Per ``_BLOCK`` rows, numpy takes the
-    dependencies that cross the block's edges and Python walks the rest."""
-    count = len(sources)
-    step = np.full(imc.n_states, count)
-    step[sources] = np.arange(count)
-    # per IMC entry of the pass's rows, in pass order: the row that writes its target, or count
+def _clustered_rows(imc: Imc, sources: np.ndarray, members: np.ndarray, cl_low, cl_up):
+    """The rows of ``sources``, in this order, with each cluster in place of
+    its members, reading slots of the pass's value vector: state s at s, the
+    cluster of row j at n + j and the input value of s at n + count + s. A
+    row reads the states that it or a later row writes as input values, so
+    the pass order alone fixes its inputs. Returns the layout, the members'
+    slots, the start of each row's, every slot's tie key (a cluster's is its
+    first member's) and the row and state of each read after an earlier write."""
+    n, count = imc.n_states, len(sources)
     length = np.diff(imc.indptr)[sources]
-    ptr = np.concatenate([[0], np.cumsum(length)])
-    writer = step[imc.dst[np.repeat(imc.indptr[sources] - ptr[:-1], length) + np.arange(ptr[-1])]]
-    level = np.zeros(count, dtype=np.int64)
-    for a in range(0, count, _BLOCK):
-        b = min(a + _BLOCK, count)
-        reader, w = np.repeat(np.arange(a, b), length[a:b]), writer[ptr[a]:ptr[b]]
-        before = w < a  # reads of what earlier blocks write
-        np.maximum.at(level, reader[before], level[w[before]] + 1)
-        inside = (a <= w) & (w < b) & (w != reader)
-        r, t = reader[inside] - a, w[inside] - a
-        # the later row of each pair follows the earlier, one level up if it reads
-        later, earlier, up = np.maximum(r, t), np.minimum(r, t), t < r
-        order = np.argsort(later, kind="stable")
-        top = level[a:b].tolist()
-        for j, i, d in zip(later[order].tolist(), earlier[order].tolist(), up[order].tolist()):
-            top[j] = max(top[j], top[i] + d)
-        level[a:b] = top
-        after = (b <= w) & (w < count)  # later blocks write what this one reads
-        np.maximum.at(level, w[after], level[reader[after]])
-    return level
+    offset = np.cumsum(length) - length
+    entry = np.repeat(imc.indptr[sources] - offset, length) + np.arange(length.sum())
+    row = np.repeat(np.arange(count), length)
+    target = imc.dst[entry]
+    writer = np.full(n, count)
+    writer[sources] = np.arange(count)
+    live = writer[target] < row
+    slot = np.where(live, target, target + (n + count))
+    member = members[entry]
+    member_start = np.searchsorted(row[member], np.arange(count))  # every cluster has two or more
+    keys = np.concatenate([np.arange(n), target[member][member_start], np.arange(n)])
+    member_slot, reader, read_state = slot[member], row[live], target[live]
+    kept = ~member
+    counts, entry, slot = np.bincount(row[kept], minlength=count), entry[kept], slot[kept]
+    del row, target, live, member, kept  # the rows and their layout set the pass's peak
+    indptr, (dst, lower, upper) = _rows_with_last(
+        counts, [slot, imc.lower[entry], imc.upper[entry]], [n + np.arange(count), cl_low, cl_up])
+    del entry, slot
+    # the clustered rows must stay feasible; a violation is a bug
+    layout = RowLayout(indptr, dst, lower, upper, SoundnessError, sources)
+    return layout, member_slot, member_start, keys, reader, read_state
 
 
 def cluster_improve(
@@ -155,64 +165,53 @@ def cluster_improve(
     bounds, max of upper bounds) and its transition interval comes from
     ``pair_bounds``. A new value is kept only when strictly better, so no
     state ever gets worse. Later states in the pass see earlier
-    improvements: one kernel call per dependency level gives the bits of a
-    row-by-row pass. The numbers of clusters, of sources with holes and of
-    levels are logged at DEBUG. Posteriors of another partition, even
-    an equal one, are a ValueError.
+    improvements: each round walks its rows on one value vector, the next
+    only the rows that read a state it changed, until one changes none (at
+    most the depth of the read-after-write chains plus one round), with
+    the bits of a row-by-row pass (``_clustered_rows``). DEBUG logs the
+    numbers of clusters, of sources with holes, of rounds and of row walks.
+    Posteriors of another partition, even an equal one, are a ValueError.
     """
     if posts.partition is not imc.partition:
         raise ValueError("the posteriors were computed on another partition than the IMC's")
-    p_lo, p_hi = result.p_lower.copy(), result.p_upper.copy()
-    pinned = np.logical_or(*_goal_avoid_sets(imc.labels, imc.n_states))
+    p_lo, p_hi, n = result.p_lower, result.p_upper, imc.n_states
+    pinned = np.logical_or(*_goal_avoid_sets(imc.labels, n))
     sources, box_lo, box_hi, members, holes = cluster_proposals(imc, posts, ~pinned)
     order = np.argsort(-p_lo[sources], kind="stable")  # ties by state
-    level = _levels(imc, sources[order])
-    order, ends = order[np.argsort(level, kind="stable")], np.cumsum(np.bincount(level))
-    sources = sources[order]
+    sources, count = sources[order], len(sources)
     cl_low, cl_up = pair_bounds(posts, sources, box_lo[order], box_hi[order])
+    layout, member_slot, member_start, keys, reader, read_state = _clustered_rows(
+        imc, sources, members, cl_low, cl_up)
 
-    # the source rows in level order, members included
-    n, count = imc.n_states, len(sources)
-    length = np.diff(imc.indptr)[sources]
-    offset = np.cumsum(length) - length
-    entry = np.repeat(imc.indptr[sources] - offset, length) + np.arange(length.sum())
-    row_of = np.repeat(np.arange(count), length)
-    member = members[entry]
-    member_dst = imc.dst[entry[member]]
-    member_ptr = np.searchsorted(row_of[member], np.arange(count + 1))
-    # Each clustered row is the source's row without the members, then the
-    # cluster as virtual state n + j of source j, keyed by its first member
-    # so that ties order as they would at that member.
-    kept = entry[~member]
-    indptr, (dst, lower, upper) = _rows_with_last(
-        length - np.diff(member_ptr),
-        [imc.dst[kept], imc.lower[kept], imc.upper[kept]],
-        [n + np.arange(count), cl_low, cl_up],
-    )
-    # the clustered rows must stay feasible; a violation is a bug
-    layout = RowLayout(indptr, dst, lower, upper, SoundnessError, sources)
-
-    keys = np.concatenate([np.arange(n), member_dst[member_ptr[:-1]]])
-    # the values the levels read: the states' (p_lo and p_hi become views of
-    # them, so each level sees the earlier levels' updates), then the clusters'
-    lo_all, hi_all = (np.concatenate([p, np.zeros(count)]) for p in (p_lo, p_hi))
-    (p_lo, cl_lo), (p_hi, cl_hi) = (np.split(v, [n]) for v in (lo_all, hi_all))
-    a = 0
-    for b in ends.tolist():
-        m, at = member_dst[member_ptr[a]:member_ptr[b]], member_ptr[a:b] - member_ptr[a]
-        cl_lo[a:b], cl_hi[a:b] = np.minimum.reduceat(p_lo[m], at), np.maximum.reduceat(p_hi[m], at)
-        # rank only the states this level reads (return_index, for a plain
-        # np.unique imports numpy.ma)
-        states = np.unique(dst[indptr[a]:indptr[b]], return_index=True)[0]
-        part = layout.part(a, b)
-        new_lo = part.walk(_rank(lo_all, 1.0, keys, states), lo_all)
-        new_hi = part.walk(_rank(hi_all, -1.0, keys, states), hi_all)
-        q = sources[a:b]
-        p_lo[q] = np.where(new_lo > p_lo[q], np.minimum(new_lo, p_hi[q]), p_lo[q])
-        p_hi[q] = np.where(new_hi < p_hi[q], np.maximum(new_hi, p_lo[q]), p_hi[q])
-        a = b
-    log.debug("cluster: %d proposals, %d reached the holes fallback, %d levels",
-              count, holes, len(ends))
-
+    # the value vectors [states | clusters | frozen states], per bound
+    lo_in, hi_in = p_lo[sources], p_hi[sources]
+    lo_all, hi_all = (np.concatenate([p, np.empty(count), p]) for p in (p_lo, p_hi))
+    changed = np.zeros(n, dtype=bool)  # the states the last round changed
+    # per-round scratch: the members' values, whether each live read changed
+    member_value, hit = np.empty(len(member_slot)), np.empty(len(read_state), dtype=bool)
+    dirty, part, rounds, walks = np.ones(count, dtype=bool), layout, 0, 0
+    while True:
+        rounds, walks = rounds + 1, walks + len(part.remaining)
+        for values, weakest in ((lo_all, np.minimum), (hi_all, np.maximum)):
+            # mode "clip" (the slots are in range): "raise" would buffer a copy of ``out``
+            values.take(member_slot, out=member_value, mode="clip")
+            weakest.reduceat(member_value, member_start, out=values[n:n + count])
+        new_lo = part.walk(_rank(lo_all, 1.0, keys), lo_all)
+        new_hi = part.walk(_rank(hi_all, -1.0, keys), hi_all)
+        q, lo0, hi0 = sources[dirty], lo_in[dirty], hi_in[dirty]
+        lo = np.where(new_lo > lo0, np.minimum(new_lo, hi0), lo0)
+        hi = np.where(new_hi < hi0, np.maximum(new_hi, lo), hi0)
+        changed[:] = False
+        changed[q] = (lo != lo_all[q]) | (hi != hi_all[q])
+        lo_all[q], hi_all[q] = lo, hi
+        dirty[:] = False
+        dirty[reader[changed.take(read_state, out=hit, mode="clip")]] = True
+        if not dirty.any():
+            break
+        part = layout.part(dirty)
+    log.debug("cluster: %d proposals, %d reached the holes fallback, %d rounds, %d row walks",
+              count, holes, rounds, walks)
+    # copies, so that the value vectors go with the rest of the pass's scratch
+    p_lo, p_hi = lo_all[:n].copy(), hi_all[:n].copy()
     classification = classify_arrays(p_lo, p_hi, spec.threshold)
     return VerificationResult(p_lo, p_hi, classification, result.iterations, result.converged)

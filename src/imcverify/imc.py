@@ -198,15 +198,16 @@ class RowLayout:
         size = max((x.size for _, x, _, _ in self.blocks), default=0)
         self._scratch = np.empty((2, size), dtype=np.int64), np.empty((2, size))
 
-    def part(self, a: int, b: int) -> "RowLayout":
-        """Rows a..b-1 alone: the rows of each block that hold them. A part
-        shares the walk's scratch."""
+    def part(self, mask: np.ndarray) -> "RowLayout":
+        """The rows in the boolean ``mask`` alone, in their order: the masked
+        rows of each block. A part shares the walk's scratch."""
         part = RowLayout.__new__(RowLayout)
-        part.remaining, part.blocks, part._scratch = self.remaining[a:b], [], self._scratch
+        part.remaining, part.blocks, part._scratch = self.remaining[mask], [], self._scratch
+        number = np.cumsum(mask) - 1
         for rows, *arrays in self.blocks:
-            i, j = np.searchsorted(rows, (a, b))
-            if i < j:
-                part.blocks.append((rows[i:j] - a, *(x[i:j] for x in arrays)))
+            keep = mask[rows]
+            if keep.any():
+                part.blocks.append((number[rows[keep]], *(x[keep] for x in arrays)))
         return part
 
     def walk(self, rank: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ at a time by that rank and walks each row sequentially, so each row gets
 the bits of a walk over that row alone. Value iteration lays its rows out and
 checks them once, takes the pre-fixpoint residual from the same layout, and
 stops sweeping a bound whose sweep returns its own bits; cluster
-improvement walks the levels of its own layout (``RowLayout.part``).
+improvement walks its own layout, then only the rows whose reads changed
+(``RowLayout.part``).
 Value iteration alone decides whether an unbounded ``p_upper`` may be
 trusted, so every consumer of a result classifies by the threshold alone.
 """
@@ -85,16 +86,14 @@ class VerificationResult:
         object.__setattr__(self, "p_upper", np.asarray(self.p_upper, dtype=float))
 
 
-def _rank(values, sign: float, keys=None, states=None) -> np.ndarray:
+def _rank(values, sign: float, keys=None) -> np.ndarray:
     """Per state, its place in walk order: by ``values``, ascending for the
     minimum (``sign`` 1.0) and descending for the maximum (-1.0), ties by
     ascending ``keys`` (default: the state index); the expectation is
-    tie-invariant. With ``states``, only those are ranked and the others get
-    rank 0."""
-    states = np.arange(len(values)) if states is None else states
-    keys = states if keys is None else keys[states]
-    rank = np.zeros(len(values), dtype=np.int64)
-    rank[states[np.lexsort((keys, sign * values[states]))]] = np.arange(len(states))
+    tie-invariant."""
+    keys = np.arange(len(values)) if keys is None else keys
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[np.lexsort((keys, sign * values))] = np.arange(len(values))
     return rank
 
 

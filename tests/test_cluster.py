@@ -8,7 +8,7 @@ import pytest
 
 import imcverify.cluster as cluster_module
 import imcverify.imc as imc_module
-from imcverify.cluster import _largest_block, _levels, cluster_improve, cluster_proposals
+from imcverify.cluster import _largest_block, cluster_improve, cluster_proposals
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import partition_domain
 from imcverify.imc import (
@@ -324,10 +324,22 @@ def test_pass_matches_one_row_at_a_time(monkeypatch):
         assert np.array_equal(out.p_upper, ref_hi)
 
 
-def test_levels_keep_reads_before_and_after_writes(caplog):
+def read_before_write(imc, sources, p_lower, changed):
+    """The rows of a pass over ``sources`` that read a state a later row of
+    the pass changes."""
+    in_pass = sorted(sources.tolist(), key=lambda q: (-p_lower[q], q))
+    position = dict(zip(in_pass, count()))
+    targets = np.split(imc.dst, imc.indptr[1:-1])
+    return sum(
+        any(position.get(r, -1) > k and changed[r] for r in targets[q])
+        for q, k in position.items()
+    )
+
+
+def test_rounds_keep_reads_before_and_after_writes(caplog):
     """A pass in which earlier rows read states that later rows improve
     (write after read) and rows read states improved earlier (read after
-    write) runs in fewer levels than rows and keeps the bits of the one-row
+    write) runs in fewer rounds than rows and keeps the bits of the one-row
     walk."""
     part = partition_domain(*box([[0, 8], [0, 8]]), (8, 8))
     model = parse_dynamics(["x1 + 1 + w1", "x2 - 1 + w2"], 2, "additive")
@@ -349,53 +361,69 @@ def test_levels_keep_reads_before_and_after_writes(caplog):
     allowed = np.ones(imc.n_states, dtype=bool)
     allowed[pinned] = False
     sources = cluster_proposals(imc, posts, allowed)[0]
-    in_pass = sorted(sources.tolist(), key=lambda q: (-p_lower[q], q))
-    position = dict(zip(in_pass, count()))
     changed = (out.p_lower != res.p_lower) | (out.p_upper != res.p_upper)
-    # rows that read a state a later row of the pass improves
-    targets = np.split(imc.dst, imc.indptr[1:-1])
-    read_before_write = sum(
-        any(position.get(r, -1) > k and changed[r] for r in targets[q])
-        for q, k in position.items()
-    )
-    assert chained > 5 and read_before_write >= 3
-    counts = re.search(r"(\d+) proposals, .* (\d+) levels", caplog.text).groups()
-    proposals, levels = map(int, counts)
-    assert 3 <= levels < proposals == len(sources)
+    assert chained > 5 and read_before_write(imc, sources, p_lower, changed) >= 3
+    counts = re.search(r"(\d+) proposals, .* (\d+) rounds, (\d+) row walks", caplog.text).groups()
+    proposals, rounds, walks = map(int, counts)
+    assert 2 <= rounds < proposals == len(sources)
+    assert proposals < walks < rounds * proposals
 
 
-def levels_reference(indptr, dst, sources):
-    """The levels of a pass over ``sources``, row by row from their definition."""
-    position = {q: k for k, q in enumerate(sources.tolist())}
-    reads = [{position.get(t, -1) for t in dst[indptr[q]:indptr[q + 1]].tolist()} for q in sources]
-    level = []
-    for j in range(len(sources)):
-        after_write = [level[i] + 1 for i in reads[j] if 0 <= i < j]
-        after_read = [level[i] for i in range(j) if j in reads[i]]
-        level.append(max(after_write + after_read, default=0))
-    return level
+def random_system(rng, structure):
+    """A 2-D system of 4 to 7 unit cells per side with a random drift and
+    noise about two cells wide, so that most rows read their own cell and
+    their neighbours', and a random goal cell."""
+    size = rng.integers(4, 8, 2).tolist()
+    if structure == "additive":
+        drift = rng.uniform(-1.0, 1.0, 2)
+        exprs = [f"x{d + 1} + {drift[d]} + w{d + 1}" for d in range(2)]
+        noise = NoiseModel(tuple(Uniform(-h, h) for h in rng.uniform(0.8, 1.6, 2)))
+        domain = [[0, size[0]], [0, size[1]]]
+    else:
+        gain = rng.uniform(0.8, 1.1, 2)
+        exprs = [f"{gain[d]}*x{d + 1}" for d in range(2)]
+        noise = NoiseModel(tuple(Uniform(1 - h, 1 + h) for h in rng.uniform(0.1, 0.25, 2)))
+        domain = [[2, 2 + size[0]], [2, 2 + size[1]]]
+    part = partition_domain(*box(domain), tuple(size))
+    model = parse_dynamics(exprs, 2, structure)
+    goal = [[lo + k, lo + k + 1] for (lo, _), k in zip(domain, rng.integers(0, size))]
+    posts = cell_posteriors(part, model, noise)
+    return model, noise, posts, build_imc(posts, assign_labels(part, {"goal": box([goal])}))
 
 
-def test_levels_match_their_definition_for_any_block(monkeypatch):
-    """Random rows (repeated targets, self loops, states outside the pass):
-    the levels do not depend on how many rows one numpy step settles."""
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        n = int(rng.integers(1, 50))
-        indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 6, n))])
-        dst = rng.integers(0, n, indptr[-1])
-        sources = rng.permutation(n)[: int(rng.integers(0, n + 1))]
-        imc = SimpleNamespace(n_states=n, indptr=indptr, dst=dst)
-        expected = levels_reference(indptr, dst, sources)
-        for block in (1, 2, 5, 32):
-            monkeypatch.setattr(cluster_module, "_BLOCK", block)
-            assert _levels(imc, sources).tolist() == expected
+@pytest.mark.parametrize("structure", ["additive", "multiplicative"])
+def test_pass_matches_one_row_at_a_time_on_random_systems(structure):
+    """Random systems with planted results: rows that read their own state
+    (self loops), states a later row changes (write after read) and states
+    an earlier row changed (read after write) get the bits of a pass that
+    walks one row at a time."""
+    rng = np.random.default_rng(11 if structure == "additive" else 12)
+    self_loops = chained = before_write = 0
+    for _ in range(8):
+        model, noise, posts, imc = random_system(rng, structure)
+        pinned = np.logical_or(imc.labels[GOAL_LABEL], imc.labels["unsafe"])
+        p_lower = rng.uniform(0.0, 0.9, imc.n_states)
+        p_upper = np.minimum(1.0, p_lower + rng.uniform(0.0, 0.5, imc.n_states))
+        p_lower[pinned] = p_upper[pinned] = imc.labels[GOAL_LABEL][pinned]
+        res = planted_result(p_lower, p_upper)
+        out = cluster_improve(imc, posts, res, ReachAvoidSpec())
+        ref_lo, ref_hi, rows_chained = one_row_at_a_time(imc, model, noise, res)
+        assert np.array_equal(out.p_lower, ref_lo)
+        assert np.array_equal(out.p_upper, ref_hi)
+
+        sources = cluster_proposals(imc, posts, ~pinned)[0]
+        changed = (out.p_lower != res.p_lower) | (out.p_upper != res.p_upper)
+        self_loops += sum(q in imc.dst[imc.indptr[q]:imc.indptr[q + 1]] for q in sources.tolist())
+        chained += rows_chained
+        before_write += read_before_write(imc, sources, p_lower, changed)
+    assert self_loops > 50 and chained > 20 and before_write > 20
 
 
-def test_holes_fallback_through_the_pass(caplog):
+def test_holes_fallback_through_the_pass(caplog, monkeypatch):
     """A bimodal noise whose gap holds the source's own cell (cell width
     plus posterior width 2/24 < 0.1): eligible sets have holes, the pass
-    picks the reference blocks and keeps the bits of the one-row walk."""
+    picks the reference blocks and keeps the bits of the one-row walk,
+    whatever the number of rows per block of proposals."""
     part = partition_domain(*box([[0, 1], [0, 1]]), (24, 3))
     model = parse_dynamics(["x1 + w1", "x2 + w2"], 2, "additive")
     gap = Mixture((0.5, 0.5), (Uniform(-0.15, -0.05), Uniform(0.05, 0.15)))
@@ -405,8 +433,14 @@ def test_holes_fallback_through_the_pass(caplog):
     sources = np.flatnonzero(~imc.labels["goal"][:-1]).tolist()
     allowed = np.zeros(imc.n_states, dtype=bool)
     allowed[sources] = True
-    holes = cluster_proposals(imc, posts, allowed)[-1]
+    proposals = cluster_proposals(imc, posts, allowed)
+    holes = proposals[-1]
     assert holes > len(sources) // 2
+    for budget in (100, 1):  # a few rows per block, then one row per block
+        monkeypatch.setattr(cluster_module, "_BLOCK_PAIRS", budget)
+        for blocked, whole in zip(cluster_proposals(imc, posts, allowed), proposals):
+            assert np.array_equal(blocked, whole)
+    monkeypatch.undo()
     for q in sources:
         prop, ref = select_cluster(q, imc, posts), select_cluster_reference(q, imc, posts)
         assert (prop and (prop.members, prop.box)) == (ref and (ref.members, ref.box))

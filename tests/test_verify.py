@@ -316,8 +316,8 @@ class TestValueIteration:
         8), every other one with an entry to state 0, which the padding
         targets too, and values with ties: both walks of every row match
         ``scalar_walk``, the row sums a Python loop, and a part's walks the
-        rows it holds, with blocks of one row, two rows of width 8 and
-        whole width classes."""
+        rows of its mask (empty, full, single rows, random), with blocks of
+        one row, two rows of width 8 and whole width classes."""
         monkeypatch.setattr(imc_module, "_BLOCK_SLOTS", budget)
         rng = np.random.default_rng(43)
         n_states = 80
@@ -338,10 +338,13 @@ class TestValueIteration:
             for _, lo, _ in row:
                 total += lo
             assert sums[i] == total
-        for _ in range(20):
-            a, b = sorted(rng.choice(len(rows) + 1, 2, replace=False).tolist())
-            part_low, part_high = walks(layout.part(a, b), values)
-            assert np.array_equal(part_low, low[a:b]) and np.array_equal(part_high, high[a:b])
+        count = len(rows)
+        masks = [np.zeros(count, dtype=bool), np.ones(count, dtype=bool)]
+        masks += [np.arange(count) == k for k in (0, 7, count - 1)]
+        masks += [rng.random(count) < share for share in (0.1, 0.5, 0.9) for _ in range(5)]
+        for mask in masks:
+            part_low, part_high = walks(layout.part(mask), values)
+            assert np.array_equal(part_low, low[mask]) and np.array_equal(part_high, high[mask])
 
     def test_label_overlap_rejected(self):
         rows = (((0, 1.0, 1.0),), ((1, 1.0, 1.0),))
