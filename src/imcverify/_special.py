@@ -84,19 +84,18 @@ def erf(x):
 
 def ndtri(y0):
     """``scipy.special.ndtri``, the standard Gaussian quantile: -inf at 0, inf
-    at 1 and nan outside [0, 1]."""
+    at 1 and nan outside [0, 1], each set only when such values occur."""
     y0 = np.asarray(y0, dtype=float)
-    out = np.full(y0.shape, np.nan)
-    out[y0 == 0.0] = -np.inf
-    out[y0 == 1.0] = np.inf
-    upper = y0 > 1.0 - _EXPM2
-    y = np.where(upper, 1.0 - y0, y0)
-    mid = y > _EXPM2
-    v = y[mid] - 0.5
+    flat = y0.ravel()
+    upper = flat > 1.0 - _EXPM2
+    y = np.where(upper, 1.0 - flat, flat)
+    mid, edge = y > _EXPM2, y <= 0.0  # edge: y0 is 0, 1 or outside [0, 1]
+    # tail: y0 in (0, exp(-2)] or [1 - exp(-2), 1), or nan as in Cephes
+    tail, mid, out = np.flatnonzero(~(mid | edge)), np.flatnonzero(mid), np.empty(flat.shape)
+    v, y = y[mid] - 0.5, y[tail]  # frees y: only its central and tail elements are read
     v2 = v * v
-    out[mid] = (v + v * (v2 * _polevl(v2, _P0) / _polevl(v2, _Q0))) * _S2PI
-    tail = ~(y <= 0.0) & ~mid  # y0 in (0, exp(-2)] or [1 - exp(-2), 1), or nan as in Cephes
-    x = np.sqrt(-2.0 * _libm(math.log, y[tail]))
+    out[mid] = (v + v * np.divide(v2 * _polevl(v2, _P0), _polevl(v2, _Q0), out=v2)) * _S2PI
+    x = np.sqrt(-2.0 * _libm(math.log, y))
     z = 1.0 / x
     x1 = np.empty_like(x)
     near = x < 8.0  # False on nan, which either rational keeps
@@ -105,4 +104,6 @@ def ndtri(y0):
         x1[part] = zp * _polevl(zp, p) / _polevl(zp, q)
     x = x - _libm(math.log, x) / x - x1
     out[tail] = np.where(upper[tail], x, -x)
-    return out[()]
+    if len(mid) + len(tail) < len(flat):
+        out[edge] = np.select([flat[edge] == 0.0, flat[edge] == 1.0], [-np.inf, np.inf], np.nan)
+    return out.reshape(y0.shape)[()]

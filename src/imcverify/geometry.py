@@ -24,9 +24,9 @@ class StatePartition:
     dimension d as a read-only float array, from the domain's lower end
     ``edges[d][0]`` to its upper end ``edges[d][-1]``; the cells are listed
     row-major over them (the last dimension varies fastest), so they tile
-    the domain and cell lookups stay O(log resolution). The extra unsafe
-    state (everything outside the domain) has index ``n_cells``. ``corners``
-    maps cell indices to coordinates and ``owner`` maps points to cells.
+    the domain. The extra unsafe state (everything outside the domain) has
+    index ``n_cells``. ``corners`` maps cell indices to coordinates and
+    ``owner`` maps points to cells, in O(1) per point on evenly spaced edges.
     """
 
     resolution: tuple[int, ...]
@@ -70,15 +70,24 @@ class StatePartition:
         axis the dimension), the inverse of ``corners``: a cell owns its
         lower faces, and its upper faces only on the domain's upper end, so
         the cells tile the closed domain. A point outside it, or with a NaN
-        coordinate, maps to ``unsafe_index``."""
+        coordinate, maps to ``unsafe_index``. A coordinate is binary-searched
+        only if the cell guessed from even spacing fails its edge check."""
         x = np.asarray(x, dtype=float)
-        index, inside = np.zeros(x.shape[:-1], dtype=np.intp), np.ones(x.shape[:-1], dtype=bool)
-        for e, r, c in zip(self.edges, self.resolution, np.moveaxis(x, -1, 0)):
+        points, outside = x.reshape(-1, x.shape[-1]), []
+        m = len(points)  # one buffer g per call: the guess, then the edges that check it
+        index, g, k = np.zeros(m, dtype=np.intp), np.empty(m), np.empty(m, dtype=np.intp)
+        for e, r, c in zip(self.edges, self.resolution, points.T):
+            np.clip(c, e[0], e[-1], out=g)
+            np.multiply(np.subtract(g, e[0], out=g), r / (e[-1] - e[0]), out=g)
+            np.copyto(k, np.fmin(np.floor(g, out=g), r - 1, out=g), casting="unsafe")  # NaN: r - 1
+            hit = e.take(k, out=g, mode="clip") <= c  # false on NaN
+            miss = np.flatnonzero(~hit | (e[1:].take(k, out=g, mode="clip") <= c))
+            k[miss] = np.searchsorted(e[1:-1], c[miss], side="right")
+            outside.append(miss[~((e[0] <= c[miss]) & (c[miss] <= e[-1]))])
             index *= r
-            index += np.searchsorted(e[1:-1], c, side="right")
-            inside &= (e[0] <= c) & (c <= e[-1])
-        index[~inside] = self.unsafe_index
-        return index
+            index += k
+        index[np.concatenate(outside)] = self.unsafe_index
+        return index.reshape(x.shape[:-1])
 
 
 def partition_domain(lo, hi, resolution: Sequence[int]) -> StatePartition:

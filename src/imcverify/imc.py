@@ -76,8 +76,8 @@ _ALIGN_TOL = 1e-9
 _BLOCK_PAIRS = 2**14
 # slots per block of a ``RowLayout`` and of ``_row_sums``: a block's arrays
 # and a sweep's sort and gathers over it take a few MB whatever the nnz.
-# Budgets from 2**14 to 2**18 sweep paper-mult-40 and additive-h200-phased
-# equally fast
+# 2**14 is no faster (20 sweeps at 120²: 4.0-4.3 s against 4.0-4.6 s, 2 vCPU)
+# and ran general-sin-20 slower end to end (bench median 0.315 against 0.303 s)
 _BLOCK_SLOTS = 2**18
 # ``_cumsum`` adds one contiguous block row to the next on (width, rows)
 # blocks at least this many CSR rows across, where that runs up to twice as

@@ -152,18 +152,17 @@ class Mixture(NoiseComponent):
         return np.clip(sum(w * p.cdf(t) for w, p in zip(self.weights, self.parts)), 0.0, 1.0)
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        """Composition from one uniform: part i takes the u in [c_i, c_i +
-        w_i), c_i the sum of the earlier weights, and samples (u - c_i) / w_i.
-        The last part also takes any u above the weight sum, which may be
-        1 - 1e-12."""
+        """Composition from one uniform (Devroye 1986, II.4): part i takes
+        the u in [c_i, c_i + w_i), c_i the sum of the earlier weights, and
+        samples (u - c_i) / w_i; the last part also takes any u above the
+        weight sum, which may be 1 - 1e-12. One path for every kind of part."""
         ends = np.cumsum(self.weights)
-        part = np.minimum(np.searchsorted(ends, u, side="right"), len(self.parts) - 1)
-        out = np.empty(len(u))
-        for i in np.flatnonzero(np.bincount(part, minlength=len(self.parts))).tolist():
-            mask = part == i
-            c = ends[i - 1] if i else 0.0
-            out[mask] = self.parts[i].sample(np.clip((u[mask] - c) / self.weights[i], 0.0, 1.0))
-        return out
+        part = sum((u >= c for c in ends[:-1].tolist()), np.zeros(len(u), dtype=np.intp))
+        v = np.clip((u - np.append(0.0, ends[:-1])[part]) / np.array(self.weights)[part], 0.0, 1.0)
+        for i, p in enumerate(self.parts):  # each part overwrites its own elements of v
+            mine = np.flatnonzero(part == i)
+            v[mine] = p.sample(v[mine])
+        return v
 
 
 @dataclass(frozen=True)

@@ -151,3 +151,55 @@ def test_owner_on_every_face_and_corner():
     nan = np.nan
     rows = np.array([[nan, 0.0, 1.0], [0.5, nan, 1.0], [0.5, 0.0, nan], [nan, nan, nan]])
     assert part.owner(rows).tolist() == [part.unsafe_index] * 4
+
+
+def searchsorted_owner(part, x):
+    """The binary-search cell lookup ``owner`` replaced, kept as its reference:
+    per dimension the count of inner edges at or below the coordinate, and
+    the unsafe state outside the closed domain or on NaN."""
+    x = np.asarray(x, dtype=float)
+    index, inside = np.zeros(x.shape[:-1], dtype=np.intp), np.ones(x.shape[:-1], dtype=bool)
+    for e, r, c in zip(part.edges, part.resolution, np.moveaxis(x, -1, 0)):
+        index = index * r + np.searchsorted(e[1:-1], c, side="right")
+        inside &= (e[0] <= c) & (c <= e[-1])
+    return np.where(inside, index, part.unsafe_index)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, resolution",
+    [([0.25], [2.25], (40,)), ([-1.0], [1.0], (3,)), ([-1.0], [1.0], (7,)),
+     ([-1.0], [1.0], (120,)), ([0.25, -1.0], [2.25, 1.0], (40, 7)),
+     ([-1.0, 0.25, -1.0], [1.0, 2.25, 1.0], (3, 40, 120))],
+    ids=["0.25-2.25@40", "-1-1@3", "-1-1@7", "-1-1@120", "2-D", "3-D"],
+)
+def test_owner_matches_searchsorted_on_partition_domain_grids(lo, hi, resolution):
+    """Every edge, both float neighbours of each, the cell midpoints, NaN
+    and both infinities in each dimension, against the others' midpoints."""
+    part = partition_domain(lo, hi, resolution)
+    probes = edge_probes(part.edges)
+    mids = [0.5 * (e[:-1] + e[1:]) for e in part.edges]
+    for d, values in enumerate(probes):
+        rng = np.random.default_rng(d)
+        points = np.stack([values if j == d else rng.choice(m, len(values))
+                           for j, m in enumerate(mids)], axis=-1)
+        assert part.owner(points).tolist() == searchsorted_owner(part, points).tolist()
+    if len(resolution) < 3:  # every combination of the probes
+        grid = np.array(list(product(*probes)))
+        assert part.owner(grid).tolist() == searchsorted_owner(part, grid).tolist()
+
+
+def test_owner_falls_back_to_a_binary_search_where_the_guess_misses(monkeypatch):
+    """On uneven edges the cell guessed from even spacing is often wrong:
+    those coordinates take ``np.searchsorted``, and not every one does."""
+    edges = ([0.0, 0.1, 0.7, 1.0], [-1.0, -0.9, -0.8, 2.0])
+    part = StatePartition((3, 3), edges)
+    points = np.array(list(product(*edge_probes(edges))))
+    expected, searched, searchsorted = searchsorted_owner(part, points).tolist(), [], np.searchsorted
+
+    def counting(a, v, side="left"):
+        searched.append(len(v))
+        return searchsorted(a, v, side=side)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    assert part.owner(points).tolist() == expected
+    assert 0 < sum(searched) < 2 * len(points)

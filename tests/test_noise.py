@@ -362,6 +362,48 @@ def test_nested_mixture_samples_follow_its_cdf():
     assert kstest(samples, comp.cdf).pvalue > 0.01
 
 
+def masked_composition(mixture, u):
+    """The per-part masked composition ``Mixture.sample`` replaced, kept as
+    the reference for its bits: one boolean mask, gather, clip and scatter
+    per present part, recursing into nested mixtures."""
+    ends = np.cumsum(mixture.weights)
+    part = np.minimum(np.searchsorted(ends, u, side="right"), len(mixture.parts) - 1)
+    out = np.empty(len(u))
+    for i in np.flatnonzero(np.bincount(part, minlength=len(mixture.parts))).tolist():
+        mask = part == i
+        c = ends[i - 1] if i else 0.0
+        p, v = mixture.parts[i], np.clip((u[mask] - c) / mixture.weights[i], 0.0, 1.0)
+        out[mask] = masked_composition(p, v) if isinstance(p, Mixture) else p.sample(v)
+    return out
+
+
+@pytest.mark.parametrize(
+    "mixture",
+    [
+        Mixture((0.3, 0.3, 0.4 - 4e-13), (Uniform(-1.0, 0.0), TruncatedGaussian(0.0, 0.1, -0.2, 0.3),
+                                          Uniform(2.0, 2.0))),
+        Mixture((0.25, 0.75), (Mixture((0.5, 0.5), (Uniform(-0.15, -0.05), Uniform(0.05, 0.15))),
+                               TruncatedGaussian(0.0, 0.05, -0.1, 0.1))),
+        Mixture((1.0,), (TruncatedGaussian(1.0, 0.1, 0.9, 1.1),)),
+    ],
+    ids=["weights-sum-below-1", "nested", "one-part"],
+)
+def test_mixture_sample_has_the_bits_of_the_masked_composition(mixture):
+    """At u = 0, at every cumulative weight c_i and its float neighbours,
+    above the weight sum and on seeded uniforms."""
+    ends = np.cumsum(mixture.weights)
+    edges = np.append(0.0, ends)
+    u = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0), 1.0 - 1e-13],
+        np.nextafter(edges, -np.inf).clip(0.0), edges, np.nextafter(edges, np.inf),
+        np.random.default_rng(30).random(20_000),
+    ])
+    u = u[u < 1.0]  # the range of Generator.random
+    ours, ref = mixture.sample(u), masked_composition(mixture, u)
+    assert ours.view(np.int64).tolist() == ref.view(np.int64).tolist()
+    assert mixture.sample(np.empty(0)).shape == (0,)
+
+
 def _neighbours(points):
     points = np.asarray(points, dtype=float)
     return np.concatenate([points, np.nextafter(points, np.inf), np.nextafter(points, -np.inf)])
@@ -405,6 +447,15 @@ class TestSpecialBits:
                   np.nextafter(1.0, 0.0), 0.5]
         outside = [-0.0, -1e-300, 2.0, -np.inf, np.inf, np.nan, -np.nan]
         self.assert_same_bits("ndtri", np.concatenate([_neighbours(inside), outside]))
+
+    def test_ndtri_specials_in_2d(self):
+        # 0, 1, NaN, -0.0 and values outside [0, 1] amid central and tail
+        # elements, in two dimensions
+        self.assert_same_bits("ndtri", np.array([
+            [0.0, 0.3, 1.0, np.nan, 1e-20, -0.0],
+            [2.0, 1.0 - 1e-10, -1e-300, np.inf, 0.5, -np.nan],
+            [np.nextafter(1.0, 2.0), 0.9, -np.inf, 1e-3, 1.0, 0.0],
+        ]))
 
     @pytest.mark.parametrize("name", ["erf", "ndtri"])
     @pytest.mark.parametrize(
