@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("run", "full pipeline: abstract, verify, improve, simulate"),
         ("abstract", "build the IMC abstraction and export it"),
         ("verify", "robust value iteration over an existing abstraction"),
-        ("improve", "clustering passes over existing verification results"),
+        ("improve", "the cluster pass over existing verification results"),
         ("simulate", "Monte Carlo validation of existing results"),
     ]:
         p = sub.add_parser(name, help=help_text)

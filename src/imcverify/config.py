@@ -281,7 +281,9 @@ def load_config(path) -> RunConfig:
 
     cluster_raw = raw.get("cluster", {})
     _known_keys(cluster_raw, ("passes",), "cluster")
-    passes = _integer(cluster_raw.get("passes", RunConfig.cluster_passes), "cluster.passes", 0)
+    passes = cluster_raw.get("passes", RunConfig.cluster_passes)
+    if not _is_int(passes) or passes not in (0, 1):  # a second pass over a fixpoint changes nothing
+        _fail("cluster.passes", f"must be 0 or 1, got {passes!r}")
 
     mc_raw = raw.get("monte_carlo", {})
     _known_keys(mc_raw, tuple(f.name for f in fields(MonteCarloConfig)), "monte_carlo")

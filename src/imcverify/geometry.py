@@ -77,9 +77,12 @@ class StatePartition:
         m = len(points)  # one buffer g per call: the guess, then the edges that check it
         index, g, k = np.zeros(m, dtype=np.intp), np.empty(m), np.empty(m, dtype=np.intp)
         for e, r, c in zip(self.edges, self.resolution, points.T):
-            np.clip(c, e[0], e[-1], out=g)
-            np.multiply(np.subtract(g, e[0], out=g), r / (e[-1] - e[0]), out=g)
-            np.copyto(k, np.fmin(np.floor(g, out=g), r - 1, out=g), casting="unsafe")  # NaN: r - 1
+            # a span beyond the largest float overflows here; the edge check catches the guesses
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.clip(c, e[0], e[-1], out=g)
+                np.multiply(np.subtract(g, e[0], out=g), r / (e[-1] - e[0]), out=g)
+                # a NaN guess becomes r - 1
+                np.copyto(k, np.fmin(np.floor(g, out=g), r - 1, out=g), casting="unsafe")
             hit = e.take(k, out=g, mode="clip") <= c  # false on NaN
             miss = np.flatnonzero(~hit | (e[1:].take(k, out=g, mode="clip") <= c))
             k[miss] = np.searchsorted(e[1:-1], c[miss], side="right")

@@ -175,29 +175,14 @@ def load_results(ctx: RunContext, improved: bool = False) -> VerificationResult:
 
 def phase_improve(
     ctx: RunContext, imc: Imc, result: VerificationResult
-) -> tuple[VerificationResult, list[int]]:
-    """Clustering passes, all on one computation of the posteriors; returns
-    the improved result and the number of states whose interval changed in
-    each pass."""
-    posts = ctx.posteriors()
-    per_pass: list[int] = []
-    current = result
-    for _ in range(ctx.config.cluster_passes):
-        improved = cluster_improve(imc, posts, current, ctx.spec)
-        changed = int(
-            np.count_nonzero(
-                (improved.p_lower != current.p_lower)
-                | (improved.p_upper != current.p_upper)
-            )
-        )
-        per_pass.append(changed)
-        current = improved
-        if changed == 0:
-            break
-    if ctx.config.cluster_passes > 0:
-        _drop_exports_after(ctx, IMPROVED_FILE)
-        write_results(current, ctx.partition, ctx.config.output_dir / IMPROVED_FILE)
-    return current, per_pass
+) -> tuple[VerificationResult, int]:
+    """The cluster pass; returns the improved result and the number of
+    states whose interval changed."""
+    improved = cluster_improve(imc, ctx.posteriors(), result, ctx.spec)
+    changed = (improved.p_lower != result.p_lower) | (improved.p_upper != result.p_upper)
+    _drop_exports_after(ctx, IMPROVED_FILE)
+    write_results(improved, ctx.partition, ctx.config.output_dir / IMPROVED_FILE)
+    return improved, int(np.count_nonzero(changed))
 
 
 def _selected_cells(ctx: RunContext) -> list[int]:
@@ -319,11 +304,8 @@ def run_pipeline(
         if result is None:
             result = load_results(ctx)
         t0 = time.perf_counter()
-        result, per_pass = phase_improve(ctx, imc, result)
-        _record_phase(
-            summary, "improve", t0, f"states changed per pass {per_pass}",
-            {"passes": [{"pass": i + 1, "improved": c} for i, c in enumerate(per_pass)]},
-        )
+        result, improved = phase_improve(ctx, imc, result)
+        _record_phase(summary, "improve", t0, f"{improved} states improved", {"improved": improved})
 
     if "simulate" in phases and config.monte_carlo.enabled:
         if result is None:

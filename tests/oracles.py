@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial, floor
 
 import numpy as np
 
@@ -160,6 +160,24 @@ def chain_reach_probability(rows, goal: set[int], avoid: set[int]) -> np.ndarray
     for s, j in idx.items():
         out[s] = p_t[j]
     return out
+
+
+def drift_reach_probability(x: float, goal: float, lo: float, hi: float, horizon: int) -> Fraction:
+    """Exact chance that the 1-D walk x' = x + w, w ~ U[lo, hi] with 0 < lo
+    and hi - lo below the goal's width, reaches a goal [goal, ...] within
+    ``horizon`` steps from x. Every step rises and none can jump the goal,
+    so it reaches the goal iff x + S_H >= goal, where S_H = H lo + (hi - lo)
+    IrwinHall(H); the floats are read as the fractions they are, and the
+    Irwin-Hall CDF is its exact alternating sum (Irwin, Biometrika 19, 1927).
+    The probability rises with x, so over a closed cell it is least at the
+    lower edge and largest at the upper one."""
+    t = (Fraction(goal) - Fraction(x) - horizon * Fraction(lo)) / (Fraction(hi) - Fraction(lo))
+    if t <= 0:
+        return Fraction(1)
+    if t >= horizon:
+        return Fraction(0)
+    below = sum((-1) ** k * comb(horizon, k) * (t - k) ** horizon for k in range(floor(t) + 1))
+    return 1 - below / factorial(horizon)
 
 
 def empirical_kernel(model, noise: NoiseModel, x, target, n: int, seed: int):

@@ -1,6 +1,5 @@
-import math
 import re
-from itertools import count, product
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 import imcverify.cluster as cluster_module
 import imcverify.imc as imc_module
 from imcverify.cluster import _largest_block, cluster_improve, cluster_proposals
+from imcverify.config import load_config
 from imcverify.dynamics import parse_dynamics
 from imcverify.geometry import partition_domain
 from imcverify.imc import (
@@ -20,6 +20,7 @@ from imcverify.imc import (
     pair_bounds,
 )
 from imcverify.noise import Mixture, NoiseModel, Uniform
+from imcverify.pipeline import IMPROVED_FILE, RESULTS_FILE, run_pipeline
 from imcverify.verify import (
     ReachAvoidSpec,
     VerificationResult,
@@ -27,7 +28,7 @@ from imcverify.verify import (
     robust_value_iteration,
 )
 from boxes import box
-from csr_rows import extremes
+from oracles import drift_reach_probability
 
 
 def shifted_identity_setup():
@@ -87,12 +88,14 @@ class TestSelectCluster:
         noise = NoiseModel((Uniform(-1.0 - 1e-12, 1.0 + 1e-12),))
         posts = cell_posteriors(part, model, noise)
         imc = build_imc(posts, assign_labels(part, {"goal": box([[[5, 6]]])}))
-        # from cell [0,1]: hull ~ [1 - 1e-12, 4 + 1e-12], tiled by cells 1..3 up to 1e-9
+        # from cell [0,1]: hull ~ [1 - 1e-12, 4 + 1e-12], tiled by cells 1..3 up to
+        # 1e-9; the hull's slivers outside them lie in cells 0 and 4, so the
+        # cluster is the box of its members
         hull = np.stack([posts.hull_lo[0], posts.hull_hi[0]], -1).tolist()
         assert hull != [[1, 4]] and hull[0][0] <= 1 and 4 <= hull[0][1]
         prop = select_cluster(0, imc, posts)
         assert prop.members == (1, 2, 3)
-        assert prop.box == hull
+        assert prop.box == [[1, 4]]
 
     def test_hull_exiting_domain_falls_back_to_block(self):
         part, model, noise, posts, imc = shifted_identity_setup()
@@ -139,27 +142,17 @@ def largest_block_reference(partition, eligible):
 
 def select_cluster_reference(source, imc, posts):
     """Per-source reference selection, with ``members`` and ``box``: the
-    eligible successors inside the hull; the hull itself when it lies in
-    the domain and they tile it, else ``largest_block_reference``."""
+    ``largest_block_reference`` of the eligible successors inside the hull."""
     partition = imc.partition
     hull_lo, hull_hi = posts.hull_lo[source].tolist(), posts.hull_hi[source].tolist()
     row = slice(imc.indptr[source], imc.indptr[source + 1])
     successors = imc.dst[row][(imc.dst[row] != imc.unsafe_index) & (imc.upper[row] > 0.0)]
     multi = np.unravel_index(successors, partition.resolution)
     in_hull = np.ones(len(successors), dtype=bool)
-    volume = np.ones(len(successors))
     for d, m in enumerate(multi):
         edges = np.asarray(partition.edges[d])
         in_hull &= (hull_lo[d] <= edges[m]) & (edges[m + 1] <= hull_hi[d])
-        volume *= edges[m + 1] - edges[m]
-    inside = successors[in_hull]
-    hull = [[a, b] for a, b in zip(hull_lo, hull_hi)]
-    hull_volume = math.prod(b - a for a, b in hull)
-    in_domain = all(e[0] <= a and b <= e[-1] for e, (a, b) in zip(partition.edges, hull))
-    if len(inside) >= 2 and in_domain:
-        if abs(sum(volume[in_hull].tolist()) - hull_volume) <= 1e-9 * max(1.0, hull_volume):
-            return SimpleNamespace(members=tuple(sorted(inside.tolist())), box=hull)
-    members = largest_block_reference(partition, inside)
+    members = largest_block_reference(partition, successors[in_hull])
     if members is None:
         return None
     multi = np.unravel_index(members, partition.resolution)
@@ -198,20 +191,23 @@ class TestClusterImprove:
         assert np.all(out.p_upper <= res.p_upper)
         assert np.any(out.p_lower > res.p_lower)
         # cell [0,1] clusters cells 1..3 (all planted at 0.8) with
-        # containment mass Pr(w in [-1, 1]) = 0.8
-        assert out.p_lower[0] == pytest.approx(0.8 * 0.8)
+        # containment mass Pr(w in [-1, 1]) = 0.8: 0.64 after one round;
+        # its own cell then keeps a share of it each round, up to 0.64 / 0.9
+        ref_lo, ref_hi, rounds, _ = jacobi_fixpoint(imc, model, noise, res)
+        assert np.array_equal(out.p_lower, ref_lo) and np.array_equal(out.p_upper, ref_hi)
+        assert rounds > 2 and out.p_lower[0] == ref_lo[0] == pytest.approx(0.64 / 0.9)
 
     def test_noop_pass_is_identity(self):
         part, model, noise, posts, imc = shifted_identity_setup()
-        res = robust_value_iteration(imc, ReachAvoidSpec())
-        once = cluster_improve(imc, posts, res, ReachAvoidSpec())
-        assert np.all(once.p_lower >= res.p_lower)
-        assert np.all(once.p_upper <= res.p_upper)
-        twice = cluster_improve(imc, posts, once, ReachAvoidSpec())
-        # fixed point: a pass with no accepted improvement is bit-identical
-        again = cluster_improve(imc, posts, twice, ReachAvoidSpec())
-        assert np.array_equal(again.p_lower, twice.p_lower)
-        assert np.array_equal(again.p_upper, twice.p_upper)
+        for spec in (ReachAvoidSpec(), ReachAvoidSpec(horizon=3)):
+            res = robust_value_iteration(imc, spec)
+            once = cluster_improve(imc, posts, res, spec)
+            assert np.all(once.p_lower >= res.p_lower)
+            assert np.all(once.p_upper <= res.p_upper)
+            # the pass ends at a fixpoint: a second pass returns its bits
+            again = cluster_improve(imc, posts, once, spec)
+            assert np.array_equal(again.p_lower, once.p_lower)
+            assert np.array_equal(again.p_upper, once.p_upper)
 
     def test_pass_without_proposals_is_identity(self):
         # every cell has one successor besides the unsafe state
@@ -261,48 +257,73 @@ class TestClusterImprove:
             assert out.p_upper[idx] >= ci[0] - 1e-12
 
 
-def one_row_at_a_time(imc, model, noise, result):
-    """Reference pass: each clustered row on its own, in descending p_lower
-    order, through the adversary kernel on that one row. The cluster takes the place of
-    its first member, valued at the weakest member value. Returns the bounds
-    and the number of rows that read a state improved earlier in the pass."""
+def greedy_walk(row, value, sign):
+    """The adversary on one row of (state, lower, upper), in pure Python:
+    every successor gets its lower bound, then in ascending (sign * value,
+    state) each takes its slack while mass remains; sum(gamma * value)."""
+    total = 0.0
+    for _, low, _ in row:
+        total += low
+    remaining, expectation = 1.0 - total, 0.0
+    for state, low, up in sorted(row, key=lambda r: (sign * value[r[0]], r[0])):
+        add = min(max(remaining, 0.0), up - low)
+        remaining -= add
+        expectation += (low + add) * value[state]
+    return expectation
+
+
+def jacobi_fixpoint(imc, model, noise, result, horizon=None):
+    """Reference fixpoint: each round walks every clustered row on its own
+    (``greedy_walk``), all on the values the round began with, until a
+    round changes no state that a row reads (a further round would change
+    nothing). The cluster takes the place of its first member, valued at
+    the weakest member value; at a finite ``horizon`` only the upper bound
+    moves. Returns the bounds, the number of rounds and the number of row
+    walks after the first round that read a state the round before
+    changed."""
     posts = cell_posteriors(imc.partition, model, noise)
-    p_lo, p_hi = result.p_lower.copy(), result.p_upper.copy()
+    p_lo, p_hi = result.p_lower.tolist(), result.p_upper.tolist()
     names = [name for name in (GOAL_LABEL, *AVOID_LABELS) if name in imc.labels]
     pinned = np.logical_or.reduce([imc.labels[name] for name in names])
-    improved, chained = set(), 0
-    for q in sorted(range(imc.partition.n_cells), key=lambda i: (-p_lo[i], i)):
-        if pinned[q]:
-            continue
-        prop = select_cluster_reference(q, imc, posts)
+    rows = {}
+    for q in range(imc.partition.n_cells):
+        prop = None if pinned[q] else select_cluster_reference(q, imc, posts)
         if prop is None:
             continue
-        members = list(prop.members)
         lo, hi = (a[None] for a in box(prop.box))
         (c_lo,), (c_hi,) = pair_bounds(posts, np.array([q]), lo, hi)
         entries = slice(imc.indptr[q], imc.indptr[q + 1])
         dst = imc.dst[entries].tolist()
         full = zip(dst, imc.lower[entries].tolist(), imc.upper[entries].tolist())
         row = [entry for entry in full if entry[0] not in prop.members]
-        row.append((members[0], float(c_lo), float(c_hi)))
-        v_lo, v_hi = p_lo.copy(), p_hi.copy()
-        v_lo[members[0]], v_hi[members[0]] = p_lo[members].min(), p_hi[members].max()
-        chained += bool(improved & set(dst))
-        new_lo = extremes(v_lo, row)[0]
-        new_hi = extremes(v_hi, row)[1]
-        if new_lo > p_lo[q]:
-            p_lo[q] = min(new_lo, p_hi[q])
-        if new_hi < p_hi[q]:
-            p_hi[q] = max(new_hi, p_lo[q])
-        if (p_lo[q], p_hi[q]) != (result.p_lower[q], result.p_upper[q]):
-            improved.add(q)
-    return p_lo, p_hi, chained
+        row.append((prop.members[0], float(c_lo), float(c_hi)))
+        rows[q] = list(prop.members), row, set(dst)
+    rounds, rereads, changed = 0, 0, set()
+    while True:
+        rounds += 1
+        v_lo, v_hi, now = p_lo.copy(), p_hi.copy(), set()
+        for q, (members, row, reads) in rows.items():
+            rereads += bool(reads & changed)
+            w_lo, w_hi = v_lo.copy(), v_hi.copy()
+            w_lo[members[0]] = min(v_lo[m] for m in members)
+            w_hi[members[0]] = max(v_hi[m] for m in members)
+            new_lo = greedy_walk(row, w_lo, 1.0) if horizon is None else v_lo[q]
+            new_hi = greedy_walk(row, w_hi, -1.0)
+            if new_lo > v_lo[q]:
+                p_lo[q] = min(new_lo, v_hi[q])
+            if new_hi < v_hi[q]:
+                p_hi[q] = max(new_hi, p_lo[q])
+            if (p_lo[q], p_hi[q]) != (v_lo[q], v_hi[q]):
+                now.add(q)
+        if not any(reads & now for _, _, reads in rows.values()):
+            return np.array(p_lo), np.array(p_hi), rounds, rereads
+        changed = now
 
 
 def test_pass_matches_one_row_at_a_time(monkeypatch):
-    """Clustered rows that read states improved earlier in the same pass
-    get the bits of a pass that walks one row at a time, whatever the
-    slot budget of a block."""
+    """Clustered rows that read states a round before improved get the bits
+    of a fixpoint that walks one row at a time, whatever the slot budget of
+    a block."""
     part = partition_domain(*box([[0, 7], [0, 7]]), (7, 7))
     model = parse_dynamics(["x1 + 1 + w1", "x2 + 1 + w2"], 2, "additive")
     noise = NoiseModel((Uniform(-1.25, 1.25), Uniform(-1.25, 1.25)))
@@ -315,8 +336,8 @@ def test_pass_matches_one_row_at_a_time(monkeypatch):
     p_lower[goal] = p_upper[goal] = 1.0
     p_lower[imc.unsafe_index] = p_upper[imc.unsafe_index] = 0.0
     res = planted_result(p_lower, p_upper)
-    ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res)
-    assert chained > 10
+    ref_lo, ref_hi, _, rereads = jacobi_fixpoint(imc, model, noise, res)
+    assert rereads > 10
     for budget in (imc_module._BLOCK_SLOTS, 7, 1):
         monkeypatch.setattr(imc_module, "_BLOCK_SLOTS", budget)
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
@@ -324,23 +345,10 @@ def test_pass_matches_one_row_at_a_time(monkeypatch):
         assert np.array_equal(out.p_upper, ref_hi)
 
 
-def read_before_write(imc, sources, p_lower, changed):
-    """The rows of a pass over ``sources`` that read a state a later row of
-    the pass changes."""
-    in_pass = sorted(sources.tolist(), key=lambda q: (-p_lower[q], q))
-    position = dict(zip(in_pass, count()))
-    targets = np.split(imc.dst, imc.indptr[1:-1])
-    return sum(
-        any(position.get(r, -1) > k and changed[r] for r in targets[q])
-        for q, k in position.items()
-    )
-
-
 def test_rounds_keep_reads_before_and_after_writes(caplog):
-    """A pass in which earlier rows read states that later rows improve
-    (write after read) and rows read states improved earlier (read after
-    write) runs in fewer rounds than rows and keeps the bits of the one-row
-    walk."""
+    """A pass in which rows read states that other rows improve runs in the
+    rounds of the one-row fixpoint, fewer than rows, walks only the rows
+    whose reads changed after the first, and keeps its bits."""
     part = partition_domain(*box([[0, 8], [0, 8]]), (8, 8))
     model = parse_dynamics(["x1 + 1 + w1", "x2 - 1 + w2"], 2, "additive")
     noise = NoiseModel((Uniform(-1.5, 1.5), Uniform(-1.5, 1.5)))
@@ -354,19 +362,18 @@ def test_rounds_keep_reads_before_and_after_writes(caplog):
     res = planted_result(p_lower, p_upper)
     with caplog.at_level("DEBUG", logger="imcverify"):
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
-    ref_lo, ref_hi, chained = one_row_at_a_time(imc, model, noise, res)
+    ref_lo, ref_hi, ref_rounds, rereads = jacobi_fixpoint(imc, model, noise, res)
     assert np.array_equal(out.p_lower, ref_lo)
     assert np.array_equal(out.p_upper, ref_hi)
 
     allowed = np.ones(imc.n_states, dtype=bool)
     allowed[pinned] = False
     sources = cluster_proposals(imc, posts, allowed)[0]
-    changed = (out.p_lower != res.p_lower) | (out.p_upper != res.p_upper)
-    assert chained > 5 and read_before_write(imc, sources, p_lower, changed) >= 3
     counts = re.search(r"(\d+) proposals, .* (\d+) rounds, (\d+) row walks", caplog.text).groups()
     proposals, rounds, walks = map(int, counts)
-    assert 2 <= rounds < proposals == len(sources)
-    assert proposals < walks < rounds * proposals
+    assert rereads > 5
+    assert 2 <= rounds == ref_rounds < proposals == len(sources)
+    assert walks == proposals + rereads < rounds * proposals
 
 
 def random_system(rng, structure):
@@ -392,13 +399,14 @@ def random_system(rng, structure):
 
 
 @pytest.mark.parametrize("structure", ["additive", "multiplicative"])
-def test_pass_matches_one_row_at_a_time_on_random_systems(structure):
+def test_pass_matches_one_row_at_a_time_on_random_systems(structure, caplog):
     """Random systems with planted results: rows that read their own state
-    (self loops), states a later row changes (write after read) and states
-    an earlier row changed (read after write) get the bits of a pass that
-    walks one row at a time."""
+    (self loops) and states that other rows change get the bits and the
+    rounds of a fixpoint that walks one row at a time, unbounded and at a
+    finite horizon, where p_lower keeps the input's bits; a second pass
+    over the output changes no bit."""
     rng = np.random.default_rng(11 if structure == "additive" else 12)
-    self_loops = chained = before_write = 0
+    self_loops = chained = 0
     for _ in range(8):
         model, noise, posts, imc = random_system(rng, structure)
         pinned = np.logical_or(imc.labels[GOAL_LABEL], imc.labels["unsafe"])
@@ -406,23 +414,31 @@ def test_pass_matches_one_row_at_a_time_on_random_systems(structure):
         p_upper = np.minimum(1.0, p_lower + rng.uniform(0.0, 0.5, imc.n_states))
         p_lower[pinned] = p_upper[pinned] = imc.labels[GOAL_LABEL][pinned]
         res = planted_result(p_lower, p_upper)
-        out = cluster_improve(imc, posts, res, ReachAvoidSpec())
-        ref_lo, ref_hi, rows_chained = one_row_at_a_time(imc, model, noise, res)
-        assert np.array_equal(out.p_lower, ref_lo)
-        assert np.array_equal(out.p_upper, ref_hi)
+        for horizon in (None, 5):
+            spec = ReachAvoidSpec(horizon=horizon)
+            with caplog.at_level("DEBUG", logger="imcverify"):
+                out = cluster_improve(imc, posts, res, spec)
+            message = caplog.records[-1].getMessage()
+            again = cluster_improve(imc, posts, out, spec)
+            ref_lo, ref_hi, ref_rounds, rereads = jacobi_fixpoint(imc, model, noise, res, horizon)
+            assert np.array_equal(out.p_lower, ref_lo)
+            assert np.array_equal(out.p_upper, ref_hi)
+            assert f" {ref_rounds} rounds, " in message
+            assert np.array_equal(again.p_lower, out.p_lower)
+            assert np.array_equal(again.p_upper, out.p_upper)
+            if horizon is not None:
+                assert np.array_equal(out.p_lower, res.p_lower)
+            chained += rereads
 
         sources = cluster_proposals(imc, posts, ~pinned)[0]
-        changed = (out.p_lower != res.p_lower) | (out.p_upper != res.p_upper)
         self_loops += sum(q in imc.dst[imc.indptr[q]:imc.indptr[q + 1]] for q in sources.tolist())
-        chained += rows_chained
-        before_write += read_before_write(imc, sources, p_lower, changed)
-    assert self_loops > 50 and chained > 20 and before_write > 20
+    assert self_loops > 50 and chained > 20
 
 
 def test_holes_fallback_through_the_pass(caplog, monkeypatch):
     """A bimodal noise whose gap holds the source's own cell (cell width
     plus posterior width 2/24 < 0.1): eligible sets have holes, the pass
-    picks the reference blocks and keeps the bits of the one-row walk,
+    picks the reference blocks and keeps the bits of the one-row fixpoint,
     whatever the number of rows per block of proposals."""
     part = partition_domain(*box([[0, 1], [0, 1]]), (24, 3))
     model = parse_dynamics(["x1 + w1", "x2 + w2"], 2, "additive")
@@ -453,7 +469,55 @@ def test_holes_fallback_through_the_pass(caplog, monkeypatch):
     with caplog.at_level("DEBUG", logger="imcverify"):
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
     assert f"{holes} reached the holes fallback" in caplog.text
-    ref_lo, ref_hi, _ = one_row_at_a_time(imc, model, noise, res)
+    ref_lo, ref_hi, _, _ = jacobi_fixpoint(imc, model, noise, res)
     assert np.any(out.p_lower != res.p_lower)
     assert np.array_equal(out.p_lower, ref_lo)
     assert np.array_equal(out.p_upper, ref_hi)
+
+
+DRIFT_1D = """\
+domain: [[0.0, 1.0]]
+grid: [20]
+dynamics:
+  expressions: ["x1 + w1"]
+  structure: additive
+noise:
+  components:
+    - {{type: uniform, lo: 0.05, hi: 0.15}}
+labels:
+  goal: [[[0.8, 1.0]]]
+spec:
+  horizon: {horizon}
+  threshold: 0.9
+cluster:
+  passes: 1
+monte_carlo:
+  enabled: false
+output_dir: out
+"""
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 5, 10])
+def test_finite_horizon_bounds_hold_against_the_exact_drift_oracle(tmp_path, horizon):
+    """A rising 1-D walk whose H-step reach probability is exact
+    (``drift_reach_probability``): in results.csv and results_improved.csv
+    every cell's p_lower is at most the probability at its lower edge and
+    its p_upper at least the one at its upper edge, within 1e-12, as the
+    transition bounds round to nearest. A one-step lower bound from H-step
+    values bounds the (H+1)-step probability, not the H-step one, so the
+    pass must not raise p_lower at a finite horizon (it did by up to 0.75)."""
+    path = tmp_path / "drift.yaml"
+    path.write_text(DRIFT_1D.format(horizon=horizon))
+    cfg = load_config(path)
+    run_pipeline(cfg, phases=("abstract", "verify", "improve"))
+    unsound = []
+    for name in (RESULTS_FILE, IMPROVED_FILE):
+        lines = (cfg.output_dir / name).read_text().splitlines()[1:-1]  # the cells, not unsafe
+        assert len(lines) == 20
+        for line in lines:
+            state, lo, hi, p_lower, p_upper, _ = line.split(",")
+            least = float(drift_reach_probability(float(lo), 0.8, 0.05, 0.15, horizon))
+            most = float(drift_reach_probability(float(hi), 0.8, 0.05, 0.15, horizon))
+            if not (float(p_lower) <= least + 1e-12 and most - 1e-12 <= float(p_upper)):
+                unsound.append((name, int(state), float(p_lower), least, float(p_upper), most))
+    assert unsound == []

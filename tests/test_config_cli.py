@@ -394,6 +394,7 @@ monte_carlo: {{enabled: false}}
              "spec.convergence_tolerance"),
             ("  threshold: 0.9", "  threshold: 0.9\n  convergence_tolerance: .nan",
              "spec.convergence_tolerance"),
+            ("  passes: 0", "  passes: 2", "cluster.passes"),
         ],
     )
     def test_invalid_value_rejected(self, tmp_path, caplog, old, new, field):
@@ -401,7 +402,8 @@ monte_carlo: {{enabled: false}}
         # is a point mass, which the noise partitions (over (lo, hi]) drop;
         # NaN noise parameters would turn into NaN bounds; nothing reads a
         # noise grid of an additive system; an infinite tolerance stops
-        # verify after one sweep, a NaN one never stops it
+        # verify after one sweep, a NaN one never stops it; a second cluster
+        # pass over the first's fixpoint would change nothing
         path = tmp_path / "bad.yaml"
         text = TOY_1D.format(passes=0, mc="true", outdir="out")
         assert old in text
@@ -494,7 +496,7 @@ class TestPipeline:
         assert f"states {unsound}" in warning.getMessage()
 
     def test_each_phase_logs_its_seconds_and_count(self, tmp_path, caplog):
-        cfg = load_config(write_toy(tmp_path, passes=2))
+        cfg = load_config(write_toy(tmp_path, passes=1))
         with caplog.at_level(logging.INFO, logger="imcverify"):
             summary = run_pipeline(cfg)
         phases = summary["phases"]
@@ -509,8 +511,8 @@ class TestPipeline:
             f"verify: {verify['seconds']:.3f} s, {verify['iterations']} sweeps, bitwise "
             f"fixpoint from sweep {fixpoints['lower']} (lower), {fixpoints['upper']} (upper), "
             f"peak RSS {verify['peak_rss_mb']:.1f} MB",
-            f"improve: {improve['seconds']:.3f} s, states changed per pass "
-            f"{[p['improved'] for p in improve['passes']]}, peak RSS {improve['peak_rss_mb']:.1f} MB",
+            f"improve: {improve['seconds']:.3f} s, {improve['improved']} states improved, "
+            f"peak RSS {improve['peak_rss_mb']:.1f} MB",
             f"simulate: {simulate['seconds']:.3f} s, {len(simulate['validation'])} cells x "
             f"{cfg.monte_carlo.trajectories} trajectories, peak RSS {simulate['peak_rss_mb']:.1f} MB",
         ]
@@ -560,11 +562,16 @@ class TestPipeline:
         assert sum(computed) == 25752 + 2 * 40**2
 
     def test_cluster_pass_counts_reported(self, tmp_path):
-        cfg = load_config(write_toy(tmp_path, passes=2))
-        summary = run_pipeline(cfg)
-        passes = summary["phases"]["improve"]["passes"]
-        assert 1 <= len(passes) <= 2
-        assert all("improved" in p for p in passes)
+        path = tmp_path / "paper.yaml"
+        path.write_text(PAPER_2D + "cluster:\n  passes: 1\n")
+        cfg = load_config(path)
+        summary = run_pipeline(cfg, phases=("abstract", "verify", "improve"))
+        improved = summary["phases"]["improve"]["improved"]
+        results, improved_results = (
+            [line.split(",")[-3:-1] for line in (cfg.output_dir / name).read_text().splitlines()]
+            for name in (RESULTS_FILE, IMPROVED_FILE)
+        )
+        assert 0 < improved == sum(a != b for a, b in zip(results, improved_results))
 
     def test_improve_computes_the_posteriors_once(self, tmp_path, monkeypatch):
         from imcverify import pipeline
@@ -576,12 +583,12 @@ class TestPipeline:
             return cell_posteriors(*args, **kwargs)
 
         path = tmp_path / "paper.yaml"
-        path.write_text(PAPER_2D + "cluster:\n  passes: 3\n")
+        path.write_text(PAPER_2D + "cluster:\n  passes: 1\n")
         cfg = load_config(path)
         run_pipeline(cfg, phases=("abstract", "verify"))
         monkeypatch.setattr(pipeline, "cell_posteriors", counted)
         summary = run_pipeline(cfg, phases=("improve",))
-        assert len(summary["phases"]["improve"]["passes"]) >= 2
+        assert summary["phases"]["improve"]["improved"] > 0
         assert len(calls) == 1
 
     def test_phase_isolation(self, tmp_path):

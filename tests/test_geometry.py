@@ -1,3 +1,5 @@
+import bisect
+import warnings
 from itertools import product
 
 import numpy as np
@@ -203,3 +205,22 @@ def test_owner_falls_back_to_a_binary_search_where_the_guess_misses(monkeypatch)
     monkeypatch.setattr(np, "searchsorted", counting)
     assert part.owner(points).tolist() == expected
     assert 0 < sum(searched) < 2 * len(points)
+
+
+def test_owner_on_a_span_beyond_the_largest_float():
+    """Edges whose span exceeds the largest float overflow the guess from
+    even spacing: no warning escapes, and every point gets the cell of a
+    bisect over the inner edges (outside, infinite or NaN: unsafe)."""
+    part = StatePartition((2,), ([-1e308, 0.0, 1e308],))
+    edges = part.edges[0].tolist()
+    points = [-1e308, -1.0, 0.0, 1.0, 1e308, np.nan, np.inf, -np.inf]
+
+    def bisect_owner(c):
+        if not edges[0] <= c <= edges[-1]:
+            return part.unsafe_index
+        return bisect.bisect_right(edges, c, 1, len(edges) - 1) - 1
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = part.owner(np.array(points)[:, None]).tolist()
+    assert found == [bisect_owner(c) for c in points] == [0, 0, 1, 1, 1, 2, 2, 2]
