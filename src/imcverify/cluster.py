@@ -114,8 +114,8 @@ def _clustered_rows(imc: Imc, sources: np.ndarray, members: np.ndarray, cl_low, 
     its members, reading slots of the pass's value vector: state s at s and
     the cluster of row j at n + j. Returns the layout, the states each row
     reads (its members included) and the start of each row's, the members
-    and the start of each row's, and every slot's tie key (a cluster's is
-    its first member's)."""
+    and the start of each row's, and the slots in tie order: by state, a
+    cluster at its first member's, stably (``_rank``'s ``ties``)."""
     n, count = imc.n_states, len(sources)
     length = np.diff(imc.indptr)[sources]
     start = np.cumsum(length) - length
@@ -124,7 +124,7 @@ def _clustered_rows(imc: Imc, sources: np.ndarray, members: np.ndarray, cl_low, 
     read, member = imc.dst[entry], members[entry]
     member_start = np.searchsorted(row[member], np.arange(count))  # every cluster has two or more
     member_state = read[member]
-    keys = np.concatenate([np.arange(n), member_state[member_start]])
+    ties = np.argsort(np.concatenate([np.arange(n), member_state[member_start]]), kind="stable")
     kept = ~member
     counts, entry = np.bincount(row[kept], minlength=count), entry[kept]
     del row, member, kept  # the rows and their layout set the pass's peak
@@ -134,7 +134,7 @@ def _clustered_rows(imc: Imc, sources: np.ndarray, members: np.ndarray, cl_low, 
     del entry
     # the clustered rows must stay feasible; a violation is a bug
     layout = RowLayout(indptr, dst, lower, upper, SoundnessError, sources)
-    return layout, read, start, member_state, member_start, keys
+    return layout, read, start, member_state, member_start, ties
 
 
 def cluster_improve(
@@ -166,7 +166,7 @@ def cluster_improve(
     sources, box_lo, box_hi, members, holes = cluster_proposals(imc, posts, ~pinned)
     count = len(sources)
     cl_low, cl_up = pair_bounds(posts, sources, box_lo, box_hi)
-    layout, read, start, member_state, member_start, keys = _clustered_rows(
+    layout, read, start, member_state, member_start, ties = _clustered_rows(
         imc, sources, members, cl_low, cl_up)
 
     # the value vectors [states | clusters], per bound
@@ -181,7 +181,7 @@ def cluster_improve(
         # mode "clip" (the states are in range): "raise" would buffer a copy of ``out``
         values.take(member_state, out=member_value, mode="clip")
         weakest.reduceat(member_value, member_start, out=values[n:])
-        return part.walk(_rank(values, sign, keys), values)
+        return part.walk(_rank(values, sign, ties), values)
 
     while True:
         rounds, walks = rounds + 1, walks + len(part.remaining)

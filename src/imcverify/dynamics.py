@@ -306,6 +306,12 @@ class DynamicsModel:
     components: tuple[Expr, ...]
     g_components: Optional[tuple[Expr, ...]]
 
+    @property
+    def noise_separable(self) -> bool:
+        """Whether component d reads no noise but w_d, so that the kernel
+        factorises over the dimensions."""
+        return all(_vars(c, "w") <= {d + 1} for d, c in enumerate(self.components))
+
 
 def _extract_structured(
     expr: Expr, component: int, structure: str

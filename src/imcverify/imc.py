@@ -32,7 +32,10 @@ dimension and the target's interval along it. ``factor_bounds`` computes
 each once per cell and candidate interval, and ``build_imc`` multiplies
 the ones of each pair, and of the domain for the unsafe column, with the
 bits of ``pair_bounds``, which the cluster step calls for its boxes.
-General systems sum the cell masses of a uniform ``NoiseGrid`` per pair.
+General systems sum the cell masses of a uniform ``NoiseGrid`` per pair,
+but a noise-separable one (component d reads no noise but w_d) takes the
+factors too: along d, the masses of w_d's own noise cells under which the
+image lies in, or meets, the target interval.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ from .noise import (
     optimal_partition_multiplicative,
 )
 
+# the structure of the posteriors of a noise-separable general system
+SEPARABLE = "separable"
 UNSAFE_LABEL = "unsafe"
 # the labels a reach-avoid property reaches and avoids
 GOAL_LABEL = "goal"
@@ -192,11 +197,12 @@ class RowLayout:
             dst_block, low = _padded(dst, slot, pad), _padded(lower, slot, pad)
             self.blocks.append((rows, dst_block, low, _padded(upper, slot, pad) - low))
         # The walk's scratch: two int64 and two float arrays the size of the
-        # largest block, kept for every walk. Block-sized temporaries that
-        # each sweep freed and allocated again page-faulted anew: the 200
-        # sweeps of additive-h200-phased took 320-380 ms against 180-200 ms
+        # largest block, kept for every walk, and the slots' positions in it.
+        # Block-sized temporaries that each sweep freed and allocated again
+        # page-faulted anew: the 200 sweeps of additive-h200-phased took
+        # 320-380 ms against 180-200 ms
         size = max((x.size for _, x, _, _ in self.blocks), default=0)
-        self._scratch = np.empty((2, size), dtype=np.int64), np.empty((2, size))
+        self._scratch = np.empty((2, size), dtype=np.int64), np.empty((2, size)), np.arange(size)
 
     def part(self, mask: np.ndarray) -> "RowLayout":
         """The rows in the boolean ``mask`` alone, in their order: the masked
@@ -215,22 +221,21 @@ class RowLayout:
         ``rank`` of their targets (one distinct rank per state a row reads).
         Returns sum(gamma * values) per row."""
         expectation = np.zeros(len(self.remaining))
-        ints, floats = self._scratch
+        ints, floats, position = self._scratch
         for rows, dst, low, gap in self.blocks:
             width, size = dst.shape[1], dst.size
             key = ints[0, :size].reshape(dst.shape)
             at, x, walk = (a[:size].reshape(width, len(rows)) for a in (ints[1], *floats))
-            # Sort each row in place by (rank, slot), packed into one int64
-            # (four times as fast as np.argsort on 24-wide rows), then turn
-            # the slots into positions in the block, one row per column:
-            # row k of ``at`` holds each row's k-th step.
-            shift = (width - 1).bit_length()
+            # Sort each row in place by (rank, position in the block), packed
+            # into one int64 (four times as fast as np.argsort on 24-wide
+            # rows), then keep the positions, one row per column: row k of
+            # ``at`` holds each row's k-th step.
+            shift = (size - 1).bit_length()
             np.take(rank, dst, out=key, mode="clip")
             key <<= shift
-            key |= np.arange(width)
+            key |= position[:size].reshape(dst.shape)
             key.sort(axis=1)
             key &= (1 << shift) - 1
-            key += np.arange(0, size, width)[:, None]
             at[...] = key.T
             step_gap = np.take(gap, at, out=x, mode="clip")  # mode "raise" would buffer a copy
             # The walk gives each successor its slack while the remaining
@@ -238,7 +243,9 @@ class RowLayout:
             # slack covers it, then nothing: its mass above the lower bound
             # is the remaining mass before it (a sequential running
             # difference) clipped to [0, slack]. gamma * value is then
-            # summed in walk order from 0.0, as ``_row_sums`` adds.
+            # summed in walk order, as ``_row_sums`` adds: np.add.reduce
+            # adds row by row down a block of two or more columns, but
+            # pairwise down a single one.
             walk[0] = self.remaining[rows]
             np.negative(step_gap[:-1], out=walk[1:])
             _cumsum(walk)
@@ -246,7 +253,8 @@ class RowLayout:
             walk += np.take(low, at, out=x, mode="clip")  # x held step_gap, now used up
             target = np.take(dst, at, out=key.reshape(at.shape), mode="clip")  # key is used up
             walk *= np.take(values, target, out=x, mode="clip")
-            expectation[rows] = _cumsum(walk)[-1] + 0.0
+            total = np.add.reduce(walk, axis=0) if len(rows) > 1 else _cumsum(walk)[-1]
+            expectation[rows] = total + 0.0
         return expectation
 
 
@@ -273,10 +281,19 @@ def _clamped(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _factors(posts: "CellPosteriors", d: int, src, t_lo, t_hi) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-D factors along dimension d of a structured system from the cell
-    ``src[j]`` of ``posts`` toward [t_lo[j], t_hi[j]]: Pr(w_d in [eps3,
-    eps4]) for the lower bound (0 if empty) and Pr(w_d in [eps1, eps2]) for
-    the upper."""
+    """The 1-D factors along dimension d from the cell ``src[j]`` of
+    ``posts`` toward [t_lo[j], t_hi[j]]. Structured systems: Pr(w_d in
+    [eps3, eps4]) for the lower bound (0 if empty) and Pr(w_d in [eps1,
+    eps2]) for the upper. Separable ones: the masses of the noise cells k of
+    w_d under which the image along d lies in the target (lower) or meets
+    it (upper), added in noise-cell order."""
+    if posts.structure == SEPARABLE:
+        lower, upper = np.zeros(len(src)), np.zeros(len(src))
+        for k, p in enumerate(posts.weights[:, d].tolist()):
+            lo, hi = posts.lo[src, k, d], posts.hi[src, k, d]
+            upper[(lo <= t_hi) & (t_lo <= hi)] += p
+            lower[(t_lo <= lo) & (hi <= t_hi)] += p
+        return lower, upper
     cut_points = (
         optimal_partition_affine if posts.structure == ADDITIVE else optimal_partition_multiplicative
     )
@@ -300,11 +317,11 @@ def pair_bounds(
     ``src[j]`` of ``posts`` toward the box [t_lo[j], t_hi[j]] (shape
     (pairs, n)).
 
-    Structured systems: the product of each dimension's ``_factors``.
-    General systems: noise cell k adds its mass to the upper bound of every
-    pair whose posterior under k meets the target and to the lower bound of
-    every pair whose target contains it, in noise-cell order (np.sum would
-    round differently).
+    Structured and separable systems: the product of each dimension's
+    ``_factors``. Other general systems: noise cell k adds its mass to the
+    upper bound of every pair whose posterior under k meets the target and
+    to the lower bound of every pair whose target contains it, in
+    noise-cell order (np.sum would round differently).
     """
     if posts.structure == GENERAL:
         lower, upper = np.zeros(len(src)), np.zeros(len(src))
@@ -320,12 +337,13 @@ Factors = namedtuple("Factors", "off lower upper stay")
 
 
 def factor_bounds(posts: "CellPosteriors") -> list[Factors]:
-    """The 1-D factors of a structured system, once per (cell, dimension,
-    target interval), in blocks of at most ``_BLOCK_PAIRS``. Per dimension
-    d, cell i's band is the intervals ``first[i, d] + k`` along d for k <
-    ``last[i, d] - first[i, d]``, with the factors ``lower[off[i] + k]`` and
-    ``upper[off[i] + k]``; ``stay`` holds each cell's (lower, upper) pair
-    toward the domain along d, whose complement leaves the domain."""
+    """The 1-D factors of a structured or separable system, once per (cell,
+    dimension, target interval), in blocks of at most ``_BLOCK_PAIRS``. Per
+    dimension d, cell i's band is the intervals ``first[i, d] + k`` along d
+    for k < ``last[i, d] - first[i, d]``, with the factors ``lower[off[i] +
+    k]`` and ``upper[off[i] + k]``; ``stay`` holds each cell's (lower,
+    upper) pair toward the domain along d, whose complement leaves the
+    domain."""
     factors, cells = [], np.arange(len(posts.lo))
     for d, e in enumerate(posts.partition.edges):
         first = posts.first[:, d]
@@ -347,8 +365,10 @@ class CellPosteriors(NamedTuple):
     """Posteriors of every grid cell, read by ``pair_bounds``: ``lo``/``hi``
     are g(q), shape (cells, n), for structured systems and the image under
     each noise cell (of mass ``weights``), shape (cells, noise cells, n), for
-    general ones; ``hull_lo``/``hull_hi`` the posterior over the noise
-    support. ``first``/``last`` bound, per cell and dimension, the cells
+    general ones. A separable system's (structure ``SEPARABLE``) hold along
+    d the image under noise cell k of w_d at [:, k, d], of mass weights[k,
+    d] (``NoiseGrid.comp_mass``). ``hull_lo``/``hull_hi`` are the posterior
+    over the noise support. ``first``/``last`` bound, per cell and dimension, the cells
     within the hull expanded by one cell; every other target provably has
     upper bound 0 (none is left if some first >= last). ``partition`` is the
     grid the posteriors were computed on. ``pair_bounds`` reads only the
@@ -383,12 +403,17 @@ def cell_posteriors(
     if posterior_table is not None and model.structure == GENERAL:
         raise ValueError("posterior tables require an additive or multiplicative structure")
     x = partition.corners(np.arange(partition.n_cells))
-    support = noise.support()
-    if model.structure == GENERAL:
-        # every cell's image under every noise cell, shape (cells, noise cells, n)
+    support, structure = noise.support(), model.structure
+    if structure == GENERAL:
+        # every cell's image under every noise cell, shape (cells, noise cells, n),
+        # or under each component's own noise cells if the system is separable
         x_cells = (x[0][:, None, :], x[1][:, None, :])
-        lo, hi = enclosure(model.components, x_cells, (noise_cells.lo, noise_cells.hi))
-        weights = noise_cells.mass
+        if model.noise_separable:
+            structure, cells = SEPARABLE, (noise_cells.comp_lo, noise_cells.comp_hi)
+            weights = noise_cells.comp_mass
+        else:
+            cells, weights = (noise_cells.lo, noise_cells.hi), noise_cells.mass
+        lo, hi = enclosure(model.components, x_cells, cells)
         hull = enclosure(model.components, x, support)
     else:
         weights = None
@@ -406,7 +431,7 @@ def cell_posteriors(
         last.append(np.minimum(np.searchsorted(e, hull[1][:, d] + width, side="left"), r))
     first, last = np.stack(first, axis=-1), np.stack(last, axis=-1)
     last = np.maximum(first, last)
-    return CellPosteriors(lo, hi, model.structure, noise, weights, *hull, first, last, partition)
+    return CellPosteriors(lo, hi, structure, noise, weights, *hull, first, last, partition)
 
 
 # --- label handling -----------------------------------------------------------
@@ -485,10 +510,11 @@ def build_imc(posts: CellPosteriors, labels: Mapping[str, np.ndarray]) -> Imc:
     """Build the sound IMC abstraction over the grid of ``posts``, with the
     label masks ``labels`` (from ``assign_labels``), over every source's
     candidate block (the cells near its posterior hull, row-major) in blocks
-    of at most ``_BLOCK_PAIRS`` (2**14) pairs. A structured system gathers
-    each pair's factors from ``factor_bounds`` and the unsafe column from
-    their ``stay`` pairs; a general one calls ``pair_bounds`` per block and
-    once with the domain as every source's target for the unsafe column.
+    of at most ``_BLOCK_PAIRS`` (2**14) pairs. A structured or separable
+    system gathers each pair's factors from ``factor_bounds`` and the unsafe
+    column from their ``stay`` pairs; another general one calls
+    ``pair_bounds`` per block and once with the domain as every source's
+    target for the unsafe column.
     Either way each bound has the bits of ``pair_bounds`` for its pair.
 
     Pairs with upper bound 0 are omitted; the unsafe column is always

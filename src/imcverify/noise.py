@@ -203,11 +203,17 @@ def _point_mass(comp: NoiseComponent) -> bool:
 class NoiseGrid:
     """Cells of a uniform grid over the noise support: cell k is the box
     [lo[k], hi[k]] (shape (cells, n) each) of probability mass[k] (shape
-    (cells,)), listed row-major with the last component fastest."""
+    (cells,)), listed row-major with the last component fastest. Column d
+    of ``comp_lo``/``comp_hi``/``comp_mass`` (shape (most cells of a
+    component, n)) holds component d's own cells and their interval
+    probabilities, then its last cell again with mass 0."""
 
     lo: np.ndarray
     hi: np.ndarray
     mass: np.ndarray
+    comp_lo: np.ndarray
+    comp_hi: np.ndarray
+    comp_mass: np.ndarray
 
 
 # --- optimal structured partitions -------------------------------------------
@@ -251,6 +257,8 @@ def uniform_noise_grid(noise: NoiseModel, resolution: Sequence[int]) -> NoiseGri
     A cell's mass is the product of its components' interval probabilities
     in component order, from 1.0, clamped to [0, 1]; the masses sum to 1
     because per-component CDF differences telescope across the support.
+    The ``comp_*`` arrays keep the per-component cells and probabilities
+    that the tensor is formed from.
     """
     if len(resolution) != noise.n:
         raise ValueError(f"resolution length {len(resolution)} != noise dimension {noise.n}")
@@ -267,4 +275,8 @@ def uniform_noise_grid(noise: NoiseModel, resolution: Sequence[int]) -> NoiseGri
         mass = mass * p[i]
     lo = np.stack([e[i] for e, i in zip(edges, index)], axis=-1)
     hi = np.stack([e[i + 1] for e, i in zip(edges, index)], axis=-1)
-    return NoiseGrid(lo, hi, np.clip(mass, 0.0, 1.0))
+    k = np.arange(max(map(len, probs)))
+    own = [np.minimum(k, len(p) - 1) for p in probs]
+    comp_lo, comp_hi = (np.stack([e[i + s] for e, i in zip(edges, own)], axis=-1) for s in (0, 1))
+    comp_mass = np.stack([np.where(k < len(p), p[i], 0.0) for p, i in zip(probs, own)], axis=-1)
+    return NoiseGrid(lo, hi, np.clip(mass, 0.0, 1.0), comp_lo, comp_hi, comp_mass)

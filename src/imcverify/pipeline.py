@@ -79,8 +79,9 @@ class RunContext:
     def posteriors(self) -> CellPosteriors:
         """The posteriors of every cell, under the noise grid of a general
         system or from the posterior table if one is configured. A general
-        system's hold every cell's image under every noise cell: build them
-        only to bound transitions, and do not keep them."""
+        system's hold every cell's image under every noise cell (under its
+        own component's, if noise-separable): build them only to bound
+        transitions, and do not keep them."""
         cfg, noise_cells, table = self.config, None, None
         if cfg.model.structure == GENERAL:
             noise_cells = uniform_noise_grid(cfg.noise, cfg.noise_grid)
@@ -128,9 +129,10 @@ def phase_abstract(ctx: RunContext) -> tuple[Imc, dict]:
 
 
 def _abstraction_statistics(imc: Imc, posts: CellPosteriors) -> dict:
-    """The candidate pairs and band factors (none if general) the build
-    bounds, the IMC's stored entries, their mean number per row and the
-    mean width ``upper - lower`` of their intervals."""
+    """The candidate pairs and band factors (none for a general system that
+    is not noise-separable) the build bounds, the IMC's stored entries,
+    their mean number per row and the mean width ``upper - lower`` of their
+    intervals."""
     entries, sizes = len(imc.dst), posts.last - posts.first
     return {
         "pairs": int(sizes.prod(axis=1).sum()),

@@ -86,14 +86,16 @@ class VerificationResult:
         object.__setattr__(self, "p_upper", np.asarray(self.p_upper, dtype=float))
 
 
-def _rank(values, sign: float, keys=None) -> np.ndarray:
+def _rank(values, sign: float, ties=None) -> np.ndarray:
     """Per state, its place in walk order: by ``values``, ascending for the
-    minimum (``sign`` 1.0) and descending for the maximum (-1.0), ties by
-    ascending ``keys`` (default: the state index); the expectation is
-    tie-invariant."""
-    keys = np.arange(len(values)) if keys is None else keys
+    minimum (``sign`` 1.0) and descending for the maximum (-1.0), ties in
+    the order of the permutation ``ties`` (default: the state index), by
+    one stable sort; the expectation is tie-invariant."""
+    values = sign * values
+    order = np.argsort(values, kind="stable") if ties is None else (
+        ties[np.argsort(values[ties], kind="stable")])
     rank = np.empty(len(values), dtype=np.int64)
-    rank[np.lexsort((keys, sign * values))] = np.arange(len(values))
+    rank[order] = np.arange(len(values))
     return rank
 
 

@@ -16,7 +16,7 @@ import imcverify.config as config_module
 from imcverify import cli
 from imcverify.cli import main
 from imcverify.config import MonteCarloConfig, RunConfig, load_config
-from imcverify.dynamics import enclosure
+from imcverify.dynamics import enclosure, parse_dynamics
 from imcverify.errors import InputError
 from imcverify.geometry import partition_domain
 from imcverify.imc import PosteriorTable, cell_posteriors, write_posterior_table
@@ -544,8 +544,9 @@ class TestPipeline:
     def test_abstraction_counts_pairs_and_factors(self, tmp_path, monkeypatch):
         """The abstract phase reports the candidate pairs the build bounds and
         the band factors it computes: paper-mult-40 bounds 105,088 pairs from
-        25,752 factors (plus one domain factor per cell and dimension), and
-        a general system computes none."""
+        25,752 factors and the noise-separable general-sin-20 7,768 pairs
+        from 3,526 (each plus one domain factor per cell and dimension), and
+        a general system whose component 1 reads w2 computes none."""
         import imcverify.imc as imc_module
 
         computed, factors = [], imc_module._factors
@@ -555,11 +556,17 @@ class TestPipeline:
             return factors(posts, d, src, t_lo, t_hi)
 
         monkeypatch.setattr(imc_module, "_factors", counted)
-        for name, expected in (("paper-mult-40", (105088, 25752)), ("general-sin-20", (7768, 0))):
-            cfg = dataclasses.replace(load_config(WORKLOADS / f"{name}.yaml"), output_dir=tmp_path / name)
+        sin = load_config(WORKLOADS / "general-sin-20.yaml")
+        exprs = ["0.8*x1 + 0.1*x2 + w1 + 0.5*w2", "0.8*x2 - 0.2*sin(x1) + w2"]
+        for i, (cfg, expected) in enumerate((
+            (load_config(WORKLOADS / "paper-mult-40.yaml"), (105088, 25752)),
+            (sin, (7768, 3526)),
+            (dataclasses.replace(sin, model=parse_dynamics(exprs, 2, "general")), (8118, 0)),
+        )):
+            cfg = dataclasses.replace(cfg, output_dir=tmp_path / str(i))
             stats = run_pipeline(cfg, phases=("abstract",))["phases"]["abstract"]
             assert (stats["pairs"], stats["factors"]) == expected
-        assert sum(computed) == 25752 + 2 * 40**2
+        assert sum(computed) == 25752 + 2 * 40**2 + 3526 + 2 * 20**2
 
     def test_cluster_pass_counts_reported(self, tmp_path):
         path = tmp_path / "paper.yaml"

@@ -59,6 +59,15 @@ class TestParsing:
         model = parse_dynamics(["(x1 + 1)^2 - abs(x1)/2"], 1, "general")
         assert eval_point(model, [1.0], [0.0]) == pytest.approx([3.5])
 
+    @pytest.mark.parametrize("exprs, separable", [
+        (["0.8*x1 + 0.1*x2 + w1", "0.8*x2 - 0.2*sin(x1) + w2"], True),
+        (["sin(w1) * x2", "x1"], True),  # a component may read no noise
+        (["x1 + w1 + 0.5*w2", "x2 + w2"], False),
+        (["x1 + w2", "x2 + w1"], False),
+    ])
+    def test_noise_separable(self, exprs, separable):
+        assert parse_dynamics(exprs, 2, "general").noise_separable is separable
+
     def test_semicolon_and_newline_sources(self):
         a = parse_dynamics("x1 + w1\nx2 + w2", 2, "additive")
         b = parse_dynamics("x1 + w1; x2 + w2", 2, "additive")

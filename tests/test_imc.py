@@ -321,8 +321,23 @@ class TestBuildImc:
 def scalar_bounds(model, noise, cells, q, target, post=None):
     """Per-pair reference: the scalar loops the array kernels replace, over
     the enclosures of the one box q, or for a structured system over its
-    noise-free posterior ``post`` (a posterior table's row) if given."""
-    if cells is not None:
+    noise-free posterior ``post`` (a posterior table's row) if given. A
+    noise-separable general system takes the product over the dimensions d
+    of the masses of w_d's own noise cells, summed in cell order; any other
+    general system the sum over the tensor noise cells."""
+    if cells is not None and model.noise_separable:
+        lower = upper = 1.0
+        for d, expr in enumerate(model.components):
+            low = up = 0.0
+            own = zip(cells.comp_lo, cells.comp_hi, cells.comp_mass[:, d].tolist())
+            for w_lo, w_hi, mass in own:
+                (post_lo,), (post_hi,) = enclosure([expr], q, (w_lo, w_hi))
+                if post_lo <= target[1][d] and target[0][d] <= post_hi:
+                    up += mass
+                    if target[0][d] <= post_lo and post_hi <= target[1][d]:
+                        low += mass
+            lower, upper = lower * low, upper * up
+    elif cells is not None:
         lower = upper = 0.0
         for w_lo, w_hi, mass in zip(cells.lo, cells.hi, cells.mass.tolist()):
             post_lo, post_hi = enclosure(model.components, q, (w_lo, w_hi))
@@ -379,6 +394,13 @@ PRUNING_CASES = {
         "general",
         [[-1, 1], [-1, 1]],
         ["0.6*x1 - 0.2*sin(x2) + w1", "0.3*x1 + 0.5*x2 + w2"],
+        (Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4)),
+    ),
+    # component 1 reads w2: the tensor noise cells, not the per-component ones
+    "general-nonseparable": (
+        "general",
+        [[-1, 1], [-1, 1]],
+        ["0.6*x1 - 0.2*sin(x2) + w1 + 0.5*w2", "0.3*x1 + 0.5*x2 + w2"],
         (Uniform(-0.2, 0.3), TruncatedGaussian(0, 0.2, -0.4, 0.4)),
     ),
     # one and three dimensions: the row-major flattening of candidate blocks
@@ -530,6 +552,64 @@ class TestCandidatePruning:
             target = (t_lo[j], t_hi[j])
             expected = scalar_bounds(model, noise, cells, part.corners(i), target, post(i))
             assert (float(lower[j]), float(upper[j])) == expected
+
+
+def random_separable_case(rng, n):
+    """A random general system over [-1, 1]^n whose component d reads
+    only w_d, its noise, a noise grid of 1 to 4 cells per component and
+    those numbers of cells."""
+    exprs, comps = [], []
+    for d in range(1, n + 1):
+        i, j = rng.integers(1, n + 1, 2)
+        a, b, c = rng.uniform(-0.5, 0.5, 3).round(3)
+        exprs.append([
+            f"{a}*x{i} + {b}*sin(x{j}) + w{d}",
+            f"{a}*x{i} + (1 + {b}*x{j}) * w{d}",
+            f"{a}*x{i} + {b}*w{d}^2 + {c}*w{d}",
+            f"{a}*x{i} - 0.1*cos(x{j} * w{d})",
+        ][rng.integers(4)])
+        lo = rng.uniform(-0.4, 0)
+        comps.append([
+            Uniform(lo, lo + rng.uniform(0.05, 0.4)),
+            TruncatedGaussian(rng.uniform(-0.1, 0.1), rng.uniform(0.05, 0.2), -0.3, 0.3),
+            Mixture((0.4, 0.6), (Uniform(-0.3, -0.1), Uniform(0.0, 0.2))),
+        ][rng.integers(3)])
+    noise = NoiseModel(comps)
+    resolution = [int(r) for r in rng.integers(1, 5, n)]
+    cells = uniform_noise_grid(noise, resolution)
+    return parse_dynamics(exprs, n, "general"), noise, cells, resolution
+
+
+class TestSeparableGeneral:
+    @pytest.mark.parametrize("n, seed", [(2, s) for s in range(6)] + [(3, s) for s in range(3)])
+    def test_separable_bounds_match_the_tensor_sums(self, n, seed):
+        """On a random noise-separable system the per-component noise cells
+        give the tensor's bounds up to rounding: over the K tensor cells
+        and the k_d cells of each component, the two sums differ by at most
+        (n + 1) (K + sum k_d) 2**-52, so neither bound is ever looser than
+        the other by more. The build keeps the tensor build's entries."""
+        rng = np.random.default_rng(seed)
+        model, noise, cells, resolution = random_separable_case(rng, n)
+        part = partition_domain(*box([[-1, 1]] * n), (4 if n == 2 else 3,) * n)
+        posts = cell_posteriors(part, model, noise, noise_cells=cells)
+        assert posts.structure == imc_module.SEPARABLE
+        x = part.corners(np.arange(part.n_cells))
+        lo, hi = enclosure(model.components, (x[0][:, None, :], x[1][:, None, :]),
+                           (cells.lo, cells.hi))
+        tensor = posts._replace(lo=lo, hi=hi, structure="general", weights=cells.mass)
+        tol = (n + 1) * (len(cells.mass) + sum(resolution)) * 2.0**-52
+        labels = assign_labels(part, {})
+        sep_imc, tensor_imc = build_imc(posts, labels), build_imc(tensor, labels)
+        assert np.array_equal(sep_imc.indptr, tensor_imc.indptr)
+        assert np.array_equal(sep_imc.dst, tensor_imc.dst)
+        t_lo = rng.uniform(-1.2, 1.0, (200, n))
+        t_hi = t_lo + rng.uniform(0, 1.5, (200, n))
+        src = rng.integers(0, part.n_cells, 200)
+        for (s_low, s_up), (low, up) in [
+            ((sep_imc.lower, sep_imc.upper), (tensor_imc.lower, tensor_imc.upper)),
+            (pair_bounds(posts, src, t_lo, t_hi), pair_bounds(tensor, src, t_lo, t_hi)),
+        ]:
+            assert np.all(np.abs(s_low - low) <= tol) and np.all(np.abs(s_up - up) <= tol)
 
 
 class TestPosteriorTable:

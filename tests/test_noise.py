@@ -231,6 +231,24 @@ class TestUniformNoiseGrid:
             assert np.array_equal(grid.hi, hi)
             assert np.array_equal(grid.mass, mass)
 
+    def test_component_cells_form_the_tensor(self):
+        """Column d of the per-component arrays holds component d's own
+        cells and probabilities, padded with its last cell at mass 0; the
+        tensor's cells are their products, its masses their products in
+        component order from 1.0, clamped."""
+        for noise, res in random_noise_grids(5):
+            grid = uniform_noise_grid(noise, res)
+            assert grid.comp_mass.shape == (max(res), len(res))
+            index = np.indices(res).reshape(len(res), -1)
+            mass = np.ones(index.shape[1])
+            for d, (i, r) in enumerate(zip(index, res)):
+                assert np.array_equal(grid.comp_lo[i, d], grid.lo[:, d])
+                assert np.array_equal(grid.comp_hi[i, d], grid.hi[:, d])
+                assert np.all(grid.comp_lo[r:, d] == grid.comp_lo[r - 1, d])
+                assert np.all(grid.comp_mass[r:, d] == 0.0)
+                mass = mass * grid.comp_mass[i, d]
+            assert np.array_equal(np.clip(mass, 0.0, 1.0), grid.mass)
+
     def test_multidimensional_product(self):
         noise = NoiseModel((Uniform(0, 1), Uniform(0, 1)))
         grid = uniform_noise_grid(noise, [4, 4])
