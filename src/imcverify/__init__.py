@@ -15,17 +15,14 @@ from .dynamics import (
 )
 from .noise import (
     Mixture,
-    NoiseGrid,
     NoiseModel,
     TruncatedGaussian,
     Uniform,
     optimal_partition_affine,
     optimal_partition_multiplicative,
-    uniform_noise_grid,
 )
 from .imc import (
     Imc,
-    PosteriorTable,
     build_imc,
     cell_posteriors,
     pair_bounds,

@@ -32,7 +32,7 @@ dimension and the target's interval along it. ``factor_bounds`` computes
 each once per cell and candidate interval, and ``build_imc`` multiplies
 the ones of each pair, and of the domain for the unsafe column, with the
 bits of ``pair_bounds``, which the cluster step calls for its boxes.
-General systems sum the cell masses of a uniform ``NoiseGrid`` per pair,
+General systems sum the cell masses of a uniform noise grid per pair,
 but a noise-separable one (component d reads no noise but w_d) takes the
 factors too: along d, the masses of w_d's own noise cells under which the
 image lies in, or meets, the target interval.
@@ -51,14 +51,14 @@ from ._csv import write_columns
 from .dynamics import (
     ADDITIVE,
     GENERAL,
+    MULTIPLICATIVE,
     DynamicsModel,
     combine_posterior,
     enclosure,
 )
 from .errors import InputError, SoundnessError, SpecificationError
-from .geometry import StatePartition
+from .geometry import StatePartition, partition_domain
 from .noise import (
-    NoiseGrid,
     NoiseModel,
     _point_mass,
     optimal_partition_affine,
@@ -258,19 +258,6 @@ class RowLayout:
         return expectation
 
 
-@dataclass(frozen=True, eq=False)
-class PosteriorTable:
-    """Externally supplied noise-free posterior intervals per abstract state:
-    row i of ``lo``/``hi`` (shape (cells, n)) encloses g(q) of cell i.
-
-    This is the ingestion point for data-driven systems whose noise-free map
-    is known only through learned interval enclosures.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-
 # --- bound kernel -------------------------------------------------------------
 
 
@@ -367,9 +354,9 @@ class CellPosteriors(NamedTuple):
     each noise cell (of mass ``weights``), shape (cells, noise cells, n), for
     general ones. A separable system's (structure ``SEPARABLE``) hold along
     d the image under noise cell k of w_d at [:, k, d], of mass weights[k,
-    d] (``NoiseGrid.comp_mass``). ``hull_lo``/``hull_hi`` are the posterior
-    over the noise support. ``first``/``last`` bound, per cell and dimension, the cells
-    within the hull expanded by one cell; every other target provably has
+    d]. ``hull_lo``/``hull_hi`` are the posterior over the noise support.
+    ``first``/``last`` bound, per cell and dimension, the cells within the
+    hull expanded by one cell; every other target provably has
     upper bound 0 (none is left if some first >= last). ``partition`` is the
     grid the posteriors were computed on. ``pair_bounds`` reads only the
     first five; the rest stay None in posteriors built by hand, such as
@@ -391,13 +378,17 @@ def cell_posteriors(
     partition: StatePartition,
     model: DynamicsModel,
     noise: NoiseModel,
-    posterior_table: Optional[PosteriorTable] = None,
-    noise_cells: Optional[NoiseGrid] = None,
+    posterior_table: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    noise_grid=None,
 ) -> CellPosteriors:
-    """Posteriors, hulls and candidate ranges of every cell from the grid edges:
-    one interval evaluation over all cells, or the posterior table's arrays as they are."""
-    if model.structure == GENERAL and noise_cells is None:
-        raise ValueError("general structure requires noise_cells from uniform_noise_grid")
+    """Posteriors, hulls and candidate ranges of every cell from the grid
+    edges: one interval evaluation over all cells, or the posterior table's
+    (lo, hi) arrays of shape (cells, n) as they are. A general system
+    images every cell under the cells of the uniform noise grid of
+    ``noise_grid[d]`` cells along component d: its own component's cells
+    if noise-separable, else the tensor cells."""
+    if model.structure == GENERAL and noise_grid is None:
+        raise ValueError("general structure requires noise_grid, the noise cells per component")
     if any(map(_point_mass, noise.components)):
         raise InputError("a uniform with lo == hi is a point mass, which the noise partitions drop")
     if posterior_table is not None and model.structure == GENERAL:
@@ -405,24 +396,40 @@ def cell_posteriors(
     x = partition.corners(np.arange(partition.n_cells))
     support, structure = noise.support(), model.structure
     if structure == GENERAL:
-        # every cell's image under every noise cell, shape (cells, noise cells, n),
-        # or under each component's own noise cells if the system is separable
-        x_cells = (x[0][:, None, :], x[1][:, None, :])
+        grid = partition_domain(*support, noise_grid)
+        probs = [c.interval_probability(e[:-1], e[1:])
+                 for c, e in zip(noise.components, grid.edges)]
         if model.noise_separable:
-            structure, cells = SEPARABLE, (noise_cells.comp_lo, noise_cells.comp_hi)
-            weights = noise_cells.comp_mass
+            # column d: component d's own cells, then its last cell again at mass 0
+            structure, k = SEPARABLE, np.arange(max(grid.resolution))
+            index = [np.minimum(k, r - 1) for r in grid.resolution]
+            weights = np.stack([np.where(k < len(p), p[i], 0.0) for p, i in zip(probs, index)], -1)
         else:
-            cells, weights = (noise_cells.lo, noise_cells.hi), noise_cells.mass
-        lo, hi = enclosure(model.components, x_cells, cells)
+            # the tensor cells, row-major: a cell's mass is the product of its
+            # components' probabilities in component order from 1.0, clamped
+            index, weights = np.unravel_index(np.arange(grid.n_cells), grid.resolution), 1.0
+            for p, i in zip(probs, index):
+                weights = weights * p[i]
+            weights = np.clip(weights, 0.0, 1.0)
+        # every cell's image under every noise cell, shape (cells, noise cells, n)
+        # (under each component's own cells, along its dimension, if separable)
+        cells = (np.stack([e[i + s] for e, i in zip(grid.edges, index)], axis=-1) for s in (0, 1))
+        lo, hi = enclosure(model.components, (x[0][:, None, :], x[1][:, None, :]), tuple(cells))
         hull = enclosure(model.components, x, support)
     else:
         weights = None
         if posterior_table is None:
             lo, hi = enclosure(model.g_components, x)
         else:
-            lo, hi = (np.asarray(a, dtype=float) for a in (posterior_table.lo, posterior_table.hi))
+            lo, hi = (np.asarray(a, dtype=float) for a in posterior_table)
             if not lo.shape == hi.shape == x[0].shape or not (lo <= hi).all():
                 raise InputError(f"posterior table needs lo <= hi, both of shape {x[0].shape}")
+        if structure == MULTIPLICATIVE and not (lo > 0.0).all():
+            cell, d = np.argwhere(~(lo > 0.0))[0].tolist()
+            raise InputError(
+                f"multiplicative structure needs g(q) > 0, but cell {cell} has component "
+                f"{d + 1} in [{lo[cell, d]:.6g}, {hi[cell, d]:.6g}]"
+            )
         hull = combine_posterior(model.structure, (lo, hi), support)
     first, last = [], []
     for d, (e, r) in enumerate(zip(partition.edges, partition.resolution)):
@@ -689,10 +696,11 @@ def read_imc(bounds_path, partition: StatePartition, labels: Mapping[str, np.nda
     return Imc(partition, indptr, dst, lo, hi, dict(labels))
 
 
-def write_posterior_table(table: PosteriorTable, path) -> None:
-    """One (state,component,lo,hi) row per state and component, in order."""
-    dim = table.lo.shape[1]
-    lo, hi = table.lo.ravel(), table.hi.ravel()
+def write_posterior_table(table: tuple[np.ndarray, np.ndarray], path) -> None:
+    """One (state,component,lo,hi) row per state and component, in order,
+    from the (lo, hi) pair ``table`` of arrays of shape (cells, n)."""
+    dim = table[0].shape[1]
+    lo, hi = (np.ravel(a) for a in table)
 
     def entries(a, b):
         k = np.arange(a, b)
@@ -701,23 +709,24 @@ def write_posterior_table(table: PosteriorTable, path) -> None:
     write_columns(path, "state,component,lo,hi", (len(lo), entries))
 
 
-def read_posterior_table(path, n_states: int, dim: int) -> PosteriorTable:
-    """Load a posterior table: one finite interval per state in [0, n_states)
-    and component in [0, dim), each given once; anything else is an
-    InputError naming ``path:line``, or ``path`` for a missing state."""
+def read_posterior_table(path, n_cells: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Load a posterior table as a (lo, hi) pair of arrays of shape
+    (n_cells, dim): one finite interval per state in [0, n_cells) and
+    component in [0, dim), each given once; anything else is an InputError
+    naming ``path:line``, or ``path`` for a missing state."""
     state, comp, lo, hi = _read_columns(path, "state,component,lo,hi", int, int, float, float)
-    in_range = (0 <= state) & (state < n_states) & (0 <= comp) & (comp < dim)
+    in_range = (0 <= state) & (state < n_cells) & (0 <= comp) & (comp < dim)
     _, repeat = _repeats(np.where(in_range, state * dim + comp, -1 - np.arange(len(state))))
     _reject_first(
         path,
-        (~((0 <= state) & (state < n_states)), "state index out of range"),
+        (~((0 <= state) & (state < n_cells)), "state index out of range"),
         (~((0 <= comp) & (comp < dim)), "component index out of range"),
         (~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)), "empty or invalid interval"),
         (repeat, lambda k: f"duplicate (state, component) ({state[k]},{comp[k]})"),
     )
-    table = np.full((2, n_states, dim), np.nan)  # the rows are finite: a NaN is a missing row
+    table = np.full((2, n_cells, dim), np.nan)  # the rows are finite: a NaN is a missing row
     table[:, state, comp] = lo, hi
     missing = np.flatnonzero(np.isnan(table[0]).any(axis=1))
     if len(missing):
         raise InputError(f"{path}: missing state {missing[0]} or some of its components")
-    return PosteriorTable(*table)
+    return table[0], table[1]

@@ -1,15 +1,15 @@
-"""Noise distributions with exact CDFs, the uniform noise grid, and the
-optimal per-component partition cut points for affine and multiplicative
-structures: each maps the endpoints of posteriors and targets, scalars or
-arrays, to the four cut points (eps1, eps2, eps3, eps4).
+"""Noise distributions with exact CDFs and the optimal per-component
+partition cut points for affine and multiplicative structures: each maps
+the endpoints of posteriors and targets, scalars or arrays, to the four cut
+points (eps1, eps2, eps3, eps4).
 
 CDF evaluation is analytic (error function for truncated Gaussians, weighted
 sums for mixtures) so that cell probabilities carry distribution-dependent
 soundness. The truncated Gaussian's error function and quantile are numpy
 ports of the Cephes routines that scipy runs (``_special``) and return
-scipy's bits, so no run imports scipy. A uniform grid over the support (a
-``NoiseGrid``) is the fallback partition for models without a usable noise
-structure.
+scipy's bits, so no run imports scipy. Systems without a usable noise
+structure partition the noise support into a uniform grid instead
+(``imc.cell_posteriors``).
 Sampling (``NoiseModel.sample``) is closed form, one uniform per component:
 the quantile, or for a mixture the composition method.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -199,23 +198,6 @@ def _point_mass(comp: NoiseComponent) -> bool:
     return isinstance(comp, Uniform) and comp.lo == comp.hi
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseGrid:
-    """Cells of a uniform grid over the noise support: cell k is the box
-    [lo[k], hi[k]] (shape (cells, n) each) of probability mass[k] (shape
-    (cells,)), listed row-major with the last component fastest. Column d
-    of ``comp_lo``/``comp_hi``/``comp_mass`` (shape (most cells of a
-    component, n)) holds component d's own cells and their interval
-    probabilities, then its last cell again with mass 0."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    mass: np.ndarray
-    comp_lo: np.ndarray
-    comp_hi: np.ndarray
-    comp_mass: np.ndarray
-
-
 # --- optimal structured partitions -------------------------------------------
 
 
@@ -249,34 +231,3 @@ def optimal_partition_multiplicative(c, d, a, b):
             f"target [{a}, {b}], posterior [{c}, {d}]"
         )
     return a / d, b / c, a / c, b / d
-
-
-def uniform_noise_grid(noise: NoiseModel, resolution: Sequence[int]) -> NoiseGrid:
-    """Uniform measure-preserving grid over the noise support.
-
-    A cell's mass is the product of its components' interval probabilities
-    in component order, from 1.0, clamped to [0, 1]; the masses sum to 1
-    because per-component CDF differences telescope across the support.
-    The ``comp_*`` arrays keep the per-component cells and probabilities
-    that the tensor is formed from.
-    """
-    if len(resolution) != noise.n:
-        raise ValueError(f"resolution length {len(resolution)} != noise dimension {noise.n}")
-    edges, probs = [], []
-    support = noise.support()
-    for d, (comp, r) in enumerate(zip(noise.components, resolution)):
-        if int(r) != r or int(r) < 1:
-            raise ValueError(f"resolution[{d}] must be a positive integer, got {r}")
-        edges.append(np.linspace(support[0][d], support[1][d], int(r) + 1))
-        probs.append(comp.interval_probability(edges[-1][:-1], edges[-1][1:]))
-    index = np.indices([len(p) for p in probs]).reshape(noise.n, -1)
-    mass = np.ones(index.shape[1])
-    for p, i in zip(probs, index):
-        mass = mass * p[i]
-    lo = np.stack([e[i] for e, i in zip(edges, index)], axis=-1)
-    hi = np.stack([e[i + 1] for e, i in zip(edges, index)], axis=-1)
-    k = np.arange(max(map(len, probs)))
-    own = [np.minimum(k, len(p) - 1) for p in probs]
-    comp_lo, comp_hi = (np.stack([e[i + s] for e, i in zip(edges, own)], axis=-1) for s in (0, 1))
-    comp_mass = np.stack([np.where(k < len(p), p[i], 0.0) for p, i in zip(probs, own)], axis=-1)
-    return NoiseGrid(lo, hi, np.clip(mass, 0.0, 1.0), comp_lo, comp_hi, comp_mass)

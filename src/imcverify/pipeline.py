@@ -44,7 +44,6 @@ from .imc import (
     write_imc,
 )
 from .mc import estimate_satisfaction, write_trajectories
-from .noise import uniform_noise_grid
 from .verify import (
     ReachAvoidSpec,
     VerificationResult,
@@ -82,12 +81,10 @@ class RunContext:
         system's hold every cell's image under every noise cell (under its
         own component's, if noise-separable): build them only to bound
         transitions, and do not keep them."""
-        cfg, noise_cells, table = self.config, None, None
-        if cfg.model.structure == GENERAL:
-            noise_cells = uniform_noise_grid(cfg.noise, cfg.noise_grid)
+        cfg, table = self.config, None
         if cfg.posterior_table is not None:
             table = read_posterior_table(cfg.posterior_table, self.partition.n_cells, cfg.model.n)
-        return cell_posteriors(self.partition, cfg.model, cfg.noise, table, noise_cells)
+        return cell_posteriors(self.partition, cfg.model, cfg.noise, table, cfg.noise_grid)
 
 
 def _peak_rss_mb() -> float:
@@ -308,6 +305,8 @@ def run_pipeline(
         t0 = time.perf_counter()
         result, improved = phase_improve(ctx, imc, result)
         _record_phase(summary, "improve", t0, f"{improved} states improved", {"improved": improved})
+    elif "improve" in phases:
+        log.info("improve: skipped, as cluster.passes is 0")
 
     if "simulate" in phases and config.monte_carlo.enabled:
         if result is None:
@@ -320,6 +319,8 @@ def run_pipeline(
             f"{len(records)} cells x {config.monte_carlo.trajectories} trajectories",
             {"validation": records, "all_sound": all(r["sound"] for r in records)},
         )
+    elif "simulate" in phases:
+        log.info("simulate: skipped, as monte_carlo.enabled is false")
 
     if result is not None:
         counts = {"satisfies": 0, "violates": 0, "undetermined": 0}

@@ -276,5 +276,28 @@ def write_posterior_table_lines(table, path) -> None:
     """``write_posterior_table`` as f-string lines, one per state and component."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("state,component,lo,hi\n")
-        for state, (lo, hi) in enumerate(zip(table.lo.tolist(), table.hi.tolist())):
+        for state, (lo, hi) in enumerate(zip(table[0].tolist(), table[1].tolist())):
             fh.writelines(f"{state},{d},{a!r},{b!r}\n" for d, (a, b) in enumerate(zip(lo, hi)))
+
+
+def noise_grid_cells(noise: NoiseModel, resolution):
+    """The uniform noise grid of ``resolution[d]`` cells along component d,
+    by scalar loops. Returns, per component, the list of its own cells
+    ``(lo, hi, probability)`` (``np.linspace`` over its support), and the
+    tensor cells as arrays ``lo``, ``hi`` of shape (cells, n) and ``mass``:
+    row-major with the last component fastest, each of mass the product of
+    its components' probabilities in component order from 1.0, clamped to
+    [0, 1]."""
+    own = []
+    for comp, r in zip(noise.components, resolution):
+        edges = np.linspace(*comp.support, r + 1).tolist()
+        own.append([(a, b, float(comp.interval_probability(a, b))) for a, b in zip(edges, edges[1:])])
+    lo, hi, mass = [], [], []
+    for cell in product(*own):
+        p = 1.0
+        for _, _, q in cell:
+            p *= q
+        lo.append([a for a, _, _ in cell])
+        hi.append([b for _, b, _ in cell])
+        mass.append(min(max(p, 0.0), 1.0))
+    return own, (np.array(lo), np.array(hi), np.array(mass))

@@ -19,7 +19,7 @@ from imcverify.config import MonteCarloConfig, RunConfig, load_config
 from imcverify.dynamics import enclosure, parse_dynamics
 from imcverify.errors import InputError
 from imcverify.geometry import partition_domain
-from imcverify.imc import PosteriorTable, cell_posteriors, write_posterior_table
+from imcverify.imc import cell_posteriors, write_posterior_table
 from imcverify.pipeline import (
     EXPORTS,
     IMC_FILE,
@@ -900,6 +900,34 @@ output_dir: out
         with pytest.raises(InputError, match="strictly positive domain"):
             load_config(path)
 
+    def test_nonpositive_multiplicative_posterior_exits_1(self, tmp_path, caplog, capsys):
+        # on a positive domain 0.7*x1 - 0.4*x2 spans [-0.005, 0.215] on cell 0:
+        # one short error naming the cell, the component and its interval
+        path = tmp_path / "paper.yaml"
+        path.write_text(PAPER_2D.replace('"0.7*x1 + 0.1*x2"', '"0.7*x1 - 0.4*x2"'))
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["run", "-c", str(path)]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(error) < 200
+        assert "cell 0 has component 1 in [-0.005, 0.215]" in error
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "phase, key", [("improve", "cluster.passes is 0"), ("simulate", "monte_carlo.enabled is false")]
+    )
+    def test_skipped_phase_says_so(self, tmp_path, caplog, phase, key):
+        path = write_toy(tmp_path, passes=0, mc="false")
+        assert main(["abstract", "-c", str(path)]) == 0
+        assert main(["verify", "-c", str(path)]) == 0
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="imcverify"):
+            assert main([phase, "-c", str(path)]) == 0
+        info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert info == [f"{phase}: skipped, as {key}",
+                        "artifacts written to the configured output directory"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            IMC_FILE, LABELS_FILE, RESULTS_FILE, SUMMARY_FILE]
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -933,14 +961,12 @@ output_dir: out
         import imcverify
 
         assert imcverify.__all__ == [
-            "DynamicsModel", "Imc", "Mixture", "NoiseGrid", "NoiseModel",
-            "PosteriorTable", "ReachAvoidSpec",
+            "DynamicsModel", "Imc", "Mixture", "NoiseModel", "ReachAvoidSpec",
             "RunConfig", "StatePartition", "Trajectory", "TruncatedGaussian", "Uniform",
             "VerificationResult", "build_imc", "cell_posteriors", "cluster_improve",
             "enclosure", "estimate_satisfaction", "eval_point", "load_config",
             "optimal_partition_affine", "optimal_partition_multiplicative", "pair_bounds",
             "parse_dynamics", "partition_domain", "robust_value_iteration", "run_pipeline",
-            "uniform_noise_grid",
         ]
 
     def test_gaussian_config_runs_every_phase_without_scipy(self, tmp_path):
@@ -1013,7 +1039,7 @@ output_dir: out
         part = partition_domain(*cfg.domain, cfg.grid)
         cells = part.corners(np.arange(part.n_cells))
         lo, hi = enclosure(cfg.model.g_components, cells)
-        write_posterior_table(PosteriorTable(lo, hi), tmp_path / "table.csv")
+        write_posterior_table((lo, hi), tmp_path / "table.csv")
         (tmp_path / "table.yaml").write_text(
             ADDITIVE_2D.format(table="posterior_table: table.csv", outdir="from_table")
         )
@@ -1038,7 +1064,7 @@ output_dir: out
         part = partition_domain(*cfg.domain, cfg.grid)
         cells = part.corners(np.arange(part.n_cells))
         lo, hi = enclosure(cfg.model.g_components, cells)
-        write_posterior_table(PosteriorTable(lo, hi), tmp_path / "table.csv")
+        write_posterior_table((lo, hi), tmp_path / "table.csv")
         argv = ["-c", str(tmp_path / "table.yaml")]
         assert main(["abstract", *argv]) == 0
         (tmp_path / "table.csv").unlink()
@@ -1062,16 +1088,16 @@ output_dir: out
         from imcverify import pipeline
 
         def refused(*args):
-            raise AssertionError("uniform_noise_grid called")
+            raise AssertionError("cell_posteriors called")
 
         path = tmp_path / "general.yaml"
         w1 = "{type: uniform, lo: -0.1, hi: 0.1}"
         path.write_text(GENERAL_2D.format(w1=w1) + "cluster:\n  passes: 1\n")
         assert main(["abstract", "-c", str(path)]) == 0
-        monkeypatch.setattr(pipeline, "uniform_noise_grid", refused)
+        monkeypatch.setattr(pipeline, "cell_posteriors", refused)
         for phase in ("verify", "simulate"):
             assert main([phase, "-c", str(path)]) == 0
-        with pytest.raises(AssertionError, match="uniform_noise_grid called"):
+        with pytest.raises(AssertionError, match="cell_posteriors called"):
             main(["improve", "-c", str(path)])
 
     def test_output_dir_and_seed_override(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 import imcverify._csv as csv_module
 from imcverify._csv import csv_lines
 from imcverify.geometry import StatePartition
-from imcverify.imc import Imc, PosteriorTable, write_imc, write_posterior_table
+from imcverify.imc import Imc, write_imc, write_posterior_table
 from imcverify.mc import (
     TERM_AVOID,
     TERM_GOAL,
@@ -169,7 +169,7 @@ class TestWritersMatchOracles:
     def test_posterior_table(self, tmp_path):
         rng = np.random.default_rng(4)
         lo = rng.normal(size=(9, 3)) * 10.0 ** rng.integers(-5, 5, (9, 3))
-        table = PosteriorTable(lo, lo + rng.random((9, 3)))
+        table = lo, lo + rng.random((9, 3))
         write_posterior_table(table, tmp_path / "table.csv")
         write_posterior_table_lines(table, tmp_path / "ref.csv")
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

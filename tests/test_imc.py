@@ -13,7 +13,6 @@ import imcverify._csv as csv_module
 import imcverify.imc as imc_module
 from imcverify.imc import (
     CellPosteriors,
-    PosteriorTable,
     assign_labels,
     build_imc,
     cell_posteriors,
@@ -30,11 +29,10 @@ from imcverify.noise import (
     Uniform,
     optimal_partition_affine,
     optimal_partition_multiplicative,
-    uniform_noise_grid,
 )
 from imcverify.pipeline import build_context
 from boxes import box
-from oracles import empirical_kernel, kernel_grid_extrema
+from oracles import empirical_kernel, kernel_grid_extrema, noise_grid_cells
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
@@ -83,18 +81,16 @@ class TestGeneralBounds:
     def test_certain_transition_single_cell(self):
         model = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
-        cells = uniform_noise_grid(noise, [1])
         part = partition_domain(*box([[0.4, 0.6]]), (1,))
-        posts = cell_posteriors(part, model, noise, noise_cells=cells)
+        posts = cell_posteriors(part, model, noise, noise_grid=[1])
         (low,), (up,) = pair_bounds(posts, [0], np.array([[0.0]]), np.array([[1.0]]))
         assert (low, up) == (1.0, 1.0)
 
     def test_disjoint_single_cell(self):
         model = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
-        cells = uniform_noise_grid(noise, [1])
         part = partition_domain(*box([[0.4, 0.6]]), (1,))
-        posts = cell_posteriors(part, model, noise, noise_cells=cells)
+        posts = cell_posteriors(part, model, noise, noise_grid=[1])
         (low,), (up,) = pair_bounds(posts, [0], np.array([[2.0]]), np.array([[3.0]]))
         assert (low, up) == (0.0, 0.0)
 
@@ -107,8 +103,7 @@ class TestGeneralBounds:
         (s_low,), (s_up,) = pair_bounds(structured, [0], *target)
         prev_low, prev_up = -1.0, 2.0
         for res in (2, 4, 8, 16, 32):
-            cells = uniform_noise_grid(noise, [res])
-            posts = cell_posteriors(part, model_gen, noise, noise_cells=cells)
+            posts = cell_posteriors(part, model_gen, noise, noise_grid=[res])
             (low,), (up,) = pair_bounds(posts, [0], *target)
             # general bounds are never tighter than the structured optimum
             assert low <= s_low + 1e-12
@@ -176,10 +171,10 @@ class TestBuildImc:
         atom = Uniform(0, 0)
         for comp in (atom, Mixture((0.5, 0.5), (Uniform(-0.1, 0.1), atom))):
             noise = NoiseModel((comp,))
-            cells = uniform_noise_grid(noise, [2]) if structure == "general" else None
+            grid = [2] if structure == "general" else None
             with pytest.raises(InputError, match="point mass"):
                 build_imc(
-                    cell_posteriors(part, model, noise, noise_cells=cells),
+                    cell_posteriors(part, model, noise, noise_grid=grid),
                     assign_labels(part, {"goal": box([[[-1, 1]]])}),
                 )
 
@@ -307,39 +302,42 @@ class TestBuildImc:
         model_add = identity_additive()
         model_gen = parse_dynamics(["x1 + w1"], 1, "general")
         noise = NoiseModel((Uniform(-0.2, 0.2),))
-        cells = uniform_noise_grid(noise, [7])
         # every (source, target) pair of cells
         src, target = np.divmod(np.arange(part.n_cells**2), part.n_cells)
         structured = cell_posteriors(part, model_add, noise)
-        general = cell_posteriors(part, model_gen, noise, noise_cells=cells)
+        general = cell_posteriors(part, model_gen, noise, noise_grid=[7])
         s_low, s_up = pair_bounds(structured, src, *part.corners(target))
         g_low, g_up = pair_bounds(general, src, *part.corners(target))
         assert np.all(s_low >= g_low - 1e-12)
         assert np.all(s_up <= g_up + 1e-12)
 
 
-def scalar_bounds(model, noise, cells, q, target, post=None):
+def scalar_bounds(model, noise, resolution, q, target, post=None):
     """Per-pair reference: the scalar loops the array kernels replace, over
     the enclosures of the one box q, or for a structured system over its
     noise-free posterior ``post`` (a posterior table's row) if given. A
-    noise-separable general system takes the product over the dimensions d
-    of the masses of w_d's own noise cells, summed in cell order; any other
-    general system the sum over the tensor noise cells."""
-    if cells is not None and model.noise_separable:
+    general system reads the noise grid of ``resolution`` cells per
+    component (``noise_grid_cells``): a noise-separable one takes the
+    product over the dimensions d of the masses of w_d's own noise cells,
+    summed in cell order; any other the sum over the tensor noise cells."""
+    if resolution is not None and model.noise_separable:
+        own, _ = noise_grid_cells(noise, resolution)
         lower = upper = 1.0
         for d, expr in enumerate(model.components):
             low = up = 0.0
-            own = zip(cells.comp_lo, cells.comp_hi, cells.comp_mass[:, d].tolist())
-            for w_lo, w_hi, mass in own:
-                (post_lo,), (post_hi,) = enclosure([expr], q, (w_lo, w_hi))
+            for w_lo, w_hi, mass in own[d]:
+                # component d reads w_d alone: any value serves the other w
+                w = (np.full(noise.n, w_lo), np.full(noise.n, w_hi))
+                (post_lo,), (post_hi,) = enclosure([expr], q, w)
                 if post_lo <= target[1][d] and target[0][d] <= post_hi:
                     up += mass
                     if target[0][d] <= post_lo and post_hi <= target[1][d]:
                         low += mass
             lower, upper = lower * low, upper * up
-    elif cells is not None:
+    elif resolution is not None:
+        _, (lo, hi, masses) = noise_grid_cells(noise, resolution)
         lower = upper = 0.0
-        for w_lo, w_hi, mass in zip(cells.lo, cells.hi, cells.mass.tolist()):
+        for w_lo, w_hi, mass in zip(lo, hi, masses.tolist()):
             post_lo, post_hi = enclosure(model.components, q, (w_lo, w_hi))
             if ((post_lo <= target[1]) & (target[0] <= post_hi)).all():
                 upper += mass
@@ -438,28 +436,28 @@ PRUNING_CASES = {
 
 
 def pruning_case(case):
-    """The partition, model, noise, noise cells (None unless general) and
+    """The partition, model, noise, noise grid (None unless general) and
     posterior table (None unless a "-table" case) of a case, on 4 cells per
     dimension and 3 noise cells per component."""
     structure, bounds, exprs, components = PRUNING_CASES[case]
     n = len(bounds)
     part = partition_domain(*box(bounds), (4,) * n)
     model, noise = parse_dynamics(exprs, n, structure), NoiseModel(components)
-    cells = uniform_noise_grid(noise, [3] * n) if structure == "general" else None
+    grid = [3] * n if structure == "general" else None
     table = None
     if case.endswith("-table"):
         lo, hi = enclosure(model.g_components, part.corners(np.arange(part.n_cells)))
         rng = np.random.default_rng(8)
-        table = PosteriorTable(lo - rng.uniform(0, 0.1, lo.shape), hi + rng.uniform(0, 0.1, hi.shape))
-    return part, model, noise, cells, table
+        table = lo - rng.uniform(0, 0.1, lo.shape), hi + rng.uniform(0, 0.1, hi.shape)
+    return part, model, noise, grid, table
 
 
 def case_posteriors(case):
     """``cell_posteriors`` of a case, and the posterior ``post(i)`` of cell
     i that ``scalar_bounds`` takes (None: the enclosure of g)."""
-    part, model, noise, cells, table = pruning_case(case)
-    posts = cell_posteriors(part, model, noise, table, cells)
-    return posts, (lambda i: None if table is None else (table.lo[i], table.hi[i]))
+    part, model, noise, grid, table = pruning_case(case)
+    posts = cell_posteriors(part, model, noise, table, grid)
+    return posts, (lambda i: None if table is None else (table[0][i], table[1][i]))
 
 
 class TestFactoredBuild:
@@ -492,7 +490,7 @@ class TestCandidatePruning:
         """Pairs skipped by the posterior-hull pruning must provably have
         upper bound 0; stored pairs, the unsafe column and ``pair_bounds``
         toward every cell must equal a per-pair scalar computation exactly."""
-        part, model, noise, cells, _ = pruning_case(case)
+        part, model, noise, grid, _ = pruning_case(case)
         goal = [[e[0], e[1]] for e in part.edges]
         posts, post = case_posteriors(case)
         imc = build_imc(posts, assign_labels(part, {"goal": box([goal])}))
@@ -502,14 +500,14 @@ class TestCandidatePruning:
             stored = dict(zip(imc.dst[row].tolist(), zip(imc.lower[row], imc.upper[row])))
             low, up = pair_bounds(posts, np.full(part.n_cells, iq), *part.corners(every_cell))
             for it, target in enumerate(map(part.corners, range(part.n_cells))):
-                expected = scalar_bounds(model, noise, cells, q, target, post(iq))
+                expected = scalar_bounds(model, noise, grid, q, target, post(iq))
                 assert (float(low[it]), float(up[it])) == expected
                 if it in stored:
                     assert stored[it] == expected
                 else:
                     assert expected[1] == 0.0
             domain = box(PRUNING_CASES[case][1])
-            low_x, up_x = scalar_bounds(model, noise, cells, q, domain, post(iq))
+            low_x, up_x = scalar_bounds(model, noise, grid, q, domain, post(iq))
             assert stored[imc.unsafe_index] == (
                 min(max(1.0 - up_x, 0.0), 1.0),
                 min(max(1.0 - low_x, 0.0), 1.0),
@@ -540,7 +538,7 @@ class TestCandidatePruning:
     def test_pair_kernel_on_off_grid_boxes(self, case):
         """Random target boxes off the grid lines, like cluster boxes: every
         pair bound equals the per-pair scalar computation exactly."""
-        part, model, noise, cells, _ = pruning_case(case)
+        part, model, noise, grid, _ = pruning_case(case)
         posts, post = case_posteriors(case)
         rng = np.random.default_rng(23)
         dom_lo, dom_hi = box(PRUNING_CASES[case][1])
@@ -550,14 +548,13 @@ class TestCandidatePruning:
         lower, upper = pair_bounds(posts, src, t_lo, t_hi)
         for j, i in enumerate(src.tolist()):
             target = (t_lo[j], t_hi[j])
-            expected = scalar_bounds(model, noise, cells, part.corners(i), target, post(i))
+            expected = scalar_bounds(model, noise, grid, part.corners(i), target, post(i))
             assert (float(lower[j]), float(upper[j])) == expected
 
 
 def random_separable_case(rng, n):
     """A random general system over [-1, 1]^n whose component d reads
-    only w_d, its noise, a noise grid of 1 to 4 cells per component and
-    those numbers of cells."""
+    only w_d, its noise and a noise grid of 1 to 4 cells per component."""
     exprs, comps = [], []
     for d in range(1, n + 1):
         i, j = rng.integers(1, n + 1, 2)
@@ -576,8 +573,7 @@ def random_separable_case(rng, n):
         ][rng.integers(3)])
     noise = NoiseModel(comps)
     resolution = [int(r) for r in rng.integers(1, 5, n)]
-    cells = uniform_noise_grid(noise, resolution)
-    return parse_dynamics(exprs, n, "general"), noise, cells, resolution
+    return parse_dynamics(exprs, n, "general"), noise, resolution
 
 
 class TestSeparableGeneral:
@@ -589,15 +585,15 @@ class TestSeparableGeneral:
         (n + 1) (K + sum k_d) 2**-52, so neither bound is ever looser than
         the other by more. The build keeps the tensor build's entries."""
         rng = np.random.default_rng(seed)
-        model, noise, cells, resolution = random_separable_case(rng, n)
+        model, noise, resolution = random_separable_case(rng, n)
         part = partition_domain(*box([[-1, 1]] * n), (4 if n == 2 else 3,) * n)
-        posts = cell_posteriors(part, model, noise, noise_cells=cells)
+        posts = cell_posteriors(part, model, noise, noise_grid=resolution)
         assert posts.structure == imc_module.SEPARABLE
         x = part.corners(np.arange(part.n_cells))
-        lo, hi = enclosure(model.components, (x[0][:, None, :], x[1][:, None, :]),
-                           (cells.lo, cells.hi))
-        tensor = posts._replace(lo=lo, hi=hi, structure="general", weights=cells.mass)
-        tol = (n + 1) * (len(cells.mass) + sum(resolution)) * 2.0**-52
+        _, (w_lo, w_hi, mass) = noise_grid_cells(noise, resolution)
+        lo, hi = enclosure(model.components, (x[0][:, None, :], x[1][:, None, :]), (w_lo, w_hi))
+        tensor = posts._replace(lo=lo, hi=hi, structure="general", weights=mass)
+        tol = (n + 1) * (len(mass) + sum(resolution)) * 2.0**-52
         labels = assign_labels(part, {})
         sep_imc, tensor_imc = build_imc(posts, labels), build_imc(tensor, labels)
         assert np.array_equal(sep_imc.indptr, tensor_imc.indptr)
@@ -622,7 +618,7 @@ class TestPosteriorTable:
     def test_table_replaces_computed_posterior(self):
         part, model, noise = self._setup()
         cells = part.corners(np.arange(part.n_cells))
-        table = PosteriorTable(*enclosure(model.g_components, cells))
+        table = enclosure(model.g_components, cells)
         labels = assign_labels(part, {"goal": box([[[0.5, 1]]])})
         from_table = build_imc(cell_posteriors(part, model, noise, posterior_table=table), labels)
         computed = build_imc(cell_posteriors(part, model, noise), labels)
@@ -632,7 +628,7 @@ class TestPosteriorTable:
     def test_shifted_table_changes_bounds(self):
         part, model, noise = self._setup()
         lo, hi = part.corners(np.arange(part.n_cells))
-        shifted = PosteriorTable(lo + 0.5, hi + 0.5)
+        shifted = lo + 0.5, hi + 0.5
         labels = assign_labels(part, {"goal": box([[[0.5, 1]]])})
         imc = build_imc(cell_posteriors(part, model, noise, posterior_table=shifted), labels)
         baseline = build_imc(cell_posteriors(part, model, noise), labels)
@@ -643,21 +639,32 @@ class TestPosteriorTable:
 
     def test_missing_state_rejected(self):
         part, model, noise = self._setup()
-        table = PosteriorTable(*enclosure(model.g_components, part.corners(np.arange(1))))
+        table = enclosure(model.g_components, part.corners(np.arange(1)))
         with pytest.raises(InputError):
             build_imc(
                 cell_posteriors(part, model, noise, posterior_table=table),
                 assign_labels(part, {"goal": box([[[0.5, 1]]])}),
             )
 
+    def test_nonpositive_multiplicative_table_rejected(self):
+        # a multiplicative system needs g(q) > 0, from a table as computed
+        part = partition_domain(*box([[0.25, 2.25], [0.25, 2.25]]), (2, 2))
+        model = parse_dynamics(["0.7*x1 + 0.1*x2", "0.1*x1 + 0.8*x2"], 2, "multiplicative")
+        noise = NoiseModel((Uniform(0.9, 1.1), Uniform(0.9, 1.1)))
+        lo, hi = enclosure(model.g_components, part.corners(np.arange(part.n_cells)))
+        cell_posteriors(part, model, noise, (lo, hi))
+        lo[2, 1] = 0.0
+        with pytest.raises(InputError, match=r"cell 2 has component 2 in \[0, "):
+            cell_posteriors(part, model, noise, (lo, hi))
+
     def test_file_round_trip(self, tmp_path):
         part, model, noise = self._setup()
         cells = part.corners(np.arange(part.n_cells))
-        table = PosteriorTable(*enclosure(model.g_components, cells))
+        table = enclosure(model.g_components, cells)
         path = tmp_path / "table.csv"
         write_posterior_table(table, path)
         loaded = read_posterior_table(path, part.n_cells, 1)
-        assert np.array_equal(loaded.lo, table.lo) and np.array_equal(loaded.hi, table.hi)
+        assert np.array_equal(loaded[0], table[0]) and np.array_equal(loaded[1], table[1])
 
     def test_missing_files_are_input_errors(self, tmp_path):
         from imcverify.verify import read_results
@@ -709,7 +716,7 @@ class TestPosteriorTable:
         path = tmp_path / "table.csv"
         path.write_text("state,component,lo,hi\n1,0,0.5,1.0\n\n0,0,0.0,0.5\n")
         loaded = read_posterior_table(path, 2, 1)
-        assert (loaded.lo.tolist(), loaded.hi.tolist()) == ([[0.0], [0.5]], [[0.5], [1.0]])
+        assert (loaded[0].tolist(), loaded[1].tolist()) == ([[0.0], [0.5]], [[0.5], [1.0]])
 
 
 class TestExports:

@@ -7,7 +7,9 @@ import scipy.special
 from scipy.special import erf
 
 from imcverify import _special, noise
-from imcverify.imc import CellPosteriors, pair_bounds
+from imcverify.dynamics import parse_dynamics
+from imcverify.geometry import partition_domain
+from imcverify.imc import CellPosteriors, cell_posteriors, pair_bounds
 from imcverify.noise import (
     Mixture,
     NoiseModel,
@@ -15,9 +17,8 @@ from imcverify.noise import (
     Uniform,
     optimal_partition_affine,
     optimal_partition_multiplicative,
-    uniform_noise_grid,
 )
-from oracles import sweep_best_bounds
+from oracles import noise_grid_cells, sweep_best_bounds
 
 
 def paper_mixture():
@@ -180,97 +181,116 @@ def random_noise_grids(seed):
         yield NoiseModel(tuple(comps)), [int(r) for r in rng.integers(1, 6, len(comps))]
 
 
-def scalar_grid(noise, resolution):
-    """Per-cell reference: every cell of the product of per-component
-    intervals, its mass a scalar product of interval probabilities."""
-    per_dim = []
-    for comp, r in zip(noise.components, resolution):
-        edges = np.linspace(*comp.support, r + 1).tolist()
-        per_dim.append(list(zip(edges, edges[1:])))
-    lo, hi, mass = [], [], []
-    for cell in itertools.product(*per_dim):
-        p = 1.0
-        for comp, (a, b) in zip(noise.components, cell):
-            p *= comp.interval_probability(a, b)
-        lo.append([a for a, _ in cell])
-        hi.append([b for _, b in cell])
-        mass.append(min(max(p, 0.0), 1.0))
-    return np.array(lo), np.array(hi), np.array(mass)
+def grid_posteriors(noise, resolution, separable=True):
+    """``cell_posteriors`` of the general system x' = w over one state cell,
+    whose images are the noise cells themselves: component d reads w_d
+    alone, or if not ``separable`` component 1 reads every w_d (as 0*w_d),
+    which takes the tensor noise cells."""
+    exprs = [f"w{d}" for d in range(1, noise.n + 1)]
+    if not separable:
+        exprs[0] += "".join(f" + 0*w{d}" for d in range(2, noise.n + 1))
+    model = parse_dynamics(exprs, noise.n, "general")
+    assert model.noise_separable == separable
+    part = partition_domain(np.zeros(noise.n), np.ones(noise.n), (1,) * noise.n)
+    return cell_posteriors(part, model, noise, noise_grid=resolution)
 
 
-class TestUniformNoiseGrid:
+class TestNoiseGridWeights:
+    """The noise cells and masses that ``cell_posteriors`` images every
+    cell under: per component for a separable system, the tensor cells for
+    any other general one."""
+
     def test_uniform_four_cells(self):
-        grid = uniform_noise_grid(NoiseModel((Uniform(0, 1),)), [4])
-        assert grid.mass.shape == (4,)
-        assert grid.mass == pytest.approx([0.25] * 4)
+        posts = grid_posteriors(NoiseModel((Uniform(0, 1),)), [4])
+        assert posts.weights.shape == (4, 1)
+        assert posts.weights[:, 0] == pytest.approx([0.25] * 4)
 
     def test_truncated_gaussian_symmetry(self):
-        grid = uniform_noise_grid(
-            NoiseModel((TruncatedGaussian(1, 0.1, 0.9, 1.1),)), [2]
-        )
-        assert grid.lo[:, 0] == pytest.approx([0.9, 1.0])
-        assert grid.mass == pytest.approx([0.5, 0.5])
+        posts = grid_posteriors(NoiseModel((TruncatedGaussian(1, 0.1, 0.9, 1.1),)), [2])
+        assert posts.lo[0, :, 0] == pytest.approx([0.9, 1.0])
+        assert posts.weights[:, 0] == pytest.approx([0.5, 0.5])
 
     def test_mixture_hull(self):
-        grid = uniform_noise_grid(NoiseModel((paper_mixture(),)), [3])
-        assert grid.lo[0, 0] == pytest.approx(-0.05)
-        assert grid.hi[-1, 0] == pytest.approx(0.04)
-        assert grid.mass.sum() == pytest.approx(1.0, abs=1e-9)
+        posts = grid_posteriors(NoiseModel((paper_mixture(),)), [3])
+        assert posts.lo[0, 0, 0] == pytest.approx(-0.05)
+        assert posts.hi[0, -1, 0] == pytest.approx(0.04)
+        assert posts.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_measure_preservation_random(self):
         for noise, res in random_noise_grids(5):
-            grid = uniform_noise_grid(noise, res)
-            assert grid.mass.shape == (int(np.prod(res)),)
-            assert grid.mass.sum() == pytest.approx(1.0, abs=1e-9)
+            separable = grid_posteriors(noise, res)
+            assert separable.weights.sum(axis=0) == pytest.approx([1.0] * noise.n, abs=1e-9)
+            if noise.n > 1:
+                tensor = grid_posteriors(noise, res, separable=False)
+                assert tensor.weights.shape == (int(np.prod(res)),)
+                assert tensor.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_matches_scalar_reference(self):
+    def test_tensor_matches_scalar_reference(self):
+        """The tensor cells and their masses, the products of the
+        components' probabilities in component order, clamped."""
         for noise, res in random_noise_grids(5):
-            grid = uniform_noise_grid(noise, res)
-            lo, hi, mass = scalar_grid(noise, res)
-            assert np.array_equal(grid.lo, lo)
-            assert np.array_equal(grid.hi, hi)
-            assert np.array_equal(grid.mass, mass)
+            if noise.n > 1:
+                posts = grid_posteriors(noise, res, separable=False)
+                _, (lo, hi, mass) = noise_grid_cells(noise, res)
+                assert np.array_equal(posts.lo[0], lo)
+                assert np.array_equal(posts.hi[0], hi)
+                assert np.array_equal(posts.weights, mass)
+
+    def test_separable_columns_match_scalar_reference(self):
+        """Column d holds component d's own cells and probabilities, then
+        its last cell again with mass 0."""
+        for noise, res in random_noise_grids(5):
+            posts = grid_posteriors(noise, res)
+            own, _ = noise_grid_cells(noise, res)
+            assert posts.weights.shape == (max(res), noise.n)
+            for d, (cells, r) in enumerate(zip(own, res)):
+                lo, hi, mass = (np.array(x) for x in zip(*cells))
+                assert np.array_equal(posts.lo[0, :r, d], lo)
+                assert np.array_equal(posts.hi[0, :r, d], hi)
+                assert np.array_equal(posts.weights[:r, d], mass)
+                assert np.all(posts.lo[0, r:, d] == lo[-1])
+                assert np.all(posts.hi[0, r:, d] == hi[-1])
+                assert np.all(posts.weights[r:, d] == 0.0)
 
     def test_component_cells_form_the_tensor(self):
-        """Column d of the per-component arrays holds component d's own
-        cells and probabilities, padded with its last cell at mass 0; the
-        tensor's cells are their products, its masses their products in
-        component order from 1.0, clamped."""
+        """The tensor's cells are the products of the separable columns'
+        cells, its masses their products in component order from 1.0,
+        clamped."""
         for noise, res in random_noise_grids(5):
-            grid = uniform_noise_grid(noise, res)
-            assert grid.comp_mass.shape == (max(res), len(res))
+            if noise.n == 1:
+                continue
+            separable = grid_posteriors(noise, res)
+            tensor = grid_posteriors(noise, res, separable=False)
             index = np.indices(res).reshape(len(res), -1)
             mass = np.ones(index.shape[1])
-            for d, (i, r) in enumerate(zip(index, res)):
-                assert np.array_equal(grid.comp_lo[i, d], grid.lo[:, d])
-                assert np.array_equal(grid.comp_hi[i, d], grid.hi[:, d])
-                assert np.all(grid.comp_lo[r:, d] == grid.comp_lo[r - 1, d])
-                assert np.all(grid.comp_mass[r:, d] == 0.0)
-                mass = mass * grid.comp_mass[i, d]
-            assert np.array_equal(np.clip(mass, 0.0, 1.0), grid.mass)
+            for d, i in enumerate(index):
+                assert np.array_equal(separable.lo[0, i, d], tensor.lo[0, :, d])
+                assert np.array_equal(separable.hi[0, i, d], tensor.hi[0, :, d])
+                mass = mass * separable.weights[i, d]
+            assert np.array_equal(np.clip(mass, 0.0, 1.0), tensor.weights)
 
     def test_multidimensional_product(self):
         noise = NoiseModel((Uniform(0, 1), Uniform(0, 1)))
-        grid = uniform_noise_grid(noise, [4, 4])
-        assert grid.lo.shape == grid.hi.shape == (16, 2)
-        assert grid.mass.sum() == pytest.approx(1.0)
+        posts = grid_posteriors(noise, [4, 4], separable=False)
+        assert posts.lo.shape == posts.hi.shape == (1, 16, 2)
+        assert posts.weights.sum() == pytest.approx(1.0)
 
     def test_product_rule(self):
         noise = NoiseModel((Uniform(0, 1), Uniform(0, 1)))
-        grid = uniform_noise_grid(noise, [2, 2])
+        posts = grid_posteriors(noise, [2, 2], separable=False)
         # row-major, the last component fastest
-        assert grid.lo.tolist() == [[0, 0], [0, 0.5], [0.5, 0], [0.5, 0.5]]
-        assert grid.mass == pytest.approx([0.25] * 4)
+        assert posts.lo[0].tolist() == [[0, 0], [0, 0.5], [0.5, 0], [0.5, 0.5]]
+        assert posts.weights == pytest.approx([0.25] * 4)
 
     def test_full_support(self):
         noise = NoiseModel((TruncatedGaussian(1, 0.1, 0.9, 1.1),))
-        assert uniform_noise_grid(noise, [1]).mass == pytest.approx([1.0])
+        assert grid_posteriors(noise, [1]).weights[:, 0] == pytest.approx([1.0])
 
     def test_mixture_gap_has_zero_mass(self):
         # cell 4 of 9 over [-0.05, 0.04] is the gap [-0.01, 0.0]
-        grid = uniform_noise_grid(NoiseModel((paper_mixture(),)), [9])
-        assert (grid.lo[4, 0], grid.hi[4, 0]) == pytest.approx((-0.01, 0.0))
-        assert grid.mass[4] == pytest.approx(0.0)
+        posts = grid_posteriors(NoiseModel((paper_mixture(),)), [9])
+        assert (posts.lo[0, 4, 0], posts.hi[0, 4, 0]) == pytest.approx((-0.01, 0.0))
+        assert posts.weights[4, 0] == pytest.approx(0.0)
 
 
 class TestPartitionOptimality:
