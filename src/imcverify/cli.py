@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands run individual pipeline phases against the same configuration
-file, reusing artifacts already on disk; ``run`` executes the full
+file, reusing the result tables already on disk; ``run`` executes the full
 pipeline. Exit codes: 0 success, 1 input error, 2 internal soundness error,
 3 an unbounded verify phase that hit ``max_iterations`` before converging
 (every export is still written).

@@ -393,6 +393,13 @@ def cell_posteriors(
         raise InputError("a uniform with lo == hi is a point mass, which the noise partitions drop")
     if posterior_table is not None and model.structure == GENERAL:
         raise ValueError("posterior tables require an additive or multiplicative structure")
+    if model.structure == MULTIPLICATIVE:
+        for d, e in enumerate(partition.edges):
+            if not e[0] > 0.0:
+                raise InputError(
+                    "multiplicative structure requires a strictly positive domain, but "
+                    f"dimension {d} starts at {e[0]:.6g}"
+                )
     x = partition.corners(np.arange(partition.n_cells))
     support, structure = noise.support(), model.structure
     if structure == GENERAL:
@@ -660,8 +667,8 @@ def _reject_first(path, *checks) -> None:
 
 
 def write_imc(imc: Imc, bounds_path, labels_path) -> None:
-    """Delimited exports: (from,to,lower,upper) sorted by (from,to), and one
-    (state,label) row per label, sorted, a record nothing reads back."""
+    """Delimited exports, records nothing reads back: (from,to,lower,upper)
+    sorted by (from,to), and one (state,label) row per label, sorted."""
 
     def entries(a, b):
         src = np.searchsorted(imc.indptr, np.arange(a, b), side="right") - 1
@@ -673,27 +680,6 @@ def write_imc(imc: Imc, bounds_path, labels_path) -> None:
     state, label = np.nonzero(np.stack([imc.labels[name] for name in names], axis=1))
     pairs = (len(state), lambda a, b: (state[a:b], (names, label[a:b])))
     write_columns(labels_path, "state,label", pairs)
-
-
-def read_imc(bounds_path, partition: StatePartition, labels: Mapping[str, np.ndarray]) -> Imc:
-    """Load exported bounds, whose rows may come in any order, as an IMC with
-    the given labels, which the bounds do not depend on. A malformed line, an
-    out-of-range state, an invalid bound or a repeated (from, to) pair is an
-    InputError naming ``path:line``."""
-    n = partition.n_states
-    src, dst, lo, hi = _read_columns(bounds_path, "from,to,lower,upper", int, int, float, float)
-    in_range = (0 <= src) & (src < n) & (0 <= dst) & (dst < n)
-    # out-of-range entries get distinct negative keys: they repeat nothing
-    order, repeat = _repeats(np.where(in_range, src * n + dst, -1 - np.arange(len(src))))
-    _reject_first(
-        bounds_path,
-        (~in_range, "state index out of range"),
-        (~((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)), "bound requires 0 <= lower <= upper <= 1"),
-        (repeat, lambda k: f"duplicate pair ({src[k]},{dst[k]})"),
-    )
-    src, dst, lo, hi = (x[order] for x in (src, dst, lo, hi))
-    indptr = np.searchsorted(src, np.arange(n + 1))
-    return Imc(partition, indptr, dst, lo, hi, dict(labels))
 
 
 def write_posterior_table(table: tuple[np.ndarray, np.ndarray], path) -> None:

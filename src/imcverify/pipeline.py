@@ -2,12 +2,14 @@
 
 Each phase writes its artifacts into the configured output directory and
 later phases can reload them, so the CLI subcommands compose. The config is
-the only source of the grid and the specification, labels included, and a
-phase reloads only what it cannot recompute: ``imc.csv`` for verify and
-improve, a result table for improve and simulate (``labels.csv`` is a
-record). Only abstract and improve bound transitions: each builds the
-cells' posteriors, the one place that reads a noise grid or a posterior
-table, once (``RunContext.posteriors``). Before a phase writes its exports
+the only source of the grid, the specification, labels included, and the
+abstraction, and a phase reloads only what it cannot recompute: a result
+table for improve and simulate. Verify and improve build the IMC from the
+config unless abstract ran in the same process, so ``imc.csv`` and
+``labels.csv`` are records of the last abstract that nothing reads back.
+A phase that bounds transitions builds the cells' posteriors, the one
+place that reads a noise grid or a posterior table, once
+(``RunContext.posteriors``). Before a phase writes its exports
 it deletes those of every later phase, so no phase reloads an artifact
 derived from an overwritten one. Verify exports only a sound ``p_upper``,
 so a reloaded result table is classified by the threshold alone.
@@ -39,7 +41,6 @@ from .imc import (
     assign_labels,
     build_imc,
     cell_posteriors,
-    read_imc,
     read_posterior_table,
     write_imc,
 )
@@ -140,15 +141,6 @@ def _abstraction_statistics(imc: Imc, posts: CellPosteriors) -> dict:
     }
 
 
-def load_imc(ctx: RunContext) -> Imc:
-    bounds = ctx.config.output_dir / IMC_FILE
-    if not bounds.exists():
-        raise InputError(
-            f"missing abstraction {bounds}; run the abstract phase first"
-        )
-    return read_imc(bounds, ctx.partition, ctx.labels)
-
-
 def phase_verify(ctx: RunContext, imc: Imc) -> VerificationResult:
     result = robust_value_iteration(
         imc,
@@ -173,11 +165,12 @@ def load_results(ctx: RunContext, improved: bool = False) -> VerificationResult:
 
 
 def phase_improve(
-    ctx: RunContext, imc: Imc, result: VerificationResult
+    ctx: RunContext, imc: Imc, posts: CellPosteriors, result: VerificationResult
 ) -> tuple[VerificationResult, int]:
-    """The cluster pass; returns the improved result and the number of
-    states whose interval changed."""
-    improved = cluster_improve(imc, ctx.posteriors(), result, ctx.spec)
+    """The cluster pass over ``imc`` and the posteriors it was built from;
+    returns the improved result and the number of states whose interval
+    changed."""
+    improved = cluster_improve(imc, posts, result, ctx.spec)
     changed = (improved.p_lower != result.p_lower) | (improved.p_upper != result.p_upper)
     _drop_exports_after(ctx, IMPROVED_FILE)
     write_results(improved, ctx.partition, ctx.config.output_dir / IMPROVED_FILE)
@@ -261,9 +254,10 @@ def _record_phase(summary: dict, name: str, t0: float, detail: str, stats: dict)
 def run_pipeline(
     config: RunConfig, phases: Sequence[str] = ("abstract", "verify", "improve", "simulate")
 ) -> dict:
-    """Run the requested phases in order, reloading the on-disk artifacts of
-    any earlier phase that is skipped, and write the summary. ``imc.csv`` is
-    parsed only when verify or improve runs. Returns the summary."""
+    """Run the requested phases in order and write the summary. Verify and
+    improve build the IMC unless abstract ran first; improve and simulate
+    reload the result table of a verify that did not run. Returns the
+    summary."""
     ctx = build_context(config)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -284,7 +278,7 @@ def run_pipeline(
 
     if "verify" in phases:
         if imc is None:
-            imc = load_imc(ctx)
+            imc = build_imc(ctx.posteriors(), ctx.labels)
         t0 = time.perf_counter()
         result = phase_verify(ctx, imc)
         lower, upper = result.fixpoints
@@ -298,12 +292,14 @@ def run_pipeline(
         )
 
     if "improve" in phases and config.cluster_passes > 0:
-        if imc is None:
-            imc = load_imc(ctx)
         if result is None:
             result = load_results(ctx)
+        posts = ctx.posteriors()
+        if imc is None:
+            imc = build_imc(posts, ctx.labels)
         t0 = time.perf_counter()
-        result, improved = phase_improve(ctx, imc, result)
+        result, improved = phase_improve(ctx, imc, posts, result)
+        del posts  # not kept for simulate, as ctx.posteriors() asks
         _record_phase(summary, "improve", t0, f"{improved} states improved", {"improved": improved})
     elif "improve" in phases:
         log.info("improve: skipped, as cluster.passes is 0")

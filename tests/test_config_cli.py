@@ -453,8 +453,8 @@ monte_carlo: {{enabled: false}}
             load_config(tmp_path / "nope.yaml")
 
     def test_posterior_table_requires_a_structured_system(self, tmp_path, caplog):
-        # verify and simulate never read the table, so the config must
-        # reject the combination for them to see it
+        # simulate never reads the table, so the config must reject the
+        # combination for every phase to see it
         path = tmp_path / "general.yaml"
         w1 = "{type: uniform, lo: -0.1, hi: 0.1}"
         path.write_text(GENERAL_2D.format(w1=w1) + "posterior_table: table.csv\n")
@@ -780,8 +780,8 @@ class TestCli:
         assert validated != {s: stale[s] for s in validated}
 
     def test_reloading_phases_take_the_labels_from_the_config(self, tmp_path):
-        # the bounds do not depend on the labels: after a goal edit, verify
-        # and simulate on the old imc.csv agree with a fresh run of the edit
+        # after a goal edit, verify and simulate next to the old imc.csv
+        # agree with a fresh run of the edit
         cfg_path = write_toy(tmp_path, passes=0)
         assert main(["abstract", "-c", str(cfg_path)]) == 0
         cfg_path.write_text(cfg_path.read_text().replace("[[[0.75, 1.0]]]", "[[[0.25, 0.5]]]"))
@@ -843,9 +843,46 @@ class TestCli:
         assert counts == expected
         assert counts != verified
 
-    def test_verify_without_abstract_fails(self, tmp_path):
+    def test_verify_without_abstract_builds_the_abstraction(self, tmp_path):
         cfg_path = write_toy(tmp_path, outdir="fresh")
-        assert main(["verify", "-c", str(cfg_path)]) == 1
+        assert main(["verify", "-c", str(cfg_path)]) == 0
+        assert main(["run", "-c", str(cfg_path), "--output-dir", str(tmp_path / "run")]) == 0
+        results = (tmp_path / "fresh" / RESULTS_FILE).read_bytes()
+        assert results == (tmp_path / "run" / RESULTS_FILE).read_bytes()
+        assert not (tmp_path / "fresh" / IMC_FILE).exists()
+
+    def test_verify_then_improve_without_abstract_export_the_bytes_of_run(self, tmp_path):
+        # improve builds its own abstraction too; on this config the pass
+        # improves some states, so the improved table is not the verified one
+        cfg_path = tmp_path / "paper.yaml"
+        cfg_path.write_text(PAPER_2D.replace("output_dir: out", "output_dir: fresh")
+                            + "cluster:\n  passes: 1\n")
+        for phase in ("verify", "improve"):
+            assert main([phase, "-c", str(cfg_path)]) == 0
+        assert main(["run", "-c", str(cfg_path), "--output-dir", str(tmp_path / "run")]) == 0
+        fresh, run = tmp_path / "fresh", tmp_path / "run"
+        for name in (RESULTS_FILE, IMPROVED_FILE):
+            assert (fresh / name).read_bytes() == (run / name).read_bytes(), name
+        assert (run / IMPROVED_FILE).read_bytes() != (run / RESULTS_FILE).read_bytes()
+        assert not (fresh / IMC_FILE).exists()
+
+    def test_verify_after_a_noise_edit_exports_the_edited_system(self, tmp_path):
+        # the imc.csv of the old noise stays on disk, but verify bounds the
+        # configured system: widening both components changes the verdicts
+        cfg_path = tmp_path / "phased.yaml"
+        text = (WORKLOADS / "additive-h200-phased.yaml").read_text() + "output_dir: out\n"
+        cfg_path.write_text(text)
+        assert main(["abstract", "-c", str(cfg_path)]) == 0
+        narrow = "{type: uniform, lo: -0.05, hi: 0.05}"
+        assert text.count(narrow) == 2
+        cfg_path.write_text(text.replace(narrow, "{type: uniform, lo: -0.2, hi: 0.2}"))
+        assert main(["verify", "-c", str(cfg_path)]) == 0
+        assert main(["run", "-c", str(cfg_path), "--output-dir", str(tmp_path / "fresh")]) == 0
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert (out / RESULTS_FILE).read_bytes() == (fresh / RESULTS_FILE).read_bytes()
+        phased, run = (json.loads((d / SUMMARY_FILE).read_text()) for d in (out, fresh))
+        assert phased["classification"] == run["classification"]
+        assert phased["provenance"]["config_sha256"] == run["provenance"]["config_sha256"]
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -1055,7 +1092,7 @@ output_dir: out
             assert main(["abstract", "-c", str(tmp_path / "table.yaml")]) == 1
         assert "table.csv:4: state index out of range" in caplog.text
 
-    def test_only_improve_reads_the_posterior_table(self, tmp_path, caplog):
+    def test_only_simulate_runs_without_the_posterior_table(self, tmp_path, caplog):
         text = ADDITIVE_2D.format(
             table="posterior_table: table.csv\ncluster:\n  passes: 1", outdir="out"
         ).replace("  enabled: false", "  trajectories: 20\n  cells: [0, 5]")
@@ -1066,14 +1103,16 @@ output_dir: out
         lo, hi = enclosure(cfg.model.g_components, cells)
         write_posterior_table((lo, hi), tmp_path / "table.csv")
         argv = ["-c", str(tmp_path / "table.yaml")]
-        assert main(["abstract", *argv]) == 0
-        (tmp_path / "table.csv").unlink()
-        for phase in ("verify", "simulate"):
+        for phase in ("abstract", "verify"):
             assert main([phase, *argv]) == 0
-        with caplog.at_level(logging.ERROR, logger="imcverify"):
-            assert main(["improve", *argv]) == 1
-        (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert error == f"{tmp_path / 'table.csv'}: file does not exist"
+        (tmp_path / "table.csv").unlink()
+        for phase in ("verify", "improve"):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="imcverify"):
+                assert main([phase, *argv]) == 1
+            (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+            assert error == f"{tmp_path / 'table.csv'}: file does not exist"
+        assert main(["simulate", *argv]) == 0
 
     def test_missing_posterior_table_exits_1(self, tmp_path, caplog):
         path = tmp_path / "absent.yaml"
@@ -1084,21 +1123,24 @@ output_dir: out
         (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert error == f"{absent}: file does not exist"
 
-    def test_verify_and_simulate_build_no_noise_grid(self, tmp_path, monkeypatch):
+    def test_verify_builds_the_noise_grid_once_and_simulate_never(self, tmp_path, monkeypatch):
         from imcverify import pipeline
 
-        def refused(*args):
-            raise AssertionError("cell_posteriors called")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return cell_posteriors(*args, **kwargs)
 
         path = tmp_path / "general.yaml"
         w1 = "{type: uniform, lo: -0.1, hi: 0.1}"
         path.write_text(GENERAL_2D.format(w1=w1) + "cluster:\n  passes: 1\n")
         assert main(["abstract", "-c", str(path)]) == 0
-        monkeypatch.setattr(pipeline, "cell_posteriors", refused)
-        for phase in ("verify", "simulate"):
+        monkeypatch.setattr(pipeline, "cell_posteriors", counted)
+        for phase, expected in (("verify", 1), ("simulate", 0), ("improve", 1)):
+            calls.clear()
             assert main([phase, "-c", str(path)]) == 0
-        with pytest.raises(AssertionError, match="cell_posteriors called"):
-            main(["improve", "-c", str(path)])
+            assert len(calls) == expected, phase
 
     def test_output_dir_and_seed_override(self, tmp_path):
         cfg_path = write_toy(tmp_path)
@@ -1127,10 +1169,11 @@ output_dir: out
             summary = json.loads((tmp_path / "out" / SUMMARY_FILE).read_text())
             provenance = {"version": imcverify.__version__, "config_sha256": digest, "seed": seed}
             assert summary["provenance"] == provenance
-        from imcverify.pipeline import build_context, load_imc, phase_verify
+        from imcverify.imc import build_imc
+        from imcverify.pipeline import build_context, phase_verify
 
         ctx = build_context(load_config(cfg_path))
-        result = phase_verify(ctx, load_imc(ctx))
+        result = phase_verify(ctx, build_imc(ctx.posteriors(), ctx.labels))
         assert result.fixpoints[0] is not None
         fixpoint_sweep = dict(zip(("lower", "upper"), result.fixpoints))
         assert summary["phases"]["verify"]["fixpoint_sweep"] == fixpoint_sweep

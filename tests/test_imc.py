@@ -17,7 +17,6 @@ from imcverify.imc import (
     build_imc,
     cell_posteriors,
     pair_bounds,
-    read_imc,
     read_posterior_table,
     write_imc,
     write_posterior_table,
@@ -657,6 +656,19 @@ class TestPosteriorTable:
         with pytest.raises(InputError, match=r"cell 2 has component 2 in \[0, "):
             cell_posteriors(part, model, noise, (lo, hi))
 
+    def test_nonpositive_multiplicative_domain_rejected(self):
+        # g(q) = 0.5*x1 + 2 lies in [1.5, 3.5], but the multiplicative cut
+        # points need targets on a positive domain: one short error naming
+        # the dimension and its lower edge, for computed posteriors and a table
+        part = partition_domain([-1], [3], (8,))
+        model = parse_dynamics(["0.5*x1 + 2"], 1, "multiplicative")
+        noise = NoiseModel((Uniform(0.9, 1.1),))
+        table = enclosure(model.g_components, part.corners(np.arange(part.n_cells)))
+        message = "multiplicative structure requires a strictly positive domain, but dimension 0 starts at -1"
+        for posterior_table in (None, table):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                cell_posteriors(part, model, noise, posterior_table)
+
     def test_file_round_trip(self, tmp_path):
         part, model, noise = self._setup()
         cells = part.corners(np.arange(part.n_cells))
@@ -673,7 +685,6 @@ class TestPosteriorTable:
         path = tmp_path / "absent.csv"
         for read in (
             lambda: read_posterior_table(path, 2, 1),
-            lambda: read_imc(path, part, assign_labels(part, {})),
             lambda: read_results(path, part, 0.9),
         ):
             with pytest.raises(InputError, match=f"^{re.escape(str(path))}: file does not exist$"):
@@ -702,15 +713,47 @@ class TestPosteriorTable:
             (["0,0,0.0,0.5", "1,0,0.5,1.0", "0,0,0.2,0.3"],
              "table.csv:4: duplicate (state, component)"),
             (["0,0,0.0,inf", "1,0,0.5,1.0"], "table.csv:2: empty or invalid interval"),
+            (["0,-1,0.0,0.5", "1,0,0.5,1.0"], "table.csv:2: component index out of range"),
+            (["0,0,0.0", "1,0,0.5,1.0"], "table.csv:2: expected 4 fields"),
+            # a blank line still counts toward the line numbers
+            (["0,0,0.0,0.5", "", "1,0,0.5,1.0", "0,0,0.0,0.5"],
+             "table.csv:5: duplicate (state, component) (0,0)"),
         ],
         ids=["component", "nan", "order", "number", "underscore", "arabic-indic-digit", "missing",
-             "state", "negative", "duplicate", "infinite"],
+             "state", "negative", "duplicate", "infinite", "negative-component", "fields",
+             "blank-then-duplicate"],
     )
     def test_malformed_file_rejected(self, tmp_path, rows, where):
         path = tmp_path / "table.csv"
         path.write_text("\n".join(["state,component,lo,hi"] + rows) + "\n")
         with pytest.raises(InputError, match=re.escape(where)):
             read_posterior_table(path, 2, 1)
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("state,comp,lo,hi\n0,0,0.0,0.5\n1,0,0.5,1.0\n")
+        with pytest.raises(InputError, match=re.escape("table.csv:1: expected header")):
+            read_posterior_table(path, 2, 1)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:1] + lines[3:] + lines[1:3],
+            lambda lines: [line + " " for line in lines],
+            lambda lines: [line + "\r" for line in lines],
+        ],
+        ids=["rotated", "trailing-blanks", "crlf"],
+    )
+    def test_tolerated_edits_load_the_same_table(self, tmp_path, edit):
+        # non-dyadic bounds over a 3 x 2 grid, two components per state
+        part = partition_domain(*box([[-1.3, 2.7], [0.1, 0.9]]), (3, 2))
+        model = parse_dynamics(["0.7*x1 + 0.1*x2", "0.1*x1 - 0.3*x2"], 2, "additive")
+        table = enclosure(model.g_components, part.corners(np.arange(part.n_cells)))
+        path = tmp_path / "table.csv"
+        write_posterior_table(table, path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        lo, hi = read_posterior_table(path, part.n_cells, 2)
+        assert np.array_equal(lo, table[0]) and np.array_equal(hi, table[1])
 
     def test_blank_lines_and_any_order_accepted(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -720,24 +763,17 @@ class TestPosteriorTable:
 
 
 class TestExports:
-    def test_round_trip_and_determinism(self, tmp_path):
+    def test_determinism(self, tmp_path):
         part = partition_domain(*box([[0, 1]]), (4,))
         model = identity_additive()
         noise = NoiseModel((Uniform(-0.2, 0.2),))
         labels = assign_labels(part, {"goal": box([[[0.75, 1]]])})
-        imc = build_imc(cell_posteriors(part, model, noise), labels)
         b1, l1 = tmp_path / "imc1.csv", tmp_path / "lab1.csv"
         b2, l2 = tmp_path / "imc2.csv", tmp_path / "lab2.csv"
-        write_imc(imc, b1, l1)
-        write_imc(imc, b2, l2)
+        for bounds, labels_path in ((b1, l1), (b2, l2)):
+            write_imc(build_imc(cell_posteriors(part, model, noise), labels), bounds, labels_path)
         assert b1.read_bytes() == b2.read_bytes()
         assert l1.read_bytes() == l2.read_bytes()
-        loaded = read_imc(b1, part, labels)
-        for name in ("indptr", "dst", "lower", "upper"):
-            assert np.array_equal(getattr(loaded, name), getattr(imc, name)), name
-        assert loaded.labels.keys() == imc.labels.keys()
-        for name, mask in imc.labels.items():
-            assert np.array_equal(loaded.labels[name], mask), name
 
     def test_labels_export_bytes(self, tmp_path):
         # rows by state, then by label name: "base" sorts before "goal" and
@@ -786,79 +822,6 @@ class TestExports:
         assert len(imc.dst) > 3 * imc_module._BLOCK_PAIRS
         assert build_peak < 12 * 2**20
         assert write_peak < 2 * 2**20
-
-    def test_duplicate_pair_rejected(self, tmp_path):
-        part = partition_domain(*box([[0, 1]]), (2,))
-        imc = build_imc(
-            cell_posteriors(part, identity_additive(), NoiseModel((Uniform(-0.2, 0.2),))),
-            assign_labels(part, {}),
-        )
-        bounds, labels = tmp_path / "imc.csv", tmp_path / "labels.csv"
-        write_imc(imc, bounds, labels)
-        lines = bounds.read_text().splitlines()
-        bounds.write_text("\n".join(lines + [lines[1]]) + "\n")
-        with pytest.raises(InputError, match=f"imc.csv:{len(lines) + 1}: duplicate"):
-            read_imc(bounds, part, imc.labels)
-
-    def _export(self, tmp_path):
-        part = partition_domain(*box([[0, 1]]), (4,))
-        noise = NoiseModel((Uniform(-0.2, 0.2),))
-        posts = cell_posteriors(part, identity_additive(), noise)
-        imc = build_imc(posts, assign_labels(part, {"goal": box([[[0.75, 1]]])}))
-        bounds, labels = tmp_path / "imc.csv", tmp_path / "labels.csv"
-        write_imc(imc, bounds, labels)
-        return part, imc, bounds
-
-    # lines of the exported table: header, then 15 entries sorted by
-    # (from, to), the first three 0,0 / 0,1 / 0,4
-    @pytest.mark.parametrize(
-        "edit, where",
-        [
-            (lambda lines: ["src,dst,lower,upper"] + lines[1:], "imc.csv:1: expected header"),
-            (lambda lines: lines[:2] + [lines[2] + ",x"] + lines[3:],
-             "imc.csv:3: expected 4 fields"),
-            (lambda lines: lines[:2] + ["0,x,0.0,0.5"] + lines[3:], "imc.csv:3: malformed field"),
-            # Python's int() and float() read these; np.loadtxt does not
-            (lambda lines: lines[:2] + ["0,1,0.0,1_0"] + lines[3:], "imc.csv:3: malformed field"),
-            (lambda lines: lines[:3] + ["", "0,4,\u0660.5,1.0"] + lines[4:],
-             "imc.csv:5: malformed field"),
-            (lambda lines: lines[:4] + ["1,5,0.0,0.5"] + lines[5:],
-             "imc.csv:5: state index out of range"),
-            (lambda lines: lines[:3] + ["0,4,0.6,0.5"] + lines[4:],
-             "imc.csv:4: bound requires 0 <= lower <= upper <= 1"),
-            (lambda lines: lines[:2] + ["0,1,nan,0.5"] + lines[3:],
-             "imc.csv:3: bound requires 0 <= lower <= upper <= 1"),
-            (lambda lines: lines[:6] + ["1,2,0.0,1.5"] + lines[7:],
-             "imc.csv:7: bound requires 0 <= lower <= upper <= 1"),
-            (lambda lines: lines + [lines[2]], "imc.csv:17: duplicate pair (0,1)"),
-            # a blank line still counts toward the line numbers
-            (lambda lines: lines[:3] + [""] + lines[3:] + [lines[2]],
-             "imc.csv:18: duplicate pair (0,1)"),
-        ],
-        ids=["header", "fields", "number", "underscore", "arabic-indic-digit", "state-range",
-             "order", "nan", "upper", "duplicate", "blank-then-duplicate"],
-    )
-    def test_malformed_table_rejected(self, tmp_path, edit, where):
-        part, imc, bounds = self._export(tmp_path)
-        bounds.write_text("\n".join(edit(bounds.read_text().splitlines())) + "\n")
-        with pytest.raises(InputError, match=re.escape(where)):
-            read_imc(bounds, part, imc.labels)
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda lines: lines[:5] + ["", "  "] + lines[5:],
-            lambda lines: lines[:1] + lines[1:][::-1],
-            lambda lines: lines[:1] + lines[8:] + lines[1:8],
-        ],
-        ids=["blank-lines", "reversed", "rotated"],
-    )
-    def test_tolerated_edits_load_the_same_arrays(self, tmp_path, edit):
-        part, imc, bounds = self._export(tmp_path)
-        bounds.write_text("\n".join(edit(bounds.read_text().splitlines())) + "\n")
-        loaded = read_imc(bounds, part, imc.labels)
-        for name in ("indptr", "dst", "lower", "upper"):
-            assert np.array_equal(getattr(loaded, name), getattr(imc, name)), name
 
 
 def test_row_validity_violation_raises():

@@ -710,8 +710,10 @@ class TestReadResults:
             lambda lines: lines[:2] + ["", "  "] + lines[2:],
             lambda lines: lines[:1] + lines[1:][::-1],
             lambda lines: [line + " " for line in lines],
+            lambda lines: lines[:1] + lines[2:] + lines[1:2],
+            lambda lines: [line + "\r" for line in lines],
         ],
-        ids=["blank-lines", "reversed", "trailing-blanks"],
+        ids=["blank-lines", "reversed", "trailing-blanks", "rotated", "crlf"],
     )
     def test_tolerated_edits_load_the_same_result(self, tmp_path, edit):
         imc, res, path = self._export(tmp_path)
@@ -738,12 +740,27 @@ class TestReadResults:
              ":2: requires 0 <= p_lower and p_upper <= 1"),
             (lambda lines: lines[:1] + ["0,0.0,1.0,0.5,inf,undetermined"] + lines[2:],
              ":2: requires 0 <= p_lower and p_upper <= 1"),
-            (lambda lines: lines[:1] + [lines[1] + ",x"] + lines[2:], ":2: expected 6"),
-            (lambda lines: ["state,p_lower,p_upper,class"] + lines[1:], "header"),
+            (lambda lines: lines[:1] + [lines[1] + ",x"] + lines[2:], ":2: expected 6 fields"),
+            (lambda lines: ["state,p_lower,p_upper,class"] + lines[1:], ":1: expected header"),
             (lambda lines: lines[:3], "missing states [2]"),
+            # Python's int() and float() read these; np.loadtxt does not
+            (lambda lines: lines[:1] + ["0,0.0,1.0,0.5,1_0,undetermined"] + lines[2:],
+             ":2: malformed field"),
+            (lambda lines: lines[:2] + ["", "1,1.0,2.0,\u0660.5,1.0,satisfies"] + lines[3:],
+             ":4: malformed field"),
+            # a blank line still counts toward the line numbers
+            (lambda lines: lines[:2] + [""] + lines[2:] + [lines[2]], ":6: duplicate state 1"),
+            (lambda lines: lines[:1] + ["0,0.0,1.0,nan,0.5,undetermined"] + lines[2:],
+             ":2: requires p_lower <= p_upper, got [nan, 0.5]"),
+            (lambda lines: lines[:2] + ["x" + lines[2][1:]] + lines[3:], ":3: malformed field"),
+            # a state index is an integer, not a float that equals one
+            (lambda lines: lines[:1] + ["0.0" + lines[1][1:]] + lines[2:], ":2: malformed field"),
+            (lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ","] + lines[2:],
+             ":2: unknown class ''"),
         ],
         ids=["state-range", "duplicate", "class", "order", "negative", "above-one", "inf",
-             "fields", "header", "missing"],
+             "fields", "header", "missing", "underscore", "arabic-indic-digit",
+             "blank-then-duplicate", "nan", "number", "float-state", "empty-class"],
     )
     def test_malformed_table_rejected(self, tmp_path, edit, where):
         imc, _, path = self._export(tmp_path)
