@@ -87,23 +87,43 @@ def ndtri(y0):
     at 1 and nan outside [0, 1], each set only when such values occur."""
     y0 = np.asarray(y0, dtype=float)
     flat = y0.ravel()
-    upper = flat > 1.0 - _EXPM2
-    y = np.where(upper, 1.0 - flat, flat)
-    mid, edge = y > _EXPM2, y <= 0.0  # edge: y0 is 0, 1 or outside [0, 1]
-    # tail: y0 in (0, exp(-2)] or [1 - exp(-2), 1), or nan as in Cephes
-    tail, mid, out = np.flatnonzero(~(mid | edge)), np.flatnonzero(mid), np.empty(flat.shape)
-    v, y = y[mid] - 0.5, y[tail]  # frees y: only its central and tail elements are read
+    out = np.empty(flat.shape)
+    central = (flat > _EXPM2) & (flat <= 1.0 - _EXPM2)
+    mid, rest = np.flatnonzero(central), np.flatnonzero(~central)
+    v = flat.take(mid)
+    v -= 0.5
     v2 = v * v
-    out[mid] = (v + v * np.divide(v2 * _polevl(v2, _P0), _polevl(v2, _Q0), out=v2)) * _S2PI
-    x = np.sqrt(-2.0 * _libm(math.log, y))
-    z = 1.0 / x
-    x1 = np.empty_like(x)
-    near = x < 8.0  # False on nan, which either rational keeps
-    for part, p, q in ((near, _P1, _Q1), (~near, _P2, _Q2)):  # each on its own elements
-        zp = z[part]
-        x1[part] = zp * _polevl(zp, p) / _polevl(zp, q)
-    x = x - _libm(math.log, x) / x - x1
-    out[tail] = np.where(upper[tail], x, -x)
-    if len(mid) + len(tail) < len(flat):
-        out[edge] = np.select([flat[edge] == 0.0, flat[edge] == 1.0], [-np.inf, np.inf], np.nan)
+    r = _polevl(v2, _P0)  # r = (v + v * v2 P0(v2) / Q0(v2)) * sqrt(2 pi), in place
+    r *= v2
+    r /= _polevl(v2, _Q0)
+    r *= v
+    r += v
+    r *= _S2PI
+    out[mid] = r
+    # the rest: tails in y0 in (0, exp(-2)] or [1 - exp(-2), 1), nan as in
+    # Cephes, and the edge: y0 is 0, 1 or outside [0, 1]
+    y = flat.take(rest)
+    upper = y > 1.0 - _EXPM2
+    y = np.where(upper, 1.0 - y, y)
+    edge = y <= 0.0
+    if edge.any():
+        e, keep = rest[edge], ~edge
+        out[e] = np.select([flat[e] == 0.0, flat[e] == 1.0], [-np.inf, np.inf], np.nan)
+        rest, y, upper = rest[keep], y[keep], upper[keep]
+    x = _libm(math.log, y)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    z = np.divide(1.0, x)
+    x1 = _polevl(z, _P1)  # z P1(z) / Q1(z) for x < 8 and nan, z P2(z) / Q2(z) from 8 on
+    x1 *= z
+    x1 /= _polevl(z, _Q1)
+    far = np.flatnonzero(x >= 8.0)
+    z = z.take(far)
+    x1[far] = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    t = _libm(math.log, x)  # x - log(x) / x - x1, negated in the lower tail
+    t /= x
+    np.subtract(x, t, out=t)
+    t -= x1
+    np.negative(t, out=t, where=~upper)
+    out[rest] = t
     return out.reshape(y0.shape)[()]

@@ -468,7 +468,9 @@ def eval_point(model: DynamicsModel, x, w) -> np.ndarray:
     """Evaluate f(x, w) component-wise.
 
     ``x`` and ``w`` are vectors of length n, or arrays of shape (m, n) for a
-    batch of m points; the result matches that leading shape.
+    batch of m points; the result matches that leading shape, with each
+    component's values contiguous (the result of a batch is the transpose
+    of an (n, m) array).
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -482,7 +484,7 @@ def eval_point(model: DynamicsModel, x, w) -> np.ndarray:
         )
         for i, expr in enumerate(model.components)
     ]
-    return np.stack(cols, axis=-1)
+    return np.moveaxis(np.stack(cols), 0, -1)
 
 
 # --- interval evaluation -----------------------------------------------------

@@ -10,12 +10,14 @@ in lockstep with one RNG stream per cell. While any of a cell's trajectories
 is alive, each step draws one (trajectories, noise.n) block from its stream
 and trajectory i reads row i, so a trajectory's noise never depends on
 which others have ended or which cells share its batch. A step costs what
-the live trajectories cost: their states sit in a compact array that drops
-a trajectory when it ends, only an ending trajectory writes its
-termination and length, and only the exported ones write their states
-back. A point is judged by the labels of the grid cell that owns it
-(``StatePartition.owner``), the cells the IMC was built on: one gather from
-a termination code per state, built once per call.
+the live trajectories cost: each drawing cell writes its block into one
+buffer in place, the live states sit in a compact array with one row per
+coordinate that drops a trajectory when it ends, only an ending trajectory
+writes its termination and length, and only the exported ones, carried as
+positions among the live ones, write their states back. A point is judged
+by the labels of the grid cell that owns it (``StatePartition.owner``),
+the cells the IMC was built on: one gather from a termination code per
+state, built once per call.
 ``estimate_satisfaction`` validates many cells at once in groups of at most
 ``GROUP_TRAJECTORIES``, logging each group's trajectory-steps at DEBUG, with
 one ``clopper_pearson`` call per group (numpy and ``math`` only, no scipy).
@@ -98,28 +100,32 @@ def _rollout(
     length = np.where(cause == _RUNNING, horizon + 1, 1)
     tracked = (n * np.arange(cells)[:, None] + np.arange(k)).ravel()
     history = [x[tracked]]
-    tracking = bool(np.any(cause[tracked] == _RUNNING))
     u = np.empty((len(x), noise.n))
     alive = np.flatnonzero(cause == _RUNNING)
-    x_alive = x[alive]
+    live = x.T.take(alive, axis=1)  # the live states, one row per coordinate
+    shown = np.flatnonzero(alive % n < k)  # positions in alive of the exported trajectories
+    remaining = np.bincount(alive // n, minlength=cells)  # live trajectories per cell
+    drawing = np.flatnonzero(remaining).tolist()
     for step in range(horizon):
         if len(alive) == 0:
             break
-        for c in np.flatnonzero(np.bincount(alive // n, minlength=cells)).tolist():
-            u[c * n : (c + 1) * n] = rngs[c].random((n, noise.n))
-        x_alive = eval_point(model, x_alive, noise.sample(u[alive]))
-        found = code[partition.owner(x_alive)]
+        for c in drawing:
+            rngs[c].random(out=u[c * n : (c + 1) * n])
+        live = eval_point(model, live.T, noise.sample(u.take(alive, axis=0))).T
+        found = code.take(partition.owner(live.T))
         ended = np.flatnonzero(found)
-        done = alive[ended]
-        cause[done], length[done] = found[ended], step + 2
-        if tracking:
-            shown = alive % n < k
-            x[alive[shown]] = x_alive[shown]
-            history.append(x[tracked])
-            tracking = bool(np.any(cause[tracked] == _RUNNING))
+        if len(shown):
+            x[alive.take(shown)] = live.take(shown, axis=1).T
+            history.append(x.take(tracked, axis=0))
         if len(ended):
-            running = found == _RUNNING
-            alive, x_alive = alive[running], x_alive[running]
+            done = alive.take(ended)
+            cause[done], length[done] = found.take(ended), step + 2
+            shown = shown[found.take(shown) == _RUNNING]
+            shown -= np.searchsorted(ended, shown)  # the ended before each drop out
+            running = np.flatnonzero(found == _RUNNING)
+            alive, live = alive.take(running), live.take(running, axis=1)
+            remaining -= np.bincount(done // n, minlength=cells)
+            drawing = np.flatnonzero(remaining).tolist()
     cause[alive] = _HORIZON
     paths = np.stack(history)
     kept = [

@@ -121,8 +121,12 @@ class TruncatedGaussian(NoiseComponent):
     def inverse_cdf(self, u):
         """Quantile at u in [0, 1]: the Gaussian quantile of Phi(lo) + u *
         mass, clipped to [lo, hi] against rounding."""
-        z = ndtri(self._phi_lo + np.asarray(u, dtype=float) * self._mass)
-        return np.clip(self.mean + self.stddev * z, self.lo, self.hi)
+        y = np.asarray(u, dtype=float) * self._mass
+        y += self._phi_lo
+        z = ndtri(y)
+        z *= self.stddev
+        z += self.mean
+        return np.clip(z, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,8 @@ class Mixture(NoiseComponent):
             raise ValueError("mixture weights must be finite and positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
+        # c_i, the sum of the weights before part i
+        object.__setattr__(self, "_starts", (0.0, *np.cumsum(weights)[:-1].tolist()))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -155,13 +161,16 @@ class Mixture(NoiseComponent):
         the u in [c_i, c_i + w_i), c_i the sum of the earlier weights, and
         samples (u - c_i) / w_i; the last part also takes any u above the
         weight sum, which may be 1 - 1e-12. One path for every kind of part."""
-        ends = np.cumsum(self.weights)
-        part = sum((u >= c for c in ends[:-1].tolist()), np.zeros(len(u), dtype=np.intp))
-        v = np.clip((u - np.append(0.0, ends[:-1])[part]) / np.array(self.weights)[part], 0.0, 1.0)
-        for i, p in enumerate(self.parts):  # each part overwrites its own elements of v
-            mine = np.flatnonzero(part == i)
-            v[mine] = p.sample(v[mine])
-        return v
+        # u >= c_i, nested in i: part i takes at[i] ^ at[i + 1], and part 0 also nan
+        at = [np.ones(len(u), bool), *(u >= c for c in self._starts[1:]), np.zeros(len(u), bool)]
+        out = np.empty(len(u))
+        for i, (p, c, w) in enumerate(zip(self.parts, self._starts, self.weights)):
+            mine = np.flatnonzero(at[i] ^ at[i + 1])
+            v = u.take(mine)
+            v -= c
+            v /= w
+            out[mine] = p.sample(np.minimum(np.maximum(v, 0.0, out=v), 1.0, out=v))
+        return out
 
 
 @dataclass(frozen=True)
@@ -186,8 +195,12 @@ class NoiseModel:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Noise vectors, shape (m, n), from uniforms of shape (m, n):
-        column i drives component i."""
-        return np.stack([c.sample(u[:, i]) for i, c in enumerate(self.components)], axis=-1)
+        column i drives component i. The result is the transpose of an (n, m)
+        array, so each component's samples are contiguous."""
+        w = np.empty(u.shape[::-1])
+        for i, c in enumerate(self.components):
+            w[i] = c.sample(u[:, i])
+        return w.T
 
 
 def _point_mass(comp: NoiseComponent) -> bool:

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._csv import write_columns
+from ._csv import csv_lines, write_columns
 from .errors import InputError, InvalidModelError
 from .geometry import StatePartition
 from .imc import _ROW_TOL, Imc, RowLayout, _goal_avoid_sets, _read_columns, _reject_first, _repeats
@@ -219,16 +219,19 @@ def _results_header(dim: int) -> str:
 def write_results(result: VerificationResult, partition: StatePartition, path) -> None:
     """One row per state of the partition: index, cell bounds, p_lower, p_upper, class.
 
-    The unsafe state has no box; its bound fields stay empty.
+    A cell bound is its grid edge, formatted once per edge and written as a
+    string column indexed by the cell's multi-index. The unsafe state has no
+    box; its bound fields stay empty.
     """
     dim, cells = len(partition.resolution), partition.n_cells
     index = {c: k for k, c in enumerate(_CLASSES)}
     classes = np.fromiter(map(index.__getitem__, result.classification), np.intp, cells + 1)
     p_lower, p_upper = result.p_lower, result.p_upper
+    edges = [csv_lines(e).decode().splitlines() for e in partition.edges]
 
     def cell_rows(a, b):
-        lo, hi = partition.corners(np.arange(a, b))
-        bounds = [c for d in range(dim) for c in (lo[:, d], hi[:, d])]
+        multi = np.unravel_index(np.arange(a, b), partition.resolution)
+        bounds = [(text, m + k) for text, m in zip(edges, multi) for k in (0, 1)]
         return np.arange(a, b), *bounds, p_lower[a:b], p_upper[a:b], (_CLASSES, classes[a:b])
 
     empty = ("",), np.zeros(1, np.intp)

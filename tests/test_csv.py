@@ -6,7 +6,7 @@ import pytest
 
 import imcverify._csv as csv_module
 from imcverify._csv import csv_lines
-from imcverify.geometry import StatePartition
+from imcverify.geometry import StatePartition, partition_domain
 from imcverify.imc import Imc, write_imc, write_posterior_table
 from imcverify.mc import (
     TERM_AVOID,
@@ -146,9 +146,29 @@ class TestWritersMatchOracles:
         write_results(result, part, tmp_path / "results.csv")
         write_results_lines(result, part, tmp_path / "ref.csv")
         assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        monkeypatch.setattr(csv_module, "_PASS", 7)  # one or two rows of 6 floats per pass
+        # the bounds are strings, so a row holds 2 floats: three or four rows per pass
+        monkeypatch.setattr(csv_module, "_PASS", 7)
         write_results(result, part, tmp_path / "passes.csv")
         assert (tmp_path / "passes.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "edges, text",
+        [
+            (partition_domain([1e-05, 1e16], [5e-05, 3e16], (4, 3)).edges, b",1e-05,2e-05,1e+16,"),
+            ((np.array([-0.0, 0.25, 0.5, 0.7]), np.linspace(-2.5, 1e-3, 6)), b"\n0,-0.0,0.25,-2.5,"),
+        ],
+        ids=["exponent-notation", "negative-zero"],
+    )
+    def test_results_edge_texts(self, tmp_path, edges, text):
+        # each bound is its grid edge's text, formatted once per edge
+        part = StatePartition(tuple(len(e) - 1 for e in edges), edges)
+        rng = np.random.default_rng(5)
+        p = np.sort([bounds_like(rng, part.n_states), bounds_like(rng, part.n_states)], axis=0)
+        result = VerificationResult(*p, classify_arrays(*p, 0.5), iterations=0, converged=True)
+        write_results(result, part, tmp_path / "results.csv")
+        write_results_lines(result, part, tmp_path / "ref.csv")
+        assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert text in (tmp_path / "results.csv").read_bytes()
 
     @pytest.mark.parametrize("count", [0, 1, 5, 12])
     def test_trajectories(self, tmp_path, monkeypatch, count):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from imcverify import mc
 from imcverify.config import load_config
@@ -55,13 +56,18 @@ def simulate(model, noise, x0, k, grid, rng):
 
 class Replay:
     """A generator stand-in that hands out fixed rows of uniforms, one row
-    per ``random`` call."""
+    per ``random`` call: returned in the shape ``size``, or written into
+    ``out``."""
 
     def __init__(self, rows):
         self.rows = iter(rows)
 
-    def random(self, size):
-        return next(self.rows).reshape(size)
+    def random(self, size=None, out=None):
+        row = next(self.rows)
+        if out is None:
+            return row.reshape(size)
+        out[...] = row.reshape(out.shape)
+        return out
 
 
 class TestSampleNoise:
@@ -92,6 +98,35 @@ class TestSampleNoise:
             ]
             assert noise.sample(u).tolist() == [expected]
         assert parts == {0, 1}
+
+    def test_workload_noise_has_the_bits_of_one_draw_at_a_time(self):
+        # mixture-mc-h30's noise (a two-part uniform mixture and a truncated
+        # Gaussian) on 10**5 uniforms and the boundaries of the composition:
+        # 0, each cumulative weight and its float neighbours, 1 - 1e-12 and
+        # values above the rounded weight sum
+        noise = load_config(WORKLOADS / "mixture-mc-h30.yaml").noise
+        mixture = noise.components[0]
+        assert isinstance(mixture, Mixture) and isinstance(noise.components[1], TruncatedGaussian)
+        ends = np.cumsum(mixture.weights)
+        edges = np.concatenate([[0.0], np.nextafter(ends, 0.0), ends, np.nextafter(ends, 2.0),
+                                [1.0 - 1e-12, np.nextafter(1.0, 0.0), 1.0]])
+        u = np.random.default_rng(41).random((10**5, noise.n))
+        u[: len(edges), 0] = u[len(edges) : 2 * len(edges), 1] = edges
+
+        def one(comp, v):
+            """The sample of uniform v in Python floats, the Gaussian quantile
+            from scipy's scalar ndtri."""
+            if isinstance(comp, Mixture):  # part i takes [c_i, c_i + w_i), the last also above
+                starts = [0.0, *np.cumsum(comp.weights)[:-1].tolist()]
+                i = sum(v >= c for c in starts[1:])
+                return one(comp.parts[i], min(max((v - starts[i]) / comp.weights[i], 0.0), 1.0))
+            if isinstance(comp, Uniform):
+                return comp.lo + v * (comp.hi - comp.lo)
+            z = float(scipy.special.ndtri(comp._phi_lo + v * comp._mass))
+            return min(max(comp.mean + comp.stddev * z, comp.lo), comp.hi)
+
+        reference = [[one(c, v) for c, v in zip(noise.components, row)] for row in u.tolist()]
+        assert noise.sample(u).view(np.int64).tolist() == np.array(reference).view(np.int64).tolist()
 
     def test_truncated_gaussian_statistics(self):
         comp = TruncatedGaussian(1, 0.1, 0.9, 1.1)
@@ -253,9 +288,9 @@ class TestEstimateSatisfaction:
             def __init__(self, seed):
                 self.seed, self.rng = seed, real(seed)
 
-            def random(self, size):
+            def random(self, size=None, out=None):
                 drawn.append(self.seed)
-                return self.rng.random(size)
+                return self.rng.random(size, out=out)
 
         monkeypatch.setattr(np.random, "default_rng", Spy)
         validate(range(4))
@@ -395,15 +430,17 @@ class TestReplayReference:
         assert cause.tolist() == [[mc._TERMS.index(end) for end in cell] for cell in ends]
 
         monkeypatch.setattr(mc, "GROUP_TRAJECTORIES", group)
-        validations = estimate_satisfaction(
-            model, noise, *grid, self.STARTS, n, horizon, seeds=seeds, keep=n
-        )
-        for cell, (est, _, kept) in zip(reference, validations):
-            assert est == sum(end == "goal-hit" for _, end in cell) / n
-            assert len(kept) == n
-            for traj, (states, end) in zip(kept, cell):
-                assert traj.termination == end
-                assert np.array_equal(traj.states, states)
+        # keeping 7 of 40, the exported paths are a strict subset of the live trajectories
+        for keep in (n, 7):
+            validations = estimate_satisfaction(
+                model, noise, *grid, self.STARTS, n, horizon, seeds=seeds, keep=keep
+            )
+            for cell, (est, _, kept) in zip(reference, validations):
+                assert est == sum(end == "goal-hit" for _, end in cell) / n
+                assert len(kept) == keep
+                for traj, (states, end) in zip(kept, cell):
+                    assert traj.termination == end
+                    assert np.array_equal(traj.states, states)
 
 
 def corner_terminations(ctx):
