@@ -120,10 +120,10 @@ def _rollout(
         if len(ended):
             done = alive.take(ended)
             cause[done], length[done] = found.take(ended), step + 2
-            shown = shown[found.take(shown) == _RUNNING]
+            shown = shown.compress(found.take(shown) == _RUNNING)
             shown -= np.searchsorted(ended, shown)  # the ended before each drop out
-            running = np.flatnonzero(found == _RUNNING)
-            alive, live = alive.take(running), live.take(running, axis=1)
+            running = found == _RUNNING
+            alive, live = alive.compress(running), live.compress(running, axis=1)
             remaining -= np.bincount(done // n, minlength=cells)
             drawing = np.flatnonzero(remaining).tolist()
     cause[alive] = _HORIZON

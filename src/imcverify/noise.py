@@ -197,10 +197,7 @@ class NoiseModel:
         """Noise vectors, shape (m, n), from uniforms of shape (m, n):
         column i drives component i. The result is the transpose of an (n, m)
         array, so each component's samples are contiguous."""
-        w = np.empty(u.shape[::-1])
-        for i, c in enumerate(self.components):
-            w[i] = c.sample(u[:, i])
-        return w.T
+        return np.stack([c.sample(u[:, i]) for i, c in enumerate(self.components)]).T
 
 
 def _point_mass(comp: NoiseComponent) -> bool:
