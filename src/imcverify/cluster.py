@@ -7,8 +7,8 @@ iterates the states' bounds with them to a fixpoint, on one ``RowLayout`` of
 the clustered rows, in rounds: the first walks every row, each later one
 only the rows that read a state the round before changed. The posteriors
 are computed by the caller, and the IMC is never rewritten. From sound
-bounds the pass keeps sound one-step bounds, so it classifies by the
-threshold alone.
+bounds the pass keeps sound one-step bounds; it returns bounds only, and
+their classes are derived where they are written or counted.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SoundnessError
 from .imc import (_BLOCK_PAIRS, CellPosteriors, Imc, RowLayout, _goal_avoid_sets, _rows_with_last,
                   pair_bounds)
-from .verify import ReachAvoidSpec, VerificationResult, _rank, classify_arrays
+from .verify import ReachAvoidSpec, VerificationResult, _rank
 
 log = logging.getLogger("imcverify")
 
@@ -201,6 +201,4 @@ def cluster_improve(
     log.debug("cluster: %d proposals, %d reached the holes fallback, %d rounds, %d row walks",
               count, holes, rounds, walks)
     # copies, so that the value vectors go with the rest of the pass's scratch
-    p_lo, p_hi = lo_all[:n].copy(), hi_all[:n].copy()
-    classification = classify_arrays(p_lo, p_hi, spec.threshold)
-    return VerificationResult(p_lo, p_hi, classification, result.iterations, result.converged)
+    return VerificationResult(lo_all[:n].copy(), hi_all[:n].copy())

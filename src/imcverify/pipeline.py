@@ -12,7 +12,8 @@ place that reads a noise grid or a posterior table, once
 (``RunContext.posteriors``). Before a phase writes its exports
 it deletes those of every later phase, so no phase reloads an artifact
 derived from an overwritten one. Verify exports only a sound ``p_upper``,
-so a reloaded result table is classified by the threshold alone.
+so a result is its bounds, classified at the current threshold where it
+is written or counted.
 Exports are byte-reproducible for a fixed config and seed; the summary
 additionally records wall-clock times and the peak RSS after each phase,
 and is a report, not an export.
@@ -46,8 +47,10 @@ from .imc import (
 )
 from .mc import estimate_satisfaction, write_trajectories
 from .verify import (
+    _CLASSES,
     ReachAvoidSpec,
     VerificationResult,
+    classify_arrays,
     read_results,
     robust_value_iteration,
     write_results,
@@ -103,6 +106,21 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes on macOS, else KiB
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The SHA-256 of ``data`` in hex, from the interpreter's builtin module
+    where it has one: hashlib's OpenSSL adds about 2 MB to the RSS of a run
+    without Monte Carlo (numpy.random, which Monte Carlo imports, imports
+    hashlib)."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def build_context(config: RunConfig) -> RunContext:
     spec = ReachAvoidSpec(horizon=config.horizon, threshold=config.threshold)
     partition = partition_domain(*config.domain, config.grid)
@@ -149,7 +167,7 @@ def phase_verify(ctx: RunContext, imc: Imc) -> VerificationResult:
         max_iterations=ctx.config.max_iterations,
     )
     _drop_exports_after(ctx, RESULTS_FILE)
-    write_results(result, ctx.partition, ctx.config.output_dir / RESULTS_FILE)
+    write_results(result, ctx.partition, ctx.spec.threshold, ctx.config.output_dir / RESULTS_FILE)
     return result
 
 
@@ -161,7 +179,7 @@ def load_results(ctx: RunContext, improved: bool = False) -> VerificationResult:
         raise InputError(
             f"missing result table {path}; run the verify phase first"
         )
-    return read_results(path, ctx.partition, ctx.spec.threshold)
+    return read_results(path, ctx.partition)
 
 
 def phase_improve(
@@ -173,7 +191,8 @@ def phase_improve(
     improved = cluster_improve(imc, posts, result, ctx.spec)
     changed = (improved.p_lower != result.p_lower) | (improved.p_upper != result.p_upper)
     _drop_exports_after(ctx, IMPROVED_FILE)
-    write_results(improved, ctx.partition, ctx.config.output_dir / IMPROVED_FILE)
+    write_results(improved, ctx.partition, ctx.spec.threshold,
+                  ctx.config.output_dir / IMPROVED_FILE)
     return improved, int(np.count_nonzero(changed))
 
 
@@ -319,20 +338,15 @@ def run_pipeline(
         log.info("simulate: skipped, as monte_carlo.enabled is false")
 
     if result is not None:
-        counts = {"satisfies": 0, "violates": 0, "undetermined": 0}
-        for c in result.classification:
-            counts[c] += 1
-        n = len(result.classification)
+        codes = classify_arrays(result.p_lower, result.p_upper, ctx.spec.threshold)
+        counts = dict(zip(_CLASSES, np.bincount(codes, minlength=len(_CLASSES)).tolist()))
         summary["classification"] = {
             "counts": counts,
-            "fractions": {k: v / n for k, v in counts.items()},
+            "fractions": {k: v / len(codes) for k, v in counts.items()},
         }
 
     if config.source is not None:
-        # only here: its OpenSSL adds about 3.5 MB to the RSS of a run without
-        # Monte Carlo (numpy.random, which Monte Carlo imports, imports hashlib)
-        import hashlib
-        summary["provenance"]["config_sha256"] = hashlib.sha256(config.source).hexdigest()
+        summary["provenance"]["config_sha256"] = _sha256_hex(config.source)
     with open(out / SUMMARY_FILE, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

@@ -21,7 +21,8 @@ stops sweeping a bound whose sweep returns its own bits; cluster
 improvement walks its own layout, then only the rows whose reads changed
 (``RowLayout.part``).
 Value iteration alone decides whether an unbounded ``p_upper`` may be
-trusted, so every consumer of a result classifies by the threshold alone.
+trusted, so a result is its two bound arrays: its classes are derived from
+them where they are written or counted, by ``classify_arrays``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,7 @@ from .imc import _ROW_TOL, Imc, RowLayout, _goal_avoid_sets, _read_columns, _rej
 log = logging.getLogger("imcverify")
 
 
-SATISFIES = "satisfies"
-VIOLATES = "violates"
-UNDETERMINED = "undetermined"
-_CLASSES = (SATISFIES, VIOLATES, UNDETERMINED)
+_CLASSES = ("satisfies", "violates", "undetermined")  # classify_arrays' codes 0, 1, 2
 
 DEFAULT_THRESHOLD = 0.9
 DEFAULT_CONVERGENCE_TOL = 1e-6
@@ -69,16 +67,15 @@ class ReachAvoidSpec:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Per-state satisfaction interval [p_lower, p_upper] and classification."""
+    """Per-state satisfaction interval [p_lower, p_upper]; the rest is value
+    iteration's report, None for a reloaded result or a cluster pass."""
 
     p_lower: np.ndarray
     p_upper: np.ndarray
-    classification: tuple[str, ...]
-    iterations: int
-    converged: bool
+    iterations: Optional[int] = None
+    converged: Optional[bool] = None
     fixpoints: tuple = (None, None)  # (lower, upper): first sweep that returned its input bits
-    # ``_residual`` of the unbounded upper iterate from the goal indicator, a
-    # report; None for a finite horizon, a reloaded result or a cluster pass
+    # ``_residual`` of the unbounded upper iterate from the goal indicator (None: finite horizon)
     upper_residual: Optional[float] = None
 
     def __post_init__(self):
@@ -178,11 +175,9 @@ def robust_value_iteration(
             "below %g; the bounds are not a fixpoint", max_iterations, convergence_tol
         )
 
-    v_lo, v_hi = np.minimum(*bounds), bounds[1]
     return VerificationResult(
-        p_lower=v_lo,
-        p_upper=v_hi,
-        classification=classify_arrays(v_lo, v_hi, spec.threshold),
+        p_lower=np.minimum(*bounds),
+        p_upper=bounds[1],
         iterations=iterations,
         converged=converged,
         fixpoints=tuple(fixpoints),
@@ -199,10 +194,11 @@ def _residual(layout: RowLayout, p_upper: np.ndarray, pinned: np.ndarray) -> flo
     return float(np.max(swept - p_upper, where=~pinned, initial=0.0))
 
 
-def classify_arrays(p_lower: np.ndarray, p_upper: np.ndarray, threshold: float) -> tuple[str, ...]:
-    """Three-way classification of each state against a threshold."""
-    below = np.where(np.asarray(p_upper) < threshold, VIOLATES, UNDETERMINED)
-    return tuple(np.where(np.asarray(p_lower) >= threshold, SATISFIES, below).tolist())
+def classify_arrays(p_lower, p_upper, threshold: float) -> np.ndarray:
+    """Each state's class at ``threshold`` as an index into ``_CLASSES``:
+    satisfies if p_lower >= threshold, else violates if p_upper < threshold."""
+    below = np.where(np.asarray(p_upper) < threshold, 1, 2)
+    return np.where(np.asarray(p_lower) >= threshold, 0, below)
 
 
 # --- result export --------------------------------------------------------------
@@ -216,17 +212,16 @@ def _results_header(dim: int) -> str:
     )
 
 
-def write_results(result: VerificationResult, partition: StatePartition, path) -> None:
-    """One row per state of the partition: index, cell bounds, p_lower, p_upper, class.
+def write_results(result: VerificationResult, partition: StatePartition, threshold, path) -> None:
+    """One row per state: index, cell bounds, p_lower, p_upper, class at ``threshold``.
 
     A cell bound is its grid edge, formatted once per edge and written as a
     string column indexed by the cell's multi-index. The unsafe state has no
     box; its bound fields stay empty.
     """
     dim, cells = len(partition.resolution), partition.n_cells
-    index = {c: k for k, c in enumerate(_CLASSES)}
-    classes = np.fromiter(map(index.__getitem__, result.classification), np.intp, cells + 1)
     p_lower, p_upper = result.p_lower, result.p_upper
+    classes = classify_arrays(p_lower, p_upper, threshold)
     edges = [csv_lines(e).decode().splitlines() for e in partition.edges]
 
     def cell_rows(a, b):
@@ -240,16 +235,14 @@ def write_results(result: VerificationResult, partition: StatePartition, path) -
     write_columns(path, _results_header(dim), (cells, cell_rows), (1, lambda a, b: unsafe))
 
 
-def read_results(
-    path, partition: StatePartition, threshold: float = DEFAULT_THRESHOLD
-) -> VerificationResult:
-    """Reload an exported result table over the states of ``partition``, its
-    classes taken at ``threshold``; iteration metadata is not persisted.
+def read_results(path, partition: StatePartition) -> VerificationResult:
+    """Reload the bounds of an exported result table over the states of
+    ``partition``; its classes are checked, not read, and iteration metadata
+    is not persisted.
 
     Every state must appear once, with a known class and p_lower <= p_upper
     in [0, 1] (value iteration may leave p_upper a few ulps above 1); anything
-    else is an InputError naming ``path:line``. A reload under another
-    threshold reclassifies every state.
+    else is an InputError naming ``path:line``.
     """
     n, dim = partition.n_states, len(partition.resolution)
     types = (int,) + (str,) * (2 * dim) + (float, float, str)
@@ -273,5 +266,4 @@ def read_results(
         raise InputError(f"{path}: result table is missing states {missing.tolist()}")
     p_lower, p_upper = np.empty(n), np.empty(n)
     p_lower[state], p_upper[state] = lo, hi
-    classification = classify_arrays(p_lower, p_upper, threshold)
-    return VerificationResult(p_lower, p_upper, classification, iterations=0, converged=True)
+    return VerificationResult(p_lower, p_upper)

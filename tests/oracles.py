@@ -243,9 +243,10 @@ def write_imc_lines(imc, bounds_path, labels_path) -> None:
             fh.writelines(f"{i},{name}\n" for name in names if imc.labels[name][i])
 
 
-def write_results_lines(result, partition, path) -> None:
+def write_results_lines(result, partition, threshold, path) -> None:
     """``write_results`` as f-string lines; the unsafe state's bound fields
-    are empty."""
+    are empty, and each class is the three-way comparison of the state's
+    bounds with ``threshold``."""
     dim = len(partition.edges)
     bounds = [f"lo{d + 1},hi{d + 1}" for d in range(dim)]
     header = ["state"] + bounds + ["p_lower", "p_upper", "class"]
@@ -259,7 +260,8 @@ def write_results_lines(result, partition, path) -> None:
             else:
                 bounds = "," * (2 * dim - 1)
             p, q = float(result.p_lower[i]), float(result.p_upper[i])
-            fh.write(f"{i},{bounds},{p!r},{q!r},{result.classification[i]}\n")
+            label = "satisfies" if p >= threshold else "violates" if q < threshold else "undetermined"
+            fh.write(f"{i},{bounds},{p!r},{q!r},{label}\n")
 
 
 def write_trajectories_lines(trajectories, path, dim: int) -> None:

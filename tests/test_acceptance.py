@@ -39,12 +39,7 @@ from imcverify.pipeline import (
     TRAJECTORIES_FILE,
     run_pipeline,
 )
-from imcverify.verify import (
-    ReachAvoidSpec,
-    VerificationResult,
-    classify_arrays,
-    robust_value_iteration,
-)
+from imcverify.verify import ReachAvoidSpec, VerificationResult, robust_value_iteration
 from boxes import box
 from csr_rows import csr, extremes, label_masks
 from oracles import (
@@ -327,13 +322,7 @@ def test_criterion_6_clustering():
     imc = build_imc(posts, assign_labels(part, {"goal": box([[[4.0, 5.0]]])}))
     planted_lo = np.array([0.0, 0.8, 0.8, 0.8, 0.0, 0.0])
     planted_hi = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
-    res = VerificationResult(
-        planted_lo,
-        planted_hi,
-        classify_arrays(planted_lo, planted_hi, 0.9),
-        iterations=0,
-        converged=True,
-    )
+    res = VerificationResult(planted_lo, planted_hi)
     out = cluster_improve(imc, posts, res, ReachAvoidSpec())
     never_worse = bool(
         np.all(out.p_lower >= planted_lo) and np.all(out.p_upper <= planted_hi)

@@ -21,12 +21,7 @@ from imcverify.imc import (
 )
 from imcverify.noise import Mixture, NoiseModel, Uniform
 from imcverify.pipeline import IMPROVED_FILE, RESULTS_FILE, run_pipeline
-from imcverify.verify import (
-    ReachAvoidSpec,
-    VerificationResult,
-    classify_arrays,
-    robust_value_iteration,
-)
+from imcverify.verify import ReachAvoidSpec, VerificationResult, robust_value_iteration
 from boxes import box
 from oracles import drift_reach_probability
 
@@ -42,18 +37,6 @@ def shifted_identity_setup():
     posts = cell_posteriors(part, model, noise)
     labels = assign_labels(part, {"goal": box([[[4, 5]]])})
     return part, model, noise, posts, build_imc(posts, labels)
-
-
-def planted_result(p_lower, p_upper, threshold=0.9):
-    p_lower = np.asarray(p_lower, dtype=float)
-    p_upper = np.asarray(p_upper, dtype=float)
-    return VerificationResult(
-        p_lower,
-        p_upper,
-        classify_arrays(p_lower, p_upper, threshold),
-        iterations=0,
-        converged=True,
-    )
 
 
 def select_cluster(source, imc, posts):
@@ -185,7 +168,7 @@ class TestClusterImprove:
         part, model, noise, posts, imc = shifted_identity_setup()
         planted_lo = [0.0, 0.8, 0.8, 0.8, 0.0, 0.0]
         planted_hi = [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
-        res = planted_result(planted_lo, planted_hi)
+        res = VerificationResult(planted_lo, planted_hi)
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
         assert np.all(out.p_lower >= res.p_lower)
         assert np.all(out.p_upper <= res.p_upper)
@@ -204,6 +187,9 @@ class TestClusterImprove:
             once = cluster_improve(imc, posts, res, spec)
             assert np.all(once.p_lower >= res.p_lower)
             assert np.all(once.p_upper <= res.p_upper)
+            # the pass returns bounds, not value iteration's report
+            assert (res.iterations, res.converged) != (None, None)
+            assert (once.iterations, once.converged) == (None, None)
             # the pass ends at a fixpoint: a second pass returns its bits
             again = cluster_improve(imc, posts, once, spec)
             assert np.array_equal(again.p_lower, once.p_lower)
@@ -216,7 +202,7 @@ class TestClusterImprove:
         noise = NoiseModel((Uniform(-0.05, 0.05),))
         posts = cell_posteriors(part, model, noise)
         imc = build_imc(posts, assign_labels(part, {"goal": box([[[1, 2]]])}))
-        res = planted_result([0.3, 1.0, 0.0], [0.6, 1.0, 0.0])
+        res = VerificationResult([0.3, 1.0, 0.0], [0.6, 1.0, 0.0])
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
         assert np.array_equal(out.p_lower, res.p_lower)
         assert np.array_equal(out.p_upper, res.p_upper)
@@ -335,7 +321,7 @@ def test_pass_matches_one_row_at_a_time(monkeypatch):
     goal = np.ravel_multi_index((6, 6), part.resolution)
     p_lower[goal] = p_upper[goal] = 1.0
     p_lower[imc.unsafe_index] = p_upper[imc.unsafe_index] = 0.0
-    res = planted_result(p_lower, p_upper)
+    res = VerificationResult(p_lower, p_upper)
     ref_lo, ref_hi, _, rereads = jacobi_fixpoint(imc, model, noise, res)
     assert rereads > 10
     for budget in (imc_module._BLOCK_SLOTS, 7, 1):
@@ -359,7 +345,7 @@ def test_rounds_keep_reads_before_and_after_writes(caplog):
     p_upper = np.minimum(1.0, p_lower + rng.uniform(0.0, 0.5, imc.n_states))
     pinned = [np.ravel_multi_index((7, 0), part.resolution), imc.unsafe_index]
     p_lower[pinned], p_upper[pinned] = (1.0, 0.0), (1.0, 0.0)
-    res = planted_result(p_lower, p_upper)
+    res = VerificationResult(p_lower, p_upper)
     with caplog.at_level("DEBUG", logger="imcverify"):
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
     ref_lo, ref_hi, ref_rounds, rereads = jacobi_fixpoint(imc, model, noise, res)
@@ -413,7 +399,7 @@ def test_pass_matches_one_row_at_a_time_on_random_systems(structure, caplog):
         p_lower = rng.uniform(0.0, 0.9, imc.n_states)
         p_upper = np.minimum(1.0, p_lower + rng.uniform(0.0, 0.5, imc.n_states))
         p_lower[pinned] = p_upper[pinned] = imc.labels[GOAL_LABEL][pinned]
-        res = planted_result(p_lower, p_upper)
+        res = VerificationResult(p_lower, p_upper)
         for horizon in (None, 5):
             spec = ReachAvoidSpec(horizon=horizon)
             with caplog.at_level("DEBUG", logger="imcverify"):
@@ -465,7 +451,7 @@ def test_holes_fallback_through_the_pass(caplog, monkeypatch):
     p_lower = rng.uniform(0.0, 0.9, imc.n_states)
     p_upper = np.minimum(1.0, p_lower + rng.uniform(0.0, 0.5, imc.n_states))
     p_lower[part.n_cells] = p_upper[part.n_cells] = 0.0
-    res = planted_result(p_lower, p_upper)
+    res = VerificationResult(p_lower, p_upper)
     with caplog.at_level("DEBUG", logger="imcverify"):
         out = cluster_improve(imc, posts, res, ReachAvoidSpec())
     assert f"{holes} reached the holes fallback" in caplog.text

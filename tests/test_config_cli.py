@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
+import inspect
 import json
 import logging
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,9 +31,11 @@ from imcverify.pipeline import (
     RESULTS_FILE,
     SUMMARY_FILE,
     TRAJECTORIES_FILE,
+    _sha256_hex,
     run_pipeline,
 )
 from imcverify.verify import (
+    _CLASSES,
     DEFAULT_CONVERGENCE_TOL,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_THRESHOLD,
@@ -742,7 +747,8 @@ class TestCli:
             rows = [line.split(",") for line in whole.read_text().splitlines()[1:]]
             p_lower, p_upper = (np.array([float(r[k]) for r in rows]) for k in (-3, -2))
             assert p_upper[:3].tolist() == [1.0] * 3
-            assert tuple(r[-1] for r in rows) == classify_arrays(p_lower, p_upper, threshold)
+            classes = np.take(_CLASSES, classify_arrays(p_lower, p_upper, threshold))
+            assert [r[-1] for r in rows] == classes.tolist()
 
     def test_unconverged_run_exits_3_after_its_exports(self, tmp_path):
         cfg_path = write_toy(tmp_path, passes=1)
@@ -1068,6 +1074,59 @@ output_dir: out
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
         assert (tmp_path / "out" / IMPROVED_FILE).exists()
 
+    @pytest.mark.parametrize(
+        "workload", ["paper-mult-40", "general-sin-20", "additive-h200-phased", "mixture-mc-h30"])
+    def test_config_digest_is_the_sha256_of_the_config_bytes(self, tmp_path, workload):
+        path = WORKLOADS / f"{workload}.yaml"
+        config = dataclasses.replace(load_config(path), output_dir=tmp_path)
+        summary = run_pipeline(config, phases=())
+        assert summary["provenance"]["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_run_without_monte_carlo_does_not_load_hashlib(self, tmp_path):
+        # the config digest comes from the interpreter's builtin SHA-256:
+        # hashlib's OpenSSL would add about 2 MB to a run's peak RSS
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        path = WORKLOADS / "additive-h200-phased.yaml"
+        assert not load_config(path).monte_carlo.enabled
+        code = ("import dataclasses, sys\nfrom pathlib import Path\n"
+                "from imcverify.config import load_config\n"
+                "from imcverify.pipeline import run_pipeline\n"
+                f"config = dataclasses.replace(load_config({str(path)!r}), "
+                f"output_dir=Path({str(tmp_path)!r}))\n"
+                "print(run_pipeline(config)['provenance']['config_sha256'])\n"
+                "print('hashlib' in sys.modules, '_hashlib' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        digest, loaded = out.stdout.splitlines()[-2:]
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert loaded == "False False"
+        assert (tmp_path / RESULTS_FILE).exists()
+
+    def test_builtin_sha256_of_other_interpreters(self):
+        # _sha256_hex names the builtin module of each Python version
+        # (_sha2 from 3.12, _sha256 before): run its source, which needs no
+        # numpy, in every other CPython 3.10+ that can be found
+        data = (WORKLOADS / "paper-mult-40.yaml").read_bytes()
+        code = (inspect.getsource(_sha256_hex) + "import sys\n"
+                f"print(_sha256_hex({data!r}), 'hashlib' in sys.modules)")
+        root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+        candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+        candidates += sorted(str(p) for p in root.glob("versions/3.*/bin/python3"))
+        checked = set()
+        for exe in filter(None, candidates):
+            probe = subprocess.run([exe, "-c", "import sys; print(*sys.version_info[:2])"],
+                                   capture_output=True, text=True, timeout=60)
+            version = tuple(map(int, probe.stdout.split())) if probe.returncode == 0 else ()
+            if not (3, 10) <= version != sys.version_info[:2] or version in checked:
+                continue
+            out = subprocess.run([exe, "-c", code], capture_output=True, text=True,
+                                 timeout=60, check=True)
+            assert out.stdout.split() == [hashlib.sha256(data).hexdigest(), "False"], exe
+            checked.add(version)
+        if not checked:
+            pytest.skip("no other CPython 3.10+ found")
+
     def test_posterior_table_from_computed_posteriors(self, tmp_path, caplog):
         # the data-driven path: a table holding the computed g(q) gives the
         # same abstraction as the run that computes it
@@ -1157,8 +1216,6 @@ output_dir: out
         file's bytes (null for a config built in code) and the Monte Carlo
         seed the run used (after --seed), and the sweep at which each bound
         became a bitwise fixpoint."""
-        import hashlib
-
         import imcverify
 
         cfg_path = write_toy(tmp_path, passes=0)

@@ -16,7 +16,7 @@ from imcverify.mc import (
     Trajectory,
     write_trajectories,
 )
-from imcverify.verify import VerificationResult, classify_arrays, write_results
+from imcverify.verify import _CLASSES, VerificationResult, classify_arrays, write_results
 from oracles import (
     write_imc_lines,
     write_posterior_table_lines,
@@ -141,14 +141,13 @@ class TestWritersMatchOracles:
         rng = np.random.default_rng(len(resolution))
         part = random_partition(rng, resolution)
         lo, hi = np.sort([bounds_like(rng, part.n_states), bounds_like(rng, part.n_states)], axis=0)
-        classes = classify_arrays(lo, hi, 0.5)
-        result = VerificationResult(lo, hi, classes, iterations=0, converged=True)
-        write_results(result, part, tmp_path / "results.csv")
-        write_results_lines(result, part, tmp_path / "ref.csv")
+        result = VerificationResult(lo, hi)
+        write_results(result, part, 0.5, tmp_path / "results.csv")
+        write_results_lines(result, part, 0.5, tmp_path / "ref.csv")
         assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         # the bounds are strings, so a row holds 2 floats: three or four rows per pass
         monkeypatch.setattr(csv_module, "_PASS", 7)
-        write_results(result, part, tmp_path / "passes.csv")
+        write_results(result, part, 0.5, tmp_path / "passes.csv")
         assert (tmp_path / "passes.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize(
@@ -164,11 +163,37 @@ class TestWritersMatchOracles:
         part = StatePartition(tuple(len(e) - 1 for e in edges), edges)
         rng = np.random.default_rng(5)
         p = np.sort([bounds_like(rng, part.n_states), bounds_like(rng, part.n_states)], axis=0)
-        result = VerificationResult(*p, classify_arrays(*p, 0.5), iterations=0, converged=True)
-        write_results(result, part, tmp_path / "results.csv")
-        write_results_lines(result, part, tmp_path / "ref.csv")
+        result = VerificationResult(*p)
+        write_results(result, part, 0.5, tmp_path / "results.csv")
+        write_results_lines(result, part, 0.5, tmp_path / "ref.csv")
         assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert text in (tmp_path / "results.csv").read_bytes()
+
+    def test_results_class_column_follows_threshold(self, tmp_path):
+        # one result written at two thresholds: each class column holds the
+        # classes of the bounds at its threshold, bounds equal to it
+        # included, and every other byte is the same
+        rng = np.random.default_rng(6)
+        part = random_partition(rng, (6, 5))
+        lo, hi = np.sort([bounds_like(rng, part.n_states), bounds_like(rng, part.n_states)], axis=0)
+        lo[:5], hi[:5] = [0.5, 0.9, 0.2, 0.3, 0.0], [0.9, 0.95, 0.5, 0.9, 0.49]
+        result, rest, columns = VerificationResult(lo, hi), [], []
+        for threshold in (0.5, 0.9):
+            path, ref = tmp_path / f"results-{threshold}.csv", tmp_path / f"ref-{threshold}.csv"
+            write_results(result, part, threshold, path)
+            write_results_lines(result, part, threshold, ref)
+            assert path.read_bytes() == ref.read_bytes()
+            head, column = zip(*(line.rsplit(",", 1) for line in path.read_text().splitlines()))
+            assert column[0] == "class"
+            assert list(column[1:]) == np.take(_CLASSES, classify_arrays(lo, hi, threshold)).tolist()
+            assert set(column[1:]) == set(_CLASSES)
+            rest.append(head)
+            columns.append(column)
+        assert rest[0] == rest[1]
+        assert columns[0][1:6] == ("satisfies", "satisfies", "undetermined", "undetermined",
+                                   "violates")
+        assert columns[1][1:6] == ("undetermined", "satisfies", "violates", "undetermined",
+                                   "violates")
 
     @pytest.mark.parametrize("count", [0, 1, 5, 12])
     def test_trajectories(self, tmp_path, monkeypatch, count):

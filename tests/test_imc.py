@@ -685,7 +685,7 @@ class TestPosteriorTable:
         path = tmp_path / "absent.csv"
         for read in (
             lambda: read_posterior_table(path, 2, 1),
-            lambda: read_results(path, part, 0.9),
+            lambda: read_results(path, part),
         ):
             with pytest.raises(InputError, match=f"^{re.escape(str(path))}: file does not exist$"):
                 read()

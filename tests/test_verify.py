@@ -14,6 +14,7 @@ from imcverify.geometry import partition_domain
 from imcverify.imc import Imc, RowLayout, _row_sums, build_imc
 from imcverify.pipeline import build_context
 from imcverify.verify import (
+    _CLASSES,
     ReachAvoidSpec,
     _rank,
     classify_arrays,
@@ -26,6 +27,11 @@ from test_config_cli import PAPER_2D
 from oracles import chain_reach_probability, extreme_by_vertex_enumeration
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+
+
+def classes(res, threshold=0.9):
+    """The class names of the states of ``res`` at ``threshold``."""
+    return [_CLASSES[c] for c in classify_arrays(res.p_lower, res.p_upper, threshold)]
 
 
 def make_imc(rows, n_cells, goal=(), obstacle=()):
@@ -376,7 +382,7 @@ class TestValueIteration:
         residual = f"the upper bound is not a pre-fixpoint (residual {res.upper_residual:g})"
         assert [r.getMessage().split(":")[0] for r in caplog.records] == [residual]
         assert res.iterations == 24
-        assert 6 / 7 <= res.p_upper[0] < 0.9 and res.classification[0] == "violates"
+        assert 6 / 7 <= res.p_upper[0] < 0.9 and classes(res)[0] == "violates"
 
 
 def sweep_both_every_time(imc, spec, convergence_tol=1e-6, max_iterations=10**5):
@@ -501,7 +507,7 @@ class TestPreFixpointCheck:
         res = robust_value_iteration(make_imc(rows, 2, goal=[1]), ReachAvoidSpec(), max_iterations=cap)
         assert res.p_upper[0] >= 0.9999
         assert res.upper_residual > 0.0
-        assert res.classification[2] == "violates"  # the unsafe state's 0 is pinned, not iterated
+        assert classes(res)[2] == "violates"  # the unsafe state's 0 is pinned, not iterated
 
     def test_lossy_end_component_keeps_the_certified_bound(self):
         """Cell 0 may loop on itself or move to cell 1, which reaches the goal
@@ -512,7 +518,7 @@ class TestPreFixpointCheck:
                 ((2, 1.0, 1.0),), ((3, 1.0, 1.0),))
         res = robust_value_iteration(make_imc(rows, 3, goal=[2]), ReachAvoidSpec())
         assert res.fixpoints[1] is not None and res.upper_residual == 0.0
-        assert res.p_upper[0] == 0.5 and res.classification[0] == "violates"
+        assert res.p_upper[0] == 0.5 and classes(res)[0] == "violates"
 
     @pytest.mark.parametrize("tol", [1e-6, 0.1])
     @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 10**5])
@@ -546,8 +552,8 @@ class TestPreFixpointCheck:
         assert (res.iterations, res.converged, ref.iterations) == (13, True, 20)
         assert not self.pinned(imc)[6]
         assert res.p_upper[6] == ref.p_upper[6] < ctx.spec.threshold
-        assert res.classification == ref.classification
-        assert res.classification.count("violates") == 38
+        assert classes(res, ctx.spec.threshold) == classes(ref, ctx.spec.threshold)
+        assert classes(res, ctx.spec.threshold).count("violates") == 38
 
     def test_fixpoint_is_certified_without_a_sweep(self, monkeypatch):
         """After a bitwise fixpoint of the upper bound the residual is 0.0
@@ -557,7 +563,7 @@ class TestPreFixpointCheck:
         res = robust_value_iteration(imc, ReachAvoidSpec())
         assert res.fixpoints[1] is not None and not checked
         assert res.upper_residual == 0.0
-        assert res.p_upper[0] < 0.9 and res.classification[0] == "violates"
+        assert res.p_upper[0] < 0.9 and classes(res)[0] == "violates"
         monkeypatch.undo()
         layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper)
         assert verify_module._residual(layout, res.p_upper, self.pinned(imc)) == 0.0
@@ -595,7 +601,7 @@ class TestPreFixpointCheck:
     def test_finite_horizons_are_exempt(self):
         res = robust_value_iteration(three_state_fixture(), ReachAvoidSpec(horizon=3))
         assert res.upper_residual is None
-        assert res.classification[0] == "violates"
+        assert classes(res)[0] == "violates"
 
 
 def random_imc(rng, n_cells):
@@ -653,19 +659,17 @@ class TestSweepBlocks:
 
 class TestClassify:
     def test_examples(self):
-        assert classify_arrays([0.95], [1.0], 0.9) == ("satisfies",)
-        assert classify_arrays([0.1], [0.5], 0.9) == ("violates",)
-        assert classify_arrays([0.5], [0.95], 0.9) == ("undetermined",)
+        codes = classify_arrays([0.95, 0.1, 0.5, 0.9, 0.0], [1.0, 0.5, 0.95, 0.9, 0.9], 0.9)
+        assert codes.dtype.kind == "i"
+        assert [_CLASSES[c] for c in codes] == [
+            "satisfies", "violates", "undetermined", "satisfies", "undetermined"]
 
     def test_reclassify_result(self):
         imc = three_state_fixture()
         res = robust_value_iteration(imc, ReachAvoidSpec())
-        relaxed = classify_arrays(res.p_lower, res.p_upper, 0.5)
-        assert relaxed[0] == "satisfies"  # 4/7 >= 0.5
-        strict = classify_arrays(res.p_lower, res.p_upper, 0.9)
-        assert strict[0] == "violates"  # 6/7 < 0.9
-        middle = classify_arrays(res.p_lower, res.p_upper, 0.7)
-        assert middle[0] == "undetermined"  # 4/7 < 0.7 <= 6/7
+        assert classes(res, 0.5)[0] == "satisfies"  # 4/7 >= 0.5
+        assert classes(res, 0.9)[0] == "violates"  # 6/7 < 0.9
+        assert classes(res, 0.7)[0] == "undetermined"  # 4/7 < 0.7 <= 6/7
 
     def test_spec_invariants(self):
         with pytest.raises(ValueError):
@@ -682,7 +686,7 @@ class TestReadResults:
         rows = [((i, 1.0, 1.0),) for i in range(part.n_states)]
         imc = Imc(part, *csr(rows), label_masks(part.n_cells, goal=[0]))
         path = tmp_path / "results.csv"
-        write_results(robust_value_iteration(imc, ReachAvoidSpec(horizon=1)), part, path)
+        write_results(robust_value_iteration(imc, ReachAvoidSpec(horizon=1)), part, 0.9, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "state,lo1,hi1,lo2,hi2,lo3,hi3,p_lower,p_upper,class"
         for i, multi in enumerate(itertools.product(range(6), range(3), range(2))):
@@ -694,7 +698,7 @@ class TestReadResults:
         imc = three_state_fixture()
         res = robust_value_iteration(imc, ReachAvoidSpec())
         path = tmp_path / "results.csv"
-        write_results(res, imc.partition, path)
+        write_results(res, imc.partition, 0.9, path)
         return imc, res, path
 
     def test_round_trip(self, tmp_path):
@@ -702,7 +706,10 @@ class TestReadResults:
         loaded = read_results(path, imc.partition)
         assert np.array_equal(loaded.p_lower, res.p_lower)
         assert np.array_equal(loaded.p_upper, res.p_upper)
-        assert loaded.classification == res.classification
+        # a table holds bounds, not value iteration's report
+        assert (res.iterations, res.converged) != (None, None)
+        assert (loaded.iterations, loaded.converged) == (None, None)
+        assert (loaded.fixpoints, loaded.upper_residual) == ((None, None), None)
 
     @pytest.mark.parametrize(
         "edit",
@@ -712,8 +719,10 @@ class TestReadResults:
             lambda lines: [line + " " for line in lines],
             lambda lines: lines[:1] + lines[2:] + lines[1:2],
             lambda lines: [line + "\r" for line in lines],
+            # a known class is checked, not read: classes follow from the bounds
+            lambda lines: [line.replace("undetermined", "satisfies") for line in lines],
         ],
-        ids=["blank-lines", "reversed", "trailing-blanks", "rotated", "crlf"],
+        ids=["blank-lines", "reversed", "trailing-blanks", "rotated", "crlf", "relabelled"],
     )
     def test_tolerated_edits_load_the_same_result(self, tmp_path, edit):
         imc, res, path = self._export(tmp_path)
@@ -721,7 +730,6 @@ class TestReadResults:
         loaded = read_results(path, imc.partition)
         assert np.array_equal(loaded.p_lower, res.p_lower)
         assert np.array_equal(loaded.p_upper, res.p_upper)
-        assert loaded.classification == res.classification
 
     # lines of the exported table: header, then states 0 (undetermined),
     # 1 (goal, satisfies) and 2 (unsafe, violates)
