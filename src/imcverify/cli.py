@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands run individual pipeline phases against the same configuration
-file, reusing the result tables already on disk; ``run`` executes the full
-pipeline. Exit codes: 0 success, 1 input error, 2 internal soundness error,
-3 an unbounded verify phase that hit ``max_iterations`` before converging
-(every export is still written).
+file; ``run`` executes the full pipeline. Every phase builds what it needs
+from the config: only ``improve`` and ``simulate`` reload a result table,
+and only one that ``verify`` or ``improve`` stamped for the current config
+and posterior table. Exit codes: 0 success, 1 input error, 2 internal
+soundness error, 3 an unbounded verify phase that hit ``max_iterations``
+before converging (every export is still written).
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from .pipeline import run_pipeline
 
 log = logging.getLogger("imcverify")
 
-_PHASES = {
-    "run": ("abstract", "verify", "improve", "simulate"),
-    "abstract": ("abstract",),
-    "verify": ("verify",),
-    "improve": ("improve",),
-    "simulate": ("simulate",),
+# each subcommand: the phases it runs and its help text
+_COMMANDS = {
+    "run": (("abstract", "verify", "improve", "simulate"),
+            "full pipeline: abstract, verify, improve, simulate"),
+    "abstract": (("abstract",), "build the IMC from the config and export it"),
+    "verify": (("verify",), "robust value iteration on the IMC of the config"),
+    "improve": (("improve",), "the cluster pass over verify's stamped results.csv"),
+    "simulate": (("simulate",), "Monte Carlo validation of the stamped result table"),
 }
 
 
@@ -44,14 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("run", "full pipeline: abstract, verify, improve, simulate"),
-        ("abstract", "build the IMC abstraction and export it"),
-        ("verify", "robust value iteration over an existing abstraction"),
-        ("improve", "the cluster pass over existing verification results"),
-        ("simulate", "Monte Carlo validation of existing results"),
-    ]:
+    for name, (phases, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(phases=phases)
         p.add_argument("-c", "--config", required=True, help="path to the YAML config")
         p.add_argument("--output-dir", default=None, help="override the output directory")
         p.add_argument("--seed", type=int, default=None, help="override the Monte Carlo seed")
@@ -73,7 +72,7 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise InputError(f"--seed: must be an integer >= 0, got {args.seed}")
             config.monte_carlo.seed = args.seed
-        summary = run_pipeline(config, phases=_PHASES[args.command])
+        summary = run_pipeline(config, phases=args.phases)
     except SoundnessError as exc:
         log.error("internal soundness error: %s", exc)
         return 2

@@ -604,7 +604,7 @@ def _read_columns(path, header: str, *types) -> list[np.ndarray]:
     ``types`` through ``np.loadtxt``. Whitespace-only lines are skipped; a
     missing file is an InputError naming ``path``, and a line ``np.loadtxt``
     refuses one naming ``path:line``."""
-    dtype = [(f"f{i}", {int: np.int64, float: float, str: object}[t]) for i, t in enumerate(types)]
+    dtype = [(f"f{i}", {int: np.int64, float: float}[t]) for i, t in enumerate(types)]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             found = fh.readline().strip()
@@ -642,14 +642,6 @@ def _read_columns(path, header: str, *types) -> list[np.ndarray]:
             reason = f"expected {len(types)} fields" if fields != len(types) else "malformed field"
             raise InputError(f"{path}:{lineno}: {reason}") from None
     return [table[name] for name, _ in dtype]
-
-
-def _repeats(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable sort order of ``key`` and the mask of repeats of a key."""
-    order = np.argsort(key, kind="stable")
-    repeat = np.zeros(len(key), dtype=bool)
-    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
-    return order, repeat
 
 
 def _reject_first(path, *checks) -> None:
@@ -702,7 +694,10 @@ def read_posterior_table(path, n_cells: int, dim: int) -> tuple[np.ndarray, np.n
     naming ``path:line``, or ``path`` for a missing state."""
     state, comp, lo, hi = _read_columns(path, "state,component,lo,hi", int, int, float, float)
     in_range = (0 <= state) & (state < n_cells) & (0 <= comp) & (comp < dim)
-    _, repeat = _repeats(np.where(in_range, state * dim + comp, -1 - np.arange(len(state))))
+    key = np.where(in_range, state * dim + comp, -1 - np.arange(len(state)))
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(key), dtype=bool)  # a later line of an in-range (state, component)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
     _reject_first(
         path,
         (~((0 <= state) & (state < n_cells)), "state index out of range"),

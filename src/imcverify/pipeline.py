@@ -1,19 +1,18 @@
 """Pipeline orchestration: abstract, verify, improve, simulate.
 
-Each phase writes its artifacts into the configured output directory and
-later phases can reload them, so the CLI subcommands compose. The config is
-the only source of the grid, the specification, labels included, and the
-abstraction, and a phase reloads only what it cannot recompute: a result
-table for improve and simulate. Verify and improve build the IMC from the
-config unless abstract ran in the same process, so ``imc.csv`` and
-``labels.csv`` are records of the last abstract that nothing reads back.
-A phase that bounds transitions builds the cells' posteriors, the one
-place that reads a noise grid or a posterior table, once
-(``RunContext.posteriors``). Before a phase writes its exports
-it deletes those of every later phase, so no phase reloads an artifact
-derived from an overwritten one. Verify exports only a sound ``p_upper``,
-so a result is its bounds, classified at the current threshold where it
-is written or counted.
+Each phase writes its artifacts into the configured output directory, so
+the CLI subcommands compose. The config is the only source of the grid, the
+specification, labels included, and the abstraction, and a phase reloads
+only what it cannot recompute: a result table for improve and simulate, if
+its stamp matches the config and posterior table bytes (``RunContext.key``;
+none for a config built in code), so any edit of them means verify again.
+Verify and improve build the IMC from the config unless abstract ran in the
+same process, so ``imc.csv`` and ``labels.csv`` are records of the last
+abstract that nothing reads back. A phase that bounds transitions builds
+the cells' posteriors, the one place that reads a noise grid or a posterior
+table, once (``RunContext.posteriors``). Before a phase writes its exports
+it deletes those of every later phase, stamps included. A result is its
+bounds, classified where it is written or counted.
 Exports are byte-reproducible for a fixed config and seed; the summary
 additionally records wall-clock times and the peak RSS after each phase,
 and is a report, not an export.
@@ -50,9 +49,11 @@ from .verify import (
     _CLASSES,
     ReachAvoidSpec,
     VerificationResult,
+    _sha256_hex,
     classify_arrays,
     read_results,
     robust_value_iteration,
+    stamp_path,
     write_results,
 )
 
@@ -90,6 +91,17 @@ class RunContext:
             table = read_posterior_table(cfg.posterior_table, self.partition.n_cells, cfg.model.n)
         return cell_posteriors(self.partition, cfg.model, cfg.noise, table, cfg.noise_grid)
 
+    def key(self) -> Optional[bytes]:
+        """What a result table's stamp ties it to: the config file's bytes,
+        then the posterior table's if the config names one; None for a
+        config built in code."""
+        cfg, table = self.config, self.config.posterior_table
+        if cfg.source is None or table is None:
+            return cfg.source
+        if not table.is_file():
+            raise InputError(f"{table}: file does not exist")
+        return cfg.source + table.read_bytes()
+
 
 def _peak_rss_mb() -> float:
     """This process's peak resident set size so far, in MB (2**20 bytes):
@@ -106,21 +118,6 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes on macOS, else KiB
 
 
-def _sha256_hex(data: bytes) -> str:
-    """The SHA-256 of ``data`` in hex, from the interpreter's builtin module
-    where it has one: hashlib's OpenSSL adds about 2 MB to the RSS of a run
-    without Monte Carlo (numpy.random, which Monte Carlo imports, imports
-    hashlib)."""
-    try:
-        from _sha2 import sha256  # Python 3.12+
-    except ImportError:
-        try:
-            from _sha256 import sha256  # Python 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256
-    return sha256(data).hexdigest()
-
-
 def build_context(config: RunConfig) -> RunContext:
     spec = ReachAvoidSpec(horizon=config.horizon, threshold=config.threshold)
     partition = partition_domain(*config.domain, config.grid)
@@ -131,7 +128,8 @@ def _drop_exports_after(ctx: RunContext, last: str) -> None:
     """Delete the exports after ``last``, the final export of the phase about
     to write: later phases derived them from what it overwrites."""
     for name in EXPORTS[EXPORTS.index(last) + 1 :]:
-        (ctx.config.output_dir / name).unlink(missing_ok=True)
+        for path in (ctx.config.output_dir / name, stamp_path(ctx.config.output_dir / name)):
+            path.unlink(missing_ok=True)
 
 
 def phase_abstract(ctx: RunContext) -> tuple[Imc, dict]:
@@ -167,19 +165,14 @@ def phase_verify(ctx: RunContext, imc: Imc) -> VerificationResult:
         max_iterations=ctx.config.max_iterations,
     )
     _drop_exports_after(ctx, RESULTS_FILE)
-    write_results(result, ctx.partition, ctx.spec.threshold, ctx.config.output_dir / RESULTS_FILE)
+    write_results(result, ctx.partition, ctx.spec.threshold,
+                  ctx.config.output_dir / RESULTS_FILE, ctx.key())
     return result
 
 
 def load_results(ctx: RunContext, improved: bool = False) -> VerificationResult:
-    out = ctx.config.output_dir
     name = IMPROVED_FILE if improved else RESULTS_FILE
-    path = out / name
-    if not path.exists():
-        raise InputError(
-            f"missing result table {path}; run the verify phase first"
-        )
-    return read_results(path, ctx.partition)
+    return read_results(ctx.config.output_dir / name, ctx.partition, ctx.key())
 
 
 def phase_improve(
@@ -192,7 +185,7 @@ def phase_improve(
     changed = (improved.p_lower != result.p_lower) | (improved.p_upper != result.p_upper)
     _drop_exports_after(ctx, IMPROVED_FILE)
     write_results(improved, ctx.partition, ctx.spec.threshold,
-                  ctx.config.output_dir / IMPROVED_FILE)
+                  ctx.config.output_dir / IMPROVED_FILE, ctx.key())
     return improved, int(np.count_nonzero(changed))
 
 
@@ -275,8 +268,8 @@ def run_pipeline(
 ) -> dict:
     """Run the requested phases in order and write the summary. Verify and
     improve build the IMC unless abstract ran first; improve and simulate
-    reload the result table of a verify that did not run. Returns the
-    summary."""
+    reload the stamped result table of a verify that did not run. Returns
+    the summary."""
     ctx = build_context(config)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -324,9 +317,8 @@ def run_pipeline(
         log.info("improve: skipped, as cluster.passes is 0")
 
     if "simulate" in phases and config.monte_carlo.enabled:
-        if result is None:
-            improved = (out / IMPROVED_FILE).exists() and config.cluster_passes > 0
-            result = load_results(ctx, improved=improved)
+        if result is None:  # an improved table stamped for this config has cluster.passes > 0
+            result = load_results(ctx, improved=(out / IMPROVED_FILE).exists())
         t0 = time.perf_counter()
         records = phase_simulate(ctx, result)
         _record_phase(

@@ -23,12 +23,16 @@ improvement walks its own layout, then only the rows whose reads changed
 Value iteration alone decides whether an unbounded ``p_upper`` may be
 trusted, so a result is its two bound arrays: its classes are derived from
 them where they are written or counted, by ``classify_arrays``.
+A result table is reloaded only if its stamp, the SHA-256 of a key (the
+config and posterior table bytes) followed by the table, matches; it is
+then this program's own output for the key, and is read unchecked.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -36,7 +40,7 @@ import numpy as np
 from ._csv import csv_lines, write_columns
 from .errors import InputError, InvalidModelError
 from .geometry import StatePartition
-from .imc import _ROW_TOL, Imc, RowLayout, _goal_avoid_sets, _read_columns, _reject_first, _repeats
+from .imc import Imc, RowLayout, _goal_avoid_sets
 
 log = logging.getLogger("imcverify")
 
@@ -204,6 +208,24 @@ def classify_arrays(p_lower, p_upper, threshold: float) -> np.ndarray:
 # --- result export --------------------------------------------------------------
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The hex SHA-256 of ``data`` from the interpreter's builtin module where
+    it has one: hashlib's OpenSSL adds about 2 MB to a run's RSS."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def stamp_path(path) -> Path:
+    """The stamp of the result table ``path``: ``<name>.stamp`` next to it."""
+    return Path(f"{path}.stamp")
+
+
 def _results_header(dim: int) -> str:
     return ",".join(
         ["state"]
@@ -212,8 +234,11 @@ def _results_header(dim: int) -> str:
     )
 
 
-def write_results(result: VerificationResult, partition: StatePartition, threshold, path) -> None:
-    """One row per state: index, cell bounds, p_lower, p_upper, class at ``threshold``.
+def write_results(result: VerificationResult, partition: StatePartition, threshold, path,
+                  key=None) -> None:
+    """One row per state: index, cell bounds, p_lower, p_upper, class at
+    ``threshold``; then, unless ``key`` is None, the table's stamp: one line,
+    the hex SHA-256 of ``key`` followed by the table.
 
     A cell bound is its grid edge, formatted once per edge and written as a
     string column indexed by the cell's multi-index. The unsafe state has no
@@ -233,37 +258,25 @@ def write_results(result: VerificationResult, partition: StatePartition, thresho
     unsafe = (np.array([cells]), *[empty] * (2 * dim), p_lower[cells:], p_upper[cells:],
               (_CLASSES, classes[cells:]))
     write_columns(path, _results_header(dim), (cells, cell_rows), (1, lambda a, b: unsafe))
+    if key is not None:
+        stamp_path(path).write_text(_sha256_hex(key + Path(path).read_bytes()) + "\n")
 
 
-def read_results(path, partition: StatePartition) -> VerificationResult:
-    """Reload the bounds of an exported result table over the states of
-    ``partition``; its classes are checked, not read, and iteration metadata
-    is not persisted.
-
-    Every state must appear once, with a known class and p_lower <= p_upper
-    in [0, 1] (value iteration may leave p_upper a few ulps above 1); anything
-    else is an InputError naming ``path:line``.
-    """
-    n, dim = partition.n_states, len(partition.resolution)
-    types = (int,) + (str,) * (2 * dim) + (float, float, str)
-    state, *_, lo, hi, label = _read_columns(path, _results_header(dim), *types)
-    label = [c.rstrip() for c in label.tolist()]  # a line's trailing blanks are not its class
-    in_range = (0 <= state) & (state < n)
-    _, repeat = _repeats(np.where(in_range, state, -1 - np.arange(len(state))))
-    _reject_first(
-        path,
-        (~in_range, "state index out of range"),
-        (repeat, lambda k: f"duplicate state {state[k]}"),
-        (~np.isin(label, _CLASSES), lambda k: f"unknown class {label[k]!r}"),
-        (~(lo <= hi), lambda k: f"requires p_lower <= p_upper, got [{lo[k]}, {hi[k]}]"),
-        (~((0.0 <= lo) & (hi <= 1.0 + _ROW_TOL)),
-         lambda k: f"requires 0 <= p_lower and p_upper <= 1, got [{lo[k]}, {hi[k]}]"),
-    )
-    seen = np.zeros(n, bool)
-    seen[state] = True
-    missing = np.flatnonzero(~seen)
-    if len(missing):
-        raise InputError(f"{path}: result table is missing states {missing.tolist()}")
-    p_lower, p_upper = np.empty(n), np.empty(n)
-    p_lower[state], p_upper[state] = lo, hi
+def read_results(path, partition: StatePartition, key) -> VerificationResult:
+    """Reload the bounds of a result table that ``write_results`` stamped
+    with ``key``, which is then this program's own bytes: only its p_lower
+    and p_upper columns are read, unchecked. Any other table (no stamp, a
+    key of None, other key bytes or an edit since) is an InputError naming
+    ``path``."""
+    try:
+        data, stamp = Path(path).read_bytes(), stamp_path(path).read_bytes()
+    except FileNotFoundError:
+        data = None
+    if key is None or data is None or stamp != f"{_sha256_hex(key + data)}\n".encode():
+        raise InputError(f"{path}: missing, or its stamp does not match the config and "
+                         "posterior table; run verify again")
+    dim = len(partition.resolution)
+    lines = data.decode("ascii").splitlines()[1:]
+    p_lower, p_upper = np.loadtxt(lines, delimiter=",", usecols=(2 * dim + 1, 2 * dim + 2),
+                                  unpack=True, comments=None)
     return VerificationResult(p_lower, p_upper)

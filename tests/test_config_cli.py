@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -31,7 +32,6 @@ from imcverify.pipeline import (
     RESULTS_FILE,
     SUMMARY_FILE,
     TRAJECTORIES_FILE,
-    _sha256_hex,
     run_pipeline,
 )
 from imcverify.verify import (
@@ -39,6 +39,7 @@ from imcverify.verify import (
     DEFAULT_CONVERGENCE_TOL,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_THRESHOLD,
+    _sha256_hex,
     classify_arrays,
 )
 
@@ -828,26 +829,109 @@ class TestCli:
         assert "label 'goal': endpoint 0.7 in dimension 0 does not lie on a grid line" in caplog.text
         assert not (tmp_path / "out").exists()
 
-    def test_reloaded_results_are_classified_at_current_threshold(self, tmp_path):
+    def test_simulate_after_a_threshold_edit_exits_1(self, tmp_path, caplog):
+        # results.csv holds classes at the verified threshold: after an edit
+        # of the threshold, simulate refuses it until verify runs again
         cfg_path = tmp_path / "paper.yaml"
         cfg_path.write_text(PAPER_2D)
-        assert main(["abstract", "-c", str(cfg_path)]) == 0
         assert main(["verify", "-c", str(cfg_path)]) == 0
-        out = tmp_path / "out"
-        verified = json.loads((out / SUMMARY_FILE).read_text())["classification"]["counts"]
         cfg_path.write_text(PAPER_2D.replace("threshold: 0.9", "threshold: 0.3"))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["simulate", "-c", str(cfg_path)]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert error.startswith(f"{out / RESULTS_FILE}: ") and error.endswith("run verify again")
+        assert not (out / TRAJECTORIES_FILE).exists()
+        assert main(["verify", "-c", str(cfg_path)]) == 0
         assert main(["simulate", "-c", str(cfg_path)]) == 0
-        counts = json.loads((out / SUMMARY_FILE).read_text())["classification"]["counts"]
         rows = [line.split(",") for line in (out / RESULTS_FILE).read_text().splitlines()[1:]]
-        p_lower = np.array([float(r[-3]) for r in rows])
-        p_upper = np.array([float(r[-2]) for r in rows])
-        expected = {
-            "satisfies": int(np.sum(p_lower >= 0.3)),
-            "violates": int(np.sum((p_lower < 0.3) & (p_upper < 0.3))),
-        }
-        expected["undetermined"] = len(rows) - sum(expected.values())
-        assert counts == expected
-        assert counts != verified
+        p_lower, p_upper = (np.array([float(r[k]) for r in rows]) for k in (-3, -2))
+        classes = np.take(_CLASSES, classify_arrays(p_lower, p_upper, 0.3))
+        assert [r[-1] for r in rows] == classes.tolist()
+
+    def test_improve_after_a_noise_edit_exits_1(self, tmp_path, caplog):
+        # widening both noise components after verify: improve must not run
+        # the cluster pass on the old system's intervals over the new IMC
+        cfg_path = tmp_path / "phased.yaml"
+        text = (WORKLOADS / "additive-h200-phased.yaml").read_text() + "output_dir: out\n"
+        cfg_path.write_text(text)
+        for phase in ("abstract", "verify"):
+            assert main([phase, "-c", str(cfg_path)]) == 0
+        narrow = "{type: uniform, lo: -0.05, hi: 0.05}"
+        assert text.count(narrow) == 2
+        cfg_path.write_text(text.replace(narrow, "{type: uniform, lo: -0.2, hi: 0.2}"))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["improve", "-c", str(cfg_path)]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert error.startswith(f"{out / RESULTS_FILE}: ") and error.endswith("run verify again")
+        assert not (out / IMPROVED_FILE).exists()
+        for phase in ("verify", "improve"):
+            assert main([phase, "-c", str(cfg_path)]) == 0
+        assert main(["run", "-c", str(cfg_path), "--output-dir", str(tmp_path / "fresh")]) == 0
+        for name in (RESULTS_FILE, IMPROVED_FILE):
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_hand_edited_bounds_are_refused(self, tmp_path, caplog):
+        # raising one p_lower by 0.05, still below its p_upper, is a claim
+        # verify did not make: improve and simulate refuse the table
+        cfg_path = write_toy(tmp_path, passes=1)
+        assert main(["verify", "-c", str(cfg_path)]) == 0
+        table = tmp_path / "out" / RESULTS_FILE
+        lines = table.read_text().splitlines()
+        k, row = next((k, line.split(",")) for k, line in enumerate(lines)
+                      if k and float(line.split(",")[-3]) + 0.05 < float(line.split(",")[-2]))
+        row[-3] = repr(float(row[-3]) + 0.05)
+        lines[k] = ",".join(row)
+        table.write_text("\n".join(lines) + "\n")
+        for phase in ("improve", "simulate"):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="imcverify"):
+                assert main([phase, "-c", str(cfg_path)]) == 1
+            (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+            assert error.startswith(f"{table}: "), phase
+        assert not (tmp_path / "out" / IMPROVED_FILE).exists()
+        assert not (tmp_path / "out" / TRAJECTORIES_FILE).exists()
+
+    def test_stamps_tie_the_tables_to_the_config_and_posterior_table(self, tmp_path, caplog):
+        # each stamp is the sha256 of the config file, the posterior table and
+        # the result table, in that order; an edit of the posterior table
+        # between verify and improve is refused
+        text = ADDITIVE_2D.format(table="posterior_table: table.csv\ncluster:\n  passes: 1",
+                                  outdir="out")
+        cfg_path = tmp_path / "table.yaml"
+        cfg_path.write_text(text)
+        cfg = load_config(cfg_path)
+        part = partition_domain(*cfg.domain, cfg.grid)
+        lo, hi = enclosure(cfg.model.g_components, part.corners(np.arange(part.n_cells)))
+        write_posterior_table((lo, hi), tmp_path / "table.csv")
+        for phase in ("verify", "improve"):
+            assert main([phase, "-c", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        config, table = cfg_path.read_bytes(), (tmp_path / "table.csv").read_bytes()
+        for name in (RESULTS_FILE, IMPROVED_FILE):
+            digest = hashlib.sha256(config + table + (out / name).read_bytes()).hexdigest()
+            assert (out / f"{name}.stamp").read_text() == digest + "\n", name
+        improved = (out / IMPROVED_FILE).read_bytes()
+        write_posterior_table((lo - 0.01, hi), tmp_path / "table.csv")  # wider, still sound
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["improve", "-c", str(cfg_path)]) == 1
+        assert f"{out / RESULTS_FILE}: " in caplog.text
+        assert (out / IMPROVED_FILE).read_bytes() == improved  # not rewritten
+
+    def test_config_built_in_code_cannot_reload(self, tmp_path):
+        # a config built in code has no source bytes to tie a table to: its
+        # verify writes no stamp, and it reloads no table, stamped or not
+        cfg_path = write_toy(tmp_path, passes=1)
+        in_code = dataclasses.replace(load_config(cfg_path), source=None)
+        out = tmp_path / "out"
+        for verifier in (in_code, load_config(cfg_path)):
+            run_pipeline(verifier, phases=("verify",))
+            assert (out / f"{RESULTS_FILE}.stamp").exists() == (verifier.source is not None)
+            for phase in ("improve", "simulate"):
+                with pytest.raises(InputError, match=re.escape(f"{out / RESULTS_FILE}: ")):
+                    run_pipeline(in_code, phases=(phase,))
+        assert not (out / IMPROVED_FILE).exists()
 
     def test_verify_without_abstract_builds_the_abstraction(self, tmp_path):
         cfg_path = write_toy(tmp_path, outdir="fresh")
@@ -969,7 +1053,40 @@ output_dir: out
         assert info == [f"{phase}: skipped, as {key}",
                         "artifacts written to the configured output directory"]
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-            IMC_FILE, LABELS_FILE, RESULTS_FILE, SUMMARY_FILE]
+            IMC_FILE, LABELS_FILE, RESULTS_FILE, f"{RESULTS_FILE}.stamp", SUMMARY_FILE]
+
+    def test_help_lists_each_subcommand_once(self, capsys):
+        # one table maps each subcommand to its phases and help: the help
+        # prints what a parser with the commands listed by hand prints
+        reference = argparse.ArgumentParser(prog="imcverify", description=(
+            "Sound interval Markov chain abstraction and reach-avoid "
+            "verification of stochastic systems"))
+        sub = reference.add_subparsers(dest="command", required=True)
+        for name, help_text in [
+            ("run", "full pipeline: abstract, verify, improve, simulate"),
+            ("abstract", "build the IMC from the config and export it"),
+            ("verify", "robust value iteration on the IMC of the config"),
+            ("improve", "the cluster pass over verify's stamped results.csv"),
+            ("simulate", "Monte Carlo validation of the stamped result table"),
+        ]:
+            p = sub.add_parser(name, help=help_text)
+            p.add_argument("-c", "--config", required=True, help="path to the YAML config")
+            p.add_argument("--output-dir", default=None, help="override the output directory")
+            p.add_argument("--seed", type=int, default=None, help="override the Monte Carlo seed")
+            p.add_argument("-v", "--verbose", action="count", default=0)
+        for command in ([], ["run"], ["abstract"], ["verify"], ["improve"], ["simulate"]):
+            printed = []
+            for parse in (main, reference.parse_args):
+                with pytest.raises(SystemExit) as exc:
+                    parse([*command, "-h"])
+                assert exc.value.code == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1], command
+        phases = {name: cli._build_parser().parse_args([name, "-c", "x"]).phases
+                  for name in ("run", "abstract", "verify", "improve", "simulate")}
+        assert phases == {"run": ("abstract", "verify", "improve", "simulate"),
+                          "abstract": ("abstract",), "verify": ("verify",),
+                          "improve": ("improve",), "simulate": ("simulate",)}
 
     @pytest.mark.parametrize(
         "args, message",
@@ -1060,8 +1177,8 @@ output_dir: out
         assert len(validation["validation"]) == 4 and validation["all_sound"] is True
 
     def test_phased_improve_does_not_load_numpy_ma(self, tmp_path):
-        # reloading results.csv finds missing states with a mask of the states
-        # seen: np.setdiff1d would import numpy.ma, about 18 ms per process
+        # reloading results.csv must not import numpy.ma (np.setdiff1d would),
+        # about 18 ms per process
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         path = tmp_path / "toy.yaml"
@@ -1151,7 +1268,9 @@ output_dir: out
             assert main(["abstract", "-c", str(tmp_path / "table.yaml")]) == 1
         assert "table.csv:4: state index out of range" in caplog.text
 
-    def test_only_simulate_runs_without_the_posterior_table(self, tmp_path, caplog):
+    def test_no_phase_after_abstract_runs_without_the_posterior_table(self, tmp_path, caplog):
+        # verify and improve bound transitions with it, and improve and
+        # simulate check the stamp of results.csv against it
         text = ADDITIVE_2D.format(
             table="posterior_table: table.csv\ncluster:\n  passes: 1", outdir="out"
         ).replace("  enabled: false", "  trajectories: 20\n  cells: [0, 5]")
@@ -1165,13 +1284,12 @@ output_dir: out
         for phase in ("abstract", "verify"):
             assert main([phase, *argv]) == 0
         (tmp_path / "table.csv").unlink()
-        for phase in ("verify", "improve"):
+        for phase in ("verify", "improve", "simulate"):
             caplog.clear()
             with caplog.at_level(logging.ERROR, logger="imcverify"):
                 assert main([phase, *argv]) == 1
             (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
             assert error == f"{tmp_path / 'table.csv'}: file does not exist"
-        assert main(["simulate", *argv]) == 0
 
     def test_missing_posterior_table_exits_1(self, tmp_path, caplog):
         path = tmp_path / "absent.yaml"

@@ -679,16 +679,10 @@ class TestPosteriorTable:
         assert np.array_equal(loaded[0], table[0]) and np.array_equal(loaded[1], table[1])
 
     def test_missing_files_are_input_errors(self, tmp_path):
-        from imcverify.verify import read_results
-
-        part = partition_domain(*box([[0, 1]]), (2,))
+        # a missing result table is refused by its stamp check (test_verify.py)
         path = tmp_path / "absent.csv"
-        for read in (
-            lambda: read_posterior_table(path, 2, 1),
-            lambda: read_results(path, part),
-        ):
-            with pytest.raises(InputError, match=f"^{re.escape(str(path))}: file does not exist$"):
-                read()
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: file does not exist$"):
+            read_posterior_table(path, 2, 1)
 
     def test_incomplete_file_rejected(self, tmp_path):
         path = tmp_path / "table.csv"

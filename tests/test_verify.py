@@ -686,24 +686,28 @@ class TestReadResults:
         rows = [((i, 1.0, 1.0),) for i in range(part.n_states)]
         imc = Imc(part, *csr(rows), label_masks(part.n_cells, goal=[0]))
         path = tmp_path / "results.csv"
-        write_results(robust_value_iteration(imc, ReachAvoidSpec(horizon=1)), part, 0.9, path)
+        res = robust_value_iteration(imc, ReachAvoidSpec(horizon=1))
+        write_results(res, part, 0.9, path, b"key")
         lines = path.read_text().splitlines()
         assert lines[0] == "state,lo1,hi1,lo2,hi2,lo3,hi3,p_lower,p_upper,class"
         for i, multi in enumerate(itertools.product(range(6), range(3), range(2))):
             expected = [repr(float(e[m + k])) for e, m in zip(edges, multi) for k in (0, 1)]
             assert lines[1 + i].split(",")[:7] == [str(i)] + expected
         assert lines[-1] == f"{part.unsafe_index},,,,,,,0.0,0.0,violates"
+        loaded = read_results(path, part, b"key")  # the bounds follow the 6 edge columns
+        assert np.array_equal(loaded.p_lower, res.p_lower)
+        assert np.array_equal(loaded.p_upper, res.p_upper)
 
-    def _export(self, tmp_path):
+    def _export(self, tmp_path, key=b"config bytes"):
         imc = three_state_fixture()
         res = robust_value_iteration(imc, ReachAvoidSpec())
         path = tmp_path / "results.csv"
-        write_results(res, imc.partition, 0.9, path)
+        write_results(res, imc.partition, 0.9, path, key)
         return imc, res, path
 
     def test_round_trip(self, tmp_path):
         imc, res, path = self._export(tmp_path)
-        loaded = read_results(path, imc.partition)
+        loaded = read_results(path, imc.partition, b"config bytes")
         assert np.array_equal(loaded.p_lower, res.p_lower)
         assert np.array_equal(loaded.p_upper, res.p_upper)
         # a table holds bounds, not value iteration's report
@@ -711,67 +715,34 @@ class TestReadResults:
         assert (loaded.iterations, loaded.converged) == (None, None)
         assert (loaded.fixpoints, loaded.upper_residual) == ((None, None), None)
 
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda lines: lines[:2] + ["", "  "] + lines[2:],
-            lambda lines: lines[:1] + lines[1:][::-1],
-            lambda lines: [line + " " for line in lines],
-            lambda lines: lines[:1] + lines[2:] + lines[1:2],
-            lambda lines: [line + "\r" for line in lines],
-            # a known class is checked, not read: classes follow from the bounds
-            lambda lines: [line.replace("undetermined", "satisfies") for line in lines],
-        ],
-        ids=["blank-lines", "reversed", "trailing-blanks", "rotated", "crlf", "relabelled"],
-    )
-    def test_tolerated_edits_load_the_same_result(self, tmp_path, edit):
-        imc, res, path = self._export(tmp_path)
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        loaded = read_results(path, imc.partition)
-        assert np.array_equal(loaded.p_lower, res.p_lower)
-        assert np.array_equal(loaded.p_upper, res.p_upper)
+    def test_stamp_is_the_sha256_of_the_key_then_the_table(self, tmp_path):
+        import hashlib
 
-    # lines of the exported table: header, then states 0 (undetermined),
-    # 1 (goal, satisfies) and 2 (unsafe, violates)
+        _, _, path = self._export(tmp_path)
+        stamp = tmp_path / "results.csv.stamp"
+        assert verify_module.stamp_path(path) == stamp
+        digest = hashlib.sha256(b"config bytes" + path.read_bytes()).hexdigest()
+        assert stamp.read_bytes() == digest.encode() + b"\n"
+        # a table written without a key has no stamp
+        (tmp_path / "no-key").mkdir()
+        self._export(tmp_path / "no-key", key=None)
+        assert not (tmp_path / "no-key" / "results.csv.stamp").exists()
+
     @pytest.mark.parametrize(
-        "edit, where",
+        "edit, key",
         [
-            (lambda lines: lines + ["-1,,,0.95,0.97,satisfies"], ":5: state index"),
-            (lambda lines: lines + [lines[2]], ":5: duplicate state"),
-            (lambda lines: lines[:2] + ["1,1.0,2.0,1.0,1.0,bogus"] + lines[3:],
-             ":3: unknown class"),
-            (lambda lines: lines[:1] + ["0,0.0,1.0,0.6,0.5,undetermined"] + lines[2:],
-             ":2: requires p_lower <= p_upper"),
-            (lambda lines: lines[:1] + ["0,0.0,1.0,-0.5,0.5,undetermined"] + lines[2:],
-             ":2: requires 0 <= p_lower and p_upper <= 1"),
-            (lambda lines: lines[:1] + ["0,0.0,1.0,0.5,7.0,undetermined"] + lines[2:],
-             ":2: requires 0 <= p_lower and p_upper <= 1"),
-            (lambda lines: lines[:1] + ["0,0.0,1.0,0.5,inf,undetermined"] + lines[2:],
-             ":2: requires 0 <= p_lower and p_upper <= 1"),
-            (lambda lines: lines[:1] + [lines[1] + ",x"] + lines[2:], ":2: expected 6 fields"),
-            (lambda lines: ["state,p_lower,p_upper,class"] + lines[1:], ":1: expected header"),
-            (lambda lines: lines[:3], "missing states [2]"),
-            # Python's int() and float() read these; np.loadtxt does not
-            (lambda lines: lines[:1] + ["0,0.0,1.0,0.5,1_0,undetermined"] + lines[2:],
-             ":2: malformed field"),
-            (lambda lines: lines[:2] + ["", "1,1.0,2.0,\u0660.5,1.0,satisfies"] + lines[3:],
-             ":4: malformed field"),
-            # a blank line still counts toward the line numbers
-            (lambda lines: lines[:2] + [""] + lines[2:] + [lines[2]], ":6: duplicate state 1"),
-            (lambda lines: lines[:1] + ["0,0.0,1.0,nan,0.5,undetermined"] + lines[2:],
-             ":2: requires p_lower <= p_upper, got [nan, 0.5]"),
-            (lambda lines: lines[:2] + ["x" + lines[2][1:]] + lines[3:], ":3: malformed field"),
-            # a state index is an integer, not a float that equals one
-            (lambda lines: lines[:1] + ["0.0" + lines[1][1:]] + lines[2:], ":2: malformed field"),
-            (lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ","] + lines[2:],
-             ":2: unknown class ''"),
+            (lambda path: None, b"other config bytes"),
+            (lambda path: None, None),
+            (lambda path: path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n")),
+             b"config bytes"),
+            (lambda path: verify_module.stamp_path(path).unlink(), b"config bytes"),
+            (lambda path: path.unlink(), b"config bytes"),
         ],
-        ids=["state-range", "duplicate", "class", "order", "negative", "above-one", "inf",
-             "fields", "header", "missing", "underscore", "arabic-indic-digit",
-             "blank-then-duplicate", "nan", "number", "float-state", "empty-class"],
+        ids=["other-key", "no-key", "edited-table", "no-stamp", "no-table"],
     )
-    def test_malformed_table_rejected(self, tmp_path, edit, where):
+    def test_unstamped_table_refused(self, tmp_path, edit, key):
         imc, _, path = self._export(tmp_path)
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        with pytest.raises(InputError, match=re.escape(where)):
-            read_results(path, imc.partition)
+        edit(path)
+        message = f"{path}: missing, or its stamp does not match the config and posterior table"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}; run verify again$"):
+            read_results(path, imc.partition, key)
