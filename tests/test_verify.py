@@ -743,6 +743,61 @@ class TestReadResults:
     def test_unstamped_table_refused(self, tmp_path, edit, key):
         imc, _, path = self._export(tmp_path)
         edit(path)
+        self._assert_refused(path, imc.partition, key)
+
+    @staticmethod
+    def _assert_refused(path, partition, key):
         message = f"{path}: missing, or its stamp does not match the config and posterior table"
         with pytest.raises(InputError, match=f"^{re.escape(message)}; run verify again$"):
-            read_results(path, imc.partition, key)
+            read_results(path, partition, key)
+
+    # edits that keep every bound: the stamp covers the table's bytes, not its values
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:2] + ["", "  "] + lines[2:],
+            lambda lines: lines[:1] + lines[1:][::-1],
+            lambda lines: [line + " " for line in lines],
+            lambda lines: lines[:1] + lines[2:] + lines[1:2],
+            lambda lines: [line + "\r" for line in lines],
+            lambda lines: [line.replace("satisfies", "undetermined") for line in lines],
+        ],
+        ids=["blank-lines", "reversed", "trailing-blanks", "rotated", "crlf", "relabelled"],
+    )
+    def test_edits_that_keep_the_bounds_are_refused(self, tmp_path, edit):
+        imc, _, path = self._export(tmp_path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        self._assert_refused(path, imc.partition, b"config bytes")
+
+    # malformed edits are refused by the stamp before any field is read; lines
+    # of the exported table: header, then states 0 (violates at threshold 0.9),
+    # 1 (goal, satisfies) and 2 (unsafe, violates)
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines + ["-1,,,0.95,0.97,satisfies"],
+            lambda lines: lines + [lines[2]],
+            lambda lines: lines[:2] + ["1,1.0,2.0,1.0,1.0,bogus"] + lines[3:],
+            lambda lines: lines[:1] + ["0,0.0,1.0,0.6,0.5,undetermined"] + lines[2:],
+            lambda lines: lines[:1] + ["0,0.0,1.0,-0.5,0.5,undetermined"] + lines[2:],
+            lambda lines: lines[:1] + ["0,0.0,1.0,0.5,7.0,undetermined"] + lines[2:],
+            lambda lines: lines[:1] + ["0,0.0,1.0,0.5,inf,undetermined"] + lines[2:],
+            lambda lines: lines[:1] + [lines[1] + ",x"] + lines[2:],
+            lambda lines: ["state,p_lower,p_upper,class"] + lines[1:],
+            lambda lines: lines[:3],
+            lambda lines: lines[:1] + ["0,0.0,1.0,0.5,1_0,undetermined"] + lines[2:],
+            lambda lines: lines[:2] + ["", "1,1.0,2.0,\u0660.5,1.0,satisfies"] + lines[3:],
+            lambda lines: lines[:2] + [""] + lines[2:] + [lines[2]],
+            lambda lines: lines[:1] + ["0,0.0,1.0,nan,0.5,undetermined"] + lines[2:],
+            lambda lines: lines[:2] + ["x" + lines[2][1:]] + lines[3:],
+            lambda lines: lines[:1] + ["0.0" + lines[1][1:]] + lines[2:],
+            lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ","] + lines[2:],
+        ],
+        ids=["state-range", "duplicate", "class", "order", "negative", "above-one", "inf",
+             "fields", "header", "missing", "underscore", "arabic-indic-digit",
+             "blank-then-duplicate", "nan", "number", "float-state", "empty-class"],
+    )
+    def test_malformed_table_rejected(self, tmp_path, edit):
+        imc, _, path = self._export(tmp_path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        self._assert_refused(path, imc.partition, b"config bytes")
