@@ -51,7 +51,9 @@ class RunConfig:
     monte_carlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     posterior_table: Optional[Path] = None
     output_dir: Path = Path("out")
-    source: Optional[bytes] = None  # the config file's bytes, set by load_config
+    # the config file's bytes, set by load_config: a copy made by dataclasses.replace,
+    # which may describe another system, has none
+    source: Optional[bytes] = field(default=None, init=False)
 
 
 def _fail(path: str, reason: str) -> None:
@@ -314,7 +316,7 @@ def load_config(path) -> RunConfig:
     if not output_dir.is_absolute():
         output_dir = path.parent / output_dir
 
-    return RunConfig(
+    config = RunConfig(
         domain=domain,
         grid=grid,
         model=model,
@@ -329,5 +331,6 @@ def load_config(path) -> RunConfig:
         monte_carlo=mc,
         posterior_table=posterior_table,
         output_dir=output_dir,
-        source=data,
     )
+    config.source = data
+    return config

@@ -28,12 +28,11 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError, StructureError
+from .errors import EvaluationError, Frozen, ParseError, StructureError
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -44,37 +43,31 @@ STRUCTURES = (ADDITIVE, MULTIPLICATIVE, GENERAL)
 # --- abstract syntax ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     kind: str  # 'x' or 'w'
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # '+', '-', '*', '/'
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     arg: "Expr"
 
@@ -90,8 +83,7 @@ _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z]+\d*")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num', 'ident', 'op', 'lparen', 'rparen', 'end'
     text: str
     column: int
@@ -291,8 +283,7 @@ def _rebuild_product(factors: list[Expr]) -> Expr:
 # --- dynamics model ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DynamicsModel:
+class DynamicsModel(Frozen):
     """Parsed per-component dynamics with a declared noise structure.
 
     For additive and multiplicative structures, ``g_components`` holds the
@@ -301,10 +292,10 @@ class DynamicsModel:
     directly and ``g_components`` is None.
     """
 
-    n: int
-    structure: str
-    components: tuple[Expr, ...]
-    g_components: Optional[tuple[Expr, ...]]
+    def __init__(self, n: int, structure: str, components: tuple[Expr, ...],
+                 g_components: Optional[tuple[Expr, ...]]):
+        vars(self).update(n=n, structure=structure, components=components,
+                          g_components=g_components)
 
     @property
     def noise_separable(self) -> bool:

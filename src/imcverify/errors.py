@@ -1,4 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of the immutable types, shared across the
+package."""
+
+
+class Frozen:
+    """Base of an immutable type: ``__init__`` sets the attributes through
+    ``vars(self)``, and setting or deleting one afterwards raises
+    AttributeError. Instances of one type compare and hash by their public
+    attributes (the names without a leading underscore), in the order
+    ``__init__`` set them."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(v for k, v in vars(self).items() if not k.startswith("_"))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class ParseError(ValueError):

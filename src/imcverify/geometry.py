@@ -10,14 +10,14 @@ conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .errors import Frozen
 
-@dataclass(frozen=True, eq=False)
-class StatePartition:
+
+class StatePartition(Frozen):
     """Uniform grid partition of a safe domain, plus the implicit unsafe state.
 
     ``edges[d]`` holds the ``resolution[d] + 1`` cell boundaries of
@@ -27,23 +27,22 @@ class StatePartition:
     the domain. The extra unsafe state (everything outside the domain) has
     index ``n_cells``. ``corners`` maps cell indices to coordinates and
     ``owner`` maps points to cells, in O(1) per point on evenly spaced edges.
+    Partitions compare and hash by identity.
     """
 
-    resolution: tuple[int, ...]
-    edges: tuple[np.ndarray, ...]
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, resolution: tuple[int, ...], edges: tuple[np.ndarray, ...]):
         # O(sum of resolution): each dimension's edges rise strictly
-        resolution = tuple(int(r) for r in self.resolution)
-        edges = tuple(np.array(e, dtype=float) for e in self.edges)
-        if resolution != tuple(self.resolution) or len(edges) != len(resolution) or not edges:
-            raise ValueError(f"resolution {self.resolution} needs an integer per dimension")
-        for d, (e, r) in enumerate(zip(edges, resolution)):
+        ints = tuple(int(r) for r in resolution)
+        edges = tuple(np.array(e, dtype=float) for e in edges)
+        if ints != tuple(resolution) or len(edges) != len(ints) or not edges:
+            raise ValueError(f"resolution {resolution} needs an integer per dimension")
+        for d, (e, r) in enumerate(zip(edges, ints)):
             if not (r >= 1 and e.shape == (r + 1,) and (e[:-1] < e[1:]).all()):
                 raise ValueError(f"edges[{d}] must rise strictly through {r + 1} points")
             e.flags.writeable = False
-        object.__setattr__(self, "resolution", resolution)
-        object.__setattr__(self, "edges", edges)
+        vars(self).update(resolution=ints, edges=edges)
 
     @property
     def n_cells(self) -> int:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -56,7 +55,7 @@ from .dynamics import (
     combine_posterior,
     enclosure,
 )
-from .errors import InputError, SoundnessError, SpecificationError
+from .errors import Frozen, InputError, SoundnessError, SpecificationError
 from .geometry import StatePartition, partition_domain
 from .noise import (
     NoiseModel,
@@ -103,22 +102,22 @@ def _cumsum(block: np.ndarray) -> np.ndarray:
     return block
 
 
-@dataclass(frozen=True, eq=False)
-class Imc:
+class Imc(Frozen):
     """Finite-state abstraction with transition-bound rows in CSR arrays.
 
     The last state (index ``partition.unsafe_index``) is the absorbing
     unsafe state. Rows are sorted by target index; pairs with upper bound 0
     are omitted except for the always-present unsafe column. ``labels``
-    maps each label name to a boolean mask over the states.
+    maps each label name to a boolean mask over the states. IMCs compare
+    and hash by identity.
     """
 
-    partition: StatePartition
-    indptr: np.ndarray
-    dst: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    labels: dict[str, np.ndarray]
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, partition: StatePartition, indptr: np.ndarray, dst: np.ndarray,
+                 lower: np.ndarray, upper: np.ndarray, labels: dict[str, np.ndarray]):
+        vars(self).update(partition=partition, indptr=indptr, dst=dst, lower=lower,
+                          upper=upper, labels=labels)
 
     @property
     def n_states(self) -> int:

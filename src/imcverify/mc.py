@@ -28,8 +28,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,8 +53,7 @@ log = logging.getLogger("imcverify")
 GROUP_TRAJECTORIES = 2**16
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     states: np.ndarray  # shape (length, n)
     termination: str
 

@@ -17,11 +17,11 @@ the quantile, or for a mixture the composition method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._special import erf, ndtri
+from .errors import Frozen
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -32,10 +32,10 @@ def _phi(z):
     return 0.5 * (1.0 + erf(z / _SQRT2))
 
 
-class NoiseComponent:
-    """One independent scalar noise coordinate. ``sample`` maps one uniform
-    to one sample: by default through the subclass's closed-form quantile
-    ``inverse_cdf``."""
+class NoiseComponent(Frozen):
+    """One independent scalar noise coordinate, an immutable value. ``sample``
+    maps one uniform to one sample: by default through the subclass's
+    closed-form quantile ``inverse_cdf``."""
 
     @property
     def support(self) -> tuple[float, float]:
@@ -57,16 +57,13 @@ class NoiseComponent:
         return self.inverse_cdf(u)
 
 
-@dataclass(frozen=True)
 class Uniform(NoiseComponent):
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    def __init__(self, lo: float, hi: float):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("uniform bounds must be finite")
-        if self.lo > self.hi:
-            raise ValueError(f"uniform requires lo <= hi, got ({self.lo}, {self.hi})")
+        if lo > hi:
+            raise ValueError(f"uniform requires lo <= hi, got ({lo}, {hi})")
+        vars(self).update(lo=lo, hi=hi)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -83,30 +80,23 @@ class Uniform(NoiseComponent):
         return self.lo + np.asarray(u, dtype=float) * (self.hi - self.lo)
 
 
-@dataclass(frozen=True)
 class TruncatedGaussian(NoiseComponent):
     """N(mean, stddev^2) conditioned on [lo, hi]. Construction computes
     Phi(lo) and the Gaussian mass of [lo, hi], which must be positive, and
     keeps them outside the fields that equality and hashing see."""
 
-    mean: float
-    stddev: float
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.mean, self.stddev, self.lo, self.hi))):
+    def __init__(self, mean: float, stddev: float, lo: float, hi: float):
+        if not all(map(math.isfinite, (mean, stddev, lo, hi))):
             raise ValueError("mean, stddev and truncation bounds must be finite")
-        if self.stddev <= 0.0:
+        if stddev <= 0.0:
             raise ValueError("stddev must be positive")
-        if self.lo >= self.hi:
+        if lo >= hi:
             raise ValueError("truncation requires lo < hi")
-        phi_lo, phi_hi = _phi((np.array([self.lo, self.hi]) - self.mean) / self.stddev).tolist()
+        phi_lo, phi_hi = _phi((np.array([lo, hi]) - mean) / stddev).tolist()
         mass = phi_hi - phi_lo
         if mass <= 0.0:
             raise ValueError("truncation interval has no Gaussian mass")
-        object.__setattr__(self, "_phi_lo", phi_lo)
-        object.__setattr__(self, "_mass", mass)
+        vars(self).update(mean=mean, stddev=stddev, lo=lo, hi=hi, _phi_lo=phi_lo, _mass=mass)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -129,23 +119,18 @@ class TruncatedGaussian(NoiseComponent):
         return np.clip(z, self.lo, self.hi)
 
 
-@dataclass(frozen=True)
 class Mixture(NoiseComponent):
-    weights: tuple[float, ...]
-    parts: tuple[NoiseComponent, ...]
-
-    def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if len(weights) != len(self.parts) or not self.parts:
+    def __init__(self, weights: tuple[float, ...], parts: tuple[NoiseComponent, ...]):
+        weights, parts = tuple(float(w) for w in weights), tuple(parts)
+        if len(weights) != len(parts) or not parts:
             raise ValueError("mixture needs matching, non-empty weights and parts")
         if not all(math.isfinite(w) and w > 0.0 for w in weights):
             raise ValueError("mixture weights must be finite and positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
         # c_i, the sum of the weights before part i
-        object.__setattr__(self, "_starts", (0.0, *np.cumsum(weights)[:-1].tolist()))
+        vars(self).update(weights=weights, parts=parts,
+                          _starts=(0.0, *np.cumsum(weights)[:-1].tolist()))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -173,16 +158,14 @@ class Mixture(NoiseComponent):
         return out
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Frozen):
     """Independent per-component noise; component i drives state coordinate i."""
 
-    components: tuple[NoiseComponent, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(self, components: tuple[NoiseComponent, ...]):
+        components = tuple(components)
+        if not components:
             raise ValueError("noise model requires at least one component")
+        vars(self).update(components=components)
 
     @property
     def n(self) -> int:

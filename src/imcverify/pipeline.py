@@ -24,8 +24,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,8 +68,7 @@ EXPORTS = (IMC_FILE, LABELS_FILE, RESULTS_FILE, IMPROVED_FILE, TRAJECTORIES_FILE
 log = logging.getLogger("imcverify")
 
 
-@dataclass
-class RunContext:
+class RunContext(NamedTuple):
     """Everything derivable from the configuration alone and cheap to build,
     the label masks of the grid cells included: a label off the grid lines
     fails here, before any phase runs or writes."""

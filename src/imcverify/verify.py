@@ -31,14 +31,13 @@ then this program's own output for the key, and is read unchecked.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from ._csv import csv_lines, write_columns
-from .errors import InputError, InvalidModelError
+from .errors import Frozen, InputError, InvalidModelError
 from .geometry import StatePartition
 from .imc import Imc, RowLayout, _goal_avoid_sets
 
@@ -52,39 +51,33 @@ DEFAULT_CONVERGENCE_TOL = 1e-6
 DEFAULT_MAX_ITERATIONS = 10**5
 
 
-@dataclass(frozen=True)
-class ReachAvoidSpec:
+class ReachAvoidSpec(Frozen):
     """Reach a goal-labeled region while never entering avoid-labeled ones.
 
     ``horizon`` is a step count, or None for the unbounded horizon.
     """
 
-    horizon: Optional[int] = None
-    threshold: float = DEFAULT_THRESHOLD
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.horizon is not None and self.horizon < 0:
-            raise ValueError(f"finite horizon must be >= 0, got {self.horizon}")
+    def __init__(self, horizon: Optional[int] = None, threshold: float = DEFAULT_THRESHOLD):
+        if not 0.0 < threshold < 1.0:
+            raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+        if horizon is not None and horizon < 0:
+            raise ValueError(f"finite horizon must be >= 0, got {horizon}")
+        vars(self).update(horizon=horizon, threshold=threshold)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Frozen):
     """Per-state satisfaction interval [p_lower, p_upper]; the rest is value
-    iteration's report, None for a reloaded result or a cluster pass."""
+    iteration's report, None for a reloaded result or a cluster pass:
+    ``fixpoints`` holds per bound (lower, upper) the first sweep that
+    returned its input bits, and ``upper_residual`` the ``_residual`` of the
+    unbounded upper iterate from the goal indicator (None: finite horizon)."""
 
-    p_lower: np.ndarray
-    p_upper: np.ndarray
-    iterations: Optional[int] = None
-    converged: Optional[bool] = None
-    fixpoints: tuple = (None, None)  # (lower, upper): first sweep that returned its input bits
-    # ``_residual`` of the unbounded upper iterate from the goal indicator (None: finite horizon)
-    upper_residual: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_lower", np.asarray(self.p_lower, dtype=float))
-        object.__setattr__(self, "p_upper", np.asarray(self.p_upper, dtype=float))
+    def __init__(self, p_lower: np.ndarray, p_upper: np.ndarray, iterations: Optional[int] = None,
+                 converged: Optional[bool] = None, fixpoints: tuple = (None, None),
+                 upper_residual: Optional[float] = None):
+        vars(self).update(p_lower=np.asarray(p_lower, dtype=float),
+                          p_upper=np.asarray(p_upper, dtype=float), iterations=iterations,
+                          converged=converged, fixpoints=fixpoints, upper_residual=upper_residual)
 
 
 def _rank(values, sign: float, ties=None) -> np.ndarray:
@@ -113,7 +106,8 @@ def _sweep(layout: RowLayout, bounds: list, signs, pinned, done: int, sweeps: in
         for b in [b for b, f in enumerate(fixpoints) if f is None]:
             new = layout.walk(_rank(bounds[b], signs[b]), bounds[b])
             new[pinned] = bounds[b][pinned]
-            delta = max(delta, float(np.max(np.abs(new - bounds[b]))))
+            if tol is not None:  # only the unbounded horizon stops on the change
+                delta = max(delta, float(np.max(np.abs(new - bounds[b]))))
             # bitwise, so that -0.0 and 0.0 differ: each later sweep would return these bits
             if np.array_equal(new.view(np.int64), bounds[b].view(np.int64)):
                 fixpoints[b] = done

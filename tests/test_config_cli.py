@@ -923,7 +923,7 @@ class TestCli:
         # a config built in code has no source bytes to tie a table to: its
         # verify writes no stamp, and it reloads no table, stamped or not
         cfg_path = write_toy(tmp_path, passes=1)
-        in_code = dataclasses.replace(load_config(cfg_path), source=None)
+        in_code = dataclasses.replace(load_config(cfg_path))
         out = tmp_path / "out"
         for verifier in (in_code, load_config(cfg_path)):
             run_pipeline(verifier, phases=("verify",))
@@ -932,6 +932,17 @@ class TestCli:
                 with pytest.raises(InputError, match=re.escape(f"{out / RESULTS_FILE}: ")):
                     run_pipeline(in_code, phases=(phase,))
         assert not (out / IMPROVED_FILE).exists()
+
+    def test_config_changed_in_code_reloads_no_table(self, tmp_path):
+        # dataclasses.replace makes a config that need not describe the
+        # file's bytes: it keeps none, so its verify stamps no table and the
+        # file's own config refuses the 8-cell table for its 4 cells
+        cfg_path = write_toy(tmp_path, passes=1)
+        changed = dataclasses.replace(load_config(cfg_path), grid=(8,))
+        assert changed.source is None
+        run_pipeline(changed, phases=("verify",))
+        with pytest.raises(InputError, match=re.escape(f"{tmp_path / 'out' / RESULTS_FILE}: ")):
+            run_pipeline(load_config(cfg_path), phases=("improve",))
 
     def test_verify_without_abstract_builds_the_abstraction(self, tmp_path):
         cfg_path = write_toy(tmp_path, outdir="fresh")
@@ -1195,7 +1206,8 @@ output_dir: out
         "workload", ["paper-mult-40", "general-sin-20", "additive-h200-phased", "mixture-mc-h30"])
     def test_config_digest_is_the_sha256_of_the_config_bytes(self, tmp_path, workload):
         path = WORKLOADS / f"{workload}.yaml"
-        config = dataclasses.replace(load_config(path), output_dir=tmp_path)
+        config = load_config(path)
+        config.output_dir = tmp_path
         summary = run_pipeline(config, phases=())
         assert summary["provenance"]["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -1206,11 +1218,11 @@ output_dir: out
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         path = WORKLOADS / "additive-h200-phased.yaml"
         assert not load_config(path).monte_carlo.enabled
-        code = ("import dataclasses, sys\nfrom pathlib import Path\n"
+        code = ("import sys\nfrom pathlib import Path\n"
                 "from imcverify.config import load_config\n"
                 "from imcverify.pipeline import run_pipeline\n"
-                f"config = dataclasses.replace(load_config({str(path)!r}), "
-                f"output_dir=Path({str(tmp_path)!r}))\n"
+                f"config = load_config({str(path)!r})\n"
+                f"config.output_dir = Path({str(tmp_path)!r})\n"
                 "print(run_pipeline(config)['provenance']['config_sha256'])\n"
                 "print('hashlib' in sys.modules, '_hashlib' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -1356,5 +1368,5 @@ output_dir: out
         cfg_path.write_bytes(cfg_path.read_bytes() + b"\n")
         summary = run_pipeline(load_config(cfg_path), phases=())
         assert summary["provenance"]["config_sha256"] != digest
-        in_code = dataclasses.replace(load_config(cfg_path), source=None)
+        in_code = dataclasses.replace(load_config(cfg_path))
         assert run_pipeline(in_code, phases=())["provenance"]["config_sha256"] is None

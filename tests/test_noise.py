@@ -122,6 +122,24 @@ class TestCdf:
             Mixture((0.5, 0.6), (Uniform(0, 1), Uniform(1, 2)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Uniform(-0.05, 0.05),
+    paper_mixture,
+    lambda: NoiseModel((TruncatedGaussian(1.0, 0.1, 0.9, 1.1), paper_mixture())),
+], ids=["uniform", "mixture", "noise-model"])
+def test_equal_noise_is_equal_and_hashes_alike(make):
+    # as TruncatedGaussian in TestCdf: value equality and hashing
+    assert make() == make() and make() is not make()
+    assert hash(make()) == hash(make())
+
+
+def test_noise_equality_reads_type_and_fields():
+    assert Uniform(0.0, 1.0) != Uniform(0.0, 2.0)
+    assert Uniform(0.0, 1.0) != (0.0, 1.0)
+    assert Mixture((1.0,), (Uniform(0.0, 1.0),)) != Mixture((1.0,), (Uniform(0.0, 2.0),))
+    assert NoiseModel((Uniform(0.0, 1.0),)) != NoiseModel((Uniform(0.0, 1.0),) * 2)
+
+
 class TestOptimalPartitionAffine:
     # arguments: posterior [c, d], then target [a, b]
     def test_wide_posterior_empty_lower(self):
