@@ -51,9 +51,14 @@ class RunConfig:
     monte_carlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     posterior_table: Optional[Path] = None
     output_dir: Path = Path("out")
-    # the config file's bytes, set by load_config: a copy made by dataclasses.replace,
-    # which may describe another system, has none
+    # the config file's bytes, set by load_config; dropped by dataclasses.replace and by
+    # assigning any field but output_dir, after which the config may describe another system
     source: Optional[bytes] = field(default=None, init=False)
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name not in ("output_dir", "source"):
+            object.__setattr__(self, "source", None)
 
 
 def _fail(path: str, reason: str) -> None:
@@ -162,8 +167,6 @@ def _parse_noise_component(entry: Any, path: str) -> NoiseComponent:
         )
     else:
         args = tuple(_number(entry[key], f"{path}.{key}") for key in params)
-        if kind == "uniform" and args[0] == args[1]:
-            _fail(path, "uniform requires lo < hi: the noise partitions drop a point mass")
     try:
         return cls(*args)
     except ValueError as exc:

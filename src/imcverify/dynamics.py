@@ -488,19 +488,25 @@ def _has_extremum(lo, hi, at: float):
     return np.ceil((lo - at) / _TWO_PI) <= np.floor((hi - at) / _TWO_PI)
 
 
-def _sin_interval(lo, hi):
+def _periodic_interval(f, lo, hi, lowest: float, highest: float):
+    """The range of sin or cos (``f``) over [lo, hi]: ``f`` at the ends, or -1 and 1
+    where it holds a minimum (lowest + 2*pi*k) or a maximum (highest + 2*pi*k)."""
     wide = hi - lo >= _TWO_PI
-    slo, shi = np.sin(lo), np.sin(hi)
-    smin = np.where(wide | _has_extremum(lo, hi, -math.pi / 2.0), -1.0, np.minimum(slo, shi))
-    smax = np.where(wide | _has_extremum(lo, hi, math.pi / 2.0), 1.0, np.maximum(slo, shi))
-    return smin, smax
+    flo, fhi = f(lo), f(hi)
+    fmin = np.where(wide | _has_extremum(lo, hi, lowest), -1.0, np.minimum(flo, fhi))
+    fmax = np.where(wide | _has_extremum(lo, hi, highest), 1.0, np.maximum(flo, fhi))
+    return fmin, fmax
+
+
+def _hull(values):
+    """The least intervals that hold each of ``values``, elementwise."""
+    return functools.reduce(np.minimum, values), functools.reduce(np.maximum, values)
 
 
 def _mul(a, b):
     """Product rule: min and max over the four endpoint products, where
     0 * inf reads as 0 (the degenerate factor contributes nothing)."""
-    products = [np.where((u == 0.0) | (v == 0.0), 0.0, u * v) for u in a for v in b]
-    return functools.reduce(np.minimum, products), functools.reduce(np.maximum, products)
+    return _hull([np.where((u == 0.0) | (v == 0.0), 0.0, u * v) for u in a for v in b])
 
 
 def _abs_interval(lo, hi):
@@ -509,17 +515,15 @@ def _abs_interval(lo, hi):
 
 
 def _pow_interval(lo, hi, k: int, component: int):
+    """x^k is monotone on an interval of one sign and for odd k; an even
+    power of an interval that holds 0 has its minimum there."""
     if k == 0:
         return 1.0, 1.0
-    if k < 0:
-        if np.any((lo <= 0.0) & (0.0 <= hi)):
-            raise EvaluationError(
-                f"component {component}: negative power of an interval containing 0"
-            )
-        return _pow_interval(1.0 / hi, 1.0 / lo, -k, component)
-    if k % 2 == 0:
-        lo, hi = _abs_interval(lo, hi)
-    return np.power(lo, k), np.power(hi, k)
+    holds_zero = (lo <= 0.0) & (0.0 <= hi)
+    if k < 0 and np.any(holds_zero):
+        raise EvaluationError(f"component {component}: negative power of an interval containing 0")
+    low, high = _hull([np.power(lo, k), np.power(hi, k)])
+    return (np.where(holds_zero, 0.0, low) if k % 2 == 0 else low), high
 
 
 def _ieval(node: Expr, x, w, component: int):
@@ -546,7 +550,7 @@ def _ieval(node: Expr, x, w, component: int):
             raise EvaluationError(
                 f"component {component}: division by an interval containing 0"
             )
-        return _mul((alo, ahi), (1.0 / bhi, 1.0 / blo))
+        return _hull([u / v for u in (alo, ahi) for v in (blo, bhi)])
     if isinstance(node, Pow):
         lo, hi = _ieval(node.base, x, w, component)
         return _pow_interval(lo, hi, node.exponent, component)
@@ -556,9 +560,9 @@ def _ieval(node: Expr, x, w, component: int):
     if isinstance(node, Call):
         lo, hi = _ieval(node.arg, x, w, component)
         if node.func == "sin":
-            return _sin_interval(lo, hi)
+            return _periodic_interval(np.sin, lo, hi, -math.pi / 2.0, math.pi / 2.0)
         if node.func == "cos":
-            return _sin_interval(lo + math.pi / 2.0, hi + math.pi / 2.0)
+            return _periodic_interval(np.cos, lo, hi, math.pi, 0.0)
         if node.func == "exp":
             return np.exp(lo), np.exp(hi)
         if node.func == "sqrt":

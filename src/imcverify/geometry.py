@@ -44,6 +44,9 @@ class StatePartition(Frozen):
             e.flags.writeable = False
         vars(self).update(resolution=ints, edges=edges)
 
+    def __reduce__(self):  # a pickled or copied partition runs __init__, which locks its edges
+        return StatePartition, (self.resolution, self.edges)
+
     @property
     def n_cells(self) -> int:
         return math.prod(self.resolution)

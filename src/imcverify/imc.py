@@ -40,7 +40,6 @@ image lies in, or meets, the target interval.
 
 from __future__ import annotations
 
-import warnings
 from collections import namedtuple
 from typing import Mapping, NamedTuple, Optional
 
@@ -59,7 +58,6 @@ from .errors import Frozen, InputError, SoundnessError, SpecificationError
 from .geometry import StatePartition, partition_domain
 from .noise import (
     NoiseModel,
-    _point_mass,
     optimal_partition_affine,
     optimal_partition_multiplicative,
 )
@@ -71,6 +69,7 @@ UNSAFE_LABEL = "unsafe"
 GOAL_LABEL = "goal"
 AVOID_LABELS = ("obstacle", UNSAFE_LABEL)
 
+_TABLE_HEADER = "state,component,lo,hi"
 _ROW_TOL = 1e-9
 _ALIGN_TOL = 1e-9
 # candidate pairs per block of ``build_imc``, and factors per block of
@@ -388,8 +387,6 @@ def cell_posteriors(
     if noise-separable, else the tensor cells."""
     if model.structure == GENERAL and noise_grid is None:
         raise ValueError("general structure requires noise_grid, the noise cells per component")
-    if any(map(_point_mass, noise.components)):
-        raise InputError("a uniform with lo == hi is a point mass, which the noise partitions drop")
     if posterior_table is not None and model.structure == GENERAL:
         raise ValueError("posterior tables require an additive or multiplicative structure")
     if model.structure == MULTIPLICATIVE:
@@ -598,65 +595,6 @@ def _rows_with_last(counts, entries, last) -> tuple[np.ndarray, list[np.ndarray]
 # --- file formats ---------------------------------------------------------------
 
 
-def _read_columns(path, header: str, *types) -> list[np.ndarray]:
-    """One array per field of a delimited file with this header, converted by
-    ``types`` through ``np.loadtxt``. Whitespace-only lines are skipped; a
-    missing file is an InputError naming ``path``, and a line ``np.loadtxt``
-    refuses one naming ``path:line``."""
-    dtype = [(f"f{i}", {int: np.int64, float: float}[t]) for i, t in enumerate(types)]
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            found = fh.readline().strip()
-    except FileNotFoundError:
-        raise InputError(f"{path}: file does not exist") from None
-    if found != header:
-        raise InputError(f"{path}:1: expected header {header!r}, got {found!r}")
-
-    def load(rows, skip=0):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header without rows
-            kwargs = dict(comments=None, delimiter=",", skiprows=skip, encoding="utf-8", ndmin=1)
-            return np.loadtxt(rows, dtype, **kwargs)
-
-    try:
-        table = load(path, skip=1)
-    except ValueError:
-        with open(path, "r", encoding="utf-8") as fh:
-            numbered = [(i, line) for i, line in enumerate(fh, start=1) if i > 1 and line.strip()]
-        lines = [line for _, line in numbered]
-        try:
-            table = load(lines)
-        except ValueError:
-            # halve towards the shortest refused prefix: it ends at the first refused line
-            good, bad = 0, len(lines)  # lines[:good] loads, lines[:bad] is refused
-            while bad - good > 1:
-                mid = (good + bad) // 2
-                try:
-                    load(lines[:mid])
-                    good = mid
-                except ValueError:
-                    bad = mid
-            lineno, line = numbered[good]
-            fields = line.count(",") + 1
-            reason = f"expected {len(types)} fields" if fields != len(types) else "malformed field"
-            raise InputError(f"{path}:{lineno}: {reason}") from None
-    return [table[name] for name, _ in dtype]
-
-
-def _reject_first(path, *checks) -> None:
-    """Raise an InputError naming ``path:line`` at the first entry of a table
-    that fails a check; ``checks`` are (failure mask, message or
-    message(entry)) in the order they apply to one line."""
-    k = min((int(np.argmax(mask)) for mask, _ in checks if mask.any()), default=None)
-    if k is None:
-        return
-    message = next(m for mask, m in checks if mask[k])
-    with open(path, "r", encoding="utf-8") as fh:
-        # entries are the non-blank lines after the header
-        lineno = [i for i, line in enumerate(fh, start=1) if i > 1 and line.strip()][k]
-    raise InputError(f"{path}:{lineno}: {message(k) if callable(message) else message}")
-
-
 def write_imc(imc: Imc, bounds_path, labels_path) -> None:
     """Delimited exports, records nothing reads back: (from,to,lower,upper)
     sorted by (from,to), and one (state,label) row per label, sorted."""
@@ -683,27 +621,57 @@ def write_posterior_table(table: tuple[np.ndarray, np.ndarray], path) -> None:
         k = np.arange(a, b)
         return k // dim, k % dim, lo[a:b], hi[a:b]
 
-    write_columns(path, "state,component,lo,hi", (len(lo), entries))
+    write_columns(path, _TABLE_HEADER, (len(lo), entries))
 
 
-def read_posterior_table(path, n_cells: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Load a posterior table as a (lo, hi) pair of arrays of shape
-    (n_cells, dim): one finite interval per state in [0, n_cells) and
-    component in [0, dim), each given once; anything else is an InputError
-    naming ``path:line``, or ``path`` for a missing state."""
-    state, comp, lo, hi = _read_columns(path, "state,component,lo,hi", int, int, float, float)
-    in_range = (0 <= state) & (state < n_cells) & (0 <= comp) & (comp < dim)
-    key = np.where(in_range, state * dim + comp, -1 - np.arange(len(state)))
+def read_posterior_table(
+    data: bytes, path, n_cells: int, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse ``data``, the bytes of the posterior table ``path``, as a (lo,
+    hi) pair of arrays of shape (n_cells, dim): after the header, one finite
+    interval per state in [0, n_cells) and component in [0, dim), each given
+    once, on the non-blank lines in any order. Anything else is an
+    InputError naming ``path:line``, or ``path`` for a missing state."""
+    # the lines of the UTF-8 text under universal newlines, as open() reads them
+    header, *lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if header.strip() != _TABLE_HEADER:
+        raise InputError(f"{path}:1: expected header {_TABLE_HEADER!r}, got {header.strip()!r}")
+    numbered = [(i, line) for i, line in enumerate(lines, start=2) if line.strip()]
+    rows = [line for _, line in numbered]
+    dtype = [("state", np.int64), ("component", np.int64), ("lo", float), ("hi", float)]
+
+    def load(rows):
+        return np.loadtxt(rows, dtype, comments=None, delimiter=",", ndmin=1)
+
+    try:
+        entries = load(rows) if rows else np.empty(0, dtype)  # np.loadtxt warns on no rows
+    except ValueError:
+        # halve towards the shortest refused prefix: it ends at the first refused line
+        good, bad = 0, len(rows)  # rows[:good] loads, rows[:bad] is refused
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                load(rows[:mid])
+                good = mid
+            except ValueError:
+                bad = mid
+        reason = "malformed field" if rows[good].count(",") == 3 else "expected 4 fields"
+        raise InputError(f"{path}:{numbered[good][0]}: {reason}") from None
+    state, comp, lo, hi = (entries[name] for name, _ in dtype)
+    in_state, in_comp = (0 <= state) & (state < n_cells), (0 <= comp) & (comp < dim)
+    key = np.where(in_state & in_comp, state * dim + comp, -1 - np.arange(len(state)))
     order = np.argsort(key, kind="stable")
     repeat = np.zeros(len(key), dtype=bool)  # a later line of an in-range (state, component)
     repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
-    _reject_first(
-        path,
-        (~((0 <= state) & (state < n_cells)), "state index out of range"),
-        (~((0 <= comp) & (comp < dim)), "component index out of range"),
-        (~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)), "empty or invalid interval"),
-        (repeat, lambda k: f"duplicate (state, component) ({state[k]},{comp[k]})"),
-    )
+    # per entry, the checks in the order they apply to its line
+    valid = np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)
+    failed = np.stack([~in_state, ~in_comp, ~valid, repeat])
+    if failed.any():
+        k = int(np.argmax(failed.any(axis=0)))
+        reasons = ("state index out of range", "component index out of range",
+                   "empty or invalid interval",
+                   f"duplicate (state, component) ({state[k]},{comp[k]})")
+        raise InputError(f"{path}:{numbered[k][0]}: {reasons[int(np.argmax(failed[:, k]))]}")
     table = np.full((2, n_cells, dim), np.nan)  # the rows are finite: a NaN is a missing row
     table[:, state, comp] = lo, hi
     missing = np.flatnonzero(np.isnan(table[0]).any(axis=1))

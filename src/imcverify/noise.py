@@ -61,8 +61,8 @@ class Uniform(NoiseComponent):
     def __init__(self, lo: float, hi: float):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("uniform bounds must be finite")
-        if lo > hi:
-            raise ValueError(f"uniform requires lo <= hi, got ({lo}, {hi})")
+        if not lo < hi:  # the noise partitions measure (lo, hi], which misses a point mass
+            raise ValueError(f"uniform requires lo < hi, got ({lo}, {hi}): no point mass")
         vars(self).update(lo=lo, hi=hi)
 
     @property
@@ -70,11 +70,7 @@ class Uniform(NoiseComponent):
         return self.lo, self.hi
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.hi == self.lo:
-            # point mass at lo
-            return np.where(t >= self.lo, 1.0, 0.0)
-        return np.clip((t - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        return np.clip((np.asarray(t, dtype=float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def inverse_cdf(self, u):
         return self.lo + np.asarray(u, dtype=float) * (self.hi - self.lo)
@@ -181,14 +177,6 @@ class NoiseModel(Frozen):
         column i drives component i. The result is the transpose of an (n, m)
         array, so each component's samples are contiguous."""
         return np.stack([c.sample(u[:, i]) for i, c in enumerate(self.components)]).T
-
-
-def _point_mass(comp: NoiseComponent) -> bool:
-    """Whether ``comp`` has a uniform part with lo == hi: an atom that CDF
-    differences over (lo, hi], and so the noise partitions, drop."""
-    if isinstance(comp, Mixture):
-        return any(_point_mass(p) for p in comp.parts)
-    return isinstance(comp, Uniform) and comp.lo == comp.hi
 
 
 # --- optimal structured partitions -------------------------------------------

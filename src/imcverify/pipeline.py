@@ -8,9 +8,10 @@ its stamp matches the config and posterior table bytes (``RunContext.key``;
 none for a config built in code), so any edit of them means verify again.
 Verify and improve build the IMC from the config unless abstract ran in the
 same process, so ``imc.csv`` and ``labels.csv`` are records of the last
-abstract that nothing reads back. A phase that bounds transitions builds
-the cells' posteriors, the one place that reads a noise grid or a posterior
-table, once (``RunContext.posteriors``). Before a phase writes its exports
+abstract that nothing reads back. ``build_context`` reads a posterior table
+once per process; a phase that bounds transitions builds the cells'
+posteriors, the one place that uses a noise grid or that table, once
+(``RunContext.posteriors``). Before a phase writes its exports
 it deletes those of every later phase, stamps included. A result is its
 bounds, classified where it is written or counted.
 Exports are byte-reproducible for a fixed config and seed; the summary
@@ -69,14 +70,20 @@ log = logging.getLogger("imcverify")
 
 
 class RunContext(NamedTuple):
-    """Everything derivable from the configuration alone and cheap to build,
-    the label masks of the grid cells included: a label off the grid lines
-    fails here, before any phase runs or writes."""
+    """Everything derivable from the configuration alone and cheap to build:
+    the label masks of the grid cells, and the posterior table's (lo, hi)
+    arrays if the config names one, read once, so a label off the grid lines
+    or a missing or malformed table fails here, before any phase runs or
+    writes. ``key`` is what a result table's stamp ties it to: the config
+    file's bytes, then the bytes the table was parsed from; None for a
+    config built in code."""
 
     config: RunConfig
     partition: StatePartition
     spec: ReachAvoidSpec
     labels: dict[str, np.ndarray]
+    table: Optional[tuple[np.ndarray, np.ndarray]]
+    key: Optional[bytes]
 
     def posteriors(self) -> CellPosteriors:
         """The posteriors of every cell, under the noise grid of a general
@@ -84,21 +91,8 @@ class RunContext(NamedTuple):
         system's hold every cell's image under every noise cell (under its
         own component's, if noise-separable): build them only to bound
         transitions, and do not keep them."""
-        cfg, table = self.config, None
-        if cfg.posterior_table is not None:
-            table = read_posterior_table(cfg.posterior_table, self.partition.n_cells, cfg.model.n)
-        return cell_posteriors(self.partition, cfg.model, cfg.noise, table, cfg.noise_grid)
-
-    def key(self) -> Optional[bytes]:
-        """What a result table's stamp ties it to: the config file's bytes,
-        then the posterior table's if the config names one; None for a
-        config built in code."""
-        cfg, table = self.config, self.config.posterior_table
-        if cfg.source is None or table is None:
-            return cfg.source
-        if not table.is_file():
-            raise InputError(f"{table}: file does not exist")
-        return cfg.source + table.read_bytes()
+        cfg = self.config
+        return cell_posteriors(self.partition, cfg.model, cfg.noise, self.table, cfg.noise_grid)
 
 
 def _peak_rss_mb() -> float:
@@ -119,7 +113,16 @@ def _peak_rss_mb() -> float:
 def build_context(config: RunConfig) -> RunContext:
     spec = ReachAvoidSpec(horizon=config.horizon, threshold=config.threshold)
     partition = partition_domain(*config.domain, config.grid)
-    return RunContext(config, partition, spec, assign_labels(partition, config.labels))
+    labels = assign_labels(partition, config.labels)
+    path, table, key = config.posterior_table, None, config.source
+    if path is not None:
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            raise InputError(f"{path}: file does not exist") from None
+        table = read_posterior_table(data, path, partition.n_cells, config.model.n)
+        key = None if key is None else key + data
+    return RunContext(config, partition, spec, labels, table, key)
 
 
 def _drop_exports_after(ctx: RunContext, last: str) -> None:
@@ -164,13 +167,13 @@ def phase_verify(ctx: RunContext, imc: Imc) -> VerificationResult:
     )
     _drop_exports_after(ctx, RESULTS_FILE)
     write_results(result, ctx.partition, ctx.spec.threshold,
-                  ctx.config.output_dir / RESULTS_FILE, ctx.key())
+                  ctx.config.output_dir / RESULTS_FILE, ctx.key)
     return result
 
 
 def load_results(ctx: RunContext, improved: bool = False) -> VerificationResult:
     name = IMPROVED_FILE if improved else RESULTS_FILE
-    return read_results(ctx.config.output_dir / name, ctx.partition, ctx.key())
+    return read_results(ctx.config.output_dir / name, ctx.partition, ctx.key)
 
 
 def phase_improve(
@@ -183,7 +186,7 @@ def phase_improve(
     changed = (improved.p_lower != result.p_lower) | (improved.p_upper != result.p_upper)
     _drop_exports_after(ctx, IMPROVED_FILE)
     write_results(improved, ctx.partition, ctx.spec.threshold,
-                  ctx.config.output_dir / IMPROVED_FILE, ctx.key())
+                  ctx.config.output_dir / IMPROVED_FILE, ctx.key)
     return improved, int(np.count_nonzero(changed))
 
 

@@ -944,6 +944,21 @@ class TestCli:
         with pytest.raises(InputError, match=re.escape(f"{tmp_path / 'out' / RESULTS_FILE}: ")):
             run_pipeline(load_config(cfg_path), phases=("improve",))
 
+    def test_config_assigned_in_code_reloads_no_table(self, tmp_path):
+        # so does a loaded config with a field assigned, output_dir aside,
+        # which does not change the results
+        cfg_path = write_toy(tmp_path, passes=1)
+        moved = load_config(cfg_path)
+        moved.output_dir = tmp_path / "moved"
+        assert moved.source == cfg_path.read_bytes()
+        changed = load_config(cfg_path)
+        changed.grid = (8,)
+        assert changed.source is None
+        run_pipeline(changed, phases=("verify",))
+        assert not (tmp_path / "out" / f"{RESULTS_FILE}.stamp").exists()
+        with pytest.raises(InputError, match=re.escape(f"{tmp_path / 'out' / RESULTS_FILE}: ")):
+            run_pipeline(load_config(cfg_path), phases=("improve",))
+
     def test_verify_without_abstract_builds_the_abstraction(self, tmp_path):
         cfg_path = write_toy(tmp_path, outdir="fresh")
         assert main(["verify", "-c", str(cfg_path)]) == 0
@@ -1311,6 +1326,32 @@ output_dir: out
             assert main(["abstract", "-c", str(path)]) == 1
         (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert error == f"{absent}: file does not exist"
+
+    def test_run_opens_the_posterior_table_once(self, tmp_path):
+        # one process reads the table once, for the posteriors of abstract
+        # and improve and for both stamps; an audit hook counts the opens,
+        # in a subprocess, since a hook cannot be removed
+        text = ADDITIVE_2D.format(table="posterior_table: table.csv\ncluster:\n  passes: 1",
+                                  outdir="out")
+        cfg_path = tmp_path / "table.yaml"
+        cfg_path.write_text(text)
+        cfg = load_config(cfg_path)
+        part = partition_domain(*cfg.domain, cfg.grid)
+        table = tmp_path / "table.csv"
+        write_posterior_table(enclosure(cfg.model.g_components, part.corners(np.arange(16))), table)
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import os, sys\nfrom imcverify.cli import main\nopens = []\n"
+                "def hook(event, args):\n"
+                "    if event == 'open' and isinstance(args[0], (str, os.PathLike)):\n"
+                f"        opens.append(os.fspath(args[0]) == {str(table)!r})\n"
+                "sys.addaudithook(hook)\n"
+                f"status = main(['run', '-c', {str(cfg_path)!r}])\n"
+                "print(status, sum(opens))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.split() == ["0", "1"]
+        assert (tmp_path / "out" / f"{IMPROVED_FILE}.stamp").exists()
 
     def test_verify_builds_the_noise_grid_once_and_simulate_never(self, tmp_path, monkeypatch):
         from imcverify import pipeline

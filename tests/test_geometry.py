@@ -1,4 +1,6 @@
 import bisect
+import copy
+import pickle
 import warnings
 from itertools import product
 
@@ -83,6 +85,19 @@ def test_corners_are_edge_lookups():
     assert_box(part.corners(5), box([[0.5, 1.0], [0.5, 1.0]]))
     with pytest.raises(ValueError):
         part.edges[0][1] = 0.25  # read-only
+
+
+@pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copies_keep_the_edges_read_only(copy_of):
+    # a copy is built through __init__, which checks its edges and locks them
+    part = partition_domain(*box([[0, 1], [-2, 2]]), (4, 3))
+    copied = copy_of(part)
+    assert copied is not part and copied.resolution == part.resolution
+    for mine, theirs in zip(copied.edges, part.edges):
+        assert np.array_equal(mine, theirs) and not mine.flags.writeable
+        with pytest.raises(ValueError):
+            mine[1] = 0.25
 
 
 def test_hand_built_partition_guard():

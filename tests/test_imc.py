@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imcverify.config import load_config
+from imcverify.config import RunConfig, load_config
 from imcverify.dynamics import enclosure, parse_dynamics
 from imcverify.errors import InputError, SoundnessError
 from imcverify.geometry import partition_domain
@@ -160,22 +160,6 @@ class TestBuildImc:
         assert imc.indptr[1] == 2 and imc.dst[:2].tolist() == [0, 1]
         assert (imc.lower[0], imc.upper[0]) == (1.0, 1.0)
         assert (imc.lower[1], imc.upper[1]) == (0.0, 0.0)
-
-    @pytest.mark.parametrize("structure", ["additive", "general"])
-    def test_point_mass_noise_rejected(self, structure):
-        # CDF differences measure (lo, hi]: the atom of Uniform(0, 0) would
-        # get no mass in any noise cell or cut-point interval
-        part = partition_domain(*box([[-1, 1]]), (4,))
-        model = parse_dynamics(["0.5*x1 + w1"], 1, structure)
-        atom = Uniform(0, 0)
-        for comp in (atom, Mixture((0.5, 0.5), (Uniform(-0.1, 0.1), atom))):
-            noise = NoiseModel((comp,))
-            grid = [2] if structure == "general" else None
-            with pytest.raises(InputError, match="point mass"):
-                build_imc(
-                    cell_posteriors(part, model, noise, noise_grid=grid),
-                    assign_labels(part, {"goal": box([[[-1, 1]]])}),
-                )
 
     def test_two_cell_bounds_against_kernel_oracle(self):
         part = partition_domain(*box([[0, 1]]), (2,))
@@ -675,20 +659,23 @@ class TestPosteriorTable:
         table = enclosure(model.g_components, cells)
         path = tmp_path / "table.csv"
         write_posterior_table(table, path)
-        loaded = read_posterior_table(path, part.n_cells, 1)
+        loaded = read_posterior_table(path.read_bytes(), path, part.n_cells, 1)
         assert np.array_equal(loaded[0], table[0]) and np.array_equal(loaded[1], table[1])
 
     def test_missing_files_are_input_errors(self, tmp_path):
-        # a missing result table is refused by its stamp check (test_verify.py)
+        # a run reads the table when it builds its context; a missing result
+        # table is refused by its stamp check (test_verify.py)
+        part, model, noise = self._setup()
         path = tmp_path / "absent.csv"
+        config = RunConfig(box([[0, 1]]), part.resolution, model, noise, {}, posterior_table=path)
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}: file does not exist$"):
-            read_posterior_table(path, 2, 1)
+            build_context(config)
 
     def test_incomplete_file_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("state,component,lo,hi\n0,0,0.0,0.5\n")
         with pytest.raises(InputError):
-            read_posterior_table(path, 2, 1)
+            read_posterior_table(path.read_bytes(), path, 2, 1)
 
     @pytest.mark.parametrize(
         "rows, where",
@@ -721,13 +708,13 @@ class TestPosteriorTable:
         path = tmp_path / "table.csv"
         path.write_text("\n".join(["state,component,lo,hi"] + rows) + "\n")
         with pytest.raises(InputError, match=re.escape(where)):
-            read_posterior_table(path, 2, 1)
+            read_posterior_table(path.read_bytes(), path, 2, 1)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("state,comp,lo,hi\n0,0,0.0,0.5\n1,0,0.5,1.0\n")
         with pytest.raises(InputError, match=re.escape("table.csv:1: expected header")):
-            read_posterior_table(path, 2, 1)
+            read_posterior_table(path.read_bytes(), path, 2, 1)
 
     @pytest.mark.parametrize(
         "edit",
@@ -746,13 +733,13 @@ class TestPosteriorTable:
         path = tmp_path / "table.csv"
         write_posterior_table(table, path)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        lo, hi = read_posterior_table(path, part.n_cells, 2)
+        lo, hi = read_posterior_table(path.read_bytes(), path, part.n_cells, 2)
         assert np.array_equal(lo, table[0]) and np.array_equal(hi, table[1])
 
     def test_blank_lines_and_any_order_accepted(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("state,component,lo,hi\n1,0,0.5,1.0\n\n0,0,0.0,0.5\n")
-        loaded = read_posterior_table(path, 2, 1)
+        loaded = read_posterior_table(path.read_bytes(), path, 2, 1)
         assert (loaded[0].tolist(), loaded[1].tolist()) == ([[0.0], [0.5]], [[0.5], [1.0]])
 
 

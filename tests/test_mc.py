@@ -29,6 +29,12 @@ def paper_mixture():
     return Mixture((0.5, 0.5), (Uniform(-0.05, -0.01), Uniform(0.0, 0.04)))
 
 
+def narrowest_uniform(c):
+    """The uniform on [c, the next float above c]: every sample is one of
+    the two (a point mass is no ``Uniform``)."""
+    return Uniform(c, float(np.nextafter(c, np.inf)))
+
+
 def labelled(domain, resolution, **label_boxes):
     """A grid of ``resolution`` cells over the box ``domain`` and its label
     masks: each keyword names a label and lists its boxes."""
@@ -156,9 +162,9 @@ class TestSampleNoise:
 
 
 class TestSimulate:
-    def test_point_mass_noise_deterministic_orbit(self):
+    def test_narrowest_uniform_noise_follows_the_noise_free_orbit(self):
         model = parse_dynamics(["0.5*x1 + w1"], 1, "additive")
-        noise = NoiseModel((Uniform(0.25, 0.25),))
+        noise = NoiseModel((narrowest_uniform(0.25),))
         grid = labelled([[0, 1]], (100,), goal=[[[0.49, 0.51]]])
         rng = np.random.default_rng(0)
         traj = simulate(model, noise, [1.0], 20, grid, rng)
@@ -188,7 +194,7 @@ class TestSimulate:
 
     def test_avoid_hit_and_left_domain(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
-        noise = NoiseModel((Uniform(0.5, 0.5),))
+        noise = NoiseModel((narrowest_uniform(0.5),))
         grid = labelled([[0, 2]], (20,), goal=[[[1.9, 2.0]]], obstacle=[[[0.9, 1.1]]])
         traj = simulate(model, noise, [0.5], 10, grid, np.random.default_rng(0))
         assert traj.termination == "avoid-hit"
@@ -220,7 +226,7 @@ class TestSimulate:
 class TestEstimateSatisfaction:
     def test_deterministic_goal_reach(self):
         model = parse_dynamics(["0.5*x1 + w1"], 1, "additive")
-        noise = NoiseModel((Uniform(0.25, 0.25),))
+        noise = NoiseModel((narrowest_uniform(0.25),))
         grid = labelled([[0, 1]], (20,), goal=[[[0.45, 0.55]]])
         [(est, ci, _)] = estimate_satisfaction(model, noise, *grid, [[1.0]], 200, 50, seeds=[3])
         assert est == 1.0

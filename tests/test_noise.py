@@ -121,6 +121,13 @@ class TestCdf:
         with pytest.raises(ValueError):
             Mixture((0.5, 0.6), (Uniform(0, 1), Uniform(1, 2)))
 
+    def test_point_mass_uniform_rejected(self):
+        # CDF differences measure (lo, hi]: the atom of Uniform(0, 0) would
+        # get no mass in any noise cell or cut-point interval
+        for lo, hi in ((0.0, 0.0), (0.25, 0.25), (1.0, 0.0)):
+            with pytest.raises(ValueError, match=r"^uniform requires lo < hi, got"):
+                Uniform(lo, hi)
+
 
 @pytest.mark.parametrize("make", [
     lambda: Uniform(-0.05, 0.05),
@@ -437,7 +444,7 @@ def masked_composition(mixture, u):
     "mixture",
     [
         Mixture((0.3, 0.3, 0.4 - 4e-13), (Uniform(-1.0, 0.0), TruncatedGaussian(0.0, 0.1, -0.2, 0.3),
-                                          Uniform(2.0, 2.0))),
+                                          Uniform(2.0, 2.5))),
         Mixture((0.25, 0.75), (Mixture((0.5, 0.5), (Uniform(-0.15, -0.05), Uniform(0.05, 0.15))),
                                TruncatedGaussian(0.0, 0.05, -0.1, 0.1))),
         Mixture((1.0,), (TruncatedGaussian(1.0, 0.1, 0.9, 1.1),)),

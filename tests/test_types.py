@@ -41,7 +41,8 @@ KEYWORD_CALLS = [
     (Call, dict(func="sin", arg=Var("x", 1))),
     (_Token, dict(kind="num", text="1", column=0)),
     (Trajectory, dict(states=np.zeros((1, 1)), termination="horizon")),
-    (RunContext, dict(config=None, partition=PARTITION, spec=ReachAvoidSpec(), labels={})),
+    (RunContext, dict(config=None, partition=PARTITION, spec=ReachAvoidSpec(), labels={},
+                      table=None, key=None)),
 ]
 
 
