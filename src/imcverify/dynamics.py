@@ -17,10 +17,13 @@ consumer in this package.
 
 The one interval evaluator, ``enclosure``, works on endpoint arrays over a
 whole batch of boxes, and ``combine_posterior`` puts noise cells onto the
-noise-free images it gives; one box is a batch of one. A non-finite
-enclosure (an overflow, say), a division by an interval containing 0, a
-negative power of one and sqrt below 0 raise EvaluationError naming the
-component, whichever box of the batch they occur in.
+noise-free images it gives; one box is a batch of one. A structured model
+keeps only its full expressions: its noise-free image g(q) is their
+enclosure with the noise fixed at the identity, 0 for additive and 1 for
+multiplicative noise. A non-finite enclosure (an overflow, say), a
+division by an interval containing 0, a negative power of one and sqrt
+below 0 raise EvaluationError naming the component, whichever box of the
+batch they occur in.
 """
 
 from __future__ import annotations
@@ -247,37 +250,18 @@ def _vars(node: Expr, kind: str) -> set[int]:
 
 
 def _flatten_sum(node: Expr, sign: int = 1) -> list[tuple[int, Expr]]:
+    """The signed terms of a sum, left to right."""
     if isinstance(node, BinOp) and node.op in "+-":
         right_sign = sign if node.op == "+" else -sign
         return _flatten_sum(node.left, sign) + _flatten_sum(node.right, right_sign)
     return [(sign, node)]
 
 
-def _rebuild_sum(terms: list[tuple[int, Expr]]) -> Expr:
-    node: Optional[Expr] = None
-    for sign, term in terms:
-        if node is None:
-            node = term if sign > 0 else Neg(term)
-        else:
-            node = BinOp("+" if sign > 0 else "-", node, term)
-    if node is None:
-        node = Num(0.0)
-    return node
-
-
-def _flatten_product(node: Expr) -> list[Expr]:
+def _flatten_product(node: Expr) -> list[tuple[int, Expr]]:
+    """The factors of a product, left to right, each with sign 1."""
     if isinstance(node, BinOp) and node.op == "*":
         return _flatten_product(node.left) + _flatten_product(node.right)
-    return [node]
-
-
-def _rebuild_product(factors: list[Expr]) -> Expr:
-    node: Optional[Expr] = None
-    for factor in factors:
-        node = factor if node is None else BinOp("*", node, factor)
-    if node is None:
-        node = Num(1.0)
-    return node
+    return [(1, node)]
 
 
 # --- dynamics model ----------------------------------------------------------
@@ -286,16 +270,16 @@ def _rebuild_product(factors: list[Expr]) -> Expr:
 class DynamicsModel(Frozen):
     """Parsed per-component dynamics with a declared noise structure.
 
-    For additive and multiplicative structures, ``g_components`` holds the
-    noise-free part g_i, and the full map is g(x) + w or g(x) (.) w
-    component-wise. For the general structure the full expressions are used
-    directly and ``g_components`` is None.
+    ``components`` are the full expressions f_i. For the additive and
+    multiplicative structures f_i is g_i(x) + w_i or g_i(x) * w_i (the noise
+    term or factor may stand anywhere in the sum or product), so the
+    noise-free image g(q) of boxes q is ``enclosure(components, q, (w, w))``
+    with ``w`` all zeros or all ones: adding an exact 0 or multiplying by an
+    exact 1 rounds nothing.
     """
 
-    def __init__(self, n: int, structure: str, components: tuple[Expr, ...],
-                 g_components: Optional[tuple[Expr, ...]]):
-        vars(self).update(n=n, structure=structure, components=components,
-                          g_components=g_components)
+    def __init__(self, n: int, structure: str, components: tuple[Expr, ...]):
+        vars(self).update(n=n, structure=structure, components=components)
 
     @property
     def noise_separable(self) -> bool:
@@ -304,10 +288,9 @@ class DynamicsModel(Frozen):
         return all(_vars(c, "w") <= {d + 1} for d, c in enumerate(self.components))
 
 
-def _extract_structured(
-    expr: Expr, component: int, structure: str
-) -> tuple[Expr, Expr]:
-    """Split a component into (full f expression, noise-free g part).
+def _extract_structured(expr: Expr, component: int, structure: str) -> Expr:
+    """Check a component against its structure claim and return its full
+    expression f_i.
 
     A component may mention its own noise variable explicitly in the
     declared pattern, or omit noise entirely, in which case the structure
@@ -316,43 +299,21 @@ def _extract_structured(
     wvars = _vars(expr, "w")
     wi = component + 1
     if not wvars:
-        g = expr
-        w = Var("w", wi)
-        full = BinOp("+", g, w) if structure == ADDITIVE else BinOp("*", g, w)
-        return full, g
+        return BinOp("+" if structure == ADDITIVE else "*", expr, Var("w", wi))
     if wvars != {wi}:
         raise StructureError(
             f"component {wi}: noise variables {sorted(wvars)} violate the "
             f"component-wise requirement (only w{wi} may appear)"
         )
     if structure == ADDITIVE:
-        terms = _flatten_sum(expr)
-        w_terms = [(s, t) for s, t in terms if _vars(t, "w")]
-        if len(w_terms) != 1 or w_terms[0][0] != 1 or w_terms[0][1] != Var("w", wi):
-            raise StructureError(
-                f"component {wi}: additive structure requires the single term "
-                f"'+ w{wi}' with coefficient 1"
-            )
-        g_terms = [(s, t) for s, t in terms if not _vars(t, "w")]
-        if not g_terms:
-            raise StructureError(
-                f"component {wi}: additive structure requires a noise-free part"
-            )
-        return expr, _rebuild_sum(g_terms)
-    # multiplicative
-    factors = _flatten_product(expr)
-    w_factors = [f for f in factors if _vars(f, "w")]
-    if len(w_factors) != 1 or w_factors[0] != Var("w", wi):
-        raise StructureError(
-            f"component {wi}: multiplicative structure requires the single "
-            f"factor 'w{wi}'"
-        )
-    g_factors = [f for f in factors if not _vars(f, "w")]
-    if not g_factors:
-        raise StructureError(
-            f"component {wi}: multiplicative structure requires a noise-free part"
-        )
-    return expr, _rebuild_product(g_factors)
+        parts, claim = _flatten_sum(expr), f"the single term '+ w{wi}' with coefficient 1"
+    else:
+        parts, claim = _flatten_product(expr), f"the single factor 'w{wi}'"
+    if [p for p in parts if _vars(p[1], "w")] != [(1, Var("w", wi))]:
+        raise StructureError(f"component {wi}: {structure} structure requires {claim}")
+    if len(parts) == 1:
+        raise StructureError(f"component {wi}: {structure} structure requires a noise-free part")
+    return expr
 
 
 def parse_dynamics(
@@ -377,7 +338,6 @@ def parse_dynamics(
         raise ValueError(f"expected {n} component expressions, got {len(sources)}")
 
     components = []
-    g_components = []
     for comp, (lineno, source) in enumerate(sources):
         expr = parse_expression(source, lineno)
         bad_x = [i for i in _vars(expr, "x") if i > n]
@@ -388,18 +348,9 @@ def parse_dynamics(
                 f"component {comp + 1}: variables {names} exceed dimension {n}"
             )
         if structure in (ADDITIVE, MULTIPLICATIVE):
-            full, g = _extract_structured(expr, comp, structure)
-            components.append(full)
-            g_components.append(g)
-        else:
-            components.append(expr)
-
-    return DynamicsModel(
-        n=n,
-        structure=structure,
-        components=tuple(components),
-        g_components=tuple(g_components) if g_components else None,
-    )
+            expr = _extract_structured(expr, comp, structure)
+        components.append(expr)
+    return DynamicsModel(n=n, structure=structure, components=tuple(components))
 
 
 # --- pointwise evaluation ----------------------------------------------------

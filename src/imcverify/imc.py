@@ -21,7 +21,10 @@ iteration and the cluster step each lay out their rows once.
 table and a noise grid: it computes the posteriors, hulls and candidate
 targets of every grid cell at once, and its ``CellPosteriors``, which
 records their grid, is the only input the build and the cluster step take
-from the system. ``_rows_with_last`` assembles the cluster step's CSR rows.
+from the system. A structured system's posterior is its noise-free image
+g(q), the enclosure of its full expressions with the noise at 0 (additive)
+or 1 (multiplicative), unless a posterior table gives it.
+``_rows_with_last`` assembles the cluster step's CSR rows.
 
 A transition bound depends only on the source's posterior and the target
 box: ``pair_bounds`` maps arrays of (source, target box) pairs to their
@@ -422,7 +425,9 @@ def cell_posteriors(
     else:
         weights = None
         if posterior_table is None:
-            lo, hi = enclosure(model.g_components, x)
+            # g(q): f at the noise identity, w = 0 (additive) or 1 (multiplicative)
+            w = np.full(model.n, float(structure == MULTIPLICATIVE))
+            lo, hi = enclosure(model.components, x, (w, w))
         else:
             lo, hi = (np.asarray(a, dtype=float) for a in posterior_table)
             if not lo.shape == hi.shape == x[0].shape or not (lo <= hi).all():
@@ -633,7 +638,12 @@ def read_posterior_table(
     once, on the non-blank lines in any order. Anything else is an
     InputError naming ``path:line``, or ``path`` for a missing state."""
     # the lines of the UTF-8 text under universal newlines, as open() reads them
-    header, *lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        header, *lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise InputError(f"{path}:{line}: not UTF-8 text (byte 0x{data[err.start]:02x})") from None
     if header.strip() != _TABLE_HEADER:
         raise InputError(f"{path}:1: expected header {_TABLE_HEADER!r}, got {header.strip()!r}")
     numbered = [(i, line) for i, line in enumerate(lines, start=2) if line.strip()]

@@ -20,7 +20,7 @@ import imcverify.config as config_module
 from imcverify import cli
 from imcverify.cli import main
 from imcverify.config import MonteCarloConfig, RunConfig, load_config
-from imcverify.dynamics import enclosure, parse_dynamics
+from imcverify.dynamics import parse_dynamics
 from imcverify.errors import InputError
 from imcverify.geometry import partition_domain
 from imcverify.imc import cell_posteriors, write_posterior_table
@@ -42,6 +42,7 @@ from imcverify.verify import (
     _sha256_hex,
     classify_arrays,
 )
+from boxes import g_image
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
@@ -903,7 +904,7 @@ class TestCli:
         cfg_path.write_text(text)
         cfg = load_config(cfg_path)
         part = partition_domain(*cfg.domain, cfg.grid)
-        lo, hi = enclosure(cfg.model.g_components, part.corners(np.arange(part.n_cells)))
+        lo, hi = g_image(cfg.model, part.corners(np.arange(part.n_cells)))
         write_posterior_table((lo, hi), tmp_path / "table.csv")
         for phase in ("verify", "improve"):
             assert main([phase, "-c", str(cfg_path)]) == 0
@@ -1278,7 +1279,7 @@ output_dir: out
         cfg = load_config(tmp_path / "computed.yaml")
         part = partition_domain(*cfg.domain, cfg.grid)
         cells = part.corners(np.arange(part.n_cells))
-        lo, hi = enclosure(cfg.model.g_components, cells)
+        lo, hi = g_image(cfg.model, cells)
         write_posterior_table((lo, hi), tmp_path / "table.csv")
         (tmp_path / "table.yaml").write_text(
             ADDITIVE_2D.format(table="posterior_table: table.csv", outdir="from_table")
@@ -1305,7 +1306,7 @@ output_dir: out
         cfg = load_config(tmp_path / "table.yaml")
         part = partition_domain(*cfg.domain, cfg.grid)
         cells = part.corners(np.arange(part.n_cells))
-        lo, hi = enclosure(cfg.model.g_components, cells)
+        lo, hi = g_image(cfg.model, cells)
         write_posterior_table((lo, hi), tmp_path / "table.csv")
         argv = ["-c", str(tmp_path / "table.yaml")]
         for phase in ("abstract", "verify"):
@@ -1327,6 +1328,17 @@ output_dir: out
         (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert error == f"{absent}: file does not exist"
 
+    def test_non_utf8_posterior_table_names_its_line(self, tmp_path, caplog):
+        # an undecodable byte is an input error at its line, not a bare UnicodeDecodeError
+        path = tmp_path / "table.yaml"
+        path.write_text(ADDITIVE_2D.format(table="posterior_table: table.csv", outdir="out"))
+        (tmp_path / "table.csv").write_bytes(b"state,component,lo,hi\n0,0,0.\xff,0.5\n")
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main(["abstract", "-c", str(path)]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert error == f"{tmp_path / 'table.csv'}:2: not UTF-8 text (byte 0xff)"
+        assert not (tmp_path / "out").exists()
+
     def test_run_opens_the_posterior_table_once(self, tmp_path):
         # one process reads the table once, for the posteriors of abstract
         # and improve and for both stamps; an audit hook counts the opens,
@@ -1338,7 +1350,7 @@ output_dir: out
         cfg = load_config(cfg_path)
         part = partition_domain(*cfg.domain, cfg.grid)
         table = tmp_path / "table.csv"
-        write_posterior_table(enclosure(cfg.model.g_components, part.corners(np.arange(16))), table)
+        write_posterior_table(g_image(cfg.model, part.corners(np.arange(16))), table)
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = ("import os, sys\nfrom imcverify.cli import main\nopens = []\n"

@@ -12,7 +12,7 @@ from imcverify.dynamics import (
     parse_expression,
 )
 from imcverify.errors import EvaluationError, ParseError, StructureError
-from boxes import box
+from boxes import box, g_image
 
 
 def paper_multiplicative():
@@ -25,8 +25,8 @@ class TestParsing:
     def test_paper_model_structure(self):
         model = paper_multiplicative()
         assert model.structure == "multiplicative"
-        assert model.g_components is not None
         # the implicit noise factor completes g(x) (.) w
+        assert model.components[0] == parse_expression("(0.7*x1 + 0.1*x2) * w1")
         out = eval_point(model, [1.0, 1.0], [2.0, 3.0])
         assert out == pytest.approx([1.6, 2.7])
 
@@ -50,6 +50,29 @@ class TestParsing:
     def test_structure_violation_multiplicative(self):
         with pytest.raises(StructureError):
             parse_dynamics(["x1 + w1"], 1, "multiplicative")
+
+    @pytest.mark.parametrize("structure, source, claim", [
+        ("additive", "w2", "a noise-free part"),
+        ("multiplicative", "w2", "a noise-free part"),
+        ("additive", "x1 + w2 + w2", "the single term '+ w2' with coefficient 1"),
+        ("additive", "x1 - w2", "the single term '+ w2' with coefficient 1"),
+        ("multiplicative", "x1 + w2 + w2", "the single factor 'w2'"),
+        ("multiplicative", "x1 - w2", "the single factor 'w2'"),
+        ("multiplicative", "x1/w2", "the single factor 'w2'"),
+    ])
+    def test_structure_claim_refused(self, structure, source, claim):
+        message = f"component 2: {structure} structure requires {claim}"
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            parse_dynamics(["x1", source], 2, structure)
+
+    @pytest.mark.parametrize("structure, source", [
+        ("additive", "w2 - x1"),
+        ("additive", "x1 + (w2 + 0)"),
+        ("multiplicative", "0.5*w2*x1"),
+    ])
+    def test_structure_claim_accepted_as_written(self, structure, source):
+        model = parse_dynamics(["x1", source], 2, structure)
+        assert model.components[1] == parse_expression(source)
 
     def test_variable_index_out_of_range(self):
         with pytest.raises(StructureError):
@@ -267,12 +290,12 @@ class TestPosteriors:
 
     def test_identity(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
-        (lo,), (hi,) = enclosure(model.g_components, box([[0, 0.2]]))
+        (lo,), (hi,) = g_image(model, box([[0, 0.2]]))
         assert (lo, hi) == (0.0, 0.2)
 
     def test_paper_model_component(self):
         q = box([[1, 1.1], [1, 1.1]])
-        lo, hi = enclosure(paper_multiplicative().g_components, q)
+        lo, hi = g_image(paper_multiplicative(), q)
         assert lo[0] == pytest.approx(0.8)
         assert hi[0] == pytest.approx(0.88)
 
@@ -280,22 +303,22 @@ class TestPosteriors:
         # x1*x1 treats the occurrences independently: conservative [-1, 1]
         q = box([[-1, 1]])
         model = parse_dynamics(["x1*x1 + w1"], 1, "additive")
-        (lo,), (hi,) = enclosure(model.g_components, q)
+        (lo,), (hi,) = g_image(model, q)
         assert (lo, hi) == (-1.0, 1.0)
         # the power operator applies sign analysis: exact [0, 1], also sound
         model2 = parse_dynamics(["x1^2 + w1"], 1, "additive")
-        (lo2,), (hi2,) = enclosure(model2.g_components, q)
+        (lo2,), (hi2,) = g_image(model2, q)
         assert (lo2, hi2) == (0.0, 1.0)
 
     def test_posterior_additive(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
-        postf = enclosure(model.g_components, box([[0, 0.2]]))
+        postf = g_image(model, box([[0, 0.2]]))
         (lo,), (hi,) = combine_posterior("additive", postf, box([[1, 1.8]]))
         assert (lo, hi) == (1.0, 2.0)
 
     def test_posterior_multiplicative(self):
         q = box([[1, 1.1], [1, 1.1]])
-        postf = enclosure(paper_multiplicative().g_components, q)
+        postf = g_image(paper_multiplicative(), q)
         c = box([[0.9, 1.0], [0.9, 1.0]])
         lo, hi = combine_posterior("multiplicative", postf, c)
         assert lo[0] == pytest.approx(0.72)
@@ -311,7 +334,7 @@ class TestPosteriors:
         model = paper_multiplicative()
         q = box([[0.8, 1.3], [0.6, 1.4]])
         c = box([[0.9, 1.05], [0.95, 1.1]])
-        lo, hi = combine_posterior(model.structure, enclosure(model.g_components, q), c)
+        lo, hi = combine_posterior(model.structure, g_image(model, q), c)
         rng = np.random.default_rng(42)
         xs = rng.uniform([0.8, 0.6], [1.3, 1.4], (1000, 2))
         ws = rng.uniform([0.9, 0.95], [1.05, 1.1], (1000, 2))
@@ -325,19 +348,19 @@ class TestPosteriors:
         gen = parse_dynamics(["0.5*x1 + 0.2*x2 + w1", "x2 + w2"], 2, "general")
         q = box([[-1, 1], [0, 2]])
         c = box([[-0.2, 0.1], [-0.4, 0.3]])
-        strong_lo, strong_hi = combine_posterior("additive", enclosure(add.g_components, q), c)
+        strong_lo, strong_hi = combine_posterior("additive", g_image(add, q), c)
         weak_lo, weak_hi = enclosure(gen.components, q, c)
         assert np.all(weak_lo <= strong_lo) and np.all(strong_hi <= weak_hi)
 
     def test_monotone_in_noise_cell(self):
         model = parse_dynamics(["x1 + w1"], 1, "additive")
-        postf = enclosure(model.g_components, box([[0, 1]]))
+        postf = g_image(model, box([[0, 1]]))
         small = combine_posterior("additive", postf, box([[0.1, 0.2]]))
         large = combine_posterior("additive", postf, box([[0.0, 0.5]]))
         assert np.all(large[0] <= small[0]) and np.all(small[1] <= large[1])
 
         mult = paper_multiplicative()
-        postf2 = enclosure(mult.g_components, box([[1, 1.1], [1, 1.1]]))
+        postf2 = g_image(mult, box([[1, 1.1], [1, 1.1]]))
         c_small = box([[0.95, 1.0], [0.95, 1.0]])
         c_large = box([[0.9, 1.1], [0.9, 1.1]])
         small2 = combine_posterior("multiplicative", postf2, c_small)

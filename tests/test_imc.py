@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from imcverify.config import RunConfig, load_config
-from imcverify.dynamics import enclosure, parse_dynamics
+from imcverify.dynamics import enclosure, parse_dynamics, parse_expression
 from imcverify.errors import InputError, SoundnessError
 from imcverify.geometry import partition_domain
 import imcverify._csv as csv_module
@@ -30,7 +30,7 @@ from imcverify.noise import (
     optimal_partition_multiplicative,
 )
 from imcverify.pipeline import build_context
-from boxes import box
+from boxes import box, g_image
 from oracles import empirical_kernel, kernel_grid_extrema, noise_grid_cells
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
@@ -327,7 +327,7 @@ def scalar_bounds(model, noise, resolution, q, target, post=None):
                 if ((target[0] <= post_lo) & (post_hi <= target[1])).all():
                     lower += mass
     else:
-        postf = [a.tolist() for a in (enclosure(model.g_components, q) if post is None else post)]
+        postf = [a.tolist() for a in (g_image(model, q) if post is None else post)]
         cut_points = (
             optimal_partition_affine
             if model.structure == "additive"
@@ -429,7 +429,7 @@ def pruning_case(case):
     grid = [3] * n if structure == "general" else None
     table = None
     if case.endswith("-table"):
-        lo, hi = enclosure(model.g_components, part.corners(np.arange(part.n_cells)))
+        lo, hi = g_image(model, part.corners(np.arange(part.n_cells)))
         rng = np.random.default_rng(8)
         table = lo - rng.uniform(0, 0.1, lo.shape), hi + rng.uniform(0, 0.1, hi.shape)
     return part, model, noise, grid, table
@@ -591,6 +591,91 @@ class TestSeparableGeneral:
             assert np.all(np.abs(s_low - low) <= tol) and np.all(np.abs(s_up - up) <= tol)
 
 
+# noise-free terms on [-1, 1] x [-0.5, 1.5] and factors, all positive on
+# [0.5, 1.5]^2, from which the random structured systems below are written
+_TERMS = ("0.7*x1", "0.3*x2", "sin(x1)", "x1*x2", "0.25*x2^2", "exp(0.1*x1)",
+          "(x1 - 0.4*x2)", "abs(x2)/3", "cos(x1 + x2)")
+_FACTORS = ("0.7", "x1", "(0.5*x1 + 0.2*x2)", "exp(0.1*x2)", "(1 + 0.5*sin(x1))",
+            "(x2^2)", "sqrt(x1)", "abs(x1 - 2)")
+
+
+def _structured_source(rng, structure, i):
+    """A random component, as the config writes it, and its noise-free part
+    g_i written out by hand. The noise w_i stands first, in between, last or
+    is left out, and g_i may lead with a minus (a product then has two)."""
+    k = int(rng.integers(1, 4))
+    if structure == "additive":
+        signs = [str(rng.choice(["", "-"]))] + [str(rng.choice([" + ", " - "])) for _ in range(k - 1)]
+        parts = [sign + str(t) for sign, t in zip(signs, rng.choice(_TERMS, k))]
+        g = "".join(parts)
+    else:
+        parts = [str(t) for t in rng.choice(_FACTORS, k)]
+        if k > 1 and rng.random() < 0.5:
+            parts[0], parts[-1] = "-" + parts[0], "-" + parts[-1]
+        g = "*".join(parts)
+    at = int(rng.integers(0, k + 2))
+    if at == k + 1:
+        return g, g
+    if structure == "multiplicative":
+        return "*".join(parts[:at] + [f"w{i}"] + parts[at:]), g
+    if at == 0:
+        return f"w{i} " + (g if g.startswith("-") else "+ " + g), g
+    return "".join(parts[:at]) + f" + w{i}" + "".join(parts[at:]), g
+
+
+class TestNoiseFreeImage:
+    """A structured system keeps only its full expressions f; its posterior
+    g(q) is their enclosure at the noise identity, which equals (==) the
+    enclosure of g written out by hand and parsed on its own."""
+
+    DOMAINS = {
+        # an edge at 0 in each dimension: an endpoint may be 0.0 on one side and
+        # -0.0 on the other, which == takes as equal, as every consumer does
+        "additive": partition_domain(*box([[-1, 1], [-0.5, 1.5]]), (8, 4)),
+        "multiplicative": partition_domain(*box([[0.5, 1.5], [0.5, 1.5]]), (8, 5)),
+    }
+    NOISE = {
+        "additive": NoiseModel((Uniform(-0.1, 0.1), Uniform(-0.2, 0.1))),
+        "multiplicative": NoiseModel((Uniform(0.9, 1.1), Uniform(0.95, 1.2))),
+    }
+
+    def _check(self, structure, sources, gs):
+        part = self.DOMAINS[structure]
+        model = parse_dynamics(sources, 2, structure)
+        posts = cell_posteriors(part, model, self.NOISE[structure])
+        lo, hi = enclosure([parse_expression(g) for g in gs], part.corners(np.arange(part.n_cells)))
+        assert np.array_equal(posts.lo, lo) and np.array_equal(posts.hi, hi), sources
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("structure", ["additive", "multiplicative"])
+    def test_random_systems(self, structure, seed):
+        rng = np.random.default_rng(seed)
+        sources, gs = zip(*(_structured_source(rng, structure, i) for i in (1, 2)))
+        self._check(structure, sources, gs)
+
+    @pytest.mark.parametrize("structure, sources, gs", [
+        ("additive", ["w1 - x1", "x1 + (w2 + 0)"], ["-x1", "x1 + 0"]),
+        ("additive", ["-x1*x2 + w1 - sin(x2)", "0.5*x2"], ["-x1*x2 - sin(x2)", "0.5*x2"]),
+        ("multiplicative", ["0.5*w1*x1", "x2*w2"], ["0.5*x1", "x2"]),
+        ("multiplicative", ["w1*-x1*-x2", "0.7"], ["-x1*-x2", "0.7"]),
+    ])
+    def test_written_forms(self, structure, sources, gs):
+        self._check(structure, sources, gs)
+
+    def test_posterior_table_config_reads_its_table(self, tmp_path):
+        # a configured table is the posterior as it stands, not g(q) computed
+        part, structure = self.DOMAINS["additive"], "additive"
+        model = parse_dynamics(["0.9*x1 + 0.1*x2", "x2 - 0.2*x1"], 2, structure)
+        lo, hi = g_image(model, part.corners(np.arange(part.n_cells)))
+        table = lo - 0.125, hi + 0.25
+        write_posterior_table(table, tmp_path / "table.csv")
+        domain = tuple(np.array([e[end] for e in part.edges]) for end in (0, -1))
+        config = RunConfig(domain, part.resolution, model, self.NOISE[structure], {},
+                           posterior_table=tmp_path / "table.csv")
+        posts = build_context(config).posteriors()
+        assert np.array_equal(posts.lo, table[0]) and np.array_equal(posts.hi, table[1])
+
+
 class TestPosteriorTable:
     def _setup(self):
         part = partition_domain(*box([[0, 1]]), (2,))
@@ -601,7 +686,7 @@ class TestPosteriorTable:
     def test_table_replaces_computed_posterior(self):
         part, model, noise = self._setup()
         cells = part.corners(np.arange(part.n_cells))
-        table = enclosure(model.g_components, cells)
+        table = g_image(model, cells)
         labels = assign_labels(part, {"goal": box([[[0.5, 1]]])})
         from_table = build_imc(cell_posteriors(part, model, noise, posterior_table=table), labels)
         computed = build_imc(cell_posteriors(part, model, noise), labels)
@@ -622,7 +707,7 @@ class TestPosteriorTable:
 
     def test_missing_state_rejected(self):
         part, model, noise = self._setup()
-        table = enclosure(model.g_components, part.corners(np.arange(1)))
+        table = g_image(model, part.corners(np.arange(1)))
         with pytest.raises(InputError):
             build_imc(
                 cell_posteriors(part, model, noise, posterior_table=table),
@@ -634,7 +719,7 @@ class TestPosteriorTable:
         part = partition_domain(*box([[0.25, 2.25], [0.25, 2.25]]), (2, 2))
         model = parse_dynamics(["0.7*x1 + 0.1*x2", "0.1*x1 + 0.8*x2"], 2, "multiplicative")
         noise = NoiseModel((Uniform(0.9, 1.1), Uniform(0.9, 1.1)))
-        lo, hi = enclosure(model.g_components, part.corners(np.arange(part.n_cells)))
+        lo, hi = g_image(model, part.corners(np.arange(part.n_cells)))
         cell_posteriors(part, model, noise, (lo, hi))
         lo[2, 1] = 0.0
         with pytest.raises(InputError, match=r"cell 2 has component 2 in \[0, "):
@@ -647,7 +732,7 @@ class TestPosteriorTable:
         part = partition_domain([-1], [3], (8,))
         model = parse_dynamics(["0.5*x1 + 2"], 1, "multiplicative")
         noise = NoiseModel((Uniform(0.9, 1.1),))
-        table = enclosure(model.g_components, part.corners(np.arange(part.n_cells)))
+        table = g_image(model, part.corners(np.arange(part.n_cells)))
         message = "multiplicative structure requires a strictly positive domain, but dimension 0 starts at -1"
         for posterior_table in (None, table):
             with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
@@ -656,7 +741,7 @@ class TestPosteriorTable:
     def test_file_round_trip(self, tmp_path):
         part, model, noise = self._setup()
         cells = part.corners(np.arange(part.n_cells))
-        table = enclosure(model.g_components, cells)
+        table = g_image(model, cells)
         path = tmp_path / "table.csv"
         write_posterior_table(table, path)
         loaded = read_posterior_table(path.read_bytes(), path, part.n_cells, 1)
@@ -710,6 +795,20 @@ class TestPosteriorTable:
         with pytest.raises(InputError, match=re.escape(where)):
             read_posterior_table(path.read_bytes(), path, 2, 1)
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"state,component,lo,hi\n0,0,0.0,0.5\n1,0,\xe9,1.0\n", "table.csv:3: not UTF-8 text (byte 0xe9)"),
+            (b"state,component,lo,hi\r\n0,0,0.0,0.5\r1,0,0.5,1.0\xc3\n", "table.csv:3: not UTF-8 text (byte 0xc3)"),
+            (b"\xffstate,component,lo,hi\n", "table.csv:1: not UTF-8 text (byte 0xff)"),
+        ],
+        ids=["lf", "crlf-then-cr", "header"],
+    )
+    def test_undecodable_byte_names_its_line(self, tmp_path, data, where):
+        # lines count as under universal newlines, as for every other error
+        with pytest.raises(InputError, match=f"^{re.escape(str(tmp_path / where))}$"):
+            read_posterior_table(data, tmp_path / "table.csv", 2, 1)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("state,comp,lo,hi\n0,0,0.0,0.5\n1,0,0.5,1.0\n")
@@ -729,7 +828,7 @@ class TestPosteriorTable:
         # non-dyadic bounds over a 3 x 2 grid, two components per state
         part = partition_domain(*box([[-1.3, 2.7], [0.1, 0.9]]), (3, 2))
         model = parse_dynamics(["0.7*x1 + 0.1*x2", "0.1*x1 - 0.3*x2"], 2, "additive")
-        table = enclosure(model.g_components, part.corners(np.arange(part.n_cells)))
+        table = g_image(model, part.corners(np.arange(part.n_cells)))
         path = tmp_path / "table.csv"
         write_posterior_table(table, path)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")

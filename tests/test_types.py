@@ -27,7 +27,7 @@ KEYWORD_CALLS = [
     (TruncatedGaussian, dict(mean=0.0, stddev=1.0, lo=-1.0, hi=1.0)),
     (Mixture, dict(weights=(0.25, 0.75), parts=(Uniform(0.0, 1.0), Uniform(1.0, 2.0)))),
     (NoiseModel, dict(components=(Uniform(0.0, 1.0),))),
-    (DynamicsModel, dict(n=1, structure="general", components=(Var("x", 1),), g_components=None)),
+    (DynamicsModel, dict(n=1, structure="general", components=(Var("x", 1),))),
     (Imc, dict(partition=PARTITION, indptr=np.array([0, 1, 2, 3]), dst=np.array([0, 1, 2]),
                lower=np.ones(3), upper=np.ones(3), labels={})),
     (ReachAvoidSpec, dict(horizon=3, threshold=0.5)),
