@@ -130,15 +130,17 @@ class Imc(Frozen):
         return self.partition.unsafe_index
 
 
-def _blocks(indptr: np.ndarray):
-    """The non-empty rows of a CSR block per width class, the least multiple
+def _blocks(indptr: np.ndarray, walked=None):
+    """The non-empty rows of a CSR block (of those in the boolean mask
+    ``walked``, default all) per width class, the least multiple
     of 8 at or above the row's length, in blocks of at most ``_BLOCK_SLOTS``
     slots (or one longer row). Yields each block's rows, the (rows, width)
     array of their entry positions and the mask of its padded slots.
     Multiples of 8 pad additive-h200-phased's 26,949 entries to 37,280
     slots (powers of two would take 48,945)."""
     lengths = np.diff(indptr)
-    nonempty = np.flatnonzero(lengths)  # an empty row sums to 0 and walks nowhere
+    # an empty row sums to 0 and walks nowhere
+    nonempty = np.flatnonzero(lengths if walked is None else walked & (lengths > 0))
     width_class = (lengths[nonempty] + 7) // 8
     for c in np.flatnonzero(np.bincount(width_class)).tolist():
         rows = nonempty[width_class == c]
@@ -188,13 +190,15 @@ class RowLayout:
     the adversary walk: ``blocks`` holds, per block of ``_blocks``, the rows
     and their targets, lower bounds and gaps (upper - lower) as (rows, width)
     arrays, one CSR row per row. A padded slot targets state 0 with bounds
-    0.0, so it adds exactly 0 to a walk wherever it sorts. No other code
-    reads the blocks."""
+    0.0, so it adds exactly 0 to a walk wherever it sorts. Only the rows in
+    the boolean mask ``walked`` (default all) are laid out; a walk gives the
+    others 0. No other code reads the blocks."""
 
-    def __init__(self, indptr, dst, lower, upper, error: type = SoundnessError, states=None):
+    def __init__(self, indptr, dst, lower, upper, error: type = SoundnessError, states=None,
+                 walked=None):
         self.remaining = _check_rows(indptr, lower, upper, error, states)
         self.blocks = []
-        for rows, slot, pad in _blocks(indptr):
+        for rows, slot, pad in _blocks(indptr, walked):
             dst_block, low = _padded(dst, slot, pad), _padded(lower, slot, pad)
             self.blocks.append((rows, dst_block, low, _padded(upper, slot, pad) - low))
         # The walk's scratch: two int64 and two float arrays the size of the

@@ -15,9 +15,12 @@ polytope and this greedy walk reaches its extreme points. A sweep ranks the
 states once for one bound (``_rank``); ``RowLayout.walk`` (``imc.py``, the
 owner of the row layout) then sorts every row of one block of the layout
 at a time by that rank and walks each row sequentially, so each row gets
-the bits of a walk over that row alone. Value iteration lays its rows out and
-checks them once, takes the pre-fixpoint residual from the same layout, and
-stops sweeping a bound whose sweep returns its own bits; cluster
+the bits of a walk over that row alone. Value iteration checks every row
+once, lays out only the rows of the states it does not pin, takes the
+pre-fixpoint residual from the same layout, and stops sweeping a bound
+whose sweep returns its own bits. As in interval iteration (Baier et al.,
+CAV 2017) each iterate is kept monotone (``_sweep``): a bounded monotone
+sequence of floats settles, and no ``p_upper`` exceeds 1. Cluster
 improvement walks its own layout, then only the rows whose reads changed
 (``RowLayout.part``).
 Value iteration alone decides whether an unbounded ``p_upper`` may be
@@ -93,25 +96,31 @@ def _rank(values, sign: float, ties=None) -> np.ndarray:
     return rank
 
 
-def _sweep(layout: RowLayout, bounds: list, signs, pinned, done: int, sweeps: int, tol):
+def _sweep(layout: RowLayout, bounds: list, signs, free, done: int, sweeps: int, tol,
+           falling: bool = False):
     """Sweep ``bounds`` in place with the adversaries of ``signs`` (1.0
-    minimises, -1.0 maximises), ``pinned`` held, from sweep ``done + 1`` up
-    to ``sweeps``; a bound whose sweep returns its own bits is not swept
-    again. Returns the last sweep (``sweeps`` once every bound is settled:
-    the sweeps left would return these bits), whether the change fell below
-    ``tol`` (None: never) and per bound the sweep that returned its bits."""
+    minimises, -1.0 maximises) on the ``free`` states, from sweep
+    ``done + 1`` up to ``sweeps``; a bound whose sweep returns its own bits
+    is not swept again. Each iterate moves the way its exact iterates move:
+    up to min(max(T(v), v), 1) from the goal indicator, down to
+    min(T(v), v) when ``falling`` (from 1), so round-off alone cannot keep
+    a bound moving. Returns the last sweep (``sweeps`` once every bound is
+    settled: the sweeps left would return these bits), whether the change
+    fell below ``tol`` (None: never) and per bound the sweep that returned
+    its bits."""
     fixpoints = [None] * len(bounds)
     for done in range(done + 1, sweeps + 1):
         delta = 0.0
         for b in [b for b, f in enumerate(fixpoints) if f is None]:
-            new = layout.walk(_rank(bounds[b], signs[b]), bounds[b])
-            new[pinned] = bounds[b][pinned]
+            old = bounds[b][free]
+            new = layout.walk(_rank(bounds[b], signs[b]), bounds[b])[free]
+            new = np.minimum(new, old) if falling else np.minimum(np.maximum(new, old), 1.0)
             if tol is not None:  # only the unbounded horizon stops on the change
-                delta = max(delta, float(np.max(np.abs(new - bounds[b]))))
+                delta = max(delta, float(np.max(np.abs(new - old), initial=0.0)))
             # bitwise, so that -0.0 and 0.0 differ: each later sweep would return these bits
-            if np.array_equal(new.view(np.int64), bounds[b].view(np.int64)):
+            if np.array_equal(new.view(np.int64), old.view(np.int64)):
                 fixpoints[b] = done
-            bounds[b] = new
+            bounds[b][free] = new
         if tol is not None and delta < tol:
             return done, True, fixpoints
         if None not in fixpoints:
@@ -138,23 +147,29 @@ def robust_value_iteration(
     layout's blocks of at most ``_BLOCK_SLOTS`` (2**18) slots one at a time,
     so its scratch arrays do not grow with nnz.
 
-    An unbounded ``p_upper`` rises from the goal indicator and may stop below
-    the least fixpoint; one more maximising walk of the same layout checks it
-    (``upper_residual``; 0.0 with no walk after a bitwise fixpoint). Above 0,
-    a WARNING gives it, and the sweeps left sweep the upper bound again from
-    1 (0 on avoid states): ``T_max`` is monotone and that start lies above
-    the least fixpoint, so every iterate is an upper bound (Haddad & Monmege,
-    TCS 735, 2018). With no sweep left, ``p_upper`` is that start.
+    Both bounds rise from the goal indicator, each sweep to
+    min(max(T(v), v), 1) (``_sweep``): v stays below the exact iterate for
+    the lower bound, and above it and the reach probability (at most 1) for
+    the upper one. An unbounded ``p_upper`` may stop on the tolerance below
+    the least fixpoint; one more maximising walk of the same layout checks
+    it (``upper_residual``; 0.0 with no walk after a bitwise fixpoint, which
+    has T(v) <= v wherever v < 1). Above 0, a WARNING gives it, and the
+    sweeps left sweep the upper bound again down from 1 (0 on avoid states),
+    each to min(T(v), v): ``T_max`` is monotone and that start lies above
+    the least fixpoint, so every iterate is an upper bound (Haddad &
+    Monmege, TCS 735, 2018). With no sweep left, ``p_upper`` is that start.
     """
     goal, avoid = _goal_avoid_sets(imc.labels, imc.n_states)
     pinned = goal | avoid
-    # the rows do not change between sweeps: lay them out and check them once
-    layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, InvalidModelError)
+    free = ~pinned
+    # the rows do not change between sweeps: check them all once and lay out
+    # those of the free states, the only ones a sweep changes
+    layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, InvalidModelError, walked=free)
 
     bounds = [goal.astype(float), goal.astype(float)]  # lower, upper
     tol = None if spec.horizon is not None else convergence_tol
     sweeps = spec.horizon if spec.horizon is not None else max_iterations
-    iterations, stopped, fixpoints = _sweep(layout, bounds, (1.0, -1.0), pinned, 0, sweeps, tol)
+    iterations, stopped, fixpoints = _sweep(layout, bounds, (1.0, -1.0), free, 0, sweeps, tol)
     residual = None  # finite horizons need no check; a bitwise fixpoint needs no sweep
     if spec.horizon is None:
         residual = 0.0 if fixpoints[1] else _residual(layout, bounds[1], pinned)
@@ -163,7 +178,7 @@ def robust_value_iteration(
                     "iterating it down from 1", residual)
         upper = [(~avoid).astype(float)]
         iterations, stopped, (fixpoints[1],) = _sweep(
-            layout, upper, (-1.0,), pinned, iterations, sweeps, tol)
+            layout, upper, (-1.0,), free, iterations, sweeps, tol, falling=True)
         bounds[1] = upper[0]
     log.debug("value iteration: bitwise fixpoint from sweep %s (lower), %s (upper)", *fixpoints)
     converged = spec.horizon is not None or bool(pinned.all()) or stopped
@@ -184,12 +199,12 @@ def robust_value_iteration(
 
 
 def _residual(layout: RowLayout, p_upper: np.ndarray, pinned: np.ndarray) -> float:
-    """max(T_max(p_upper) - p_upper, 0) over the states that are not
-    ``pinned``, by one maximising walk of the layout of the IMC's rows: 0
-    certifies ``p_upper`` as an upper bound of the unbounded reach-avoid
-    probability."""
+    """max(min(T_max(p_upper), 1) - p_upper, 0) over the states that are
+    not ``pinned``, by one maximising walk of a layout of their rows in
+    the IMC: 0 certifies ``p_upper`` as an upper bound of the
+    unbounded reach-avoid probability (a bound of 1 needs no certificate)."""
     swept = layout.walk(_rank(p_upper, -1.0), p_upper)
-    return float(np.max(swept - p_upper, where=~pinned, initial=0.0))
+    return float(np.max(np.minimum(swept, 1.0) - p_upper, where=~pinned, initial=0.0))
 
 
 def classify_arrays(p_lower, p_upper, threshold: float) -> np.ndarray:

@@ -352,6 +352,25 @@ class TestValueIteration:
             part_low, part_high = walks(layout.part(mask), values)
             assert np.array_equal(part_low, low[mask]) and np.array_equal(part_high, high[mask])
 
+    @pytest.mark.parametrize("budget", [imc_module._BLOCK_SLOTS, 16, 1])
+    def test_layout_of_masked_rows_keeps_their_bits(self, budget, monkeypatch):
+        """A layout of the rows in a mask alone walks them to the bits of
+        the layout of every row, and the other rows to 0."""
+        monkeypatch.setattr(imc_module, "_BLOCK_SLOTS", budget)
+        rng = np.random.default_rng(47)
+        n = 40
+        rows = [random_row(rng, np.sort(rng.choice(n, m, replace=False)))
+                for m in rng.integers(1, 30, n).tolist()]
+        indptr, dst, lower, upper = csr(rows)
+        values = rng.choice(rng.random(8), n)
+        low, high = walks(RowLayout(indptr, dst, lower, upper), values)
+        masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+        masks += [rng.random(n) < share for share in (0.1, 0.5, 0.9)]
+        for mask in masks:
+            only_low, only_high = walks(RowLayout(indptr, dst, lower, upper, walked=mask), values)
+            assert np.array_equal(only_low, np.where(mask, low, 0.0))
+            assert np.array_equal(only_high, np.where(mask, high, 0.0))
+
     def test_label_overlap_rejected(self):
         rows = (((0, 1.0, 1.0),), ((1, 1.0, 1.0),))
         imc = make_imc(rows, 1, goal=[0], obstacle=[0])
@@ -569,8 +588,9 @@ class TestPreFixpointCheck:
         assert verify_module._residual(layout, res.p_upper, self.pinned(imc)) == 0.0
 
     def test_residual_comes_from_the_sweeps_layout(self, tmp_path, monkeypatch):
-        """On the 10² paper config the upper bound stops on the tolerance, not
-        at a fixpoint: value iteration lays the IMC out once and takes the
+        """On the 10² paper config under a tolerance of 0.05 the upper bound
+        stops on the tolerance, not at its fixpoint (sweep 9 under the
+        default): value iteration lays the IMC out once and takes the
         residual from that layout, with the bits of ``_residual`` on a layout
         of its own."""
         path = tmp_path / "paper.yaml"
@@ -580,9 +600,9 @@ class TestPreFixpointCheck:
         built, checked, residual = [], [], verify_module._residual
 
         class Counted(RowLayout):
-            def __init__(self, *args):
+            def __init__(self, *args, **kwargs):
                 built.append(self)
-                super().__init__(*args)
+                super().__init__(*args, **kwargs)
 
         def counted_residual(layout, p_upper, pinned):
             checked.append((layout, p_upper.copy()))
@@ -590,7 +610,7 @@ class TestPreFixpointCheck:
 
         monkeypatch.setattr(verify_module, "RowLayout", Counted)
         monkeypatch.setattr(verify_module, "_residual", counted_residual)
-        res = robust_value_iteration(imc, ctx.spec)
+        res = robust_value_iteration(imc, ctx.spec, convergence_tol=0.05)
         assert res.converged and res.fixpoints[1] is None
         assert len(built) == 1 and len(checked) == 1 and checked[0][0] is built[0]
         assert res.upper_residual > 0.0
@@ -655,6 +675,66 @@ class TestSweepBlocks:
         expected = self.sweeps(imc, first, default, monkeypatch)
         for budget in (1, 7):
             assert self.sweeps(imc, first, budget, monkeypatch) == expected
+
+
+@pytest.fixture(scope="module")
+def additive_h200():
+    """The IMC and spec of the additive-h200-phased bench config."""
+    ctx = build_context(load_config(WORKLOADS / "additive-h200-phased.yaml"))
+    return build_imc(ctx.posteriors(), ctx.labels), ctx.spec
+
+
+class TestMonotoneIterates:
+    """Both bounds rise from the goal indicator, as their exact iterates do,
+    and never above 1; round-off cannot keep a settled bound sweeping."""
+
+    def test_additive_h200_upper_bound_settles_at_most_1(self, additive_h200):
+        """Near 1 + 1.5e-14, round-off used to move about 700 upper bounds by
+        an ulp on every one of the 200 sweeps."""
+        imc, spec = additive_h200
+        res = robust_value_iteration(imc, spec)
+        assert np.all(res.p_upper <= 1.0)
+        assert res.fixpoints[1] is not None and res.fixpoints[1] <= 20
+        later = robust_value_iteration(
+            imc, ReachAvoidSpec(horizon=spec.horizon + 50, threshold=spec.threshold))
+        assert later.p_lower.tobytes() == res.p_lower.tobytes()
+        assert later.p_upper.tobytes() == res.p_upper.tobytes()
+
+    @pytest.mark.parametrize("fixture", ["three_state", "additive_h200"])
+    def test_finite_horizon_bounds_never_fall(self, fixture, request):
+        """No tolerance: p_lower and p_upper are non-decreasing in k."""
+        imc = three_state_fixture() if fixture == "three_state" else request.getfixturevalue(
+            fixture)[0]
+        previous = None
+        for k in range(61):
+            res = robust_value_iteration(imc, ReachAvoidSpec(horizon=k))
+            assert np.all(res.p_upper <= 1.0)
+            if previous is not None:
+                assert np.all(res.p_lower >= previous.p_lower), k
+                assert np.all(res.p_upper >= previous.p_upper), k
+            previous = res
+
+    def test_finite_horizons_match_a_vertex_dynamic_program(self):
+        """On random IMCs, the bounds at horizon k <= 25 are the k-step
+        minimum and maximum of a dynamic program over the vertices of each
+        row's adversary polytope, to 1e-12."""
+        rng = np.random.default_rng(43)
+        for _ in range(8):
+            imc = random_imc(rng, int(rng.integers(2, 8)))
+            goal = imc.labels["goal"]
+            pinned = goal | imc.labels["obstacle"] | imc.labels["unsafe"]
+            exact = {"min": goal.astype(float), "max": goal.astype(float)}
+            for k in range(1, 26):
+                for mode, values in exact.items():
+                    step = values.copy()
+                    for i in np.flatnonzero(~pinned).tolist():
+                        e = slice(imc.indptr[i], imc.indptr[i + 1])
+                        step[i] = extreme_by_vertex_enumeration(
+                            values[imc.dst[e]], imc.lower[e], imc.upper[e], mode)
+                    exact[mode] = step
+                res = robust_value_iteration(imc, ReachAvoidSpec(horizon=k))
+                assert np.allclose(res.p_lower, exact["min"], rtol=0.0, atol=1e-12), k
+                assert np.allclose(res.p_upper, exact["max"], rtol=0.0, atol=1e-12), k
 
 
 class TestClassify:
