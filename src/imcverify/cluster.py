@@ -112,18 +112,17 @@ def _proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray, rows: range
 def _clustered_rows(imc: Imc, sources: np.ndarray, members: np.ndarray, cl_low, cl_up):
     """The rows of ``sources``, in this order, with each cluster in place of
     its members, reading slots of the pass's value vector: state s at s and
-    the cluster of row j at n + j. Returns the layout, the states each row
-    reads (its members included) and the start of each row's, the members
-    and the start of each row's, and the slots in tie order: by state, a
-    cluster at its first member's, stably (``_rank``'s ``ties``)."""
+    the cluster of row j at n + j. Returns the layout, the members and the
+    start of each row's, and the slots in tie order: by state, a cluster at
+    its first member's, stably (``_rank``'s ``ties``)."""
     n, count = imc.n_states, len(sources)
     length = np.diff(imc.indptr)[sources]
-    start = np.cumsum(length) - length
-    entry = np.repeat(imc.indptr[sources] - start, length) + np.arange(length.sum())
+    entry = np.repeat(imc.indptr[sources] - np.cumsum(length) + length, length)
+    entry += np.arange(length.sum())
     row = np.repeat(np.arange(count), length)
-    read, member = imc.dst[entry], members[entry]
+    member = members[entry]
     member_start = np.searchsorted(row[member], np.arange(count))  # every cluster has two or more
-    member_state = read[member]
+    member_state = imc.dst[entry[member]]
     ties = np.argsort(np.concatenate([np.arange(n), member_state[member_start]]), kind="stable")
     kept = ~member
     counts, entry = np.bincount(row[kept], minlength=count), entry[kept]
@@ -134,7 +133,7 @@ def _clustered_rows(imc: Imc, sources: np.ndarray, members: np.ndarray, cl_low, 
     del entry
     # the clustered rows must stay feasible; a violation is a bug
     layout = RowLayout(indptr, dst, lower, upper, SoundnessError, sources)
-    return layout, read, start, member_state, member_start, ties
+    return layout, member_state, member_start, ties
 
 
 def cluster_improve(
@@ -166,15 +165,13 @@ def cluster_improve(
     sources, box_lo, box_hi, members, holes = cluster_proposals(imc, posts, ~pinned)
     count = len(sources)
     cl_low, cl_up = pair_bounds(posts, sources, box_lo, box_hi)
-    layout, read, start, member_state, member_start, ties = _clustered_rows(
-        imc, sources, members, cl_low, cl_up)
+    layout, member_state, member_start, ties = _clustered_rows(imc, sources, members, cl_low, cl_up)
 
     # the value vectors [states | clusters], per bound
     p_lo, p_hi = result.p_lower, result.p_upper
     lo_all, hi_all = (np.concatenate([p, np.empty(count)]) for p in (p_lo, p_hi))
     changed = np.zeros(n, dtype=bool)  # the states the last round changed
-    # per-round scratch: the members' values, whether each read changed
-    member_value, hit = np.empty(len(member_state)), np.empty(len(read), dtype=bool)
+    member_value = np.empty(len(member_state))  # per-round scratch
     dirty, part, rounds, walks = np.ones(count, dtype=bool), layout, 0, 0
 
     def walk(values, weakest, sign):
@@ -194,7 +191,8 @@ def cluster_improve(
         changed[:] = False
         changed[q] = (lo != lo0) | (hi != hi0)
         lo_all[q], hi_all[q] = lo, hi
-        np.logical_or.reduceat(changed.take(read, out=hit, mode="clip"), start, out=dirty)
+        # a clustered row reads exactly the states of its IMC row
+        dirty = np.logical_or.reduceat(changed.take(imc.dst), imc.indptr[:-1])[sources]
         if not dirty.any():
             break
         part = layout.part(dirty)

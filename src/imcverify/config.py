@@ -241,8 +241,11 @@ def load_config(path) -> RunConfig:
     if not isinstance(labels_raw, dict):
         _fail("labels", "expected a mapping from label name to a list of boxes")
     for name, boxes_raw in labels_raw.items():
-        if str(name) == UNSAFE_LABEL:
+        name = str(name)
+        if name == UNSAFE_LABEL:
             _fail(f"labels.{name}", "the name is reserved for the state outside the domain")
+        if not name or set(name) & set(',"\r\n'):  # labels.csv writes it as a bare field
+            _fail(f"labels.{name}", "must be non-empty, with no comma, double quote or line break")
         if not isinstance(boxes_raw, (list, tuple)):
             _fail(f"labels.{name}", "expected a list of boxes")
         boxes = [_as_box(b, f"labels.{name}[{i}]") for i, b in enumerate(boxes_raw)]
@@ -251,7 +254,7 @@ def load_config(path) -> RunConfig:
                 _fail(f"labels.{name}[{i}]", "box dimension differs from domain")
             if not ((domain[0] <= lo) & (hi <= domain[1])).all():
                 _fail(f"labels.{name}[{i}]", "box is not inside the domain")
-        labels[str(name)] = tuple(np.array([b[k] for b in boxes]).reshape(-1, n) for k in (0, 1))
+        labels[name] = tuple(np.array([b[k] for b in boxes]).reshape(-1, n) for k in (0, 1))
     if GOAL_LABEL not in labels or not len(labels[GOAL_LABEL][0]):
         _fail(f"labels.{GOAL_LABEL}", "a goal label with at least one box is required")
     # a goal box may share a face with an avoid box, but no interior point

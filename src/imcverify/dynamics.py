@@ -9,21 +9,24 @@ The expression grammar (whitespace insignificant):
     base   := number | 'x'k | 'w'k | func '(' expr ')' | '(' expr ')' | '-' base
     func   := sin | cos | exp | sqrt | abs
 
-Variable indices k are 1-based. Interval evaluation uses the natural
-interval extension: monotone elementary functions at endpoints, sin/cos by
-critical-point analysis, integer powers by sign analysis. The extension may
-over-approximate the true range, which is the sound direction for every
-consumer in this package.
+Variable indices k are 1-based. One tree walk, ``_walk``, evaluates an
+expression both ways: it applies one rule per operation, looked up by
+operator or function name in a table, ``_POINT`` for ``eval_point`` and
+``_INTERVAL`` for ``enclosure``, and the two tables have the same keys.
+The interval rules are the natural interval extension: monotone elementary
+functions at endpoints, sin/cos by critical-point analysis, integer powers
+by sign analysis. The extension may over-approximate the true range, which
+is the sound direction for every consumer in this package.
 
-The one interval evaluator, ``enclosure``, works on endpoint arrays over a
-whole batch of boxes, and ``combine_posterior`` puts noise cells onto the
-noise-free images it gives; one box is a batch of one. A structured model
-keeps only its full expressions: its noise-free image g(q) is their
-enclosure with the noise fixed at the identity, 0 for additive and 1 for
-multiplicative noise. A non-finite enclosure (an overflow, say), a
-division by an interval containing 0, a negative power of one and sqrt
-below 0 raise EvaluationError naming the component, whichever box of the
-batch they occur in.
+``enclosure`` works on endpoint arrays over a whole batch of boxes, and
+``combine_posterior`` puts noise cells onto the noise-free images it gives;
+one box is a batch of one. A structured model keeps only its full
+expressions: its noise-free image g(q) is their enclosure with the noise
+fixed at the identity, 0 for additive and 1 for multiplicative noise. A
+non-finite enclosure (an overflow, say), a division by an interval
+containing 0, a negative power of one and sqrt below 0 raise
+EvaluationError naming the component, whichever box of the batch they
+occur in.
 """
 
 from __future__ import annotations
@@ -82,8 +85,10 @@ _FUNCS = ("sin", "cos", "exp", "sqrt", "abs")
 
 # --- tokenizer and parser ----------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z]+\d*")
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z]+\d*)"
+    r"|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))"
+)
 
 
 class _Token(NamedTuple):
@@ -93,39 +98,15 @@ class _Token(NamedTuple):
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
-    tokens = []
-    pos = 0
-    n = len(line)
-    while pos < n:
-        ch = line[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, pos))
-            pos += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, pos))
-            pos += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, pos))
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(line, pos)
-        if m:
-            tokens.append(_Token("num", m.group(0), pos))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(line, pos)
-        if m:
-            tokens.append(_Token("ident", m.group(0), pos))
-            pos = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", lineno, pos)
-    tokens.append(_Token("end", "", n))
-    return tokens
+    tokens, pos = [], 0
+    while pos < len(line):
+        m = _TOKEN_RE.match(line, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos)
+        if m.lastgroup != "space":
+            tokens.append(_Token(m.lastgroup, m.group(), pos))
+        pos = m.end()
+    return tokens + [_Token("end", "", len(line))]
 
 
 class _Parser:
@@ -145,6 +126,13 @@ class _Parser:
     def error(self, message: str, tok: Optional[_Token] = None) -> ParseError:
         tok = tok or self.peek()
         return ParseError(message, self.lineno, tok.column)
+
+    def closed(self, node: Expr) -> Expr:
+        """``node``, once the ')' that must follow it is consumed."""
+        if self.peek().kind != "rparen":
+            raise self.error("expected ')'")
+        self.advance()
+        return node
 
     def parse(self) -> Expr:
         node = self.expr()
@@ -199,11 +187,7 @@ class _Parser:
             return Num(float(tok.text))
         if tok.kind == "lparen":
             self.advance()
-            node = self.expr()
-            if self.peek().kind != "rparen":
-                raise self.error("expected ')'")
-            self.advance()
-            return node
+            return self.closed(self.expr())
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -217,11 +201,7 @@ class _Parser:
                 if self.peek().kind != "lparen":
                     raise self.error(f"expected '(' after {name!r}")
                 self.advance()
-                arg = self.expr()
-                if self.peek().kind != "rparen":
-                    raise self.error("expected ')'")
-                self.advance()
-                return Call(name, arg)
+                return Call(name, self.closed(self.expr()))
             raise self.error(f"unknown identifier {name!r}", tok)
         raise self.error("expected operand")
 
@@ -236,17 +216,9 @@ def parse_expression(text: str, lineno: int = 1) -> Expr:
 
 def _vars(node: Expr, kind: str) -> set[int]:
     """Indices of the variables of one kind ('x' or 'w') in an expression."""
-    if isinstance(node, Var):
+    if type(node) is Var:
         return {node.index} if node.kind == kind else set()
-    if isinstance(node, Num):
-        return set()
-    if isinstance(node, BinOp):
-        return _vars(node.left, kind) | _vars(node.right, kind)
-    if isinstance(node, Pow):
-        return _vars(node.base, kind)
-    if isinstance(node, (Neg, Call)):
-        return _vars(node.operand if isinstance(node, Neg) else node.arg, kind)
-    raise TypeError(f"unknown node type {type(node)!r}")
+    return set().union(*(_vars(child, kind) for child in node if isinstance(child, tuple)))
 
 
 def _flatten_sum(node: Expr, sign: int = 1) -> list[tuple[int, Expr]]:
@@ -316,30 +288,17 @@ def _extract_structured(expr: Expr, component: int, structure: str) -> Expr:
     return expr
 
 
-def parse_dynamics(
-    text: Union[str, Sequence[str]],
-    n: int,
-    structure: str = GENERAL,
-) -> DynamicsModel:
-    """Parse one expression per component and validate the structure claim.
-
-    ``text`` is either a single string with one component per line (or
-    semicolon-separated) or a sequence of component strings.
-    """
+def parse_dynamics(sources: Sequence[str], n: int, structure: str = GENERAL) -> DynamicsModel:
+    """Parse one expression per component, component i + 1 from
+    ``sources[i]`` (line i + 1 in a ParseError), and validate the structure
+    claim."""
     if structure not in STRUCTURES:
         raise ValueError(f"unknown structure {structure!r}; expected {STRUCTURES}")
-    if isinstance(text, str):
-        lines = [piece for raw in text.splitlines() for piece in raw.split(";")]
-        sources = [(i + 1, s) for i, s in enumerate(lines)]
-        sources = [(ln, s) for ln, s in sources if s.strip()]
-    else:
-        sources = [(i + 1, s) for i, s in enumerate(text)]
     if len(sources) != n:
         raise ValueError(f"expected {n} component expressions, got {len(sources)}")
-
     components = []
-    for comp, (lineno, source) in enumerate(sources):
-        expr = parse_expression(source, lineno)
+    for comp, source in enumerate(sources):
+        expr = parse_expression(source, comp + 1)
         bad_x = [i for i in _vars(expr, "x") if i > n]
         bad_w = [i for i in _vars(expr, "w") if i > n]
         if bad_x or bad_w:
@@ -353,57 +312,65 @@ def parse_dynamics(
     return DynamicsModel(n=n, structure=structure, components=tuple(components))
 
 
-# --- pointwise evaluation ----------------------------------------------------
+# --- evaluation --------------------------------------------------------------
 
 
-def _eval(node: Expr, x, w, component: int):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
+def _walk(node: Expr, x, w, component: int, ops: dict):
+    """The value of ``node`` at ``x`` and ``w`` under the rules ``ops``
+    (``_POINT`` or ``_INTERVAL``): each rule takes the component number (for
+    its error messages) and its operands, the values of the node's children
+    (and a power's exponent)."""
+    kind = type(node)
+    if kind is Num:
+        return ops["num"](component, node.value)
+    if kind is Var:
         source = x if node.kind == "x" else w
-        if source is None:
-            raise EvaluationError(
-                f"component {component}: {node.kind}{node.index} has no value"
-            )
-        return source[..., node.index - 1]
-    if isinstance(node, BinOp):
-        a = _eval(node.left, x, w, component)
-        b = _eval(node.right, x, w, component)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if np.any(np.asarray(b) == 0.0):
-            raise EvaluationError(f"component {component}: division by zero")
-        return a / b
-    if isinstance(node, Pow):
-        base = _eval(node.base, x, w, component)
-        if node.exponent < 0 and np.any(np.asarray(base) == 0.0):
-            raise EvaluationError(
-                f"component {component}: zero raised to a negative power"
-            )
-        return np.power(np.asarray(base, dtype=float), node.exponent)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, x, w, component)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, x, w, component)
-        if node.func == "sin":
-            return np.sin(arg)
-        if node.func == "cos":
-            return np.cos(arg)
-        if node.func == "exp":
-            return np.exp(arg)
-        if node.func == "sqrt":
-            if np.any(np.asarray(arg) < 0.0):
-                raise EvaluationError(
-                    f"component {component}: sqrt of a negative value"
-                )
-            return np.sqrt(arg)
-        if node.func == "abs":
-            return np.abs(arg)
-    raise TypeError(f"unknown node type {type(node)!r}")
+        if source is None:  # ``enclosure`` may leave out the noise box
+            raise EvaluationError(f"component {component}: {node.kind}{node.index} has no interval")
+        return ops["var"](component, source, node.index - 1)
+    if kind is BinOp:
+        left = _walk(node.left, x, w, component, ops)
+        return ops[node.op](component, left, _walk(node.right, x, w, component, ops))
+    if kind is Pow:
+        return ops["^"](component, _walk(node.base, x, w, component, ops), node.exponent)
+    if kind is Neg:
+        return ops["neg"](component, _walk(node.operand, x, w, component, ops))
+    return ops[node.func](component, _walk(node.arg, x, w, component, ops))
+
+
+def _point_div(component, a, b):
+    if np.any(np.asarray(b) == 0.0):
+        raise EvaluationError(f"component {component}: division by zero")
+    return a / b
+
+
+def _point_pow(component, base, k: int):
+    if k < 0 and np.any(np.asarray(base) == 0.0):
+        raise EvaluationError(f"component {component}: zero raised to a negative power")
+    return np.power(np.asarray(base, dtype=float), k)
+
+
+def _point_sqrt(component, a):
+    if np.any(np.asarray(a) < 0.0):
+        raise EvaluationError(f"component {component}: sqrt of a negative value")
+    return np.sqrt(a)
+
+
+_POINT = {
+    "num": lambda c, value: value,
+    "var": lambda c, x, k: x[..., k],
+    "+": lambda c, a, b: a + b,
+    "-": lambda c, a, b: a - b,
+    "*": lambda c, a, b: a * b,
+    "/": _point_div,
+    "^": _point_pow,
+    "neg": lambda c, a: -a,
+    "sin": lambda c, a: np.sin(a),
+    "cos": lambda c, a: np.cos(a),
+    "exp": lambda c, a: np.exp(a),
+    "sqrt": _point_sqrt,
+    "abs": lambda c, a: np.abs(a),
+}
 
 
 def eval_point(model: DynamicsModel, x, w) -> np.ndarray:
@@ -422,14 +389,14 @@ def eval_point(model: DynamicsModel, x, w) -> np.ndarray:
         )
     cols = [
         np.broadcast_to(
-            np.asarray(_eval(expr, x, w, i + 1), dtype=float), x.shape[:-1]
+            np.asarray(_walk(expr, x, w, i + 1, _POINT), dtype=float), x.shape[:-1]
         )
         for i, expr in enumerate(model.components)
     ]
     return np.moveaxis(np.stack(cols), 0, -1)
 
 
-# --- interval evaluation -----------------------------------------------------
+# --- interval rules ----------------------------------------------------------
 
 _TWO_PI = 2.0 * math.pi
 
@@ -460,16 +427,24 @@ def _mul(a, b):
     return _hull([np.where((u == 0.0) | (v == 0.0), 0.0, u * v) for u in a for v in b])
 
 
-def _abs_interval(lo, hi):
+def _interval_abs(component, a):
+    lo, hi = a
     alo, ahi = np.abs(lo), np.abs(hi)
     return np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(alo, ahi)), np.maximum(alo, ahi)
 
 
-def _pow_interval(lo, hi, k: int, component: int):
+def _interval_div(component, a, b):
+    if np.any((b[0] <= 0.0) & (0.0 <= b[1])):
+        raise EvaluationError(f"component {component}: division by an interval containing 0")
+    return _hull([u / v for u in a for v in b])
+
+
+def _interval_pow(component, a, k: int):
     """x^k is monotone on an interval of one sign and for odd k; an even
     power of an interval that holds 0 has its minimum there."""
     if k == 0:
         return 1.0, 1.0
+    lo, hi = a
     holds_zero = (lo <= 0.0) & (0.0 <= hi)
     if k < 0 and np.any(holds_zero):
         raise EvaluationError(f"component {component}: negative power of an interval containing 0")
@@ -477,54 +452,27 @@ def _pow_interval(lo, hi, k: int, component: int):
     return (np.where(holds_zero, 0.0, low) if k % 2 == 0 else low), high
 
 
-def _ieval(node: Expr, x, w, component: int):
-    """Natural interval extension of node over the boxes x (and w)."""
-    if isinstance(node, Num):
-        return node.value, node.value
-    if isinstance(node, Var):
-        box = x if node.kind == "x" else w
-        if box is None:
-            raise EvaluationError(
-                f"component {component}: {node.kind}{node.index} has no interval"
-            )
-        return box[0][..., node.index - 1], box[1][..., node.index - 1]
-    if isinstance(node, BinOp):
-        alo, ahi = _ieval(node.left, x, w, component)
-        blo, bhi = _ieval(node.right, x, w, component)
-        if node.op == "+":
-            return alo + blo, ahi + bhi
-        if node.op == "-":
-            return alo - bhi, ahi - blo
-        if node.op == "*":
-            return _mul((alo, ahi), (blo, bhi))
-        if np.any((blo <= 0.0) & (0.0 <= bhi)):
-            raise EvaluationError(
-                f"component {component}: division by an interval containing 0"
-            )
-        return _hull([u / v for u in (alo, ahi) for v in (blo, bhi)])
-    if isinstance(node, Pow):
-        lo, hi = _ieval(node.base, x, w, component)
-        return _pow_interval(lo, hi, node.exponent, component)
-    if isinstance(node, Neg):
-        lo, hi = _ieval(node.operand, x, w, component)
-        return -hi, -lo
-    if isinstance(node, Call):
-        lo, hi = _ieval(node.arg, x, w, component)
-        if node.func == "sin":
-            return _periodic_interval(np.sin, lo, hi, -math.pi / 2.0, math.pi / 2.0)
-        if node.func == "cos":
-            return _periodic_interval(np.cos, lo, hi, math.pi, 0.0)
-        if node.func == "exp":
-            return np.exp(lo), np.exp(hi)
-        if node.func == "sqrt":
-            if np.any(lo < 0.0):
-                raise EvaluationError(
-                    f"component {component}: sqrt of an interval below 0"
-                )
-            return np.sqrt(lo), np.sqrt(hi)
-        if node.func == "abs":
-            return _abs_interval(lo, hi)
-    raise TypeError(f"unknown node type {type(node)!r}")
+def _interval_sqrt(component, a):
+    if np.any(a[0] < 0.0):
+        raise EvaluationError(f"component {component}: sqrt of an interval below 0")
+    return np.sqrt(a[0]), np.sqrt(a[1])
+
+
+_INTERVAL = {
+    "num": lambda c, value: (value, value),
+    "var": lambda c, box, k: (box[0][..., k], box[1][..., k]),
+    "+": lambda c, a, b: (a[0] + b[0], a[1] + b[1]),
+    "-": lambda c, a, b: (a[0] - b[1], a[1] - b[0]),
+    "*": lambda c, a, b: _mul(a, b),
+    "/": _interval_div,
+    "^": _interval_pow,
+    "neg": lambda c, a: (-a[1], -a[0]),
+    "sin": lambda c, a: _periodic_interval(np.sin, *a, -math.pi / 2.0, math.pi / 2.0),
+    "cos": lambda c, a: _periodic_interval(np.cos, *a, math.pi, 0.0),
+    "exp": lambda c, a: (np.exp(a[0]), np.exp(a[1])),
+    "sqrt": _interval_sqrt,
+    "abs": _interval_abs,
+}
 
 
 def _checked(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -548,7 +496,7 @@ def enclosure(exprs: Sequence[Expr], x, w=None) -> tuple[np.ndarray, np.ndarray]
     expression (component i + 1 in error messages) on the last axis."""
     shape = np.broadcast_shapes(*(b[0].shape[:-1] for b in (x, w) if b is not None))
     with np.errstate(over="ignore", invalid="ignore"):
-        pairs = [_ieval(expr, x, w, i + 1) for i, expr in enumerate(exprs)]
+        pairs = [_walk(expr, x, w, i + 1, _INTERVAL) for i, expr in enumerate(exprs)]
     lo = np.stack([np.broadcast_to(p[0], shape) for p in pairs], axis=-1)
     hi = np.stack([np.broadcast_to(p[1], shape) for p in pairs], axis=-1)
     return _checked(lo, hi)

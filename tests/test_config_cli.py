@@ -402,6 +402,13 @@ monte_carlo: {{enabled: false}}
             ("  threshold: 0.9", "  threshold: 0.9\n  convergence_tolerance: .nan",
              "spec.convergence_tolerance"),
             ("  passes: 0", "  passes: 2", "cluster.passes"),
+            ("  goal: [[[0.75, 1.0]]]", '  goal: [[[0.75, 1.0]]]\n  "ob,stacle": [[[0.0, 0.25]]]',
+             "labels.ob,stacle"),
+            ("  goal: [[[0.75, 1.0]]]", """  goal: [[[0.75, 1.0]]]\n  'ob"stacle': [[[0.0, 0.25]]]""",
+             'labels.ob"stacle'),
+            ("  goal: [[[0.75, 1.0]]]", '  goal: [[[0.75, 1.0]]]\n  "ob\\nstacle": [[[0.0, 0.25]]]',
+             "labels.ob\nstacle"),
+            ("  goal: [[[0.75, 1.0]]]", '  goal: [[[0.75, 1.0]]]\n  "": [[[0.0, 0.25]]]', "labels."),
         ],
     )
     def test_invalid_value_rejected(self, tmp_path, caplog, old, new, field):
@@ -410,7 +417,8 @@ monte_carlo: {{enabled: false}}
         # NaN noise parameters would turn into NaN bounds; nothing reads a
         # noise grid of an additive system; an infinite tolerance stops
         # verify after one sweep, a NaN one never stops it; a second cluster
-        # pass over the first's fixpoint would change nothing
+        # pass over the first's fixpoint would change nothing; labels.csv
+        # writes a label name as a bare field
         path = tmp_path / "bad.yaml"
         text = TOY_1D.format(passes=0, mc="true", outdir="out")
         assert old in text

@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 from imcverify.dynamics import (
+    _INTERVAL,
+    _POINT,
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Pow,
+    Var,
     combine_posterior,
     enclosure,
     eval_point,
@@ -91,10 +99,46 @@ class TestParsing:
     def test_noise_separable(self, exprs, separable):
         assert parse_dynamics(exprs, 2, "general").noise_separable is separable
 
-    def test_semicolon_and_newline_sources(self):
-        a = parse_dynamics("x1 + w1\nx2 + w2", 2, "additive")
-        b = parse_dynamics("x1 + w1; x2 + w2", 2, "additive")
-        assert a.components == b.components
+    def test_round_trip_of_random_trees(self):
+        # random trees of depth <= 4, printed with each operation in parentheses,
+        # parse back to themselves: (-x1)^2 and -(x1^2) stay apart
+        assert parse_expression("(-x1)^2") == Pow(Neg(Var("x", 1)), 2)
+        assert parse_expression("-(x1^2)") == Neg(Pow(Var("x", 1), 2))
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            tree = _random_tree(rng, 4)
+            assert parse_expression(_printed(tree)) == tree
+
+
+def _random_tree(rng, depth):
+    kind = rng.integers(2 if depth == 0 else 6)
+    if kind == 0:  # the parser reads a minus sign as Neg, so a literal is >= 0
+        return Num(float(rng.choice([0.0, 1.0, 0.5, 2.75e-7, 3.0e16])) * float(rng.uniform(0, 10)))
+    if kind == 1:
+        return Var(str(rng.choice(["x", "w"])), int(rng.integers(1, 13)))
+    if kind == 2:
+        op = str(rng.choice(["+", "-", "*", "/"]))
+        return BinOp(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+    if kind == 3:
+        return Pow(_random_tree(rng, depth - 1), int(rng.integers(-4, 5)))
+    if kind == 4:
+        return Neg(_random_tree(rng, depth - 1))
+    func = str(rng.choice(["sin", "cos", "exp", "sqrt", "abs"]))
+    return Call(func, _random_tree(rng, depth - 1))
+
+
+def _printed(tree):
+    if isinstance(tree, Num):
+        return repr(tree.value)
+    if isinstance(tree, Var):
+        return f"{tree.kind}{tree.index}"
+    if isinstance(tree, BinOp):
+        return f"({_printed(tree.left)} {tree.op} {_printed(tree.right)})"
+    if isinstance(tree, Pow):
+        return f"({_printed(tree.base)}^{tree.exponent})"
+    if isinstance(tree, Neg):
+        return f"(-{_printed(tree.operand)})"
+    return f"{tree.func}({_printed(tree.arg)})"
 
 
 class TestEvalPoint:
@@ -173,9 +217,7 @@ class TestIntervalExtension:
         rng = np.random.default_rng(abs(hash(source)) % 2**32)
         xs = rng.uniform([-1.5, 0.2], [0.5, 2.0], (1000, 2))
         ws = rng.uniform([-0.3, -1.0], [0.4, 1.0], (1000, 2))
-        from imcverify.dynamics import _eval
-
-        vals = np.asarray(_eval(expr, xs, ws, 1), dtype=float)
+        vals = eval_point(parse_dynamics([source, "x2"], 2, "general"), xs, ws)[:, 0]
         assert np.all(vals >= lo - 1e-12)
         assert np.all(vals <= hi + 1e-12)
 
@@ -189,6 +231,8 @@ class TestIntervalExtension:
         # every operator and function: the enclosure of the box [x, x] holds
         # f(x) as eval_point computes it, with no tolerance, on 200,000
         # random points of [-4, -0.5]^2 and [0.5, 4]^2
+        # one walk applies both tables, so no operation may have a rule in one only
+        assert _POINT.keys() == _INTERVAL.keys()
         model = parse_dynamics([source, "x2"], 2, "general")
         rng = np.random.default_rng(41)
         x = rng.uniform(0.5, 4.0, (200_000, 2)) * rng.choice([-1.0, 1.0], (200_000, 1))
