@@ -5,10 +5,12 @@ pin down. The clusters of all states come from the IMC's CSR arrays and the
 cells' posteriors at once (``cluster_proposals``); ``cluster_improve``
 iterates the states' bounds with them to a fixpoint, on one ``RowLayout`` of
 the clustered rows, in rounds: the first walks every row, each later one
-only the rows that read a state the round before changed. The posteriors
-are computed by the caller, and the IMC is never rewritten. From sound
-bounds the pass keeps sound one-step bounds; it returns bounds only, and
-their classes are derived where they are written or counted.
+only the rows that read a state the round before changed (found through
+``imc.Readers``, the reverse adjacency of the sources' IMC rows), and
+values only their clusters. The posteriors are computed by the caller, and
+the IMC is never rewritten. From sound bounds the pass keeps sound one-step
+bounds; it returns bounds only, and their classes are derived where they
+are written or counted.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SoundnessError
-from .imc import (_BLOCK_PAIRS, CellPosteriors, Imc, RowLayout, _goal_avoid_sets, _rows_with_last,
-                  pair_bounds)
+from .imc import (_BLOCK_PAIRS, CellPosteriors, Imc, Readers, RowLayout, _goal_avoid_sets,
+                  _rows_with_last, _spans, pair_bounds)
 from .verify import ReachAvoidSpec, VerificationResult, _rank
 
 log = logging.getLogger("imcverify")
@@ -117,8 +119,7 @@ def _clustered_rows(imc: Imc, sources: np.ndarray, members: np.ndarray, cl_low, 
     its first member's, stably (``_rank``'s ``ties``)."""
     n, count = imc.n_states, len(sources)
     length = np.diff(imc.indptr)[sources]
-    entry = np.repeat(imc.indptr[sources] - np.cumsum(length) + length, length)
-    entry += np.arange(length.sum())
+    entry = _spans(imc.indptr[sources], length)
     row = np.repeat(np.arange(count), length)
     member = members[entry]
     member_start = np.searchsorted(row[member], np.arange(count))  # every cluster has two or more
@@ -150,11 +151,12 @@ def cluster_improve(
     state ever gets worse. Each round walks its rows on one value vector
     (all rows read the values of the round before), the first every row,
     each later one only the rows that read a state the round before
-    changed, until no row reads a state that the last round changed. Bounds
-    only move inward, so the rounds end. At a finite horizon H the pass
-    walks only the upper bound: a one-step bound from H-step values bounds
-    the (H+1)-step probability, which is at least the H-step one, so it is
-    sound as an upper bound but not as a lower one. DEBUG logs the numbers
+    changed, until no row reads a state that the last round changed. A
+    round values only the clusters of its rows: no other cluster has a
+    member that changed. Bounds only move inward, so the rounds end. At a
+    finite horizon H the pass walks only the upper bound: a one-step bound
+    from H-step values bounds the (H+1)-step probability, which is at least
+    the H-step one, so it is sound as an upper bound but not as a lower one. DEBUG logs the numbers
     of clusters, of sources with holes, of rounds and of row walks.
     Posteriors of another partition, even an equal one, are a ValueError.
     """
@@ -170,30 +172,30 @@ def cluster_improve(
     # the value vectors [states | clusters], per bound
     p_lo, p_hi = result.p_lower, result.p_upper
     lo_all, hi_all = (np.concatenate([p, np.empty(count)]) for p in (p_lo, p_hi))
-    changed = np.zeros(n, dtype=bool)  # the states the last round changed
-    member_value = np.empty(len(member_state))  # per-round scratch
-    dirty, part, rounds, walks = np.ones(count, dtype=bool), layout, 0, 0
+    member_count = np.diff(np.append(member_start, len(member_state)))
+    # a clustered row reads exactly the states of its IMC row
+    readers = Readers(imc.indptr, imc.dst, sources, n)
+    dirty, part, rounds, walks = np.arange(count), layout, 0, 0
 
     def walk(values, weakest, sign):
-        # mode "clip" (the states are in range): "raise" would buffer a copy of ``out``
-        values.take(member_state, out=member_value, mode="clip")
-        weakest.reduceat(member_value, member_start, out=values[n:])
+        # only the clusters of the rows walked: no other cluster has a member that changed
+        counts = member_count[dirty]
+        members = member_state[_spans(member_start[dirty], counts)]
+        values[n + dirty] = weakest.reduceat(values[members], np.cumsum(counts) - counts)
         return part.walk(_rank(values, sign, ties), values)
 
     while True:
-        rounds, walks = rounds + 1, walks + len(part.remaining)
+        rounds, walks = rounds + 1, walks + len(dirty)
         q = sources[dirty]
         lo0, hi0 = lo_all[q], hi_all[q]
         new_lo = walk(lo_all, np.minimum, 1.0) if spec.horizon is None else lo0
         new_hi = walk(hi_all, np.maximum, -1.0)
         lo = np.where(new_lo > lo0, np.minimum(new_lo, hi0), lo0)
         hi = np.where(new_hi < hi0, np.maximum(new_hi, lo), hi0)
-        changed[:] = False
-        changed[q] = (lo != lo0) | (hi != hi0)
+        changed = q[(lo != lo0) | (hi != hi0)]
         lo_all[q], hi_all[q] = lo, hi
-        # a clustered row reads exactly the states of its IMC row
-        dirty = np.logical_or.reduceat(changed.take(imc.dst), imc.indptr[:-1])[sources]
-        if not dirty.any():
+        dirty = readers.of(changed)
+        if not len(dirty):
             break
         part = layout.part(dirty)
     log.debug("cluster: %d proposals, %d reached the holes fallback, %d rounds, %d row walks",

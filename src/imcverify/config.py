@@ -242,6 +242,8 @@ def load_config(path) -> RunConfig:
         _fail("labels", "expected a mapping from label name to a list of boxes")
     for name, boxes_raw in labels_raw.items():
         name = str(name)
+        if name in labels:  # YAML keys 1 and "1" are one name
+            _fail(f"labels.{name}", "the name is given twice")
         if name == UNSAFE_LABEL:
             _fail(f"labels.{name}", "the name is reserved for the state outside the domain")
         if not name or set(name) & set(',"\r\n'):  # labels.csv writes it as a bare field

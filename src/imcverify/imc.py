@@ -158,6 +158,13 @@ def _padded(x: np.ndarray, slot: np.ndarray, pad: np.ndarray) -> np.ndarray:
     return block
 
 
+def _spans(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The positions ``start[i] + k`` for ``k < length[i]``, span after span."""
+    span = np.repeat(start - np.cumsum(length) + length, length)
+    span += np.arange(len(span))
+    return span
+
+
 def _row_sums(indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row sums of the per-entry ``x``, left to right from 0.0 as a Python
     loop adds (``np.add.reduceat`` adds pairwise): ``_cumsum`` runs down each
@@ -198,9 +205,13 @@ class RowLayout:
                  walked=None):
         self.remaining = _check_rows(indptr, lower, upper, error, states)
         self.blocks = []
+        # per row its place in block order (-1: not laid out), and each block's first place
+        self._place, self._starts = np.full(len(self.remaining), -1), [0]
         for rows, slot, pad in _blocks(indptr, walked):
             dst_block, low = _padded(dst, slot, pad), _padded(lower, slot, pad)
             self.blocks.append((rows, dst_block, low, _padded(upper, slot, pad) - low))
+            self._place[rows] = np.arange(self._starts[-1], self._starts[-1] + len(rows))
+            self._starts.append(self._starts[-1] + len(rows))
         # The walk's scratch: two int64 and two float arrays the size of the
         # largest block, kept for every walk, and the slots' positions in it.
         # Block-sized temporaries that each sweep freed and allocated again
@@ -209,16 +220,22 @@ class RowLayout:
         size = max((x.size for _, x, _, _ in self.blocks), default=0)
         self._scratch = np.empty((2, size), dtype=np.int64), np.empty((2, size)), np.arange(size)
 
-    def part(self, mask: np.ndarray) -> "RowLayout":
-        """The rows in the boolean ``mask`` alone, in their order: the masked
-        rows of each block. A part shares the walk's scratch."""
+    def part(self, rows: np.ndarray) -> "RowLayout":
+        """The rows ``rows`` (ascending indices or a boolean mask) alone, in
+        their order. A part shares the walk's scratch and costs what its rows
+        cost: each row's place in the blocks was kept when they were laid out."""
+        rows = np.flatnonzero(rows) if rows.dtype == bool else rows
         part = RowLayout.__new__(RowLayout)
-        part.remaining, part.blocks, part._scratch = self.remaining[mask], [], self._scratch
-        number = np.cumsum(mask) - 1
-        for rows, *arrays in self.blocks:
-            keep = mask[rows]
-            if keep.any():
-                part.blocks.append((number[rows[keep]], *(x[keep] for x in arrays)))
+        part.remaining, part.blocks, part._scratch = self.remaining[rows], [], self._scratch
+        place = self._place[rows]
+        order = np.argsort(place, kind="stable")
+        # the part's rows of each block; rows that are not laid out (place -1) sort first
+        cut = np.searchsorted(place[order], self._starts)
+        for (_, *arrays), start, a, b in zip(self.blocks, self._starts, cut[:-1], cut[1:]):
+            if a < b:
+                number = order[a:b]
+                at = place[number] - start
+                part.blocks.append((number, *(x[at] for x in arrays)))
         return part
 
     def walk(self, rank: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -261,6 +278,46 @@ class RowLayout:
             total = np.add.reduce(walk, axis=0) if len(rows) > 1 else _cumsum(walk)[-1]
             expectation[rows] = total + 0.0
         return expectation
+
+
+class Readers:
+    """The rows that read each state: the reverse adjacency of the CSR rows
+    ``rows`` (ascending) of ``indptr`` and ``dst`` over ``n_states`` states,
+    row ``rows[j]`` numbered j. It is built on the first query with a state,
+    as one int64 row number per entry (a CSC of the rows' ``dst``) and one
+    offset per state, and freed with the object."""
+
+    def __init__(self, indptr: np.ndarray, dst: np.ndarray, rows: np.ndarray, n_states: int):
+        self.rows, self._csr, self._csc = rows, (indptr, dst, n_states), None
+
+    def of(self, states: np.ndarray) -> np.ndarray:
+        """The numbers of the rows that read any of ``states``, ascending."""
+        if not len(states):
+            return np.empty(0, dtype=np.int64)
+        if self._csc is None:
+            indptr, dst, n = self._csr
+            length = indptr[self.rows + 1] - indptr[self.rows]
+            # (state, row number) per entry, packed into one int64 and sorted
+            # in place; the rows go in blocks of about ``_BLOCK_PAIRS``
+            # entries, so that only the packed keys grow with nnz
+            shift, key = (len(self.rows) - 1).bit_length(), np.empty(length.sum(), dtype=np.int64)
+            step, at = max(1, _BLOCK_PAIRS * len(self.rows) // max(len(key), 1)), 0
+            for a in range(0, len(self.rows), step):
+                rows, count = self.rows[a:a + step], length[a:a + step]
+                packed = key[at:at + count.sum()]
+                np.take(dst, _spans(indptr[rows], count), out=packed, mode="clip")
+                packed <<= shift
+                packed |= np.repeat(np.arange(a, a + len(rows)), count)
+                at += len(packed)
+            key.sort()
+            start = np.searchsorted(key, np.arange(n + 1) << shift)
+            key &= (1 << shift) - 1
+            self._csc = start, key
+        start, number = self._csc
+        first = start[states]
+        number = np.sort(number[_spans(first, start[states + 1] - first)])
+        # np.unique would import numpy.ma (about 1 MB and several ms) on its first call
+        return number[np.diff(number, prepend=-1) != 0]
 
 
 # --- bound kernel -------------------------------------------------------------

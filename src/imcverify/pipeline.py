@@ -301,7 +301,8 @@ def run_pipeline(
             f"{upper} (upper)",
             {"iterations": result.iterations, "converged": result.converged,
              "fixpoint_sweep": {"lower": lower, "upper": upper},
-             "upper_residual": result.upper_residual},
+             "upper_residual": result.upper_residual,
+             "walked_rows": dict(zip(("lower", "upper"), result.walked_rows))},
         )
 
     if "improve" in phases and config.cluster_passes > 0:

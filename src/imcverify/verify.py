@@ -20,9 +20,15 @@ once, lays out only the rows of the states it does not pin, takes the
 pre-fixpoint residual from the same layout, and stops sweeping a bound
 whose sweep returns its own bits. As in interval iteration (Baier et al.,
 CAV 2017) each iterate is kept monotone (``_sweep``): a bounded monotone
-sequence of floats settles, and no ``p_upper`` exceeds 1. Cluster
-improvement walks its own layout, then only the rows whose reads changed
-(``RowLayout.part``).
+sequence of floats settles, and no ``p_upper`` exceeds 1. A row whose
+successors kept their bits returns its own bits, so after a bound's first
+sweep each sweep walks only the rows that read a state the bound's last
+sweep moved (Wingate & Seppi, JMLR 6, 2005): ``imc.Readers``, the reverse
+adjacency of the laid-out rows, built the first time a sweep moves at most
+``_FULL_SWEEP`` of the free states, names them, and ``RowLayout.part``
+gathers them where they are at most that share of the free rows. Cluster
+improvement walks its own layout, then only the rows whose reads changed,
+found through a ``Readers`` of its sources' IMC rows.
 Value iteration alone decides whether an unbounded ``p_upper`` may be
 trusted, so a result is its two bound arrays: its classes are derived from
 them where they are written or counted, by ``classify_arrays``.
@@ -42,7 +48,7 @@ import numpy as np
 from ._csv import csv_lines, write_columns
 from .errors import Frozen, InputError, InvalidModelError
 from .geometry import StatePartition
-from .imc import Imc, RowLayout, _goal_avoid_sets
+from .imc import Imc, Readers, RowLayout, _goal_avoid_sets
 
 log = logging.getLogger("imcverify")
 
@@ -52,6 +58,17 @@ _CLASSES = ("satisfies", "violates", "undetermined")  # classify_arrays' codes 0
 DEFAULT_THRESHOLD = 0.9
 DEFAULT_CONVERGENCE_TOL = 1e-6
 DEFAULT_MAX_ITERATIONS = 10**5
+# A sweep walks the whole layout, not only the rows that read a moved state,
+# once more than this share of the free states moved in the bound's last
+# sweep, or more than this share of the free rows read one: a part of
+# nearly every row costs more to gather than it saves, and a part of at
+# most this share holds at most this share of the layout's memory. On
+# paper-mult-40, whose lower bound moves 1,387-1,489 of the 1,528 free
+# states in each sweep from its sixth on, value iteration took 106-117 ms
+# with a part on every sweep after the first against 50-54 ms under this
+# rule; 1/4 and 1/16 were as fast as 1/8 there and on additive-h200-phased
+# (in process, medians of 11 runs on one pinned CPU of a 2-vCPU host)
+_FULL_SWEEP = 1 / 8
 
 
 class ReachAvoidSpec(Frozen):
@@ -73,14 +90,17 @@ class VerificationResult(Frozen):
     iteration's report, None for a reloaded result or a cluster pass:
     ``fixpoints`` holds per bound (lower, upper) the first sweep that
     returned its input bits, and ``upper_residual`` the ``_residual`` of the
-    unbounded upper iterate from the goal indicator (None: finite horizon)."""
+    unbounded upper iterate from the goal indicator (None: finite horizon)
+    and ``walked_rows`` per bound the rows its sweeps walked, summed over
+    the sweeps."""
 
     def __init__(self, p_lower: np.ndarray, p_upper: np.ndarray, iterations: Optional[int] = None,
                  converged: Optional[bool] = None, fixpoints: tuple = (None, None),
-                 upper_residual: Optional[float] = None):
+                 upper_residual: Optional[float] = None, walked_rows: tuple = (None, None)):
         vars(self).update(p_lower=np.asarray(p_lower, dtype=float),
                           p_upper=np.asarray(p_upper, dtype=float), iterations=iterations,
-                          converged=converged, fixpoints=fixpoints, upper_residual=upper_residual)
+                          converged=converged, fixpoints=fixpoints, upper_residual=upper_residual,
+                          walked_rows=walked_rows)
 
 
 def _rank(values, sign: float, ties=None) -> np.ndarray:
@@ -96,36 +116,49 @@ def _rank(values, sign: float, ties=None) -> np.ndarray:
     return rank
 
 
-def _sweep(layout: RowLayout, bounds: list, signs, free, done: int, sweeps: int, tol,
-           falling: bool = False):
+def _sweep(layout: RowLayout, readers: Readers, bounds: list, signs, done: int, sweeps: int,
+           tol, falling: bool = False):
     """Sweep ``bounds`` in place with the adversaries of ``signs`` (1.0
-    minimises, -1.0 maximises) on the ``free`` states, from sweep
-    ``done + 1`` up to ``sweeps``; a bound whose sweep returns its own bits
-    is not swept again. Each iterate moves the way its exact iterates move:
-    up to min(max(T(v), v), 1) from the goal indicator, down to
-    min(T(v), v) when ``falling`` (from 1), so round-off alone cannot keep
-    a bound moving. Returns the last sweep (``sweeps`` once every bound is
-    settled: the sweeps left would return these bits), whether the change
-    fell below ``tol`` (None: never) and per bound the sweep that returned
-    its bits."""
-    fixpoints = [None] * len(bounds)
+    minimises, -1.0 maximises) on the free states, the rows of ``readers``,
+    from sweep ``done + 1`` up to ``sweeps``; a bound whose sweep returns
+    its own bits is not swept again. Each iterate moves the way its exact
+    iterates move: up to min(max(T(v), v), 1) from the goal indicator, down
+    to min(T(v), v) when ``falling`` (from 1), so round-off alone cannot
+    keep a bound moving. A bound's first sweep walks every free row; each
+    later one only the rows that read a state whose bits its last sweep
+    changed, unless they or the states are more than ``_FULL_SWEEP`` of the
+    free ones: any other row would return its own bits.
+    Returns the last sweep (``sweeps`` once every bound is settled: the
+    sweeps left would return these bits), whether the change fell below
+    ``tol`` (None: never), per bound the sweep that returned its bits and
+    the rows its sweeps walked."""
+    free = readers.rows
+    fixpoints, walked = [None] * len(bounds), [0] * len(bounds)
+    dirty = [None] * len(bounds)  # per bound the rows its next sweep walks; None: every free row
     for done in range(done + 1, sweeps + 1):
         delta = 0.0
         for b in [b for b, f in enumerate(fixpoints) if f is None]:
-            old = bounds[b][free]
-            new = layout.walk(_rank(bounds[b], signs[b]), bounds[b])[free]
+            rank, rows = _rank(bounds[b], signs[b]), free if dirty[b] is None else dirty[b]
+            new = (layout.walk(rank, bounds[b])[free] if dirty[b] is None
+                   else layout.part(rows).walk(rank, bounds[b]))
+            old = bounds[b][rows]
             new = np.minimum(new, old) if falling else np.minimum(np.maximum(new, old), 1.0)
             if tol is not None:  # only the unbounded horizon stops on the change
                 delta = max(delta, float(np.max(np.abs(new - old), initial=0.0)))
             # bitwise, so that -0.0 and 0.0 differ: each later sweep would return these bits
-            if np.array_equal(new.view(np.int64), old.view(np.int64)):
+            moved = rows[new.view(np.int64) != old.view(np.int64)]
+            bounds[b][rows], walked[b] = new, walked[b] + len(rows)
+            if not len(moved):
                 fixpoints[b] = done
-            bounds[b][free] = new
+                continue
+            # the rows that read a moved state, unless the states alone are too many
+            reads = free[readers.of(moved)] if len(moved) <= _FULL_SWEEP * len(free) else free
+            dirty[b] = reads if len(reads) <= _FULL_SWEEP * len(free) else None
         if tol is not None and delta < tol:
-            return done, True, fixpoints
+            return done, True, fixpoints, walked
         if None not in fixpoints:
             break
-    return sweeps, False, fixpoints
+    return sweeps, False, fixpoints, walked
 
 
 def robust_value_iteration(
@@ -145,7 +178,9 @@ def robust_value_iteration(
 
     A sweep ranks the states once per bound, then sorts and walks the
     layout's blocks of at most ``_BLOCK_SLOTS`` (2**18) slots one at a time,
-    so its scratch arrays do not grow with nnz.
+    so its scratch arrays do not grow with nnz; after a bound's first sweep
+    only the rows that read a state its last sweep moved, unless more than
+    ``_FULL_SWEEP`` of the free states moved or read one (``walked_rows``).
 
     Both bounds rise from the goal indicator, each sweep to
     min(max(T(v), v), 1) (``_sweep``): v stays below the exact iterate for
@@ -165,11 +200,13 @@ def robust_value_iteration(
     # the rows do not change between sweeps: check them all once and lay out
     # those of the free states, the only ones a sweep changes
     layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, InvalidModelError, walked=free)
+    readers = Readers(imc.indptr, imc.dst, np.flatnonzero(free), imc.n_states)
 
     bounds = [goal.astype(float), goal.astype(float)]  # lower, upper
     tol = None if spec.horizon is not None else convergence_tol
     sweeps = spec.horizon if spec.horizon is not None else max_iterations
-    iterations, stopped, fixpoints = _sweep(layout, bounds, (1.0, -1.0), free, 0, sweeps, tol)
+    iterations, stopped, fixpoints, walked = _sweep(
+        layout, readers, bounds, (1.0, -1.0), 0, sweeps, tol)
     residual = None  # finite horizons need no check; a bitwise fixpoint needs no sweep
     if spec.horizon is None:
         residual = 0.0 if fixpoints[1] else _residual(layout, bounds[1], pinned)
@@ -177,10 +214,11 @@ def robust_value_iteration(
         log.warning("the upper bound is not a pre-fixpoint (residual %g): "
                     "iterating it down from 1", residual)
         upper = [(~avoid).astype(float)]
-        iterations, stopped, (fixpoints[1],) = _sweep(
-            layout, upper, (-1.0,), free, iterations, sweeps, tol, falling=True)
-        bounds[1] = upper[0]
-    log.debug("value iteration: bitwise fixpoint from sweep %s (lower), %s (upper)", *fixpoints)
+        iterations, stopped, (fixpoints[1],), (falling,) = _sweep(
+            layout, readers, upper, (-1.0,), iterations, sweeps, tol, falling=True)
+        bounds[1], walked[1] = upper[0], walked[1] + falling
+    log.debug("value iteration: bitwise fixpoint from sweep %s (lower), %s (upper); "
+              "%d (lower) and %d (upper) rows walked", *fixpoints, *walked)
     converged = spec.horizon is not None or bool(pinned.all()) or stopped
     if not converged:
         log.warning(
@@ -195,6 +233,7 @@ def robust_value_iteration(
         converged=converged,
         fixpoints=tuple(fixpoints),
         upper_residual=residual,
+        walked_rows=tuple(walked),
     )
 
 

@@ -14,7 +14,9 @@ from math import comb, factorial, floor
 import numpy as np
 
 from imcverify.dynamics import ADDITIVE, MULTIPLICATIVE, eval_point
+from imcverify.imc import AVOID_LABELS, GOAL_LABEL, RowLayout
 from imcverify.noise import NoiseModel
+from imcverify.verify import _rank
 
 
 def kernel_grid_extrema(
@@ -134,6 +136,57 @@ def extreme_by_vertex_enumeration(values, lows, ups, mode: str) -> float:
                 best = max(best, e)
     assert best is not None, "no feasible vertex found"
     return best
+
+
+def full_sweeps(imc, spec, convergence_tol: float = 1e-6, max_iterations: int = 10**5):
+    """Value iteration that walks every row of one ``RowLayout`` on every
+    sweep of a bound that has not returned its own bits, each iterate kept
+    monotone as ``robust_value_iteration`` keeps it (up to min(max(T(v), v),
+    1), or down to min(T(v), v) when the upper bound is swept again from 1
+    after a failed pre-fixpoint check). Returns p_lower, p_upper, the sweep
+    count, convergence, per bound the first sweep that returned its bits,
+    and per bound the free rows its sweeps walked. It shares the walk of a
+    whole layout, which CI checks against a row-at-a-time walk, and none of
+    the dirty-row code (``Readers``, ``RowLayout.part``)."""
+    goal = imc.labels[GOAL_LABEL]
+    avoid = np.logical_or.reduce([imc.labels[k] for k in AVOID_LABELS if k in imc.labels])
+    free = ~(goal | avoid)
+    layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper)
+    tol = None if spec.horizon is not None else convergence_tol
+    sweeps = spec.horizon if spec.horizon is not None else max_iterations
+
+    def sweep(bounds, signs, done, falling):
+        fixpoints, walked = [None] * len(bounds), [0] * len(bounds)
+        while done < sweeps and None in fixpoints:
+            done, delta = done + 1, 0.0
+            for b, sign in enumerate(signs):
+                if fixpoints[b] is not None:
+                    continue
+                old = bounds[b][free]
+                new = layout.walk(_rank(bounds[b], sign), bounds[b])[free]
+                new = np.minimum(new, old) if falling else np.minimum(np.maximum(new, old), 1.0)
+                delta = max(delta, float(np.max(np.abs(new - old), initial=0.0)))
+                if new.tobytes() == old.tobytes():
+                    fixpoints[b] = done
+                bounds[b][free] = new
+                walked[b] += int(free.sum())
+            if tol is not None and delta < tol:
+                return done, True, fixpoints, walked
+        return sweeps, False, fixpoints, walked
+
+    bounds = [goal.astype(float), goal.astype(float)]
+    iterations, stopped, fixpoints, walked = sweep(bounds, (1.0, -1.0), 0, False)
+    residual = 0.0
+    if spec.horizon is None and fixpoints[1] is None:
+        swept = layout.walk(_rank(bounds[1], -1.0), bounds[1])
+        residual = float(np.max(np.minimum(swept, 1.0) - bounds[1], where=free, initial=0.0))
+    if residual:
+        upper = [(~avoid).astype(float)]
+        iterations, stopped, (fixpoints[1],), (falling,) = sweep(upper, (-1.0,), iterations, True)
+        bounds[1], walked[1] = upper[0], walked[1] + falling
+    converged = spec.horizon is not None or not free.any() or stopped
+    return (np.minimum(*bounds), bounds[1], iterations, converged, tuple(fixpoints),
+            tuple(walked))
 
 
 def chain_reach_probability(rows, goal: set[int], avoid: set[int]) -> np.ndarray:

@@ -409,6 +409,8 @@ monte_carlo: {{enabled: false}}
             ("  goal: [[[0.75, 1.0]]]", '  goal: [[[0.75, 1.0]]]\n  "ob\\nstacle": [[[0.0, 0.25]]]',
              "labels.ob\nstacle"),
             ("  goal: [[[0.75, 1.0]]]", '  goal: [[[0.75, 1.0]]]\n  "": [[[0.0, 0.25]]]', "labels."),
+            ("  goal: [[[0.75, 1.0]]]",
+             '  goal: [[[0.75, 1.0]]]\n  1: [[[0.0, 0.25]]]\n  "1": [[[0.25, 0.5]]]', "labels.1"),
         ],
     )
     def test_invalid_value_rejected(self, tmp_path, caplog, old, new, field):
@@ -418,7 +420,8 @@ monte_carlo: {{enabled: false}}
         # noise grid of an additive system; an infinite tolerance stops
         # verify after one sweep, a NaN one never stops it; a second cluster
         # pass over the first's fixpoint would change nothing; labels.csv
-        # writes a label name as a bare field
+        # writes a label name as a bare field; the YAML keys 1 and "1" name
+        # one label, whose second box list would replace the first
         path = tmp_path / "bad.yaml"
         text = TOY_1D.format(passes=0, mc="true", outdir="out")
         assert old in text

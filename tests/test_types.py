@@ -32,7 +32,8 @@ KEYWORD_CALLS = [
                lower=np.ones(3), upper=np.ones(3), labels={})),
     (ReachAvoidSpec, dict(horizon=3, threshold=0.5)),
     (VerificationResult, dict(p_lower=[0.0, 0.5], p_upper=[1.0, 0.5], iterations=2,
-                              converged=True, fixpoints=(1, 2), upper_residual=None)),
+                              converged=True, fixpoints=(1, 2), upper_residual=None,
+                              walked_rows=(3, 4))),
     (Num, dict(value=1.0)),
     (Var, dict(kind="w", index=1)),
     (BinOp, dict(op="+", left=Num(1.0), right=Var("x", 1))),

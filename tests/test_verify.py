@@ -12,7 +12,7 @@ from imcverify.config import load_config
 from imcverify.errors import InputError, InvalidModelError, SpecificationError
 from imcverify.geometry import partition_domain
 from imcverify.imc import Imc, RowLayout, _row_sums, build_imc
-from imcverify.pipeline import build_context
+from imcverify.pipeline import build_context, run_pipeline
 from imcverify.verify import (
     _CLASSES,
     ReachAvoidSpec,
@@ -24,7 +24,7 @@ from imcverify.verify import (
 )
 from csr_rows import csr, extremes, label_masks
 from test_config_cli import PAPER_2D
-from oracles import chain_reach_probability, extreme_by_vertex_enumeration
+from oracles import chain_reach_probability, extreme_by_vertex_enumeration, full_sweeps
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
@@ -735,6 +735,91 @@ class TestMonotoneIterates:
                 res = robust_value_iteration(imc, ReachAvoidSpec(horizon=k))
                 assert np.allclose(res.p_lower, exact["min"], rtol=0.0, atol=1e-12), k
                 assert np.allclose(res.p_upper, exact["max"], rtol=0.0, atol=1e-12), k
+
+
+def graph_imc(rng, n_cells, kind):
+    """Random rows over ``n_cells`` cells and the unsafe state, with random
+    goal and obstacle cells, whose free rows form the graph ``kind``:
+    "acyclic" (a row reads later states only), "self-loops" (a row reads its
+    own state), "2-cycles" (cells 2k and 2k + 1 read each other) or "hidden"
+    (about a third of the cells are read by goal and obstacle rows alone)."""
+    marks = rng.random(n_cells)
+    goal, obstacle = np.flatnonzero(marks < 0.15), np.flatnonzero(marks > 0.9)
+    pinned = (marks < 0.15) | (marks > 0.9)
+    hidden = np.flatnonzero(rng.random(n_cells) < 0.3) if kind == "hidden" else []
+    rows = []
+    for i in range(n_cells):
+        pool = np.arange(i + 1 if kind == "acyclic" else 0, n_cells + 1)
+        if not pinned[i]:
+            pool = np.setdiff1d(pool, hidden)
+        targets = rng.choice(pool, min(len(pool), int(rng.integers(1, 9))), replace=False)
+        forced = {"self-loops": [i], "2-cycles": [i ^ 1] if i ^ 1 < n_cells else []}.get(kind, [])
+        rows.append(random_row(rng, np.union1d(targets, hidden if pinned[i] else forced)))
+    rows.append(((n_cells, 1.0, 1.0),))
+    return make_imc(tuple(rows), n_cells, goal, obstacle)
+
+
+class TestDirtyRows:
+    """After its first sweep a bound walks only the rows that read a state
+    whose bits its last sweep changed (all of them once more than
+    ``_FULL_SWEEP`` of the free states moved or read one): the bits, sweep
+    counts and fixpoints are those of walking every row on every sweep."""
+
+    SPECS = [(ReachAvoidSpec(horizon=h), 1e-6, 10**5) for h in (1, 6, 30)] + [
+        (ReachAvoidSpec(), tol, cap) for tol, cap in ((1e-6, 10**5), (0.05, 10**5), (0.0, 120),
+                                                      (1e-6, 3))]
+
+    @pytest.mark.parametrize("share", [verify_module._FULL_SWEEP, 1.0])
+    @pytest.mark.parametrize("kind", ["acyclic", "self-loops", "2-cycles", "hidden"])
+    def test_random_imcs_match_full_sweeps(self, kind, share, monkeypatch):
+        """With a share of 1.0 every sweep after a bound's first walks only
+        its dirty rows; the upper bound is swept down from 1 again on some
+        of these IMCs, and fewer rows are walked on some."""
+        monkeypatch.setattr(verify_module, "_FULL_SWEEP", share)
+        rng = np.random.default_rng(59)
+        falling = fewer = 0
+        for _ in range(5):
+            imc = graph_imc(rng, int(rng.integers(8, 60)), kind)
+            for spec, tol, cap in self.SPECS:
+                res = robust_value_iteration(imc, spec, convergence_tol=tol, max_iterations=cap)
+                p_lower, p_upper, iterations, converged, fixpoints, walked = full_sweeps(
+                    imc, spec, tol, cap)
+                assert res.p_lower.tobytes() == p_lower.tobytes()
+                assert res.p_upper.tobytes() == p_upper.tobytes()
+                assert (res.iterations, res.converged, res.fixpoints) == (
+                    iterations, converged, fixpoints)
+                assert all(a <= b for a, b in zip(res.walked_rows, walked))
+                falling += bool(res.upper_residual)
+                fewer += res.walked_rows != walked
+        assert falling > 0 and fewer > 0
+
+    def test_additive_h200_walks_few_rows(self, additive_h200):
+        """The bench IMC: after the upper bound settles at sweep 14 the
+        lower bound sweeps alone to sweep 54, each sweep moving a few of the
+        1,436 free states, and walks fewer than a tenth of its full sweeps'
+        rows; the bits are those of full sweeps."""
+        imc, spec = additive_h200
+        res = robust_value_iteration(imc, spec)
+        p_lower, p_upper, iterations, converged, fixpoints, walked = full_sweeps(imc, spec)
+        assert res.p_lower.tobytes() == p_lower.tobytes()
+        assert res.p_upper.tobytes() == p_upper.tobytes()
+        assert (res.iterations, res.fixpoints) == (iterations, fixpoints) == (200, (54, 14))
+        assert walked == (54 * 1436, 14 * 1436)
+        assert res.walked_rows[0] < walked[0] / 10 and res.walked_rows[1] <= walked[1]
+
+    def test_summary_and_debug_log_report_walked_rows(self, tmp_path, caplog):
+        """``summary.json``'s verify phase and the DEBUG line give per bound
+        the rows walked, summed over the sweeps."""
+        path = tmp_path / "paper.yaml"
+        path.write_text(PAPER_2D)
+        cfg = load_config(path)
+        with caplog.at_level(logging.DEBUG, logger="imcverify"):
+            summary = run_pipeline(cfg, phases=("abstract", "verify"))
+        ctx = build_context(cfg)
+        res = robust_value_iteration(build_imc(ctx.posteriors(), ctx.labels), ctx.spec)
+        lower, upper = res.walked_rows
+        assert summary["phases"]["verify"]["walked_rows"] == {"lower": lower, "upper": upper}
+        assert f"{lower} (lower) and {upper} (upper) rows walked" in caplog.text
 
 
 class TestClassify:
