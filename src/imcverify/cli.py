@@ -11,10 +11,10 @@ before converging (every export is still written).
 
 from __future__ import annotations
 
-import argparse
 import logging
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .config import load_config
 from .errors import EvaluationError, InputError, SoundnessError
@@ -32,14 +32,49 @@ _COMMANDS = {
     "simulate": (("simulate",), "Monte Carlo validation of the stamped result table"),
 }
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a usage error is an input error: exit code 1, not 2
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+# the options of a plain command line, by token, and the argument each sets
+_PLAIN_OPTIONS = {"-c": "config", "--config": "config", "--output-dir": "output_dir",
+                  "--seed": "seed", "-v": "verbose", "--verbose": "verbose"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _read_plain(argv):
+    """The arguments of a plain command line, as the parser returns them:
+    a subcommand, then options from ``_PLAIN_OPTIONS`` with ``-c`` among
+    them, each option and each value its own token, and a seed of ASCII
+    digits. None for any other line, which only the parser reads: importing
+    argparse and building its parsers costs a process several ms."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    args = {"command": argv[0], "phases": _COMMANDS[argv[0]][0],
+            "config": None, "output_dir": None, "seed": None, "verbose": 0}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        dest = _PLAIN_OPTIONS.get(token)
+        if dest == "verbose":
+            args[dest] += 1
+            continue
+        value = next(tokens, None)
+        if dest is None or value is None or value.startswith("-"):
+            return None
+        if dest == "seed":
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                return None
+        args[dest] = value
+    return None if args["config"] is None else SimpleNamespace(**args)
+
+
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # a usage error is an input error: exit code 1, not 2
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="imcverify",
         description=(
@@ -59,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv) or _build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(message)s",

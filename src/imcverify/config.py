@@ -177,9 +177,12 @@ def _parse_noise_component(entry: Any, path: str) -> NoiseComponent:
 def load_config(path) -> RunConfig:
     """Load and fully validate a YAML run configuration."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"config file does not exist: {path}")
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise InputError(f"config file does not exist: {path}") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise InputError(f"config file {path}: {exc.strerror}") from None
     try:
         raw = yaml.load(data, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:

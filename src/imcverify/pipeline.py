@@ -120,6 +120,8 @@ def build_context(config: RunConfig) -> RunContext:
             data = path.read_bytes()
         except FileNotFoundError:
             raise InputError(f"{path}: file does not exist") from None
+        except OSError as exc:
+            raise InputError(f"{path}: {exc.strerror}") from None
         table = read_posterior_table(data, path, partition.n_cells, config.model.n)
         key = None if key is None else key + data
     return RunContext(config, partition, spec, labels, table, key)
@@ -273,7 +275,10 @@ def run_pipeline(
     the summary."""
     ctx = build_context(config)
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path through one
+        raise InputError(f"output directory {out}: {exc.strerror}") from None
 
     summary: dict = {"provenance": {"version": __version__, "config_sha256": None,
                                     "seed": config.monte_carlo.seed}, "phases": {}}

@@ -1145,12 +1145,89 @@ output_dir: out
         assert message in caplog.text + capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any phase ran
 
-    def test_import_does_not_load_scipy_special(self):
-        # no phase needs scipy.special, so importing the CLI must not load it
+    @pytest.mark.parametrize(
+        "args, plain",
+        [
+            (["run", "-c", "CFG"], True),
+            (["abstract", "--config", "CFG", "--output-dir", "OUT", "--seed", "3", "-v"], True),
+            (["verify", "-v", "--seed", "3", "--config", "CFG"], True),
+            (["improve", "--output-dir", "OUT", "-c", "CFG", "--verbose"], True),
+            (["simulate", "--seed", "12", "--verbose", "-c", "CFG", "--output-dir", "OUT"], True),
+            (["run", "-c", "CFG", "--seed", "0"], True),
+            (["run", "-c", "CFG", "--seed", "007"], True),
+            (["run", "-c", "CFG", "--seed", "-1"], False),
+            (["run", "-c", "CFG", "--seed", "abc"], False),
+            (["run", "-c", "CFG", "--seed", "1_000"], False),
+            (["run", "-c", "CFG", "--seed", "\N{SUPERSCRIPT TWO}"], False),
+            (["run", "-c", "CFG", "--seed"], False),
+            (["run", "-c", "CFG", "--output-dir", "-v"], False),
+            (["run", "-c", "CFG2", "-c", "CFG"], True),
+            (["run", "-c", "CFG", "-v"], True),
+            (["run", "-c", "CFG", "-vv"], False),
+            (["run", "-c", "CFG", "--verbose", "--verbose"], True),
+            (["run", "-c", "CFG", "--seed=7"], False),
+            (["run", "-cCFG"], False),
+            (["run", "-c", "CFG", "--out", "OUT"], False),
+            (["run", "--", "-c", "CFG"], False),
+            (["run", "-c", "CFG", "--"], False),
+            (["run", "-c", "CFG", "extra"], False),
+            (["run", "--seed", "3"], False),
+            (["run"], False),
+            (["run", "-c", "CFG", "-h"], False),
+            (["-h"], False),
+            (["-c", "CFG", "run"], False),
+            (["check", "-c", "CFG"], False),
+            ([], False),
+        ],
+    )
+    def test_plain_reader_agrees_with_argparse(self, tmp_path, monkeypatch, capsys, args, plain):
+        # main reads a plain command line without argparse: it must read what
+        # argparse reads, and leave every other line, usage errors and help
+        # included, to argparse, whose exit code and message main then gives
+        cfg, cfg2 = write_toy(tmp_path), tmp_path / "other.yaml"
+        cfg2.write_text(cfg.read_text().replace("seed: 5", "seed: 6"))
+        paths = {"CFG": str(cfg), "CFG2": str(cfg2), "OUT": str(tmp_path / "elsewhere")}
+        argv = [re.sub("CFG2|CFG|OUT", lambda m: paths[m.group()], a) for a in args]
+        try:
+            parsed = vars(cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            parsed = exc.code
+        printed = capsys.readouterr()
+        read = cli._read_plain(argv)
+        assert (read is not None) == plain
+        if read is not None:
+            assert vars(read) == parsed
+
+        loaded, ran = [], []
+        monkeypatch.setattr(cli, "load_config", lambda path: loaded.append(path) or load_config(path))
+        monkeypatch.setattr(cli, "run_pipeline", lambda config, phases: ran.append((config, phases)) or {})
+        code = _exit_code(argv)
+        if not isinstance(parsed, dict):  # argparse exited, and so does main
+            assert (code, capsys.readouterr()) == (parsed, printed) and not loaded
+        elif parsed["seed"] is not None and parsed["seed"] < 0:
+            assert code == 1 and not ran
+        else:
+            ((config, phases),) = ran
+            assert code == 0 and loaded == [parsed["config"]] and phases == parsed["phases"]
+            assert config.output_dir == (Path(parsed["output_dir"]) if parsed["output_dir"]
+                                         else tmp_path / "out")
+            assert config.monte_carlo.seed == (5 if parsed["seed"] is None else parsed["seed"])
+
+    def test_a_plain_run_loads_no_unneeded_module(self, tmp_path):
+        # no phase needs scipy.special, and a plain command line needs no
+        # argparse, nor the gettext and locale its help strings would load
+        modules = ["scipy.special", "argparse", "gettext", "locale"]
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, imcverify.cli; sys.exit('scipy.special' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        cfg = write_toy(tmp_path, mc="false")
+        code = ("import sys, imcverify.cli\n"
+                f"loaded = [m for m in {modules!r} if m in sys.modules]\n"
+                f"assert imcverify.cli.main(['verify', '-c', {str(cfg)!r}]) == 0\n"
+                f"print(*loaded, '|', *[m for m in {modules!r} if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120, check=True)
+        assert result.stdout.split() == ["|"]
+        assert (tmp_path / "out" / RESULTS_FILE).exists()
 
     def test_public_api(self):
         # one array API: bounds are pair_bounds over CellPosteriors, boxes are
@@ -1329,6 +1406,33 @@ output_dir: out
                 assert main([phase, *argv]) == 1
             (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
             assert error == f"{tmp_path / 'table.csv'}: file does not exist"
+
+    @pytest.mark.parametrize("case", ["config-is-a-directory", "table-is-a-directory",
+                                      "output-dir-is-a-file", "output-dir-under-a-file"])
+    def test_unusable_paths_exit_1_without_a_traceback(self, tmp_path, caplog, capsys, case):
+        # an OSError on the config, the posterior table or the output
+        # directory is an input error naming the path: one ERROR line, exit 1,
+        # and nothing written
+        adir, afile = tmp_path / "adir", tmp_path / "afile"
+        adir.mkdir()
+        afile.write_text("kept\n")
+        cfg, table_cfg = write_toy(tmp_path), tmp_path / "table.yaml"
+        table_cfg.write_text(ADDITIVE_2D.format(table=f"posterior_table: {adir}", outdir="out"))
+        argv, path, reason = {
+            "config-is-a-directory": (["run", "-c", adir], adir, "Is a directory"),
+            "table-is-a-directory": (["abstract", "-c", table_cfg], adir, "Is a directory"),
+            "output-dir-is-a-file": (["run", "-c", cfg, "--output-dir", afile], afile, "File exists"),
+            "output-dir-under-a-file": (["run", "-c", cfg, "--output-dir", afile / "sub"],
+                                        afile / "sub", "Not a directory"),
+        }[case]
+        before = sorted(tmp_path.rglob("*"))
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert main([str(a) for a in argv]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert str(path) in error and error.endswith(reason)
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert afile.read_text() == "kept\n"
 
     def test_missing_posterior_table_exits_1(self, tmp_path, caplog):
         path = tmp_path / "absent.yaml"
