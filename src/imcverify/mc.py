@@ -6,18 +6,18 @@ per noise component, so the draw count per step is fixed and runs are
 reproducible from the seed alone.
 
 There is one rollout: ``_rollout`` advances the trajectories of whole cells
-in lockstep with one RNG stream per cell. While any of a cell's trajectories
-is alive, each step draws one (trajectories, noise.n) block from its stream
-and trajectory i reads row i, so a trajectory's noise never depends on
-which others have ended or which cells share its batch. A step costs what
-the live trajectories cost: each drawing cell writes its block into one
-buffer in place, the live states sit in a compact array with one row per
-coordinate that drops a trajectory when it ends, only an ending trajectory
-writes its termination and length, and only the exported ones, carried as
-positions among the live ones, write their states back. A point is judged
-by the labels of the grid cell that owns it (``StatePartition.owner``),
-the cells the IMC was built on: one gather from a termination code per
-state, built once per call.
+in lockstep on counter-based uniforms (Salmon et al., SC 2011), SplitMix64
+outputs (Steele, Lea & Flood, OOPSLA 2014) at a counter of (cell,
+trajectory, step, component) that only live trajectories compute, so a
+trajectory's noise never depends on which others have ended or which cells
+share its batch, and nothing imports ``numpy.random``. A step costs what
+the live trajectories cost: the live states sit in a compact array with
+one row per coordinate that drops a trajectory when it ends, only an ending
+trajectory writes its termination and length, and only the exported ones,
+carried as positions among the live ones, write their states back. A point
+is judged by the labels of the grid cell that owns it
+(``StatePartition.owner``), the cells the IMC was built on: one gather from
+a termination code per state, built once per call.
 ``estimate_satisfaction`` validates many cells at once in groups of at most
 ``GROUP_TRAJECTORIES``, logging each group's trajectory-steps at DEBUG, with
 one ``clopper_pearson`` call per group (numpy and ``math`` only, no scipy).
@@ -52,6 +52,31 @@ log = logging.getLogger("imcverify")
 # trajectories per lockstep group (a larger cell is a group of its own)
 GROUP_TRAJECTORIES = 2**16
 
+_GAMMA, _MASK = 0x9E3779B97F4A7C15, 2**64 - 1  # SplitMix64's state increment, 64 bits
+
+
+def _mix(z):
+    """SplitMix64's output function of a Python int < 2**64 or a uint64 array."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+    return z ^ z >> 31
+
+
+def _keys(seeds: Sequence) -> np.ndarray:
+    """Each seed's key: key = mix(key + word + gamma) from 0 over the seed's
+    ints >= 0, each giving its count of 64-bit words, then them, low first."""
+    keys = []
+    for seed in seeds:
+        key = 0
+        for v in seed if isinstance(seed, tuple) else (seed,):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+                raise ValueError(f"seeds must be integers >= 0 or tuples of them, got {seed!r}")
+            words = [int(v) >> 64 * j & _MASK for j in range(max(1, -(-int(v).bit_length() // 64)))]
+            for w in [len(words), *words]:
+                key = _mix(key + w + _GAMMA & _MASK)
+        keys.append(key)
+    return np.array(keys, np.uint64)
+
 
 class Trajectory(NamedTuple):
     states: np.ndarray  # shape (length, n)
@@ -78,38 +103,37 @@ def _rollout(
     partition: StatePartition,
     code: np.ndarray,
     starts: Sequence[Sequence[float]],
-    rngs: Sequence[np.random.Generator],
+    keys: np.ndarray,
     n: int,
     horizon: int,
     keep: int,
 ) -> tuple[np.ndarray, list[list[Trajectory]], int]:
-    """Advance n trajectories from each start (row of ``starts``, one
-    generator each) for at most ``horizon`` steps, each stopping at its
-    first goal hit, avoid hit or domain exit: a point ends as ``code`` (from
-    ``_termination_codes``) says for the state that owns it.
+    """Advance n trajectories from each start (row of ``starts``, one key
+    each, see ``estimate_satisfaction``) for at most ``horizon`` steps, each
+    stopping at its first goal hit, avoid hit or domain exit: a point ends as
+    ``code`` (from ``_termination_codes``) says for the state that owns it.
 
     Returns the termination codes, shape (cells, n), per cell the full
     paths of its first ``keep`` trajectories, and the number of
     trajectory-steps advanced.
     """
-    cells, k = len(rngs), min(keep, n)
+    cells, k, m = len(keys), min(keep, n), noise.n
     x = np.repeat(np.asarray(starts, dtype=float), n, axis=0)
     cause = code[partition.owner(x)]
     length = np.where(cause == _RUNNING, horizon + 1, 1)
     tracked = (n * np.arange(cells)[:, None] + np.arange(k)).ravel()
     history = [x[tracked]]
-    u = np.empty((len(x), noise.n))
     alive = np.flatnonzero(cause == _RUNNING)
     live = x.T.take(alive, axis=1)  # the live states, one row per coordinate
     shown = np.flatnonzero(alive % n < k)  # positions in alive of the exported trajectories
-    remaining = np.bincount(alive // n, minlength=cells)  # live trajectories per cell
-    drawing = np.flatnonzero(remaining).tolist()
+    # each live trajectory's SplitMix64 state before its step-0 outputs
+    lane = keys.take(alive // n) + (alive % n * m).astype(np.uint64) * np.uint64(_GAMMA)
     for step in range(horizon):
         if len(alive) == 0:
             break
-        for c in drawing:
-            rngs[c].random(out=u[c * n : (c + 1) * n])
-        live = eval_point(model, live.T, noise.sample(u.take(alive, axis=0))).T
+        counters = (np.arange(1, m + 1, dtype=np.uint64) + step * n * m) * np.uint64(_GAMMA)
+        z = _mix(counters[:, None] + lane) >> 11  # one row per component, 53 bits
+        live = eval_point(model, live.T, noise.sample(z.T.view(np.int64) * 2.0**-53)).T
         found = code.take(partition.owner(live.T))
         ended = np.flatnonzero(found)
         if len(shown):
@@ -121,9 +145,7 @@ def _rollout(
             shown = shown.compress(found.take(shown) == _RUNNING)
             shown -= np.searchsorted(ended, shown)  # the ended before each drop out
             running = found == _RUNNING
-            alive, live = alive.compress(running), live.compress(running, axis=1)
-            remaining -= np.bincount(done // n, minlength=cells)
-            drawing = np.flatnonzero(remaining).tolist()
+            alive, live, lane = alive.compress(running), live.compress(running, axis=1), lane.compress(running)
     cause[alive] = _HORIZON
     paths = np.stack(history)
     kept = [
@@ -216,11 +238,12 @@ def estimate_satisfaction(
     A point ends a trajectory as the label masks ``labels`` (from
     ``assign_labels``) say for the cell of ``partition`` that owns it.
 
-    Start j draws from ``np.random.default_rng(seeds[j])`` (an int or a
-    tuple of ints): its trajectory i reads column i of
-    ``default_rng(seeds[j]).random((horizon, n_samples, noise.n))``, one
-    uniform per noise component and step. A start that is already terminal
-    draws nothing.
+    Start j's noise comes from the key of ``seeds[j]`` (an int >= 0 or a
+    tuple of them, see ``_keys``): at step t its trajectory i reads, for
+    noise component k, output number (t * n_samples + i) * noise.n + k of
+    SplitMix64 seeded with that key, as a float (output >> 11) * 2**-53.
+    Only live trajectories compute their uniforms, so a start that is
+    already terminal computes none.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -234,14 +257,14 @@ def estimate_satisfaction(
     if shape != (len(seeds), model.n) or model.n != len(partition.resolution):
         raise ValueError(f"starts of shape {shape} for a {model.n}-dimensional system "
                          f"on a {len(partition.resolution)}-dimensional grid")
+    keys = _keys(seeds)
     code = _termination_codes(partition, labels)
     per_group = max(1, GROUP_TRAJECTORIES // n_samples)
     out = []
     for a in range(0, len(seeds), per_group):
-        rngs = [np.random.default_rng(s) for s in seeds[a : a + per_group]]
-        t0 = time.perf_counter()
+        t0, group = time.perf_counter(), slice(a, a + per_group)
         cause, kept, steps = _rollout(
-            model, noise, partition, code, starts[a : a + per_group], rngs, n_samples, horizon, keep
+            model, noise, partition, code, starts[group], keys[group], n_samples, horizon, keep
         )
         log.debug("monte carlo: %d trajectories, %d trajectory-steps in %.3f s",
                   cause.size, steps, time.perf_counter() - t0)

@@ -209,8 +209,9 @@ def phase_simulate(ctx: RunContext, result: VerificationResult) -> list[dict]:
     confidence interval, the verified interval and the soundness verdict
     (the CI-widened estimate must intersect the verified interval). The
     first ``export_trajectories`` validation trajectories of each cell are
-    written to the trajectories export. Cell c draws from the generator
-    seeded with ``(seed, c)``.
+    written to the trajectories export. Cell c's uniforms are the
+    counter-based SplitMix64 stream keyed by ``(seed, c)`` (see
+    ``estimate_satisfaction``).
     """
     cfg = ctx.config
     mc = cfg.monte_carlo

@@ -250,6 +250,51 @@ def empirical_kernel(model, noise: NoiseModel, x, target, n: int, seed: int):
     return p, sigma
 
 
+MASK64 = 2**64 - 1
+GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z: int) -> int:
+    """SplitMix64's output function (Steele, Lea & Flood, OOPSLA 2014) of a
+    64-bit word, in Python ints masked to 64 bits."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64(state: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64 seeded with ``state``: each
+    adds the golden gamma to the state and mixes the sum."""
+    out = []
+    for _ in range(count):
+        state = (state + GOLDEN64) & MASK64
+        out.append(splitmix64_mix(state))
+    return out
+
+
+def splitmix64_key(seed) -> int:
+    """The key of a Monte Carlo seed, an int >= 0 or a tuple of them: from
+    0, key = mix(key + word + gamma) over each int's number of 64-bit words
+    and then its words, least significant first (0 is one word)."""
+    key = 0
+    for v in seed if isinstance(seed, tuple) else (seed,):
+        words = [v & MASK64]
+        while v >> 64 * len(words):
+            words.append((v >> 64 * len(words)) & MASK64)
+        for w in [len(words), *words]:
+            key = splitmix64_mix((key + w + GOLDEN64) & MASK64)
+    return key
+
+
+def splitmix64_uniforms(seed, n: int, steps: int, m: int) -> list:
+    """The uniforms of a cell seeded with ``seed`` with n trajectories and m
+    noise components, as nested lists [step][trajectory][component]: step
+    t, trajectory i, component k reads output (t * n + i) * m + k of
+    SplitMix64 from the seed's key, the output's top 53 bits over 2**53."""
+    u = [(z >> 11) / 2**53 for z in splitmix64(splitmix64_key(seed), steps * n * m)]
+    return [[u[(t * n + i) * m : (t * n + i + 1) * m] for i in range(n)] for t in range(steps)]
+
+
 def cell_index_of_point(partition, x):
     """Index of the cell that owns the point x, or None if x is outside the
     domain. Points on interior grid lines resolve to the higher-index cell

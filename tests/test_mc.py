@@ -1,4 +1,5 @@
 import logging
+import math
 import os
 import re
 import subprocess
@@ -20,7 +21,9 @@ from imcverify.mc import clopper_pearson, estimate_satisfaction
 from imcverify.noise import Mixture, NoiseModel, TruncatedGaussian, Uniform
 from imcverify.pipeline import build_context
 from boxes import box
-from oracles import binomial_tail, cell_index_of_point
+from oracles import (
+    binomial_tail, cell_index_of_point, splitmix64, splitmix64_key, splitmix64_uniforms,
+)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
@@ -50,30 +53,15 @@ def mixture_walk():
     return model, NoiseModel((paper_mixture(),)), grid
 
 
-def simulate(model, noise, x0, k, grid, rng):
+def simulate(model, noise, x0, k, grid, seed):
     """One trajectory of at most k steps from x0, stopping at the first goal
     hit, avoid hit or domain exit: the rollout of one start with one
-    generator, of which step t reads ``rng.random((1, noise.n))``."""
+    trajectory, of which step t reads outputs t * noise.n to
+    (t + 1) * noise.n - 1 of SplitMix64 from the key of ``seed``."""
     part, labels = grid
     code = mc._termination_codes(part, labels)
-    _, [[trajectory]], _ = mc._rollout(model, noise, part, code, [x0], [rng], 1, k, keep=1)
+    _, [[trajectory]], _ = mc._rollout(model, noise, part, code, [x0], mc._keys([seed]), 1, k, keep=1)
     return trajectory
-
-
-class Replay:
-    """A generator stand-in that hands out fixed rows of uniforms, one row
-    per ``random`` call: returned in the shape ``size``, or written into
-    ``out``."""
-
-    def __init__(self, rows):
-        self.rows = iter(rows)
-
-    def random(self, size=None, out=None):
-        row = next(self.rows)
-        if out is None:
-            return row.reshape(size)
-        out[...] = row.reshape(out.shape)
-        return out
 
 
 class TestSampleNoise:
@@ -166,8 +154,7 @@ class TestSimulate:
         model = parse_dynamics(["0.5*x1 + w1"], 1, "additive")
         noise = NoiseModel((narrowest_uniform(0.25),))
         grid = labelled([[0, 1]], (100,), goal=[[[0.49, 0.51]]])
-        rng = np.random.default_rng(0)
-        traj = simulate(model, noise, [1.0], 20, grid, rng)
+        traj = simulate(model, noise, [1.0], 20, grid, 0)
         # orbit 1.0 -> 0.75 -> 0.625 -> ... -> fixed point 0.5 enters goal
         expected = [1.0]
         while True:
@@ -182,7 +169,7 @@ class TestSimulate:
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((Uniform(-0.1, 0.1),))
         grid = labelled([[0, 1]], (5,), goal=[[[0.4, 0.6]]])
-        traj = simulate(model, noise, [0.5], 10, grid, np.random.default_rng(0))
+        traj = simulate(model, noise, [0.5], 10, grid, 0)
         assert traj.length == 1
         assert traj.termination == "goal-hit"
         [(est, _, kept)] = estimate_satisfaction(
@@ -196,9 +183,9 @@ class TestSimulate:
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((narrowest_uniform(0.5),))
         grid = labelled([[0, 2]], (20,), goal=[[[1.9, 2.0]]], obstacle=[[[0.9, 1.1]]])
-        traj = simulate(model, noise, [0.5], 10, grid, np.random.default_rng(0))
+        traj = simulate(model, noise, [0.5], 10, grid, 0)
         assert traj.termination == "avoid-hit"
-        out = simulate(model, noise, [1.7], 10, grid, np.random.default_rng(0))
+        out = simulate(model, noise, [1.7], 10, grid, 0)
         assert out.termination == "left-domain"
 
     def test_paper_multiplicative_contracts(self):
@@ -209,7 +196,7 @@ class TestSimulate:
             (TruncatedGaussian(1, 0.1, 0.9, 1.1), TruncatedGaussian(1, 0.1, 0.9, 1.1))
         )
         grid = labelled([[-10, 10], [-10, 10]], (2, 2))
-        traj = simulate(model, noise, [1.0, 1.0], 10, grid, np.random.default_rng(5))
+        traj = simulate(model, noise, [1.0, 1.0], 10, grid, 5)
         assert traj.termination == "horizon"
         assert np.linalg.norm(traj.states[-1]) < 0.5 * np.linalg.norm(traj.states[0])
 
@@ -217,10 +204,98 @@ class TestSimulate:
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         noise = NoiseModel((paper_mixture(),))
         grid = labelled([[-3, 3]], (6,), goal=[[[2, 3]]])
-        a = simulate(model, noise, [0.0], 50, grid, np.random.default_rng(42))
-        b = simulate(model, noise, [0.0], 50, grid, np.random.default_rng(42))
+        a = simulate(model, noise, [0.0], 50, grid, 42)
+        b = simulate(model, noise, [0.0], 50, grid, 42)
         assert np.array_equal(a.states, b.states)
         assert a.termination == b.termination
+
+    @pytest.mark.parametrize("seed", [0, 3, (7, 2), (2**64 + 5, 2)])
+    def test_one_trajectory_reads_the_seeds_stream(self, seed):
+        # a one-trajectory cell reads SplitMix64's outputs in order, noise.n per step
+        for model, noise, grid, x0 in (mixture_walk() + ([0.0],), walk_2d() + ([0.0, 0.0],)):
+            traj = simulate(model, noise, x0, 30, grid, seed)
+            u = np.array(splitmix64_uniforms(seed, 1, 30, noise.n))
+            states, end = replay(model, noise, grid, x0, u[:, 0])
+            assert traj.termination == end
+            assert np.array_equal(traj.states, states)
+
+
+class TestCounterStream:
+    def test_oracle_matches_published_splitmix64_outputs(self):
+        assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert splitmix64(1234567, 3) == [6457827717110365317, 3203168211198807973, 9817491932198370423]
+
+    def test_keys_match_the_oracle(self):
+        seeds = [0, 5, (0,), (5, 0), (0, 5), (3, 17), (2**64 - 1, 1), (2**64, 1), (2**64 + 5, 9),
+                 (5, 9), (2**200 + 3, 0, 2**63), np.int64(8), (np.int64(3), np.uint64(2**63 + 1))]
+        keys = mc._keys(seeds)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [splitmix64_key(tuple(map(int, s)) if isinstance(s, tuple) else int(s))
+                                 for s in seeds]
+        # an int seed is the tuple of that int; the others all differ, as an
+        # int's words are folded after their count, so a big seed is not its low word
+        assert keys[0] == keys[2] and len(set(keys.tolist())) == len(seeds) - 1
+        assert mc._keys([(2**64 + 5, 3)])[0] != mc._keys([(5, 3)])[0]
+        assert mc._keys([]).tolist() == []
+
+    def test_big_seeds_run_and_keep_their_high_words(self):
+        model, noise, grid = mixture_walk()
+        runs = [
+            estimate_satisfaction(model, noise, *grid, [[0.0]], 200, 40, seeds=[(s, 4)], keep=5)
+            for s in (5, 2**64 + 5, 2**64 + 5)
+        ]
+        assert runs[1][0][:2] == runs[2][0][:2]
+        assert [t.states.tolist() for t in runs[0][0][2]] != [t.states.tolist() for t in runs[1][0][2]]
+
+    @pytest.mark.parametrize("seed", [-1, (3, -2), 1.5, (3, 2.0), "7", True, (1, False), None, ((1, 2), 3)])
+    def test_bad_seeds_name_seeds(self, seed):
+        model, noise, grid = mixture_walk()
+        with pytest.raises(ValueError, match="seeds"):
+            estimate_satisfaction(model, noise, *grid, [[0.0]], 4, 5, seeds=[seed])
+
+    def test_runs_without_numpy_random(self):
+        code = (
+            "import sys; sys.modules['numpy.random'] = None\n"
+            "from imcverify.dynamics import parse_dynamics\n"
+            "from imcverify.geometry import partition_domain\n"
+            "from imcverify.imc import assign_labels\n"
+            "from imcverify.mc import estimate_satisfaction\n"
+            "from imcverify.noise import NoiseModel, TruncatedGaussian\n"
+            "import numpy as np\n"
+            "part = partition_domain(np.array([0.0]), np.array([1.0]), (4,))\n"
+            "labels = assign_labels(part, {'goal': (np.array([[0.75]]), np.array([[1.0]]))})\n"
+            "model = parse_dynamics(['x1 + w1'], 1, 'additive')\n"
+            "noise = NoiseModel((TruncatedGaussian(0.1, 0.1, -0.2, 0.3),))\n"
+            "[(est, _, _)] = estimate_satisfaction(model, noise, part, labels, [[0.1]], 100, 20, [(3, 0)])\n"
+            "sys.exit(not 0.0 < est <= 1.0)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+    def test_uniform_statistics(self):
+        # 2**20 uniforms: 64 cells of seed 0 (keys (0, c)), 64 trajectories,
+        # 128 steps and 2 components, at the counters the rollout reads;
+        # the thresholds are about 5 standard errors of a true uniform
+        cells, n, steps, m = 64, 64, 128, 2
+        keys = mc._keys([(0, c) for c in range(cells)])
+        counter = (np.arange(steps)[:, None, None] * n + np.arange(n)[:, None]) * m + np.arange(m) + 1
+        z = keys[:, None, None, None] + counter.astype(np.uint64) * np.uint64(mc._GAMMA)
+        u = (mc._mix(z) >> 11) * 2.0**-53  # [cell, step, trajectory, component]
+        assert u.size == 2**20 and 0.0 <= u.min() and u.max() < 1.0
+        assert abs(u.mean() - 0.5) < 1.5e-3
+        assert abs(u.var() - 1 / 12) < 4e-4
+        counts = np.bincount((u * 1000).astype(np.intp).ravel(), minlength=1000)
+        expected = u.size / 1000
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert abs(chi2 - 999) < 5 * math.sqrt(2 * 999)
+
+        def corr(a, b):
+            return float(np.corrcoef(a.ravel(), b.ravel())[0, 1])
+
+        assert abs(corr(u[:-1], u[1:])) < 5e-3  # adjacent cells
+        assert abs(corr(u[:, :-1], u[:, 1:])) < 5e-3  # adjacent steps
+        assert abs(corr(u[:, :, :-1], u[:, :, 1:])) < 5e-3  # adjacent trajectories
+        assert abs(corr(u[..., 0], u[..., 1])) < 5e-3  # the two components
 
 
 class TestEstimateSatisfaction:
@@ -237,17 +312,15 @@ class TestEstimateSatisfaction:
         model, noise, grid = mixture_walk()
         n, horizon, seed = 64, 40, 17
         causes = set()
+        # trajectory i reads output (t * n + i) * noise.n + k of the seed's
+        # stream at step t, component k
+        block = np.array(splitmix64_uniforms(seed, n, horizon, noise.n))
         for x0 in ([0.0], [0.4]):
-            # trajectory i reads row i of each step's (n, noise.n) block
-            block = np.random.default_rng(seed).random((horizon, n, noise.n))
-            sequential = [
-                simulate(model, noise, x0, horizon, grid, Replay(block[:, i]))
-                for i in range(n)
-            ]
-            successes = sum(t.termination == "goal-hit" for t in sequential)
+            sequential = [replay(model, noise, grid, x0, block[:, i]) for i in range(n)]
+            successes = sum(end == "goal-hit" for _, end in sequential)
             # trajectories stop at different steps
-            assert len({t.length for t in sequential}) > 1
-            causes |= {t.termination for t in sequential}
+            assert len({len(states) for states, _ in sequential}) > 1
+            causes |= {end for _, end in sequential}
             for keep in (0, 10, n, n + 36):
                 [(est, _, kept)] = estimate_satisfaction(
                     model, noise, *grid, [x0], n, horizon, seeds=[seed], keep=keep
@@ -255,9 +328,9 @@ class TestEstimateSatisfaction:
                 assert est == successes / n
                 # the kept paths are the first trajectories of the batch, bit for bit
                 assert len(kept) == min(keep, n)
-                for batch, single in zip(kept, sequential):
-                    assert batch.termination == single.termination
-                    assert np.array_equal(batch.states, single.states)
+                for batch, (states, end) in zip(kept, sequential):
+                    assert batch.termination == end
+                    assert np.array_equal(batch.states, states)
         assert causes == {"goal-hit", "avoid-hit", "horizon"}
 
     def test_cells_do_not_depend_on_batch_or_grouping(self, monkeypatch):
@@ -286,21 +359,22 @@ class TestEstimateSatisfaction:
                 same(a, b)
                 same(a, c)
 
-        # a cell whose start is terminal never draws from its generator
-        drawn = []
-        real = np.random.default_rng
+        # only live trajectories compute uniforms, one row of noise.n per
+        # trajectory-step, and a cell whose start is terminal computes none
+        rows = []
+        real = mc._mix
 
-        class Spy:
-            def __init__(self, seed):
-                self.seed, self.rng = seed, real(seed)
+        def spy(z):
+            if isinstance(z, np.ndarray):  # a step's uniforms, one row per component
+                rows.append(z.shape[1])
+            return real(z)
 
-            def random(self, size=None, out=None):
-                drawn.append(self.seed)
-                return self.rng.random(size, out=out)
-
-        monkeypatch.setattr(np.random, "default_rng", Spy)
-        validate(range(4))
-        assert set(drawn) == {12, 14}
+        monkeypatch.setattr(mc, "_mix", spy)
+        out = estimate_satisfaction(model, noise, *grid, starts, n, horizon, seeds=seeds, keep=n)
+        assert sum(rows) == sum(t.length - 1 for _, _, kept in out for t in kept) > 0
+        rows.clear()
+        validate([0, 2])
+        assert rows == []
 
     def test_groups_log_their_trajectory_steps(self, monkeypatch, caplog):
         model, noise, grid = mixture_walk()
@@ -422,17 +496,16 @@ class TestReplayReference:
         seeds = [(5, c) for c in range(len(self.STARTS))]
         reference = []
         for x0, seed in zip(self.STARTS, seeds):
-            block = np.random.default_rng(seed).random((horizon, n, noise.n))
+            block = np.array(splitmix64_uniforms(seed, n, horizon, noise.n))
             reference.append([replay(model, noise, grid, x0, block[:, i]) for i in range(n)])
         ends = [[end for _, end in cell] for cell in reference]
         assert set().union(*ends) == {"goal-hit", "avoid-hit", "left-domain", "horizon"}
         assert set(ends[2]) == {"goal-hit"} and set(ends[4]) == {"avoid-hit"}
         assert all(len(states) > 1 for states, _ in reference[3])
 
-        rngs = [np.random.default_rng(seed) for seed in seeds]
         part, labels = grid
         code = mc._termination_codes(part, labels)
-        cause, _, _ = mc._rollout(model, noise, part, code, self.STARTS, rngs, n, horizon, keep=0)
+        cause, _, _ = mc._rollout(model, noise, part, code, self.STARTS, mc._keys(seeds), n, horizon, keep=0)
         assert cause.tolist() == [[mc._TERMS.index(end) for end in cell] for cell in ends]
 
         monkeypatch.setattr(mc, "GROUP_TRAJECTORIES", group)
