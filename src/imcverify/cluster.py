@@ -5,12 +5,13 @@ pin down. The clusters of all states come from the IMC's CSR arrays and the
 cells' posteriors at once (``cluster_proposals``); ``cluster_improve``
 iterates the states' bounds with them to a fixpoint, on one ``RowLayout`` of
 the clustered rows, in rounds: the first walks every row, each later one
-only the rows that read a state the round before changed (found through
-``imc.Readers``, the reverse adjacency of the sources' IMC rows), and
-values only their clusters. The posteriors are computed by the caller, and
-the IMC is never rewritten. From sound bounds the pass keeps sound one-step
-bounds; it returns bounds only, and their classes are derived where they
-are written or counted.
+only the rows that read a state the round before changed, and values only
+their clusters. ``RowLayout.reading`` finds those rows in the layout itself:
+a clustered row reads its kept states and its cluster's slot, which counts
+as changed where one of its members did. The posteriors are computed by the
+caller, and the IMC is never rewritten. From sound bounds the pass keeps
+sound one-step bounds; it returns bounds and its round and walk counts, and
+the bounds' classes are derived where they are written or counted.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SoundnessError
-from .imc import (_BLOCK_PAIRS, CellPosteriors, Imc, Readers, RowLayout, _goal_avoid_sets,
+from .imc import (_BLOCK_PAIRS, CellPosteriors, Imc, RowLayout, _goal_avoid_sets,
                   _rows_with_last, _spans, pair_bounds)
 from .verify import ReachAvoidSpec, VerificationResult, _rank
 
@@ -114,27 +115,29 @@ def _proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray, rows: range
 def _clustered_rows(imc: Imc, sources: np.ndarray, members: np.ndarray, cl_low, cl_up):
     """The rows of ``sources``, in this order, with each cluster in place of
     its members, reading slots of the pass's value vector: state s at s and
-    the cluster of row j at n + j. Returns the layout, the members and the
-    start of each row's, and the slots in tie order: by state, a cluster at
-    its first member's, stably (``_rank``'s ``ties``)."""
+    the cluster of row j at n + j. Returns the layout, the members, the
+    start and count of each row's, and the slots in tie order: by state, a
+    cluster at its first member's, stably (``_rank``'s ``ties``)."""
     n, count = imc.n_states, len(sources)
     length = np.diff(imc.indptr)[sources]
     entry = _spans(imc.indptr[sources], length)
-    row = np.repeat(np.arange(count), length)
     member = members[entry]
-    member_start = np.searchsorted(row[member], np.arange(count))  # every cluster has two or more
+    # every cluster has two or more members, so no row is empty
+    member_count = np.add.reduceat(member, np.cumsum(length) - length, dtype=np.int64)
+    member_start = np.cumsum(member_count) - member_count
     member_state = imc.dst[entry[member]]
     ties = np.argsort(np.concatenate([np.arange(n), member_state[member_start]]), kind="stable")
-    kept = ~member
-    counts, entry = np.bincount(row[kept], minlength=count), entry[kept]
-    del row, member, kept  # the rows and their layout set the pass's peak
+    entry = entry[~member]
+    del member
+    # the rows and their layout set the pass's peak: the kept entries are
+    # gathered one column at a time
     indptr, (dst, lower, upper) = _rows_with_last(
-        counts, [imc.dst[entry], imc.lower[entry], imc.upper[entry]],
+        length - member_count, (x[entry] for x in (imc.dst, imc.lower, imc.upper)),
         [n + np.arange(count), cl_low, cl_up])
     del entry
     # the clustered rows must stay feasible; a violation is a bug
     layout = RowLayout(indptr, dst, lower, upper, SoundnessError, sources)
-    return layout, member_state, member_start, ties
+    return layout, member_state, member_start, member_count, ties
 
 
 def cluster_improve(
@@ -156,9 +159,12 @@ def cluster_improve(
     member that changed. Bounds only move inward, so the rounds end. At a
     finite horizon H the pass walks only the upper bound: a one-step bound
     from H-step values bounds the (H+1)-step probability, which is at least
-    the H-step one, so it is sound as an upper bound but not as a lower one. DEBUG logs the numbers
-    of clusters, of sources with holes, of rounds and of row walks.
-    Posteriors of another partition, even an equal one, are a ValueError.
+    the H-step one, so it is sound as an upper bound but not as a lower
+    one. The result reports the rounds as ``iterations`` and per bound the
+    row walks as ``walked_rows`` (0 for the lower bound at a finite
+    horizon); DEBUG logs the numbers of clusters, of sources with holes, of
+    rounds and of row walks. Posteriors of another partition, even an equal
+    one, are a ValueError.
     """
     if posts.partition is not imc.partition:
         raise ValueError("the posteriors were computed on another partition than the IMC's")
@@ -167,38 +173,43 @@ def cluster_improve(
     sources, box_lo, box_hi, members, holes = cluster_proposals(imc, posts, ~pinned)
     count = len(sources)
     cl_low, cl_up = pair_bounds(posts, sources, box_lo, box_hi)
-    layout, member_state, member_start, ties = _clustered_rows(imc, sources, members, cl_low, cl_up)
+    layout, member_state, member_start, member_count, ties = _clustered_rows(
+        imc, sources, members, cl_low, cl_up)
 
     # the value vectors [states | clusters], per bound
     p_lo, p_hi = result.p_lower, result.p_upper
     lo_all, hi_all = (np.concatenate([p, np.empty(count)]) for p in (p_lo, p_hi))
-    member_count = np.diff(np.append(member_start, len(member_state)))
-    # a clustered row reads exactly the states of its IMC row
-    readers = Readers(imc.indptr, imc.dst, sources, n)
-    dirty, part, rounds, walks = np.arange(count), layout, 0, 0
+    dirty, part, rounds, walks = np.ones(count, dtype=bool), layout, 0, 0
 
     def walk(values, weakest, sign):
-        # only the clusters of the rows walked: no other cluster has a member that changed
-        counts = member_count[dirty]
-        members = member_state[_spans(member_start[dirty], counts)]
-        values[n + dirty] = weakest.reduceat(values[members], np.cumsum(counts) - counts)
-        return part.walk(_rank(values, sign, ties), values)
+        values[n:][dirty] = weakest.reduceat(values[members], first)
+        return part.walk(_rank(values, sign, ties), values)[dirty]
 
     while True:
-        rounds, walks = rounds + 1, walks + len(dirty)
+        rounds, walks = rounds + 1, walks + int(np.count_nonzero(dirty))
+        # only the clusters of the rows walked: no other cluster has a member
+        # that changed. The first round's are all of them, taken without a
+        # copy of every member: their gathers set the pass's peak otherwise
+        counts = member_count[dirty]
+        members = member_state if dirty.all() else member_state[_spans(member_start[dirty], counts)]
+        first = np.cumsum(counts) - counts
         q = sources[dirty]
         lo0, hi0 = lo_all[q], hi_all[q]
         new_lo = walk(lo_all, np.minimum, 1.0) if spec.horizon is None else lo0
         new_hi = walk(hi_all, np.maximum, -1.0)
         lo = np.where(new_lo > lo0, np.minimum(new_lo, hi0), lo0)
         hi = np.where(new_hi < hi0, np.maximum(new_hi, lo), hi0)
-        changed = q[(lo != lo0) | (hi != hi0)]
         lo_all[q], hi_all[q] = lo, hi
-        dirty = readers.of(changed)
-        if not len(dirty):
+        # the slots this round changed: its states, then the clusters with a changed member
+        moved = np.zeros(n + count, dtype=bool)
+        moved[q[(lo != lo0) | (hi != hi0)]] = True
+        moved[n:] = np.logical_or.reduceat(moved[member_state], member_start)
+        dirty = layout.reading(moved)
+        if not dirty.any():
             break
         part = layout.part(dirty)
     log.debug("cluster: %d proposals, %d reached the holes fallback, %d rounds, %d row walks",
               count, holes, rounds, walks)
     # copies, so that the value vectors go with the rest of the pass's scratch
-    return VerificationResult(lo_all[:n].copy(), hi_all[:n].copy())
+    return VerificationResult(lo_all[:n].copy(), hi_all[:n].copy(), iterations=rounds,
+                              walked_rows=(walks if spec.horizon is None else 0, walks))

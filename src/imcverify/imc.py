@@ -14,7 +14,8 @@ clustering and Monte Carlo alike.
 round up to one multiple of 8. ``_row_sums`` adds rows left to right over
 it and ``_check_rows`` checks them, for the build and the cluster proposals
 alike; a ``RowLayout`` keeps each block's targets, lower bounds and gaps
-for the adversary walk, which sorts every row of a block at once. Value
+for the adversary walk, which sorts every row of a block at once, and
+names the rows that read a moved value from the same targets. Value
 iteration and the cluster step each lay out their rows once.
 
 ``cell_posteriors`` is the one reader of the model, the noise, a posterior
@@ -196,22 +197,21 @@ class RowLayout:
     """The checked rows of one CSR block (``_check_rows``), laid out once for
     the adversary walk: ``blocks`` holds, per block of ``_blocks``, the rows
     and their targets, lower bounds and gaps (upper - lower) as (rows, width)
-    arrays, one CSR row per row. A padded slot targets state 0 with bounds
-    0.0, so it adds exactly 0 to a walk wherever it sorts. Only the rows in
-    the boolean mask ``walked`` (default all) are laid out; a walk gives the
-    others 0. No other code reads the blocks."""
+    arrays, one CSR row per row. A padded slot has bounds 0.0, so it adds
+    exactly 0 to a walk wherever it sorts, and targets a slot past every
+    value: the walk's ``mode="clip"`` takes read the last value there, and
+    ``reading`` no value at all. Only the rows in the boolean mask ``walked``
+    (default all) are laid out; a walk gives the others 0. No other code
+    reads the blocks."""
 
     def __init__(self, indptr, dst, lower, upper, error: type = SoundnessError, states=None,
                  walked=None):
         self.remaining = _check_rows(indptr, lower, upper, error, states)
         self.blocks = []
-        # per row its place in block order (-1: not laid out), and each block's first place
-        self._place, self._starts = np.full(len(self.remaining), -1), [0]
         for rows, slot, pad in _blocks(indptr, walked):
             dst_block, low = _padded(dst, slot, pad), _padded(lower, slot, pad)
+            dst_block[pad] = np.iinfo(dst_block.dtype).max
             self.blocks.append((rows, dst_block, low, _padded(upper, slot, pad) - low))
-            self._place[rows] = np.arange(self._starts[-1], self._starts[-1] + len(rows))
-            self._starts.append(self._starts[-1] + len(rows))
         # The walk's scratch: two int64 and two float arrays the size of the
         # largest block, kept for every walk, and the slots' positions in it.
         # Block-sized temporaries that each sweep freed and allocated again
@@ -221,22 +221,23 @@ class RowLayout:
         self._scratch = np.empty((2, size), dtype=np.int64), np.empty((2, size)), np.arange(size)
 
     def part(self, rows: np.ndarray) -> "RowLayout":
-        """The rows ``rows`` (ascending indices or a boolean mask) alone, in
-        their order. A part shares the walk's scratch and costs what its rows
-        cost: each row's place in the blocks was kept when they were laid out."""
-        rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+        """The rows in the boolean mask ``rows`` alone: a walk gives every
+        other row 0. A part shares the remaining mass and the walk's scratch,
+        and costs one gather of the mask per block."""
         part = RowLayout.__new__(RowLayout)
-        part.remaining, part.blocks, part._scratch = self.remaining[rows], [], self._scratch
-        place = self._place[rows]
-        order = np.argsort(place, kind="stable")
-        # the part's rows of each block; rows that are not laid out (place -1) sort first
-        cut = np.searchsorted(place[order], self._starts)
-        for (_, *arrays), start, a, b in zip(self.blocks, self._starts, cut[:-1], cut[1:]):
-            if a < b:
-                number = order[a:b]
-                at = place[number] - start
-                part.blocks.append((number, *(x[at] for x in arrays)))
+        part.remaining, part._scratch = self.remaining, self._scratch
+        part.blocks = [tuple(x[at] for x in block) for block in self.blocks
+                       for at in (np.flatnonzero(rows[block[0]]),) if len(at)]
         return part
+
+    def reading(self, moved: np.ndarray) -> np.ndarray:
+        """The mask of the laid-out rows that read a value in the boolean
+        mask ``moved``, by one gather of it over each block's targets."""
+        moved = np.append(moved, False)  # what a padded slot reads, by mode="clip"
+        reads = np.zeros(len(self.remaining), dtype=bool)
+        for rows, dst, _, _ in self.blocks:
+            reads[rows[np.flatnonzero(moved.take(dst, mode="clip")) // dst.shape[1]]] = True
+        return reads
 
     def walk(self, rank: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The greedy adversary walk of every row, its successors in ascending
@@ -278,46 +279,6 @@ class RowLayout:
             total = np.add.reduce(walk, axis=0) if len(rows) > 1 else _cumsum(walk)[-1]
             expectation[rows] = total + 0.0
         return expectation
-
-
-class Readers:
-    """The rows that read each state: the reverse adjacency of the CSR rows
-    ``rows`` (ascending) of ``indptr`` and ``dst`` over ``n_states`` states,
-    row ``rows[j]`` numbered j. It is built on the first query with a state,
-    as one int64 row number per entry (a CSC of the rows' ``dst``) and one
-    offset per state, and freed with the object."""
-
-    def __init__(self, indptr: np.ndarray, dst: np.ndarray, rows: np.ndarray, n_states: int):
-        self.rows, self._csr, self._csc = rows, (indptr, dst, n_states), None
-
-    def of(self, states: np.ndarray) -> np.ndarray:
-        """The numbers of the rows that read any of ``states``, ascending."""
-        if not len(states):
-            return np.empty(0, dtype=np.int64)
-        if self._csc is None:
-            indptr, dst, n = self._csr
-            length = indptr[self.rows + 1] - indptr[self.rows]
-            # (state, row number) per entry, packed into one int64 and sorted
-            # in place; the rows go in blocks of about ``_BLOCK_PAIRS``
-            # entries, so that only the packed keys grow with nnz
-            shift, key = (len(self.rows) - 1).bit_length(), np.empty(length.sum(), dtype=np.int64)
-            step, at = max(1, _BLOCK_PAIRS * len(self.rows) // max(len(key), 1)), 0
-            for a in range(0, len(self.rows), step):
-                rows, count = self.rows[a:a + step], length[a:a + step]
-                packed = key[at:at + count.sum()]
-                np.take(dst, _spans(indptr[rows], count), out=packed, mode="clip")
-                packed <<= shift
-                packed |= np.repeat(np.arange(a, a + len(rows)), count)
-                at += len(packed)
-            key.sort()
-            start = np.searchsorted(key, np.arange(n + 1) << shift)
-            key &= (1 << shift) - 1
-            self._csc = start, key
-        start, number = self._csc
-        first = start[states]
-        number = np.sort(number[_spans(first, start[states + 1] - first)])
-        # np.unique would import numpy.ma (about 1 MB and several ms) on its first call
-        return number[np.diff(number, prepend=-1) != 0]
 
 
 # --- bound kernel -------------------------------------------------------------
@@ -652,7 +613,7 @@ def build_imc(posts: CellPosteriors, labels: Mapping[str, np.ndarray]) -> Imc:
 def _rows_with_last(counts, entries, last) -> tuple[np.ndarray, list[np.ndarray]]:
     """CSR rows in which row r holds the next ``counts[r]`` of ``entries``
     (taken in row order), then ``last[r]``: ``indptr`` and one array per pair
-    of arrays in ``entries`` and ``last``."""
+    of arrays in ``entries`` and ``last``, which are read once, in step."""
     ends = np.cumsum(counts)
     indptr = np.concatenate([[0], ends + np.arange(1, len(ends) + 1)])
     return indptr, [np.insert(x, ends, y) for x, y in zip(entries, last)]

@@ -320,7 +320,9 @@ def run_pipeline(
         t0 = time.perf_counter()
         result, improved = phase_improve(ctx, imc, posts, result)
         del posts  # not kept for simulate, as ctx.posteriors() asks
-        _record_phase(summary, "improve", t0, f"{improved} states improved", {"improved": improved})
+        _record_phase(summary, "improve", t0, f"{improved} states improved",
+                      {"improved": improved, "rounds": result.iterations,
+                       "walked_rows": dict(zip(("lower", "upper"), result.walked_rows))})
     elif "improve" in phases:
         log.info("improve: skipped, as cluster.passes is 0")
 

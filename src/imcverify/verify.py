@@ -23,12 +23,12 @@ CAV 2017) each iterate is kept monotone (``_sweep``): a bounded monotone
 sequence of floats settles, and no ``p_upper`` exceeds 1. A row whose
 successors kept their bits returns its own bits, so after a bound's first
 sweep each sweep walks only the rows that read a state the bound's last
-sweep moved (Wingate & Seppi, JMLR 6, 2005): ``imc.Readers``, the reverse
-adjacency of the laid-out rows, built the first time a sweep moves at most
-``_FULL_SWEEP`` of the free states, names them, and ``RowLayout.part``
-gathers them where they are at most that share of the free rows. Cluster
-improvement walks its own layout, then only the rows whose reads changed,
-found through a ``Readers`` of its sources' IMC rows.
+sweep moved (Wingate & Seppi, JMLR 6, 2005): where at most ``_FULL_SWEEP``
+of the free states moved, ``RowLayout.reading`` finds them in the layout's
+own blocks, one gather of the moved mask over their targets, and
+``RowLayout.part`` gathers them where they are at most that share of the
+free rows; no reverse index is built. Cluster improvement walks its own
+layout, then only the rows whose reads changed, found the same way.
 Value iteration alone decides whether an unbounded ``p_upper`` may be
 trusted, so a result is its two bound arrays: its classes are derived from
 them where they are written or counted, by ``classify_arrays``.
@@ -48,7 +48,7 @@ import numpy as np
 from ._csv import csv_lines, write_columns
 from .errors import Frozen, InputError, InvalidModelError
 from .geometry import StatePartition
-from .imc import Imc, Readers, RowLayout, _goal_avoid_sets
+from .imc import Imc, RowLayout, _goal_avoid_sets
 
 log = logging.getLogger("imcverify")
 
@@ -87,12 +87,13 @@ class ReachAvoidSpec(Frozen):
 
 class VerificationResult(Frozen):
     """Per-state satisfaction interval [p_lower, p_upper]; the rest is value
-    iteration's report, None for a reloaded result or a cluster pass:
-    ``fixpoints`` holds per bound (lower, upper) the first sweep that
-    returned its input bits, and ``upper_residual`` the ``_residual`` of the
-    unbounded upper iterate from the goal indicator (None: finite horizon)
-    and ``walked_rows`` per bound the rows its sweeps walked, summed over
-    the sweeps."""
+    iteration's report, None for a reloaded result: ``fixpoints`` holds per
+    bound (lower, upper) the first sweep that returned its input bits,
+    ``upper_residual`` the ``_residual`` of the unbounded upper iterate from
+    the goal indicator (None: finite horizon) and ``walked_rows`` per bound
+    the rows its sweeps walked, summed over the sweeps. A cluster pass
+    reports only its rounds as ``iterations`` and its row walks per bound as
+    ``walked_rows``."""
 
     def __init__(self, p_lower: np.ndarray, p_upper: np.ndarray, iterations: Optional[int] = None,
                  converged: Optional[bool] = None, fixpoints: tuple = (None, None),
@@ -116,44 +117,46 @@ def _rank(values, sign: float, ties=None) -> np.ndarray:
     return rank
 
 
-def _sweep(layout: RowLayout, readers: Readers, bounds: list, signs, done: int, sweeps: int,
+def _sweep(layout: RowLayout, free: np.ndarray, bounds: list, signs, done: int, sweeps: int,
            tol, falling: bool = False):
     """Sweep ``bounds`` in place with the adversaries of ``signs`` (1.0
-    minimises, -1.0 maximises) on the free states, the rows of ``readers``,
-    from sweep ``done + 1`` up to ``sweeps``; a bound whose sweep returns
-    its own bits is not swept again. Each iterate moves the way its exact
-    iterates move: up to min(max(T(v), v), 1) from the goal indicator, down
-    to min(T(v), v) when ``falling`` (from 1), so round-off alone cannot
-    keep a bound moving. A bound's first sweep walks every free row; each
-    later one only the rows that read a state whose bits its last sweep
-    changed, unless they or the states are more than ``_FULL_SWEEP`` of the
-    free ones: any other row would return its own bits.
+    minimises, -1.0 maximises) on the states of the mask ``free``, whose
+    rows ``layout`` lays out, from sweep ``done + 1`` up to ``sweeps``; a
+    bound whose sweep returns its own bits is not swept again. Each iterate
+    moves the way its exact iterates move: up to min(max(T(v), v), 1) from
+    the goal indicator, down to min(T(v), v) when ``falling`` (from 1), so
+    round-off alone cannot keep a bound moving. A bound's first sweep walks
+    every free row; each later one only the rows that read a state whose
+    bits its last sweep changed (``RowLayout.reading``), unless they or the
+    states are more than ``_FULL_SWEEP`` of the free ones: any other row
+    would return its own bits.
     Returns the last sweep (``sweeps`` once every bound is settled: the
     sweeps left would return these bits), whether the change fell below
     ``tol`` (None: never), per bound the sweep that returned its bits and
     the rows its sweeps walked."""
-    free = readers.rows
+    share = _FULL_SWEEP * np.count_nonzero(free)
     fixpoints, walked = [None] * len(bounds), [0] * len(bounds)
-    dirty = [None] * len(bounds)  # per bound the rows its next sweep walks; None: every free row
+    dirty = [None] * len(bounds)  # per bound the mask of the rows its next sweep walks; None: free
     for done in range(done + 1, sweeps + 1):
         delta = 0.0
         for b in [b for b, f in enumerate(fixpoints) if f is None]:
-            rank, rows = _rank(bounds[b], signs[b]), free if dirty[b] is None else dirty[b]
-            new = (layout.walk(rank, bounds[b])[free] if dirty[b] is None
-                   else layout.part(rows).walk(rank, bounds[b]))
-            old = bounds[b][rows]
+            rows = free if dirty[b] is None else dirty[b]
+            part = layout if dirty[b] is None else layout.part(rows)
+            new, old = part.walk(_rank(bounds[b], signs[b]), bounds[b])[rows], bounds[b][rows]
             new = np.minimum(new, old) if falling else np.minimum(np.maximum(new, old), 1.0)
             if tol is not None:  # only the unbounded horizon stops on the change
                 delta = max(delta, float(np.max(np.abs(new - old), initial=0.0)))
             # bitwise, so that -0.0 and 0.0 differ: each later sweep would return these bits
-            moved = rows[new.view(np.int64) != old.view(np.int64)]
-            bounds[b][rows], walked[b] = new, walked[b] + len(rows)
-            if not len(moved):
+            moved = np.zeros_like(free)
+            moved[rows] = new.view(np.int64) != old.view(np.int64)
+            bounds[b][rows], walked[b] = new, walked[b] + len(new)
+            count = np.count_nonzero(moved)
+            if not count:
                 fixpoints[b] = done
                 continue
             # the rows that read a moved state, unless the states alone are too many
-            reads = free[readers.of(moved)] if len(moved) <= _FULL_SWEEP * len(free) else free
-            dirty[b] = reads if len(reads) <= _FULL_SWEEP * len(free) else None
+            reads = layout.reading(moved) if count <= share else free
+            dirty[b] = reads if np.count_nonzero(reads) <= share else None
         if tol is not None and delta < tol:
             return done, True, fixpoints, walked
         if None not in fixpoints:
@@ -200,13 +203,12 @@ def robust_value_iteration(
     # the rows do not change between sweeps: check them all once and lay out
     # those of the free states, the only ones a sweep changes
     layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, InvalidModelError, walked=free)
-    readers = Readers(imc.indptr, imc.dst, np.flatnonzero(free), imc.n_states)
 
     bounds = [goal.astype(float), goal.astype(float)]  # lower, upper
     tol = None if spec.horizon is not None else convergence_tol
     sweeps = spec.horizon if spec.horizon is not None else max_iterations
     iterations, stopped, fixpoints, walked = _sweep(
-        layout, readers, bounds, (1.0, -1.0), 0, sweeps, tol)
+        layout, free, bounds, (1.0, -1.0), 0, sweeps, tol)
     residual = None  # finite horizons need no check; a bitwise fixpoint needs no sweep
     if spec.horizon is None:
         residual = 0.0 if fixpoints[1] else _residual(layout, bounds[1], pinned)
@@ -215,7 +217,7 @@ def robust_value_iteration(
                     "iterating it down from 1", residual)
         upper = [(~avoid).astype(float)]
         iterations, stopped, (fixpoints[1],), (falling,) = _sweep(
-            layout, readers, upper, (-1.0,), iterations, sweeps, tol, falling=True)
+            layout, free, upper, (-1.0,), iterations, sweeps, tol, falling=True)
         bounds[1], walked[1] = upper[0], walked[1] + falling
     log.debug("value iteration: bitwise fixpoint from sweep %s (lower), %s (upper); "
               "%d (lower) and %d (upper) rows walked", *fixpoints, *walked)

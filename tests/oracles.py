@@ -147,7 +147,7 @@ def full_sweeps(imc, spec, convergence_tol: float = 1e-6, max_iterations: int = 
     count, convergence, per bound the first sweep that returned its bits,
     and per bound the free rows its sweeps walked. It shares the walk of a
     whole layout, which CI checks against a row-at-a-time walk, and none of
-    the dirty-row code (``Readers``, ``RowLayout.part``)."""
+    the dirty-row code (``RowLayout.reading``, ``RowLayout.part``)."""
     goal = imc.labels[GOAL_LABEL]
     avoid = np.logical_or.reduce([imc.labels[k] for k in AVOID_LABELS if k in imc.labels])
     free = ~(goal | avoid)

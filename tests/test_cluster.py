@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import re
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,13 +190,20 @@ class TestClusterImprove:
             once = cluster_improve(imc, posts, res, spec)
             assert np.all(once.p_lower >= res.p_lower)
             assert np.all(once.p_upper <= res.p_upper)
-            # the pass returns bounds, not value iteration's report
+            # the pass reports its rounds and row walks, none of value
+            # iteration's convergence report
             assert (res.iterations, res.converged) != (None, None)
-            assert (once.iterations, once.converged) == (None, None)
+            assert (once.converged, once.fixpoints, once.upper_residual) == (
+                None, (None, None), None)
+            assert once.iterations >= 1
             # the pass ends at a fixpoint: a second pass returns its bits
+            # after its first round, which walks every row once
             again = cluster_improve(imc, posts, once, spec)
             assert np.array_equal(again.p_lower, once.p_lower)
             assert np.array_equal(again.p_upper, once.p_upper)
+            assert again.iterations == 1
+            assert again.walked_rows[1] <= once.walked_rows[1]
+            assert again.walked_rows[0] == (again.walked_rows[1] if spec.horizon is None else 0)
 
     def test_pass_without_proposals_is_identity(self):
         # every cell has one successor besides the unsafe state
@@ -507,3 +517,26 @@ def test_finite_horizon_bounds_hold_against_the_exact_drift_oracle(tmp_path, hor
             if not (float(p_lower) <= least + 1e-12 and most - 1e-12 <= float(p_upper)):
                 unsound.append((name, int(state), float(p_lower), least, float(p_upper), most))
     assert unsound == []
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+
+
+@pytest.mark.parametrize("name, rounds, walked", [
+    ("paper-mult-40", 16, (5545, 5545)),
+    ("additive-h200-phased", 6, (0, 3126)),
+])
+def test_summary_and_debug_line_report_rounds_and_walks(tmp_path, caplog, name, rounds, walked):
+    """``summary.json``'s improve phase gives the cluster pass's rounds and,
+    per bound, its row walks, as the pass's result and its DEBUG line do;
+    at a finite horizon (additive-h200-phased) the lower bound walks no
+    row. The counts are pinned, so that a change that walks more rows
+    fails."""
+    cfg = dataclasses.replace(load_config(WORKLOADS / f"{name}.yaml"), output_dir=tmp_path)
+    with caplog.at_level("DEBUG", logger="imcverify"):
+        summary = run_pipeline(cfg, phases=("abstract", "verify", "improve"))
+    improve = summary["phases"]["improve"]
+    assert improve["rounds"] == rounds
+    assert improve["walked_rows"] == dict(zip(("lower", "upper"), walked))
+    assert json.loads((tmp_path / "summary.json").read_text())["phases"]["improve"] == improve
+    assert f" {rounds} rounds, {walked[1]} row walks" in caplog.text

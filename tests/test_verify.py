@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from imcverify import imc as imc_module
+from imcverify import cluster as cluster_module
 from imcverify import verify as verify_module
 from imcverify.config import load_config
 from imcverify.errors import InputError, InvalidModelError, SpecificationError
@@ -319,11 +320,11 @@ class TestValueIteration:
     @pytest.mark.parametrize("budget", [imc_module._BLOCK_SLOTS, 16, 1])
     def test_padding_and_width_classes_keep_the_bits(self, budget, monkeypatch):
         """Rows of lengths on both sides of the width classes (multiples of
-        8), every other one with an entry to state 0, which the padding
-        targets too, and values with ties: both walks of every row match
-        ``scalar_walk``, the row sums a Python loop, and a part's walks the
-        rows of its mask (empty, full, single rows, random), with blocks of
-        one row, two rows of width 8 and whole width classes."""
+        8), every other one with an entry to state 0, and values with ties:
+        both walks of every row match ``scalar_walk``, the row sums a Python
+        loop, and a part's walks those of the rows of its mask (empty, full,
+        single rows, random) and 0 on every other row, with blocks of one
+        row, two rows of width 8 and whole width classes."""
         monkeypatch.setattr(imc_module, "_BLOCK_SLOTS", budget)
         rng = np.random.default_rng(43)
         n_states = 80
@@ -350,7 +351,8 @@ class TestValueIteration:
         masks += [rng.random(count) < share for share in (0.1, 0.5, 0.9) for _ in range(5)]
         for mask in masks:
             part_low, part_high = walks(layout.part(mask), values)
-            assert np.array_equal(part_low, low[mask]) and np.array_equal(part_high, high[mask])
+            assert np.array_equal(part_low, np.where(mask, low, 0.0))
+            assert np.array_equal(part_high, np.where(mask, high, 0.0))
 
     @pytest.mark.parametrize("budget", [imc_module._BLOCK_SLOTS, 16, 1])
     def test_layout_of_masked_rows_keeps_their_bits(self, budget, monkeypatch):
@@ -684,6 +686,13 @@ def additive_h200():
     return build_imc(ctx.posteriors(), ctx.labels), ctx.spec
 
 
+@pytest.fixture(scope="module")
+def paper_mult_40():
+    """The IMC and spec of the paper-mult-40 bench config."""
+    ctx = build_context(load_config(WORKLOADS / "paper-mult-40.yaml"))
+    return build_imc(ctx.posteriors(), ctx.labels), ctx.spec
+
+
 class TestMonotoneIterates:
     """Both bounds rise from the goal indicator, as their exact iterates do,
     and never above 1; round-off cannot keep a settled bound sweeping."""
@@ -759,6 +768,87 @@ def graph_imc(rng, n_cells, kind):
     return make_imc(tuple(rows), n_cells, goal, obstacle)
 
 
+def reading_reference(indptr, dst, rows, moved):
+    """The mask of ``rows`` (a boolean mask over the CSR rows) whose row
+    reads a state in the mask ``moved``, one row at a time."""
+    return np.array([bool(r) and moved[dst[indptr[i]:indptr[i + 1]]].any()
+                     for i, r in enumerate(rows)], dtype=bool)
+
+
+class TestReading:
+    """``RowLayout.reading`` marks exactly the laid-out rows that read a
+    moved value, never by a padded slot."""
+
+    @pytest.mark.parametrize("budget", [imc_module._BLOCK_SLOTS, 16, 1])
+    def test_marks_the_rows_that_read_a_moved_state(self, budget, monkeypatch):
+        """Empty rows and rows of lengths on both sides of the width
+        classes, every other one reading state 0 and every third the last
+        (unsafe) state, laid out whole or in part, against moved masks that
+        hold state 0, the unsafe state, both, none, all or a random share.
+        Empty rows fail the row check, so it is replaced here by the
+        remaining mass alone."""
+        monkeypatch.setattr(imc_module, "_BLOCK_SLOTS", budget)
+        monkeypatch.setattr(imc_module, "_check_rows",
+                            lambda indptr, lower, *_: 1.0 - _row_sums(indptr, lower))
+        rng = np.random.default_rng(61)
+        n_states = 80
+        unsafe = n_states - 1
+        rows = []
+        for k, m in enumerate([0, 1, 7, 8, 9, 15, 16, 17, 24, 25, 64, 65] * 3):
+            ends = ([0] if k % 2 else []) + ([unsafe] if k % 3 == 0 else [])
+            ends = ends[:m]
+            inner = rng.choice(np.arange(1, unsafe), m - len(ends), replace=False)
+            rows.append(random_row(rng, np.sort(np.concatenate([inner, ends]).astype(int))))
+        indptr, dst, lower, upper = csr(rows)
+        count = len(rows)
+        assert sum(any(t == 0 for t, *_ in row) for row in rows) > 10
+        assert sum(any(t == unsafe for t, *_ in row) for row in rows) > 5
+        states = np.arange(n_states)
+        masks = [states == 0, states == unsafe, (states == 0) | (states == unsafe),
+                 np.zeros(n_states, dtype=bool), np.ones(n_states, dtype=bool)]
+        masks += [rng.random(n_states) < share for share in (0.02, 0.1, 0.5) for _ in range(3)]
+        marked = 0
+        for walked in (None, rng.random(count) < 0.5):
+            layout = RowLayout(indptr, dst, lower, upper, walked=walked)
+            rows_laid_out = np.ones(count, dtype=bool) if walked is None else walked
+            for moved in masks:
+                reads = layout.reading(moved)
+                assert np.array_equal(reads, reading_reference(indptr, dst, rows_laid_out, moved))
+                marked += int(reads.sum())
+        assert marked > 0
+
+    def test_a_cluster_marks_its_row_when_a_member_moved(self):
+        """On the clustered rows of the cluster pass, with a cluster slot
+        marked where one of its members moved, a row is marked exactly
+        where its IMC row reads a moved state."""
+        rng = np.random.default_rng(67)
+        through_clusters = 0
+        for _ in range(20):
+            n_cells = int(rng.integers(4, 40))
+            imc = random_imc(rng, n_cells)
+            length = np.diff(imc.indptr)
+            sources = np.flatnonzero((length >= 2) & (rng.random(imc.n_states) < 0.7))
+            members = np.zeros(len(imc.dst), dtype=bool)
+            for q in sources.tolist():
+                a, b = imc.indptr[q], imc.indptr[q + 1]
+                members[a + rng.choice(b - a, int(rng.integers(2, b - a + 1)), replace=False)] = True
+            row = np.repeat(np.arange(imc.n_states), length)
+            cl_low = np.bincount(row[members], imc.lower[members], imc.n_states)[sources]
+            cl_up = np.minimum(np.bincount(row[members], imc.upper[members], imc.n_states), 1.0)
+            layout, member_state, member_start, _, _ = cluster_module._clustered_rows(
+                imc, sources, members, cl_low, cl_up[sources])
+            is_source = np.isin(np.arange(imc.n_states), sources)
+            for share in (0.0, 0.05, 0.2, 0.5, 1.0):
+                moved = rng.random(imc.n_states) < share
+                slots = np.concatenate([moved, np.logical_or.reduceat(moved[member_state],
+                                                                      member_start)])
+                expected = reading_reference(imc.indptr, imc.dst, is_source, moved)[sources]
+                assert np.array_equal(layout.reading(slots), expected)
+                states_alone = np.concatenate([moved, np.zeros(len(sources), dtype=bool)])
+                through_clusters += int((expected & ~layout.reading(states_alone)).sum())
+        assert through_clusters > 0
+
+
 class TestDirtyRows:
     """After its first sweep a bound walks only the rows that read a state
     whose bits its last sweep changed (all of them once more than
@@ -797,7 +887,8 @@ class TestDirtyRows:
         """The bench IMC: after the upper bound settles at sweep 14 the
         lower bound sweeps alone to sweep 54, each sweep moving a few of the
         1,436 free states, and walks fewer than a tenth of its full sweeps'
-        rows; the bits are those of full sweeps."""
+        rows (the counts are pinned: finding more rows fails); the bits are
+        those of full sweeps."""
         imc, spec = additive_h200
         res = robust_value_iteration(imc, spec)
         p_lower, p_upper, iterations, converged, fixpoints, walked = full_sweeps(imc, spec)
@@ -805,7 +896,21 @@ class TestDirtyRows:
         assert res.p_upper.tobytes() == p_upper.tobytes()
         assert (res.iterations, res.fixpoints) == (iterations, fixpoints) == (200, (54, 14))
         assert walked == (54 * 1436, 14 * 1436)
-        assert res.walked_rows[0] < walked[0] / 10 and res.walked_rows[1] <= walked[1]
+        assert res.walked_rows == (4687, 17362)
+
+    def test_paper_mult_40_walks_pinned_rows(self, paper_mult_40):
+        """The bench IMC: the upper bound settles at sweep 17 and the lower
+        bound sweeps all 20, each from its sixth sweep on moving most of the
+        1,528 free states, and the sweeps walk exactly the pinned counts of
+        rows; the bits are those of full sweeps."""
+        imc, spec = paper_mult_40
+        res = robust_value_iteration(imc, spec)
+        p_lower, p_upper, iterations, converged, fixpoints, walked = full_sweeps(imc, spec)
+        assert res.p_lower.tobytes() == p_lower.tobytes()
+        assert res.p_upper.tobytes() == p_upper.tobytes()
+        assert (res.iterations, res.fixpoints) == (iterations, fixpoints) == (20, (None, 17))
+        assert walked == (20 * 1528, 17 * 1528)
+        assert res.walked_rows == (29222, 24455)
 
     def test_summary_and_debug_log_report_walked_rows(self, tmp_path, caplog):
         """``summary.json``'s verify phase and the DEBUG line give per bound
