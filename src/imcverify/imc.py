@@ -11,12 +11,11 @@ upper, labels)``. A reach-avoid property reads the ``GOAL_LABEL`` and
 clustering and Monte Carlo alike.
 
 ``_blocks`` is the one padded row layout: blocks of rows whose lengths
-round up to one multiple of 8. ``_row_sums`` adds rows left to right over
-it and ``_check_rows`` checks them, for the build and the cluster proposals
-alike; a ``RowLayout`` keeps each block's targets, lower bounds and gaps
-for the adversary walk, which sorts every row of a block at once, and
-names the rows that read a moved value from the same targets. Value
-iteration and the cluster step each lay out their rows once.
+round up to one multiple of 8. A ``RowLayout`` adds and checks every row
+over it, in the pass that keeps each block's targets, lower bounds and
+gaps for the adversary walk, which sorts every row of a block at once, and
+names the rows that read a moved value from the same targets. The build,
+value iteration and the cluster step each lay out their rows once.
 
 ``cell_posteriors`` is the one reader of the model, the noise, a posterior
 table and a noise grid: it computes the posteriors, hulls and candidate
@@ -81,7 +80,7 @@ _ALIGN_TOL = 1e-9
 # in the cache. A per-pair build of paper-mult-40 (2 vCPU) took 76-81 ms
 # against 132-142 ms with 2**18 pairs, and peaked at 6.9 against 28.2 MB
 _BLOCK_PAIRS = 2**14
-# slots per block of a ``RowLayout`` and of ``_row_sums``: a block's arrays
+# slots per block of a ``RowLayout``: a block's arrays
 # and a sweep's sort and gathers over it take a few MB whatever the nnz.
 # 2**14 is no faster (20 sweeps at 120²: 4.0-4.3 s against 4.0-4.6 s, 2 vCPU)
 # and ran general-sin-20 slower end to end (bench median 0.315 against 0.303 s)
@@ -131,9 +130,8 @@ class Imc(Frozen):
         return self.partition.unsafe_index
 
 
-def _blocks(indptr: np.ndarray, walked=None):
-    """The non-empty rows of a CSR block (of those in the boolean mask
-    ``walked``, default all) per width class, the least multiple
+def _blocks(indptr: np.ndarray):
+    """The non-empty rows of a CSR block per width class, the least multiple
     of 8 at or above the row's length, in blocks of at most ``_BLOCK_SLOTS``
     slots (or one longer row). Yields each block's rows, the (rows, width)
     array of their entry positions and the mask of its padded slots.
@@ -141,7 +139,7 @@ def _blocks(indptr: np.ndarray, walked=None):
     slots (powers of two would take 48,945)."""
     lengths = np.diff(indptr)
     # an empty row sums to 0 and walks nowhere
-    nonempty = np.flatnonzero(lengths if walked is None else walked & (lengths > 0))
+    nonempty = np.flatnonzero(lengths)
     width_class = (lengths[nonempty] + 7) // 8
     for c in np.flatnonzero(np.bincount(width_class)).tolist():
         rows = nonempty[width_class == c]
@@ -166,52 +164,44 @@ def _spans(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return span
 
 
-def _row_sums(indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row sums of the per-entry ``x``, left to right from 0.0 as a Python
-    loop adds (``np.add.reduceat`` adds pairwise): ``_cumsum`` runs down each
-    row's column of its transposed block, the padding adds 0 and + 0.0 only
-    turns -0.0 into 0.0."""
-    total = np.zeros(len(indptr) - 1)
-    for rows, slot, pad in _blocks(indptr):
-        total[rows] = _cumsum(_padded(x, slot, pad).T.copy())[-1] + 0.0
-    return total
-
-
-def _check_rows(indptr, lower, upper, error: type = SoundnessError, states=None) -> np.ndarray:
-    """Raise ``error`` at the first row with sum(lower) > 1 or sum(upper) < 1
-    (up to a 1e-9 tolerance) or a NaN sum, naming its state (``states[row]``,
-    or the row index). Returns each row's remaining mass, 1 - sum(lower)."""
-    total_lower, total_upper = _row_sums(indptr, lower), _row_sums(indptr, upper)
-    ok = (total_lower <= 1.0 + _ROW_TOL) & (total_upper >= 1.0 - _ROW_TOL)  # False on NaN
-    bad = np.flatnonzero(~ok)
-    if len(bad):
-        row = int(bad[0])
-        raise error(
-            f"row {row if states is None else int(states[row])} violates sum(lower) <= 1 <= "
-            f"sum(upper): sum(lower)={float(total_lower[row])}, sum(upper)={float(total_upper[row])}"
-        )
-    return 1.0 - total_lower
-
-
 class RowLayout:
-    """The checked rows of one CSR block (``_check_rows``), laid out once for
-    the adversary walk: ``blocks`` holds, per block of ``_blocks``, the rows
-    and their targets, lower bounds and gaps (upper - lower) as (rows, width)
-    arrays, one CSR row per row. A padded slot has bounds 0.0, so it adds
-    exactly 0 to a walk wherever it sorts, and targets a slot past every
-    value: the walk's ``mode="clip"`` takes read the last value there, and
-    ``reading`` no value at all. Only the rows in the boolean mask ``walked``
-    (default all) are laid out; a walk gives the others 0. No other code
-    reads the blocks."""
+    """The rows of one CSR block, checked and laid out for the adversary walk
+    in one pass over ``_blocks``. Each row's bounds are added left to right
+    from 0.0, as a Python loop adds (``np.add.reduceat`` adds pairwise):
+    ``_cumsum`` runs down its column of the transposed block, the padding
+    adds 0 and + 0.0 only turns -0.0 into 0.0. The first row with sum(lower)
+    > 1 or sum(upper) < 1 (up to 1e-9) or a NaN sum raises ``error`` naming
+    its state (``states[row]``, or the row index); ``remaining`` is each
+    row's 1 - sum(lower). ``blocks`` holds, per block, its rows in the mask
+    ``walked`` (default all) and their targets, lower bounds and gaps
+    (upper - lower) as (rows, width) arrays; a walk gives other rows 0. A
+    padded slot has bounds 0.0, so it adds exactly 0 to a walk wherever it
+    sorts, and targets a slot past every value: the walk's ``mode="clip"``
+    takes read the last value there, and ``reading`` no value at all."""
 
     def __init__(self, indptr, dst, lower, upper, error: type = SoundnessError, states=None,
                  walked=None):
-        self.remaining = _check_rows(indptr, lower, upper, error, states)
+        total_lower, total_upper = np.zeros((2, len(indptr) - 1))
         self.blocks = []
-        for rows, slot, pad in _blocks(indptr, walked):
-            dst_block, low = _padded(dst, slot, pad), _padded(lower, slot, pad)
-            dst_block[pad] = np.iinfo(dst_block.dtype).max
-            self.blocks.append((rows, dst_block, low, _padded(upper, slot, pad) - low))
+        for rows, slot, pad in _blocks(indptr):
+            low, up = _padded(lower, slot, pad), _padded(upper, slot, pad)
+            total_lower[rows] = _cumsum(low.T.copy())[-1] + 0.0
+            total_upper[rows] = _cumsum(up.T.copy())[-1] + 0.0
+            if walked is not None:
+                keep = walked[rows]
+                rows, slot, pad, low, up = (x[keep] for x in (rows, slot, pad, low, up))
+            if len(rows):
+                dst_block = _padded(dst, slot, pad)
+                dst_block[pad] = np.iinfo(dst_block.dtype).max
+                self.blocks.append((rows, dst_block, low, np.subtract(up, low, out=up)))
+        ok = (total_lower <= 1.0 + _ROW_TOL) & (total_upper >= 1.0 - _ROW_TOL)  # False on NaN
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            row = int(bad[0])
+            raise error(f"row {row if states is None else int(states[row])} violates sum(lower) "
+                        f"<= 1 <= sum(upper): sum(lower)={float(total_lower[row])}, "
+                        f"sum(upper)={float(total_upper[row])}")
+        self.remaining = 1.0 - total_lower
         # The walk's scratch: two int64 and two float arrays the size of the
         # largest block, kept for every walk, and the slots' positions in it.
         # Block-sized temporaries that each sweep freed and allocated again
@@ -266,7 +256,7 @@ class RowLayout:
             # slack covers it, then nothing: its mass above the lower bound
             # is the remaining mass before it (a sequential running
             # difference) clipped to [0, slack]. gamma * value is then
-            # summed in walk order, as ``_row_sums`` adds: np.add.reduce
+            # summed in walk order, as the layout adds bounds: np.add.reduce
             # adds row by row down a block of two or more columns, but
             # pairwise down a single one.
             walk[0] = self.remaining[rows]
@@ -557,8 +547,8 @@ def build_imc(posts: CellPosteriors, labels: Mapping[str, np.ndarray]) -> Imc:
     Pairs with upper bound 0 are omitted; the unsafe column is always
     stored. Every row must satisfy sum(lower) <= 1 <= sum(upper), summed
     left to right over ``_blocks`` of at most ``_BLOCK_SLOTS`` (2**18) slots
-    (``_check_rows``, which lays out no walk); a violation indicates a bug
-    and raises SoundnessError rather than being rescaled away.
+    by a ``RowLayout`` that walks no row; a violation indicates a bug and
+    raises SoundnessError rather than being rescaled away.
     """
     partition = posts.partition
     cells, unsafe = np.arange(partition.n_cells), partition.unsafe_index
@@ -606,7 +596,7 @@ def build_imc(posts: CellPosteriors, labels: Mapping[str, np.ndarray]) -> Imc:
     dst[last], lower[last], upper[last] = unsafe, np.append(low_u, 1.0), np.append(up_u, 1.0)
     n = int(indptr[-1])
     imc = Imc(partition, indptr, dst[:n], lower[:n], upper[:n], dict(labels))
-    _check_rows(imc.indptr, imc.lower, imc.upper)
+    RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, walked=np.zeros(len(counts), bool))
     return imc
 
 

@@ -349,7 +349,8 @@ def run_pipeline(
 
     if config.source is not None:
         summary["provenance"]["config_sha256"] = _sha256_hex(config.source)
-    with open(out / SUMMARY_FILE, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    # encoded whole before the file opens: a value json cannot encode
+    # leaves the previous summary as it was, not cut off at that value
+    text = json.dumps(summary, indent=2) + "\n"
+    (out / SUMMARY_FILE).write_text(text, encoding="utf-8")
     return summary

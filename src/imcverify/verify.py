@@ -16,9 +16,9 @@ states once for one bound (``_rank``); ``RowLayout.walk`` (``imc.py``, the
 owner of the row layout) then sorts every row of one block of the layout
 at a time by that rank and walks each row sequentially, so each row gets
 the bits of a walk over that row alone. Value iteration checks every row
-once, lays out only the rows of the states it does not pin, takes the
-pre-fixpoint residual from the same layout, and stops sweeping a bound
-whose sweep returns its own bits. As in interval iteration (Baier et al.,
+once, lays out only the rows of the states it does not pin, checks the
+upper bound by one more sweep of the same layout, and stops sweeping a
+bound whose sweep returns its own bits. As in interval iteration (Baier et al.,
 CAV 2017) each iterate is kept monotone (``_sweep``): a bounded monotone
 sequence of floats settles, and no ``p_upper`` exceeds 1. A row whose
 successors kept their bits returns its own bits, so after a bound's first
@@ -89,11 +89,13 @@ class VerificationResult(Frozen):
     """Per-state satisfaction interval [p_lower, p_upper]; the rest is value
     iteration's report, None for a reloaded result: ``fixpoints`` holds per
     bound (lower, upper) the first sweep that returned its input bits,
-    ``upper_residual`` the ``_residual`` of the unbounded upper iterate from
-    the goal indicator (None: finite horizon) and ``walked_rows`` per bound
-    the rows its sweeps walked, summed over the sweeps. A cluster pass
+    ``upper_residual`` the largest change of one more rising sweep of the
+    unbounded upper iterate (None: finite horizon) and ``walked_rows`` per
+    bound the rows its sweeps walked, summed over the sweeps. A cluster pass
     reports only its rounds as ``iterations`` and its row walks per bound as
-    ``walked_rows``."""
+    ``walked_rows``. Results compare and hash by identity."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, p_lower: np.ndarray, p_upper: np.ndarray, iterations: Optional[int] = None,
                  converged: Optional[bool] = None, fixpoints: tuple = (None, None),
@@ -131,12 +133,13 @@ def _sweep(layout: RowLayout, free: np.ndarray, bounds: list, signs, done: int, 
     states are more than ``_FULL_SWEEP`` of the free ones: any other row
     would return its own bits.
     Returns the last sweep (``sweeps`` once every bound is settled: the
-    sweeps left would return these bits), whether the change fell below
-    ``tol`` (None: never), per bound the sweep that returned its bits and
-    the rows its sweeps walked."""
+    sweeps left would return these bits), its largest change (inf: no
+    sweep; the sweeps stop below ``tol``, None: never), per bound the sweep
+    that returned its bits and the rows its sweeps walked."""
     share = _FULL_SWEEP * np.count_nonzero(free)
     fixpoints, walked = [None] * len(bounds), [0] * len(bounds)
     dirty = [None] * len(bounds)  # per bound the mask of the rows its next sweep walks; None: free
+    delta = np.inf
     for done in range(done + 1, sweeps + 1):
         delta = 0.0
         for b in [b for b, f in enumerate(fixpoints) if f is None]:
@@ -144,8 +147,7 @@ def _sweep(layout: RowLayout, free: np.ndarray, bounds: list, signs, done: int, 
             part = layout if dirty[b] is None else layout.part(rows)
             new, old = part.walk(_rank(bounds[b], signs[b]), bounds[b])[rows], bounds[b][rows]
             new = np.minimum(new, old) if falling else np.minimum(np.maximum(new, old), 1.0)
-            if tol is not None:  # only the unbounded horizon stops on the change
-                delta = max(delta, float(np.max(np.abs(new - old), initial=0.0)))
+            delta = max(delta, float(np.max(np.abs(new - old), initial=0.0)))
             # bitwise, so that -0.0 and 0.0 differ: each later sweep would return these bits
             moved = np.zeros_like(free)
             moved[rows] = new.view(np.int64) != old.view(np.int64)
@@ -158,10 +160,10 @@ def _sweep(layout: RowLayout, free: np.ndarray, bounds: list, signs, done: int, 
             reads = layout.reading(moved) if count <= share else free
             dirty[b] = reads if np.count_nonzero(reads) <= share else None
         if tol is not None and delta < tol:
-            return done, True, fixpoints, walked
+            return done, delta, fixpoints, walked
         if None not in fixpoints:
             break
-    return sweeps, False, fixpoints, walked
+    return sweeps, delta, fixpoints, walked
 
 
 def robust_value_iteration(
@@ -189,17 +191,17 @@ def robust_value_iteration(
     min(max(T(v), v), 1) (``_sweep``): v stays below the exact iterate for
     the lower bound, and above it and the reach probability (at most 1) for
     the upper one. An unbounded ``p_upper`` may stop on the tolerance below
-    the least fixpoint; one more maximising walk of the same layout checks
-    it (``upper_residual``; 0.0 with no walk after a bitwise fixpoint, which
-    has T(v) <= v wherever v < 1). Above 0, a WARNING gives it, and the
+    the least fixpoint; one more rising sweep of the whole layout, which
+    neither ``iterations`` nor ``walked_rows`` counts, checks it: its largest
+    change (``upper_residual``; 0.0 with no sweep after a bitwise fixpoint)
+    is 0 exactly where min(T(v), 1) <= v. Above 0, a WARNING gives it, and the
     sweeps left sweep the upper bound again down from 1 (0 on avoid states),
     each to min(T(v), v): ``T_max`` is monotone and that start lies above
     the least fixpoint, so every iterate is an upper bound (Haddad &
     Monmege, TCS 735, 2018). With no sweep left, ``p_upper`` is that start.
     """
     goal, avoid = _goal_avoid_sets(imc.labels, imc.n_states)
-    pinned = goal | avoid
-    free = ~pinned
+    free = ~(goal | avoid)
     # the rows do not change between sweeps: check them all once and lay out
     # those of the free states, the only ones a sweep changes
     layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, InvalidModelError, walked=free)
@@ -207,21 +209,22 @@ def robust_value_iteration(
     bounds = [goal.astype(float), goal.astype(float)]  # lower, upper
     tol = None if spec.horizon is not None else convergence_tol
     sweeps = spec.horizon if spec.horizon is not None else max_iterations
-    iterations, stopped, fixpoints, walked = _sweep(
+    iterations, delta, fixpoints, walked = _sweep(
         layout, free, bounds, (1.0, -1.0), 0, sweeps, tol)
     residual = None  # finite horizons need no check; a bitwise fixpoint needs no sweep
     if spec.horizon is None:
-        residual = 0.0 if fixpoints[1] else _residual(layout, bounds[1], pinned)
+        # in place: it moves v only where the iterate from 1 then replaces v
+        residual = 0.0 if fixpoints[1] else _sweep(layout, free, bounds[1:], (-1.0,), 0, 1, tol)[1]
     if residual:
         log.warning("the upper bound is not a pre-fixpoint (residual %g): "
                     "iterating it down from 1", residual)
         upper = [(~avoid).astype(float)]
-        iterations, stopped, (fixpoints[1],), (falling,) = _sweep(
+        iterations, delta, (fixpoints[1],), (falling,) = _sweep(
             layout, free, upper, (-1.0,), iterations, sweeps, tol, falling=True)
         bounds[1], walked[1] = upper[0], walked[1] + falling
     log.debug("value iteration: bitwise fixpoint from sweep %s (lower), %s (upper); "
               "%d (lower) and %d (upper) rows walked", *fixpoints, *walked)
-    converged = spec.horizon is not None or bool(pinned.all()) or stopped
+    converged = spec.horizon is not None or delta < tol
     if not converged:
         log.warning(
             "value iteration hit max_iterations=%d before the change per sweep fell "
@@ -237,15 +240,6 @@ def robust_value_iteration(
         upper_residual=residual,
         walked_rows=tuple(walked),
     )
-
-
-def _residual(layout: RowLayout, p_upper: np.ndarray, pinned: np.ndarray) -> float:
-    """max(min(T_max(p_upper), 1) - p_upper, 0) over the states that are
-    not ``pinned``, by one maximising walk of a layout of their rows in
-    the IMC: 0 certifies ``p_upper`` as an upper bound of the
-    unbounded reach-avoid probability (a bound of 1 needs no certificate)."""
-    swept = layout.walk(_rank(p_upper, -1.0), p_upper)
-    return float(np.max(np.minimum(swept, 1.0) - p_upper, where=~pinned, initial=0.0))
 
 
 def classify_arrays(p_lower, p_upper, threshold: float) -> np.ndarray:

@@ -497,6 +497,21 @@ class TestPipeline:
         assert len(results) == 1 + 5
         assert summary["phases"]["simulate"]["all_sound"]
 
+    def test_unencodable_summary_keeps_the_previous_one(self, tmp_path, monkeypatch):
+        """The summary is encoded whole before its file opens: a value that
+        json cannot encode raises TypeError and leaves the previous run's
+        summary.json as it was."""
+        from imcverify import pipeline
+
+        cfg = load_config(write_toy(tmp_path))
+        run_pipeline(cfg)
+        before = (cfg.output_dir / SUMMARY_FILE).read_bytes()
+        assert json.loads(before)["phases"]["verify"]["peak_rss_mb"] > 0.0
+        monkeypatch.setattr(pipeline, "_peak_rss_mb", lambda: np.float32(1.0))
+        with pytest.raises(TypeError, match="float32"):
+            run_pipeline(cfg)
+        assert (cfg.output_dir / SUMMARY_FILE).read_bytes() == before
+
     def test_failed_validation_is_logged(self, tmp_path, caplog):
         from imcverify.pipeline import build_context, phase_abstract, phase_simulate
         from imcverify.verify import VerificationResult

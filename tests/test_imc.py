@@ -13,6 +13,7 @@ import imcverify._csv as csv_module
 import imcverify.imc as imc_module
 from imcverify.imc import (
     CellPosteriors,
+    RowLayout,
     assign_labels,
     build_imc,
     cell_posteriors,
@@ -905,12 +906,62 @@ class TestExports:
 
 
 def test_row_validity_violation_raises():
-    from imcverify.imc import _check_rows
+    """A ``RowLayout`` checks every row, whether it lays the row out for a
+    walk or not, and raises at the first bad row with its sums."""
+    for walked in (None, False, True):
 
-    with pytest.raises(SoundnessError):
-        _check_rows(np.array([0, 2]), np.array([0.7, 0.5]), np.array([0.8, 0.6]))
-    with pytest.raises(SoundnessError):
-        _check_rows(np.array([0, 1]), np.array([0.1]), np.array([0.4]))
-    # a NaN bound makes a NaN row sum, which no comparison flags by itself
-    with pytest.raises(SoundnessError, match="row 1"):
-        _check_rows(np.array([0, 1, 3]), np.array([0.5, 0.2, 0.3]), np.array([1.0, np.nan, 0.9]))
+        def layout(indptr, lower, upper, *args):
+            mask = None if walked is None else np.full(len(indptr) - 1, walked)
+            dst = np.zeros(indptr[-1], dtype=np.int64)
+            return RowLayout(np.array(indptr), dst, np.array(lower), np.array(upper), *args,
+                             walked=mask)
+
+        message = "row 0 violates sum(lower) <= 1 <= sum(upper): sum(lower)=1.2, sum(upper)=%r"
+        with pytest.raises(SoundnessError, match=re.escape(message % (0.8 + 0.6))):
+            layout([0, 2], [0.7, 0.5], [0.8, 0.6])
+        with pytest.raises(SoundnessError):
+            layout([0, 1], [0.1], [0.4])
+        # a NaN bound makes a NaN row sum, which no comparison flags by
+        # itself; the error type and the row's state name are the caller's
+        with pytest.raises(ValueError, match="^row 7 violates .* sum.upper.=nan$"):
+            layout([0, 1, 3], [0.5, 0.2, 0.3], [1.0, np.nan, 0.9], ValueError, np.array([4, 7]))
+        assert layout([0, 1, 3], [0.5, 0.2, 0.3], [1.0, 0.9, 0.9]).remaining.tolist() == [0.5, 0.5]
+
+
+def added(x):
+    """The entries of ``x`` added left to right from 0.0 in Python floats."""
+    total = 0.0
+    for value in x.tolist():
+        total += value
+    return total
+
+
+def test_build_checks_its_rows(monkeypatch):
+    """``build_imc`` checks its rows through one layout that walks no row
+    and so keeps no block. With each pair's lower bound raised to its upper
+    bound, it raises at the first row that a Python loop finds bad."""
+    part = partition_domain(*box([[0, 1]]), (5,))
+    posts = cell_posteriors(part, identity_additive(), NoiseModel((Uniform(-0.1, 0.1),)))
+    checked = []
+
+    class Recorded(RowLayout):
+        def __init__(self, indptr, dst, lower, upper, *args, **kwargs):
+            checked.append((indptr, lower, upper))
+            super().__init__(indptr, dst, lower, upper, *args, **kwargs)
+            checked.append(self)
+
+    monkeypatch.setattr(imc_module, "RowLayout", Recorded)
+    imc = build_imc(posts, assign_labels(part, {}))
+    (indptr, lower, upper), layout = checked
+    assert indptr is imc.indptr and lower is imc.lower and upper is imc.upper
+    assert layout.blocks == [] and layout.remaining.tolist() == [
+        1.0 - added(imc.lower[a:b]) for a, b in zip(imc.indptr, imc.indptr[1:])]
+    product = imc_module._product
+    monkeypatch.setattr(imc_module, "_product", lambda factors: (product(factors)[1],) * 2)
+    checked.clear()
+    with pytest.raises(SoundnessError) as raised:
+        build_imc(posts, assign_labels(part, {}))
+    (indptr, lower, upper), = checked
+    bad = [r for r, (a, b) in enumerate(zip(indptr, indptr[1:]))
+           if not (added(lower[a:b]) <= 1.0 + 1e-9 and added(upper[a:b]) >= 1.0 - 1e-9)]
+    assert str(raised.value).startswith(f"row {bad[0]} violates sum(lower) <= 1 <= sum(upper)")

@@ -73,7 +73,7 @@ def test_keyword_call_sets_the_fields_for_good(cls, kwargs):
         obj.extra = 1
 
 
-@pytest.mark.parametrize("cls", [StatePartition, Imc])
+@pytest.mark.parametrize("cls", [StatePartition, Imc, VerificationResult])
 def test_partitions_and_imcs_compare_by_identity(cls):
     kwargs = dict(KEYWORD_CALLS)[cls]
     a, b = cls(**kwargs), cls(**kwargs)

@@ -12,7 +12,7 @@ from imcverify import verify as verify_module
 from imcverify.config import load_config
 from imcverify.errors import InputError, InvalidModelError, SpecificationError
 from imcverify.geometry import partition_domain
-from imcverify.imc import Imc, RowLayout, _row_sums, build_imc
+from imcverify.imc import Imc, RowLayout, build_imc
 from imcverify.pipeline import build_context, run_pipeline
 from imcverify.verify import (
     _CLASSES,
@@ -285,10 +285,10 @@ class TestValueIteration:
             assert res.p_lower[s] == min(low, high)
 
     def test_wide_width_class_matches_scalar_walk(self, monkeypatch):
-        """600 rows of length 5-8 share one width class: row sums and both
-        walks are bit-equal whether its block adds row by row (``_LOOP_ROWS``
-        1) or by np.cumsum (10**9), and match a sequential sum and the
-        scalar walk of every row."""
+        """600 rows of length 5-8 share one width class: the remaining mass
+        and both walks are bit-equal whether its block adds row by row
+        (``_LOOP_ROWS`` 1) or by np.cumsum (10**9), and match 1 - a
+        sequential sum and the scalar walk of every row."""
         rng = np.random.default_rng(15)
         n_states = 700
         lengths = np.concatenate([rng.integers(5, 9, 600), rng.integers(1, 40, 100)])
@@ -305,15 +305,15 @@ class TestValueIteration:
             layout = RowLayout(indptr, dst, lower, upper, InvalidModelError)
             assert max(len(rows) for rows, *_ in layout.blocks) >= 512
             low, high = walks(layout, values)
-            results.append((_row_sums(indptr, upper), layout.remaining, low, high))
+            results.append((layout.remaining, low, high))
         for looped, cumsummed in zip(*results):
-            assert np.array_equal(looped, cumsummed)
-        sums, _, low, high = results[0]
+            assert looped.tobytes() == cumsummed.tobytes()
+        remaining, low, high = results[0]
         for i, row in enumerate(rows):
             total = 0.0
-            for _, _, up in row:
-                total += up
-            assert sums[i] == total
+            for _, lo, _ in row:
+                total += lo
+            assert remaining[i] == 1.0 - total
             assert low[i] == scalar_walk(values, row, "min")
             assert high[i] == scalar_walk(values, row, "max")
 
@@ -321,8 +321,8 @@ class TestValueIteration:
     def test_padding_and_width_classes_keep_the_bits(self, budget, monkeypatch):
         """Rows of lengths on both sides of the width classes (multiples of
         8), every other one with an entry to state 0, and values with ties:
-        both walks of every row match ``scalar_walk``, the row sums a Python
-        loop, and a part's walks those of the rows of its mask (empty, full,
+        both walks of every row match ``scalar_walk``, the remaining mass 1 -
+        the sum of a Python loop, and a part's walks those of the rows of its mask (empty, full,
         single rows, random) and 0 on every other row, with blocks of one
         row, two rows of width 8 and whole width classes."""
         monkeypatch.setattr(imc_module, "_BLOCK_SLOTS", budget)
@@ -337,14 +337,13 @@ class TestValueIteration:
         indptr, dst, lower, upper = csr(rows)
         layout = RowLayout(indptr, dst, lower, upper, InvalidModelError)
         low, high = walks(layout, values)
-        sums = _row_sums(indptr, lower)
         for i, row in enumerate(rows):
             assert low[i] == scalar_walk(values, row, "min")
             assert high[i] == scalar_walk(values, row, "max")
             total = 0.0
             for _, lo, _ in row:
                 total += lo
-            assert sums[i] == total
+            assert layout.remaining[i] == 1.0 - total
         count = len(rows)
         masks = [np.zeros(count, dtype=bool), np.ones(count, dtype=bool)]
         masks += [np.arange(count) == k for k in (0, 7, count - 1)]
@@ -518,6 +517,30 @@ class TestPreFixpointCheck:
     def pinned(imc):
         return imc.labels["goal"] | imc.labels["obstacle"] | imc.labels["unsafe"]
 
+    @staticmethod
+    def residual(imc, p_upper):
+        """max(min(T_max(p_upper), 1) - p_upper, 0) over the free states, by
+        one maximising walk of a layout of every row of the IMC."""
+        layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper)
+        swept = layout.walk(_rank(p_upper, -1.0), p_upper)
+        free = ~TestPreFixpointCheck.pinned(imc)
+        return float(np.max(np.minimum(swept, 1.0) - p_upper, where=free, initial=0.0))
+
+    @staticmethod
+    def recorded_sweeps(monkeypatch):
+        """Record each ``_sweep`` call's layout, bounds (as given) and
+        returns (as returned)."""
+        calls, sweep = [], verify_module._sweep
+
+        def recorded(layout, free, bounds, *args, **kwargs):
+            given = [b.copy() for b in bounds]
+            returned = sweep(layout, free, bounds, *args, **kwargs)
+            calls.append((layout, given, [*returned[:2], *map(list, returned[2:])]))
+            return returned
+
+        monkeypatch.setattr(verify_module, "_sweep", recorded)
+        return calls
+
     @pytest.mark.parametrize("stay, reach", [(0.999999, 1e-6), (0.9999999, 1e-7)])
     @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
     def test_tolerance_stop_does_not_violate(self, stay, reach, cap):
@@ -579,46 +602,56 @@ class TestPreFixpointCheck:
     def test_fixpoint_is_certified_without_a_sweep(self, monkeypatch):
         """After a bitwise fixpoint of the upper bound the residual is 0.0
         without the extra sweep, and a state below the threshold violates."""
-        imc, checked = both_settle(), []
-        monkeypatch.setattr(verify_module, "_residual", lambda *args: checked.append(args))
+        imc = both_settle()
+        calls = self.recorded_sweeps(monkeypatch)
         res = robust_value_iteration(imc, ReachAvoidSpec())
-        assert res.fixpoints[1] is not None and not checked
+        assert res.fixpoints[1] is not None and len(calls) == 1
         assert res.upper_residual == 0.0
         assert res.p_upper[0] < 0.9 and classes(res)[0] == "violates"
-        monkeypatch.undo()
-        layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper)
-        assert verify_module._residual(layout, res.p_upper, self.pinned(imc)) == 0.0
+        assert self.residual(imc, res.p_upper) == 0.0
 
     def test_residual_comes_from_the_sweeps_layout(self, tmp_path, monkeypatch):
         """On the 10² paper config under a tolerance of 0.05 the upper bound
         stops on the tolerance, not at its fixpoint (sweep 9 under the
-        default): value iteration lays the IMC out once and takes the
-        residual from that layout, with the bits of ``_residual`` on a layout
-        of its own."""
+        default): value iteration lays the IMC out once and checks the upper
+        bound by one more rising sweep of that layout, whose largest change
+        has the bits of the residual of a maximising walk over a layout of
+        its own. The check counts in neither ``iterations`` nor
+        ``walked_rows``."""
         path = tmp_path / "paper.yaml"
         path.write_text(PAPER_2D)
         ctx = build_context(load_config(path))
         imc = build_imc(ctx.posteriors(), ctx.labels)
-        built, checked, residual = [], [], verify_module._residual
+        built = []
 
         class Counted(RowLayout):
             def __init__(self, *args, **kwargs):
                 built.append(self)
                 super().__init__(*args, **kwargs)
 
-        def counted_residual(layout, p_upper, pinned):
-            checked.append((layout, p_upper.copy()))
-            return residual(layout, p_upper, pinned)
-
         monkeypatch.setattr(verify_module, "RowLayout", Counted)
-        monkeypatch.setattr(verify_module, "_residual", counted_residual)
+        calls = self.recorded_sweeps(monkeypatch)
         res = robust_value_iteration(imc, ctx.spec, convergence_tol=0.05)
         assert res.converged and res.fixpoints[1] is None
-        assert len(built) == 1 and len(checked) == 1 and checked[0][0] is built[0]
-        assert res.upper_residual > 0.0
-        monkeypatch.undo()
-        layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper)
-        assert res.upper_residual == residual(layout, checked[0][1], self.pinned(imc))
+        assert len(built) == 1 and [c[0] for c in calls[:2]] == [built[0]] * 2
+        (iterations, _, _, walked), (_, [checked], check) = calls[0][2], calls[1]
+        assert res.upper_residual > 0.0 and res.upper_residual == check[1]
+        assert check[0] == 1 and check[3] == [np.count_nonzero(~self.pinned(imc))]
+        assert res.upper_residual == self.residual(imc, checked)
+        # the iterate from 1 follows the check, and counts from the sweep it follows
+        assert calls[2][1][0].tolist() == (~imc.labels["obstacle"] & ~imc.labels["unsafe"]).tolist()
+        assert res.iterations == calls[2][2][0] > iterations
+        assert res.walked_rows[1] == walked[1] + calls[2][2][3][0]
+
+    def test_all_pinned_converges_after_one_sweep(self):
+        """With every state a goal or avoid state no row is walked: both
+        bounds return their bits at the first sweep, which is a fixpoint
+        and converges, with no residual to check."""
+        rows = (((0, 1.0, 1.0),), ((0, 0.5, 0.5), (2, 0.5, 0.5)), ((2, 1.0, 1.0),))
+        res = robust_value_iteration(make_imc(rows, 2, goal=[0], obstacle=[1]), ReachAvoidSpec())
+        assert (res.iterations, res.converged, res.fixpoints) == (1, True, (1, 1))
+        assert (res.upper_residual, res.walked_rows) == (0.0, (0, 0))
+        assert res.p_lower.tolist() == res.p_upper.tolist() == [1.0, 0.0, 0.0]
 
     def test_finite_horizons_are_exempt(self):
         res = robust_value_iteration(three_state_fixture(), ReachAvoidSpec(horizon=3))
@@ -785,11 +818,9 @@ class TestReading:
         classes, every other one reading state 0 and every third the last
         (unsafe) state, laid out whole or in part, against moved masks that
         hold state 0, the unsafe state, both, none, all or a random share.
-        Empty rows fail the row check, so it is replaced here by the
-        remaining mass alone."""
+        Empty rows fail the row check, so its tolerance is infinite here."""
         monkeypatch.setattr(imc_module, "_BLOCK_SLOTS", budget)
-        monkeypatch.setattr(imc_module, "_check_rows",
-                            lambda indptr, lower, *_: 1.0 - _row_sums(indptr, lower))
+        monkeypatch.setattr(imc_module, "_ROW_TOL", np.inf)
         rng = np.random.default_rng(61)
         n_states = 80
         unsafe = n_states - 1
