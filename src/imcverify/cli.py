@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import logging
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
-from .config import load_config
+from .config import _path, load_config
 from .errors import EvaluationError, InputError, SoundnessError
 from .pipeline import run_pipeline
 
@@ -102,8 +101,8 @@ def main(argv=None) -> int:
     )
     try:
         config = load_config(args.config)
-        if args.output_dir is not None:
-            config.output_dir = Path(args.output_dir)
+        if args.output_dir is not None:  # "" would write into, and clear, the working directory
+            config.output_dir = _path(args.output_dir, "--output-dir")
         if args.seed is not None:
             if args.seed < 0:
                 raise InputError(f"--seed: must be an integer >= 0, got {args.seed}")

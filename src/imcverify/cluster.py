@@ -7,11 +7,11 @@ iterates the states' bounds with them to a fixpoint, on one ``RowLayout`` of
 the clustered rows, in rounds: the first walks every row, each later one
 only the rows that read a state the round before changed, and values only
 their clusters. ``RowLayout.reading`` finds those rows in the layout itself:
-a clustered row reads its kept states and its cluster's slot, which counts
-as changed where one of its members did. The posteriors are computed by the
-caller, and the IMC is never rewritten. From sound bounds the pass keeps
-sound one-step bounds; it returns bounds and its round and walk counts, and
-the bounds' classes are derived where they are written or counted.
+a clustered row reads its kept states and, at its first member's place, its
+cluster's slot, which counts as changed where one of its members did. The
+posteriors come from the caller, and the IMC is never rewritten. From sound
+bounds the pass keeps sound one-step bounds; it returns bounds and its round
+and walk counts, and the bounds' classes are derived where written or counted.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SoundnessError
-from .imc import (_BLOCK_PAIRS, CellPosteriors, Imc, RowLayout, _goal_avoid_sets,
-                  _rows_with_last, _spans, pair_bounds)
+from .imc import (_BLOCK_PAIRS, CellPosteriors, Imc, RowLayout, _goal_avoid_sets, _spans,
+                  pair_bounds)
 from .verify import ReachAvoidSpec, VerificationResult, _rank
 
 log = logging.getLogger("imcverify")
@@ -113,11 +113,10 @@ def _proposals(imc: Imc, posts: CellPosteriors, allowed: np.ndarray, rows: range
 
 
 def _clustered_rows(imc: Imc, sources: np.ndarray, members: np.ndarray, cl_low, cl_up):
-    """The rows of ``sources``, in this order, with each cluster in place of
-    its members, reading slots of the pass's value vector: state s at s and
-    the cluster of row j at n + j. Returns the layout, the members, the
-    start and count of each row's, and the slots in tie order: by state, a
-    cluster at its first member's, stably (``_rank``'s ``ties``)."""
+    """The rows of ``sources``, in this order, with each cluster at its first
+    member's place, reading slots of the pass's value vector: state s at s and
+    the cluster of row j at n + j. Returns the layout, the members, and the
+    start and count of each row's."""
     n, count = imc.n_states, len(sources)
     length = np.diff(imc.indptr)[sources]
     entry = _spans(imc.indptr[sources], length)
@@ -126,18 +125,19 @@ def _clustered_rows(imc: Imc, sources: np.ndarray, members: np.ndarray, cl_low, 
     member_count = np.add.reduceat(member, np.cumsum(length) - length, dtype=np.int64)
     member_start = np.cumsum(member_count) - member_count
     member_state = imc.dst[entry[member]]
-    ties = np.argsort(np.concatenate([np.arange(n), member_state[member_start]]), kind="stable")
+    # the first member's place among the kept entries: every member before it is in an earlier row
+    at = np.flatnonzero(member)[member_start] - member_start
     entry = entry[~member]
     del member
+    indptr = np.concatenate([[0], np.cumsum(length - member_count + 1)])
     # the rows and their layout set the pass's peak: the kept entries are
     # gathered one column at a time
-    indptr, (dst, lower, upper) = _rows_with_last(
-        length - member_count, (x[entry] for x in (imc.dst, imc.lower, imc.upper)),
-        [n + np.arange(count), cl_low, cl_up])
+    dst, lower, upper = (np.insert(x[entry], at, y) for x, y in zip(
+        (imc.dst, imc.lower, imc.upper), (n + np.arange(count), cl_low, cl_up)))
     del entry
     # the clustered rows must stay feasible; a violation is a bug
     layout = RowLayout(indptr, dst, lower, upper, SoundnessError, sources)
-    return layout, member_state, member_start, member_count, ties
+    return layout, member_state, member_start, member_count
 
 
 def cluster_improve(
@@ -173,7 +173,7 @@ def cluster_improve(
     sources, box_lo, box_hi, members, holes = cluster_proposals(imc, posts, ~pinned)
     count = len(sources)
     cl_low, cl_up = pair_bounds(posts, sources, box_lo, box_hi)
-    layout, member_state, member_start, member_count, ties = _clustered_rows(
+    layout, member_state, member_start, member_count = _clustered_rows(
         imc, sources, members, cl_low, cl_up)
 
     # the value vectors [states | clusters], per bound
@@ -183,7 +183,7 @@ def cluster_improve(
 
     def walk(values, weakest, sign):
         values[n:][dirty] = weakest.reduceat(values[members], first)
-        return part.walk(_rank(values, sign, ties), values)[dirty]
+        return part.walk(_rank(values, sign), values)[dirty]
 
     while True:
         rounds, walks = rounds + 1, walks + int(np.count_nonzero(dirty))

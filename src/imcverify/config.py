@@ -149,7 +149,7 @@ def _parse_noise_component(entry: Any, path: str) -> NoiseComponent:
     if not isinstance(entry, dict) or "type" not in entry:
         _fail(path, "expected a mapping with a 'type' field")
     kind = entry["type"]
-    if kind not in _DISTRIBUTIONS:
+    if not isinstance(kind, str) or kind not in _DISTRIBUTIONS:  # a list or mapping is unhashable
         _fail(f"{path}.type", f"unknown distribution type {kind!r}")
     cls, params = _DISTRIBUTIONS[kind]
     _known_keys(entry, ("type",) + params, path)

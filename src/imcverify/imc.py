@@ -24,7 +24,6 @@ records their grid, is the only input the build and the cluster step take
 from the system. A structured system's posterior is its noise-free image
 g(q), the enclosure of its full expressions with the noise at 0 (additive)
 or 1 (multiplicative), unless a posterior table gives it.
-``_rows_with_last`` assembles the cluster step's CSR rows.
 
 A transition bound depends only on the source's posterior and the target
 box: ``pair_bounds`` maps arrays of (source, target box) pairs to their
@@ -168,8 +167,8 @@ class RowLayout:
     """The rows of one CSR block, checked and laid out for the adversary walk
     in one pass over ``_blocks``. Each row's bounds are added left to right
     from 0.0, as a Python loop adds (``np.add.reduceat`` adds pairwise):
-    ``_cumsum`` runs down its column of the transposed block, the padding
-    adds 0 and + 0.0 only turns -0.0 into 0.0. The first row with sum(lower)
+    ``np.cumsum`` runs along the block's rows, the padding adds 0 and
+    + 0.0 only turns -0.0 into 0.0. The first row with sum(lower)
     > 1 or sum(upper) < 1 (up to 1e-9) or a NaN sum raises ``error`` naming
     its state (``states[row]``, or the row index); ``remaining`` is each
     row's 1 - sum(lower). ``blocks`` holds, per block, its rows in the mask
@@ -185,8 +184,8 @@ class RowLayout:
         self.blocks = []
         for rows, slot, pad in _blocks(indptr):
             low, up = _padded(lower, slot, pad), _padded(upper, slot, pad)
-            total_lower[rows] = _cumsum(low.T.copy())[-1] + 0.0
-            total_upper[rows] = _cumsum(up.T.copy())[-1] + 0.0
+            total_lower[rows] = np.cumsum(low, axis=1)[:, -1] + 0.0
+            total_upper[rows] = np.cumsum(up, axis=1)[:, -1] + 0.0
             if walked is not None:
                 keep = walked[rows]
                 rows, slot, pad, low, up = (x[keep] for x in (rows, slot, pad, low, up))
@@ -231,8 +230,8 @@ class RowLayout:
 
     def walk(self, rank: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The greedy adversary walk of every row, its successors in ascending
-        ``rank`` of their targets (one distinct rank per state a row reads).
-        Returns sum(gamma * values) per row."""
+        ``rank`` of their targets, equal ranks in row order. Returns
+        sum(gamma * values) per row."""
         expectation = np.zeros(len(self.remaining))
         ints, floats, position = self._scratch
         for rows, dst, low, gap in self.blocks:
@@ -598,15 +597,6 @@ def build_imc(posts: CellPosteriors, labels: Mapping[str, np.ndarray]) -> Imc:
     imc = Imc(partition, indptr, dst[:n], lower[:n], upper[:n], dict(labels))
     RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper, walked=np.zeros(len(counts), bool))
     return imc
-
-
-def _rows_with_last(counts, entries, last) -> tuple[np.ndarray, list[np.ndarray]]:
-    """CSR rows in which row r holds the next ``counts[r]`` of ``entries``
-    (taken in row order), then ``last[r]``: ``indptr`` and one array per pair
-    of arrays in ``entries`` and ``last``, which are read once, in step."""
-    ends = np.cumsum(counts)
-    indptr = np.concatenate([[0], ends + np.arange(1, len(ends) + 1)])
-    return indptr, [np.insert(x, ends, y) for x, y in zip(entries, last)]
 
 
 # --- file formats ---------------------------------------------------------------

@@ -14,12 +14,12 @@ sorted order up to each upper bound. The feasible set is a transportation
 polytope and this greedy walk reaches its extreme points. A sweep ranks the
 states once for one bound (``_rank``); ``RowLayout.walk`` (``imc.py``, the
 owner of the row layout) then sorts every row of one block of the layout
-at a time by that rank and walks each row sequentially, so each row gets
-the bits of a walk over that row alone. Value iteration checks every row
-once, lays out only the rows of the states it does not pin, checks the
-upper bound by one more sweep of the same layout, and stops sweeping a
-bound whose sweep returns its own bits. As in interval iteration (Baier et al.,
-CAV 2017) each iterate is kept monotone (``_sweep``): a bounded monotone
+at a time by that rank, equal values in row order, and walks each row
+sequentially, so each row gets the bits of a walk over that row alone.
+Value iteration checks every row once, lays out only the rows of the
+states it does not pin, checks the upper bound by one more sweep of the
+same layout, and stops sweeping a bound whose sweep returns its own bits.
+As in interval iteration (Baier et al., CAV 2017) each iterate is kept monotone (``_sweep``): a bounded monotone
 sequence of floats settles, and no ``p_upper`` exceeds 1. A row whose
 successors kept their bits returns its own bits, so after a bound's first
 sweep each sweep walks only the rows that read a state the bound's last
@@ -106,16 +106,17 @@ class VerificationResult(Frozen):
                           walked_rows=walked_rows)
 
 
-def _rank(values, sign: float, ties=None) -> np.ndarray:
-    """Per state, its place in walk order: by ``values``, ascending for the
-    minimum (``sign`` 1.0) and descending for the maximum (-1.0), ties in
-    the order of the permutation ``ties`` (default: the state index), by
-    one stable sort; the expectation is tie-invariant."""
-    values = sign * values
-    order = np.argsort(values, kind="stable") if ties is None else (
-        ties[np.argsort(values[ties], kind="stable")])
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[order] = np.arange(len(values))
+def _rank(values, sign: float) -> np.ndarray:
+    """Per state, its dense rank in walk order: by ``values``, ascending for
+    the minimum (``sign`` 1.0) and descending for the maximum (-1.0), equal
+    values sharing one rank, so that they walk in row order; the expectation
+    is tie-invariant."""
+    order = np.argsort(sign * values)
+    ordered = values[order]
+    change = np.zeros(len(values), dtype=np.int64)  # 1 where the sorted value changes
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+    rank = np.empty_like(change)
+    rank[order] = np.cumsum(change, out=change)
     return rank
 
 

@@ -523,7 +523,7 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 @pytest.mark.parametrize("name, rounds, walked", [
-    ("paper-mult-40", 16, (5545, 5545)),
+    ("paper-mult-40", 16, (5556, 5556)),
     ("additive-h200-phased", 6, (0, 3126)),
 ])
 def test_summary_and_debug_line_report_rounds_and_walks(tmp_path, caplog, name, rounds, walked):

@@ -362,6 +362,19 @@ monte_carlo: {{enabled: false}}
             ("output_dir: out", "output_dir: out\nposterior_table: 5", "posterior_table"),
             ("output_dir: out", 'output_dir: out\nposterior_table: ""', "posterior_table"),
             ("output_dir: out", "output_dir: out\nposterior_table: false", "posterior_table"),
+            # containers where a scalar belongs and scalars where a container does
+            ("grid: [4]", "grid: 4", "grid"),
+            ("domain: [[0.0, 1.0]]", "domain: [0.0, 1.0]", "domain[0]"),
+            ("cluster:\n  passes: 0", "cluster: [1]", "cluster"),
+            ("labels:\n  goal: [[[0.75, 1.0]]]", "labels: [1, 2]", "labels"),
+            ("  goal: [[[0.75, 1.0]]]", "  goal: 5", "labels.goal"),
+            ("{type: uniform, lo: -0.25, hi: 0.25}", "uniform", "noise.components[0]"),
+            ("{type: uniform, lo", "{type: [uniform], lo", "noise.components[0].type"),
+            ("{type: uniform, lo", "{type: {uniform: 1}, lo", "noise.components[0].type"),
+            ("{type: uniform, lo: -0.25, hi: 0.25}",
+             "{type: mixture, weights: 0.5, components: [{type: uniform, lo: -0.25, hi: 0.25}]}",
+             "noise.components[0].weights"),
+            ("  confidence: 0.99", '  confidence: "0.5"', "monte_carlo.confidence"),
         ],
     )
     def test_wrongly_typed_value_rejected(self, tmp_path, caplog, old, new, field):
@@ -411,6 +424,19 @@ monte_carlo: {{enabled: false}}
             ("  goal: [[[0.75, 1.0]]]", '  goal: [[[0.75, 1.0]]]\n  "": [[[0.0, 0.25]]]', "labels."),
             ("  goal: [[[0.75, 1.0]]]",
              '  goal: [[[0.75, 1.0]]]\n  1: [[[0.0, 0.25]]]\n  "1": [[[0.25, 0.5]]]', "labels.1"),
+            ("grid: [4]\n", "", "grid"),
+            ("grid: [4]", "grid: [4, 4]", "grid"),
+            ("domain: [[0.0, 1.0]]", "domain: [[2, -2]]", "domain[0]"),
+            ('  expressions: ["x1 + w1"]', '  expressions: ["x1 + w1", "x1"]',
+             "dynamics.expressions"),
+            ("  structure: additive", "  structure: linear", "dynamics.structure"),
+            ("{type: uniform, lo", "{type: triangular, lo", "noise.components[0].type"),
+            ("    - {type: uniform, lo: -0.25, hi: 0.25}",
+             "    - {type: uniform, lo: -0.25, hi: 0.25}\n    - {type: uniform, lo: 0.0, hi: 0.1}",
+             "noise.components"),
+            ("  goal: [[[0.75, 1.0]]]", "  goal: [[[0.75, 1.0], [0.0, 1.0]]]", "labels.goal[0]"),
+            ("  confidence: 0.99", "  confidence: 1.5", "monte_carlo.confidence"),
+            ("  cells: all", "  cells: strde", "monte_carlo.cells"),
         ],
     )
     def test_invalid_value_rejected(self, tmp_path, caplog, old, new, field):
@@ -421,7 +447,8 @@ monte_carlo: {{enabled: false}}
         # verify after one sweep, a NaN one never stops it; a second cluster
         # pass over the first's fixpoint would change nothing; labels.csv
         # writes a label name as a bare field; the YAML keys 1 and "1" name
-        # one label, whose second box list would replace the first
+        # one label, whose second box list would replace the first; a count
+        # or a name must be one the config knows
         path = tmp_path / "bad.yaml"
         text = TOY_1D.format(passes=0, mc="true", outdir="out")
         assert old in text
@@ -454,6 +481,13 @@ monte_carlo: {{enabled: false}}
             load_config(path)
         assert main(["run", "-c", str(path)]) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["- domain: [[0.0, 1.0]]\n- grid: [4]\n", "5\n", ""])
+    def test_top_level_must_be_a_mapping(self, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(InputError, match=re.escape(f"{path}: top level must be a mapping")):
+            load_config(path)
 
     def test_label_names_are_free_form(self, tmp_path):
         path = tmp_path / "labels.yaml"
@@ -1060,24 +1094,29 @@ class TestCli:
         assert error.exc_info is None
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_multiplicative_positivity_validated(self, tmp_path):
+    @pytest.mark.parametrize("domain, noise_lo, message", [
+        (-0.5, 0.9, "domain: multiplicative structure requires a strictly positive domain"),
+        (0.25, -0.1,
+         "noise.components[0]: multiplicative structure requires non-negative noise support"),
+    ])
+    def test_multiplicative_positivity_validated(self, tmp_path, domain, noise_lo, message):
         path = tmp_path / "bad.yaml"
         path.write_text(
-            """\
-domain: [[-0.5, 1.0]]
+            f"""\
+domain: [[{domain}, 1.0]]
 grid: [2]
 dynamics:
   expressions: ["0.5*x1 + 0.6"]
   structure: multiplicative
 noise:
   components:
-    - {type: uniform, lo: 0.9, hi: 1.1}
+    - {{type: uniform, lo: {noise_lo}, hi: 1.1}}
 labels:
   goal: [[[0.25, 1.0]]]
 output_dir: out
 """
         )
-        with pytest.raises(InputError, match="strictly positive domain"):
+        with pytest.raises(InputError, match=re.escape(message)):
             load_config(path)
 
     def test_nonpositive_multiplicative_posterior_exits_1(self, tmp_path, caplog, capsys):
@@ -1513,6 +1552,26 @@ output_dir: out
             calls.clear()
             assert main([phase, "-c", str(path)]) == 0
             assert len(calls) == expected, phase
+
+    @pytest.mark.parametrize("flag", [["--output-dir", ""], ["--output-dir="]],
+                             ids=["plain", "argparse"])
+    def test_empty_output_dir_is_refused(self, tmp_path, monkeypatch, caplog, flag):
+        # an unset shell variable gives "", which would write every export
+        # into the working directory after deleting the exports found there
+        cfg_path = write_toy(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        for name in EXPORTS:
+            (work / name).write_text("kept\n")
+            (work / f"{name}.stamp").write_text("kept\n")
+        before = sorted((p.name, p.read_bytes()) for p in work.iterdir())
+        monkeypatch.chdir(work)
+        with caplog.at_level(logging.ERROR, logger="imcverify"):
+            assert _exit_code(["run", "-c", str(cfg_path), *flag]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == ["--output-dir: must be a non-empty path string, got ''"]
+        assert sorted((p.name, p.read_bytes()) for p in work.iterdir()) == before
+        assert not (tmp_path / "out").exists()
 
     def test_output_dir_and_seed_override(self, tmp_path):
         cfg_path = write_toy(tmp_path)

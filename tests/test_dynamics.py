@@ -43,10 +43,22 @@ class TestParsing:
         model = parse_dynamics(["x1 + w1"], 1, "additive")
         assert eval_point(model, [0.5], [0.1]) == pytest.approx([0.6])
 
-    def test_syntax_error_position(self):
+    @pytest.mark.parametrize("source, column, message", [
+        ("x1 + ", 5, "expected operand"),
+        ("x1 # 2", 3, "unexpected character '#'"),
+        ("(x1 + 2", 7, "expected ')'"),
+        ("x1 x2", 3, "unexpected token 'x2'"),
+        ("x1^x2", 3, "expected integer exponent"),
+        ("x1^1.5", 3, "exponent must be an integer"),
+        ("x0 + 1", 0, "variable index must be >= 1: 'x0'"),
+        ("sin x1", 4, "expected '(' after 'sin'"),
+        ("foo(x1)", 0, "unknown identifier 'foo'"),
+    ])
+    def test_syntax_error_position(self, source, column, message):
         with pytest.raises(ParseError) as err:
-            parse_expression("x1 + ")
-        assert err.value.column == 5
+            parse_expression(source, lineno=2)
+        assert (err.value.line, err.value.column) == (2, column)
+        assert str(err.value) == f"line 2, column {column}: {message}"
 
     def test_structure_violation_wrong_component(self):
         with pytest.raises(StructureError):

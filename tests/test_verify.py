@@ -372,6 +372,34 @@ class TestValueIteration:
             assert np.array_equal(only_low, np.where(mask, low, 0.0))
             assert np.array_equal(only_high, np.where(mask, high, 0.0))
 
+    @pytest.mark.parametrize("budget", [imc_module._BLOCK_SLOTS, 16])
+    def test_dense_ranks_walk_the_bits_of_stable_ranks(self, budget, monkeypatch):
+        """``_rank`` gives equal values one rank, and a walk takes equal
+        ranks in row order, which is by target: on random IMCs with heavy
+        ties both adversaries, on the whole layout and on parts, get the
+        bits of distinct ranks that order equal values by state. Equal
+        values in the reverse order change some bits, so the order shows."""
+        monkeypatch.setattr(imc_module, "_BLOCK_SLOTS", budget)
+        rng = np.random.default_rng(61)
+        reversed_differ = 0
+        for _ in range(20):
+            imc = random_imc(rng, int(rng.integers(2, 40)))
+            n = imc.n_states
+            layout = RowLayout(imc.indptr, imc.dst, imc.lower, imc.upper)
+            values = rng.choice(np.append(rng.random(2), [0.0, 1.0]), n)
+            masks = [None] + [rng.random(n) < share for share in (0.3, 0.7)]
+            for sign, mask in itertools.product((1.0, -1.0), masks):
+                dense = _rank(values, sign)
+                assert dense.min() == 0 and dense.max() == len(np.unique(values)) - 1
+                assert np.array_equal(dense, np.unique(sign * values, return_inverse=True)[1])
+                by_state, by_reversed_state = (np.argsort(np.lexsort((tie, sign * values)))
+                                               for tie in (np.arange(n), -np.arange(n)))
+                part = layout if mask is None else layout.part(mask)
+                walk = part.walk(dense, values)
+                assert walk.tobytes() == part.walk(by_state, values).tobytes()
+                reversed_differ += walk.tobytes() != part.walk(by_reversed_state, values).tobytes()
+        assert reversed_differ > 0
+
     def test_label_overlap_rejected(self):
         rows = (((0, 1.0, 1.0),), ((1, 1.0, 1.0),))
         imc = make_imc(rows, 1, goal=[0], obstacle=[0])
@@ -866,7 +894,7 @@ class TestReading:
             row = np.repeat(np.arange(imc.n_states), length)
             cl_low = np.bincount(row[members], imc.lower[members], imc.n_states)[sources]
             cl_up = np.minimum(np.bincount(row[members], imc.upper[members], imc.n_states), 1.0)
-            layout, member_state, member_start, _, _ = cluster_module._clustered_rows(
+            layout, member_state, member_start, _ = cluster_module._clustered_rows(
                 imc, sources, members, cl_low, cl_up[sources])
             is_source = np.isin(np.arange(imc.n_states), sources)
             for share in (0.0, 0.05, 0.2, 0.5, 1.0):
